@@ -9,7 +9,6 @@
 //	ddtbench -ablations
 //	ddtbench -approaches          # Section III Algorithms 1-3
 //	ddtbench -extended            # all eight ddtbench workloads
-//	ddtbench -plans               # pack-plan speedups + plan-cache counters
 //	ddtbench -scaling             # node-count ring scaling
 //	ddtbench -fig rma             # put-based vs two-sided collectives
 //	ddtbench -fig 12 -format csv  # machine-readable output
@@ -50,7 +49,6 @@ func main() {
 	extended := flag.Bool("extended", false, "sweep all eight ddtbench workloads")
 	scaling := flag.Bool("scaling", false, "ring-exchange node scaling")
 	table1 := flag.Bool("table1", false, "quantified Table I scheme comparison")
-	plans := flag.Bool("plans", false, "compiled pack-plan speedups and plan-cache counters")
 	system := flag.String("system", "lassen", "system for -approaches/-extended/-scaling: lassen or abci")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of every measurement to this file (load in Perfetto / chrome://tracing)")
 	faultSpec := flag.String("faults", "", "run every measurement under deterministic fault injection: a preset name (mixed, drop-heavy, corrupt-heavy, flappy-link, kernel-failure), optionally with overrides, or a key=value spec (e.g. 'mixed,seed=7' or 'drop=0.05,corrupt=0.02')")
@@ -84,7 +82,7 @@ func main() {
 		for _, f := range bench.Figures() {
 			fmt.Printf("  -fig %s\n", f)
 		}
-		fmt.Println("plus: -ablations, -approaches, -extended, -scaling, -table1, -plans")
+		fmt.Println("plus: -ablations, -approaches, -extended, -scaling, -table1")
 	case *ablations:
 		emit(bench.Ablations())
 	case *approaches:
@@ -95,8 +93,6 @@ func main() {
 		emit([]*bench.Table{bench.Scaling(spec, workload.MILC(), 16)})
 	case *table1:
 		emit([]*bench.Table{bench.TableOne()})
-	case *plans:
-		emit(bench.Plans(spec))
 	case *fig == "all":
 		for _, f := range bench.Figures() {
 			if err := run(f); err != nil {

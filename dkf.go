@@ -356,12 +356,6 @@ type SessionConfig struct {
 	// events scale as ranks x virtual-time/interval, and at 1024 ranks the
 	// default generates billions of events.
 	PollInterval int64
-	// DisablePackPlans forces the legacy block-list pack/unpack loops
-	// instead of the compiled per-canonical-form pack plans (ablation /
-	// differential-oracle control). Plans only change host execution
-	// speed: checksums, virtual clocks, and kernel counts are identical
-	// either way.
-	DisablePackPlans bool
 	// Backend selects the default communication backend for the
 	// collective engine. BackendP2P (default) keeps the two-sided
 	// eager/rendezvous schedules; BackendRMA builds the one-sided fabric
@@ -576,7 +570,6 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		mcfg.Rendezvous = mpi.RPUT
 	}
 	mcfg.DisableIPC = cfg.DisableIPC
-	mcfg.DisablePackPlans = cfg.DisablePackPlans
 	mcfg.PipelineChunkBytes = cfg.PipelineChunk
 	mcfg.Timeline = cfg.Trace
 	mcfg.Faults = cfg.Faults
@@ -663,17 +656,16 @@ func (s *Session) Timeline() *Timeline { return s.world.Timeline() }
 func (s *Session) DeviceStats(r int) gpu.Stats { return s.world.Rank(r).Dev.Stats }
 
 // PlanStats summarizes canonical layout-cache behavior across all ranks:
-// hits/misses/evictions of the canonical-keyed caches plus plan
-// compilations by kind. A hot cache shows a high hit count and a compile
-// count no larger than the number of distinct (canonical form, count)
-// pairs — equivalent datatype spellings never recompile.
+// hits/misses of the canonical-keyed caches plus plan compilations by
+// kind. A hot cache shows a high hit count and a compile count no larger
+// than the number of distinct (canonical form, count) pairs — equivalent
+// datatype spellings never recompile.
 type PlanStats struct {
-	// Hits/Misses/Evictions aggregate the per-rank canonical caches
-	// (both the charged point-to-point cache and the collective-engine
-	// plan cache).
-	Hits      int64
-	Misses    int64
-	Evictions int64
+	// Hits/Misses aggregate the per-rank canonical caches over every
+	// lookup, point-to-point and collective alike. A miss creates an
+	// entry and compiles its plan, so Misses == TotalCompiled().
+	Hits   int64
+	Misses int64
 	// Compiled counts compiled pack plans by specialization:
 	// "empty", "contig", "strided", "gather".
 	Compiled map[string]int64
@@ -696,10 +688,9 @@ func (s *Session) PlanStats() PlanStats {
 		agg.Add(s.world.Rank(r).CacheStats())
 	}
 	ps := PlanStats{
-		Hits:      agg.Hits,
-		Misses:    agg.Misses,
-		Evictions: agg.Evictions,
-		Compiled:  make(map[string]int64, len(agg.Compiled)),
+		Hits:     agg.Hits,
+		Misses:   agg.Misses,
+		Compiled: make(map[string]int64, len(agg.Compiled)),
 	}
 	for k, n := range agg.Compiled {
 		if n != 0 {
@@ -1150,14 +1141,6 @@ type NeighborOp = mpi.NeighborOp
 // FIFO matching for repeated peers).
 func (c *RankCtx) NeighborAlltoallw(ops []NeighborOp) error {
 	return c.sess.coll.NeighborAlltoallw(c.proc, c.rank, ops)
-}
-
-// NeighborExchange posts all receives then all sends of ops and waits.
-//
-// Deprecated: NeighborAlltoallw supersedes this with collective-scope
-// kernel fusion; this per-message path remains as the naive reference.
-func (c *RankCtx) NeighborExchange(ops []NeighborOp) {
-	c.rank.NeighborExchange(c.proc, ops)
 }
 
 // --- one-sided RMA (symmetric windows, put/get/signal) ---

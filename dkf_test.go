@@ -265,7 +265,7 @@ func TestFacadeExplicitPackUnpack(t *testing.T) {
 	}
 }
 
-func TestFacadeNeighborExchange(t *testing.T) {
+func TestFacadeNeighborAlltoallw(t *testing.T) {
 	sess, err := dkf.NewSession(dkf.SessionConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -281,11 +281,13 @@ func TestFacadeNeighborExchange(t *testing.T) {
 	}
 	err = sess.Run(func(c *dkf.RankCtx) {
 		peer := c.ID() ^ 1
-		c.NeighborExchange([]dkf.NeighborOp{{
+		if err := c.NeighborAlltoallw([]dkf.NeighborOp{{
 			Peer:    peer,
 			SendBuf: sb[c.ID()], SendType: l,
 			RecvBuf: rb[c.ID()], RecvType: l,
-		}})
+		}}); err != nil {
+			t.Errorf("rank %d: %v", c.ID(), err)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)

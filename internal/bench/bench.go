@@ -17,7 +17,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/fusion"
 	"repro/internal/gpu"
-	"repro/internal/layoutcache"
 	"repro/internal/mpi"
 	"repro/internal/schemes"
 	"repro/internal/sim"
@@ -133,9 +132,6 @@ type BulkResult struct {
 	Blocks int
 	// VerifyErr is non-nil if any received byte was wrong.
 	VerifyErr error
-	// Plans sums the two participating ranks' canonical-cache counters
-	// (hits/misses/evictions and plans compiled by kind) after the run.
-	Plans layoutcache.Stats
 }
 
 // factoryFor builds the scheme factory, honoring a threshold override.
@@ -243,8 +239,6 @@ func RunBulk(opt BulkOptions) BulkResult {
 	res.AvgNs = total / int64(opt.Iterations)
 	res.Breakdown.Merge(w.Rank(a).Trace)
 	res.Breakdown.Merge(w.Rank(bPeer).Trace)
-	res.Plans.Add(w.Rank(a).CacheStats())
-	res.Plans.Add(w.Rank(bPeer).CacheStats())
 	for i := 0; i < nbuf; i++ {
 		if err := workload.VerifyBlocks(l, 1, sideA.s[i].Data, sideB.r[i].Data); err != nil {
 			res.VerifyErr = fmt.Errorf("A->B buffer %d: %w", i, err)

@@ -410,6 +410,28 @@ func makeNeighborOps(w *mpi.World, l *datatype.Layout) [][]mpi.NeighborOp {
 	return ops
 }
 
+// refNeighbor is the per-message reference for NeighborAlltoallw: plain
+// user-tag receives, then sends, then one Waitall. One shared tag keeps
+// FIFO matching, so repeated peers pair legs in posting order.
+func refNeighbor(t *testing.T, w *mpi.World, ops [][]mpi.NeighborOp) {
+	t.Helper()
+	err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
+		var reqs []*mpi.Request
+		for _, op := range ops[r.ID()] {
+			reqs = append(reqs, r.Irecv(p, op.Peer, 7, op.RecvBuf, op.RecvType, op.Count))
+		}
+		for _, op := range ops[r.ID()] {
+			reqs = append(reqs, r.Isend(p, op.Peer, 7, op.SendBuf, op.SendType, op.Count))
+		}
+		if err := r.Waitall(p, reqs); err != nil {
+			t.Errorf("reference rank %d: %v", r.ID(), err)
+		}
+	})
+	if err != nil {
+		t.Fatalf("reference world: %v", err)
+	}
+}
+
 func TestNeighborAlltoallwConformance(t *testing.T) {
 	l := denseVec()
 	for _, s := range schemes.Names() {
@@ -428,14 +450,9 @@ func TestNeighborAlltoallwConformance(t *testing.T) {
 			}
 			checkNoLeaks(t, w, s)
 
-			// Reference: the deprecated per-message NeighborExchange.
 			ref := collWorld("GPU-Sync", nil)
 			refOps := makeNeighborOps(ref, l)
-			if err := ref.Run(func(r *mpi.Rank, p *sim.Proc) {
-				r.NeighborExchange(p, refOps[r.ID()])
-			}); err != nil {
-				t.Fatalf("reference world: %v", err)
-			}
+			refNeighbor(t, ref, refOps)
 			for r := range ops {
 				for k := range ops[r] {
 					if !bytes.Equal(ops[r][k].RecvBuf.Data, refOps[r][k].RecvBuf.Data) {

@@ -15,9 +15,7 @@ import (
 // graph-topology contract guarantees.
 //
 // The whole exchange is ONE fused phase: every leg's pack launches as a
-// single kernel, and every arrival's unpack/IPC scatter as another —
-// this supersedes mpi.(*Rank).NeighborExchange, which batches only
-// per-message.
+// single kernel, and every arrival's unpack/IPC scatter as another.
 func (e *Engine) NeighborAlltoallw(p *sim.Proc, r *mpi.Rank, ops []mpi.NeighborOp) error {
 	alg := e.tuning.Neighbor
 	if err := validAlg("neighbor-alltoallw", alg, Linear); err != nil {

@@ -1,145 +1,138 @@
 package coll_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/coll"
 	"repro/internal/datatype"
+	"repro/internal/gpu"
 	"repro/internal/mpi"
-	"repro/internal/schemes"
 	"repro/internal/sim"
 )
 
-// This file is the collectives half of the pack-plans differential oracle
-// (the schemes half lives in internal/conformance): every matrix cell runs
-// on identical 8-rank Lassen worlds with compiled pack plans enabled and
-// disabled (the legacy block-list path), in both exact and lazy payload
-// modes, and the runs must agree on per-leg recv checksums, the final
-// simulated clock, and total kernel launches. Plans change host execution
-// only; any divergence is a plan bug.
+// This file is the collectives half of the pack-plans oracle (the schemes
+// half lives in internal/conformance): every matrix cell runs byte-exact
+// on an 8-rank Lassen world, where each pack and unpack job runs the
+// compiled plan of its layout-cache entry, and every receive buffer must
+// end equal to a host model that packs the sender's bytes through the
+// send block list and scatters them through the receive block list.
 
-func plansCollWorld(scheme string, lazy, noplans bool, mut func(*mpi.Config)) (*sim.Env, *mpi.World) {
-	env := sim.NewEnv()
-	c := cluster.MustBuild(env, cluster.Lassen())
-	if lazy {
-		for _, node := range c.Devices {
-			for _, d := range node {
-				d.LazyThreshold = 1
-			}
-		}
-	}
-	cfg := mpi.DefaultConfig()
-	cfg.DisablePackPlans = noplans
-	if mut != nil {
-		mut(&cfg)
-	}
-	return env, mpi.NewWorld(c, cfg, schemes.Factory(scheme))
+// planLeg is one typed movement a collective must perform: the send
+// region of one rank lands in the receive region of another.
+type planLeg struct {
+	send  *gpu.Buffer
+	st    *datatype.Layout
+	sc    int
+	recv  *gpu.Buffer
+	rt    *datatype.Layout
+	rc    int
+	label string
 }
 
-// planDiffCell runs one cell four ways ({exact,lazy} x {plans,legacy}) and
-// asserts the plan arm matches the legacy arm within each payload mode.
-func planDiffCell(t *testing.T, label string, run func(t *testing.T, lazy, noplans bool) cellResult) {
+// planCell builds a cell's buffers on w and returns its legs and the
+// per-rank collective call.
+type planCell func(w *mpi.World) ([]planLeg, func(e *coll.Engine, r *mpi.Rank, p *sim.Proc) error)
+
+// modelLeg packs src through the send blocks into a wire stream and
+// scatters it through the receive blocks into dst.
+func modelLeg(dst, src []byte, lg planLeg) {
+	var wire []byte
+	for _, b := range lg.st.Repeat(lg.sc) {
+		wire = append(wire, src[b.Offset:b.Offset+b.Len]...)
+	}
+	var pos int64
+	for _, b := range lg.rt.Repeat(lg.rc) {
+		copy(dst[b.Offset:b.Offset+b.Len], wire[pos:pos+b.Len])
+		pos += b.Len
+	}
+}
+
+func runPlanCell(t *testing.T, scheme string, tun coll.Tuning, mut func(*mpi.Config), cell planCell) {
 	t.Helper()
-	for _, lazy := range []bool{false, true} {
-		mode := map[bool]string{false: "exact", true: "lazy"}[lazy]
-		on := run(t, lazy, false)
-		off := run(t, lazy, true)
-		if on.clock != off.clock {
-			t.Errorf("%s/%s: final clock differs: plans %d vs legacy %d", label, mode, on.clock, off.clock)
+	w := collWorld(scheme, mut)
+	legs, call := cell(w)
+	want := make([][]byte, len(legs))
+	for i, lg := range legs {
+		want[i] = append([]byte(nil), lg.recv.Data...)
+		modelLeg(want[i], lg.send.Data, lg)
+	}
+	e := coll.New(w, tun)
+	err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
+		if cerr := call(e, r, p); cerr != nil {
+			t.Errorf("rank %d: %v", r.ID(), cerr)
 		}
-		if on.kernels != off.kernels {
-			t.Errorf("%s/%s: kernel launches differ: plans %d vs legacy %d", label, mode, on.kernels, off.kernels)
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", scheme, err)
+	}
+	checkNoLeaks(t, w, scheme)
+	for i, lg := range legs {
+		if !bytes.Equal(lg.recv.Data, want[i]) {
+			t.Errorf("%s: %s differs from the block-list model", scheme, lg.label)
 		}
-		if len(on.sums) != len(off.sums) {
-			t.Fatalf("%s/%s: leg count differs: %d vs %d", label, mode, len(on.sums), len(off.sums))
-		}
-		for i := range on.sums {
-			if on.sums[i] != off.sums[i] {
-				t.Errorf("%s/%s: leg %d checksum differs: plans %#x vs legacy %#x", label, mode, i, on.sums[i], off.sums[i])
-			}
-		}
+	}
+	var compiled int64
+	for i := 0; i < w.Size(); i++ {
+		compiled += w.Rank(i).CacheStats().TotalCompiled()
+	}
+	if compiled == 0 {
+		t.Errorf("%s: no pack plan compiled", scheme)
 	}
 }
 
-func a2aPlanCell(scheme string, alg coll.Algorithm, l *datatype.Layout, mut func(*mpi.Config)) func(t *testing.T, lazy, noplans bool) cellResult {
-	return func(t *testing.T, lazy, noplans bool) cellResult {
-		t.Helper()
-		env, w := plansCollWorld(scheme, lazy, noplans, mut)
+func a2aPlanCell(l *datatype.Layout) planCell {
+	return func(w *mpi.World) ([]planLeg, func(*coll.Engine, *mpi.Rank, *sim.Proc) error) {
 		ops := makeA2AOpsPRF(w, l)
-		e := coll.New(w, coll.Tuning{Alltoallw: alg})
-		err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
-			if cerr := e.Alltoallw(p, r, ops[r.ID()]); cerr != nil {
-				t.Errorf("rank %d: %v", r.ID(), cerr)
-			}
-		})
-		if err != nil {
-			t.Fatalf("%s/%s lazy=%v noplans=%v: %v", scheme, alg, lazy, noplans, err)
-		}
-		checkNoLeaks(t, w, fmt.Sprintf("%s/%s lazy=%v noplans=%v", scheme, alg, lazy, noplans))
-		res := cellResult{clock: env.Now(), kernels: kernelTotal(w)}
+		var legs []planLeg
 		for r := range ops {
 			for peer := range ops[r] {
-				res.sums = append(res.sums, ops[r][peer].RecvBuf.Checksum())
+				s, d := ops[peer][r], ops[r][peer]
+				legs = append(legs, planLeg{s.SendBuf, s.SendType, s.SendCount, d.RecvBuf, d.RecvType, d.RecvCount,
+					d.RecvBuf.Name})
 			}
 		}
-		return res
+		return legs, func(e *coll.Engine, r *mpi.Rank, p *sim.Proc) error {
+			return e.Alltoallw(p, r, ops[r.ID()])
+		}
 	}
 }
 
-func agPlanCell(scheme string, alg coll.Algorithm, l *datatype.Layout) func(t *testing.T, lazy, noplans bool) cellResult {
-	return func(t *testing.T, lazy, noplans bool) cellResult {
-		t.Helper()
-		env, w := plansCollWorld(scheme, lazy, noplans, nil)
+func vLeg(s, d coll.VOp) planLeg {
+	return planLeg{s.Buf, s.Type, s.Count, d.Buf, d.Type, d.Count, d.Buf.Name}
+}
+
+func agPlanCell(l *datatype.Layout) planCell {
+	return func(w *mpi.World) ([]planLeg, func(*coll.Engine, *mpi.Rank, *sim.Proc) error) {
 		sends, recvs := makeAGPRF(w, l)
-		e := coll.New(w, coll.Tuning{Allgatherv: alg})
-		err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
-			if cerr := e.Allgatherv(p, r, sends[r.ID()], recvs[r.ID()]); cerr != nil {
-				t.Errorf("rank %d: %v", r.ID(), cerr)
-			}
-		})
-		if err != nil {
-			t.Fatalf("%s/%s lazy=%v noplans=%v: %v", scheme, alg, lazy, noplans, err)
-		}
-		checkNoLeaks(t, w, fmt.Sprintf("%s/%s lazy=%v noplans=%v", scheme, alg, lazy, noplans))
-		res := cellResult{clock: env.Now(), kernels: kernelTotal(w)}
+		var legs []planLeg
 		for r := range recvs {
 			for src := range recvs[r] {
-				res.sums = append(res.sums, recvs[r][src].Buf.Checksum())
+				legs = append(legs, vLeg(sends[src], recvs[r][src]))
 			}
 		}
-		return res
+		return legs, func(e *coll.Engine, r *mpi.Rank, p *sim.Proc) error {
+			return e.Allgatherv(p, r, sends[r.ID()], recvs[r.ID()])
+		}
 	}
 }
 
-func gathervPlanCell(scheme string, alg coll.Algorithm, root int, l *datatype.Layout) func(t *testing.T, lazy, noplans bool) cellResult {
-	return func(t *testing.T, lazy, noplans bool) cellResult {
-		t.Helper()
-		env, w := plansCollWorld(scheme, lazy, noplans, nil)
+func gathervPlanCell(root int, l *datatype.Layout) planCell {
+	return func(w *mpi.World) ([]planLeg, func(*coll.Engine, *mpi.Rank, *sim.Proc) error) {
 		sends, recvs := makeAGPRF(w, l)
-		e := coll.New(w, coll.Tuning{Gatherv: alg})
-		err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
-			if cerr := e.Gatherv(p, r, root, sends[r.ID()], recvs[r.ID()]); cerr != nil {
-				t.Errorf("rank %d: %v", r.ID(), cerr)
-			}
-		})
-		if err != nil {
-			t.Fatalf("%s/%s lazy=%v noplans=%v: %v", scheme, alg, lazy, noplans, err)
+		var legs []planLeg
+		for src := range sends {
+			legs = append(legs, vLeg(sends[src], recvs[root][src]))
 		}
-		checkNoLeaks(t, w, fmt.Sprintf("%s/%s lazy=%v noplans=%v", scheme, alg, lazy, noplans))
-		res := cellResult{clock: env.Now(), kernels: kernelTotal(w)}
-		for src := 0; src < w.Size(); src++ {
-			res.sums = append(res.sums, recvs[root][src].Buf.Checksum())
+		return legs, func(e *coll.Engine, r *mpi.Rank, p *sim.Proc) error {
+			return e.Gatherv(p, r, root, sends[r.ID()], recvs[r.ID()])
 		}
-		return res
 	}
 }
 
-func scattervPlanCell(scheme string, alg coll.Algorithm, root int, l *datatype.Layout) func(t *testing.T, lazy, noplans bool) cellResult {
-	return func(t *testing.T, lazy, noplans bool) cellResult {
-		t.Helper()
-		env, w := plansCollWorld(scheme, lazy, noplans, nil)
+func scattervPlanCell(root int, l *datatype.Layout) planCell {
+	return func(w *mpi.World) ([]planLeg, func(*coll.Engine, *mpi.Rank, *sim.Proc) error) {
 		size := w.Size()
 		sends := make([][]coll.VOp, size)
 		recvs := make([]coll.VOp, size)
@@ -154,90 +147,78 @@ func scattervPlanCell(scheme string, alg coll.Algorithm, root int, l *datatype.L
 			rb := dev.Alloc(fmt.Sprintf("psv-r-%d", r), int(l.ExtentBytes)*3)
 			recvs[r] = coll.VOp{Buf: rb, Type: l, Count: 1 + r%3}
 		}
-		e := coll.New(w, coll.Tuning{Scatterv: alg})
-		err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
-			if cerr := e.Scatterv(p, r, root, sends[r.ID()], recvs[r.ID()]); cerr != nil {
-				t.Errorf("rank %d: %v", r.ID(), cerr)
-			}
-		})
-		if err != nil {
-			t.Fatalf("%s/%s lazy=%v noplans=%v: %v", scheme, alg, lazy, noplans, err)
-		}
-		checkNoLeaks(t, w, fmt.Sprintf("%s/%s lazy=%v noplans=%v", scheme, alg, lazy, noplans))
-		res := cellResult{clock: env.Now(), kernels: kernelTotal(w)}
+		var legs []planLeg
 		for r := 0; r < size; r++ {
-			res.sums = append(res.sums, recvs[r].Buf.Checksum())
+			legs = append(legs, vLeg(sends[root][r], recvs[r]))
 		}
-		return res
+		return legs, func(e *coll.Engine, r *mpi.Rank, p *sim.Proc) error {
+			return e.Scatterv(p, r, root, sends[r.ID()], recvs[r.ID()])
+		}
 	}
 }
 
-func neighborPlanCell(scheme string, l *datatype.Layout) func(t *testing.T, lazy, noplans bool) cellResult {
-	return func(t *testing.T, lazy, noplans bool) cellResult {
-		t.Helper()
-		env, w := plansCollWorld(scheme, lazy, noplans, nil)
-		size := w.Size()
-		ops := make([][]mpi.NeighborOp, size)
-		for r := 0; r < size; r++ {
-			dev := w.Rank(r).Dev
-			left := (r - 1 + size) % size
-			right := (r + 1) % size
-			mk := func(k, peer int) mpi.NeighborOp {
-				sb := dev.Alloc(fmt.Sprintf("pn-s-%d-%d", r, k), int(l.ExtentBytes))
-				rb := dev.Alloc(fmt.Sprintf("pn-r-%d-%d", r, k), int(l.ExtentBytes))
-				sb.FillStream(uint64(r*10 + k + 1))
-				return mpi.NeighborOp{Peer: peer, SendBuf: sb, SendType: l, RecvBuf: rb, RecvType: l, Count: 1}
+// neighborPlanCell is a ring where every rank lists each neighbor twice;
+// legs between one pair match in posting order.
+func neighborPlanCell(l *datatype.Layout) planCell {
+	return func(w *mpi.World) ([]planLeg, func(*coll.Engine, *mpi.Rank, *sim.Proc) error) {
+		ops := makeNeighborOps(w, l)
+		// nth returns the index of the n-th op of rank r naming peer.
+		nth := func(r, peer, n int) int {
+			for k, op := range ops[r] {
+				if op.Peer == peer {
+					if n == 0 {
+						return k
+					}
+					n--
+				}
 			}
-			ops[r] = []mpi.NeighborOp{mk(0, left), mk(1, right), mk(2, left), mk(3, right)}
+			panic("neighbor ops: unmatched leg")
 		}
-		e := coll.New(w, coll.Tuning{})
-		err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
-			if cerr := e.NeighborAlltoallw(p, r, ops[r.ID()]); cerr != nil {
-				t.Errorf("rank %d: %v", r.ID(), cerr)
-			}
-		})
-		if err != nil {
-			t.Fatalf("%s lazy=%v noplans=%v: %v", scheme, lazy, noplans, err)
-		}
-		checkNoLeaks(t, w, fmt.Sprintf("%s lazy=%v noplans=%v", scheme, lazy, noplans))
-		res := cellResult{clock: env.Now(), kernels: kernelTotal(w)}
+		var legs []planLeg
 		for r := range ops {
-			for k := range ops[r] {
-				res.sums = append(res.sums, ops[r][k].RecvBuf.Checksum())
+			seen := map[int]int{}
+			for _, d := range ops[r] {
+				s := ops[d.Peer][nth(d.Peer, r, seen[d.Peer])]
+				seen[d.Peer]++
+				legs = append(legs, planLeg{s.SendBuf, s.SendType, s.Count, d.RecvBuf, d.RecvType, d.Count, d.RecvBuf.Name})
 			}
 		}
-		return res
+		return legs, func(e *coll.Engine, r *mpi.Rank, p *sim.Proc) error {
+			return e.NeighborAlltoallw(p, r, ops[r.ID()])
+		}
 	}
 }
 
-// TestPlanCollectivesMatrix is the collectives matrix under the
-// plans-on/plans-off differential oracle at 8 ranks: Alltoallw across
-// algorithms and layout families, Allgatherv across algorithms, rooted
-// Gatherv and Scatterv, and NeighborAlltoallw — identical checksums,
-// clocks, and kernel counts with compiled pack plans vs. the legacy
-// block-list path, in exact and lazy payload modes.
+// TestPlanCollectivesMatrix is the collectives matrix under the pack-plans
+// oracle at 8 ranks: Alltoallw across algorithms and layout families,
+// Allgatherv across algorithms, rooted Gatherv and Scatterv, and
+// NeighborAlltoallw must each land exactly the bytes of the block-list
+// model, with pack plans compiled.
 func TestPlanCollectivesMatrix(t *testing.T) {
 	dense := denseVec()
 	sparse := sparseIdx()
 	big := bigVec()
 	noIPC := func(c *mpi.Config) { c.DisableIPC = true }
 	cells := []struct {
-		name string
-		run  func(t *testing.T, lazy, noplans bool) cellResult
+		name   string
+		scheme string
+		tun    coll.Tuning
+		mut    func(*mpi.Config)
+		cell   planCell
 	}{
-		{"Alltoallw/Linear/dense", a2aPlanCell("Proposed-Tuned", coll.Linear, dense, nil)},
-		{"Alltoallw/Pairwise/dense", a2aPlanCell("Proposed-Tuned", coll.Pairwise, dense, nil)},
-		{"Alltoallw/Hierarchical/dense", a2aPlanCell("Proposed-Tuned", coll.Hierarchical, dense, nil)},
-		{"Alltoallw/Hierarchical/sparse", a2aPlanCell("Proposed-Tuned", coll.Hierarchical, sparse, nil)},
-		{"Alltoallw/Hierarchical/big-rendezvous", a2aPlanCell("Proposed-Tuned", coll.Hierarchical, big, nil)},
-		{"Alltoallw/Hierarchical/no-ipc", a2aPlanCell("Proposed-Tuned", coll.Hierarchical, dense, noIPC)},
-		{"Allgatherv/Ring/dense", agPlanCell("Proposed-Tuned", coll.Ring, dense)},
-		{"Allgatherv/Bruck/dense", agPlanCell("Proposed-Tuned", coll.Bruck, dense)},
-		{"Allgatherv/Hierarchical/dense", agPlanCell("Proposed-Tuned", coll.Hierarchical, dense)},
-		{"Gatherv/Hierarchical/root5", gathervPlanCell("Proposed-Tuned", coll.Hierarchical, 5, dense)},
-		{"Scatterv/Hierarchical/root5", scattervPlanCell("Proposed-Tuned", coll.Hierarchical, 5, dense)},
-		{"NeighborAlltoallw/ring", neighborPlanCell("Proposed-Tuned", dense)},
-		{"Alltoallw/Hierarchical/baseline-scheme", a2aPlanCell("GPU-Sync", coll.Hierarchical, dense, nil)},
+		{"Alltoallw/Linear/dense", "Proposed-Tuned", coll.Tuning{Alltoallw: coll.Linear}, nil, a2aPlanCell(dense)},
+		{"Alltoallw/Pairwise/dense", "Proposed-Tuned", coll.Tuning{Alltoallw: coll.Pairwise}, nil, a2aPlanCell(dense)},
+		{"Alltoallw/Hierarchical/dense", "Proposed-Tuned", coll.Tuning{Alltoallw: coll.Hierarchical}, nil, a2aPlanCell(dense)},
+		{"Alltoallw/Hierarchical/sparse", "Proposed-Tuned", coll.Tuning{Alltoallw: coll.Hierarchical}, nil, a2aPlanCell(sparse)},
+		{"Alltoallw/Hierarchical/big-rendezvous", "Proposed-Tuned", coll.Tuning{Alltoallw: coll.Hierarchical}, nil, a2aPlanCell(big)},
+		{"Alltoallw/Hierarchical/no-ipc", "Proposed-Tuned", coll.Tuning{Alltoallw: coll.Hierarchical}, noIPC, a2aPlanCell(dense)},
+		{"Allgatherv/Ring/dense", "Proposed-Tuned", coll.Tuning{Allgatherv: coll.Ring}, nil, agPlanCell(dense)},
+		{"Allgatherv/Bruck/dense", "Proposed-Tuned", coll.Tuning{Allgatherv: coll.Bruck}, nil, agPlanCell(dense)},
+		{"Allgatherv/Hierarchical/dense", "Proposed-Tuned", coll.Tuning{Allgatherv: coll.Hierarchical}, nil, agPlanCell(dense)},
+		{"Gatherv/Hierarchical/root5", "Proposed-Tuned", coll.Tuning{Gatherv: coll.Hierarchical}, nil, gathervPlanCell(5, dense)},
+		{"Scatterv/Hierarchical/root5", "Proposed-Tuned", coll.Tuning{Scatterv: coll.Hierarchical}, nil, scattervPlanCell(5, dense)},
+		{"NeighborAlltoallw/ring", "Proposed-Tuned", coll.Tuning{}, nil, neighborPlanCell(dense)},
+		{"Alltoallw/Hierarchical/baseline-scheme", "GPU-Sync", coll.Tuning{Alltoallw: coll.Hierarchical}, nil, a2aPlanCell(dense)},
 	}
 	if testing.Short() {
 		cells = cells[:6]
@@ -245,7 +226,7 @@ func TestPlanCollectivesMatrix(t *testing.T) {
 	for _, c := range cells {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			planDiffCell(t, c.name, c.run)
+			runPlanCell(t, c.scheme, c.tun, c.mut, c.cell)
 		})
 	}
 }

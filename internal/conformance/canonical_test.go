@@ -80,35 +80,3 @@ func TestEquivalentSpellingsHashIdentically(t *testing.T) {
 		}
 	}
 }
-
-// TestPlanDifferentialAllSchemes is the plans-on/plans-off differential
-// oracle over all schemes: identical receive checksums, bytes, virtual
-// clocks, trace totals, and kernel counts with compiled pack plans enabled
-// vs. the legacy block-list path, in both exact and lazy payload modes.
-func TestPlanDifferentialAllSchemes(t *testing.T) {
-	perScheme := 3
-	if testing.Short() {
-		perScheme = 1
-	}
-	for i, name := range SchemeNames() {
-		for j := 0; j < perScheme; j++ {
-			seed := int64(4000 + i*perScheme + j)
-			sc := GenScenario(seed)
-			if err := PlanDifferential(sc, name); err != nil {
-				t.Errorf("scheme %s seed %d: %v\n  send=%s recv=%s count=%d",
-					name, seed, err, sc.SendType.TypeName(), sc.RecvType.TypeName(), sc.Count)
-			}
-		}
-	}
-}
-
-// TestPlanDifferentialSeedInputs runs the committed known-tricky decoder
-// inputs through the plans differential under the fused scheme.
-func TestPlanDifferentialSeedInputs(t *testing.T) {
-	for i, in := range SeedInputs {
-		sc := DecodeScenario(in)
-		if err := PlanDifferential(sc, "Proposed-Tuned"); err != nil {
-			t.Errorf("seed input %d (% x): %v", i, in, err)
-		}
-	}
-}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/datatype"
 	"repro/internal/fault"
 	"repro/internal/mpi"
+	"repro/internal/payload"
 	"repro/internal/schemes"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -89,6 +90,11 @@ type Result struct {
 	// to match the exact run exactly.
 	Kernels    int64
 	MovedBytes int64
+	// Plans sums the pack plans compiled into the ranks' layout caches.
+	// Byte-exact pack/unpack jobs run those plans, so a nonzero count is
+	// what makes an exact run's match against the block-list model a
+	// check of the plans.
+	Plans int64
 	// LiveProcs counts simulation processes still unfinished after the
 	// run (must be zero: the scheduler-side leak oracle).
 	LiveProcs int
@@ -168,7 +174,6 @@ func runScenario(sc Scenario, scheme string, fill fillKind, lazy bool) (*Result,
 		cfg.EagerLimitBytes = sc.EagerLimit
 	}
 	cfg.DisableIPC = sc.DisableIPC
-	cfg.DisablePackPlans = sc.DisablePlans
 	if sc.Pipeline {
 		cfg.PipelineChunkBytes = 2048
 	}
@@ -215,6 +220,7 @@ func runScenario(sc Scenario, scheme string, fill fillKind, lazy bool) (*Result,
 		st := world.Rank(i).Dev.Stats
 		res.Kernels += st.KernelLaunches
 		res.MovedBytes += st.BytesMoved
+		res.Plans += world.Rank(i).CacheStats().TotalCompiled()
 	}
 	if err != nil {
 		return res, fmt.Errorf("scheme %s: %w", scheme, err)
@@ -238,11 +244,20 @@ func runScenario(sc Scenario, scheme string, fill fillKind, lazy bool) (*Result,
 // a wire stream, scatter the stream through the receive blocks into a
 // buffer pre-filled exactly like the real run's. Bytes no scheme should
 // touch are therefore compared too.
-func Expected(sc Scenario) []byte {
+func Expected(sc Scenario) []byte { return expected(sc, fillLCG) }
+
+// expected is Expected for either fill: fillPRF models the buffers of
+// RunScenarioPayload.
+func expected(sc Scenario, fill fillKind) []byte {
 	src := make([]byte, bufSpan(sc.Send, sc.Count))
-	workload.FillPattern(src, sc.Seed)
 	dst := make([]byte, bufSpan(sc.Recv, sc.Count))
-	workload.FillPattern(dst, ^sc.Seed)
+	if fill == fillLCG {
+		workload.FillPattern(src, sc.Seed)
+		workload.FillPattern(dst, ^sc.Seed)
+	} else {
+		payload.FillBytes(src, sc.Seed)
+		payload.FillBytes(dst, ^sc.Seed)
+	}
 
 	var wire []byte
 	for _, b := range sc.Send.Repeat(sc.Count) {
@@ -335,6 +350,8 @@ func Differential(sc Scenario) error {
 // bytes, same final virtual clock, same per-category trace totals, same
 // GPU work accounting, and zero leaks on both sides. This is the oracle
 // that licenses running at scales where byte-exact mode is unaffordable.
+// The exact run packs through compiled plans and the lazy run walks the
+// entry's block list, so it also pins every plan against its block list.
 func LazyDifferential(sc Scenario, scheme string) error {
 	exact, err := RunScenarioPayload(sc, scheme, false)
 	if err != nil {
@@ -430,49 +447,6 @@ func ChaosLazyDifferential(sc Scenario, scheme string) error {
 		if r.Leaked != 0 || r.PendingFused != 0 {
 			return fmt.Errorf("conformance: %s %s chaos run leaked state: requests=%d fused=%d",
 				scheme, mode, r.Leaked, r.PendingFused)
-		}
-	}
-	return nil
-}
-
-// PlanDifferential runs sc under one scheme with compiled pack plans
-// enabled and disabled (the legacy block-list path), in both exact and
-// lazy payload modes, and asserts the four runs are observationally
-// identical: same receive checksum and bytes, same final virtual clock,
-// same per-category trace totals, same GPU work accounting. Plans are a
-// host-side execution strategy — any divergence here is a plan-compiler
-// or plan-runtime bug.
-func PlanDifferential(sc Scenario, scheme string) error {
-	for _, lazy := range []bool{false, true} {
-		mode := map[bool]string{false: "exact", true: "lazy"}[lazy]
-		scOn, scOff := sc, sc
-		scOn.DisablePlans = false
-		scOff.DisablePlans = true
-		on, err := runScenario(scOn, scheme, fillPRF, lazy)
-		if err != nil {
-			return fmt.Errorf("%s/plans: %w", mode, err)
-		}
-		off, err := runScenario(scOff, scheme, fillPRF, lazy)
-		if err != nil {
-			return fmt.Errorf("%s/legacy: %w", mode, err)
-		}
-		if on.RecvSum != off.RecvSum {
-			return fmt.Errorf("conformance: %s %s plan recv checksum %#x != legacy %#x", scheme, mode, on.RecvSum, off.RecvSum)
-		}
-		if err := compare(scheme+"/"+mode+"/plans", scheme+"/"+mode+"/legacy", on.Recv, off.Recv); err != nil {
-			return err
-		}
-		if on.FinalClock != off.FinalClock {
-			return fmt.Errorf("conformance: %s %s plan final clock %d ns != legacy %d ns", scheme, mode, on.FinalClock, off.FinalClock)
-		}
-		for cat, ns := range on.Trace {
-			if off.Trace[cat] != ns {
-				return fmt.Errorf("conformance: %s %s plan trace[%s] %d ns != legacy %d ns", scheme, mode, cat, ns, off.Trace[cat])
-			}
-		}
-		if on.Kernels != off.Kernels || on.MovedBytes != off.MovedBytes {
-			return fmt.Errorf("conformance: %s %s plan GPU accounting (kernels=%d bytes=%d) != legacy (kernels=%d bytes=%d)",
-				scheme, mode, on.Kernels, on.MovedBytes, off.Kernels, off.MovedBytes)
 		}
 	}
 	return nil

@@ -103,6 +103,18 @@ func TestEmptySlabSubarray(t *testing.T) {
 	}
 }
 
+// TestReproDeadlock pins the decoder input "11zz000000000", a scenario
+// that once deadlocked a scheme: every scheme must deliver it byte-exact
+// to the sequential model and agree with the others. The same input is in
+// the FuzzSchemesAgree corpus; this test keeps it in every plain run.
+func TestReproDeadlock(t *testing.T) {
+	sc := DecodeScenario([]byte("11zz000000000"))
+	if err := Differential(sc); err != nil {
+		t.Fatalf("%v (send=%s recv=%s count=%d)",
+			err, sc.SendType.TypeName(), sc.RecvType.TypeName(), sc.Count)
+	}
+}
+
 // FuzzSchemesAgree feeds arbitrary bytes through the scenario decoder and
 // asserts the full differential property plus determinism for one scheme
 // per input. The corpus seeds are SeedInputs; go-fuzz grows it from there.

@@ -251,9 +251,6 @@ type Scenario struct {
 	// Zero keeps the runner's default (2 s of virtual time, generous
 	// enough for the slowest fuzzed baselines); negative disables it.
 	StallTimeoutNs int64
-	// DisablePlans forces the legacy block-list pack/unpack loops instead
-	// of compiled pack plans — the control arm of the plans differential.
-	DisablePlans bool
 }
 
 // DecodeScenario decodes an arbitrary byte string into a bounded scenario.

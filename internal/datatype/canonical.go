@@ -142,25 +142,16 @@ func (c *Canonical) Equal(o *Canonical) bool {
 	return c.sig == o.sig
 }
 
-// EachBlock visits the expanded block sequence in pack order without
-// materializing it — the lazy-payload plan variants iterate runs this way
-// and emit one span copy per block.
-func (c *Canonical) EachBlock(fn func(off, length int64)) {
-	for _, r := range c.Runs {
-		off := r.Offset
-		for i := int64(0); i < r.Count; i++ {
-			fn(off, r.Len)
-			off += r.Stride
-		}
-	}
-}
-
 // Expand reconstructs the coalesced block list the form was built from —
 // the round-trip the conformance property test asserts byte-for-byte.
 func (c *Canonical) Expand() []Block {
 	out := make([]Block, 0, c.NumBlocks())
-	c.EachBlock(func(off, length int64) {
-		out = append(out, Block{Offset: off, Len: length})
-	})
+	for _, r := range c.Runs {
+		off := r.Offset
+		for i := int64(0); i < r.Count; i++ {
+			out = append(out, Block{Offset: off, Len: r.Len})
+			off += r.Stride
+		}
+	}
 	return out
 }

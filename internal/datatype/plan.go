@@ -6,8 +6,7 @@ package datatype
 // (canonical form, count) cache entry and then serves every equivalent
 // datatype spelling; the simulated cost model is untouched (plans change
 // how fast the host executes the byte movement, not the virtual-time
-// charges), which is what keeps the plans-enabled and legacy block-list
-// paths bit-identical on the simulated clock.
+// charges), so the simulated clock never depends on which path packed.
 
 // PlanKind classifies the specialization a canonical form compiled to.
 type PlanKind int

@@ -7,11 +7,7 @@
 // list and compiled pack plan.
 package layoutcache
 
-import (
-	"container/list"
-
-	"repro/internal/datatype"
-)
+import "repro/internal/datatype"
 
 // Key identifies a cached entry: the canonical signature of the committed
 // datatype plus the element count of the communication call. Two layouts
@@ -22,7 +18,8 @@ type Key struct {
 	Count int
 }
 
-// Entry is an immutable cached flattened layout for (canonical form, count).
+// Entry is a cached flattened layout for (canonical form, count). Only the
+// charged flag changes after creation.
 type Entry struct {
 	Key      Key
 	Blocks   []datatype.Block
@@ -33,9 +30,13 @@ type Entry struct {
 
 	// Canon is the canonical stride-run form of the *repeated* block list
 	// (count elements at extent stride), and Plan the pack routine
-	// compiled from it. Plan is nil when the owning cache disables plans.
+	// compiled from it.
 	Canon *datatype.Canonical
 	Plan  *datatype.Plan
+
+	// charged records whether a charged lookup (GetCharged) has seen
+	// this entry yet.
+	charged bool
 }
 
 // CostModel prices cache interactions in virtual nanoseconds so the MPI
@@ -61,11 +62,12 @@ func (m CostModel) Lookup(hit bool, segments int) int64 {
 	return m.MissBaseNs + int64(m.MissPerBlockNs*float64(segments))
 }
 
-// Stats is a point-in-time snapshot of one cache's counters.
+// Stats is a point-in-time snapshot of one cache's counters. Hits and
+// Misses count every lookup, charged or not; a miss creates the entry and
+// compiles its plan, so Misses == TotalCompiled() always holds.
 type Stats struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
+	Hits   int64
+	Misses int64
 	// Compiled counts plans compiled since creation, by plan kind.
 	Compiled [datatype.NumPlanKinds]int64
 }
@@ -74,7 +76,6 @@ type Stats struct {
 func (s *Stats) Add(o Stats) {
 	s.Hits += o.Hits
 	s.Misses += o.Misses
-	s.Evictions += o.Evictions
 	for i := range s.Compiled {
 		s.Compiled[i] += o.Compiled[i]
 	}
@@ -89,41 +90,29 @@ func (s Stats) TotalCompiled() int64 {
 	return n
 }
 
-// Cache is an LRU layout cache. It is not safe for concurrent use; in the
-// simulation each rank owns one cache, matching the per-process caches of
-// the real runtime.
+// Cache is an unbounded layout cache. It is not safe for concurrent use;
+// in the simulation each rank owns one cache, matching the per-process
+// caches of the real runtime.
 type Cache struct {
-	capacity int
-	items    map[Key]*list.Element
-	lru      *list.List // front = most recent
-
-	// DisablePlans skips plan compilation, forcing consumers onto the
-	// legacy block-list path (the differential-oracle control arm).
-	DisablePlans bool
+	items map[Key]*Entry
 
 	// Stats
-	Hits      int64
-	Misses    int64
-	Evictions int64
-	Compiled  [datatype.NumPlanKinds]int64
+	Hits     int64
+	Misses   int64
+	Compiled [datatype.NumPlanKinds]int64
 }
 
-// New creates a cache holding at most capacity entries; capacity <= 0 means
-// unbounded.
-func New(capacity int) *Cache {
-	return &Cache{
-		capacity: capacity,
-		items:    make(map[Key]*list.Element),
-		lru:      list.New(),
-	}
+// New creates an empty cache.
+func New() *Cache {
+	return &Cache{items: make(map[Key]*Entry)}
 }
 
 // Len reports the number of cached entries.
-func (c *Cache) Len() int { return c.lru.Len() }
+func (c *Cache) Len() int { return len(c.items) }
 
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() Stats {
-	return Stats{Hits: c.Hits, Misses: c.Misses, Evictions: c.Evictions, Compiled: c.Compiled}
+	return Stats{Hits: c.Hits, Misses: c.Misses, Compiled: c.Compiled}
 }
 
 // Get returns the flattened layout for count elements of l, computing and
@@ -132,10 +121,9 @@ func (c *Cache) Stats() Stats {
 // entry and the plan is compiled once per family.
 func (c *Cache) Get(l *datatype.Layout, count int) (*Entry, bool) {
 	k := Key{Sig: l.Canonical(), Count: count}
-	if el, ok := c.items[k]; ok {
+	if e, ok := c.items[k]; ok {
 		c.Hits++
-		c.lru.MoveToFront(el)
-		return el.Value.(*Entry), true
+		return e, true
 	}
 	c.Misses++
 	blocks := l.Repeat(count)
@@ -152,34 +140,19 @@ func (c *Cache) Get(l *datatype.Layout, count int) (*Entry, bool) {
 		}
 	}
 	e.Canon = datatype.Canonicalize(blocks, e.Extent)
-	if !c.DisablePlans {
-		e.Plan = datatype.CompilePlan(e.Canon)
-		c.Compiled[int(e.Plan.Kind)]++
-	}
-	c.items[k] = c.lru.PushFront(e)
-	if c.capacity > 0 && c.lru.Len() > c.capacity {
-		victim := c.lru.Back()
-		c.lru.Remove(victim)
-		delete(c.items, victim.Value.(*Entry).Key)
-		c.Evictions++
-	}
+	e.Plan = datatype.CompilePlan(e.Canon)
+	c.Compiled[int(e.Plan.Kind)]++
+	c.items[k] = e
 	return e, false
 }
 
-// Invalidate drops the entry for (l, count) if present (MPI_Type_free).
-func (c *Cache) Invalidate(l *datatype.Layout, count int) {
-	k := Key{Sig: l.Canonical(), Count: count}
-	if el, ok := c.items[k]; ok {
-		c.lru.Remove(el)
-		delete(c.items, k)
-	}
-}
-
-// HitRate returns hits/(hits+misses), or 0 for an unused cache.
-func (c *Cache) HitRate() float64 {
-	total := c.Hits + c.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(total)
+// GetCharged is Get for a lookup the caller charges virtual time for. Its
+// boolean reports whether an earlier GetCharged saw the entry, so an entry
+// first created by an uncharged Get still costs a charged miss: the charged
+// hit pattern does not depend on uncharged lookups.
+func (c *Cache) GetCharged(l *datatype.Layout, count int) (*Entry, bool) {
+	e, _ := c.Get(l, count)
+	hit := e.charged
+	e.charged = true
+	return e, hit
 }

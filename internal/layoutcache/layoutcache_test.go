@@ -12,7 +12,7 @@ func vecLayout() *datatype.Layout {
 }
 
 func TestMissThenHit(t *testing.T) {
-	c := New(8)
+	c := New()
 	l := vecLayout()
 	e1, hit := c.Get(l, 3)
 	if hit {
@@ -31,7 +31,7 @@ func TestMissThenHit(t *testing.T) {
 }
 
 func TestDistinctCountsAreDistinctEntries(t *testing.T) {
-	c := New(8)
+	c := New()
 	l := vecLayout()
 	a, _ := c.Get(l, 1)
 	b, _ := c.Get(l, 2)
@@ -47,7 +47,7 @@ func TestDistinctCountsAreDistinctEntries(t *testing.T) {
 }
 
 func TestEntryAggregates(t *testing.T) {
-	c := New(0)
+	c := New()
 	l := vecLayout()
 	e, _ := c.Get(l, 1)
 	if e.Bytes != l.SizeBytes || e.Segments != l.NumBlocks() || e.MaxBlock != l.MaxBlockBytes {
@@ -55,36 +55,15 @@ func TestEntryAggregates(t *testing.T) {
 	}
 }
 
-func TestLRUEviction(t *testing.T) {
-	c := New(2)
-	// Distinct canonical forms: different blocklens.
-	l1 := datatype.Commit(datatype.Vector(4, 1, 5, datatype.Float64))
-	l2 := datatype.Commit(datatype.Vector(4, 2, 5, datatype.Float64))
-	l3 := datatype.Commit(datatype.Vector(4, 3, 5, datatype.Float64))
-	c.Get(l1, 1)
-	c.Get(l2, 1)
-	c.Get(l1, 1) // touch l1 so l2 is the LRU victim
-	c.Get(l3, 1) // evicts l2
-	if c.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", c.Evictions)
-	}
-	if _, hit := c.Get(l1, 1); !hit {
-		t.Fatal("l1 should have survived")
-	}
-	if _, hit := c.Get(l2, 1); hit {
-		t.Fatal("l2 should have been evicted")
-	}
-}
-
 func TestUnboundedCacheNeverEvicts(t *testing.T) {
-	c := New(0)
+	c := New()
 	for i := 0; i < 100; i++ {
 		// Distinct counts give distinct keys even though the layouts are
 		// all canonically equal.
 		c.Get(vecLayout(), i+1)
 	}
-	if c.Evictions != 0 || c.Len() != 100 {
-		t.Fatalf("evictions=%d len=%d", c.Evictions, c.Len())
+	if c.Len() != 100 {
+		t.Fatalf("len = %d, want 100", c.Len())
 	}
 }
 
@@ -92,7 +71,7 @@ func TestUnboundedCacheNeverEvicts(t *testing.T) {
 // different constructors — share one cache entry: the second commit's first
 // Get is already a hit and compiles nothing.
 func TestEquivalentSpellingsShareEntry(t *testing.T) {
-	c := New(8)
+	c := New()
 	vec := datatype.Commit(datatype.Vector(4, 2, 8, datatype.Byte))
 	hidx := datatype.Commit(datatype.Hindexed([]int{2, 2, 2, 2}, []int64{0, 8, 16, 24}, datatype.Byte))
 	if vec.Canonical() != hidx.Canonical() {
@@ -118,27 +97,37 @@ func TestEquivalentSpellingsShareEntry(t *testing.T) {
 	}
 }
 
-// DisablePlans leaves Entry.Plan nil and compiles nothing — the control
-// arm of the plans-on/plans-off differential oracle.
-func TestDisablePlans(t *testing.T) {
-	c := New(8)
-	c.DisablePlans = true
-	e, _ := c.Get(vecLayout(), 2)
-	if e.Plan != nil {
-		t.Fatal("plan compiled with DisablePlans set")
+// An uncharged lookup that creates an entry must not turn the first
+// charged lookup of the same key into a charged hit: the charged hit
+// pattern, and with it every virtual-time charge, ignores uncharged
+// lookups. The entry and its plan are still shared and compiled once.
+func TestUnchargedLookupLeavesChargedMiss(t *testing.T) {
+	c := New()
+	l := vecLayout()
+	e1, _ := c.Get(l, 2)
+	e2, hit := c.GetCharged(l, 2)
+	if hit {
+		t.Fatal("first charged lookup after an uncharged one must be a charged miss")
 	}
-	if e.Canon == nil {
-		t.Fatal("canonical form should still be computed")
+	if e1 != e2 {
+		t.Fatal("charged and uncharged lookups must share one entry")
 	}
-	if c.Stats().TotalCompiled() != 0 {
-		t.Fatal("compile counters must stay zero")
+	if _, hit := c.GetCharged(l, 2); !hit {
+		t.Fatal("second charged lookup must be a charged hit")
+	}
+	s := c.Stats()
+	if s.TotalCompiled() != 1 {
+		t.Fatalf("compiled %d plans, want 1", s.TotalCompiled())
+	}
+	if s.Misses != s.TotalCompiled() || s.Hits != 2 {
+		t.Fatalf("stats: %d hits %d misses %d compiled, want 2/1/1", s.Hits, s.Misses, s.TotalCompiled())
 	}
 }
 
 // A compiled plan's Pack agrees byte-for-byte with the legacy block-list
 // gather over the entry's blocks.
 func TestEntryPlanMatchesBlocks(t *testing.T) {
-	c := New(8)
+	c := New()
 	l := datatype.Commit(datatype.Vector(5, 3, 7, datatype.Int32))
 	e, _ := c.Get(l, 2)
 	if e.Plan == nil {
@@ -165,32 +154,6 @@ func TestEntryPlanMatchesBlocks(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := New(8)
-	l := vecLayout()
-	c.Get(l, 1)
-	c.Invalidate(l, 1)
-	if _, hit := c.Get(l, 1); hit {
-		t.Fatal("invalidated entry must miss")
-	}
-	c.Invalidate(l, 99) // absent key: no-op
-}
-
-func TestHitRate(t *testing.T) {
-	c := New(8)
-	if c.HitRate() != 0 {
-		t.Fatal("empty cache hit rate should be 0")
-	}
-	l := vecLayout()
-	c.Get(l, 1)
-	c.Get(l, 1)
-	c.Get(l, 1)
-	c.Get(l, 1)
-	if got := c.HitRate(); got != 0.75 {
-		t.Fatalf("hit rate = %f, want 0.75", got)
-	}
-}
-
 func TestCostModel(t *testing.T) {
 	m := DefaultCostModel
 	if m.Lookup(true, 10_000) != m.HitNs {
@@ -210,7 +173,7 @@ func TestPropertyGetIdempotent(t *testing.T) {
 		count := int(countRaw%8) + 1
 		bl := int(blocklenRaw%4) + 1
 		l := datatype.Commit(datatype.Vector(3, bl, bl+int(strideExtra%4)+1, datatype.Int32))
-		c := New(4)
+		c := New()
 		e, hit := c.Get(l, count)
 		if hit {
 			return false

@@ -24,7 +24,6 @@ const collTagBase = CollTagBase
 //
 //	collTagBase+1              Bcast binomial tree
 //	collTagBase+64..+127       AllreduceSumF64 phases
-//	collTagBase+100            NeighborExchange shared tag
 //
 // internal/coll derives its tags from CollTagBase+4096 upward.
 const (
@@ -139,34 +138,4 @@ type NeighborOp struct {
 	RecvBuf  *gpu.Buffer
 	RecvType *datatype.Layout
 	Count    int
-}
-
-// NeighborExchange posts all receives, then all sends, then waits — the
-// MPI-level implicit approach of Algorithm 3, giving the runtime (and the
-// fusion scheduler) maximal freedom to batch the datatype processing.
-//
-// Deprecated: internal/coll's NeighborAlltoallw supersedes this with
-// collective-scope fusion windows; this path is kept for its tests and as
-// the naive per-message reference.
-func (r *Rank) NeighborExchange(p *sim.Proc, ops []NeighborOp) {
-	// All legs share one tag: the k-th send to a peer matches the k-th
-	// posted receive from that peer (FIFO matching), so both sides only
-	// need to order their per-peer legs consistently, as
-	// MPI_Neighbor_alltoallw's topology ordering guarantees.
-	reqs := make([]*Request, 0, 2*len(ops))
-	for _, op := range ops {
-		count := op.Count
-		if count == 0 {
-			count = 1
-		}
-		reqs = append(reqs, r.IrecvRaw(p, op.Peer, collTagBase+100, op.RecvBuf, op.RecvType, count))
-	}
-	for _, op := range ops {
-		count := op.Count
-		if count == 0 {
-			count = 1
-		}
-		reqs = append(reqs, r.IsendRaw(p, op.Peer, collTagBase+100, op.SendBuf, op.SendType, count))
-	}
-	r.Waitall(p, reqs)
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"testing"
 
@@ -232,101 +231,6 @@ func TestReservedTagGuard(t *testing.T) {
 	}
 	if leaked := w.LeakedRequests(); leaked != 1 { // only the AnyTag recv stays posted
 		t.Fatalf("leaked = %d, want 1 (the deliberately unmatched AnyTag recv)", leaked)
-	}
-}
-
-func TestNeighborExchange3DHalo(t *testing.T) {
-	// A full 2x2x2 periodic halo exchange via NeighborExchange with
-	// per-axis face datatypes — MPI_Neighbor_alltoallw on the paper's
-	// Fig. 3 pattern generalized to 3D.
-	n := 8
-	w := newWorld("Proposed-Tuned", nil)
-	cart := w.CartCreate([]int{2, 2, 2}, []bool{true, true, true})
-	face := func(axis int) *datatype.Layout {
-		sizes := []int{n, n, n}
-		sub := []int{n, n, n}
-		sub[axis] = 1
-		return datatype.Commit(datatype.Subarray(sizes, sub, []int{0, 0, 0}, datatype.Float64))
-	}
-	faces := []*datatype.Layout{face(0), face(1), face(2)}
-	grids := make([]*gpu.Buffer, 8)
-	halos := make([][]*gpu.Buffer, 8)
-	for i := range grids {
-		grids[i] = w.Rank(i).Dev.Alloc("g", n*n*n*8)
-		for a := 0; a < 3; a++ {
-			halos[i] = append(halos[i], w.Rank(i).Dev.Alloc(fmt.Sprintf("h%d", a), n*n*n*8))
-		}
-		for j := range grids[i].Data {
-			grids[i].Data[j] = byte((i + 1) * (j%127 + 1))
-		}
-	}
-	err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
-		var ops []mpi.NeighborOp
-		for a := 0; a < 3; a++ {
-			_, peer := cart.Shift(r.ID(), a, 1) // dim 2: ±1 is the same peer
-			ops = append(ops, mpi.NeighborOp{
-				Peer:    peer,
-				SendBuf: grids[r.ID()], SendType: faces[a],
-				RecvBuf: halos[r.ID()][a], RecvType: faces[a],
-			})
-		}
-		r.NeighborExchange(p, ops)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		for a := 0; a < 3; a++ {
-			_, peer := cart.Shift(i, a, 1)
-			for _, b := range faces[a].Blocks {
-				if !bytes.Equal(halos[i][a].Data[b.Offset:b.Offset+b.Len], grids[peer].Data[b.Offset:b.Offset+b.Len]) {
-					t.Fatalf("rank %d axis %d: halo mismatch at %+v", i, a, b)
-				}
-			}
-		}
-	}
-}
-
-func TestNeighborExchangeMultipleLegsSamePeer(t *testing.T) {
-	// Two different datatypes to the same peer: FIFO matching must pair
-	// them in posting order on both sides.
-	w := newWorld("GPU-Sync", nil)
-	la := datatype.Commit(datatype.Vector(16, 1, 2, datatype.Float64))
-	lb := datatype.Commit(datatype.Contiguous(64, datatype.Float32))
-	mk := func(rk int, seed byte) (a, b, ra, rb *gpu.Buffer) {
-		a = w.Rank(rk).Dev.Alloc("a", int(la.ExtentBytes))
-		b = w.Rank(rk).Dev.Alloc("b", int(lb.ExtentBytes))
-		ra = w.Rank(rk).Dev.Alloc("ra", int(la.ExtentBytes))
-		rb = w.Rank(rk).Dev.Alloc("rb", int(lb.ExtentBytes))
-		for i := range a.Data {
-			a.Data[i] = seed
-		}
-		for i := range b.Data {
-			b.Data[i] = seed + 1
-		}
-		return
-	}
-	a0, b0, ra0, rb0 := mk(0, 0x10)
-	a4, b4, ra4, rb4 := mk(4, 0x40)
-	err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
-		switch r.ID() {
-		case 0:
-			r.NeighborExchange(p, []mpi.NeighborOp{
-				{Peer: 4, SendBuf: a0, SendType: la, RecvBuf: ra0, RecvType: la},
-				{Peer: 4, SendBuf: b0, SendType: lb, RecvBuf: rb0, RecvType: lb},
-			})
-		case 4:
-			r.NeighborExchange(p, []mpi.NeighborOp{
-				{Peer: 0, SendBuf: a4, SendType: la, RecvBuf: ra4, RecvType: la},
-				{Peer: 0, SendBuf: b4, SendType: lb, RecvBuf: rb4, RecvType: lb},
-			})
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ra0.Data[0] != 0x40 || rb0.Data[0] != 0x41 || ra4.Data[0] != 0x10 || rb4.Data[0] != 0x11 {
-		t.Fatalf("legs crossed: %x %x %x %x", ra0.Data[0], rb0.Data[0], ra4.Data[0], rb4.Data[0])
 	}
 }
 

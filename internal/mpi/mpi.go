@@ -62,8 +62,6 @@ type Config struct {
 	Rendezvous RendezvousMode
 	// PollIntervalNs is the progress-engine poll period while blocked.
 	PollIntervalNs int64
-	// CacheCapacity bounds each rank's layout cache (0 = unbounded).
-	CacheCapacity int
 	// CacheCost prices layout-cache interactions.
 	CacheCost layoutcache.CostModel
 	// StallTimeoutNs bounds how long the simulation may run without any
@@ -92,12 +90,6 @@ type Config struct {
 	// DisableLayoutCache makes every datatype lookup pay the full
 	// flattening cost (ablation of the layout cache of [24]).
 	DisableLayoutCache bool
-	// DisablePackPlans forces the legacy block-list pack/unpack loops
-	// instead of the compiled per-canonical-form plans (the control arm of
-	// the plans-on/plans-off differential oracle). Plans never change
-	// virtual-time charges, only host execution, so results must be
-	// bit-identical either way.
-	DisablePackPlans bool
 	// PipelineChunkBytes enables chunked (pipelined) rendezvous for
 	// non-contiguous RGET sends larger than this: each chunk packs as
 	// its own request and transfers as soon as it is ready. Zero
@@ -233,17 +225,14 @@ func NewWorld(c *cluster.Cluster, cfg Config, factory SchemeFactory) *World {
 	for n := 0; n < c.Spec.Nodes; n++ {
 		for g := 0; g < c.Spec.GPUsPerNode; g++ {
 			r := &Rank{
-				world:     w,
-				id:        id,
-				node:      n,
-				Dev:       c.Device(n, g),
-				cache:     layoutcache.New(cfg.CacheCapacity),
-				plancache: layoutcache.New(cfg.CacheCapacity),
-				Trace:     &trace.Breakdown{},
-				tl:        w.tl.Rank(id),
+				world: w,
+				id:    id,
+				node:  n,
+				Dev:   c.Device(n, g),
+				cache: layoutcache.New(),
+				Trace: &trace.Breakdown{},
+				tl:    w.tl.Rank(id),
 			}
-			r.cache.DisablePlans = cfg.DisablePackPlans
-			r.plancache.DisablePlans = cfg.DisablePackPlans
 			r.Dev.TL = r.tl
 			if inj != nil {
 				r.fsite = inj.Site(fmt.Sprintf("mpi:rank%d", id))
@@ -322,18 +311,13 @@ func (w *World) stallDiag() string {
 
 // Rank is one MPI process bound to one GPU.
 type Rank struct {
-	world *World
-	id    int
-	node  int
-	Dev   *gpu.Device
-	proc  *sim.Proc
-	cache *layoutcache.Cache
-	// plancache serves uncharged lookups (LayoutEntry): collective
-	// engines fetch compiled plans through it without perturbing the
-	// charged cache's hit pattern, keeping virtual-time charges identical
-	// to the pre-plan runtime.
-	plancache *layoutcache.Cache
-	scheme    Scheme
+	world  *World
+	id     int
+	node   int
+	Dev    *gpu.Device
+	proc   *sim.Proc
+	cache  *layoutcache.Cache
+	scheme Scheme
 
 	// Trace accrues the Fig. 11 cost taxonomy for this rank.
 	Trace *trace.Breakdown
@@ -591,7 +575,7 @@ func (q *Request) settled() bool { return q.state == stDone || q.state == stFail
 
 // lookupLayout charges the layout-cache cost and returns the entry.
 func (r *Rank) lookupLayout(p *sim.Proc, l *datatype.Layout, count int) *layoutcache.Entry {
-	e, hit := r.cache.Get(l, count)
+	e, hit := r.cache.GetCharged(l, count)
 	if r.world.Cfg.DisableLayoutCache {
 		hit = false // always pay the full flattening cost
 	}
@@ -605,20 +589,16 @@ func (r *Rank) lookupLayout(p *sim.Proc, l *datatype.Layout, count int) *layoutc
 // LayoutEntry returns the cached flattened layout + compiled plan for
 // (l, count) WITHOUT charging virtual time. Collective engines use it to
 // reach the compiled pack plans; point-to-point posting keeps charging
-// through lookupLayout. The uncharged lookups go to a separate per-rank
-// cache so the charged cache's hit pattern (and therefore every
-// virtual-time trace) is unchanged from the pre-plan runtime.
+// through lookupLayout. Both share the rank's one cache, but an uncharged
+// lookup never turns a later charged lookup into a charged hit, so every
+// virtual-time charge is independent of uncharged lookups.
 func (r *Rank) LayoutEntry(l *datatype.Layout, count int) *layoutcache.Entry {
-	e, _ := r.plancache.Get(l, count)
+	e, _ := r.cache.Get(l, count)
 	return e
 }
 
-// CacheStats aggregates this rank's charged and plan-cache counters.
-func (r *Rank) CacheStats() layoutcache.Stats {
-	s := r.cache.Stats()
-	s.Add(r.plancache.Stats())
-	return s
-}
+// CacheStats snapshots this rank's layout-cache counters.
+func (r *Rank) CacheStats() layoutcache.Stats { return r.cache.Stats() }
 
 // TagError is the typed configuration error returned (through
 // Request.Err and Wait/Waitall) when a user point-to-point operation uses

@@ -375,6 +375,39 @@ func TestLayoutCacheHitsOnRepeatedSends(t *testing.T) {
 	}
 }
 
+// An uncharged LayoutEntry lookup that creates rank 0's cache entry must
+// not make the following Isend's charged lookup a cheap hit: the world
+// ends at the same virtual clock as one without the uncharged lookup.
+func TestUnchargedLookupKeepsChargedClock(t *testing.T) {
+	run := func(warm bool) int64 {
+		w := newWorld("Proposed-Tuned", nil)
+		l := denseLayout()
+		sbuf := w.Rank(0).Dev.Alloc("s", int(l.ExtentBytes))
+		rbuf := w.Rank(4).Dev.Alloc("r", int(l.ExtentBytes))
+		err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
+			switch r.ID() {
+			case 0:
+				if warm {
+					r.LayoutEntry(l, 1)
+				}
+				r.Wait(p, r.Isend(p, 4, 0, sbuf, l, 1))
+			case 4:
+				r.Wait(p, r.Irecv(p, 0, 0, rbuf, l, 1))
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := w.Rank(0).CacheStats(); s.Misses != s.TotalCompiled() {
+			t.Fatalf("warm=%v: %d misses but %d compiles", warm, s.Misses, s.TotalCompiled())
+		}
+		return w.Env.Now()
+	}
+	if cold, warm := run(false), run(true); cold != warm {
+		t.Fatalf("uncharged lookup moved the clock: %d ns with, %d ns without", warm, cold)
+	}
+}
+
 func TestBarrier(t *testing.T) {
 	w := newWorld("GPU-Sync", nil)
 	var maxBefore, minAfter int64 = -1, 1 << 62

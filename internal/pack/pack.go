@@ -58,11 +58,13 @@ type Job struct {
 	// TargetBlocks is the destination layout for OpDirectIPC only; nil
 	// means same layout as Blocks.
 	TargetBlocks []datatype.Block
-	// Plan is the compiled pack routine for Blocks' canonical form, when
-	// the owning rank's layout cache has one (OpPack/OpUnpack only; nil
-	// falls back to the legacy block-list loops). Plans change host
-	// execution speed only — Bytes/Segments/MaxBlock stay block-derived,
-	// so kernel specs and virtual-time charges are identical either way.
+	// Plan is the compiled pack routine for Blocks' canonical form, taken
+	// from the layout-cache entry Blocks came from (OpPack/OpUnpack; lazy
+	// buffers walk Blocks instead). It is nil for jobs built from a raw block
+	// list — pipeline chunks, DirectIPC, and tests — which run the exact
+	// block-list loops. Plans change host execution speed only:
+	// Bytes/Segments/MaxBlock stay block-derived, so kernel specs and
+	// virtual-time charges do not depend on Plan.
 	Plan *datatype.Plan
 	// Aggregates for the cost model.
 	Bytes    int64
@@ -97,15 +99,6 @@ func (j *Job) Execute() {
 	case OpPack:
 		if lazy {
 			w := j.TargetOff
-			if j.Plan != nil {
-				// Lazy-aware plan variant: iterate the compiled runs
-				// and emit the same span sequence as the block list.
-				j.Plan.Canon.EachBlock(func(off, n int64) {
-					gpu.CopyRange(j.Target, w, j.Origin, off, n)
-					w += n
-				})
-				return
-			}
 			for _, b := range j.Blocks {
 				gpu.CopyRange(j.Target, w, j.Origin, b.Offset, b.Len)
 				w += b.Len
@@ -120,13 +113,6 @@ func (j *Job) Execute() {
 	case OpUnpack:
 		if lazy {
 			r := j.OriginOff
-			if j.Plan != nil {
-				j.Plan.Canon.EachBlock(func(off, n int64) {
-					gpu.CopyRange(j.Target, off, j.Origin, r, n)
-					r += n
-				})
-				return
-			}
 			for _, b := range j.Blocks {
 				gpu.CopyRange(j.Target, b.Offset, j.Origin, r, b.Len)
 				r += b.Len
