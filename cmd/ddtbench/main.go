@@ -1,17 +1,20 @@
 // Command ddtbench regenerates the paper's evaluation tables and figures
 // on the simulated clusters, plus the repository's additional experiments.
+// Every table has one id; -list prints them all.
 //
 // Usage:
 //
 //	ddtbench -list
 //	ddtbench -fig 9
 //	ddtbench -fig all
-//	ddtbench -ablations
-//	ddtbench -approaches          # Section III Algorithms 1-3
-//	ddtbench -extended            # all eight ddtbench workloads
-//	ddtbench -scaling             # node-count ring scaling
-//	ddtbench -fig rma             # put-based vs two-sided collectives
-//	ddtbench -fig 12 -format csv  # machine-readable output
+//	ddtbench -fig approaches          # Section III Algorithms 1-3
+//	ddtbench -fig table1              # quantified Table I
+//	ddtbench -fig ablations           # design-choice ablations
+//	ddtbench -fig extended            # all eight ddtbench workloads
+//	ddtbench -fig scaling             # node-count ring scaling
+//	ddtbench -fig rma                 # put-based vs two-sided collectives
+//	ddtbench -fig 12 -format csv      # machine-readable output
+//	ddtbench -faults mixed,seed=7 -fig coll   # any table under fault injection
 package main
 
 import (
@@ -19,12 +22,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/timeline"
-	"repro/internal/workload"
 )
 
 var format = flag.String("format", "text", "output format: text or csv")
@@ -39,25 +41,12 @@ func emitTo(w io.Writer, format string, tabs []*bench.Table) {
 	}
 }
 
-func emit(tabs []*bench.Table) { emitTo(os.Stdout, *format, tabs) }
-
 func main() {
-	fig := flag.String("fig", "", "figure id to regenerate (1, 8, 9, 10, 11, 12, 13, 14, coll, scale, chaos-scale, rma, or 'all')")
-	list := flag.Bool("list", false, "list reproducible experiments")
-	ablations := flag.Bool("ablations", false, "run the design-choice ablation experiments")
-	approaches := flag.Bool("approaches", false, "compare the Section III approaches (Algorithms 1-3)")
-	extended := flag.Bool("extended", false, "sweep all eight ddtbench workloads")
-	scaling := flag.Bool("scaling", false, "ring-exchange node scaling")
-	table1 := flag.Bool("table1", false, "quantified Table I scheme comparison")
-	system := flag.String("system", "lassen", "system for -approaches/-extended/-scaling: lassen or abci")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of every measurement to this file (load in Perfetto / chrome://tracing)")
-	faultSpec := flag.String("faults", "", "run every measurement under deterministic fault injection: a preset name (mixed, drop-heavy, corrupt-heavy, flappy-link, kernel-failure), optionally with overrides, or a key=value spec (e.g. 'mixed,seed=7' or 'drop=0.05,corrupt=0.02')")
+	fig := flag.String("fig", "", "table id to regenerate ("+strings.Join(bench.Figures(), ", ")+", or 'all')")
+	list := flag.Bool("list", false, "list every table id")
+	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of every bulk measurement to this file (load in Perfetto / chrome://tracing)")
+	faultSpec := flag.String("faults", "", "run every table under deterministic fault injection: a preset name (mixed, drop-heavy, corrupt-heavy, flappy-link, kernel-failure), optionally with overrides, or a key=value spec (e.g. 'mixed,seed=7' or 'drop=0.05,corrupt=0.02')")
 	flag.Parse()
-
-	spec := cluster.Lassen()
-	if *system == "abci" {
-		spec = cluster.ABCI()
-	}
 
 	if *faultSpec != "" {
 		plan, err := fault.ParsePlan(*faultSpec)
@@ -66,7 +55,7 @@ func main() {
 			os.Exit(2)
 		}
 		bench.SetFaultPlan(plan)
-		fmt.Fprintf(os.Stderr, "ddtbench: fault injection active (%s); recovery cost appears in the Retrans column\n", *faultSpec)
+		fmt.Fprintf(os.Stderr, "ddtbench: fault injection active (%s); recovery cost appears in the Retrans column of -fig 11\n", *faultSpec)
 	}
 
 	var coll *timeline.Collector
@@ -78,21 +67,10 @@ func main() {
 
 	switch {
 	case *list:
-		fmt.Println("reproducible figures:")
+		fmt.Println("reproducible tables:")
 		for _, f := range bench.Figures() {
 			fmt.Printf("  -fig %s\n", f)
 		}
-		fmt.Println("plus: -ablations, -approaches, -extended, -scaling, -table1")
-	case *ablations:
-		emit(bench.Ablations())
-	case *approaches:
-		emit([]*bench.Table{bench.Approaches(spec)})
-	case *extended:
-		emit([]*bench.Table{bench.ExtendedWorkloads(spec)})
-	case *scaling:
-		emit([]*bench.Table{bench.Scaling(spec, workload.MILC(), 16)})
-	case *table1:
-		emit([]*bench.Table{bench.TableOne()})
 	case *fig == "all":
 		for _, f := range bench.Figures() {
 			if err := run(f); err != nil {

@@ -1005,11 +1005,14 @@ func VerifyBlocks(l *Layout, count int, want, got []byte) error {
 // ExperimentTable is a rendered experiment result.
 type ExperimentTable = bench.Table
 
-// RunFigure regenerates one of the paper's figures by id ("1", "8", "9",
-// "10", "11", "12", "13", "14").
+// RunFigure regenerates one experiment table by id: the paper's figures
+// ("1", "8", "9", "10", "11", "12", "13", "14"), its other evaluation
+// tables ("approaches", "table1"), the design ablations and extensions
+// ("ablations", "extended", "scaling"), and the repository's subsystem
+// experiments ("coll", "scale", "chaos-scale", "rma"). Figures lists them.
 func RunFigure(id string) ([]*ExperimentTable, error) { return bench.Run(id) }
 
-// Figures lists the reproducible figure ids.
+// Figures lists every id RunFigure accepts, in ddtbench -fig all order.
 func Figures() []string { return bench.Figures() }
 
 // SchemeNames lists the available scheme names, matching the typed Scheme

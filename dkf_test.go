@@ -155,8 +155,8 @@ func TestWorkloadsExposed(t *testing.T) {
 	if _, ok := dkf.WorkloadByName("NAS_MG"); !ok {
 		t.Fatal("NAS_MG missing")
 	}
-	if len(dkf.Figures()) != 12 {
-		t.Fatal("want 12 figures (8 paper figures + coll + scale + chaos-scale + rma)")
+	if len(dkf.Figures()) != 17 {
+		t.Fatal("want 17 tables (8 paper figures + approaches, table1, ablations, extended, scaling + coll, scale, chaos-scale, rma)")
 	}
 }
 

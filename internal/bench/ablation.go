@@ -58,13 +58,10 @@ func AblationSyncVsStatusPoll() *Table {
 		Title:  "Ablation: response-status polling vs kernel-boundary sync (specfem3D_cm dim=32, 16 buffers, Lassen, us)",
 		Header: []string{"variant", "latency_us"},
 	}
-	base := RunBulk(BulkOptions{System: cluster.Lassen(), Scheme: "Proposed-Tuned", Workload: wl, Dim: 32, Buffers: 16})
-	t.Rows = append(t.Rows, []string{"status-poll (paper)", cell(base)})
-
-	env := BulkOptions{System: cluster.Lassen(), Scheme: "Proposed-Tuned", Workload: wl, Dim: 32, Buffers: 16}
-	env.defaults()
-	r := runBulkWithFactory(env, newBoundarySyncFusion)
-	t.Rows = append(t.Rows, []string{"boundary-sync", cell(r)})
+	opt := BulkOptions{System: cluster.Lassen(), Scheme: "Proposed-Tuned", Workload: wl, Dim: 32, Buffers: 16}
+	t.Rows = append(t.Rows, []string{"status-poll (paper)", cell(RunBulk(opt))})
+	opt.Scheme = "Fusion+BoundarySync"
+	t.Rows = append(t.Rows, []string{"boundary-sync", cell(runBulk(opt, newBoundarySyncFusion))})
 	return t
 }
 
@@ -200,83 +197,9 @@ func Ablations() []*Table {
 		AblationRendezvous(),
 		AblationLayoutCache(),
 		AblationPipeline(),
+		IPCPaths(),
 	}
 }
-
-// runBulkWithFactory is RunBulk with a custom scheme factory (ablation
-// variants that are not in the schemes registry).
-func runBulkWithFactory(opt BulkOptions, factory mpi.SchemeFactory) BulkResult {
-	opt.defaults()
-	env := sim.NewEnv()
-	cl := cluster.MustBuild(env, opt.System)
-	cfg := mpi.DefaultConfig()
-	if opt.MutateMPI != nil {
-		opt.MutateMPI(&cfg)
-	}
-	w := mpi.NewWorld(cl, cfg, factory)
-	l := opt.Workload.Layout(opt.Dim)
-	a, bPeer := 0, opt.System.GPUsPerNode
-	res := BulkResult{Scheme: "custom", MsgBytes: l.SizeBytes, Blocks: l.NumBlocks()}
-	sb := make([]*bufPair, opt.Buffers)
-	for i := range sb {
-		sb[i] = &bufPair{
-			as: w.Rank(a).Dev.Alloc(fmt.Sprintf("as%d", i), int(l.ExtentBytes)),
-			ar: w.Rank(a).Dev.Alloc(fmt.Sprintf("ar%d", i), int(l.ExtentBytes)),
-			bs: w.Rank(bPeer).Dev.Alloc(fmt.Sprintf("bs%d", i), int(l.ExtentBytes)),
-			br: w.Rank(bPeer).Dev.Alloc(fmt.Sprintf("br%d", i), int(l.ExtentBytes)),
-		}
-		workload.FillPattern(sb[i].as.Data, uint64(i+1))
-		workload.FillPattern(sb[i].bs.Data, uint64(i+1001))
-	}
-	var total int64
-	err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
-		mine := r.ID() == a || r.ID() == bPeer
-		for it := 0; it < opt.Warmup+opt.Iterations; it++ {
-			w.Barrier(p)
-			t0 := p.Now()
-			if mine {
-				var reqs []*mpi.Request
-				for i := 0; i < opt.Buffers; i++ {
-					if r.ID() == a {
-						reqs = append(reqs, r.Irecv(p, bPeer, i, sb[i].ar, l, 1))
-					} else {
-						reqs = append(reqs, r.Irecv(p, a, i, sb[i].br, l, 1))
-					}
-				}
-				for i := 0; i < opt.Buffers; i++ {
-					if r.ID() == a {
-						reqs = append(reqs, r.Isend(p, bPeer, i, sb[i].as, l, 1))
-					} else {
-						reqs = append(reqs, r.Isend(p, a, i, sb[i].bs, l, 1))
-					}
-				}
-				r.Waitall(p, reqs)
-			}
-			w.Barrier(p)
-			if r.ID() == a && it >= opt.Warmup {
-				total += p.Now() - t0
-			}
-		}
-	})
-	if err != nil {
-		res.VerifyErr = err
-		return res
-	}
-	res.AvgNs = total / int64(opt.Iterations)
-	for i := range sb {
-		if err := workload.VerifyBlocks(l, 1, sb[i].as.Data, sb[i].br.Data); err != nil {
-			res.VerifyErr = err
-			return res
-		}
-		if err := workload.VerifyBlocks(l, 1, sb[i].bs.Data, sb[i].ar.Data); err != nil {
-			res.VerifyErr = err
-			return res
-		}
-	}
-	return res
-}
-
-type bufPair struct{ as, ar, bs, br *gpu.Buffer }
 
 // AblationPipeline measures chunked (pipelined) rendezvous against the
 // whole-message path for a large sparse exchange. On the modeled systems

@@ -25,89 +25,98 @@ import (
 //	Algorithm 3 — MPI-level implicit: non-contiguous buffers passed
 //	              straight to Isend/Irecv; the runtime's DDT scheme
 //	              (including the proposed fusion) handles packing.
-type approachFn func(w *mpi.World, l *datatype.Layout, nbuf, it int, sb, rb []*gpu.Buffer, r *mpi.Rank, p *sim.Proc, peer int, sender bool)
+type approachFn func(r *mpi.Rank, p *sim.Proc, l *datatype.Layout, it int, sb, rb []*gpu.Buffer, peer int, sender bool) error
 
 // Algorithm 1: MPI-level explicit pack/unpack.
-func algorithm1(w *mpi.World, l *datatype.Layout, nbuf, it int, sb, rb []*gpu.Buffer, r *mpi.Rank, p *sim.Proc, peer int, sender bool) {
+func algorithm1(r *mpi.Rank, p *sim.Proc, l *datatype.Layout, it int, sb, rb []*gpu.Buffer, peer int, sender bool) error {
 	packedType := datatype.Commit(datatype.Contiguous(int(l.SizeBytes), datatype.Byte))
 	var reqs []*mpi.Request
 	if sender {
-		for i := 0; i < nbuf; i++ {
+		for i := range sb {
 			staging := r.Dev.Alloc(fmt.Sprintf("alg1-s%d-%d", it, i), int(l.SizeBytes))
 			var pos int64
 			r.Pack(p, sb[i], l, 1, staging, &pos) // blocking (red line in Fig. 4a)
 			reqs = append(reqs, r.Isend(p, peer, i, staging, packedType, 1))
 		}
-		r.Waitall(p, reqs)
-		return
+		return r.Waitall(p, reqs)
 	}
-	stagings := make([]*gpu.Buffer, nbuf)
-	for i := 0; i < nbuf; i++ {
+	stagings := make([]*gpu.Buffer, len(rb))
+	for i := range rb {
 		stagings[i] = r.Dev.Alloc(fmt.Sprintf("alg1-r%d-%d", it, i), int(l.SizeBytes))
 		reqs = append(reqs, r.Irecv(p, peer, i, stagings[i], packedType, 1))
 	}
-	r.Waitall(p, reqs)
-	for i := 0; i < nbuf; i++ {
+	if err := r.Waitall(p, reqs); err != nil {
+		return err
+	}
+	for i := range rb {
 		var pos int64
 		r.Unpack(p, stagings[i], &pos, rb[i], l, 1) // blocking
 	}
+	return nil
 }
 
 // Algorithm 2: application-level explicit pack/unpack — custom kernels,
 // one synchronization per phase, no overlap with communication.
-func algorithm2(w *mpi.World, l *datatype.Layout, nbuf, it int, sb, rb []*gpu.Buffer, r *mpi.Rank, p *sim.Proc, peer int, sender bool) {
+func algorithm2(r *mpi.Rank, p *sim.Proc, l *datatype.Layout, it int, sb, rb []*gpu.Buffer, peer int, sender bool) error {
 	packedType := datatype.Commit(datatype.Contiguous(int(l.SizeBytes), datatype.Byte))
 	st := r.Dev.NewStream("app-pack")
 	var reqs []*mpi.Request
 	if sender {
-		stagings := make([]*gpu.Buffer, nbuf)
-		for i := 0; i < nbuf; i++ {
+		stagings := make([]*gpu.Buffer, len(sb))
+		for i := range sb {
 			stagings[i] = r.Dev.Alloc(fmt.Sprintf("alg2-s%d-%d", it, i), int(l.SizeBytes))
 			job := pack.NewJob(pack.OpPack, sb[i], stagings[i], l.Blocks)
 			st.Launch(p, job.KernelSpec())
 		}
 		st.Synchronize(p) // single sync at the kernel boundary (Alg. 2 line 6)
-		for i := 0; i < nbuf; i++ {
+		for i := range sb {
 			reqs = append(reqs, r.Isend(p, peer, i, stagings[i], packedType, 1))
 		}
-		r.Waitall(p, reqs)
-		return
+		return r.Waitall(p, reqs)
 	}
-	stagings := make([]*gpu.Buffer, nbuf)
-	for i := 0; i < nbuf; i++ {
+	stagings := make([]*gpu.Buffer, len(rb))
+	for i := range rb {
 		stagings[i] = r.Dev.Alloc(fmt.Sprintf("alg2-r%d-%d", it, i), int(l.SizeBytes))
 		reqs = append(reqs, r.Irecv(p, peer, i, stagings[i], packedType, 1))
 	}
-	r.Waitall(p, reqs)
-	for i := 0; i < nbuf; i++ {
+	if err := r.Waitall(p, reqs); err != nil {
+		return err
+	}
+	for i := range rb {
 		job := pack.NewJob(pack.OpUnpack, stagings[i], rb[i], l.Blocks)
 		st.Launch(p, job.KernelSpec())
 	}
 	st.Synchronize(p) // Alg. 2 line 17
+	return nil
 }
 
 // Algorithm 3: MPI-level implicit — the 10-line productive version.
-func algorithm3(w *mpi.World, l *datatype.Layout, nbuf, it int, sb, rb []*gpu.Buffer, r *mpi.Rank, p *sim.Proc, peer int, sender bool) {
+func algorithm3(r *mpi.Rank, p *sim.Proc, l *datatype.Layout, it int, sb, rb []*gpu.Buffer, peer int, sender bool) error {
 	var reqs []*mpi.Request
 	if sender {
-		for i := 0; i < nbuf; i++ {
+		for i := range sb {
 			reqs = append(reqs, r.Isend(p, peer, i, sb[i], l, 1))
 		}
 	} else {
-		for i := 0; i < nbuf; i++ {
+		for i := range rb {
 			reqs = append(reqs, r.Irecv(p, peer, i, rb[i], l, 1))
 		}
 	}
-	r.Waitall(p, reqs)
+	return r.Waitall(p, reqs)
 }
 
-// runApproach measures one approach under one underlying scheme.
-func runApproach(system cluster.Spec, scheme string, wl workload.Workload, dim, nbuf int, fn approachFn) BulkResult {
+// runApproach measures one approach under one underlying scheme on Lassen.
+func runApproach(scheme string, wl workload.Workload, dim, nbuf int, fn approachFn) BulkResult {
 	const warmup, iters = 2, 3
-	env := sim.NewEnv()
-	cl := cluster.MustBuild(env, system)
-	w := mpi.NewWorld(cl, mpi.DefaultConfig(), schemes.Factory(scheme))
+	res := BulkResult{Scheme: scheme}
+	system := cluster.Lassen()
+	w, err := newWorld(system, schemes.Factory(scheme), nil, "")
+	if err != nil {
+		res.VerifyErr = err
+		return res
+	}
 	l := wl.Layout(dim)
+	res.MsgBytes, res.Blocks = l.SizeBytes, l.NumBlocks()
 	a, bPeer := 0, system.GPUsPerNode
 	sb := make([]*gpu.Buffer, nbuf)
 	rb := make([]*gpu.Buffer, nbuf)
@@ -116,25 +125,22 @@ func runApproach(system cluster.Spec, scheme string, wl workload.Workload, dim, 
 		rb[i] = w.Rank(bPeer).Dev.Alloc(fmt.Sprintf("r%d", i), int(l.ExtentBytes))
 		workload.FillPattern(sb[i].Data, uint64(i+1))
 	}
-	res := BulkResult{Scheme: scheme, MsgBytes: l.SizeBytes, Blocks: l.NumBlocks()}
 	var total int64
-	err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
-		for it := 0; it < warmup+iters; it++ {
-			w.Barrier(p)
-			t0 := p.Now()
+	if _, err := run(w, nil, func(r *mpi.Rank, p *sim.Proc) error {
+		t, err := timedSteps(w, p, warmup, iters, nil, func(it int) error {
 			switch r.ID() {
 			case a:
-				fn(w, l, nbuf, it, sb, rb, r, p, bPeer, true)
+				return fn(r, p, l, it, sb, rb, bPeer, true)
 			case bPeer:
-				fn(w, l, nbuf, it, sb, rb, r, p, a, false)
+				return fn(r, p, l, it, sb, rb, a, false)
 			}
-			w.Barrier(p)
-			if r.ID() == a && it >= warmup {
-				total += p.Now() - t0
-			}
+			return nil
+		})
+		if r.ID() == a {
+			total = t
 		}
-	})
-	if err != nil {
+		return err
+	}); err != nil {
 		res.VerifyErr = err
 		return res
 	}
@@ -151,12 +157,12 @@ func runApproach(system cluster.Spec, scheme string, wl workload.Workload, dim, 
 // Approaches compares the three Section III approaches on a sparse
 // workload: explicit MPI pack (Alg. 1), application-level kernels (Alg. 2),
 // and implicit DDT under both a legacy scheme and the proposed fusion.
-func Approaches(system cluster.Spec) *Table {
+func Approaches() *Table {
 	wl := workload.Specfem3DCM()
 	const dim, nbuf = 32, 16
 	t := &Table{
 		Title: fmt.Sprintf("Section III approaches: %s dim=%d, %d buffers, %s (us, lower is better)",
-			wl.Name, dim, nbuf, system.Name),
+			wl.Name, dim, nbuf, cluster.Lassen().Name),
 		Header: []string{"approach", "ddt_scheme", "latency_us"},
 	}
 	rows := []struct {
@@ -170,7 +176,7 @@ func Approaches(system cluster.Spec) *Table {
 		{"Alg3 implicit (Proposed)", "Proposed-Tuned", algorithm3},
 	}
 	for _, row := range rows {
-		r := runApproach(system, row.scheme, wl, dim, nbuf, row.fn)
+		r := runApproach(row.scheme, wl, dim, nbuf, row.fn)
 		t.Rows = append(t.Rows, []string{row.name, row.scheme, cell(r)})
 	}
 	return t

@@ -1,13 +1,9 @@
 package bench
 
-import (
-	"testing"
-
-	"repro/internal/cluster"
-)
+import "testing"
 
 func TestApproachesAllVerifyAndRank(t *testing.T) {
-	tab := Approaches(cluster.Lassen())
+	tab := Approaches()
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}

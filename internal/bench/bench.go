@@ -2,6 +2,11 @@
 // the paper's evaluation (Section V), producing plain-text tables whose
 // rows mirror the series the paper plots.
 //
+// Every table builds its simulated worlds through newWorld, drives them
+// through run, and times steady-state loops with timedSteps, so the
+// harness-wide fault plan and trace collector reach every world the same
+// way and every world ends under the same leak oracles.
+//
 // All timings are virtual nanoseconds on the deterministic simulation
 // clock. Because the simulation is deterministic, steady state is reached
 // after the warmup iterations (which also warm the layout caches) and a
@@ -11,13 +16,16 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/fusion"
 	"repro/internal/gpu"
 	"repro/internal/mpi"
+	"repro/internal/rma"
 	"repro/internal/schemes"
 	"repro/internal/sim"
 	"repro/internal/timeline"
@@ -35,15 +43,15 @@ var collector *timeline.Collector
 // RunBulk; the harness is single-threaded.
 func SetCollector(c *timeline.Collector) { collector = c }
 
-// faultPlan, when non-nil, is threaded into every RunBulk world so the
-// whole experiment suite runs under deterministic fault injection (the
-// ddtbench -faults flag). Recovery costs then show up in the Retrans
+// faultPlan, when non-nil, is threaded into every world the harness builds
+// so the whole experiment suite runs under deterministic fault injection
+// (the ddtbench -faults flag). Recovery costs then show up in the Retrans
 // column of the breakdowns.
 var faultPlan *fault.Plan
 
 // SetFaultPlan installs (or, with nil, removes) the fault plan applied to
-// subsequent RunBulk measurements. Not safe for concurrent use with
-// RunBulk; the harness is single-threaded.
+// every subsequently built world, except where a table pins its own. Not
+// safe for concurrent use; the harness is single-threaded.
 func SetFaultPlan(p *fault.Plan) { faultPlan = p }
 
 // Table is a formatted experiment result.
@@ -82,6 +90,126 @@ func (t *Table) String() string {
 		line(row)
 	}
 	return b.String()
+}
+
+// errRow is the row of a failed cell: its key columns, then the error,
+// padded with empty cells to the header's width.
+func (t *Table) errRow(err error, keys ...string) []string {
+	row := append(keys, "ERROR: "+err.Error())
+	for len(row) < len(t.Header) {
+		row = append(row, "")
+	}
+	return row
+}
+
+// newWorld is the harness's one world builder. The MPI config starts from
+// mpi.DefaultConfig, takes the harness-wide fault plan and, for a labeled
+// world, the trace collector, and applies the table's own hook mut last —
+// so a table that pins its own plan or timeline (chaos-scale's no-fault
+// baseline, the rma figure's counting ring) wins.
+func newWorld(spec cluster.Spec, factory mpi.SchemeFactory, mut func(*mpi.Config), label string) (*mpi.World, error) {
+	c, err := cluster.Build(sim.NewEnv(), spec)
+	if err != nil {
+		return nil, err
+	}
+	traced := collector != nil && label != ""
+	cfg := mpi.DefaultConfig()
+	cfg.Faults = faultPlan
+	if traced {
+		cfg.Timeline = &timeline.Options{}
+	}
+	if mut != nil {
+		mut(&cfg)
+	}
+	w := mpi.NewWorld(c, cfg, factory)
+	if traced {
+		collector.Add(label, w.Timeline())
+	}
+	return w, nil
+}
+
+// measure is one world run: virtual completion time, host wall time and
+// bytes allocated over the run, and kernel launches summed over ranks.
+type measure struct {
+	virtNs  int64
+	wall    time.Duration
+	allocMB float64
+	kernels int64
+}
+
+// cells renders the virt_ms, wall_ms, alloc_MB and kernels columns.
+func (m measure) cells() []string {
+	return []string{
+		fmt.Sprintf("%.1f", float64(m.virtNs)/1e6),
+		fmt.Sprintf("%.0f", float64(m.wall.Microseconds())/1000),
+		fmt.Sprintf("%.1f", m.allocMB),
+		fmt.Sprint(m.kernels),
+	}
+}
+
+// run is the harness's one world runner. It drives body on every rank —
+// the first body error wins — and times the run in host wall time and
+// allocation after a GC. It then applies every leak oracle: no request,
+// fused job or proc may outlive the run, nor, when the rma fabric f is in
+// use, any one-sided op. A broken oracle is an error, never a number.
+func run(w *mpi.World, f *rma.Fabric, body func(r *mpi.Rank, p *sim.Proc) error) (measure, error) {
+	var bodyErr error
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	t0 := time.Now()
+	err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
+		if berr := body(r, p); berr != nil && bodyErr == nil {
+			bodyErr = fmt.Errorf("rank %d: %w", r.ID(), berr)
+		}
+	})
+	m := measure{wall: time.Since(t0), virtNs: w.Env.Now()}
+	runtime.ReadMemStats(&after)
+	m.allocMB = float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	for i := 0; i < w.Size(); i++ {
+		m.kernels += w.Rank(i).Dev.Stats.KernelLaunches
+	}
+	switch {
+	case err != nil:
+		return m, fmt.Errorf("bench: world run: %w", err)
+	case bodyErr != nil:
+		return m, bodyErr
+	case w.LeakedRequests() != 0:
+		return m, fmt.Errorf("bench: run leaked %d requests", w.LeakedRequests())
+	case w.PendingFusedJobs() != 0:
+		return m, fmt.Errorf("bench: run stranded %d fused jobs", w.PendingFusedJobs())
+	case w.Env.LiveProcs() != 0:
+		return m, fmt.Errorf("bench: run left %d live procs", w.Env.LiveProcs())
+	case f != nil && f.PendingOps() != 0:
+		return m, fmt.Errorf("bench: run left %d one-sided ops pending", f.PendingOps())
+	}
+	return m, nil
+}
+
+// timedSteps is the steady-state loop every latency table shares: warmup
+// then iters iterations of step, each between two world barriers, summing
+// the calling rank's step time over the measured iterations. atWarm, when
+// non-nil, runs as the first measured iteration begins, before its
+// barrier. A failed step does not end the loop — every rank must reach
+// every barrier — so the first error is returned after the last one.
+func timedSteps(w *mpi.World, p *sim.Proc, warmup, iters int, atWarm func(), step func(it int) error) (int64, error) {
+	var total int64
+	var first error
+	for it := 0; it < warmup+iters; it++ {
+		if it == warmup && atWarm != nil {
+			atWarm()
+		}
+		w.Barrier(p)
+		t0 := p.Now()
+		if err := step(it); err != nil && first == nil {
+			first = fmt.Errorf("iteration %d: %w", it, err)
+		}
+		w.Barrier(p)
+		if it >= warmup {
+			total += p.Now() - t0
+		}
+	}
+	return total, first
 }
 
 // BulkOptions parameterizes one bulk halo-exchange measurement: two ranks
@@ -130,7 +258,8 @@ type BulkResult struct {
 	MsgBytes int64
 	// Blocks is the per-message contiguous-segment count.
 	Blocks int
-	// VerifyErr is non-nil if any received byte was wrong.
+	// VerifyErr is non-nil if any received byte was wrong, or the run
+	// failed or leaked.
 	VerifyErr error
 }
 
@@ -148,29 +277,26 @@ func factoryFor(name string, threshold int64) mpi.SchemeFactory {
 
 // RunBulk executes one measurement.
 func RunBulk(opt BulkOptions) BulkResult {
+	return runBulk(opt, factoryFor(opt.Scheme, opt.FusionThreshold))
+}
+
+// runBulk is RunBulk with an explicit scheme factory, for ablation
+// variants outside the schemes registry.
+func runBulk(opt BulkOptions, factory mpi.SchemeFactory) BulkResult {
 	opt.defaults()
-	env := sim.NewEnv()
-	cl := cluster.MustBuild(env, opt.System)
-	cfg := mpi.DefaultConfig()
-	if opt.MutateMPI != nil {
-		opt.MutateMPI(&cfg)
+	res := BulkResult{Scheme: opt.Scheme}
+	label := fmt.Sprintf("%s/%s/dim%d", opt.Scheme, opt.Workload.Name, opt.Dim)
+	if opt.FusionThreshold > 0 {
+		label += fmt.Sprintf("/th%d", opt.FusionThreshold)
 	}
-	if faultPlan != nil {
-		cfg.Faults = faultPlan
-	}
-	if collector != nil {
-		cfg.Timeline = &timeline.Options{}
-	}
-	w := mpi.NewWorld(cl, cfg, factoryFor(opt.Scheme, opt.FusionThreshold))
-	if collector != nil {
-		label := fmt.Sprintf("%s/%s/dim%d", opt.Scheme, opt.Workload.Name, opt.Dim)
-		if opt.FusionThreshold > 0 {
-			label += fmt.Sprintf("/th%d", opt.FusionThreshold)
-		}
-		collector.Add(label, w.Timeline())
+	w, err := newWorld(opt.System, factory, opt.MutateMPI, label)
+	if err != nil {
+		res.VerifyErr = err
+		return res
 	}
 
 	l := opt.Workload.Layout(opt.Dim)
+	res.MsgBytes, res.Blocks = l.SizeBytes, l.NumBlocks()
 	a, bPeer := 0, opt.System.GPUsPerNode // rank on node 0, rank on node 1
 	if opt.IntraNode {
 		bPeer = 1
@@ -191,49 +317,38 @@ func RunBulk(opt BulkOptions) BulkResult {
 	}
 	sideA, sideB := mk(a), mk(bPeer)
 
-	res := BulkResult{Scheme: opt.Scheme, MsgBytes: l.SizeBytes, Blocks: l.NumBlocks()}
 	var total int64
-	var opErr error
-	body := func(r *mpi.Rank, p *sim.Proc) {
+	_, err = run(w, nil, func(r *mpi.Rank, p *sim.Proc) error {
 		mine := r.ID() == a || r.ID() == bPeer
-		var sd side
-		var peer int
-		if r.ID() == a {
-			sd, peer = sideA, bPeer
-		} else if r.ID() == bPeer {
+		sd, peer := sideA, bPeer
+		if r.ID() == bPeer {
 			sd, peer = sideB, a
 		}
-		for it := 0; it < opt.Warmup+opt.Iterations; it++ {
-			if it == opt.Warmup && mine {
+		t, err := timedSteps(w, p, opt.Warmup, opt.Iterations, func() {
+			if mine {
 				r.Trace.Reset()
 				r.Timeline().Reset()
 			}
-			w.Barrier(p)
-			t0 := p.Now()
-			if mine {
-				reqs := make([]*mpi.Request, 0, 2*nbuf)
-				for i := 0; i < nbuf; i++ {
-					reqs = append(reqs, r.Irecv(p, peer, i, sd.r[i], l, 1))
-				}
-				for i := 0; i < nbuf; i++ {
-					reqs = append(reqs, r.Isend(p, peer, i, sd.s[i], l, 1))
-				}
-				if err := r.Waitall(p, reqs); err != nil && opErr == nil {
-					opErr = fmt.Errorf("iteration %d: %w", it, err)
-				}
+		}, func(int) error {
+			if !mine {
+				return nil
 			}
-			w.Barrier(p)
-			if r.ID() == a && it >= opt.Warmup {
-				total += p.Now() - t0
+			reqs := make([]*mpi.Request, 0, 2*nbuf)
+			for i := 0; i < nbuf; i++ {
+				reqs = append(reqs, r.Irecv(p, peer, i, sd.r[i], l, 1))
 			}
+			for i := 0; i < nbuf; i++ {
+				reqs = append(reqs, r.Isend(p, peer, i, sd.s[i], l, 1))
+			}
+			return r.Waitall(p, reqs)
+		})
+		if r.ID() == a {
+			total = t
 		}
-	}
-	if err := w.Run(body); err != nil {
+		return err
+	})
+	if err != nil {
 		res.VerifyErr = err
-		return res
-	}
-	if opErr != nil {
-		res.VerifyErr = opErr
 		return res
 	}
 	res.AvgNs = total / int64(opt.Iterations)

@@ -205,7 +205,7 @@ func TestRunDispatch(t *testing.T) {
 	if err != nil || len(tabs) != 1 {
 		t.Fatalf("Run(1): %v %d", err, len(tabs))
 	}
-	if len(Figures()) != 12 {
+	if len(Figures()) != 17 {
 		t.Fatalf("figures list = %v", Figures())
 	}
 }

@@ -4,9 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"runtime"
-	"time"
-
 	"repro/internal/ckpt"
 	"repro/internal/coll"
 	"repro/internal/datatype"
@@ -55,17 +52,10 @@ func chaosRetryLayout() *datatype.Layout {
 	return datatype.Commit(datatype.Contiguous(32<<10, datatype.Byte))
 }
 
-// chaosMeasure extends scaleMeasure with the fault-path observables.
-type chaosMeasure struct {
-	scaleMeasure
-	crashed int
-	retrans int64
-}
-
 // runChaosScale drives one chaos-scale cell. mode is one of "no-fault",
-// "rank-crash", "rank-crash+restore".
-func runChaosScale(ranks int, mode string) (chaosMeasure, error) {
-	var cm chaosMeasure
+// "rank-crash", "rank-crash+restore". It reports the run's measure and
+// how many ranks crashed.
+func runChaosScale(ranks int, mode string) (measure, int, error) {
 	withFaults := mode != "no-fault"
 	withRestore := mode == "rank-crash+restore"
 	var plan *fault.Plan
@@ -73,12 +63,12 @@ func runChaosScale(ranks int, mode string) (chaosMeasure, error) {
 		var err error
 		plan, err = fault.Preset("rank-crash", chaosScaleSeed)
 		if err != nil {
-			return cm, err
+			return measure{}, 0, err
 		}
 	}
-	env, w, err := scaleWorldCfg(ranks, true, func(c *mpi.Config) { c.Faults = plan })
+	w, err := scaleWorld(ranks, true, func(c *mpi.Config) { c.Faults = plan })
 	if err != nil {
-		return cm, err
+		return measure{}, 0, err
 	}
 	size := w.Size()
 	ops := makeScaleA2AOps(w, collLayout())
@@ -110,24 +100,7 @@ func runChaosScale(ranks int, mode string) (chaosMeasure, error) {
 	// pattern, re-wrapped in comm-rank space with fresh buffers.
 	var retry [][]coll.WOp
 	if withFaults {
-		rl := chaosRetryLayout()
-		half := scaleNeighbors / 2
-		retry = make([][]coll.WOp, nSurv)
-		for cr := 0; cr < nSurv; cr++ {
-			dev := w.Rank(comm2world[cr]).Dev
-			retry[cr] = make([]coll.WOp, nSurv)
-			for d := 1; d <= half; d++ {
-				for _, peer := range []int{(cr + d) % nSurv, (cr - d + nSurv) % nSurv} {
-					if retry[cr][peer].SendBuf != nil {
-						continue
-					}
-					sb := dev.Alloc(fmt.Sprintf("cx-s-%d-%d", cr, peer), int(rl.ExtentBytes))
-					rb := dev.Alloc(fmt.Sprintf("cx-r-%d-%d", cr, peer), int(rl.ExtentBytes))
-					sb.FillStream(uint64(cr)<<32 | uint64(peer+1))
-					retry[cr][peer] = coll.WOp{SendBuf: sb, SendType: rl, SendCount: 1, RecvBuf: rb, RecvType: rl, RecvCount: 1}
-				}
-			}
-		}
+		retry = sparseA2AOps(w, comm2world, chaosRetryLayout(), "cx")
 	}
 
 	// Restore mode: register per-rank state and take the coordinated
@@ -145,51 +118,34 @@ func runChaosScale(ranks int, mode string) (chaosMeasure, error) {
 			stateSums[r] = state[r].Checksum()
 			st.Register(r, state[r])
 		}
-		if ep := st.CaptureAll(env.Now(), 0); ep == nil || !ep.Committed() {
-			return cm, errors.New("bench: chaos-scale checkpoint did not commit")
+		if ep := st.CaptureAll(w.Env.Now(), 0); ep == nil || !ep.Committed() {
+			return measure{}, 0, errors.New("bench: chaos-scale checkpoint did not commit")
 		}
 	}
 
-	var bodyErr error
-	fail := func(format string, args ...any) {
-		if bodyErr == nil {
-			bodyErr = fmt.Errorf(format, args...)
-		}
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	t0 := time.Now()
-	runErr := w.Run(func(r *mpi.Rank, p *sim.Proc) {
+	m, err := run(w, nil, func(r *mpi.Rank, p *sim.Proc) error {
 		me := r.ID()
 		if !withFaults {
-			if cerr := e.Alltoallw(p, r, ops[me]); cerr != nil {
-				fail("rank %d: %w", me, cerr)
-			}
-			return
+			return e.Alltoallw(p, r, ops[me])
 		}
 		var cerr error
 		for cerr == nil && p.Now() < chaosHorizonNs {
 			cerr = e.Alltoallw(p, r, ops[me])
 		}
 		if !errors.Is(cerr, mpi.ErrRankFailed) && !errors.Is(cerr, mpi.ErrCommRevoked) {
-			fail("rank %d: expected typed failure, got %v", me, cerr)
-			return
+			return fmt.Errorf("expected typed failure, got %v", cerr)
 		}
 		wc := w.WorldComm()
 		if _, aerr := wc.Agree(p, r, 0); aerr == nil {
-			fail("rank %d: Agree did not surface the failure", me)
-			return
+			return errors.New("Agree did not surface the failure")
 		}
 		sub, serr := wc.Shrink(p, r)
 		if serr != nil {
-			fail("rank %d: shrink: %w", me, serr)
-			return
+			return fmt.Errorf("shrink: %w", serr)
 		}
 		if sub.Size() != nSurv || sub.CommRank(me) != world2comm[me] {
-			fail("rank %d: shrunken comm size=%d commRank=%d, want %d/%d",
-				me, sub.Size(), sub.CommRank(me), nSurv, world2comm[me])
-			return
+			return fmt.Errorf("shrunken comm size=%d commRank=%d, want %d/%d",
+				sub.Size(), sub.CommRank(me), nSurv, world2comm[me])
 		}
 		if withRestore {
 			// The crash invalidated in-progress work: roll the registered
@@ -197,31 +153,20 @@ func runChaosScale(ranks int, mode string) (chaosMeasure, error) {
 			st.MarkDead(firstKey(dead))
 			state[me].FillStream(0xBAD)
 			if _, _, rerr := st.RestoreRank(me); rerr != nil {
-				fail("rank %d: restore: %w", me, rerr)
-				return
+				return fmt.Errorf("restore: %w", rerr)
 			}
 		}
 		if rerr := e.Sub(sub).Alltoallw(p, r, retry[world2comm[me]]); rerr != nil {
-			fail("rank %d: retry on shrunken comm: %w", me, rerr)
+			return fmt.Errorf("retry on shrunken comm: %w", rerr)
 		}
+		return nil
 	})
-	cm.wall = time.Since(t0)
-	runtime.ReadMemStats(&after)
-	cm.virtNs = env.Now()
-	cm.allocMB = float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
-	for i := 0; i < size; i++ {
-		cm.kernels += w.Rank(i).Dev.Stats.KernelLaunches
+	crashed := len(w.CrashedRanks())
+	if err != nil {
+		return m, crashed, err
 	}
-	cm.crashed = len(w.CrashedRanks())
-	cm.retrans = w.Injector().Count(fault.Retransmit)
-	if runErr != nil {
-		return cm, fmt.Errorf("bench: chaos-scale world: %w", runErr)
-	}
-	if bodyErr != nil {
-		return cm, bodyErr
-	}
-	if withFaults && cm.crashed != len(dead) {
-		return cm, fmt.Errorf("bench: %d ranks crashed, plan says %d", cm.crashed, len(dead))
+	if withFaults && crashed != len(dead) {
+		return m, crashed, fmt.Errorf("bench: %d ranks crashed, plan says %d", crashed, len(dead))
 	}
 
 	// Checksum-exact delivery of the retried legs, straight through the
@@ -235,7 +180,7 @@ func runChaosScale(ranks int, mode string) (chaosMeasure, error) {
 					continue
 				}
 				if retry[cr][peer].RecvBuf.Checksum() != retry[peer][cr].SendBuf.Checksum() {
-					return cm, fmt.Errorf("bench: comm rank %d recv-from-%d not checksum-exact after shrink retry", cr, peer)
+					return m, crashed, fmt.Errorf("bench: comm rank %d recv-from-%d not checksum-exact after shrink retry", cr, peer)
 				}
 			}
 		}
@@ -243,32 +188,23 @@ func runChaosScale(ranks int, mode string) (chaosMeasure, error) {
 	if withRestore {
 		for _, i := range comm2world {
 			if state[i].Checksum() != stateSums[i] {
-				return cm, fmt.Errorf("bench: rank %d state not rolled back to the checkpoint", i)
+				return m, crashed, fmt.Errorf("bench: rank %d state not rolled back to the checkpoint", i)
 			}
 		}
 		// The dead rank's snapshot survives on its buddy.
 		d := firstKey(dead)
 		if !st.Available(d) {
-			return cm, fmt.Errorf("bench: dead rank %d snapshot unavailable despite live buddy", d)
+			return m, crashed, fmt.Errorf("bench: dead rank %d snapshot unavailable despite live buddy", d)
 		}
 		adopted := w.Rank(st.Buddy(d)).Dev.Alloc("cx-adopt", chaosStateBytes)
 		if _, aerr := st.AdoptRank(st.Buddy(d), d, []*gpu.Buffer{adopted}); aerr != nil {
-			return cm, fmt.Errorf("bench: buddy adoption: %w", aerr)
+			return m, crashed, fmt.Errorf("bench: buddy adoption: %w", aerr)
 		}
 		if adopted.Checksum() != stateSums[d] {
-			return cm, fmt.Errorf("bench: adopted state differs from rank %d's captured state", d)
+			return m, crashed, fmt.Errorf("bench: adopted state differs from rank %d's captured state", d)
 		}
 	}
-	if lk := w.LeakedRequests(); lk != 0 {
-		return cm, fmt.Errorf("bench: chaos-scale run leaked %d requests", lk)
-	}
-	if fj := w.PendingFusedJobs(); fj != 0 {
-		return cm, fmt.Errorf("bench: chaos-scale run stranded %d fused jobs", fj)
-	}
-	if lp := env.LiveProcs(); lp != 0 {
-		return cm, fmt.Errorf("bench: chaos-scale run left %d live procs", lp)
-	}
-	return cm, nil
+	return m, crashed, nil
 }
 
 // firstKey returns the single key of a one-element set (the rank-crash
@@ -283,20 +219,14 @@ func firstKey(m map[int]bool) int {
 // chaosScaleModes are the table's columns-worth of scenarios, in order.
 var chaosScaleModes = []string{"no-fault", "rank-crash", "rank-crash+restore"}
 
-// chaosScaleRow runs one (ranks, mode) cell and renders it.
-func chaosScaleRow(ranks int, mode string) []string {
-	m, err := runChaosScale(ranks, mode)
+// chaosScaleRow runs one (ranks, mode) cell of t and renders it.
+func chaosScaleRow(t *Table, ranks int, mode string) []string {
+	keys := []string{mode, fmt.Sprint(ranks), fmt.Sprint(ranks / 4)}
+	m, crashed, err := runChaosScale(ranks, mode)
 	if err != nil {
-		return []string{mode, fmt.Sprint(ranks), fmt.Sprint(ranks / 4), "ERROR: " + err.Error(), "", "", "", ""}
+		return t.errRow(err, keys...)
 	}
-	return []string{
-		mode, fmt.Sprint(ranks), fmt.Sprint(ranks / 4),
-		fmt.Sprintf("%.1f", float64(m.virtNs)/1e6),
-		fmt.Sprintf("%.0f", float64(m.wall.Microseconds())/1000),
-		fmt.Sprintf("%.1f", m.allocMB),
-		fmt.Sprint(m.kernels),
-		fmt.Sprint(m.crashed),
-	}
+	return append(append(keys, m.cells()...), fmt.Sprint(crashed))
 }
 
 // ChaosScale is the chaos-at-scale table (ddtbench -fig chaos-scale):
@@ -314,7 +244,7 @@ func ChaosScale(maxRanks int) *Table {
 			continue
 		}
 		for _, mode := range chaosScaleModes {
-			t.Rows = append(t.Rows, chaosScaleRow(ranks, mode))
+			t.Rows = append(t.Rows, chaosScaleRow(t, ranks, mode))
 		}
 	}
 	return t

@@ -16,18 +16,18 @@ func TestChaosScaleSmoke(t *testing.T) {
 	for _, mode := range chaosScaleModes {
 		mode := mode
 		t.Run(mode, func(t *testing.T) {
-			m, err := runChaosScale(ranks, mode)
+			m, crashed, err := runChaosScale(ranks, mode)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if mode == "no-fault" {
-				if m.crashed != 0 {
-					t.Fatalf("no-fault run crashed %d ranks", m.crashed)
+				if crashed != 0 {
+					t.Fatalf("no-fault run crashed %d ranks", crashed)
 				}
 				return
 			}
-			if m.crashed != 1 {
-				t.Fatalf("crashed = %d, want 1", m.crashed)
+			if crashed != 1 {
+				t.Fatalf("crashed = %d, want 1", crashed)
 			}
 			if m.virtNs <= 0 || m.kernels == 0 {
 				t.Fatalf("degenerate measurement: virt=%d kernels=%d", m.virtNs, m.kernels)
@@ -45,15 +45,15 @@ func TestChaosScale1024(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-rank chaos run skipped in -short")
 	}
-	m, err := runChaosScale(1024, "rank-crash+restore")
+	m, crashed, err := runChaosScale(1024, "rank-crash+restore")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.crashed != 1 {
-		t.Fatalf("crashed = %d, want 1", m.crashed)
+	if crashed != 1 {
+		t.Fatalf("crashed = %d, want 1", crashed)
 	}
-	t.Logf("1024-rank chaos+restore: virt=%.1fms wall=%s alloc=%.1fMB kernels=%d retrans=%d",
-		float64(m.virtNs)/1e6, m.wall, m.allocMB, m.kernels, m.retrans)
+	t.Logf("1024-rank chaos+restore: virt=%.1fms wall=%s alloc=%.1fMB kernels=%d",
+		float64(m.virtNs)/1e6, m.wall, m.allocMB, m.kernels)
 }
 
 // TestChaosScaleFigureRegistered pins the figure id into the registry

@@ -26,20 +26,14 @@ func collSmallLayout() *datatype.Layout {
 	return datatype.Commit(datatype.Vector(8, 4, 8, datatype.Float64))
 }
 
-// collMeasure is one collective run: total kernel launches across all
-// ranks and the virtual completion time of the whole collective.
-type collMeasure struct {
-	launches int64
-	ns       int64
-}
-
 // runCollAlltoallw runs one Alltoallw over the whole world and measures
 // it. disableWindows turns the collective-scope fusion windows off,
 // reverting to per-message launches — the ablation baseline.
-func runCollAlltoallw(spec cluster.Spec, alg coll.Algorithm, disableWindows bool, l *datatype.Layout) (collMeasure, error) {
-	env := sim.NewEnv()
-	c := cluster.MustBuild(env, spec)
-	w := mpi.NewWorld(c, mpi.DefaultConfig(), schemes.Factory("Proposed-Tuned"))
+func runCollAlltoallw(alg coll.Algorithm, disableWindows bool, l *datatype.Layout) (measure, error) {
+	w, err := newWorld(cluster.Lassen(), schemes.Factory("Proposed-Tuned"), nil, "")
+	if err != nil {
+		return measure{}, err
+	}
 	size := w.Size()
 	ops := make([][]coll.WOp, size)
 	for r := 0; r < size; r++ {
@@ -54,28 +48,17 @@ func runCollAlltoallw(spec cluster.Spec, alg coll.Algorithm, disableWindows bool
 		}
 	}
 	e := coll.New(w, coll.Tuning{Alltoallw: alg, DisableFusionWindow: disableWindows})
-	var bodyErr error
-	err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
-		if cerr := e.Alltoallw(p, r, ops[r.ID()]); cerr != nil && bodyErr == nil {
-			bodyErr = fmt.Errorf("rank %d: %w", r.ID(), cerr)
-		}
+	return run(w, nil, func(r *mpi.Rank, p *sim.Proc) error {
+		return e.Alltoallw(p, r, ops[r.ID()])
 	})
-	if err == nil {
-		err = bodyErr
-	}
-	var m collMeasure
-	for i := 0; i < size; i++ {
-		m.launches += w.Rank(i).Dev.Stats.KernelLaunches
-	}
-	m.ns = env.Now()
-	return m, err
 }
 
 // runCollAllgatherv runs one Allgatherv over the whole world.
-func runCollAllgatherv(spec cluster.Spec, alg coll.Algorithm, l *datatype.Layout) (collMeasure, error) {
-	env := sim.NewEnv()
-	c := cluster.MustBuild(env, spec)
-	w := mpi.NewWorld(c, mpi.DefaultConfig(), schemes.Factory("Proposed-Tuned"))
+func runCollAllgatherv(alg coll.Algorithm, l *datatype.Layout) (measure, error) {
+	w, err := newWorld(cluster.Lassen(), schemes.Factory("Proposed-Tuned"), nil, "")
+	if err != nil {
+		return measure{}, err
+	}
 	size := w.Size()
 	sends := make([]coll.VOp, size)
 	recvs := make([][]coll.VOp, size)
@@ -92,21 +75,9 @@ func runCollAllgatherv(spec cluster.Spec, alg coll.Algorithm, l *datatype.Layout
 		}
 	}
 	e := coll.New(w, coll.Tuning{Allgatherv: alg})
-	var bodyErr error
-	err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
-		if cerr := e.Allgatherv(p, r, sends[r.ID()], recvs[r.ID()]); cerr != nil && bodyErr == nil {
-			bodyErr = fmt.Errorf("rank %d: %w", r.ID(), cerr)
-		}
+	return run(w, nil, func(r *mpi.Rank, p *sim.Proc) error {
+		return e.Allgatherv(p, r, sends[r.ID()], recvs[r.ID()])
 	})
-	if err == nil {
-		err = bodyErr
-	}
-	var m collMeasure
-	for i := 0; i < size; i++ {
-		m.launches += w.Rank(i).Dev.Stats.KernelLaunches
-	}
-	m.ns = env.Now()
-	return m, err
 }
 
 // CollFusion measures the headline claim of the collectives subsystem:
@@ -114,24 +85,27 @@ func runCollAllgatherv(spec cluster.Spec, alg coll.Algorithm, l *datatype.Layout
 // launches into per-phase fused launches. Same schedule, windows on vs
 // off, for each Alltoallw algorithm on the full Lassen model (2 nodes ×
 // 4 GPUs).
-func CollFusion(spec cluster.Spec) *Table {
+func CollFusion() *Table {
 	t := &Table{
-		Title:  fmt.Sprintf("Collective-scope kernel fusion: Alltoallw, %s, 8 ranks, 32 KiB strided legs", spec.Name),
+		Title:  fmt.Sprintf("Collective-scope kernel fusion: Alltoallw, %s, 8 ranks, 32 KiB strided legs", cluster.Lassen().Name),
 		Header: []string{"algorithm", "launches_fused", "launches_permsg", "launch_cut", "t_fused_us", "t_permsg_us", "speedup"},
 	}
 	for _, alg := range []coll.Algorithm{coll.Linear, coll.Pairwise, coll.Hierarchical} {
-		fused, err1 := runCollAlltoallw(spec, alg, false, collLayout())
-		unfused, err2 := runCollAlltoallw(spec, alg, true, collLayout())
-		if err1 != nil || err2 != nil {
-			t.Rows = append(t.Rows, []string{alg.String(), "ERROR", "", "", "", "", ""})
+		fused, err1 := runCollAlltoallw(alg, false, collLayout())
+		unfused, err2 := runCollAlltoallw(alg, true, collLayout())
+		if err1 == nil {
+			err1 = err2
+		}
+		if err1 != nil {
+			t.Rows = append(t.Rows, t.errRow(err1, alg.String()))
 			continue
 		}
 		t.Rows = append(t.Rows, []string{
 			alg.String(),
-			fmt.Sprint(fused.launches), fmt.Sprint(unfused.launches),
-			fmt.Sprintf("%.1fx", float64(unfused.launches)/float64(fused.launches)),
-			fmtUs(fused.ns), fmtUs(unfused.ns),
-			fmt.Sprintf("%.2fx", float64(unfused.ns)/float64(fused.ns)),
+			fmt.Sprint(fused.kernels), fmt.Sprint(unfused.kernels),
+			fmt.Sprintf("%.1fx", float64(unfused.kernels)/float64(fused.kernels)),
+			fmtUs(fused.virtNs), fmtUs(unfused.virtNs),
+			fmt.Sprintf("%.2fx", float64(unfused.virtNs)/float64(fused.virtNs)),
 		})
 	}
 	return t
@@ -141,21 +115,24 @@ func CollFusion(spec cluster.Spec) *Table {
 // rendezvous-sized per-rank contribution, showing where the selection
 // policy's crossovers sit (Bruck for latency-bound small messages,
 // hierarchical two-level aggregation once the inter-node legs dominate).
-func CollAlgorithms(spec cluster.Spec) *Table {
+func CollAlgorithms() *Table {
 	t := &Table{
-		Title:  fmt.Sprintf("Allgatherv algorithms, %s, 8 ranks (us)", spec.Name),
+		Title:  fmt.Sprintf("Allgatherv algorithms, %s, 8 ranks (us)", cluster.Lassen().Name),
 		Header: []string{"algorithm", "small_us", "big_us", "launches_big"},
 	}
 	algs := []coll.Algorithm{coll.Linear, coll.Ring, coll.Bruck, coll.RecursiveDoubling, coll.Hierarchical}
 	for _, alg := range algs {
-		small, err1 := runCollAllgatherv(spec, alg, collSmallLayout())
-		big, err2 := runCollAllgatherv(spec, alg, collLayout())
-		if err1 != nil || err2 != nil {
-			t.Rows = append(t.Rows, []string{alg.String(), "ERROR", "", ""})
+		small, err1 := runCollAllgatherv(alg, collSmallLayout())
+		big, err2 := runCollAllgatherv(alg, collLayout())
+		if err1 == nil {
+			err1 = err2
+		}
+		if err1 != nil {
+			t.Rows = append(t.Rows, t.errRow(err1, alg.String()))
 			continue
 		}
 		t.Rows = append(t.Rows, []string{
-			alg.String(), fmtUs(small.ns), fmtUs(big.ns), fmt.Sprint(big.launches),
+			alg.String(), fmtUs(small.virtNs), fmtUs(big.virtNs), fmt.Sprint(big.kernels),
 		})
 	}
 	return t
@@ -163,6 +140,6 @@ func CollAlgorithms(spec cluster.Spec) *Table {
 
 // Coll bundles the collectives-subsystem experiment tables (ddtbench
 // -fig coll).
-func Coll(spec cluster.Spec) []*Table {
-	return []*Table{CollFusion(spec), CollAlgorithms(spec)}
+func Coll() []*Table {
+	return []*Table{CollFusion(), CollAlgorithms()}
 }

@@ -40,7 +40,8 @@ func (t *Table) CSV() string {
 // ExtendedWorkloads sweeps every implemented ddtbench workload (the
 // paper's four plus WRF, LAMMPS_full, NAS_LU, FFT2D) under the legacy
 // GPU-Sync scheme, the tuned proposal, and the auto-tuned variant.
-func ExtendedWorkloads(system cluster.Spec) *Table {
+func ExtendedWorkloads() *Table {
+	system := cluster.Lassen()
 	schemesList := []string{"GPU-Sync", "Proposed-Tuned", "Proposed-Auto"}
 	t := &Table{
 		Title:  fmt.Sprintf("Extended workloads, 16 buffers, %s (us, lower is better)", system.Name),
@@ -60,11 +61,12 @@ func ExtendedWorkloads(system cluster.Spec) *Table {
 	return t
 }
 
-// Scaling runs a ring halo exchange across an increasing number of nodes
-// (one active GPU per node), the paper's "running at scale" future-work
-// direction: per-step latency should stay flat as the ring grows because
-// every link carries the same load.
-func Scaling(base cluster.Spec, wl workload.Workload, dim int) *Table {
+// Scaling runs a ring halo exchange of MILC dim=16 across an increasing
+// number of Lassen nodes (one active GPU per node), the paper's "running
+// at scale" future-work direction: per-step latency should stay flat as
+// the ring grows because every link carries the same load.
+func Scaling() *Table {
+	base, wl, dim := cluster.Lassen(), workload.MILC(), 16
 	t := &Table{
 		Title:  fmt.Sprintf("Node scaling: ring exchange, %s dim=%d, %s (us per step)", wl.Name, dim, base.Name),
 		Header: []string{"nodes", "GPU-Sync", "Proposed-Tuned"},
@@ -72,12 +74,7 @@ func Scaling(base cluster.Spec, wl workload.Workload, dim int) *Table {
 	for _, nodes := range []int{2, 4, 8} {
 		row := []string{fmt.Sprint(nodes)}
 		for _, scheme := range []string{"GPU-Sync", "Proposed-Tuned"} {
-			r := runRing(base.WithNodes(nodes), scheme, wl, dim)
-			if r < 0 {
-				row = append(row, "CORRUPT")
-			} else {
-				row = append(row, fmtUs(r))
-			}
+			row = append(row, cell(runRing(base.WithNodes(nodes), scheme, wl, dim)))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -86,12 +83,16 @@ func Scaling(base cluster.Spec, wl workload.Workload, dim int) *Table {
 
 // runRing measures a node-ring exchange: GPU 0 of each node sends to GPU 0
 // of the next node and receives from the previous, 8 buffers per step.
-func runRing(spec cluster.Spec, scheme string, wl workload.Workload, dim int) int64 {
+func runRing(spec cluster.Spec, scheme string, wl workload.Workload, dim int) BulkResult {
 	const nbuf, warmup, iters = 8, 2, 3
-	env := sim.NewEnv()
-	cl := cluster.MustBuild(env, spec)
-	w := mpi.NewWorld(cl, mpi.DefaultConfig(), schemes.Factory(scheme))
+	res := BulkResult{Scheme: scheme}
+	w, err := newWorld(spec, schemes.Factory(scheme), nil, "")
+	if err != nil {
+		res.VerifyErr = err
+		return res
+	}
 	l := wl.Layout(dim)
+	res.MsgBytes, res.Blocks = l.SizeBytes, l.NumBlocks()
 	g := spec.GPUsPerNode
 	nodes := spec.Nodes
 	actor := func(rank int) (node int, active bool) {
@@ -111,51 +112,53 @@ func runRing(spec cluster.Spec, scheme string, wl workload.Workload, dim int) in
 		}
 	}
 	var total int64
-	err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
+	if _, err := run(w, nil, func(r *mpi.Rank, p *sim.Proc) error {
 		node, active := actor(r.ID())
 		next := ((node + 1) % nodes) * g
 		prev := ((node + nodes - 1) % nodes) * g
-		for it := 0; it < warmup+iters; it++ {
-			w.Barrier(p)
-			t0 := p.Now()
-			if active {
-				var reqs []*mpi.Request
-				for i := 0; i < nbuf; i++ {
-					reqs = append(reqs, r.Irecv(p, prev, i, rbufs[r.ID()][i], l, 1))
-				}
-				for i := 0; i < nbuf; i++ {
-					reqs = append(reqs, r.Isend(p, next, i, sbufs[r.ID()][i], l, 1))
-				}
-				r.Waitall(p, reqs)
+		t, err := timedSteps(w, p, warmup, iters, nil, func(int) error {
+			if !active {
+				return nil
 			}
-			w.Barrier(p)
-			if r.ID() == 0 && it >= warmup {
-				total += p.Now() - t0
+			var reqs []*mpi.Request
+			for i := 0; i < nbuf; i++ {
+				reqs = append(reqs, r.Irecv(p, prev, i, rbufs[r.ID()][i], l, 1))
 			}
+			for i := 0; i < nbuf; i++ {
+				reqs = append(reqs, r.Isend(p, next, i, sbufs[r.ID()][i], l, 1))
+			}
+			return r.Waitall(p, reqs)
+		})
+		if r.ID() == 0 {
+			total = t
 		}
-	})
-	if err != nil {
-		return -1
+		return err
+	}); err != nil {
+		res.VerifyErr = err
+		return res
 	}
+	res.AvgNs = total / iters
 	// Verify the whole ring.
 	for rk := range rbufs {
 		node := rk / g
 		prevRank := ((node + nodes - 1) % nodes) * g
 		for i := 0; i < nbuf; i++ {
-			if workload.VerifyBlocks(l, 1, sbufs[prevRank][i].Data, rbufs[rk][i].Data) != nil {
-				return -1
+			if err := workload.VerifyBlocks(l, 1, sbufs[prevRank][i].Data, rbufs[rk][i].Data); err != nil {
+				res.VerifyErr = fmt.Errorf("rank %d buffer %d: %w", rk, i, err)
+				return res
 			}
 		}
 	}
-	return total / iters
+	return res
 }
 
-// IPCPaths compares the three ways a same-node exchange can travel:
-// DirectIPC fused into kernels (zero-copy over NVLink), the packed path
-// with IPC disabled (pack -> peer copy -> unpack), and the equivalent
+// IPCPaths compares the three ways a same-node exchange can travel on
+// Lassen: DirectIPC fused into kernels (zero-copy over NVLink), the packed
+// path with IPC disabled (pack -> peer copy -> unpack), and the equivalent
 // inter-node exchange over InfiniBand — quantifying the zero-copy win of
 // [24] that the fusion framework inherits as its third request type.
-func IPCPaths(system cluster.Spec) *Table {
+func IPCPaths() *Table {
+	system := cluster.Lassen()
 	wl := workload.MILC()
 	const dim, nbuf = 16, 8
 	t := &Table{

@@ -3,16 +3,13 @@ package bench
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/cluster"
-	"repro/internal/workload"
 )
 
 func TestExtendedWorkloadsAllVerify(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full eight-workload sweep")
 	}
-	tab := ExtendedWorkloads(cluster.Lassen())
+	tab := ExtendedWorkloads()
 	if len(tab.Rows) != 8 {
 		t.Fatalf("rows = %d, want 8", len(tab.Rows))
 	}
@@ -31,7 +28,7 @@ func TestExtendedWorkloadsAllVerify(t *testing.T) {
 }
 
 func TestScalingFlatAcrossNodes(t *testing.T) {
-	tab := Scaling(cluster.Lassen(), workload.MILC(), 16)
+	tab := Scaling()
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -104,7 +101,7 @@ func TestTableOneShapes(t *testing.T) {
 }
 
 func TestIPCPathsOrdering(t *testing.T) {
-	tab := IPCPaths(cluster.Lassen())
+	tab := IPCPaths()
 	ipc := mustF(t, tab.Rows[0][1])
 	packed := mustF(t, tab.Rows[1][1])
 	inter := mustF(t, tab.Rows[2][1])

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/gpu"
@@ -42,10 +43,11 @@ func Fig1() *Table {
 	return t
 }
 
-// Fig8 reproduces the fusion-threshold sweep: specfem3D_cm with 32
-// outstanding operations, latency vs input size for several thresholds —
+// Fig8 reproduces the fusion-threshold sweep on Lassen: specfem3D_cm with
+// 32 outstanding operations, latency vs input size for several thresholds —
 // under-fused at the low end, over-fused at the high end.
-func Fig8(system cluster.Spec) *Table {
+func Fig8() *Table {
+	system := cluster.Lassen()
 	thresholds := []int64{16 << 10, 64 << 10, 256 << 10, 512 << 10, 1 << 20, 4 << 20}
 	wl := workload.Specfem3DCM()
 	dims := wl.Dims
@@ -183,24 +185,21 @@ func figWorkloadSweep(fig string, system cluster.Spec, wl workload.Workload) *Ta
 	return t
 }
 
-// Fig12 reproduces the four Lassen sub-figures (a: specfem3D_oc,
-// b: specfem3D_cm, c: MILC, d: NAS_MG).
-func Fig12() []*Table {
+// figHalo runs the four sub-figures of Fig. 12 or 13 on system
+// (a: specfem3D_oc, b: specfem3D_cm, c: MILC, d: NAS_MG).
+func figHalo(fig int, system cluster.Spec) []*Table {
 	var out []*Table
 	for i, wl := range workload.All() {
-		out = append(out, figWorkloadSweep(fmt.Sprintf("Fig 12(%c)", 'a'+i), cluster.Lassen(), wl))
+		out = append(out, figWorkloadSweep(fmt.Sprintf("Fig %d(%c)", fig, 'a'+i), system, wl))
 	}
 	return out
 }
 
+// Fig12 reproduces the four Lassen sub-figures.
+func Fig12() []*Table { return figHalo(12, cluster.Lassen()) }
+
 // Fig13 reproduces the same four sweeps on ABCI.
-func Fig13() []*Table {
-	var out []*Table
-	for i, wl := range workload.All() {
-		out = append(out, figWorkloadSweep(fmt.Sprintf("Fig 13(%c)", 'a'+i), cluster.ABCI(), wl))
-	}
-	return out
-}
+func Fig13() []*Table { return figHalo(13, cluster.ABCI()) }
 
 // Fig14 compares against production libraries on Lassen, normalized to
 // SpectrumMPI (higher is better): SpectrumMPI and OpenMPI use the naive
@@ -248,44 +247,54 @@ func Fig14() *Table {
 	return t
 }
 
-// Run dispatches a figure id ("1", "8", ..., "14") to its runner and
-// returns the resulting tables.
-func Run(fig string) ([]*Table, error) {
-	switch fig {
-	case "1":
-		return []*Table{Fig1()}, nil
-	case "8":
-		return []*Table{Fig8(cluster.Lassen())}, nil
-	case "9":
-		return []*Table{Fig9()}, nil
-	case "10":
-		return []*Table{Fig10()}, nil
-	case "11":
-		return []*Table{Fig11()}, nil
-	case "12":
-		return Fig12(), nil
-	case "13":
-		return Fig13(), nil
-	case "14":
-		return []*Table{Fig14()}, nil
-	case "coll":
-		return Coll(cluster.Lassen()), nil
-	case "scale":
-		return []*Table{Scale(1024)}, nil
-	case "chaos-scale":
-		return []*Table{ChaosScale(1024)}, nil
-	case "rma":
-		return []*Table{RMAFig(256), RMAA2AFig(256)}, nil
-	default:
-		return nil, fmt.Errorf("bench: unknown figure %q (have 1, 8, 9, 10, 11, 12, 13, 14, coll, scale, chaos-scale, rma)", fig)
-	}
+// registry is the one table registry: every ddtbench table by id, in the
+// order -fig all runs them — the paper's figures, its other evaluation
+// tables, then this repository's own experiments.
+var registry = []struct {
+	id  string
+	run func() []*Table
+}{
+	{"1", one(Fig1)},
+	{"8", one(Fig8)},
+	{"9", one(Fig9)},
+	{"10", one(Fig10)},
+	{"11", one(Fig11)},
+	{"12", Fig12},
+	{"13", Fig13},
+	{"14", one(Fig14)},
+	{"approaches", one(Approaches)},
+	{"table1", one(TableOne)},
+	{"ablations", Ablations},
+	{"extended", one(ExtendedWorkloads)},
+	{"scaling", one(Scaling)},
+	{"coll", Coll},
+	{"scale", func() []*Table { return []*Table{Scale(1024)} }},
+	{"chaos-scale", func() []*Table { return []*Table{ChaosScale(1024)} }},
+	{"rma", func() []*Table { return []*Table{RMAFig(256), RMAA2AFig(256)} }},
 }
 
-// Figures lists the reproducible figure ids. "coll", "scale",
-// "chaos-scale", and "rma" are the repository's own subsystem
-// experiments, not paper figures.
+// one lifts a single-table runner into a registry entry.
+func one(f func() *Table) func() []*Table {
+	return func() []*Table { return []*Table{f()} }
+}
+
+// Run regenerates the tables of one registry id.
+func Run(id string) ([]*Table, error) {
+	for _, e := range registry {
+		if e.id == id {
+			return e.run(), nil
+		}
+	}
+	return nil, fmt.Errorf("bench: unknown figure %q (have %s)", id, strings.Join(Figures(), ", "))
+}
+
+// Figures lists every registry id, in registry order.
 func Figures() []string {
-	return []string{"1", "8", "9", "10", "11", "12", "13", "14", "coll", "scale", "chaos-scale", "rma"}
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
+	}
+	return ids
 }
 
 // mutRendezvous returns a config mutator selecting the rendezvous mode

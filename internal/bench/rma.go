@@ -22,31 +22,30 @@ import (
 // mode (same split as -fig scale: real bytes stop where memory would
 // scale with ranks x message size).
 
-// rmaMeasure is one collective run under the rma figure: virtual
-// completion time, fabric message count, progress events (Sync-category
+// rmaMeasure is one collective run under the rma figure: the run's
+// measure plus fabric message count, progress events (Sync-category
 // timeline events: progress-engine polls, stream syncs, signal waits),
-// kernel launches, plan-cache counters, and — for one-sided rows — the
-// fabric's own verb counters.
+// plan-cache counters, and — for one-sided rows — the fabric's own verb
+// counters.
 type rmaMeasure struct {
-	ns       int64
+	measure
 	msgs     int64
 	progress int64
-	launches int64
 	plans    [datatype.NumPlanKinds]int64
 	reuse    int64
 	rma      rma.Stats
 }
+
+// rmaTimeline gives every rank a small timeline ring: Count() stays exact
+// when events drop, and the rma figure only reads counts, never events.
+func rmaTimeline(c *mpi.Config) { c.Timeline = &timeline.Options{Capacity: 64} }
 
 // runRMAAllgatherv runs one Allgatherv over ranks (Lassen model,
 // ranks/4 nodes) and measures it. One-sided algorithms get an explicit
 // fabric so the verb counters can be read back; two-sided algorithms
 // never touch it.
 func runRMAAllgatherv(ranks int, lazy bool, alg coll.Algorithm) (rmaMeasure, error) {
-	env, w, err := scaleWorldCfg(ranks, lazy, func(c *mpi.Config) {
-		// A small ring per rank: Count() stays exact when events drop,
-		// and the rma figure only reads counts, never the events.
-		c.Timeline = &timeline.Options{Capacity: 64}
-	})
+	w, err := scaleWorld(ranks, lazy, rmaTimeline)
 	if err != nil {
 		return rmaMeasure{}, err
 	}
@@ -68,41 +67,20 @@ func runRMAAllgatherv(ranks int, lazy bool, alg coll.Algorithm) (rmaMeasure, err
 	e := coll.New(w, coll.Tuning{Allgatherv: alg})
 	f := rma.New(w)
 	e.UseRMA(f)
-	var bodyErr error
-	err = w.Run(func(r *mpi.Rank, p *sim.Proc) {
-		if cerr := e.Allgatherv(p, r, sends[r.ID()], recvs[r.ID()]); cerr != nil && bodyErr == nil {
-			bodyErr = fmt.Errorf("rank %d: %w", r.ID(), cerr)
-		}
+	m, err := run(w, f, func(r *mpi.Rank, p *sim.Proc) error {
+		return e.Allgatherv(p, r, sends[r.ID()], recvs[r.ID()])
 	})
-	if err == nil {
-		err = bodyErr
-	}
-	if err == nil {
-		if lk := w.LeakedRequests(); lk != 0 {
-			err = fmt.Errorf("bench: rma run leaked %d requests", lk)
-		}
-	}
-	if err == nil {
-		if po := f.PendingOps(); po != 0 {
-			err = fmt.Errorf("bench: rma run left %d one-sided ops pending", po)
-		}
-	}
-	m := rmaMeasure{
-		ns:   env.Now(),
-		msgs: w.Cluster.Net.TotalMessages(),
-		rma:  f.TotalStats(),
-	}
+	rm := rmaMeasure{measure: m, msgs: w.Cluster.Net.TotalMessages(), rma: f.TotalStats()}
 	tl := w.Timeline()
 	for i := 0; i < size; i++ {
-		m.launches += w.Rank(i).Dev.Stats.KernelLaunches
-		m.progress += tl.Rank(i).Count(trace.Sync)
+		rm.progress += tl.Rank(i).Count(trace.Sync)
 		cs := w.Rank(i).CacheStats()
-		m.reuse += cs.Hits
+		rm.reuse += cs.Hits
 		for k := range cs.Compiled {
-			m.plans[k] += cs.Compiled[k]
+			rm.plans[k] += cs.Compiled[k]
 		}
 	}
-	return m, err
+	return rm, err
 }
 
 // fmtPlanKinds renders the per-kind plan-compile counters compactly,
@@ -120,27 +98,27 @@ func fmtPlanKinds(plans [datatype.NumPlanKinds]int64) string {
 	return strings.Join(parts, " ")
 }
 
-// rmaRow runs one (ranks, mode, algorithm) cell and renders it.
-func rmaRow(ranks int, lazy bool, alg coll.Algorithm) []string {
+// rmaRow runs one (ranks, mode, algorithm) cell of t and renders it.
+func rmaRow(t *Table, ranks int, lazy bool, alg coll.Algorithm) []string {
 	mode := "exact"
 	if lazy {
 		mode = "lazy"
 	}
+	keys := []string{fmt.Sprint(ranks), mode, alg.String()}
 	m, err := runRMAAllgatherv(ranks, lazy, alg)
 	if err != nil {
-		return []string{fmt.Sprint(ranks), mode, alg.String(), "ERROR: " + err.Error(), "", "", "", "", "", "", ""}
+		return t.errRow(err, keys...)
 	}
-	return []string{
-		fmt.Sprint(ranks), mode, alg.String(),
-		fmtUs(m.ns),
+	return append(keys,
+		fmtUs(m.virtNs),
 		fmt.Sprint(m.msgs),
 		fmt.Sprint(m.progress),
-		fmt.Sprint(m.launches),
-		fmt.Sprint(m.rma.PackPuts + m.rma.Puts),
+		fmt.Sprint(m.kernels),
+		fmt.Sprint(m.rma.PackPuts+m.rma.Puts),
 		fmt.Sprint(m.rma.Doorbells),
 		fmtPlanKinds(m.plans),
 		fmt.Sprint(m.reuse),
-	}
+	)
 }
 
 // rmaAlgs is the algorithm menu of the rma figure: the two-sided ring
@@ -155,9 +133,7 @@ var rmaAlgs = []coll.Algorithm{coll.Ring, coll.OneSidedRing, coll.OneSidedBruck}
 // repeat call with the same shape must reuse them and issue zero.
 func runRMAAlltoallw(ranks int, lazy bool, alg coll.Algorithm) (rmaMeasure, [2]int64, [2]int64, error) {
 	var ctrl, msgs [2]int64
-	env, w, err := scaleWorldCfg(ranks, lazy, func(c *mpi.Config) {
-		c.Timeline = &timeline.Options{Capacity: 64}
-	})
+	w, err := scaleWorld(ranks, lazy, rmaTimeline)
 	if err != nil {
 		return rmaMeasure{}, ctrl, msgs, err
 	}
@@ -177,11 +153,11 @@ func runRMAAlltoallw(ranks int, lazy bool, alg coll.Algorithm) (rmaMeasure, [2]i
 	e := coll.New(w, coll.Tuning{Alltoallw: alg})
 	f := rma.New(w)
 	e.UseRMA(f)
-	var bodyErr error
-	err = w.Run(func(r *mpi.Rank, p *sim.Proc) {
+	m, err := run(w, f, func(r *mpi.Rank, p *sim.Proc) error {
+		var first error
 		for k := 0; k < 2; k++ {
-			if cerr := e.Alltoallw(p, r, ops[r.ID()]); cerr != nil && bodyErr == nil {
-				bodyErr = fmt.Errorf("rank %d call %d: %w", r.ID(), k, cerr)
+			if cerr := e.Alltoallw(p, r, ops[r.ID()]); cerr != nil && first == nil {
+				first = fmt.Errorf("call %d: %w", k, cerr)
 			}
 			// Double barrier: every rank finishes call k, rank 0 snapshots
 			// the cumulative counters, then everyone proceeds to call k+1.
@@ -192,51 +168,36 @@ func runRMAAlltoallw(ranks int, lazy bool, alg coll.Algorithm) (rmaMeasure, [2]i
 			}
 			w.Barrier(p)
 		}
+		return first
 	})
-	if err == nil {
-		err = bodyErr
-	}
-	if err == nil {
-		if lk := w.LeakedRequests(); lk != 0 {
-			err = fmt.Errorf("bench: rma a2a run leaked %d requests", lk)
-		}
-	}
-	if err == nil {
-		if po := f.PendingOps(); po != 0 {
-			err = fmt.Errorf("bench: rma a2a run left %d one-sided ops pending", po)
-		}
-	}
-	m := rmaMeasure{
-		ns:   env.Now(),
-		msgs: w.Cluster.Net.TotalMessages(),
-		rma:  f.TotalStats(),
-	}
+	rm := rmaMeasure{measure: m, msgs: w.Cluster.Net.TotalMessages(), rma: f.TotalStats()}
 	// Turn the cumulative snapshots into per-call deltas.
 	ctrl[1] -= ctrl[0]
 	msgs[1] -= msgs[0]
-	return m, ctrl, msgs, err
+	return rm, ctrl, msgs, err
 }
 
-// rmaA2ARow runs one (ranks, mode, algorithm) Alltoallw cell and renders it.
-func rmaA2ARow(ranks int, lazy bool, alg coll.Algorithm) []string {
+// rmaA2ARow runs one (ranks, mode, algorithm) Alltoallw cell of t and
+// renders it.
+func rmaA2ARow(t *Table, ranks int, lazy bool, alg coll.Algorithm) []string {
 	mode := "exact"
 	if lazy {
 		mode = "lazy"
 	}
+	keys := []string{fmt.Sprint(ranks), mode, alg.String()}
 	m, ctrl, msgs, err := runRMAAlltoallw(ranks, lazy, alg)
 	if err != nil {
-		return []string{fmt.Sprint(ranks), mode, alg.String(), "ERROR: " + err.Error(), "", "", "", "", "", ""}
+		return t.errRow(err, keys...)
 	}
-	return []string{
-		fmt.Sprint(ranks), mode, alg.String(),
-		fmtUs(m.ns),
+	return append(keys,
+		fmtUs(m.virtNs),
 		fmt.Sprint(ctrl[0]),
 		fmt.Sprint(ctrl[1]),
 		fmt.Sprint(msgs[0]),
 		fmt.Sprint(msgs[1]),
-		fmt.Sprint(m.rma.PackPuts + m.rma.Puts),
+		fmt.Sprint(m.rma.PackPuts+m.rma.Puts),
 		fmt.Sprint(m.rma.Doorbells),
-	}
+	)
 }
 
 // RMAA2AFig is the control-traffic table of the rma figure: two
@@ -258,7 +219,7 @@ func RMAA2AFig(maxRanks int) *Table {
 		}
 		lazy := ranks > 8
 		for _, alg := range []coll.Algorithm{coll.OneSidedRing, coll.OneSidedBruck} {
-			t.Rows = append(t.Rows, rmaA2ARow(ranks, lazy, alg))
+			t.Rows = append(t.Rows, rmaA2ARow(t, ranks, lazy, alg))
 		}
 	}
 	return t
@@ -285,7 +246,7 @@ func RMAFig(maxRanks int) *Table {
 		}
 		lazy := ranks > 8
 		for _, alg := range rmaAlgs {
-			t.Rows = append(t.Rows, rmaRow(ranks, lazy, alg))
+			t.Rows = append(t.Rows, rmaRow(t, ranks, lazy, alg))
 		}
 	}
 	return t

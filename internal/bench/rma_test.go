@@ -124,9 +124,9 @@ func TestRMAA2AExactLazyAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.ns != lz.ns || exCtrl != lzCtrl || exMsgs != lzMsgs {
+	if ex.virtNs != lz.virtNs || exCtrl != lzCtrl || exMsgs != lzMsgs {
 		t.Fatalf("exact/lazy diverged: ns %d vs %d, ctrl %v vs %v, msgs %v vs %v",
-			ex.ns, lz.ns, exCtrl, lzCtrl, exMsgs, lzMsgs)
+			ex.virtNs, lz.virtNs, exCtrl, lzCtrl, exMsgs, lzMsgs)
 	}
 }
 
@@ -142,8 +142,8 @@ func TestRMAFigExactLazyAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.ns != lz.ns || ex.msgs != lz.msgs || ex.launches != lz.launches {
+	if ex.virtNs != lz.virtNs || ex.msgs != lz.msgs || ex.kernels != lz.kernels {
 		t.Fatalf("exact/lazy diverged: ns %d vs %d, msgs %d vs %d, launches %d vs %d",
-			ex.ns, lz.ns, ex.msgs, lz.msgs, ex.launches, lz.launches)
+			ex.virtNs, lz.virtNs, ex.msgs, lz.msgs, ex.kernels, lz.kernels)
 	}
 }

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/coll"
@@ -40,95 +38,55 @@ const scalePollNs = 5000
 // each side.
 const scaleNeighbors = 16
 
-// scaleMeasure is one scale run: virtual completion time, real wall time,
-// bytes allocated over the run, and total kernel launches.
-type scaleMeasure struct {
-	virtNs  int64
-	wall    time.Duration
-	allocMB float64
-	kernels int64
-}
-
-// scaleWorld builds a Lassen-model world with ranks/4 nodes; lazy flips
-// every device to the 4 KiB lazy-bytes threshold.
-func scaleWorld(ranks int, lazy bool) (*sim.Env, *mpi.World, error) {
-	return scaleWorldCfg(ranks, lazy, nil)
-}
-
-// scaleWorldCfg is scaleWorld with a config hook, for runs that need
-// fault injection or tracing on top of the scale defaults.
-func scaleWorldCfg(ranks int, lazy bool, mut func(*mpi.Config)) (*sim.Env, *mpi.World, error) {
+// scaleWorld builds the Lassen-model world of ranks/4 nodes that the
+// scale, chaos-scale and rma tables share, polling every scalePollNs; mut
+// is the table's own config hook. lazy flips every device to the 4 KiB
+// lazy-bytes threshold.
+func scaleWorld(ranks int, lazy bool, mut func(*mpi.Config)) (*mpi.World, error) {
 	if ranks < 8 || ranks%4 != 0 {
-		return nil, nil, fmt.Errorf("bench: scale needs ranks >= 8 divisible by 4, got %d", ranks)
+		return nil, fmt.Errorf("bench: scale needs ranks >= 8 divisible by 4, got %d", ranks)
 	}
-	spec := cluster.Lassen().WithNodes(ranks / 4)
-	env := sim.NewEnv()
-	c, err := cluster.Build(env, spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	if lazy {
-		for _, node := range c.Devices {
-			for _, d := range node {
-				d.LazyThreshold = 4096
-			}
+	w, err := newWorld(cluster.Lassen().WithNodes(ranks/4), schemes.Factory("Proposed-Tuned"), func(c *mpi.Config) {
+		c.PollIntervalNs = scalePollNs
+		if mut != nil {
+			mut(c)
+		}
+	}, "")
+	if err == nil && lazy {
+		for i := 0; i < w.Size(); i++ {
+			w.Rank(i).Dev.LazyThreshold = 4096
 		}
 	}
-	cfg := mpi.DefaultConfig()
-	cfg.PollIntervalNs = scalePollNs
-	if mut != nil {
-		mut(&cfg)
-	}
-	return env, mpi.NewWorld(c, cfg, schemes.Factory("Proposed-Tuned")), nil
+	return w, err
 }
 
-// measure wraps one world run with wall-clock and allocation accounting.
-func measure(env *sim.Env, w *mpi.World, body func(r *mpi.Rank, p *sim.Proc)) (scaleMeasure, error) {
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	t0 := time.Now()
-	err := w.Run(body)
-	wall := time.Since(t0)
-	runtime.ReadMemStats(&after)
-	m := scaleMeasure{
-		virtNs:  env.Now(),
-		wall:    wall,
-		allocMB: float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20),
-	}
-	for i := 0; i < w.Size(); i++ {
-		m.kernels += w.Rank(i).Dev.Stats.KernelLaunches
-	}
-	if err == nil {
-		if lk := w.LeakedRequests(); lk != 0 {
-			err = fmt.Errorf("bench: scale run leaked %d requests", lk)
-		}
-	}
-	if err == nil {
-		if lp := env.LiveProcs(); lp != 0 {
-			err = fmt.Errorf("bench: scale run left %d live procs", lp)
-		}
-	}
-	return m, err
-}
-
-// makeScaleA2AOps builds the sparse op matrix: every rank has nonzero legs
-// only with its scaleNeighbors wrap-around peers, a world-sized op vector
-// otherwise zero.
+// makeScaleA2AOps builds the sparse op matrix over the whole world.
 func makeScaleA2AOps(w *mpi.World, l *datatype.Layout) [][]coll.WOp {
-	size := w.Size()
+	members := make([]int, w.Size())
+	for i := range members {
+		members[i] = i
+	}
+	return sparseA2AOps(w, members, l, "sc")
+}
+
+// sparseA2AOps builds the sparse op matrix of a communicator whose world
+// ranks members lists in comm-rank order: every rank has nonzero legs only
+// with its scaleNeighbors wrap-around peers, a comm-sized op vector
+// otherwise zero. prefix keeps buffer names unique per device.
+func sparseA2AOps(w *mpi.World, members []int, l *datatype.Layout, prefix string) [][]coll.WOp {
+	size := len(members)
 	half := scaleNeighbors / 2
 	ops := make([][]coll.WOp, size)
 	for r := 0; r < size; r++ {
-		dev := w.Rank(r).Dev
+		dev := w.Rank(members[r]).Dev
 		ops[r] = make([]coll.WOp, size)
 		for d := 1; d <= half; d++ {
 			for _, peer := range []int{(r + d) % size, (r - d + size) % size} {
 				if ops[r][peer].SendBuf != nil {
 					continue // tiny worlds: +d and -d can alias
 				}
-				sb := dev.Alloc(fmt.Sprintf("sc-s-%d-%d", r, peer), int(l.ExtentBytes))
-				rb := dev.Alloc(fmt.Sprintf("sc-r-%d-%d", r, peer), int(l.ExtentBytes))
+				sb := dev.Alloc(fmt.Sprintf("%s-s-%d-%d", prefix, r, peer), int(l.ExtentBytes))
+				rb := dev.Alloc(fmt.Sprintf("%s-r-%d-%d", prefix, r, peer), int(l.ExtentBytes))
 				sb.FillStream(uint64(r)<<32 | uint64(peer+1))
 				ops[r][peer] = coll.WOp{SendBuf: sb, SendType: l, SendCount: 1, RecvBuf: rb, RecvType: l, RecvCount: 1}
 			}
@@ -140,23 +98,16 @@ func makeScaleA2AOps(w *mpi.World, l *datatype.Layout) [][]coll.WOp {
 // runScaleA2A runs the sparse hierarchical Alltoallw — the shape the
 // hierarchical schedule's zero-leg skipping turns from O(ranks^2) into
 // O(ranks x K).
-func runScaleA2A(ranks int, lazy bool) (scaleMeasure, error) {
-	env, w, err := scaleWorld(ranks, lazy)
+func runScaleA2A(ranks int, lazy bool) (measure, error) {
+	w, err := scaleWorld(ranks, lazy, nil)
 	if err != nil {
-		return scaleMeasure{}, err
+		return measure{}, err
 	}
 	ops := makeScaleA2AOps(w, collLayout()) // 32 KiB strided legs
 	e := coll.New(w, coll.Tuning{Alltoallw: coll.Hierarchical})
-	var bodyErr error
-	m, err := measure(env, w, func(r *mpi.Rank, p *sim.Proc) {
-		if cerr := e.Alltoallw(p, r, ops[r.ID()]); cerr != nil && bodyErr == nil {
-			bodyErr = fmt.Errorf("rank %d: %w", r.ID(), cerr)
-		}
+	return run(w, nil, func(r *mpi.Rank, p *sim.Proc) error {
+		return e.Alltoallw(p, r, ops[r.ID()])
 	})
-	if err == nil {
-		err = bodyErr
-	}
-	return m, err
 }
 
 // scaleDims3 factors ranks into the most balanced 3D grid (largest
@@ -184,10 +135,10 @@ func scaleDims3(ranks int) [3]int {
 // runScaleHalo runs one 3D halo timestep: the six faces of an n^3 double
 // grid exchanged as a fused NeighborAlltoallw over a periodic Cartesian
 // decomposition of all ranks.
-func runScaleHalo(ranks int, lazy bool) (scaleMeasure, error) {
-	env, w, err := scaleWorld(ranks, lazy)
+func runScaleHalo(ranks int, lazy bool) (measure, error) {
+	w, err := scaleWorld(ranks, lazy, nil)
 	if err != nil {
-		return scaleMeasure{}, err
+		return measure{}, err
 	}
 	dims := scaleDims3(ranks)
 	cart := w.CartCreate(dims[:], []bool{true, true, true})
@@ -223,42 +174,27 @@ func runScaleHalo(ranks int, lazy bool) (scaleMeasure, error) {
 		}
 	}
 	e := coll.New(w, coll.Tuning{})
-	var bodyErr error
-	m, err := measure(env, w, func(r *mpi.Rank, p *sim.Proc) {
-		if cerr := e.NeighborAlltoallw(p, r, ops[r.ID()]); cerr != nil && bodyErr == nil {
-			bodyErr = fmt.Errorf("rank %d: %w", r.ID(), cerr)
-		}
+	return run(w, nil, func(r *mpi.Rank, p *sim.Proc) error {
+		return e.NeighborAlltoallw(p, r, ops[r.ID()])
 	})
-	if err == nil {
-		err = bodyErr
-	}
-	return m, err
 }
 
-// scaleRow runs one (pattern, ranks, mode) cell and renders it.
-func scaleRow(pattern string, ranks int, lazy bool) []string {
-	var m scaleMeasure
-	var err error
-	switch pattern {
-	case "a2a-hier":
-		m, err = runScaleA2A(ranks, lazy)
-	case "halo3d":
-		m, err = runScaleHalo(ranks, lazy)
+// scaleRow runs one (pattern, ranks, mode) cell of t and renders it.
+func scaleRow(t *Table, pattern string, ranks int, lazy bool) []string {
+	runCell := runScaleA2A
+	if pattern == "halo3d" {
+		runCell = runScaleHalo
 	}
 	mode := "exact"
 	if lazy {
 		mode = "lazy"
 	}
+	keys := []string{pattern, fmt.Sprint(ranks), fmt.Sprint(ranks / 4), mode}
+	m, err := runCell(ranks, lazy)
 	if err != nil {
-		return []string{pattern, fmt.Sprint(ranks), fmt.Sprint(ranks / 4), mode, "ERROR: " + err.Error(), "", "", ""}
+		return t.errRow(err, keys...)
 	}
-	return []string{
-		pattern, fmt.Sprint(ranks), fmt.Sprint(ranks / 4), mode,
-		fmt.Sprintf("%.1f", float64(m.virtNs)/1e6),
-		fmt.Sprintf("%.0f", float64(m.wall.Microseconds())/1000),
-		fmt.Sprintf("%.1f", m.allocMB),
-		fmt.Sprint(m.kernels),
-	}
+	return append(keys, m.cells()...)
 }
 
 // Scale is the scaling benchmark table (ddtbench -fig scale): wall time
@@ -276,9 +212,9 @@ func Scale(maxRanks int) *Table {
 				continue
 			}
 			if ranks <= 64 {
-				t.Rows = append(t.Rows, scaleRow(pattern, ranks, false))
+				t.Rows = append(t.Rows, scaleRow(t, pattern, ranks, false))
 			}
-			t.Rows = append(t.Rows, scaleRow(pattern, ranks, true))
+			t.Rows = append(t.Rows, scaleRow(t, pattern, ranks, true))
 		}
 	}
 	return t

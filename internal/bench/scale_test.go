@@ -17,7 +17,7 @@ func TestScaleSmoke(t *testing.T) {
 		pattern := pattern
 		t.Run(pattern, func(t *testing.T) {
 			var err error
-			var m scaleMeasure
+			var m measure
 			switch pattern {
 			case "a2a-hier":
 				m, err = runScaleA2A(ranks, true)

@@ -498,3 +498,39 @@ func TestCollectivesChaos(t *testing.T) {
 		}
 	}
 }
+
+// TestBruckAllgathervChaosKeepsOrder: under mixed,seed=7 retransmission
+// reorders Bruck's same-(source, tag) envelopes of different sizes; the
+// reliability layer must still match them in send order, so every block
+// lands byte-exact where the fault-free run puts it, at eager and at
+// rendezvous sizes.
+func TestBruckAllgathervChaosKeepsOrder(t *testing.T) {
+	plan, err := fault.Preset("mixed", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range []*datatype.Layout{denseVec(), bigVec()} {
+		run := func(plan *fault.Plan) [][]coll.VOp {
+			w := collWorld("Proposed-Tuned", func(c *mpi.Config) { c.Faults = plan })
+			sends, recvs := makeAG(w, l)
+			e := coll.New(w, coll.Tuning{Allgatherv: coll.Bruck})
+			if err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
+				if cerr := e.Allgatherv(p, r, sends[r.ID()], recvs[r.ID()]); cerr != nil {
+					t.Errorf("%d B legs, rank %d: %v", l.SizeBytes, r.ID(), cerr)
+				}
+			}); err != nil {
+				t.Fatalf("%d B legs: %v", l.SizeBytes, err)
+			}
+			checkNoLeaks(t, w, fmt.Sprintf("%d B legs", l.SizeBytes))
+			return recvs
+		}
+		got, want := run(plan), run(nil)
+		for r := range got {
+			for src := range got[r] {
+				if !bytes.Equal(got[r][src].Buf.Data, want[r][src].Buf.Data) {
+					t.Fatalf("%d B legs: rank %d block from %d differs from the fault-free run", l.SizeBytes, r, src)
+				}
+			}
+		}
+	}
+}

@@ -238,6 +238,8 @@ func NewWorld(c *cluster.Cluster, cfg Config, factory SchemeFactory) *World {
 				r.fsite = inj.Site(fmt.Sprintf("mpi:rank%d", id))
 				r.Dev.Faults = inj.Site(fmt.Sprintf("gpu:rank%d", id))
 				r.seen = make(map[int64]bool)
+				r.streamSeq = make(map[uint64]int64)
+				r.streamNext = make(map[uint64]int64)
 			}
 			w.ranks = append(w.ranks, r)
 			id++
@@ -344,10 +346,13 @@ type Rank struct {
 
 	// Reliability-layer state (reliable.go); all nil/false without a
 	// fault plan.
-	fsite     *fault.Site    // this rank's recovery-event site
-	seen      map[int64]bool // receiver-side duplicate suppression
-	pending   []*pendingMsg  // sender-side unacked messages
-	needDrain bool           // envelope FIFO advanced from scheduler context
+	fsite      *fault.Site      // this rank's recovery-event site
+	seen       map[int64]bool   // receiver-side duplicate suppression
+	pending    []*pendingMsg    // sender-side unacked messages
+	needDrain  bool             // envelope FIFO advanced from scheduler context
+	streamSeq  map[uint64]int64 // sender: last envelope sequence per streamKey(dest, tag)
+	streamNext map[uint64]int64 // receiver: last sequence admitted per streamKey(source, tag)
+	early      []*message       // receiver: envelopes ahead of their stream
 
 	stagingSeq int
 }
@@ -504,6 +509,9 @@ type message struct {
 	// checksum the receiver verifies.
 	id  int64
 	sum uint64
+	// sseq is the reliability layer's (source, tag) stream sequence of an
+	// envelope, or of the abort taking its place; zero when unsequenced.
+	sseq int64
 	// comm identifies the revoked communicator on mkRevoke messages.
 	comm *Comm
 }
@@ -545,6 +553,7 @@ type Request struct {
 	wantDone      bool      // protocol done, waiting for last acks
 	emitted       bool      // send: envelope FIFO slot consumed
 	errSent       bool      // peer-abort notification already sent
+	sseq          int64     // send: stream sequence of the emitted envelope
 	reads         []*readOp // recv RGET: checksummed read spans
 	writeDeadline int64     // send RPUT: rewrite deadline
 	writeAttempts int       // send RPUT: write issues so far
@@ -845,26 +854,25 @@ func (r *Rank) arriveD(m *message, d fabric.Delivery) {
 			r.fail(nil, m.receiver, "peer-abort", 0, ErrPeerAborted)
 			return
 		}
-		// Unmatched abort: fail a matching posted receive, or park it
-		// like an envelope for a future Irecv.
-		for i, q := range r.posted {
-			if q.matches(m) {
-				r.posted = append(r.posted[:i], r.posted[i+1:]...)
-				r.fail(nil, q, "peer-abort", 0, ErrPeerAborted)
-				return
-			}
-		}
-		r.unexpected = append(r.unexpected, m)
+		// Unmatched abort: matched like an envelope, so it fails a
+		// posted receive or parks for a future Irecv.
+		r.admit(m)
 	default: // eager data or RTS: needs matching
-		for i, q := range r.posted {
-			if q.matches(m) {
-				r.posted = append(r.posted[:i], r.posted[i+1:]...)
-				r.deliver(q, m)
-				return
-			}
-		}
-		r.unexpected = append(r.unexpected, m)
+		r.admit(m)
 	}
+}
+
+// match hands an envelope (or an unmatched abort) to the first matching
+// posted receive, or parks it on the unexpected queue.
+func (r *Rank) match(m *message) {
+	for i, q := range r.posted {
+		if q.matches(m) {
+			r.posted = append(r.posted[:i], r.posted[i+1:]...)
+			r.deliver(q, m)
+			return
+		}
+	}
+	r.unexpected = append(r.unexpected, m)
 }
 
 // deliver attaches message m to matched receive q (scheduler or proc

@@ -244,10 +244,59 @@ func (r *Rank) sendReliable(p *sim.Proc, owner *Request, m *message, wire int64)
 	} else if m.lazy != nil {
 		m.sum = m.lazy.Checksum()
 	}
+	if m.kind == mkEager || m.kind == mkRTS {
+		k := streamKey(m.to, m.tag)
+		r.streamSeq[k]++
+		m.sseq = r.streamSeq[k]
+		owner.sseq = m.sseq
+	}
 	owner.unacked++
 	pm := &pendingMsg{m: m, owner: owner, wire: wire}
 	r.pending = append(r.pending, pm)
 	r.transmit(p, pm, false)
+}
+
+// streamKey names one envelope stream: (destination, tag) on the sender,
+// (source, tag) on the receiver. Both fit in 32 bits, and one packed word
+// keeps the per-stream maps small: collective tags change every call.
+func streamKey(peer, tag int) uint64 { return uint64(peer)<<32 | uint64(uint32(tag)) }
+
+// admit keeps MPI's non-overtaking order under the reliability layer.
+// Retransmission can reorder envelopes on the wire, so sendReliable stamps
+// every eager or RTS envelope with a per-(destination, tag) sequence and
+// the receiver matches each (source, tag) stream in that order, parking
+// early arrivals. A sender's abort for an emitted envelope carries that
+// envelope's sequence and takes its place: parked successors flow on, and
+// the envelope, should it still arrive, is dropped. Unsequenced messages
+// (fault-free runs, aborts for never-emitted sends) match on arrival.
+// AnyTag receives see order only within each tag; in this repository only
+// fault-free tests (the wildcard and reserved-tag guard tests) post them.
+func (r *Rank) admit(m *message) {
+	if m.sseq == 0 {
+		r.match(m)
+		return
+	}
+	k := streamKey(m.from, m.tag)
+	next := r.streamNext[k] + 1
+	switch {
+	case m.sseq > next:
+		r.early = append(r.early, m)
+		return
+	case m.sseq < next:
+		if m.kind == mkErr {
+			r.match(m) // abort for an envelope already matched
+		}
+		return
+	}
+	r.streamNext[k] = next
+	r.match(m)
+	for i := 0; i < len(r.early); i++ {
+		if e := r.early[i]; e.from == m.from && e.tag == m.tag && e.sseq <= r.streamNext[k]+1 {
+			r.early = append(r.early[:i], r.early[i+1:]...)
+			r.admit(e)
+			i = -1 // the stream may have advanced: rescan
+		}
+	}
 }
 
 // transmit posts one (re)transmission of pm and arms its deadline.
@@ -437,7 +486,7 @@ func (r *Rank) notifyPeer(q *Request) {
 	} else if q.matched != nil {
 		target = q.matched.sender
 	}
-	m := &message{kind: mkErr, from: r.id, to: q.peer, tag: q.tag, receiver: target, bytes: q.bytes}
+	m := &message{kind: mkErr, from: r.id, to: q.peer, tag: q.tag, receiver: target, bytes: q.bytes, sseq: q.sseq}
 	net := r.world.Cluster.Net
 	net.SendF(r.node, r.world.ranks[q.peer].node, net.Spec.CtrlBytes, func(d fabric.Delivery) {
 		if d.Corrupt || d.Dup {

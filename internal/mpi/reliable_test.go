@@ -102,6 +102,51 @@ func eagerStorm(t *testing.T, plan *fault.Plan, nmsg int) *mpi.World {
 	return w
 }
 
+// TestReliableKeepsNonOvertakingOrder: two same-tag sends of different
+// sizes, the first dropped and retransmitted after the second lands. The
+// receives are posted first, in send order, so matching in arrival order
+// would hand the 768 B message to the 512 B receive (ErrTruncate); MPI's
+// non-overtaking rule requires each receive to get its own message.
+func TestReliableKeepsNonOvertakingOrder(t *testing.T) {
+	plan := &fault.Plan{Seed: 1, Link: fault.LinkPlan{DropProb: 0.25}}
+	w := newWorld("GPU-Sync", func(cfg *mpi.Config) { cfg.Faults = plan })
+	var ls [2]*datatype.Layout
+	var sb, rb [2]*gpu.Buffer
+	for i, n := range []int{64, 96} { // 512 B and 768 B, both eager
+		ls[i] = datatype.Commit(datatype.Contiguous(n, datatype.Float64))
+		sb[i] = w.Rank(0).Dev.Alloc(fmt.Sprintf("s%d", i), n*8)
+		rb[i] = w.Rank(4).Dev.Alloc(fmt.Sprintf("r%d", i), n*8)
+		rand.New(rand.NewSource(int64(i + 1))).Read(sb[i].Data)
+	}
+	if err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
+		var qs []*mpi.Request
+		for i := range ls {
+			switch r.ID() {
+			case 0:
+				qs = append(qs, r.Isend(p, 4, 1, sb[i], ls[i], 1))
+			case 4:
+				qs = append(qs, r.Irecv(p, 0, 1, rb[i], ls[i], 1))
+			}
+		}
+		if err := r.Waitall(p, qs); err != nil {
+			t.Errorf("rank %d: %v", r.ID(), err)
+		}
+	}); err != nil {
+		t.Fatalf("run under %s: %v", w.Injector().Counts(), err)
+	}
+	if w.Injector().Count(fault.Retransmit) == 0 {
+		t.Fatal("plan retransmitted nothing; test proves nothing")
+	}
+	for i := range sb {
+		if !bytes.Equal(rb[i].Data, sb[i].Data) {
+			t.Fatalf("receive %d got the wrong message (%s)", i, w.Injector().Counts())
+		}
+	}
+	if n := w.LeakedRequests(); n != 0 {
+		t.Fatalf("%d leaked requests", n)
+	}
+}
+
 func TestReliableEagerSurvivesDrops(t *testing.T) {
 	plan := &fault.Plan{Seed: 11, Link: fault.LinkPlan{DropProb: 0.3, DupProb: 0.1}}
 	w := eagerStorm(t, plan, 12)
