@@ -16,41 +16,28 @@
 //	halo3d -n 16 -lazy -faults rank-crash -recover
 //	halo3d -n 16 -rma -faults rank-crash -recover
 //
-// -rma swaps the exchange for the one-sided backend: every rank opens a
-// symmetric window (an inbound slot plus a staging slot per face) and a
-// six-slot signal, then each step fuse-packs its faces straight into the
-// neighbors' windows (GPU-triggered doorbell, no rendezvous round-trip),
-// waits on the per-face signals, and unpacks the deposits into its ghost
-// grid. Works with -lazy and -ranks; mutually exclusive with -coll.
+// One set-up and one exchange step serve every mode. The transport is
+// two-sided Isend/Irecv by default, one NeighborAlltoallw per step with
+// -coll, or one-sided with -rma: every rank opens a symmetric window (an
+// inbound plus a staging slot per face) and a six-slot signal, fuse-packs
+// its faces straight into the neighbors' windows (GPU-triggered doorbell,
+// no rendezvous round-trip), and unpacks the deposits into its ghost grid.
 //
-// -lazy switches the session to the lazy-bytes payload mode: grid buffers
-// carry a span algebra instead of real bytes, so rank counts in the
-// hundreds-to-1024 range complete in seconds of wall time. Correctness is
-// spot-checked by materializing only rank 0's ghost region and its
-// neighbors' faces after the run.
+// -lazy carries payloads as a span algebra instead of real bytes, so
+// 1024-rank runs complete in seconds of wall time; only rank 0's ghost
+// region and its neighbors' faces are materialized, to spot-check them.
 //
-// The last two forms are the recovery demo, built on the coordinated
-// checkpoint subsystem (internal/ckpt): every rank checkpoints its grid,
-// a seeded fault plan kills one rank mid-exchange, the survivors observe
-// the typed failure, agree on it, and shrink the world (ULFM-style) —
-// which rolls their torn grids back to the checkpoint — then re-decompose
-// the halo as a 1D z-chain over the survivor communicator and re-verify
-// the exchanged faces byte-exactly. The dead rank's snapshot is finally
-// adopted by its buddy. The process exits non-zero if any survivor misses
-// the failure, the rollback or the recovery exchange mismatches, or
-// requests leak. Works in both payload modes (-lazy included).
-//
-// With -rma the recovery demo runs over the one-sided backend instead:
-// every rank checkpoint-registers its symmetric halo window alongside its
-// grid, the fused pack-put exchange runs until the planned crash surfaces
-// as a typed failure (a reaped in-flight put, a failed signal wait, or a
-// fail-fast to the declared-dead rank), and Shrink re-rendezvouses the
-// symmetric heap onto the survivors. Reopening the window then rebinds the
-// checkpoint registration to the rebuilt heap and rolls the window
-// contents back to the checkpoint epoch; the survivors re-exchange a
-// z-chain with fused pack-puts over the new fabric epoch, and the driver
-// verifies the window restore, the grid rollback, the chain byte-exactly,
-// and that no one-sided ops were left pending.
+// -faults SPEC -recover is the recovery demo, one demo over two
+// transports: the NeighborAlltoallw collective, or the pack-puts with -rma.
+// Every rank checkpoints its grid (and its halo window, one-sided), the
+// fault plan kills one rank mid-exchange, and the survivors observe the
+// typed failure, agree on it and shrink the world (ULFM-style), which rolls
+// their grids back to the checkpoint; one-sided, the shrink re-rendezvouses
+// the symmetric heap and reopening the window restores its contents. The
+// survivors re-exchange a 1D z-chain (Isend/Irecv, or pack-puts at the new
+// fabric epoch); the driver verifies the rollback, the chain byte-exactly
+// and the leak oracles, then adopts the dead rank's snapshot onto its
+// buddy, exiting non-zero on any miss. Both payload modes work.
 package main
 
 import (
@@ -61,58 +48,330 @@ import (
 	"os"
 
 	dkf "repro"
+	"repro/internal/workload"
 )
 
-// faceLayouts builds the six face subarray types of an n^3 local grid with
-// one ghost cell on each side (interior n-2 per axis, mirroring Comb).
-func faceLayouts(n int) map[string]*dkf.Layout {
-	sizes := []int{n, n, n}
-	in := n - 2
-	mk := func(sub, start []int) *dkf.Layout {
-		return dkf.Commit(dkf.Subarray(sizes, sub, start, dkf.Float64))
-	}
-	return map[string]*dkf.Layout{
-		"x-": mk([]int{1, in, in}, []int{1, 1, 1}),
-		"x+": mk([]int{1, in, in}, []int{n - 2, 1, 1}),
-		"y-": mk([]int{in, 1, in}, []int{1, 1, 1}),
-		"y+": mk([]int{in, 1, in}, []int{1, n - 2, 1}),
-		"z-": mk([]int{in, in, 1}, []int{1, 1, 1}),
-		"z+": mk([]int{in, in, 1}, []int{1, 1, n - 2}),
-	}
+// transport is how a step moves the six faces.
+type transport int
+
+const (
+	twoSided   transport = iota // Isend/Irecv, tags pair each recv with the opposite face
+	collective                  // one NeighborAlltoallw with fused per-phase launches
+	oneSided                    // fused pack-puts into symmetric ghost windows
+)
+
+// options is the parsed command line.
+type options struct {
+	n, steps, ranks              int
+	scheme, tracePath, faultSpec string
+	lazy, compare, useColl       bool
+	useRMA, doRecover            bool
+	// stepsSet records an explicit -steps, which -recover rejects.
+	stepsSet bool
 }
 
-// dims3 factors ranks into the most balanced 3D grid, largest dimension
-// first (8 -> 2x2x2, 64 -> 4x4x4, 256 -> 8x8x4, 1024 -> 16x8x8).
-func dims3(ranks int) []int {
-	best := [3]int{ranks, 1, 1}
-	for a := 1; a*a*a <= ranks; a++ {
-		if ranks%a != 0 {
-			continue
-		}
-		m := ranks / a
-		for b := a; b*b <= m; b++ {
-			if m%b != 0 {
-				continue
+// parseArgs parses the command line (exiting on a malformed flag or -h)
+// and returns validate's verdict on it.
+func parseArgs(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.IntVar(&o.n, "n", 64, "local grid size per rank (n^3 doubles)")
+	fs.IntVar(&o.steps, "steps", 5, "timesteps")
+	fs.IntVar(&o.ranks, "ranks", 8, "number of ranks (>= 8, divisible by 4; Lassen nodes are sized to ranks/4)")
+	fs.BoolVar(&o.lazy, "lazy", false, "carry payloads as a lazy span algebra instead of real bytes (scales to 1024 ranks; correctness spot-checked around rank 0)")
+	fs.StringVar(&o.scheme, "scheme", "Proposed-Tuned", "DDT scheme")
+	fs.BoolVar(&o.compare, "compare", false, "compare all schemes")
+	fs.BoolVar(&o.useColl, "coll", false, "exchange halos with the NeighborAlltoallw collective (fused per-phase launches) instead of raw Isend/Irecv")
+	fs.BoolVar(&o.useRMA, "rma", false, "exchange halos with one-sided fused pack-puts into symmetric ghost windows (no rendezvous round-trip)")
+	fs.StringVar(&o.tracePath, "trace", "", "write a Chrome trace-event JSON of the run to this file (single-scheme mode only)")
+	fs.StringVar(&o.faultSpec, "faults", "", "fault-plan spec for the recovery demo (e.g. \"rank-crash\", \"rank-crash,seed=3\", \"crash=1@20000\"); requires -recover")
+	fs.BoolVar(&o.doRecover, "recover", false, "survive a planned rank crash: agree on the failure, shrink the world, re-decompose the halo, and verify byte-exactness")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2, -h exits 0, so no error returns
+	fs.Visit(func(f *flag.Flag) { o.stepsSet = o.stepsSet || f.Name == "steps" })
+	return o, o.validate()
+}
+
+// validate holds every flag check; an error is a usage error.
+func (o options) validate() error {
+	switch {
+	case o.useRMA && o.useColl:
+		return errors.New("halo3d: -rma and -coll are mutually exclusive")
+	case o.doRecover != (o.faultSpec != ""):
+		return errors.New("halo3d: -faults and -recover must be used together")
+	case o.doRecover && o.ranks != 8:
+		return errors.New("halo3d: -recover supports only the default 8-rank world (not -ranks)")
+	case o.doRecover && (o.compare || o.tracePath != "" || o.stepsSet):
+		return errors.New("halo3d: -recover runs its own exchange loop; -compare, -trace and -steps do not apply")
+	case o.compare && o.tracePath != "":
+		return errors.New("halo3d: -trace is not supported with -compare")
+	case o.ranks < 8 || o.ranks%4 != 0:
+		return fmt.Errorf("halo3d: -ranks must be >= 8 and divisible by 4 (one node is 4 GPUs), got %d", o.ranks)
+	case o.n < 3:
+		return fmt.Errorf("halo3d: -n must be >= 3 (a ghost cell on each side of a non-empty interior), got %d", o.n)
+	case o.steps < 1:
+		return fmt.Errorf("halo3d: -steps must be >= 1, got %d", o.steps)
+	}
+	return nil
+}
+
+// halo is one halo3d world: the session, its periodic Cartesian
+// decomposition, the face geometry ([axis][side], side 0 the minus face),
+// and every rank's grid and ghost grid.
+type halo struct {
+	sess          *dkf.Session
+	cart          *dkf.CartComm
+	n             int
+	tr            transport
+	faces         [3][2]*dkf.Layout
+	grids, ghosts []*dkf.Buffer
+}
+
+// newHalo opens a session for o under the fault plan (nil for none) with
+// the transport -coll and -rma select, decomposes its ranks, and fills
+// every grid with a per-rank stream.
+func newHalo(o options, faults *dkf.FaultPlan) (*halo, error) {
+	cfg := dkf.SessionConfig{Scheme: dkf.Scheme(o.scheme), Faults: faults}
+	tr := twoSided
+	if o.useColl {
+		tr = collective
+	}
+	if o.useRMA {
+		tr, cfg.Backend = oneSided, dkf.BackendRMA
+	}
+	if o.ranks != 8 {
+		spec := dkf.SystemLassen.Spec().WithNodes(o.ranks / 4)
+		cfg.CustomSpec = &spec
+		// Poll events scale as ranks x virtual-time/interval; the 200 ns
+		// default is built for 8-rank runs.
+		cfg.PollInterval = 5000
+	}
+	if o.lazy {
+		cfg.Payload = dkf.PayloadLazy
+	}
+	if o.tracePath != "" {
+		cfg.Trace = &dkf.TraceOptions{}
+	}
+	sess, err := dkf.NewSession(cfg)
+	if err != nil {
+		return nil, err
+	}
+	nr := sess.NumRanks()
+	h := &halo{sess: sess, cart: sess.CartCreate(workload.Dims3(nr), []bool{true, true, true}),
+		n: o.n, tr: tr, faces: workload.HaloFaces(o.n),
+		grids: make([]*dkf.Buffer, nr), ghosts: make([]*dkf.Buffer, nr)}
+	for r := range h.grids {
+		h.grids[r] = sess.Alloc(r, "grid", h.gridBytes())
+		h.ghosts[r] = sess.Alloc(r, "ghost", h.gridBytes())
+		h.grids[r].FillStream(uint64(r + 1))
+	}
+	return h, nil
+}
+
+func (h *halo) gridBytes() int { return h.n * h.n * h.n * 8 }
+
+// compute is the interior compute phase between exchanges (a fixed
+// virtual cost).
+func (h *halo) compute(c *dkf.RankCtx) { c.Sleep(int64(h.n*h.n) * 2) }
+
+// putWin is a rank's one-sided exchange state: a symmetric window whose
+// first half holds one inbound slot per face (where peers deposit) and
+// whose second half mirrors it as staging for this rank's fused pack
+// kernels, plus one signal slot per face. Every rank derives the same
+// layout from the same face list.
+type putWin struct {
+	win  *dkf.Window
+	sig  *dkf.Signal
+	in   []int64 // inbound offset per slot; its staging slot is at half+in
+	half int64
+}
+
+// openPutWin opens window and signal name with one slot per face.
+func openPutWin(c *dkf.RankCtx, name string, faces ...*dkf.Layout) (*putWin, error) {
+	pw := &putWin{in: make([]int64, len(faces))}
+	for i, l := range faces {
+		pw.in[i] = pw.half
+		pw.half += c.PackSize(l, 1)
+	}
+	var err error
+	if pw.win, err = c.Window(name, 2*pw.half); err != nil {
+		return nil, err
+	}
+	pw.sig, err = c.OpenSignal(name, len(faces))
+	return pw, err
+}
+
+// put fuse-packs face l of src through this rank's staging slot stage
+// into inbound slot dst of peer's window, ringing peer's signal for dst.
+func (pw *putWin) put(c *dkf.RankCtx, peer, dst, stage int, src *dkf.Buffer, l *dkf.Layout) error {
+	return c.PackPut(pw.win, peer, pw.in[dst], src, l, 1, pw.half+pw.in[stage], pw.sig, dst, 1, true)
+}
+
+// take waits for the round-th deposit into slot s of the window region
+// of self (this rank's number on the window's fabric) and unpacks it as
+// face l of dst.
+func (pw *putWin) take(c *dkf.RankCtx, self, s int, round uint64, dst *dkf.Buffer, l *dkf.Layout) error {
+	if err := c.WaitSignal(pw.sig, s, round); err != nil {
+		return err
+	}
+	pos := pw.in[s]
+	c.Unpack(pw.win.Buf(self), &pos, dst, l, 1)
+	return nil
+}
+
+// slot numbers the halo window's slots in (-x,+x,-y,+y,-z,+z) order.
+func slot(axis, side int) int { return 2*axis + side }
+
+// openWindow opens rank c's "halo" window and signal.
+func (h *halo) openWindow(c *dkf.RankCtx) (*putWin, error) {
+	f := h.faces
+	return openPutWin(c, "halo", f[0][0], f[0][1], f[1][0], f[1][1], f[2][0], f[2][1])
+}
+
+// exchange moves rank c's six faces into its neighbors' ghost grids for
+// step (0-based) over h's transport; hw is the rank's window when the
+// transport is oneSided. One-sided callers keep staging reuse safe: the
+// timed run by its step-top barrier (nobody re-packs a slot until every
+// rank has seen the previous step's signals), the recovery loop by its
+// per-step Quiet.
+func (h *halo) exchange(c *dkf.RankCtx, step int, hw *putWin) error {
+	me := c.ID()
+	grid, ghost := h.grids[me], h.ghosts[me]
+	switch h.tr {
+	case collective:
+		return c.NeighborAlltoallw(workload.HaloOps(h.cart, me, h.faces, grid, ghost))
+	case oneSided:
+		// My minus face is the minus neighbor's plus ghost face and vice
+		// versa (the pairing of the two-sided tags).
+		for axis, f := range h.faces {
+			mPeer, pPeer := h.cart.Shift(me, axis, 1)
+			for side, peer := range [2]int{mPeer, pPeer} {
+				if err := hw.put(c, peer, slot(axis, 1-side), slot(axis, side), grid, f[side]); err != nil {
+					return err
+				}
 			}
-			c := m / b
-			if c-a < best[0]-best[2] {
-				best = [3]int{c, b, a}
+		}
+		for axis, f := range h.faces {
+			for side, l := range f {
+				if err := hw.take(c, me, slot(axis, side), uint64(step+1), ghost, l); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	var reqs []*dkf.Request
+	for axis, f := range h.faces {
+		mPeer, pPeer := h.cart.Shift(me, axis, 1)
+		// Receive the peers' opposite faces into the ghost grid.
+		reqs = append(reqs,
+			c.Irecv(mPeer, 10+axis, ghost, f[0], 1),
+			c.Irecv(pPeer, 20+axis, ghost, f[1], 1),
+			c.Isend(mPeer, 20+axis, grid, f[0], 1),
+			c.Isend(pPeer, 10+axis, grid, f[1], 1),
+		)
+	}
+	return c.Waitall(reqs)
+}
+
+// run is the timed exchange: steps barrier-bracketed exchanges, reported
+// as rank 0's average step latency (returned in ns).
+func run(w io.Writer, o options, quiet bool) (int64, error) {
+	h, err := newHalo(o, nil)
+	if err != nil {
+		return 0, err
+	}
+	defer h.sess.Close()
+	var stepNs int64
+	errs := make([]error, h.sess.NumRanks())
+	err = h.sess.Run(func(c *dkf.RankCtx) { errs[c.ID()] = h.timedSteps(c, o.steps, &stepNs) })
+	if err = errors.Join(append(errs, err)...); err != nil {
+		return 0, err
+	}
+	if o.lazy {
+		checked, verr := h.verifySample()
+		if verr != nil {
+			return 0, verr
+		}
+		if !quiet {
+			if checked == 0 {
+				fmt.Fprintf(w, "halo3d: lazy mode; sampled verification skipped (all axes have extent 2 — covered by the 8-rank conformance suite)\n")
+			} else {
+				fmt.Fprintf(w, "halo3d: lazy mode; %d sampled faces around rank 0 verified byte-exact\n", checked)
 			}
 		}
 	}
-	return []int{best[0], best[1], best[2]}
+	avg := stepNs / int64(o.steps)
+	if !quiet {
+		fmt.Fprintf(w, "%-16s grid=%d^3  ranks=%d (%v)  faces=6x2  avg step latency = %.1f us (simulated)\n",
+			o.scheme, o.n, h.sess.NumRanks(), h.cart.Dims(), float64(avg)/1000)
+		if h.tr == oneSided {
+			st := h.sess.RMAStats()
+			fmt.Fprintf(w, "halo3d: one-sided exchange: %d fused pack-puts, %d doorbells, %d retransmits\n",
+				st.PackPuts, st.Doorbells, st.Retransmits)
+		}
+	}
+	if o.tracePath != "" {
+		f, err := os.Create(o.tracePath)
+		if err != nil {
+			return 0, err
+		}
+		err = h.sess.Timeline().WriteChrome(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return 0, err
+		}
+		fmt.Fprintf(os.Stderr, "halo3d: wrote Chrome trace to %s (open in https://ui.perfetto.dev)\n", o.tracePath)
+	}
+	return avg, nil
+}
+
+// timedSteps is rank c's body of the timed run; rank 0 adds each
+// barrier-to-barrier exchange time to stepNs.
+func (h *halo) timedSteps(c *dkf.RankCtx, steps int, stepNs *int64) error {
+	var hw *putWin
+	if h.tr == oneSided {
+		var err error
+		if hw, err = h.openWindow(c); err != nil {
+			return err
+		}
+	}
+	for s := 0; s < steps; s++ {
+		c.Barrier()
+		t0 := c.Now()
+		if err := h.exchange(c, s, hw); err != nil {
+			return err
+		}
+		c.Barrier()
+		if c.ID() == 0 {
+			*stepNs += c.Now() - t0
+		}
+		h.compute(c)
+	}
+	if hw == nil {
+		return nil
+	}
+	if err := c.Quiet(); err != nil {
+		return err
+	}
+	c.Barrier()
+	c.CloseSignal(hw.sig)
+	return c.CloseWindow(hw.win)
 }
 
 // faceCover counts, per byte of the ghost grid, how many recv faces
 // cover it. The six face regions overlap along grid edges (cell (1,1,1)
 // is in x-, y-, and z-), so edge bytes hold whichever face unpacked
 // last — verification only trusts bytes covered exactly once.
-func faceCover(faces map[string]*dkf.Layout, gridBytes int) []uint8 {
+func faceCover(faces [3][2]*dkf.Layout, gridBytes int) []uint8 {
 	cover := make([]uint8, gridBytes)
-	for _, l := range faces {
-		for _, b := range l.Blocks {
-			for o := b.Offset; o < b.Offset+b.Len; o++ {
-				cover[o]++
+	for _, f := range faces {
+		for _, l := range f {
+			for _, b := range l.Blocks {
+				for o := b.Offset; o < b.Offset+b.Len; o++ {
+					cover[o]++
+				}
 			}
 		}
 	}
@@ -135,249 +394,34 @@ func compareFace(sent, ghost *dkf.Layout, src, dst []byte, cover []uint8) error 
 	return nil
 }
 
-// faceOrder fixes the window-slot order for the -rma exchange: offsets
-// are derived per rank from this sequence, so every rank computes the
-// same symmetric layout.
-var faceOrder = []string{"x-", "x+", "y-", "y+", "z-", "z+"}
-
-func run(w io.Writer, scheme string, n, steps, ranks int, lazy, useColl, useRMA, quiet bool, tracePath string) (int64, error) {
-	cfg := dkf.SessionConfig{Scheme: dkf.Scheme(scheme)}
-	if useRMA {
-		cfg.Backend = dkf.BackendRMA
-	}
-	if ranks != 8 {
-		if ranks < 8 || ranks%4 != 0 {
-			return 0, fmt.Errorf("halo3d: -ranks must be >= 8 and divisible by 4 (one node is 4 GPUs), got %d", ranks)
-		}
-		spec := dkf.SystemLassen.Spec().WithNodes(ranks / 4)
-		cfg.CustomSpec = &spec
-		// Poll events scale as ranks x virtual-time/interval; the 200 ns
-		// default is built for 8-rank runs.
-		cfg.PollInterval = 5000
-	}
-	if lazy {
-		cfg.Payload = dkf.PayloadLazy
-	}
-	if tracePath != "" {
-		cfg.Trace = &dkf.TraceOptions{}
-	}
-	sess, err := dkf.NewSession(cfg)
-	if err != nil {
-		return 0, err
-	}
-	defer sess.Close()
-	cart := sess.CartCreate(dims3(ranks), []bool{true, true, true})
-	faces := faceLayouts(n)
-	gridBytes := n * n * n * 8
-	nr := sess.NumRanks()
-	grids := make([]*dkf.Buffer, nr)
-	ghosts := make([]*dkf.Buffer, nr)
-	for r := 0; r < nr; r++ {
-		grids[r] = sess.Alloc(r, "grid", gridBytes)
-		ghosts[r] = sess.Alloc(r, "ghost", gridBytes)
-		if grids[r].IsLazy() {
-			grids[r].FillStream(uint64(r + 1))
-		} else {
-			dkf.FillPattern(grids[r].Data, uint64(r+1))
-		}
-	}
-	axes := []struct {
-		axis          int
-		minusF, plusF string
-	}{{0, "x-", "x+"}, {1, "y-", "y+"}, {2, "z-", "z+"}}
-
-	var stepNs int64
-	err = sess.Run(func(c *dkf.RankCtx) {
-		me := c.ID()
-		// One-sided setup: a symmetric window split into an inbound half
-		// (one slot per ghost face, where neighbors deposit) and a staging
-		// half (where this rank's fused pack kernels build outgoing faces
-		// before the NIC reads them), plus one signal slot per face.
-		var win *dkf.Window
-		var sig *dkf.Signal
-		inOff := make(map[string]int64, len(faceOrder))
-		slotOf := make(map[string]int, len(faceOrder))
-		var half int64
-		if useRMA {
-			for i, f := range faceOrder {
-				inOff[f] = half
-				slotOf[f] = i
-				half += c.PackSize(faces[f], 1)
-			}
-			var werr error
-			if win, werr = c.Window("halo", 2*half); werr != nil {
-				panic(werr)
-			}
-			var serr error
-			if sig, serr = c.OpenSignal("halo", len(faceOrder)); serr != nil {
-				panic(serr)
-			}
-		}
-		for s := 0; s < steps; s++ {
-			c.Barrier()
-			t0 := c.Now()
-			if useRMA {
-				// My minus face is the minus neighbor's plus ghost face and
-				// vice versa (same pairing as the pt2pt tags). The step-top
-				// barrier makes staging reuse safe: nobody re-packs a slot
-				// until every rank has seen (and therefore received) the
-				// previous step's signals.
-				for _, ax := range axes {
-					mPeer, pPeer := cart.Shift(me, ax.axis, 1)
-					if perr := c.PackPut(win, mPeer, inOff[ax.plusF], grids[me], faces[ax.minusF], 1,
-						half+inOff[ax.minusF], sig, slotOf[ax.plusF], 1, true); perr != nil {
-						panic(perr)
-					}
-					if perr := c.PackPut(win, pPeer, inOff[ax.minusF], grids[me], faces[ax.plusF], 1,
-						half+inOff[ax.plusF], sig, slotOf[ax.minusF], 1, true); perr != nil {
-						panic(perr)
-					}
-				}
-				for _, f := range faceOrder {
-					if werr := c.WaitSignal(sig, slotOf[f], uint64(s+1)); werr != nil {
-						panic(werr)
-					}
-					pos := inOff[f]
-					c.Unpack(win.Buf(me), &pos, ghosts[me], faces[f], 1)
-				}
-			} else if useColl {
-				// Collective path: one NeighborAlltoallw per step, ops in
-				// the fixed (-x,+x,-y,+y,-z,+z) order so every rank's legs
-				// line up, with per-phase fused pack/unpack launches.
-				// Same-peer legs match by index, so the minus-direction op
-				// sends the minus face and receives the neighbor's minus
-				// face into the plus ghost region (and vice versa) — on the
-				// periodic 2-extent axes both directions reach one peer.
-				var ops []dkf.NeighborOp
-				for _, ax := range axes {
-					mPeer, pPeer := cart.Shift(c.ID(), ax.axis, 1)
-					ops = append(ops,
-						dkf.NeighborOp{Peer: mPeer, SendBuf: grids[c.ID()], SendType: faces[ax.minusF],
-							RecvBuf: ghosts[c.ID()], RecvType: faces[ax.plusF], Count: 1},
-						dkf.NeighborOp{Peer: pPeer, SendBuf: grids[c.ID()], SendType: faces[ax.plusF],
-							RecvBuf: ghosts[c.ID()], RecvType: faces[ax.minusF], Count: 1},
-					)
-				}
-				if err := c.NeighborAlltoallw(ops); err != nil {
-					panic(err)
-				}
-			} else {
-				var reqs []*dkf.Request
-				for _, ax := range axes {
-					mPeer, pPeer := cart.Shift(c.ID(), ax.axis, 1)
-					// Receive the peer's opposite faces into the ghost grid.
-					reqs = append(reqs,
-						c.Irecv(mPeer, 10+ax.axis, ghosts[c.ID()], faces[ax.minusF], 1),
-						c.Irecv(pPeer, 20+ax.axis, ghosts[c.ID()], faces[ax.plusF], 1),
-						c.Isend(mPeer, 20+ax.axis, grids[c.ID()], faces[ax.minusF], 1),
-						c.Isend(pPeer, 10+ax.axis, grids[c.ID()], faces[ax.plusF], 1),
-					)
-				}
-				c.Waitall(reqs)
-			}
-			c.Barrier()
-			if c.ID() == 0 {
-				stepNs += c.Now() - t0
-			}
-			// Interior compute phase (fixed virtual cost).
-			c.Sleep(int64(n*n) * 2)
-		}
-		if useRMA {
-			if qerr := c.Quiet(); qerr != nil {
-				panic(qerr)
-			}
-			c.Barrier()
-			c.CloseSignal(sig)
-			if cerr := c.CloseWindow(win); cerr != nil {
-				panic(cerr)
-			}
-		}
-	})
-	if err != nil {
-		return 0, err
-	}
-	if lazy {
-		checked, verr := verifySample(cart, faces, grids, ghosts, useColl)
-		if verr != nil {
-			return 0, verr
-		}
-		if !quiet {
-			if checked == 0 {
-				fmt.Fprintf(w, "halo3d: lazy mode; sampled verification skipped (all axes have extent 2 — covered by the 8-rank conformance suite)\n")
-			} else {
-				fmt.Fprintf(w, "halo3d: lazy mode; %d sampled faces around rank 0 verified byte-exact\n", checked)
-			}
-		}
-	}
-	avg := stepNs / int64(steps)
-	if !quiet {
-		fmt.Fprintf(w, "%-16s grid=%d^3  ranks=%d (%v)  faces=6x2  avg step latency = %.1f us (simulated)\n",
-			scheme, n, nr, cart.Dims(), float64(avg)/1000)
-		if useRMA {
-			st := sess.RMAStats()
-			fmt.Fprintf(w, "halo3d: one-sided exchange: %d fused pack-puts, %d doorbells, %d retransmits\n",
-				st.PackPuts, st.Doorbells, st.Retransmits)
-		}
-	}
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return 0, err
-		}
-		defer f.Close()
-		if err := sess.Timeline().WriteChrome(f); err != nil {
-			return 0, err
-		}
-		fmt.Fprintf(os.Stderr, "halo3d: wrote Chrome trace to %s (open in https://ui.perfetto.dev)\n", tracePath)
-	}
-	return avg, nil
-}
+func faceName(axis, side int) string { return string("xyz"[axis]) + string("-+"[side]) }
 
 // verifySample spot-checks a lazy run by materializing only rank 0's
-// ghost region and its six neighbors' grids: each received face must
-// match the face the neighbor sent (edge bytes shared between faces are
-// excluded — see faceCover). Only O(grids-around-rank-0) bytes are
-// ever materialized, so the check stays cheap at 1024 ranks. On the
-// collective path legs match by per-peer index FIFO, which on extent-2
-// axes (both directions reach one peer) pairs the legs differently — such
-// axes are skipped; returns how many faces were checked.
-func verifySample(cart *dkf.CartComm, faces map[string]*dkf.Layout, grids, ghosts []*dkf.Buffer, useColl bool) (int, error) {
-	dims := cart.Dims()
-	ghost0 := ghosts[0].Materialize()
-	cover := faceCover(faces, len(ghost0))
-	axes := []struct {
-		axis          int
-		minusF, plusF string
-	}{{0, "x-", "x+"}, {1, "y-", "y+"}, {2, "z-", "z+"}}
+// ghost grid and its six neighbors' grids, so it stays cheap at 1024
+// ranks: each received face must match the opposite face the neighbor
+// sent (bytes shared between faces excluded, see faceCover). It lands on
+// the neighbor's side of the ghost grid, or on the collective path — legs
+// match by per-peer index FIFO — on the other side, where extent-2 axes
+// (one peer both ways) pair differently and are skipped. Returns how many
+// faces were checked.
+func (h *halo) verifySample() (int, error) {
+	dims := h.cart.Dims()
+	ghost0 := h.ghosts[0].Materialize()
+	cover := faceCover(h.faces, len(ghost0))
 	checked := 0
-	for _, ax := range axes {
-		mPeer, pPeer := cart.Shift(0, ax.axis, 1)
-		var pairs []struct {
-			fromRank      int
-			sentF, ghostF string
+	for axis, f := range h.faces {
+		if h.tr == collective && dims[axis] <= 2 {
+			continue
 		}
-		if useColl {
-			if dims[ax.axis] <= 2 {
-				continue
+		mPeer, pPeer := h.cart.Shift(0, axis, 1)
+		for side, from := range [2]int{mPeer, pPeer} {
+			sent, gside := 1-side, side
+			if h.tr == collective {
+				gside = sent
 			}
-			// Coll path: rank 0's minus op receives the minus neighbor's
-			// plus face into the plus ghost region (and symmetrically).
-			pairs = []struct {
-				fromRank      int
-				sentF, ghostF string
-			}{{mPeer, ax.plusF, ax.plusF}, {pPeer, ax.minusF, ax.minusF}}
-		} else {
-			// Pt2pt path: tags pair each recv with the opposite face, so
-			// extent-2 axes verify too.
-			pairs = []struct {
-				fromRank      int
-				sentF, ghostF string
-			}{{mPeer, ax.plusF, ax.minusF}, {pPeer, ax.minusF, ax.plusF}}
-		}
-		for _, pr := range pairs {
-			err := compareFace(faces[pr.sentF], faces[pr.ghostF], grids[pr.fromRank].Materialize(), ghost0, cover)
-			if err != nil {
-				return checked, fmt.Errorf("halo3d: lazy verification failed: rank 0 ghost face %s vs rank %d's sent face %s: %w", pr.ghostF, pr.fromRank, pr.sentF, err)
+			if err := compareFace(f[sent], f[gside], h.grids[from].Materialize(), ghost0, cover); err != nil {
+				return checked, fmt.Errorf("halo3d: lazy verification failed: rank 0 ghost face %s vs rank %d's sent face %s: %w",
+					faceName(axis, gside), from, faceName(axis, sent), err)
 			}
 			checked++
 		}
@@ -385,508 +429,289 @@ func verifySample(cart *dkf.CartComm, faces map[string]*dkf.Layout, grids, ghost
 	return checked, nil
 }
 
-// runRecover is the rank-failure recovery demo, built on the coordinated
-// checkpoint subsystem (internal/ckpt): every rank registers its grid and
-// checkpoints before the exchange loop, then the 2x2x2 halo exchange runs
-// under faultSpec until a rank dies and every survivor has observed the
-// failure (typed *RankFailedError / ErrCommRevoked via the collective's
-// self-healing revocation). The survivors Agree on the outcome, scribble
-// their grids (standing in for a timestep torn by the failure), and
-// Shrink the world — which automatically rolls every survivor's
-// registered state back to the checkpoint. The halo is then re-decomposed
-// as a 1D z-chain over the dense survivor communicator and the boundary
-// faces re-exchanged with fresh tags; the driver re-verifies every
-// exchanged face byte-exactly against the sender's restored grid, checks
-// the rollback itself by checksum, and finally adopts the dead rank's
-// snapshot onto its buddy. Works in both payload modes.
-func runRecover(w io.Writer, scheme string, n int, faultSpec string, lazy bool) error {
+// recovery is the per-rank record of one recovery-demo run.
+type recovery struct {
+	*halo
+	ft        bool
+	rghosts   []*dkf.Buffer // z-chain receive grids, junk-filled up front
+	stepsDone []int
+	stepErrs  []error
+	recovered []bool
+	winSums   []uint64 // one-sided: each rank's checkpointed window checksum
+	winBytes  int64
+}
+
+// runRecover is the rank-failure recovery demo over the collective or,
+// with useRMA, the one-sided transport. Every rank registers its grid
+// (and, one-sided, its halo window) and checkpoints before the exchange
+// loop; the halo then runs under the fault plan until a rank dies and
+// every survivor has observed the failure as a typed error. The survivors
+// Agree on the outcome, scribble their grids (standing in for a timestep
+// torn by the failure), and Shrink the world — which rolls every
+// survivor's registered state back to the checkpoint. The halo is then
+// re-decomposed as a 1D z-chain over the dense survivor communicator; the
+// driver re-verifies every chained face byte-exactly against the sender's
+// restored grid, checks the rollback itself by checksum, and finally
+// adopts the dead rank's snapshot onto its buddy.
+func runRecover(w io.Writer, scheme string, n int, faultSpec string, lazy, useRMA bool) error {
 	plan, err := dkf.ParseFaultPlan(faultSpec)
 	if err != nil {
 		return err
 	}
-	cfg := dkf.SessionConfig{Scheme: dkf.Scheme(scheme), Faults: plan}
-	if lazy {
-		cfg.Payload = dkf.PayloadLazy
-	}
-	sess, err := dkf.NewSession(cfg)
+	// Without -rma the demo exchanges with the collective, whose
+	// self-healing revocation unblocks survivors stuck behind the dead rank.
+	o := options{scheme: scheme, n: n, ranks: 8, lazy: lazy, useColl: !useRMA, useRMA: useRMA}
+	h, err := newHalo(o, plan)
 	if err != nil {
 		return err
 	}
-	defer sess.Close()
-	cart := sess.CartCreate([]int{2, 2, 2}, []bool{true, true, true})
-	faces := faceLayouts(n)
-	gridBytes := n * n * n * 8
-	nr := sess.NumRanks()
-	grids := make([]*dkf.Buffer, nr)
-	ghosts := make([]*dkf.Buffer, nr)
-	rghosts := make([]*dkf.Buffer, nr)
+	defer h.sess.Close()
+	sess, nr := h.sess, h.sess.NumRanks()
+	rc := &recovery{halo: h, ft: sess.FTEnabled(), rghosts: make([]*dkf.Buffer, nr),
+		stepsDone: make([]int, nr), stepErrs: make([]error, nr), recovered: make([]bool, nr),
+		winSums: make([]uint64, nr)}
 	initSums := make([]uint64, nr)
-	for r := 0; r < nr; r++ {
-		grids[r] = sess.Alloc(r, "grid", gridBytes)
-		ghosts[r] = sess.Alloc(r, "ghost", gridBytes)
-		rghosts[r] = sess.Alloc(r, "rghost", gridBytes)
-		grids[r].FillStream(uint64(r + 1))
+	for r := range rc.rghosts {
+		rc.rghosts[r] = sess.Alloc(r, "rghost", h.gridBytes())
 		// Junk so the verification can only pass if recovery wrote it.
-		rghosts[r].FillStream(uint64(0xdead + r))
-		initSums[r] = grids[r].Checksum()
-		sess.CheckpointRegister(r, grids[r])
+		rc.rghosts[r].FillStream(uint64(0xdead + r))
+		initSums[r] = h.grids[r].Checksum()
+		sess.CheckpointRegister(r, h.grids[r])
 	}
-	axes := []struct {
-		axis          int
-		minusF, plusF string
-	}{{0, "x-", "x+"}, {1, "y-", "y+"}, {2, "z-", "z+"}}
-
-	ft := sess.FTEnabled()
-	stepsDone := make([]int, nr)
-	stepErrs := make([]error, nr)
-	recovered := make([]bool, nr)
 	recoverErrs := make([]error, nr)
-	err = sess.Run(func(c *dkf.RankCtx) {
-		me := c.ID()
-		if ft {
-			// Coordinated checkpoint of the registered grids before any
-			// exchange traffic; Shrink rolls survivors back to this epoch.
-			c.Checkpoint()
-		}
-		// No per-step barrier here: ranks leave the loop at different
-		// times once the failure propagates, and a rendezvous with ranks
-		// that already moved on to Agree would wedge the survivors.
-		const horizonNs = 600_000 // crash + detection + revocation slack
-		for stepErrs[me] == nil && c.Now() < horizonNs && stepsDone[me] < 10_000 {
-			var ops []dkf.NeighborOp
-			for _, ax := range axes {
-				mPeer, pPeer := cart.Shift(me, ax.axis, 1)
-				ops = append(ops,
-					dkf.NeighborOp{Peer: mPeer, SendBuf: grids[me], SendType: faces[ax.minusF],
-						RecvBuf: ghosts[me], RecvType: faces[ax.plusF], Count: 1},
-					dkf.NeighborOp{Peer: pPeer, SendBuf: grids[me], SendType: faces[ax.plusF],
-						RecvBuf: ghosts[me], RecvType: faces[ax.minusF], Count: 1},
-				)
-			}
-			if stepErrs[me] = c.NeighborAlltoallw(ops); stepErrs[me] == nil {
-				stepsDone[me]++
-				c.Sleep(int64(n*n) * 2)
-			}
-		}
-		if !ft {
-			return
-		}
-		flag := uint64(1)
-		if stepErrs[me] != nil {
-			flag = 0
-		}
-		agreed, aerr := c.Agree(c.World(), flag)
-		if agreed == 1 && aerr == nil {
-			return // everyone finished clean and nobody died
-		}
-		// The failure tore the in-flight timestep: scribble the grid so the
-		// downstream verification can only pass if Shrink's automatic
-		// restore actually rolled it back to the checkpoint.
-		grids[me].FillStream(uint64(0xbad0 + me))
-		sub, serr := c.Shrink(c.World())
-		if serr != nil {
-			recoverErrs[me] = serr
-			return
-		}
-		// Re-decomposition from the restored checkpoint: the halo is
-		// re-laid-out as a 1D z-chain in comm-rank order and the boundary
-		// faces re-exchanged with fresh tags (the shrunken epoch keeps
-		// collective traffic separate; these point-to-point legs use tags
-		// outside the failed step's range).
-		cc := c.On(sub)
-		cr := cc.Rank()
-		var reqs []*dkf.Request
-		if cr > 0 {
-			left := sub.WorldRank(cr - 1)
-			reqs = append(reqs,
-				c.Irecv(left, 30, rghosts[me], faces["z-"], 1),
-				c.Isend(left, 40, grids[me], faces["z+"], 1),
-			)
-		}
-		if cr < cc.Size()-1 {
-			right := sub.WorldRank(cr + 1)
-			reqs = append(reqs,
-				c.Irecv(right, 40, rghosts[me], faces["z+"], 1),
-				c.Isend(right, 30, grids[me], faces["z-"], 1),
-			)
-		}
-		if werr := c.Waitall(reqs); werr != nil {
-			recoverErrs[me] = werr
-			return
-		}
-		recovered[me] = true
-	})
-	if err != nil {
+	if err := sess.Run(func(c *dkf.RankCtx) { recoverErrs[c.ID()] = rc.rank(c) }); err != nil {
 		return err
 	}
 
-	crashed := sess.CrashedRanks()
-	survivors := sess.Survivors()
-	if !ft || len(crashed) == 0 {
-		steps := 0
-		for _, s := range stepsDone {
-			if s > steps {
-				steps = s
-			}
-		}
-		fmt.Fprintf(w, "halo3d: no rank failure under plan %q; %d steps completed\n", faultSpec, steps)
-		return nil
-	}
+	crashed, survivors := sess.CrashedRanks(), sess.Survivors()
 	steps := 0
 	for _, s := range survivors {
-		if stepsDone[s] > steps {
-			steps = stepsDone[s]
+		steps = max(steps, rc.stepsDone[s])
+	}
+	if !rc.ft || len(crashed) == 0 {
+		kind := ""
+		if useRMA {
+			kind = " one-sided"
 		}
-		if stepErrs[s] != nil &&
-			!errors.Is(stepErrs[s], dkf.ErrRankFailed) && !errors.Is(stepErrs[s], dkf.ErrCommRevoked) {
-			return fmt.Errorf("halo3d: rank %d failed with an untyped error: %w", s, stepErrs[s])
+		fmt.Fprintf(w, "halo3d: no rank failure under plan %q; %d%s steps completed\n", faultSpec, steps, kind)
+		return nil
+	}
+	for _, s := range survivors {
+		if err := rc.stepErrs[s]; err != nil && !errors.Is(err, dkf.ErrRankFailed) && !errors.Is(err, dkf.ErrCommRevoked) {
+			return fmt.Errorf("halo3d: rank %d failed with an untyped error: %w", s, err)
 		}
 		if recoverErrs[s] != nil {
 			return fmt.Errorf("halo3d: rank %d recovery failed: %w", s, recoverErrs[s])
 		}
-		if !recovered[s] {
+		if !rc.recovered[s] {
 			return fmt.Errorf("halo3d: rank %d never completed the recovery exchange", s)
 		}
 	}
-	fmt.Fprintf(w, "halo3d: rank(s) %v crashed at step ~%d; survivors detected the failure and revoked the world\n",
-		crashed, steps)
-	fmt.Fprintf(w, "halo3d: shrunk world %d -> %d ranks; checkpoint epoch %d restored; halo re-decomposed as a %d-rank z-chain\n",
-		nr, len(survivors), sess.CheckpointEpoch(), len(survivors))
+	chained := "exchange"
+	if useRMA {
+		chained = "pack-put"
+		fmt.Fprintf(w, "halo3d: rank(s) %v crashed at step ~%d of the one-sided exchange; survivors observed typed failures\n",
+			crashed, steps)
+		fmt.Fprintf(w, "halo3d: shrunk world %d -> %d ranks; symmetric heap re-rendezvoused at fabric epoch %d\n",
+			nr, len(survivors), sess.RMAEpoch())
+		fmt.Fprintf(w, "halo3d: window contents restored from checkpoint epoch %d on every survivor\n",
+			sess.CheckpointEpoch())
+	} else {
+		fmt.Fprintf(w, "halo3d: rank(s) %v crashed at step ~%d; survivors detected the failure and revoked the world\n",
+			crashed, steps)
+		fmt.Fprintf(w, "halo3d: shrunk world %d -> %d ranks; checkpoint epoch %d restored; halo re-decomposed as a %d-rank z-chain\n",
+			nr, len(survivors), sess.CheckpointEpoch(), len(survivors))
+	}
 	// The scribble must be gone: every survivor's grid is back at the
 	// checkpointed content.
 	for _, s := range survivors {
-		if grids[s].Checksum() != initSums[s] {
+		if h.grids[s].Checksum() != initSums[s] {
 			return fmt.Errorf("halo3d: rank %d grid not rolled back to the checkpoint after Shrink", s)
 		}
 	}
+	zm, zp := h.faces[2][0], h.faces[2][1]
 	for i := 0; i+1 < len(survivors); i++ {
 		a, b := survivors[i], survivors[i+1]
-		if verr := dkf.VerifyBlocks(faces["z-"], 1, grids[a].Materialize(), rghosts[b].Materialize()); verr != nil {
-			return fmt.Errorf("halo3d: recovery exchange %d->%d (z-) mismatch: %w", a, b, verr)
+		if verr := dkf.VerifyBlocks(zm, 1, h.grids[a].Materialize(), rc.rghosts[b].Materialize()); verr != nil {
+			return fmt.Errorf("halo3d: recovery %s %d->%d (z-) mismatch: %w", chained, a, b, verr)
 		}
-		if verr := dkf.VerifyBlocks(faces["z+"], 1, grids[b].Materialize(), rghosts[a].Materialize()); verr != nil {
-			return fmt.Errorf("halo3d: recovery exchange %d->%d (z+) mismatch: %w", b, a, verr)
+		if verr := dkf.VerifyBlocks(zp, 1, h.grids[b].Materialize(), rc.rghosts[a].Materialize()); verr != nil {
+			return fmt.Errorf("halo3d: recovery %s %d->%d (z+) mismatch: %w", chained, b, a, verr)
 		}
+	}
+	if useRMA && sess.RMAPendingOps() != 0 {
+		return fmt.Errorf("halo3d: %d one-sided ops still pending after recovery", sess.RMAPendingOps())
 	}
 	if lk := sess.LeakedRequests(); lk != 0 {
 		return fmt.Errorf("halo3d: %d requests leaked across the recovery", lk)
 	}
-	fmt.Fprintf(w, "halo3d: recovery exchange byte-exact across %d survivor pairs; no leaked requests\n",
-		len(survivors)-1)
-	// Buddy adoption: the dead rank's checkpointed grid is still
+	if useRMA {
+		fmt.Fprintf(w, "halo3d: recovery chain byte-exact across %d survivor pairs; %d in-flight ops reaped, none pending\n",
+			len(survivors)-1, sess.RMAStats().Reaped)
+	} else {
+		fmt.Fprintf(w, "halo3d: recovery exchange byte-exact across %d survivor pairs; no leaked requests\n",
+			len(survivors)-1)
+	}
+	// Buddy adoption: the dead rank's checkpointed state — its grid and,
+	// one-sided, its window region, in registration order — is still
 	// recoverable on its buddy, byte-for-byte what it held at the capture.
 	for _, d := range crashed {
 		if !sess.CheckpointAvailable(d) {
 			return fmt.Errorf("halo3d: dead rank %d's snapshot unavailable despite buddy placement", d)
 		}
 		buddy := sess.CheckpointBuddy(d)
-		adopted := sess.Alloc(buddy, fmt.Sprintf("adopted-%d", d), gridBytes)
-		if aerr := sess.CheckpointAdopt(buddy, d, adopted); aerr != nil {
+		adopted := []*dkf.Buffer{sess.Alloc(buddy, fmt.Sprintf("adopted-%d", d), h.gridBytes())}
+		what := "grid"
+		if useRMA {
+			adopted = append(adopted, sess.Alloc(buddy, fmt.Sprintf("adopted-win-%d", d), int(rc.winBytes)))
+			what = "grid and window"
+		}
+		if aerr := sess.CheckpointAdopt(buddy, d, adopted...); aerr != nil {
 			return fmt.Errorf("halo3d: buddy adoption of rank %d: %w", d, aerr)
 		}
-		if adopted.Checksum() != initSums[d] {
+		if adopted[0].Checksum() != initSums[d] {
 			return fmt.Errorf("halo3d: adopted grid of rank %d differs from its checkpointed content", d)
 		}
-		fmt.Fprintf(w, "halo3d: rank %d's checkpointed grid adopted by buddy rank %d, checksum-exact\n", d, buddy)
+		if useRMA && adopted[1].Checksum() != rc.winSums[d] {
+			return fmt.Errorf("halo3d: adopted window region of rank %d differs from its checkpointed content", d)
+		}
+		fmt.Fprintf(w, "halo3d: rank %d's checkpointed %s adopted by buddy rank %d, checksum-exact\n", d, what, buddy)
 	}
 	return nil
 }
 
-// runRecoverRMA is the one-sided variant of the recovery demo: the halo
-// exchange runs over fused pack-puts into symmetric windows, the planned
-// crash surfaces as typed one-sided failures (reaped in-flight puts,
-// failed signal waits, fail-fasts to the declared-dead rank), and Shrink
-// re-rendezvouses the symmetric heap onto the survivors. The halo window
-// is checkpoint-registered, so reopening it after the shrink rebinds the
-// registration to the rebuilt heap and rolls the window contents back to
-// the checkpoint epoch — the survivors then re-exchange a 1D z-chain with
-// fused pack-puts over the new fabric epoch. The driver verifies the
-// window restore and grid rollback by checksum, the recovery chain
-// byte-exactly, that no one-sided ops were left pending, and finally
-// adopts the dead rank's grid AND window snapshots onto its buddy.
-func runRecoverRMA(w io.Writer, scheme string, n int, faultSpec string, lazy bool) error {
-	plan, err := dkf.ParseFaultPlan(faultSpec)
-	if err != nil {
-		return err
+// rank is rank c's body of the recovery demo; it returns the recovery
+// error (the exchange loop's error is kept in stepErrs).
+func (rc *recovery) rank(c *dkf.RankCtx) error {
+	me := c.ID()
+	var hw *putWin
+	if rc.tr == oneSided {
+		var err error
+		if hw, err = rc.openWindow(c); err != nil {
+			return err
+		}
+		rc.winBytes = 2 * hw.half
+		// Seed the window with recognizable content and checkpoint it with
+		// the grid: the restore check after the shrink passes only if the
+		// rebuilt heap really got this epoch's bytes back.
+		hw.win.Buf(me).FillStream(uint64(0x51c0 + me))
+		rc.winSums[me] = hw.win.Buf(me).Checksum()
+		if rc.ft {
+			if err := c.CheckpointRegisterWindow(hw.win); err != nil {
+				return err
+			}
+		}
 	}
-	cfg := dkf.SessionConfig{Scheme: dkf.Scheme(scheme), Faults: plan, Backend: dkf.BackendRMA}
-	if lazy {
-		cfg.Payload = dkf.PayloadLazy
+	if rc.ft {
+		// Coordinated checkpoint of the registered state before any
+		// exchange traffic; Shrink rolls survivors back to this epoch.
+		c.Checkpoint()
 	}
-	sess, err := dkf.NewSession(cfg)
-	if err != nil {
-		return err
+	// No per-step barrier here: ranks leave the loop at different times
+	// once the failure propagates, and a rendezvous with ranks that
+	// already moved on to Agree would wedge the survivors. One-sided
+	// steps stay paired by the cumulative per-face signal counts.
+	const horizonNs = 600_000 // crash + detection + revocation slack
+	for rc.stepErrs[me] == nil && c.Now() < horizonNs && rc.stepsDone[me] < 10_000 {
+		err := rc.exchange(c, rc.stepsDone[me], hw)
+		if err == nil && hw != nil {
+			// Drain this step's puts so the staging half is safe to
+			// re-pack without the timed run's barrier.
+			err = c.Quiet()
+		}
+		if rc.stepErrs[me] = err; err == nil {
+			rc.stepsDone[me]++
+			rc.compute(c)
+		}
 	}
-	defer sess.Close()
-	cart := sess.CartCreate([]int{2, 2, 2}, []bool{true, true, true})
-	faces := faceLayouts(n)
-	gridBytes := n * n * n * 8
-	nr := sess.NumRanks()
-	grids := make([]*dkf.Buffer, nr)
-	ghosts := make([]*dkf.Buffer, nr)
-	rghosts := make([]*dkf.Buffer, nr)
-	initSums := make([]uint64, nr)
-	winSums := make([]uint64, nr)
-	for r := 0; r < nr; r++ {
-		grids[r] = sess.Alloc(r, "grid", gridBytes)
-		ghosts[r] = sess.Alloc(r, "ghost", gridBytes)
-		rghosts[r] = sess.Alloc(r, "rghost", gridBytes)
-		grids[r].FillStream(uint64(r + 1))
-		rghosts[r].FillStream(uint64(0xdead + r))
-		initSums[r] = grids[r].Checksum()
-		sess.CheckpointRegister(r, grids[r])
-	}
-	axes := []struct {
-		axis          int
-		minusF, plusF string
-	}{{0, "x-", "x+"}, {1, "y-", "y+"}, {2, "z-", "z+"}}
-
-	ft := sess.FTEnabled()
-	stepsDone := make([]int, nr)
-	stepErrs := make([]error, nr)
-	recovered := make([]bool, nr)
-	recoverErrs := make([]error, nr)
-	var half int64
-	err = sess.Run(func(c *dkf.RankCtx) {
-		me := c.ID()
-		// Symmetric window layout as in run(): an inbound slot per ghost
-		// face in the first half, staging for outgoing packs in the second.
-		inOff := make(map[string]int64, len(faceOrder))
-		slotOf := make(map[string]int, len(faceOrder))
-		half = 0
-		for i, f := range faceOrder {
-			inOff[f] = half
-			slotOf[f] = i
-			half += c.PackSize(faces[f], 1)
-		}
-		win, werr := c.Window("halo", 2*half)
-		if werr != nil {
-			recoverErrs[me] = werr
-			return
-		}
-		sig, serr := c.OpenSignal("halo", len(faceOrder))
-		if serr != nil {
-			recoverErrs[me] = serr
-			return
-		}
-		// Seed the window with recognizable content and checkpoint it
-		// together with the grid: the restore check downstream passes only
-		// if the rebuilt heap really got this epoch's bytes back.
-		win.Buf(me).FillStream(uint64(0x51c0 + me))
-		winSums[me] = win.Buf(me).Checksum()
-		if ft {
-			if rerr := c.CheckpointRegisterWindow(win); rerr != nil {
-				recoverErrs[me] = rerr
-				return
-			}
-			c.Checkpoint()
-		}
-		// No per-step barrier (survivors leave the loop at different
-		// times); the cumulative per-face signal counts keep steps paired,
-		// and the per-step Quiet keeps the local staging half safe to
-		// re-pack.
-		const horizonNs = 600_000
-		for stepErrs[me] == nil && c.Now() < horizonNs && stepsDone[me] < 10_000 {
-			s := stepsDone[me]
-			for _, ax := range axes {
-				mPeer, pPeer := cart.Shift(me, ax.axis, 1)
-				if stepErrs[me] = c.PackPut(win, mPeer, inOff[ax.plusF], grids[me], faces[ax.minusF], 1,
-					half+inOff[ax.minusF], sig, slotOf[ax.plusF], 1, true); stepErrs[me] != nil {
-					break
-				}
-				if stepErrs[me] = c.PackPut(win, pPeer, inOff[ax.minusF], grids[me], faces[ax.plusF], 1,
-					half+inOff[ax.plusF], sig, slotOf[ax.minusF], 1, true); stepErrs[me] != nil {
-					break
-				}
-			}
-			for _, f := range faceOrder {
-				if stepErrs[me] != nil {
-					break
-				}
-				if stepErrs[me] = c.WaitSignal(sig, slotOf[f], uint64(s+1)); stepErrs[me] == nil {
-					pos := inOff[f]
-					c.Unpack(win.Buf(me), &pos, ghosts[me], faces[f], 1)
-				}
-			}
-			if stepErrs[me] == nil {
-				stepErrs[me] = c.Quiet()
-			}
-			if stepErrs[me] == nil {
-				stepsDone[me]++
-				c.Sleep(int64(n*n) * 2)
-			}
-		}
-		if !ft {
-			return
-		}
-		flag := uint64(1)
-		if stepErrs[me] != nil {
-			flag = 0
-		}
-		agreed, aerr := c.Agree(c.World(), flag)
-		if agreed == 1 && aerr == nil {
-			return // everyone finished clean and nobody died
-		}
-		// The failure tore the in-flight timestep: scribble the grid so the
-		// rollback check can only pass if Shrink really restored it. (The
-		// window's torn region dies with the old heap; its restore check is
-		// against the rebuilt region after reopen.)
-		grids[me].FillStream(uint64(0xbad0 + me))
-		sub, serr2 := c.Shrink(c.World())
-		if serr2 != nil {
-			recoverErrs[me] = serr2
-			return
-		}
-		cc := c.On(sub)
-		cr := cc.Rank()
-		// Reopen the halo window on the survivor fabric: same name, fresh
-		// heap — the checkpoint registration rebinds and restores it.
-		rwin, rerr := c.Window("halo", 2*half)
-		if rerr != nil {
-			recoverErrs[me] = rerr
-			return
-		}
-		if got := rwin.Buf(cr).Checksum(); got != winSums[me] {
-			recoverErrs[me] = fmt.Errorf("window not restored after re-rendezvous: checksum %#x, want %#x", got, winSums[me])
-			return
-		}
-		// Recovery exchange: a 1D z-chain in survivor comm-rank order over
-		// a fresh window at the new fabric epoch, fused pack-puts both ways.
-		zm := c.PackSize(faces["z-"], 1)
-		inTot := zm + c.PackSize(faces["z+"], 1)
-		cwin, cerr := c.Window("rchain", 2*inTot)
-		if cerr != nil {
-			recoverErrs[me] = cerr
-			return
-		}
-		csig, cserr := c.OpenSignal("rchain", 2)
-		if cserr != nil {
-			recoverErrs[me] = cserr
-			return
-		}
-		if cr < cc.Size()-1 {
-			if perr := c.PackPut(cwin, cr+1, 0, grids[me], faces["z-"], 1, inTot, csig, 0, 1, true); perr != nil {
-				recoverErrs[me] = perr
-				return
-			}
-		}
-		if cr > 0 {
-			if perr := c.PackPut(cwin, cr-1, zm, grids[me], faces["z+"], 1, inTot+zm, csig, 1, 1, true); perr != nil {
-				recoverErrs[me] = perr
-				return
-			}
-		}
-		if cr > 0 {
-			if werr := c.WaitSignal(csig, 0, 1); werr != nil {
-				recoverErrs[me] = werr
-				return
-			}
-			pos := int64(0)
-			c.Unpack(cwin.Buf(cr), &pos, rghosts[me], faces["z-"], 1)
-		}
-		if cr < cc.Size()-1 {
-			if werr := c.WaitSignal(csig, 1, 1); werr != nil {
-				recoverErrs[me] = werr
-				return
-			}
-			pos := zm
-			c.Unpack(cwin.Buf(cr), &pos, rghosts[me], faces["z+"], 1)
-		}
-		if qerr := c.Quiet(); qerr != nil {
-			recoverErrs[me] = qerr
-			return
-		}
-		recovered[me] = true
-	})
-	if err != nil {
-		return err
-	}
-
-	crashed := sess.CrashedRanks()
-	survivors := sess.Survivors()
-	if !ft || len(crashed) == 0 {
-		steps := 0
-		for _, s := range stepsDone {
-			if s > steps {
-				steps = s
-			}
-		}
-		fmt.Fprintf(w, "halo3d: no rank failure under plan %q; %d one-sided steps completed\n", faultSpec, steps)
+	if !rc.ft {
 		return nil
 	}
-	steps := 0
-	for _, s := range survivors {
-		if stepsDone[s] > steps {
-			steps = stepsDone[s]
+	flag := uint64(1)
+	if rc.stepErrs[me] != nil {
+		flag = 0
+	}
+	if agreed, aerr := c.Agree(c.World(), flag); agreed == 1 && aerr == nil {
+		return nil // everyone finished clean and nobody died
+	}
+	// The failure tore the in-flight timestep: scribble the grid so the
+	// rollback check can only pass if Shrink's automatic restore really
+	// rolled it back. (A window's torn region dies with the old heap; its
+	// restore check is against the rebuilt region after reopen.)
+	rc.grids[me].FillStream(uint64(0xbad0 + me))
+	sub, err := c.Shrink(c.World())
+	if err != nil {
+		return err
+	}
+	err = rc.chain(c, sub, hw)
+	rc.recovered[me] = err == nil
+	return err
+}
+
+// chain re-exchanges the z faces over the survivor communicator sub as a
+// 1D chain in comm-rank order: each rank's z- face lands in its right
+// neighbor's z- region of rghosts, its z+ face in its left neighbor's z+
+// region. Two-sided it uses Isend/Irecv with tags outside the failed
+// step's range. One-sided (hw non-nil) it first reopens the halo window
+// on the survivor fabric — same name, fresh heap, so the checkpoint
+// registration rebinds and restores it — and checks the restore, then
+// chains with fused pack-puts over a fresh window at the new fabric epoch.
+func (rc *recovery) chain(c *dkf.RankCtx, sub *dkf.Comm, hw *putWin) error {
+	me := c.ID()
+	grid, rghost := rc.grids[me], rc.rghosts[me]
+	zm, zp := rc.faces[2][0], rc.faces[2][1]
+	cc := c.On(sub)
+	cr, last := cc.Rank(), cc.Size()-1
+	if hw == nil {
+		var reqs []*dkf.Request
+		if cr > 0 {
+			left := sub.WorldRank(cr - 1)
+			reqs = append(reqs, c.Irecv(left, 30, rghost, zm, 1), c.Isend(left, 40, grid, zp, 1))
 		}
-		if stepErrs[s] != nil &&
-			!errors.Is(stepErrs[s], dkf.ErrRankFailed) && !errors.Is(stepErrs[s], dkf.ErrCommRevoked) {
-			return fmt.Errorf("halo3d: rank %d failed with an untyped error: %w", s, stepErrs[s])
+		if cr < last {
+			right := sub.WorldRank(cr + 1)
+			reqs = append(reqs, c.Irecv(right, 40, rghost, zp, 1), c.Isend(right, 30, grid, zm, 1))
 		}
-		if recoverErrs[s] != nil {
-			return fmt.Errorf("halo3d: rank %d recovery failed: %w", s, recoverErrs[s])
-		}
-		if !recovered[s] {
-			return fmt.Errorf("halo3d: rank %d never completed the recovery exchange", s)
+		return c.Waitall(reqs)
+	}
+	rwin, err := c.Window("halo", 2*hw.half)
+	if err != nil {
+		return err
+	}
+	if got := rwin.Buf(cr).Checksum(); got != rc.winSums[me] {
+		return fmt.Errorf("window not restored after re-rendezvous: checksum %#x, want %#x", got, rc.winSums[me])
+	}
+	cw, err := openPutWin(c, "rchain", zm, zp)
+	if err != nil {
+		return err
+	}
+	if cr < last {
+		if err := cw.put(c, cr+1, 0, 0, grid, zm); err != nil {
+			return err
 		}
 	}
-	fmt.Fprintf(w, "halo3d: rank(s) %v crashed at step ~%d of the one-sided exchange; survivors observed typed failures\n",
-		crashed, steps)
-	fmt.Fprintf(w, "halo3d: shrunk world %d -> %d ranks; symmetric heap re-rendezvoused at fabric epoch %d\n",
-		nr, len(survivors), sess.RMAEpoch())
-	fmt.Fprintf(w, "halo3d: window contents restored from checkpoint epoch %d on every survivor\n",
-		sess.CheckpointEpoch())
-	for _, s := range survivors {
-		if grids[s].Checksum() != initSums[s] {
-			return fmt.Errorf("halo3d: rank %d grid not rolled back to the checkpoint after Shrink", s)
+	if cr > 0 {
+		if err := cw.put(c, cr-1, 1, 1, grid, zp); err != nil {
+			return err
+		}
+		if err := cw.take(c, cr, 0, 1, rghost, zm); err != nil {
+			return err
 		}
 	}
-	for i := 0; i+1 < len(survivors); i++ {
-		a, b := survivors[i], survivors[i+1]
-		if verr := dkf.VerifyBlocks(faces["z-"], 1, grids[a].Materialize(), rghosts[b].Materialize()); verr != nil {
-			return fmt.Errorf("halo3d: recovery pack-put %d->%d (z-) mismatch: %w", a, b, verr)
-		}
-		if verr := dkf.VerifyBlocks(faces["z+"], 1, grids[b].Materialize(), rghosts[a].Materialize()); verr != nil {
-			return fmt.Errorf("halo3d: recovery pack-put %d->%d (z+) mismatch: %w", b, a, verr)
+	if cr < last {
+		if err := cw.take(c, cr, 1, 1, rghost, zp); err != nil {
+			return err
 		}
 	}
-	if po := sess.RMAPendingOps(); po != 0 {
-		return fmt.Errorf("halo3d: %d one-sided ops still pending after recovery", po)
-	}
-	if lk := sess.LeakedRequests(); lk != 0 {
-		return fmt.Errorf("halo3d: %d requests leaked across the recovery", lk)
-	}
-	st := sess.RMAStats()
-	fmt.Fprintf(w, "halo3d: recovery chain byte-exact across %d survivor pairs; %d in-flight ops reaped, none pending\n",
-		len(survivors)-1, st.Reaped)
-	// Buddy adoption covers the window snapshot too: the dead rank's
-	// registered state was (grid, window region), in that order.
-	for _, d := range crashed {
-		if !sess.CheckpointAvailable(d) {
-			return fmt.Errorf("halo3d: dead rank %d's snapshot unavailable despite buddy placement", d)
-		}
-		buddy := sess.CheckpointBuddy(d)
-		adoptedGrid := sess.Alloc(buddy, fmt.Sprintf("adopted-%d", d), gridBytes)
-		adoptedWin := sess.Alloc(buddy, fmt.Sprintf("adopted-win-%d", d), int(2*half))
-		if aerr := sess.CheckpointAdopt(buddy, d, adoptedGrid, adoptedWin); aerr != nil {
-			return fmt.Errorf("halo3d: buddy adoption of rank %d: %w", d, aerr)
-		}
-		if adoptedGrid.Checksum() != initSums[d] {
-			return fmt.Errorf("halo3d: adopted grid of rank %d differs from its checkpointed content", d)
-		}
-		if adoptedWin.Checksum() != winSums[d] {
-			return fmt.Errorf("halo3d: adopted window region of rank %d differs from its checkpointed content", d)
-		}
-		fmt.Fprintf(w, "halo3d: rank %d's checkpointed grid and window adopted by buddy rank %d, checksum-exact\n", d, buddy)
-	}
-	return nil
+	return c.Quiet()
 }
 
 // compareAll runs the scheme shoot-out and reports speedups vs GPU-Sync.
-func compareAll(w io.Writer, n, steps, ranks int, lazy, useColl, useRMA bool) error {
+func compareAll(w io.Writer, o options) error {
 	var base int64
 	for _, s := range []string{"GPU-Sync", "GPU-Async", "CPU-GPU-Hybrid", "Proposed-Tuned"} {
-		avg, err := run(w, s, n, steps, ranks, lazy, useColl, useRMA, true, "")
+		o.scheme = s
+		avg, err := run(w, o, true)
 		if err != nil {
 			return err
 		}
@@ -899,55 +724,25 @@ func compareAll(w io.Writer, n, steps, ranks int, lazy, useColl, useRMA bool) er
 	return nil
 }
 
-func main() {
-	n := flag.Int("n", 64, "local grid size per rank (n^3 doubles)")
-	steps := flag.Int("steps", 5, "timesteps")
-	ranks := flag.Int("ranks", 8, "number of ranks (>= 8, divisible by 4; Lassen nodes are sized to ranks/4)")
-	lazy := flag.Bool("lazy", false, "carry payloads as a lazy span algebra instead of real bytes (scales to 1024 ranks; correctness spot-checked around rank 0)")
-	scheme := flag.String("scheme", "Proposed-Tuned", "DDT scheme")
-	compare := flag.Bool("compare", false, "compare all schemes")
-	useColl := flag.Bool("coll", false, "exchange halos with the NeighborAlltoallw collective (fused per-phase launches) instead of raw Isend/Irecv")
-	useRMA := flag.Bool("rma", false, "exchange halos with one-sided fused pack-puts into symmetric ghost windows (no rendezvous round-trip)")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (single-scheme mode only)")
-	faultSpec := flag.String("faults", "", "fault-plan spec for the recovery demo (e.g. \"rank-crash\", \"rank-crash,seed=3\", \"crash=1@20000\"); requires -recover")
-	doRecover := flag.Bool("recover", false, "survive a planned rank crash: agree on the failure, shrink the world, re-decompose the halo, and verify byte-exactness")
-	flag.Parse()
+// execute runs the mode o selects, writing its report to w.
+func execute(w io.Writer, o options) error {
+	switch {
+	case o.doRecover:
+		return runRecover(w, o.scheme, o.n, o.faultSpec, o.lazy, o.useRMA)
+	case o.compare:
+		return compareAll(w, o)
+	}
+	_, err := run(w, o, false)
+	return err
+}
 
-	if *useRMA && *useColl {
-		fmt.Fprintln(os.Stderr, "halo3d: -rma and -coll are mutually exclusive")
+func main() {
+	o, err := parseArgs(os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if *doRecover || *faultSpec != "" {
-		if !*doRecover || *faultSpec == "" {
-			fmt.Fprintln(os.Stderr, "halo3d: -faults and -recover must be used together")
-			os.Exit(2)
-		}
-		if *ranks != 8 {
-			fmt.Fprintln(os.Stderr, "halo3d: -recover supports only the default 8-rank world (not -ranks)")
-			os.Exit(2)
-		}
-		rec := runRecover
-		if *useRMA {
-			rec = runRecoverRMA
-		}
-		if err := rec(os.Stdout, *scheme, *n, *faultSpec, *lazy); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *compare {
-		if *tracePath != "" {
-			fmt.Fprintln(os.Stderr, "halo3d: -trace is not supported with -compare")
-			os.Exit(2)
-		}
-		if err := compareAll(os.Stdout, *n, *steps, *ranks, *lazy, *useColl, *useRMA); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if _, err := run(os.Stdout, *scheme, *n, *steps, *ranks, *lazy, *useColl, *useRMA, false, *tracePath); err != nil {
+	if err := execute(os.Stdout, o); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

@@ -1096,8 +1096,10 @@ type WOp = coll.WOp
 type VOp = coll.VOp
 
 // Bcast broadcasts count elements of l from root's buf (binomial tree).
-func (c *RankCtx) Bcast(root int, buf *Buffer, l *Layout, count int) {
-	c.rank.Bcast(c.proc, root, buf, l, count)
+// Errors from the underlying transfers are returned; under a crash plan a
+// dead root fails every survivor with an error matching ErrRankFailed.
+func (c *RankCtx) Bcast(root int, buf *Buffer, l *Layout, count int) error {
+	return c.rank.Bcast(c.proc, root, buf, l, count)
 }
 
 // AllreduceSumF64 sums n float64 values element-wise across all ranks.

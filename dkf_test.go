@@ -222,10 +222,11 @@ func TestFacadeCollectivesAndTopology(t *testing.T) {
 		bufs[i] = sess.Alloc(i, "b", int(l.ExtentBytes))
 	}
 	dkf.FillPattern(bufs[3].Data, 3)
+	errs := make([]error, 8)
 	err = sess.Run(func(c *dkf.RankCtx) {
-		c.Bcast(3, bufs[c.ID()], l, 1)
+		errs[c.ID()] = c.Bcast(3, bufs[c.ID()], l, 1)
 	})
-	if err != nil {
+	if err = errors.Join(append(errs, err)...); err != nil {
 		t.Fatal(err)
 	}
 	for i := range bufs {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/schemes"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // The scale benchmark drives the simulator core to 1024 ranks (256 Lassen
@@ -110,28 +111,6 @@ func runScaleA2A(ranks int, lazy bool) (measure, error) {
 	})
 }
 
-// scaleDims3 factors ranks into the most balanced 3D grid (largest
-// dimension first): 8 -> 2x2x2, 64 -> 4x4x4, 256 -> 8x8x4, 1024 -> 16x8x8.
-func scaleDims3(ranks int) [3]int {
-	best := [3]int{ranks, 1, 1}
-	for a := 1; a*a*a <= ranks; a++ {
-		if ranks%a != 0 {
-			continue
-		}
-		m := ranks / a
-		for b := a; b*b <= m; b++ {
-			if m%b != 0 {
-				continue
-			}
-			c := m / b
-			if c-a < best[0]-best[2] {
-				best = [3]int{c, b, a}
-			}
-		}
-	}
-	return best
-}
-
 // runScaleHalo runs one 3D halo timestep: the six faces of an n^3 double
 // grid exchanged as a fused NeighborAlltoallw over a periodic Cartesian
 // decomposition of all ranks.
@@ -140,21 +119,9 @@ func runScaleHalo(ranks int, lazy bool) (measure, error) {
 	if err != nil {
 		return measure{}, err
 	}
-	dims := scaleDims3(ranks)
-	cart := w.CartCreate(dims[:], []bool{true, true, true})
+	cart := w.CartCreate(workload.Dims3(ranks), []bool{true, true, true})
 	const n = 16
-	in := n - 2
-	mk := func(sub, start []int) *datatype.Layout {
-		return datatype.Commit(datatype.Subarray([]int{n, n, n}, sub, start, datatype.Float64))
-	}
-	faces := map[string]*datatype.Layout{
-		"x-": mk([]int{1, in, in}, []int{1, 1, 1}),
-		"x+": mk([]int{1, in, in}, []int{n - 2, 1, 1}),
-		"y-": mk([]int{in, 1, in}, []int{1, 1, 1}),
-		"y+": mk([]int{in, 1, in}, []int{1, n - 2, 1}),
-		"z-": mk([]int{in, in, 1}, []int{1, 1, 1}),
-		"z+": mk([]int{in, in, 1}, []int{1, 1, n - 2}),
-	}
+	faces := workload.HaloFaces(n)
 	size := w.Size()
 	gridBytes := n * n * n * 8
 	ops := make([][]mpi.NeighborOp, size)
@@ -163,15 +130,7 @@ func runScaleHalo(ranks int, lazy bool) (measure, error) {
 		grid := dev.Alloc(fmt.Sprintf("hg-%d", r), gridBytes)
 		ghost := dev.Alloc(fmt.Sprintf("hh-%d", r), gridBytes)
 		grid.FillStream(uint64(r + 1))
-		for axis, ax := range [][2]string{{"x-", "x+"}, {"y-", "y+"}, {"z-", "z+"}} {
-			mPeer, pPeer := cart.Shift(r, axis, 1)
-			ops[r] = append(ops[r],
-				mpi.NeighborOp{Peer: mPeer, SendBuf: grid, SendType: faces[ax[0]],
-					RecvBuf: ghost, RecvType: faces[ax[1]], Count: 1},
-				mpi.NeighborOp{Peer: pPeer, SendBuf: grid, SendType: faces[ax[1]],
-					RecvBuf: ghost, RecvType: faces[ax[0]], Count: 1},
-			)
-		}
+		ops[r] = workload.HaloOps(cart, r, faces, grid, ghost)
 	}
 	e := coll.New(w, coll.Tuning{})
 	return run(w, nil, func(r *mpi.Rank, p *sim.Proc) error {

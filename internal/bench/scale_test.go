@@ -1,8 +1,11 @@
 package bench
 
 import (
+	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/workload"
 )
 
 // TestScaleSmoke is the CI gate on the tentpole claim: a 256-rank (64
@@ -36,18 +39,24 @@ func TestScaleSmoke(t *testing.T) {
 	}
 }
 
-// TestScaleDims3 pins the balanced 3D factorizations the halo pattern
-// depends on.
+// TestScaleDims3 pins the balanced 3D factorizations the halo rows of the
+// scale sweep run on: at each swept rank count the periodic Cartesian
+// communicator built over the scale world must have these dims.
 func TestScaleDims3(t *testing.T) {
-	cases := map[int][3]int{
+	cases := map[int][]int{
 		8:    {2, 2, 2},
 		64:   {4, 4, 4},
 		256:  {8, 8, 4},
 		1024: {16, 8, 8},
 	}
 	for ranks, want := range cases {
-		if got := scaleDims3(ranks); got != want {
-			t.Errorf("scaleDims3(%d) = %v, want %v", ranks, got, want)
+		w, err := scaleWorld(ranks, true, nil)
+		if err != nil {
+			t.Fatalf("scaleWorld(%d): %v", ranks, err)
+		}
+		cart := w.CartCreate(workload.Dims3(ranks), []bool{true, true, true})
+		if got := cart.Dims(); !reflect.DeepEqual(got, want) {
+			t.Errorf("halo cart over %d ranks has dims %v, want %v", ranks, got, want)
 		}
 	}
 }

@@ -17,24 +17,36 @@ import (
 // with collective envelopes. User code must stay below CollTagBase.
 const CollTagBase = 1 << 20
 
-// collTagBase is the historical internal name.
-const collTagBase = CollTagBase
-
 // Legacy collective tag assignments (all within the reserved range):
 //
-//	collTagBase+1              Bcast binomial tree
-//	collTagBase+64..+127       AllreduceSumF64 phases
+//	CollTagBase+1              Bcast binomial tree
+//	CollTagBase+64..+127       AllreduceSumF64 phases
 //
 // internal/coll derives its tags from CollTagBase+4096 upward.
 const (
-	allreduceTagFold  = collTagBase + 64 // non-pow2 pre-fold / post-bcast
-	allreduceTagPhase = collTagBase + 65 // + log2 step index
+	bcastTag          = CollTagBase + 1
+	allreduceTagFold  = CollTagBase + 64 // non-pow2 pre-fold / post-bcast
+	allreduceTagPhase = CollTagBase + 65 // + log2 step index
 )
 
 // Bcast broadcasts count elements of layout l from root's buf to every
 // rank's buf using a binomial tree. Every rank must call it with the same
-// arguments (SPMD style).
-func (r *Rank) Bcast(p *sim.Proc, root int, buf *gpu.Buffer, l *datatype.Layout, count int) {
+// arguments (SPMD style). Errors from the underlying transfers are
+// returned. Under fault tolerance a root already declared dead fails every
+// caller with a *RankFailedError, and the tree's requests are bound to the
+// world communicator: the first rank to see a member die revokes it, so
+// the subtree below a rank that can no longer forward fails with
+// ErrCommRevoked instead of waiting forever or keeping stale bytes.
+func (r *Rank) Bcast(p *sim.Proc, root int, buf *gpu.Buffer, l *datatype.Layout, count int) error {
+	if q := r.postGuard(false, root, bcastTag); q != nil {
+		return r.Wait(p, q)
+	}
+	wait := func(q *Request) error {
+		if r.world.ftOn {
+			r.world.WorldComm().Bind(q)
+		}
+		return r.Wait(p, q)
+	}
 	size := r.world.Size()
 	// Rotate so the root is virtual rank 0; classic binomial tree.
 	vrank := (r.id - root + size) % size
@@ -42,8 +54,9 @@ func (r *Rank) Bcast(p *sim.Proc, root int, buf *gpu.Buffer, l *datatype.Layout,
 	mask := 1
 	for mask < size {
 		if vrank&mask != 0 {
-			parent := toReal(vrank - mask)
-			r.Wait(p, r.IrecvRaw(p, parent, collTagBase+1, buf, l, count))
+			if err := wait(r.IrecvRaw(p, toReal(vrank-mask), bcastTag, buf, l, count)); err != nil {
+				return err
+			}
 			break
 		}
 		mask <<= 1
@@ -52,10 +65,12 @@ func (r *Rank) Bcast(p *sim.Proc, root int, buf *gpu.Buffer, l *datatype.Layout,
 	// children at vrank+mask/2, vrank+mask/4, ...
 	for mask >>= 1; mask > 0; mask >>= 1 {
 		if vrank+mask < size {
-			child := toReal(vrank + mask)
-			r.Wait(p, r.IsendRaw(p, child, collTagBase+1, buf, l, count))
+			if err := wait(r.IsendRaw(p, toReal(vrank+mask), bcastTag, buf, l, count)); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }
 
 // AllreduceSumF64 sums n float64 values element-wise across all ranks into

@@ -72,10 +72,11 @@ func TestBcastAllRoots(t *testing.T) {
 		for i := range bufs[root].Data {
 			bufs[root].Data[i] = byte(i*7 + root)
 		}
+		errs := make([]error, 8)
 		err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
-			r.Bcast(p, root, bufs[r.ID()], l, 1)
+			errs[r.ID()] = r.Bcast(p, root, bufs[r.ID()], l, 1)
 		})
-		if err != nil {
+		if err = errors.Join(append(errs, err)...); err != nil {
 			t.Fatalf("root %d: %v", root, err)
 		}
 		for i := range bufs {
@@ -96,10 +97,11 @@ func TestBcastNoncontiguousType(t *testing.T) {
 	for i := range bufs[0].Data {
 		bufs[0].Data[i] = byte(i)
 	}
+	errs := make([]error, 8)
 	err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
-		r.Bcast(p, 0, bufs[r.ID()], l, 1)
+		errs[r.ID()] = r.Bcast(p, 0, bufs[r.ID()], l, 1)
 	})
-	if err != nil {
+	if err = errors.Join(append(errs, err)...); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < 8; i++ {

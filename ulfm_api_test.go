@@ -170,3 +170,64 @@ func TestSessionShrinkRecovery(t *testing.T) {
 		t.Errorf("LeakedRequests() = %d after recovery, want 0", leaked)
 	}
 }
+
+// TestBcastDeadRoot checks Bcast under a crash plan that kills the root.
+// When the root is declared dead before the broadcast, every survivor (not
+// only the root's direct children) gets an error matching ErrRankFailed.
+// When the root dies while the tree is waiting on it, no survivor hangs
+// or returns stale bytes silently: each gets a typed failure.
+func TestBcastDeadRoot(t *testing.T) {
+	const root = 0
+	l := dkf.Commit(dkf.Contiguous(64, dkf.Float64))
+	for _, tc := range []struct {
+		name      string
+		startNs   int64 // when the survivors enter Bcast
+		wantTyped func(error) bool
+	}{
+		{"declared-before", 400_000, func(err error) bool { return errors.Is(err, dkf.ErrRankFailed) }},
+		{"dies-mid-tree", 0, func(err error) bool {
+			return errors.Is(err, dkf.ErrRankFailed) || errors.Is(err, dkf.ErrCommRevoked)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan, err := dkf.ParseFaultPlan(fmt.Sprintf("crash=%d@20000", root))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess, err := dkf.NewSession(dkf.SessionConfig{Scheme: dkf.SchemeProposedTuned, Faults: plan})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			n := sess.NumRanks()
+			bufs := make([]*dkf.Buffer, n)
+			for i := range bufs {
+				bufs[i] = sess.Alloc(i, "b", int(l.ExtentBytes))
+			}
+			errs := make([]error, n)
+			returned := make([]bool, n)
+			err = sess.Run(func(c *dkf.RankCtx) {
+				start := tc.startNs
+				if c.ID() == root {
+					start = 50_000 // killed at 20 µs, before it can send
+				}
+				c.Sleep(start)
+				errs[c.ID()] = c.Bcast(root, bufs[c.ID()], l, 1)
+				returned[c.ID()] = true
+			})
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			for r := 0; r < n; r++ {
+				if r == root {
+					continue
+				}
+				if !returned[r] {
+					t.Errorf("survivor %d never returned from Bcast", r)
+				} else if !tc.wantTyped(errs[r]) {
+					t.Errorf("survivor %d: Bcast error %v, want a typed rank failure", r, errs[r])
+				}
+			}
+		})
+	}
+}
