@@ -896,6 +896,10 @@ func (r *Rank) deliver(q *Request, m *message) {
 			r.id, q.peer, q.tag, q.bytes, m.bytes))
 	}
 	q.matched = m
+	// A message shorter than the posted receive is legal: receive exactly
+	// its bytes, and unpack them into the front of the posted layout only
+	// (recvBlocks), leaving the rest of the receive buffer untouched.
+	q.bytes = m.bytes
 	switch m.kind {
 	case mkEager:
 		// Payload came with the envelope.
@@ -1210,8 +1214,10 @@ func (r *Rank) progressRecv(p *sim.Proc, q *Request) {
 			r.maybeComplete(q)
 			return
 		}
-		job := pack.NewJob(pack.OpUnpack, q.packed, q.buf, q.entry.Blocks)
-		job.Plan = q.entry.Plan
+		job := pack.NewJob(pack.OpUnpack, q.packed, q.buf, q.recvBlocks())
+		if q.bytes == q.entry.Bytes {
+			job.Plan = q.entry.Plan
+		}
 		q.handle = r.scheme.Unpack(p, job)
 		q.state = stUnpacking
 	case stUnpacking:
@@ -1243,7 +1249,7 @@ func (r *Rank) progressRecv(p *sim.Proc, q *Request) {
 func (r *Rank) startIPC(p *sim.Proc, q *Request, m *message) {
 	sender := m.sender
 	job := pack.NewJob(pack.OpDirectIPC, sender.buf, q.buf, sender.entry.Blocks)
-	job.TargetBlocks = q.entry.Blocks
+	job.TargetBlocks = q.recvBlocks()
 	spec := r.world.Cluster.Spec
 	job.PeerBWBytesPerNs = spec.GPUPeerBWBytesPerNs
 	job.PeerLatencyNs = spec.GPUPeerLatencyNs
@@ -1260,6 +1266,23 @@ func (r *Rank) startIPC(p *sim.Proc, q *Request, m *message) {
 	h, _ := alwaysIPCFallback{r}.run(p, job)
 	q.handle = h
 	q.state = stIPC
+}
+
+// recvBlocks returns the blocks of a receive's posted layout that the
+// matched message fills: all of them, or for a short message the prefix
+// covering its q.bytes.
+func (q *Request) recvBlocks() []datatype.Block {
+	if q.bytes == q.entry.Bytes {
+		return q.entry.Blocks
+	}
+	var out []datatype.Block
+	for n, i := q.bytes, 0; n > 0; i++ {
+		b := q.entry.Blocks[i]
+		b.Len = min(b.Len, n)
+		out = append(out, b)
+		n -= b.Len
+	}
+	return out
 }
 
 // alwaysIPCFallback runs DirectIPC as a plain (unfused) kernel when the

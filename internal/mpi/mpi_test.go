@@ -12,6 +12,7 @@ import (
 	"repro/internal/datatype"
 	"repro/internal/gpu"
 	"repro/internal/mpi"
+	"repro/internal/payload"
 	"repro/internal/schemes"
 	"repro/internal/sim"
 )
@@ -780,4 +781,71 @@ func propertyRuns(t *testing.T, full int) int {
 		return full
 	}
 	return full
+}
+
+// TestShortReceive posts a receive for three elements of a 32 KiB strided
+// vector and matches it with a one-element send: the first element's
+// blocks must hold the sent bytes and every other byte of the receive
+// buffer must keep its old value, on every protocol and in both payload
+// modes.
+func TestShortReceive(t *testing.T) {
+	l := datatype.Commit(datatype.Vector(64, 64, 128, datatype.Float64))
+	protocols := []struct {
+		name     string
+		src, dst int
+		mut      func(*mpi.Config)
+	}{
+		{"eager", 0, 4, func(c *mpi.Config) { c.EagerLimitBytes = 1 << 20 }},
+		{"RPUT", 0, 4, func(c *mpi.Config) { c.Rendezvous = mpi.RPUT }},
+		{"RGET", 0, 4, nil},
+		{"RGET-pipelined", 0, 4, func(c *mpi.Config) { c.PipelineChunkBytes = 8 << 10 }},
+		{"DirectIPC", 0, 1, nil},
+	}
+	for _, pr := range protocols {
+		for _, lazy := range []bool{false, true} {
+			pr, lazy := pr, lazy
+			t.Run(fmt.Sprintf("%s/lazy=%v", pr.name, lazy), func(t *testing.T) {
+				w := newWorld("Proposed-Tuned", pr.mut)
+				if lazy {
+					w.Rank(pr.src).Dev.LazyThreshold = 1
+					w.Rank(pr.dst).Dev.LazyThreshold = 1
+				}
+				sbuf := w.Rank(pr.src).Dev.Alloc("send", int(l.ExtentBytes))
+				rbuf := w.Rank(pr.dst).Dev.Alloc("recv", int(l.ExtentBytes)*3)
+				if sbuf.IsLazy() != lazy || rbuf.IsLazy() != lazy {
+					t.Fatal("buffers not in the requested payload mode")
+				}
+				sbuf.FillStream(1)
+				rbuf.FillStream(2)
+				sent := make([]byte, sbuf.Len())
+				want := make([]byte, rbuf.Len())
+				payload.FillBytes(sent, 1)
+				payload.FillBytes(want, 2)
+				for _, b := range l.Blocks {
+					copy(want[b.Offset:b.Offset+b.Len], sent[b.Offset:b.Offset+b.Len])
+				}
+				var sq, rq *mpi.Request
+				err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
+					switch r.ID() {
+					case pr.src:
+						sq = r.Isend(p, pr.dst, 7, sbuf, l, 1)
+						r.Wait(p, sq)
+					case pr.dst:
+						rq = r.Irecv(p, pr.src, 7, rbuf, l, 3)
+						r.Wait(p, rq)
+					}
+				})
+				if err != nil || sq.Err() != nil || rq.Err() != nil {
+					t.Fatalf("run %v, send %v, recv %v", err, sq.Err(), rq.Err())
+				}
+				if got := rbuf.Materialize(); !bytes.Equal(got, want) {
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("receive buffer differs first at byte %d of %d", i, len(got))
+						}
+					}
+				}
+			})
+		}
+	}
 }

@@ -90,19 +90,15 @@ func NewJob(op Op, origin, target *gpu.Buffer, blocks []datatype.Block) *Job {
 
 // Execute performs the byte movement. It is designed to run as a kernel's
 // Exec callback (scheduler context) but is also usable directly for
-// CPU-driven packing. When either buffer is lazy the per-block copies go
-// through gpu.CopyRange (span bookkeeping instead of real bytes); the
-// byte-exact fast paths are untouched when both buffers are real.
+// CPU-driven packing. When either buffer is lazy the copy goes through
+// lazyCopyBlocks (span bookkeeping instead of real bytes); the byte-exact
+// fast paths are untouched when both buffers are real.
 func (j *Job) Execute() {
 	lazy := j.Origin.IsLazy() || j.Target.IsLazy()
 	switch j.Op {
 	case OpPack:
 		if lazy {
-			w := j.TargetOff
-			for _, b := range j.Blocks {
-				gpu.CopyRange(j.Target, w, j.Origin, b.Offset, b.Len)
-				w += b.Len
-			}
+			lazyCopyBlocks(j.Origin, j.Blocks, j.Target, contiguous(j.TargetOff, j.Blocks))
 			return
 		}
 		if j.Plan != nil {
@@ -112,11 +108,7 @@ func (j *Job) Execute() {
 		gather(j.Origin.Data, j.Blocks, j.Target.Data[j.TargetOff:])
 	case OpUnpack:
 		if lazy {
-			r := j.OriginOff
-			for _, b := range j.Blocks {
-				gpu.CopyRange(j.Target, b.Offset, j.Origin, r, b.Len)
-				r += b.Len
-			}
+			lazyCopyBlocks(j.Origin, contiguous(j.OriginOff, j.Blocks), j.Target, j.Blocks)
 			return
 		}
 		if j.Plan != nil {
@@ -137,6 +129,20 @@ func (j *Job) Execute() {
 	default:
 		panic(fmt.Sprintf("pack: unknown op %d", j.Op))
 	}
+}
+
+// contiguous returns the one-block list of the packed side of a pack or
+// unpack over blocks, starting at off.
+func contiguous(off int64, blocks []datatype.Block) []datatype.Block {
+	return []datatype.Block{{Offset: off, Len: totalLen(blocks)}}
+}
+
+func totalLen(blocks []datatype.Block) int64 {
+	var n int64
+	for _, b := range blocks {
+		n += b.Len
+	}
+	return n
 }
 
 // gather packs src's blocks into contiguous dst.
@@ -160,53 +166,60 @@ func scatter(src []byte, dst []byte, blocks []datatype.Block) {
 // copyBlocks streams srcBlocks of src into dstBlocks of dst; the two block
 // lists must cover the same number of bytes but may be cut differently.
 func copyBlocks(src []byte, srcBlocks []datatype.Block, dst []byte, dstBlocks []datatype.Block) {
+	eachPiece(srcBlocks, dstBlocks, func(d, s, n int64) { copy(dst[d:d+n], src[s:s+n]) })
+}
+
+// lazyCopyBlocks is copyBlocks for when either side is a lazy buffer.
+// When both are lazy and one side is a single block, the whole list is one
+// payload Gather (one destination block) or Scatter (one source block);
+// otherwise each piece goes through gpu.CopyRange.
+func lazyCopyBlocks(src *gpu.Buffer, srcBlocks []datatype.Block, dst *gpu.Buffer, dstBlocks []datatype.Block) {
+	if src.IsLazy() && dst.IsLazy() && (len(srcBlocks) == 1 || len(dstBlocks) == 1) {
+		if totalLen(srcBlocks) != totalLen(dstBlocks) {
+			panic("pack: block lists cover different byte counts")
+		}
+		if len(dstBlocks) == 1 {
+			dst.Lazy.Gather(dstBlocks[0].Offset, src.Lazy, len(srcBlocks), blockAt(srcBlocks))
+		} else {
+			dst.Lazy.Scatter(len(dstBlocks), blockAt(dstBlocks), src.Lazy, srcBlocks[0].Offset)
+		}
+		return
+	}
+	eachPiece(srcBlocks, dstBlocks, func(d, s, n int64) { gpu.CopyRange(dst, d, src, s, n) })
+}
+
+// eachPiece walks two block lists that cut one byte stream differently and
+// calls fn(dstOff, srcOff, n) for each maximal piece inside one block of
+// each; empty blocks are skipped. It panics when the lists cover different
+// byte counts.
+func eachPiece(srcBlocks, dstBlocks []datatype.Block, fn func(dstOff, srcOff, n int64)) {
 	si, di := 0, 0
 	var so, do int64
-	for si < len(srcBlocks) && di < len(dstBlocks) {
-		sb, db := srcBlocks[si], dstBlocks[di]
-		n := sb.Len - so
-		if rem := db.Len - do; rem < n {
-			n = rem
-		}
-		copy(dst[db.Offset+do:db.Offset+do+n], src[sb.Offset+so:sb.Offset+so+n])
-		so += n
-		do += n
-		if so == sb.Len {
+	for {
+		for si < len(srcBlocks) && so == srcBlocks[si].Len {
 			si, so = si+1, 0
 		}
-		if do == db.Len {
+		for di < len(dstBlocks) && do == dstBlocks[di].Len {
 			di, do = di+1, 0
 		}
+		if si == len(srcBlocks) || di == len(dstBlocks) {
+			break
+		}
+		sb, db := srcBlocks[si], dstBlocks[di]
+		n := min(sb.Len-so, db.Len-do)
+		fn(db.Offset+do, sb.Offset+so, n)
+		so += n
+		do += n
 	}
 	if si < len(srcBlocks) || di < len(dstBlocks) {
 		panic("pack: block lists cover different byte counts")
 	}
 }
 
-// lazyCopyBlocks is copyBlocks over gpu.CopyRange, for when either side is
-// a lazy buffer.
-func lazyCopyBlocks(src *gpu.Buffer, srcBlocks []datatype.Block, dst *gpu.Buffer, dstBlocks []datatype.Block) {
-	si, di := 0, 0
-	var so, do int64
-	for si < len(srcBlocks) && di < len(dstBlocks) {
-		sb, db := srcBlocks[si], dstBlocks[di]
-		n := sb.Len - so
-		if rem := db.Len - do; rem < n {
-			n = rem
-		}
-		gpu.CopyRange(dst, db.Offset+do, src, sb.Offset+so, n)
-		so += n
-		do += n
-		if so == sb.Len {
-			si, so = si+1, 0
-		}
-		if do == db.Len {
-			di, do = di+1, 0
-		}
-	}
-	if si < len(srcBlocks) || di < len(dstBlocks) {
-		panic("pack: block lists cover different byte counts")
-	}
+// blockAt exposes a block list as the range accessor of the payload
+// batched copies.
+func blockAt(blocks []datatype.Block) func(i int) (off, n int64) {
+	return func(i int) (int64, int64) { return blocks[i].Offset, blocks[i].Len }
 }
 
 // KernelSpec converts the job into a single-kernel launch description.

@@ -2,6 +2,7 @@ package pack
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -107,18 +108,34 @@ func TestDirectIPCDifferentLayouts(t *testing.T) {
 	}
 }
 
+// TestDirectIPCMismatchedBytesPanics: the byte-count check holds in both
+// payload modes, including the lazy Gather (one destination block),
+// Scatter (one source block) and piece-by-piece paths.
 func TestDirectIPCMismatchedBytesPanics(t *testing.T) {
-	_, d := newDev()
-	src := d.Alloc("src", 32)
-	dst := d.Alloc("dst", 32)
-	j := NewJob(OpDirectIPC, src, dst, []datatype.Block{{Offset: 0, Len: 4}})
-	j.TargetBlocks = []datatype.Block{{Offset: 0, Len: 2}}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	b := func(off, n int64) datatype.Block { return datatype.Block{Offset: off, Len: n} }
+	for _, lazy := range []bool{false, true} {
+		for _, c := range []struct{ from, to []datatype.Block }{
+			{[]datatype.Block{b(0, 4)}, []datatype.Block{b(0, 2)}},
+			{[]datatype.Block{b(0, 4), b(8, 4)}, []datatype.Block{b(0, 6)}},
+			{[]datatype.Block{b(0, 6)}, []datatype.Block{b(0, 4), b(8, 4)}},
+			{[]datatype.Block{b(0, 4), b(8, 4)}, []datatype.Block{b(0, 2), b(8, 2)}},
+		} {
+			t.Run(fmt.Sprintf("lazy=%v/%d-to-%d", lazy, len(c.from), len(c.to)), func(t *testing.T) {
+				_, d := newDev()
+				if lazy {
+					d.LazyThreshold = 1
+				}
+				j := NewJob(OpDirectIPC, d.Alloc("src", 32), d.Alloc("dst", 32), c.from)
+				j.TargetBlocks = c.to
+				defer func() {
+					if recover() == nil {
+						t.Fatal("expected panic")
+					}
+				}()
+				j.Execute()
+			})
 		}
-	}()
-	j.Execute()
+	}
 }
 
 func TestKernelSpecCarriesIPCFloor(t *testing.T) {

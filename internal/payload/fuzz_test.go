@@ -7,11 +7,14 @@ import (
 )
 
 // checkSpanInvariants asserts the structural health of a span list:
-// sorted, non-overlapping, non-empty, inside [0, Len), literal lengths
-// consistent, and fully coalesced (no two adjacent mergeable fill spans).
+// sorted, non-overlapping, non-empty, inside [0, Len), every literal span
+// inside its entry of the literal table, fully coalesced (no two adjacent
+// mergeable fill spans), the live-literal count exact and the literal
+// table within its compaction bound.
 func checkSpanInvariants(t *testing.T, c *Content) {
 	t.Helper()
 	prevEnd := int64(0)
+	nlit := 0
 	for i, s := range c.spans {
 		if s.n <= 0 {
 			t.Fatalf("span %d: non-positive length %d", i, s.n)
@@ -22,13 +25,25 @@ func checkSpanInvariants(t *testing.T, c *Content) {
 		if s.off+s.n > c.n {
 			t.Fatalf("span %d: [%d,%d) exceeds content length %d", i, s.off, s.off+s.n, c.n)
 		}
-		if s.kind == srcLit && int64(len(s.lit)) != s.n {
-			t.Fatalf("span %d: literal length %d != span length %d", i, len(s.lit), s.n)
+		if s.kind == srcLit {
+			nlit++
+			if s.seed >= uint64(len(c.lits)) {
+				t.Fatalf("span %d: literal index %d outside table of %d", i, s.seed, len(c.lits))
+			}
+			if l := int64(len(c.lits[s.seed])); s.pos < 0 || s.pos+s.n > l {
+				t.Fatalf("span %d: literal range [%d,%d) outside literal of %d bytes", i, s.pos, s.pos+s.n, l)
+			}
 		}
 		if i > 0 && mergeable(c.spans[i-1], s) {
 			t.Fatalf("span %d: mergeable neighbor survived coalescing", i)
 		}
 		prevEnd = s.off + s.n
+	}
+	if nlit != c.nlit {
+		t.Fatalf("live literal count %d, content records %d", nlit, c.nlit)
+	}
+	if len(c.lits) > 2*nlit+litSlack {
+		t.Fatalf("literal table holds %d entries for %d literal spans", len(c.lits), nlit)
 	}
 }
 
@@ -184,6 +199,131 @@ func FuzzLazyChecksumAlgebra(f *testing.F) {
 		}
 		if c.ChecksumRange(n/3, n/3) != Checksum(b[n/3:n/3+n/3]) {
 			t.Fatal("lazy range checksum diverges from exact model")
+		}
+	})
+}
+
+// blockCopyCase is one decoded FuzzLazyBlockCopy input: a Gather or a
+// Scatter over a range list, between two literal-bearing contents or
+// within one.
+type blockCopyCase struct {
+	scatter, self bool
+	ranges        [][2]int64 // the block list: (offset, length) pairs
+	at            int64      // dstOff of a Gather, srcOff of a Scatter
+}
+
+// blockCopySize is the content length of FuzzLazyBlockCopy.
+const blockCopySize = int64(199)
+
+// decodeBlockCopy turns fuzz bytes into a case. With the ascending bit set
+// the ranges are built in ascending order with gaps of 0–7 bytes, so
+// touching ranges appear and Scatter takes its one-splice path; otherwise
+// offsets are free, so unsorted and overlapping lists reach the fallback.
+// The ranges never cover more than the content in total.
+func decodeBlockCopy(mode uint8, at uint16, ranges []byte) blockCopyCase {
+	const n = blockCopySize
+	bc := blockCopyCase{scatter: mode&1 != 0, self: mode&2 != 0}
+	ascending := mode&4 != 0
+	var prev, total int64
+	for len(ranges) >= 2 && len(bc.ranges) < 32 {
+		a, b := int64(ranges[0]), int64(ranges[1])
+		ranges = ranges[2:]
+		off := a % n
+		if ascending {
+			off = prev + a%8
+		}
+		ln := min(b%24, n-total)
+		if off+ln > n {
+			break
+		}
+		bc.ranges = append(bc.ranges, [2]int64{off, ln})
+		prev = off + ln
+		total += ln
+	}
+	bc.at = int64(at) % (n - total + 1)
+	return bc
+}
+
+// blockCopyContents builds the fuzz target's starting contents from a
+// seed and literal bytes: a PRF fill with literal patches, and a second
+// content (or the same one for a self-copy) with a half fill and its own
+// patches.
+func blockCopyContents(self bool, seed uint64, lits []byte) (dst, src *Content) {
+	const n = blockCopySize
+	patch := func(c *Content, salt int64) {
+		for i := int64(0); i+1 < int64(len(lits)) && i < 12; i += 2 {
+			off := (int64(lits[i]) + salt) % n
+			ln := min(int64(lits[i+1])%9+1, n-off, int64(len(lits))-i)
+			c.WriteBytes(off, lits[i:i+ln])
+		}
+	}
+	dst = New(n)
+	dst.Fill(seed)
+	patch(dst, 0)
+	if self {
+		return dst, dst
+	}
+	src = New(n)
+	src.FillRange(n/4, n/2, seed+1, 3)
+	patch(src, 61)
+	return dst, src
+}
+
+// FuzzLazyBlockCopy checks the batched block-list copies against two
+// references: a []byte model of one copy per range in list order, and the
+// same copies done with one CopyFrom per range. All three must agree on
+// bytes and Checksum, and the batched and per-range contents on SpanCount,
+// with the span invariants (literal table included) intact.
+func FuzzLazyBlockCopy(f *testing.F) {
+	f.Add(uint8(0), uint64(1), []byte{3, 4, 50, 9}, uint16(7), []byte{10, 20, 40, 5, 90, 23})
+	f.Add(uint8(5), uint64(2), []byte{100, 7}, uint16(3), []byte{1, 16, 0, 16, 7, 3, 2, 23})
+	f.Add(uint8(1), uint64(3), []byte{9, 9, 9}, uint16(0), []byte{150, 20, 10, 20, 12, 20})
+	f.Add(uint8(7), uint64(4), []byte{60, 8, 61, 8}, uint16(40), []byte{0, 10, 0, 10, 4, 10})
+	f.Add(uint8(2), uint64(5), []byte{20, 3}, uint16(90), []byte{80, 23, 10, 23})
+	f.Fuzz(func(t *testing.T, mode uint8, seed uint64, lits []byte, at uint16, ranges []byte) {
+		bc := decodeBlockCopy(mode, at, ranges)
+		rangeAt := func(i int) (int64, int64) { return bc.ranges[i][0], bc.ranges[i][1] }
+
+		dst, src := blockCopyContents(bc.self, seed, lits)
+		refDst, refSrc := blockCopyContents(bc.self, seed, lits)
+		db := make([]byte, blockCopySize)
+		dst.ReadAt(db, 0)
+		sb := db
+		if !bc.self {
+			sb = make([]byte, blockCopySize)
+			src.ReadAt(sb, 0)
+		}
+
+		w := bc.at
+		for _, r := range bc.ranges {
+			off, n := r[0], r[1]
+			if bc.scatter {
+				refDst.CopyFrom(off, refSrc, w, n)
+				copy(db[off:off+n], append([]byte(nil), sb[w:w+n]...))
+			} else {
+				refDst.CopyFrom(w, refSrc, off, n)
+				copy(db[w:w+n], append([]byte(nil), sb[off:off+n]...))
+			}
+			w += n
+		}
+		if bc.scatter {
+			dst.Scatter(len(bc.ranges), rangeAt, src, bc.at)
+		} else {
+			dst.Gather(bc.at, src, len(bc.ranges), rangeAt)
+		}
+
+		checkSpanInvariants(t, dst)
+		checkSpanInvariants(t, refDst)
+		got := make([]byte, blockCopySize)
+		dst.ReadAt(got, 0)
+		if !bytes.Equal(got, db) {
+			t.Fatal("batched copy diverges from the byte model")
+		}
+		if dst.Checksum() != Checksum(db) || refDst.Checksum() != Checksum(db) {
+			t.Fatal("checksums diverge from the byte model")
+		}
+		if dst.SpanCount() != refDst.SpanCount() {
+			t.Fatalf("batched copy leaves %d spans, per-range copies %d", dst.SpanCount(), refDst.SpanCount())
 		}
 	})
 }

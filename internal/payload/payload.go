@@ -19,6 +19,7 @@ package payload
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // --- position-addressable PRF stream ---
@@ -86,38 +87,45 @@ type srcKind uint8
 
 const (
 	srcFill srcKind = iota // bytes [pos, pos+n) of PRF stream `seed`
-	srcLit                 // literal bytes (immutable once attached)
+	srcLit                 // bytes [pos, pos+n) of literal `seed` in Content.lits
 )
 
 // span is one contiguous run of non-zero provenance inside a Content.
-// Ranges not covered by any span read as zero.
+// Ranges not covered by any span read as zero. A span holds no pointers —
+// literal bytes live in the owning Content's table — so span lists are
+// never scanned by the garbage collector and shifting them is a plain
+// memmove without write barriers.
 type span struct {
-	off  int64 // offset within the content
-	n    int64 // length in bytes
+	off  int64  // offset within the content
+	n    int64  // length in bytes
+	seed uint64 // srcFill: stream seed; srcLit: index into Content.lits
+	pos  int64  // position of the span's first byte in its stream or literal
 	kind srcKind
-	seed uint64 // srcFill
-	pos  int64  // srcFill: stream position of the span's first byte
-	lit  []byte // srcLit: len == n; never mutated in place
 }
 
 // trim returns the sub-span covering content range [a, b).
 func (s span) trim(a, b int64) span {
-	d := a - s.off
-	t := span{off: a, n: b - a, kind: s.kind, seed: s.seed}
-	if s.kind == srcFill {
-		t.pos = s.pos + d
-	} else {
-		t.lit = s.lit[d : d+(b-a) : d+(b-a)]
-	}
-	return t
+	s.pos += a - s.off
+	s.off, s.n = a, b-a
+	return s
 }
 
 // mergeable reports whether b directly continues a (so the two can be one
-// span). Literal spans are never merged: that would need a byte copy.
+// span). Literal spans are never merged, so a content's span count does
+// not depend on how its literals are shared.
 func mergeable(a, b span) bool {
 	return a.kind == srcFill && b.kind == srcFill &&
 		a.off+a.n == b.off && a.seed == b.seed && a.pos+a.n == b.pos
 }
+
+// litSlack is how many dead literal-table entries a Content tolerates
+// beyond twice its live literal spans before compacting the table.
+const litSlack = 16
+
+// addPool holds the staging span lists CopyFrom, Gather and Scatter build
+// before their single splice (source spans must be snapshotted before the
+// destination is mutated: self-copies alias).
+var addPool = sync.Pool{New: func() any { return new([]span) }}
 
 // --- Content ---
 
@@ -126,9 +134,12 @@ func mergeable(a, b span) bool {
 type Content struct {
 	n     int64
 	spans []span
-	// scratch is the reusable CopyFrom staging list (src spans must be
-	// snapshotted before mutating the destination: self-copies alias).
-	scratch []span
+	// lits is the literal table srcLit spans index. Entries are immutable
+	// once attached, so copying a literal span into another Content
+	// re-homes only the slice header. nlit counts the live srcLit spans;
+	// the table is compacted when it outgrows them.
+	lits [][]byte
+	nlit int
 }
 
 // New returns an all-zero Content of n bytes.
@@ -156,6 +167,46 @@ func (c *Content) firstOverlap(off int64) int {
 	return sort.Search(len(c.spans), func(i int) bool { return c.spans[i].off+c.spans[i].n > off })
 }
 
+// lit returns the bytes of literal span s.
+func (c *Content) lit(s span) []byte { return c.lits[s.seed][s.pos : s.pos+s.n] }
+
+// homeLit returns the index of literal p in c's table, appending it unless
+// it is the last entry already (consecutive spans from one source literal
+// share one entry).
+func (c *Content) homeLit(p []byte) uint64 {
+	if k := len(c.lits) - 1; k >= 0 && len(c.lits[k]) == len(p) && &c.lits[k][0] == &p[0] {
+		return uint64(k)
+	}
+	c.lits = append(c.lits, p)
+	return uint64(len(c.lits) - 1)
+}
+
+// compactLits drops literal-table entries no span references, keeping the
+// survivors in order and renumbering the spans that use them.
+func (c *Content) compactLits() {
+	idx := make([]int32, len(c.lits))
+	for _, s := range c.spans {
+		if s.kind == srcLit {
+			idx[s.seed] = 1
+		}
+	}
+	w := int32(0)
+	for k, live := range idx {
+		if live != 0 {
+			idx[k] = w
+			c.lits[w] = c.lits[k]
+			w++
+		}
+	}
+	clear(c.lits[w:])
+	c.lits = c.lits[:w]
+	for i := range c.spans {
+		if s := &c.spans[i]; s.kind == srcLit {
+			s.seed = uint64(idx[s.seed])
+		}
+	}
+}
+
 // splice replaces coverage of [off, end) with add (sorted, within
 // [off, end)), splitting boundary spans, then coalesces mergeable fill
 // spans at the seams. The span list is shifted in place: no temporary
@@ -167,13 +218,16 @@ func (c *Content) splice(off, end int64, add []span) {
 	var left, right span
 	var hasLeft, hasRight bool
 	j := i
-	if i < len(c.spans) && c.spans[i].off < end {
+	for j < len(c.spans) && c.spans[j].off < end {
+		if c.spans[j].kind == srcLit {
+			c.nlit--
+		}
+		j++
+	}
+	if j > i {
 		if c.spans[i].off < off {
 			left = c.spans[i].trim(c.spans[i].off, off)
 			hasLeft = true
-		}
-		for j < len(c.spans) && c.spans[j].off < end {
-			j++
 		}
 		if last := c.spans[j-1]; last.off+last.n > end {
 			right = last.trim(end, last.off+last.n)
@@ -205,7 +259,15 @@ func (c *Content) splice(off, end int64, add []span) {
 	if hasRight {
 		c.spans[w] = right
 	}
+	for _, s := range c.spans[i : i+newLen] {
+		if s.kind == srcLit {
+			c.nlit++
+		}
+	}
 	c.coalesce(i, i+newLen)
+	if len(c.lits) > 2*c.nlit+litSlack {
+		c.compactLits()
+	}
 }
 
 // coalesce merges mergeable neighbors around spans [from, to).
@@ -235,6 +297,8 @@ func (c *Content) coalesce(from, to int) {
 // Fill sets the whole content to bytes [0, Len) of PRF stream `seed`.
 func (c *Content) Fill(seed uint64) {
 	c.spans = c.spans[:0]
+	clear(c.lits)
+	c.lits, c.nlit = c.lits[:0], 0
 	if c.n > 0 {
 		c.spans = append(c.spans, span{off: 0, n: c.n, kind: srcFill, seed: seed})
 	}
@@ -258,16 +322,16 @@ func (c *Content) Zero(off, n int64) {
 	c.splice(off, off+n, nil)
 }
 
-// WriteBytes copies p into the content at off (p is cloned: literal spans
-// are immutable so snapshots and slices can alias them safely).
+// WriteBytes copies p into the content at off (p is cloned: literals are
+// immutable so snapshots and slices can alias them safely).
 func (c *Content) WriteBytes(off int64, p []byte) {
 	c.checkRange("WriteBytes", off, int64(len(p)))
 	if len(p) == 0 {
 		return
 	}
-	lit := append([]byte(nil), p...)
-	end := off + int64(len(p))
-	c.splice(off, end, []span{{off: off, n: int64(len(p)), kind: srcLit, lit: lit}})
+	k := c.homeLit(append([]byte(nil), p...))
+	n := int64(len(p))
+	c.splice(off, off+n, []span{{off: off, n: n, kind: srcLit, seed: k}})
 }
 
 // ReadAt materializes content range [off, off+len(p)) into p.
@@ -281,27 +345,38 @@ func (c *Content) ReadAt(p []byte, off int64) {
 	pos := off
 	for i := c.firstOverlap(off); i < len(c.spans) && c.spans[i].off < end; i++ {
 		s := c.spans[i]
-		a, b := s.off, s.off+s.n
-		if a < off {
-			a = off
-		}
-		if b > end {
-			b = end
-		}
-		for k := pos; k < a; k++ {
-			p[k-off] = 0
-		}
+		a, b := max(s.off, off), min(s.off+s.n, end)
+		clear(p[pos-off : a-off])
 		t := s.trim(a, b)
 		if t.kind == srcFill {
 			StreamAt(t.seed, t.pos, p[a-off:b-off])
 		} else {
-			copy(p[a-off:b-off], t.lit)
+			copy(p[a-off:b-off], c.lit(t))
 		}
 		pos = b
 	}
-	for k := pos; k < end; k++ {
-		p[k-off] = 0
+	clear(p[pos-off:])
+}
+
+// appendSpans appends the spans of src covering [srcOff, srcOff+n), moved
+// to start at dstOff, to add. Literal spans of another content are
+// re-homed into c's table; a self-copy keeps its own indices.
+func (c *Content) appendSpans(add []span, dstOff int64, src *Content, srcOff, n int64) []span {
+	if n == 0 {
+		return add
 	}
+	delta := dstOff - srcOff
+	end := srcOff + n
+	for i := src.firstOverlap(srcOff); i < len(src.spans) && src.spans[i].off < end; i++ {
+		s := src.spans[i]
+		t := s.trim(max(s.off, srcOff), min(s.off+s.n, end))
+		t.off += delta
+		if t.kind == srcLit && src != c {
+			t.seed = c.homeLit(src.lits[t.seed])
+		}
+		add = append(add, t)
+	}
+	return add
 }
 
 // CopyFrom copies n bytes of src starting at srcOff into c at dstOff —
@@ -313,24 +388,113 @@ func (c *Content) CopyFrom(dstOff int64, src *Content, srcOff, n int64) {
 	if n == 0 {
 		return
 	}
-	delta := dstOff - srcOff
-	end := srcOff + n
-	add := c.scratch[:0]
-	for i := src.firstOverlap(srcOff); i < len(src.spans) && src.spans[i].off < end; i++ {
-		s := src.spans[i]
-		a, b := s.off, s.off+s.n
-		if a < srcOff {
-			a = srcOff
-		}
-		if b > end {
-			b = end
-		}
-		t := s.trim(a, b)
-		t.off += delta
-		add = append(add, t)
-	}
+	p := addPool.Get().(*[]span)
+	add := c.appendSpans((*p)[:0], dstOff, src, srcOff, n)
 	c.splice(dstOff, dstOff+n, add)
-	c.scratch = add[:0]
+	*p = add[:0]
+	addPool.Put(p)
+}
+
+// Gather copies src's ranges at(0), …, at(nr-1), in list order, into c's
+// contiguous range starting at dstOff: a whole block-list pack as one
+// splice. The ranges may be unsorted or overlap, since src is only read.
+// A self-gather whose ranges overlap the destination range falls back to
+// one CopyFrom per range, which keeps sequential copy semantics.
+func (c *Content) Gather(dstOff int64, src *Content, nr int, at func(i int) (off, n int64)) {
+	var total int64
+	for i := 0; i < nr; i++ {
+		off, n := at(i)
+		src.checkRange("Gather src", off, n)
+		total += n
+	}
+	c.checkRange("Gather dst", dstOff, total)
+	end := dstOff + total
+	batch := true
+	if src == c {
+		for i := 0; i < nr && batch; i++ {
+			off, n := at(i)
+			batch = n == 0 || off >= end || off+n <= dstOff
+		}
+	}
+	w := dstOff
+	if !batch {
+		for i := 0; i < nr; i++ {
+			off, n := at(i)
+			c.CopyFrom(w, src, off, n)
+			w += n
+		}
+		return
+	}
+	if total == 0 {
+		return
+	}
+	p := addPool.Get().(*[]span)
+	add := (*p)[:0]
+	for i := 0; i < nr; i++ {
+		off, n := at(i)
+		add = c.appendSpans(add, w, src, off, n)
+		w += n
+	}
+	c.splice(dstOff, end, add)
+	*p = add[:0]
+	addPool.Put(p)
+}
+
+// Scatter copies src's contiguous range starting at srcOff into c's
+// ranges at(0), …, at(nr-1), in list order: a whole block-list unpack as
+// one splice, the gaps between the ranges keeping c's own spans. Ranges
+// that are not ascending and disjoint, and a self-scatter whose source
+// overlaps them, fall back to one CopyFrom per range.
+func (c *Content) Scatter(nr int, at func(i int) (off, n int64), src *Content, srcOff int64) {
+	var total int64
+	lo, hi := int64(-1), int64(0)
+	batch := true
+	for i := 0; i < nr; i++ {
+		off, n := at(i)
+		c.checkRange("Scatter dst", off, n)
+		total += n
+		if n == 0 {
+			continue
+		}
+		if lo < 0 {
+			lo = off
+		} else if off < hi {
+			batch = false
+		}
+		hi = off + n
+	}
+	src.checkRange("Scatter src", srcOff, total)
+	if batch && src == c && srcOff < hi && srcOff+total > lo {
+		batch = false
+	}
+	r := srcOff
+	if !batch {
+		for i := 0; i < nr; i++ {
+			off, n := at(i)
+			c.CopyFrom(off, src, r, n)
+			r += n
+		}
+		return
+	}
+	if total == 0 {
+		return
+	}
+	p := addPool.Get().(*[]span)
+	add := (*p)[:0]
+	prev := lo
+	for i := 0; i < nr; i++ {
+		off, n := at(i)
+		if n == 0 {
+			continue
+		}
+		add = c.appendSpans(add, prev, c, prev, off-prev)
+		add = c.appendSpans(add, off, src, r, n)
+		r += n
+		prev = off + n
+	}
+	c.splice(lo, prev, add)
+	*p = add[:0]
+	addPool.Put(p)
 }
 
 // Slice returns an immutable snapshot of content range [off, off+n) as a
@@ -392,17 +556,11 @@ func (c *Content) ChecksumRange(off, n int64) uint64 {
 	var buf [512]byte
 	for i := c.firstOverlap(off); i < len(c.spans) && c.spans[i].off < end; i++ {
 		s := c.spans[i]
-		a, b := s.off, s.off+s.n
-		if a < off {
-			a = off
-		}
-		if b > end {
-			b = end
-		}
+		a, b := max(s.off, off), min(s.off+s.n, end)
 		h = hashZeros(h, a-pos)
 		t := s.trim(a, b)
 		if t.kind == srcLit {
-			for _, v := range t.lit {
+			for _, v := range c.lit(t) {
 				h = (h ^ uint64(v)) * fnvPrime
 			}
 		} else {

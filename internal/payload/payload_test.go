@@ -3,7 +3,9 @@ package payload
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // model pairs a Content with a plain []byte shadow; every op is applied to
@@ -159,20 +161,24 @@ func TestConcatLaw(t *testing.T) {
 
 // TestPackUnpackRoundTrip mimics the pack/unpack composition the MPI layer
 // performs: gather strided blocks into a packed staging content, then
-// scatter them back into a zeroed destination — covered bytes must round
-// trip and the packed checksum must equal the packed model bytes.
+// scatter them back into a filled destination — covered bytes must round
+// trip, gaps keep the destination's bytes, and the packed checksum must
+// equal the packed model bytes. Per-block CopyFrom and the batched
+// Gather/Scatter must agree on checksum and span count.
 func TestPackUnpackRoundTrip(t *testing.T) {
 	const n = 4096
 	src := New(n)
 	src.Fill(77)
+	src.WriteBytes(40, []byte("a literal inside a block"))
 	sb := make([]byte, n)
-	FillBytes(sb, 77)
+	src.ReadAt(sb, 0)
 
 	type block struct{ off, ln int64 }
 	var blocks []block
 	for off := int64(16); off+48 < n; off += 160 {
 		blocks = append(blocks, block{off, 48})
 	}
+	at := func(i int) (int64, int64) { return blocks[i].off, blocks[i].ln }
 	var packedLen int64
 	for _, bl := range blocks {
 		packedLen += bl.ln
@@ -185,28 +191,46 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 		copy(pb[w:w+bl.ln], sb[bl.off:bl.off+bl.ln])
 		w += bl.ln
 	}
-	if packed.Checksum() != Checksum(pb) {
-		t.Fatal("packed checksum mismatch")
+	gathered := New(packedLen)
+	gathered.Gather(0, src, len(blocks), at)
+	for _, c := range []*Content{packed, gathered} {
+		if c.Checksum() != Checksum(pb) {
+			t.Fatal("packed checksum mismatch")
+		}
+		// One span per block, plus one where the literal splits block 0.
+		if c.SpanCount() > len(blocks)+1 {
+			t.Fatalf("packed span count %d exceeds block count %d + 1", c.SpanCount(), len(blocks))
+		}
 	}
-	if packed.SpanCount() > len(blocks) {
-		t.Fatalf("packed span count %d exceeds block count %d", packed.SpanCount(), len(blocks))
+	if packed.SpanCount() != gathered.SpanCount() {
+		t.Fatalf("Gather leaves %d spans, per-block copies %d", gathered.SpanCount(), packed.SpanCount())
 	}
 
 	dst := New(n)
+	dst.Fill(5)
 	db := make([]byte, n)
+	FillBytes(db, 5)
 	w = 0
 	for _, bl := range blocks {
 		dst.CopyFrom(bl.off, packed, w, bl.ln)
 		copy(db[bl.off:bl.off+bl.ln], pb[w:w+bl.ln])
 		w += bl.ln
 	}
-	if dst.Checksum() != Checksum(db) {
-		t.Fatal("unpacked checksum mismatch")
+	scattered := New(n)
+	scattered.Fill(5)
+	scattered.Scatter(len(blocks), at, packed, 0)
+	for _, c := range []*Content{dst, scattered} {
+		if c.Checksum() != Checksum(db) {
+			t.Fatal("unpacked checksum mismatch")
+		}
+		got := make([]byte, n)
+		c.ReadAt(got, 0)
+		if !bytes.Equal(got, db) {
+			t.Fatal("unpacked bytes mismatch")
+		}
 	}
-	got := make([]byte, n)
-	dst.ReadAt(got, 0)
-	if !bytes.Equal(got, db) {
-		t.Fatal("unpacked bytes mismatch")
+	if dst.SpanCount() != scattered.SpanCount() {
+		t.Fatalf("Scatter leaves %d spans, per-block copies %d", scattered.SpanCount(), dst.SpanCount())
 	}
 }
 
@@ -242,6 +266,9 @@ func TestRangePanics(t *testing.T) {
 		func() { c.ReadAt(make([]byte, 4), 8) },
 		func() { c.Slice(-1, 2) },
 		func() { c.ChecksumRange(0, 11) },
+		func() { c.Gather(8, c, 1, func(int) (int64, int64) { return 0, 4 }) },
+		func() { c.Scatter(1, func(int) (int64, int64) { return 0, 4 }, c, 8) },
+		func() { c.Scatter(1, func(int) (int64, int64) { return 8, 4 }, c, 0) },
 	} {
 		func() {
 			defer func() {
@@ -251,5 +278,70 @@ func TestRangePanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestSpanIsPointerFree pins the span layout: 40 bytes of scalars, so span
+// lists are never scanned by the garbage collector. A pointer-bearing
+// field (a slice, a string, an interface) fails here.
+func TestSpanIsPointerFree(t *testing.T) {
+	if got := unsafe.Sizeof(span{}); got != 40 {
+		t.Fatalf("span is %d bytes, want 40", got)
+	}
+	typ := reflect.TypeOf(span{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Int64, reflect.Uint64, reflect.Uint8:
+		default:
+			t.Fatalf("span field %s has kind %s; spans must stay pointer-free scalars", f.Name, f.Type.Kind())
+		}
+	}
+}
+
+// liveLits counts a content's literal spans.
+func liveLits(c *Content) int {
+	n := 0
+	for _, s := range c.spans {
+		if s.kind == srcLit {
+			n++
+		}
+	}
+	return n
+}
+
+// TestLiteralTableBounded: rewriting one range with literals over and
+// over, or copying a literal-bearing content over another again and
+// again, keeps the literal table within twice the live literal spans plus
+// a constant.
+func TestLiteralTableBounded(t *testing.T) {
+	check := func(c *Content, ctx string, i int) {
+		t.Helper()
+		if live := liveLits(c); len(c.lits) > 2*live+litSlack {
+			t.Fatalf("%s %d: literal table holds %d entries for %d literal spans", ctx, i, len(c.lits), live)
+		}
+	}
+	c := New(4096)
+	c.Fill(1)
+	for i := 0; i < 10000; i++ {
+		if i%2 == 0 {
+			c.CorruptSplice(100, 64, uint64(i))
+		} else {
+			c.WriteBytes(120, []byte{byte(i), byte(i >> 8), 7})
+		}
+		check(c, "rewrite", i)
+	}
+
+	src := New(4096)
+	src.Fill(2)
+	src.WriteBytes(10, []byte("literal one"))
+	src.WriteBytes(2000, []byte("literal two"))
+	src.CopyFrom(3000, src, 0, 100)
+	dst := New(4096)
+	for i := 0; i < 10000; i++ {
+		dst.CopyFrom(int64(i%7), src, 0, 4000)
+		check(dst, "copy", i)
+	}
+	if liveLits(dst) != 3 {
+		t.Fatalf("copy target holds %d literal spans, want 3", liveLits(dst))
 	}
 }
