@@ -752,6 +752,7 @@ func (c *RankCtx) CheckpointRegisterWindow(w *Window) error {
 	if b == nil {
 		return fmt.Errorf("dkf: window %q not attached on rank %d", w.Name(), c.ID())
 	}
+	w.Retain() // a later Restore may write into the region
 	key := ckptWinKey{rank: c.ID(), name: w.Name()}
 	switch old := s.ckptWins[key]; {
 	case old == nil:
@@ -887,8 +888,8 @@ func (s *Session) engineFor(cm *Comm) *coll.Engine {
 	return e
 }
 
-// Close releases every device buffer the session allocated (including
-// internal staging buffers) so long-lived callers don't hold the arenas
+// Close releases every device buffer the session allocated and empties
+// the devices' staging pools, so long-lived callers don't hold the arenas
 // alive. Further Run/Alloc calls fail; Close is idempotent. Traces,
 // timelines, and device stats stay readable after Close.
 func (s *Session) Close() error {
@@ -898,7 +899,7 @@ func (s *Session) Close() error {
 	s.closed = true
 	for _, node := range s.cluster.Devices {
 		for _, d := range node {
-			d.FreeAll()
+			d.Close()
 		}
 	}
 	return nil

@@ -150,8 +150,9 @@ func (m measure) cells() []string {
 // run is the harness's one world runner. It drives body on every rank —
 // the first body error wins — and times the run in host wall time and
 // allocation after a GC. It then applies every leak oracle: no request,
-// fused job or proc may outlive the run, nor, when the rma fabric f is in
-// use, any one-sided op. A broken oracle is an error, never a number.
+// fused job, proc or lent staging byte may outlive the run, nor, when the
+// rma fabric f is in use, any one-sided op. A broken oracle is an error,
+// never a number.
 func run(w *mpi.World, f *rma.Fabric, body func(r *mpi.Rank, p *sim.Proc) error) (measure, error) {
 	var bodyErr error
 	var before, after runtime.MemStats
@@ -182,6 +183,8 @@ func run(w *mpi.World, f *rma.Fabric, body func(r *mpi.Rank, p *sim.Proc) error)
 		return m, fmt.Errorf("bench: run left %d live procs", w.Env.LiveProcs())
 	case f != nil && f.PendingOps() != 0:
 		return m, fmt.Errorf("bench: run left %d one-sided ops pending", f.PendingOps())
+	case w.LiveStagingBytes() != 0:
+		return m, fmt.Errorf("bench: run left %d staging bytes lent", w.LiveStagingBytes())
 	}
 	return m, nil
 }

@@ -168,6 +168,9 @@ func runRMAAlltoallw(ranks int, lazy bool, alg coll.Algorithm) (rmaMeasure, [2]i
 			}
 			w.Barrier(p)
 		}
+		if rerr := e.Release(r); rerr != nil && first == nil {
+			first = rerr
+		}
 		return first
 	})
 	rm := rmaMeasure{measure: m, msgs: w.Cluster.Net.TotalMessages(), rma: f.TotalStats()}

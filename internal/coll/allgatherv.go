@@ -219,7 +219,7 @@ func (c *call) allgathervHier(send VOp, recvs []VOp) error {
 	}
 
 	if id == leader {
-		staging := c.staging("ag-all", off[size])
+		staging := c.staging(off[size])
 		// Window A1: gather recvs from locals (IPC into staging), own
 		// contribution packed into place, bundle recvs posted (contig,
 		// ungated), our contribution direct-sent to local peers.
@@ -322,7 +322,7 @@ func (c *call) allgathervHier(send VOp, recvs []VOp) error {
 		remOff[ns] = remote
 		remote += nodeLen(ns)
 	}
-	myStaging := c.staging("ag-rem", remote)
+	myStaging := c.staging(remote)
 	// Window A: everything we originate (contribution to the leader and
 	// to local peers) plus all our receives, posted then closed.
 	if c.batch != nil {

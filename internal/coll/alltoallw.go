@@ -177,7 +177,7 @@ func (c *call) alltoallwHier(ops []WOp) error {
 		if lr == id {
 			continue
 		}
-		sizeBufs[li] = c.staging("sizes", int64(2*size*8))
+		sizeBufs[li] = c.stagingExact(int64(2 * size * 8))
 		q := c.bind(r.IrecvRaw(c.p, lr, c.tag(tagSizes), sizeBufs[li], c.bytesAt(0, int64(2*size*8)), 1))
 		c.all = append(c.all, q)
 		sizeRecvs = append(sizeRecvs, q)
@@ -198,9 +198,9 @@ func (c *call) alltoallwHier(ops []WOp) error {
 		}
 		out := make([]int64, size)
 		in := make([]int64, size)
-		// Size tables are control metadata, not payload: decode real bytes
-		// regardless of payload mode.
-		data := sizeBufs[li].Materialize()
+		// Size tables are control metadata, not payload: byte-exact
+		// staging whatever the payload mode.
+		data := sizeBufs[li].Data
 		for i := 0; i < size; i++ {
 			out[i] = int64(binary.LittleEndian.Uint64(data[i*8:]))
 			in[i] = int64(binary.LittleEndian.Uint64(data[(size+i)*8:]))
@@ -248,8 +248,8 @@ func (c *call) alltoallwHier(ops []WOp) error {
 		}
 		plan.bundleInLen[nd] = plan.totalIn - plan.bundleInOff[nd]
 	}
-	stagingOut := c.staging("a2a-out", plan.totalOut)
-	stagingIn := c.staging("a2a-in", plan.totalIn)
+	stagingOut := c.staging(plan.totalOut)
+	stagingIn := c.staging(plan.totalIn)
 
 	// --- window A1: post everything outbound-facing; close launches the
 	// fused pack kernel (own cross-leg packs + self-leg pack). ---
@@ -362,8 +362,8 @@ func (c *call) hierLocal(ops []WOp, leader int, locals []int, myOut, myIn []int6
 	if c.batch != nil {
 		c.openWin()
 	}
-	sizeBuf := c.staging("sizes", int64(2*size*8))
-	sizeData := sizeBuf.Materialize() // control metadata stays byte-exact
+	sizeBuf := c.stagingExact(int64(2 * size * 8))
+	sizeData := sizeBuf.Data // control metadata stays byte-exact
 	for i := 0; i < size; i++ {
 		binary.LittleEndian.PutUint64(sizeData[i*8:], uint64(myOut[i]))
 		binary.LittleEndian.PutUint64(sizeData[(size+i)*8:], uint64(myIn[i]))

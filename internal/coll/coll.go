@@ -183,7 +183,6 @@ type shiftKey struct {
 
 type rankState struct {
 	seq     int // collective-call sequence (tag derivation)
-	staging int // unique staging-buffer names
 	shifted map[shiftKey]*datatype.Layout
 	contig  map[[2]int64]*datatype.Layout
 	a2a     *a2aState // persistent one-sided Alltoallw negotiation (onesided.go)
@@ -289,6 +288,7 @@ type call struct {
 	batch   batchScheme // nil when windows are off for this call
 	winOpen int         // fusion windows currently open (see openWin)
 	all     []*mpi.Request
+	lent    []*gpu.Buffer // staging to give back in finish
 	t0      int64
 	bytes   int64 // payload posted (sends), for the wrapper span
 }
@@ -344,6 +344,12 @@ func (c *call) finish(kind string, alg Algorithm, stageErr error) error {
 		} else {
 			err = stageErr
 		}
+	}
+	// Every request and handle has settled, so a successful call's
+	// staging is unreachable; a failed call's may still be written by
+	// work its error path abandoned, so it is retired.
+	for _, b := range c.lent {
+		c.r.ReleaseStaging(b, err == nil)
 	}
 	if err != nil && c.r.World().FTEnabled() {
 		var rf *mpi.RankFailedError
@@ -528,13 +534,20 @@ func (c *call) waitHandles(hs []mpi.Handle) error {
 	}
 }
 
-// staging allocates a uniquely named device staging buffer for this rank.
-func (c *call) staging(kind string, n int64) *gpu.Buffer {
-	c.st.staging++
-	if n <= 0 {
-		n = 1
-	}
-	return c.r.Dev.Alloc(fmt.Sprintf("coll-%s-%d-%d", kind, c.r.ID(), c.st.staging), int(n))
+// staging lends a device staging buffer of n bytes (at least one) for
+// the rest of the call; finish gives it back.
+func (c *call) staging(n int64) *gpu.Buffer {
+	b := c.r.Dev.Staging(int(max(n, 1)))
+	c.lent = append(c.lent, b)
+	return b
+}
+
+// stagingExact is staging with real bytes whatever the payload mode, for
+// control metadata the host reads and writes.
+func (c *call) stagingExact(n int64) *gpu.Buffer {
+	b := c.r.Dev.StagingExact(int(max(n, 1)))
+	c.lent = append(c.lent, b)
+	return b
 }
 
 // shifted returns l's blocks repeated count times and displaced by off

@@ -50,6 +50,9 @@ func checkNoLeaks(t *testing.T, w *mpi.World, label string) {
 	if n := w.LeakedRequests(); n != 0 {
 		t.Fatalf("%s: %d leaked requests", label, n)
 	}
+	if n := w.LiveStagingBytes(); n != 0 {
+		t.Fatalf("%s: %d staging bytes left lent", label, n)
+	}
 }
 
 // --- Alltoallw ---
@@ -118,6 +121,9 @@ func runAlltoallw(t *testing.T, scheme string, alg coll.Algorithm, l *datatype.L
 	err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
 		if cerr := e.Alltoallw(p, r, ops[r.ID()]); cerr != nil {
 			t.Errorf("rank %d: %v", r.ID(), cerr)
+		}
+		if rerr := e.Release(r); rerr != nil {
+			t.Errorf("rank %d: release: %v", r.ID(), rerr)
 		}
 	})
 	if err != nil {

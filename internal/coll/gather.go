@@ -100,7 +100,7 @@ func (c *call) gathervHier(root int, send VOp, recvs []VOp) error {
 		if total == 0 {
 			return nil
 		}
-		staging := c.staging("gv-node", total)
+		staging := c.staging(total)
 		loff := make(map[int]int64, len(locals))
 		var at int64
 		for _, lr := range locals {
@@ -157,7 +157,7 @@ func (c *call) gathervHier(root int, send VOp, recvs []VOp) error {
 		inOff[ns] = totalIn
 		totalIn += nodeTotal(ns)
 	}
-	stagingIn := c.staging("gv-in", totalIn)
+	stagingIn := c.staging(totalIn)
 	if c.batch != nil {
 		c.openWin()
 	}
@@ -290,7 +290,7 @@ func (c *call) scattervHier(root int, sends []VOp, recv VOp) error {
 			outOff[nd] = totalOut
 			totalOut += nodeTotal(nd)
 		}
-		stagingOut := c.staging("sv-out", totalOut)
+		stagingOut := c.staging(totalOut)
 		if c.batch != nil {
 			c.openWin()
 		}
@@ -359,7 +359,7 @@ func (c *call) scattervHier(root int, sends []VOp, recv VOp) error {
 		if total == 0 {
 			return nil
 		}
-		staging := c.staging("sv-node", total)
+		staging := c.staging(total)
 		q := c.bind(r.IrecvRaw(c.p, root, c.tag(tagBundle), staging, c.bytesAt(0, total), 1))
 		c.all = append(c.all, q)
 		if err := c.subsetWait([]*mpi.Request{q}); err != nil {

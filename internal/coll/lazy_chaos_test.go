@@ -28,6 +28,7 @@ type lazyChaosObs struct {
 	tlSums     []string
 	leaked     int
 	fusedLeft  int
+	staging    int64
 }
 
 // runLazyChaosA2A drives a crash-preset Alltoallw in one payload mode.
@@ -63,6 +64,7 @@ func runLazyChaosA2A(t *testing.T, lazy bool, alg coll.Algorithm, seed uint64) *
 	}
 	obs.leaked = w.LeakedRequests()
 	obs.fusedLeft = w.PendingFusedJobs()
+	obs.staging = w.LiveStagingBytes()
 	return obs
 }
 
@@ -96,11 +98,15 @@ func TestLazyCollectivesRankCrash(t *testing.T) {
 						t.Fatalf("seed %d: lazy survivor %d got untyped error: %v", seed, i, rerr)
 					}
 				}
-				if lz.leaked != 0 || lz.fusedLeft != 0 {
-					t.Fatalf("seed %d: lazy run leaked state: requests=%d fused=%d", seed, lz.leaked, lz.fusedLeft)
+				if lz.leaked != 0 || lz.fusedLeft != 0 || lz.staging != 0 {
+					t.Fatalf("seed %d: lazy run leaked state: requests=%d fused=%d staging=%d",
+						seed, lz.leaked, lz.fusedLeft, lz.staging)
 				}
 
 				ex := runLazyChaosA2A(t, false, alg, seed)
+				if ex.staging != 0 {
+					t.Fatalf("seed %d: exact run left %d staging bytes lent", seed, ex.staging)
+				}
 				if ex.finalClock != lz.finalClock {
 					t.Fatalf("seed %d: final clock differs: exact %d vs lazy %d", seed, ex.finalClock, lz.finalClock)
 				}

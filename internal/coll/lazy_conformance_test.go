@@ -117,6 +117,9 @@ func a2aCell(scheme string, alg coll.Algorithm, l *datatype.Layout, mut func(*mp
 			if cerr := e.Alltoallw(p, r, ops[r.ID()]); cerr != nil {
 				t.Errorf("rank %d: %v", r.ID(), cerr)
 			}
+			if rerr := e.Release(r); rerr != nil {
+				t.Errorf("rank %d: release: %v", r.ID(), rerr)
+			}
 		})
 		if err != nil {
 			t.Fatalf("%s/%s lazy=%v: %v", scheme, alg, lazy, err)

@@ -227,6 +227,33 @@ func a2aShape(ops []WOp) uint64 {
 	return h
 }
 
+// close balances this rank's opens of the negotiated window and signals,
+// so the last rank to close frees them. Resources of a superseded fabric
+// epoch were already invalidated by the reseat.
+func (st *a2aState) close(f *rma.Fabric) error {
+	if st.win == nil || st.epoch != f.Epoch() {
+		return nil
+	}
+	f.CloseSignal(st.sigOff)
+	f.CloseSignal(st.sigDat)
+	return f.CloseWindow(st.win)
+}
+
+// Release frees rank r's share of the engine's persistent one-sided
+// Alltoallw state. Every rank calls it after its last collective on the
+// engine, as MPI_Win_free is called; the last caller's close gives the
+// window's buffers back to the staging pools. A later one-sided Alltoallw
+// negotiates afresh.
+func (e *Engine) Release(r *mpi.Rank) error {
+	st := e.ranks[r.ID()]
+	if st.a2a == nil || e.rmaF == nil {
+		return nil
+	}
+	err := st.a2a.close(e.rmaF)
+	st.a2a = &a2aState{gen: st.a2a.gen + 1}
+	return err
+}
+
 // a2aResources returns the rank's negotiated Alltoallw state, (re)building
 // it when the shape or the fabric epoch changed. Publication of the n-1
 // control offsets happens in alltoallwOneSided on the generation's first
@@ -235,13 +262,8 @@ func (c *call) a2aResources(f *rma.Fabric, ops []WOp, id int, inTotal, outTotal 
 	shape := a2aShape(ops)
 	st := c.st.a2a
 	if st != nil && (st.epoch != f.Epoch() || st.shape != shape) {
-		if st.epoch == f.Epoch() {
-			// Same epoch, new shape: balance this rank's opens so the
-			// last renegotiating rank frees the old generation.
-			f.CloseWindow(st.win)
-			f.CloseSignal(st.sigOff)
-			f.CloseSignal(st.sigDat)
-		}
+		// The last renegotiating rank frees the old generation.
+		st.close(f)
 		st = &a2aState{gen: st.gen + 1}
 		c.st.a2a = st
 	}

@@ -68,6 +68,7 @@ type osChaosObservation struct {
 	fusedLeft  int
 	pendingOps int
 	reaped     int64
+	staging    int64
 }
 
 func runOneSidedChaosCell(t *testing.T, cc osChaosCase, lazy bool, seed uint64) *osChaosObservation {
@@ -106,6 +107,7 @@ func runOneSidedChaosCell(t *testing.T, cc osChaosCase, lazy bool, seed uint64) 
 	obs.leaked = w.LeakedRequests()
 	obs.fusedLeft = w.PendingFusedJobs()
 	obs.pendingOps = f.PendingOps()
+	obs.staging = w.LiveStagingBytes()
 	obs.reaped = f.TotalStats().Reaped
 	return obs
 }
@@ -136,6 +138,9 @@ func assertOneSidedChaosContract(t *testing.T, cc osChaosCase, lazy bool, seed u
 	}
 	if obs.pendingOps != 0 {
 		t.Fatalf("%s: %d one-sided deposits leaked", label, obs.pendingOps)
+	}
+	if obs.staging != 0 {
+		t.Fatalf("%s: %d staging bytes left lent", label, obs.staging)
 	}
 }
 
@@ -308,6 +313,9 @@ func oneSidedShrinkRetry(t *testing.T, alg coll.Algorithm, lazy bool) []uint64 {
 		}
 		if rerr := se.Allgatherv(p, r, agSends[cr], agRecvs[cr]); rerr != nil {
 			t.Errorf("rank %d: allgatherv retry: %v", r.ID(), rerr)
+		}
+		if rerr := se.Release(r); rerr != nil {
+			t.Errorf("rank %d: release: %v", r.ID(), rerr)
 		}
 	})
 	if runErr != nil {

@@ -125,6 +125,7 @@ type chaosObservation struct {
 	tlSums     []string
 	leaked     int
 	fusedLeft  int
+	staging    int64
 }
 
 // runChaosCell drives one matrix cell once: survivors loop the collective
@@ -162,6 +163,7 @@ func runChaosCell(t *testing.T, cc chaosCase, seed uint64) *chaosObservation {
 	}
 	obs.leaked = w.LeakedRequests()
 	obs.fusedLeft = w.PendingFusedJobs()
+	obs.staging = w.LiveStagingBytes()
 	return obs
 }
 
@@ -187,6 +189,9 @@ func assertChaosContract(t *testing.T, cc chaosCase, seed uint64, obs *chaosObse
 	}
 	if obs.fusedLeft != 0 {
 		t.Fatalf("%s seed %d: %d fused jobs stranded", cc.name, seed, obs.fusedLeft)
+	}
+	if obs.staging != 0 {
+		t.Fatalf("%s seed %d: %d staging bytes left lent", cc.name, seed, obs.staging)
 	}
 }
 
@@ -326,6 +331,9 @@ func TestShrinkRetryByteExact(t *testing.T) {
 	}
 	if n := w.LeakedRequests(); n != 0 {
 		t.Fatalf("%d leaked requests", n)
+	}
+	if n := w.LiveStagingBytes(); n != 0 {
+		t.Fatalf("%d staging bytes left lent", n)
 	}
 	if n := w.PendingFusedJobs(); n != 0 {
 		t.Fatalf("%d fused jobs stranded", n)

@@ -70,6 +70,9 @@ func TestChaosAllSchemesAllPresets(t *testing.T) {
 						if res.PendingFused != 0 {
 							t.Fatalf("seed %d %s: %d fused jobs stranded", seed, scheme, res.PendingFused)
 						}
+						if res.LiveStaging != 0 {
+							t.Fatalf("seed %d %s: %d staging bytes left lent", seed, scheme, res.LiveStaging)
+						}
 						injectedTotal += res.FaultEvents
 						continue
 					}
@@ -84,6 +87,9 @@ func TestChaosAllSchemesAllPresets(t *testing.T) {
 					}
 					if res.PendingFused != 0 {
 						t.Fatalf("seed %d %s: %d fused jobs stranded", seed, scheme, res.PendingFused)
+					}
+					if res.LiveStaging != 0 {
+						t.Fatalf("seed %d %s: %d staging bytes left lent", seed, scheme, res.LiveStaging)
 					}
 					injectedTotal += res.FaultEvents
 				}
@@ -166,6 +172,9 @@ func TestChaosUnrecoverableSurfacesTypedErrors(t *testing.T) {
 	if res.PendingFused != 0 {
 		t.Fatalf("%d fused jobs stranded after error path", res.PendingFused)
 	}
+	if res.LiveStaging != 0 {
+		t.Fatalf("%d staging bytes left lent after error path", res.LiveStaging)
+	}
 }
 
 // TestChaosGeneratedScenarios runs seeded generator scenarios (the same
@@ -192,8 +201,8 @@ func TestChaosGeneratedScenarios(t *testing.T) {
 			if err := compare("model", scheme, want, res.Recv); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			if res.Leaked != 0 {
-				t.Fatalf("seed %d %s: %d leaked requests", seed, scheme, res.Leaked)
+			if res.Leaked != 0 || res.LiveStaging != 0 {
+				t.Fatalf("seed %d %s: leaked %d requests and %d staging bytes", seed, scheme, res.Leaked, res.LiveStaging)
 			}
 		}
 	}

@@ -115,6 +115,9 @@ type Result struct {
 	// invariant: a collective or exchange that fails mid-phase must not
 	// strand fused jobs (must be zero, fused schemes or not).
 	PendingFused int
+	// LiveStaging is the staging bytes still lent out on live ranks after
+	// the run (mpi.World.LiveStagingBytes; must be zero).
+	LiveStaging int64
 }
 
 // fillKind selects how scenario buffers are seeded.
@@ -216,6 +219,7 @@ func runScenario(sc Scenario, scheme string, fill fillKind, lazy bool) (*Result,
 	res.Leaked = world.LeakedRequests()
 	res.Retrans = world.Injector().Count(fault.Retransmit)
 	res.PendingFused = world.PendingFusedJobs()
+	res.LiveStaging = world.LiveStagingBytes()
 	for i := 0; i < world.Size(); i++ {
 		st := world.Rank(i).Dev.Stats
 		res.Kernels += st.KernelLaunches
@@ -335,6 +339,9 @@ func Differential(sc Scenario) error {
 		if err := compare("model", name, want, res.Recv); err != nil {
 			return err
 		}
+		if res.LiveStaging != 0 {
+			return fmt.Errorf("conformance: %s run left %d staging bytes lent", name, res.LiveStaging)
+		}
 		if first == nil {
 			first = res
 		} else if err := compare(first.Scheme, name, first.Recv, res.Recv); err != nil {
@@ -380,9 +387,9 @@ func LazyDifferential(sc Scenario, scheme string) error {
 			scheme, lazy.Kernels, lazy.MovedBytes, exact.Kernels, exact.MovedBytes)
 	}
 	for _, r := range []*Result{exact, lazy} {
-		if r.Leaked != 0 || r.PendingFused != 0 || r.LiveProcs != 0 {
-			return fmt.Errorf("conformance: %s %s run leaked state: requests=%d fused=%d procs=%d",
-				scheme, map[bool]string{false: "exact", true: "lazy"}[r == lazy], r.Leaked, r.PendingFused, r.LiveProcs)
+		if r.Leaked != 0 || r.PendingFused != 0 || r.LiveProcs != 0 || r.LiveStaging != 0 {
+			return fmt.Errorf("conformance: %s %s run leaked state: requests=%d fused=%d procs=%d staging=%d",
+				scheme, map[bool]string{false: "exact", true: "lazy"}[r == lazy], r.Leaked, r.PendingFused, r.LiveProcs, r.LiveStaging)
 		}
 	}
 	return nil
@@ -444,9 +451,9 @@ func ChaosLazyDifferential(sc Scenario, scheme string) error {
 	}
 	for _, r := range []*Result{exact, lazy} {
 		mode := map[bool]string{false: "exact", true: "lazy"}[r == lazy]
-		if r.Leaked != 0 || r.PendingFused != 0 {
-			return fmt.Errorf("conformance: %s %s chaos run leaked state: requests=%d fused=%d",
-				scheme, mode, r.Leaked, r.PendingFused)
+		if r.Leaked != 0 || r.PendingFused != 0 || r.LiveStaging != 0 {
+			return fmt.Errorf("conformance: %s %s chaos run leaked state: requests=%d fused=%d staging=%d",
+				scheme, mode, r.Leaked, r.PendingFused, r.LiveStaging)
 		}
 	}
 	return nil

@@ -22,9 +22,9 @@ func planCheck(sc Scenario, scheme string) error {
 		return fmt.Errorf("conformance: %s moved %d bytes without compiling a pack plan",
 			scheme, sc.Send.SizeBytes*int64(sc.Count))
 	}
-	if res.Leaked != 0 || res.PendingFused != 0 || res.LiveProcs != 0 {
-		return fmt.Errorf("conformance: %s run leaked state: requests=%d fused=%d procs=%d",
-			scheme, res.Leaked, res.PendingFused, res.LiveProcs)
+	if res.Leaked != 0 || res.PendingFused != 0 || res.LiveProcs != 0 || res.LiveStaging != 0 {
+		return fmt.Errorf("conformance: %s run leaked state: requests=%d fused=%d procs=%d staging=%d",
+			scheme, res.Leaked, res.PendingFused, res.LiveProcs, res.LiveStaging)
 	}
 	return nil
 }

@@ -43,6 +43,12 @@ type Buffer struct {
 	Lazy *payload.Content
 	// Dev is the owning device for SpaceDevice buffers, nil for host.
 	Dev *Device
+
+	// Staging-pool bookkeeping (pool.go): whether the buffer is lent out
+	// now, its pool list, and the pool generation it was lent in.
+	lent bool
+	key  poolKey
+	gen  uint32
 }
 
 // Len returns the buffer length in bytes.
@@ -168,6 +174,14 @@ type Device struct {
 	names map[string]struct{}
 	bufs  []*Buffer
 	Stats Stats
+
+	// The staging pool (pool.go): idle buffers by mode and size class,
+	// their count, the bytes lent out, and the pool generation Close
+	// advances so buffers lent before it cannot be given back after.
+	idle  map[poolKey][]*Buffer
+	nidle int
+	lent  int64
+	gen   uint32
 }
 
 // NewDevice creates a device with the given architecture on the simulation
@@ -217,9 +231,11 @@ func (d *Device) AllocE(name string, n int) (*Buffer, error) {
 	return b, nil
 }
 
-// FreeAll releases every buffer allocated on the device: backing storage is
+// FreeAll releases every buffer Alloc'ed on the device: backing storage is
 // dropped and all names become available again. Buffers handed out earlier
-// must not be used afterwards.
+// must not be used afterwards. Staging is runtime state, like the layout
+// caches: lent buffers and the idle pool stay as they are (Close releases
+// them too).
 func (d *Device) FreeAll() {
 	for _, b := range d.bufs {
 		b.Data = nil
@@ -230,7 +246,8 @@ func (d *Device) FreeAll() {
 	d.alloc = 0
 }
 
-// AllocatedBytes reports the total device memory allocated so far.
+// AllocatedBytes reports the device memory Alloc'ed and not yet released
+// by FreeAll; staging is counted by LiveBytes.
 func (d *Device) AllocatedBytes() int64 { return d.alloc }
 
 // NewStream creates an in-order execution queue on the device.

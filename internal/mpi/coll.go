@@ -80,7 +80,7 @@ func (r *Rank) Bcast(p *sim.Proc, root int, buf *gpu.Buffer, l *datatype.Layout,
 // core runs recursive doubling, and the result is sent back out. Errors
 // (undersized buffer, failed underlying transfers) are returned — the old
 // power-of-two-only panic path is gone.
-func (r *Rank) AllreduceSumF64(p *sim.Proc, buf *gpu.Buffer, n int) error {
+func (r *Rank) AllreduceSumF64(p *sim.Proc, buf *gpu.Buffer, n int) (err error) {
 	size := r.world.Size()
 	bytes := n * 8
 	if n < 0 || buf.Len() < bytes {
@@ -90,11 +90,11 @@ func (r *Rank) AllreduceSumF64(p *sim.Proc, buf *gpu.Buffer, n int) error {
 		return nil
 	}
 	l := datatype.Commit(datatype.Contiguous(n, datatype.Float64))
-	tmp := r.stagingBuf(int64(bytes))
 	// Element-wise arithmetic needs real bytes whatever the payload mode:
 	// a sum is not expressible in the lazy span algebra.
+	tmp := r.Dev.StagingExact(bytes)
+	defer func() { r.ReleaseStaging(tmp, err == nil) }()
 	buf.Materialize()
-	tmp.Materialize()
 	reduceInto := func(dst *gpu.Buffer, src *gpu.Buffer) {
 		for i := 0; i < n; i++ {
 			a := math.Float64frombits(binary.LittleEndian.Uint64(dst.Data[i*8:]))

@@ -353,8 +353,6 @@ type Rank struct {
 	streamSeq  map[uint64]int64 // sender: last envelope sequence per streamKey(dest, tag)
 	streamNext map[uint64]int64 // receiver: last sequence admitted per streamKey(source, tag)
 	early      []*message       // receiver: envelopes ahead of their stream
-
-	stagingSeq int
 }
 
 // assignSeq stamps a send request with its per-destination sequence.
@@ -775,10 +773,23 @@ func (q *Request) matches(m *message) bool {
 	return m.kind == mkEager || m.kind == mkRTS || m.kind == mkErr
 }
 
-// stagingBuf allocates a packed staging buffer on the rank's device.
-func (r *Rank) stagingBuf(n int64) *gpu.Buffer {
-	r.stagingSeq++
-	return r.Dev.Alloc(fmt.Sprintf("staging-%d-%d", r.id, r.stagingSeq), int(n))
+// stagingBuf lends a packed staging buffer from the rank's device pool;
+// the request gives it back when it settles (complete, fail).
+func (r *Rank) stagingBuf(n int64) *gpu.Buffer { return r.Dev.Staging(int(n)) }
+
+// ReleaseStaging gives staging lent by the rank's device back to the pool
+// when reusable is set and nothing can still reach it, and retires it
+// otherwise. With the reliability layer on, nothing is reusable: late RDMA
+// callbacks and retransmissions may still read or write any buffer a
+// request touched after the request settled.
+func (r *Rank) ReleaseStaging(b *gpu.Buffer, reusable bool) {
+	switch {
+	case b == nil:
+	case reusable && !r.reliable():
+		r.Dev.Free(b)
+	default:
+		r.Dev.Retire(b)
+	}
 }
 
 // postCtrl sends a small control message on behalf of owner, charging NIC
@@ -1025,6 +1036,7 @@ func (r *Rank) startTransfer(p *sim.Proc, q *Request) {
 func (r *Rank) complete(q *Request) {
 	q.state = stDone
 	q.DoneAt = r.world.Env.Now()
+	r.ReleaseStaging(q.packed, true)
 	q.doneEv.Fire()
 	for i, a := range r.active {
 		if a == q {

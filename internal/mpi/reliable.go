@@ -427,6 +427,7 @@ func (r *Rank) fail(p *sim.Proc, q *Request, phase string, attempts int, err err
 	}
 	q.state = stFailed
 	q.DoneAt = r.world.Env.Now()
+	r.ReleaseStaging(q.packed, false)
 	if q.isSend && !q.emitted {
 		// The envelope never went out; emit a no-op in its FIFO slot so
 		// later sends to the same destination are not wedged forever
@@ -654,6 +655,19 @@ func (w *World) LeakedRequests() int {
 			continue
 		}
 		n += len(r.active)
+	}
+	return n
+}
+
+// LiveStagingBytes sums the staging bytes lent out on the surviving ranks'
+// devices: zero once every request and collective has given its staging
+// back. Crashed ranks are excluded, as in LeakedRequests.
+func (w *World) LiveStagingBytes() int64 {
+	var n int64
+	for _, r := range w.ranks {
+		if !w.isCrashed(r.id) {
+			n += r.Dev.LiveBytes()
+		}
 	}
 	return n
 }

@@ -431,3 +431,31 @@ func TestManyRequestsUnderMixedChaos(t *testing.T) {
 		t.Fatalf("%d leaked requests", w.LeakedRequests())
 	}
 }
+
+// Request staging goes back to the device pool when the request completes.
+// With the reliability layer on it is retired instead, because late RDMA
+// callbacks and retransmissions may still reach it. Either way none stays
+// lent.
+func TestRequestStagingPooledOrRetired(t *testing.T) {
+	l := datatype.Commit(datatype.Vector(64, 64, 128, datatype.Float64)) // 32 KiB: rendezvous
+	for _, tc := range []struct {
+		name   string
+		plan   *fault.Plan
+		pooled bool
+	}{
+		{"fault-free", nil, true},
+		{"reliable", &fault.Plan{Seed: 1}, false},
+	} {
+		w := chaosExchange(t, "Proposed-Tuned", tc.plan, 0, 4, l, 2, nil)
+		pooled := 0
+		for i := 0; i < w.Size(); i++ {
+			pooled += w.Rank(i).Dev.PooledBuffers()
+		}
+		if n := w.LiveStagingBytes(); n != 0 {
+			t.Fatalf("%s: %d staging bytes left lent", tc.name, n)
+		}
+		if (pooled > 0) != tc.pooled {
+			t.Fatalf("%s: %d buffers pooled, want pooling %v", tc.name, pooled, tc.pooled)
+		}
+	}
+}

@@ -273,7 +273,9 @@ func blockCopyContents(self bool, seed uint64, lits []byte) (dst, src *Content) 
 // references: a []byte model of one copy per range in list order, and the
 // same copies done with one CopyFrom per range. All three must agree on
 // bytes and Checksum, and the batched and per-range contents on SpanCount,
-// with the span invariants (literal table included) intact.
+// with the span invariants (literal table included) intact. It then resets
+// the destination, which must equal a fresh content before and after the
+// same copy.
 func FuzzLazyBlockCopy(f *testing.F) {
 	f.Add(uint8(0), uint64(1), []byte{3, 4, 50, 9}, uint16(7), []byte{10, 20, 40, 5, 90, 23})
 	f.Add(uint8(5), uint64(2), []byte{100, 7}, uint16(3), []byte{1, 16, 0, 16, 7, 3, 2, 23})
@@ -324,6 +326,40 @@ func FuzzLazyBlockCopy(f *testing.F) {
 		}
 		if dst.SpanCount() != refDst.SpanCount() {
 			t.Fatalf("batched copy leaves %d spans, per-range copies %d", dst.SpanCount(), refDst.SpanCount())
+		}
+
+		// Reset must leave exactly New(n): zero bytes, its checksum, no
+		// spans, and no literal from before still reachable.
+		rn := int64(at) % (2 * blockCopySize)
+		dst.Reset(rn)
+		checkSpanInvariants(t, dst)
+		zeros := make([]byte, rn)
+		got = make([]byte, rn)
+		dst.ReadAt(got, 0)
+		if !bytes.Equal(got, zeros) || dst.Checksum() != New(rn).Checksum() || dst.SpanCount() != 0 {
+			t.Fatal("reset content differs from New(n)")
+		}
+		for _, l := range dst.lits[:cap(dst.lits)] {
+			if l != nil {
+				t.Fatal("a literal from before the reset is still reachable")
+			}
+		}
+		if bc.self {
+			return
+		}
+		// A reset content takes the same copy as a fresh one.
+		dst.Reset(blockCopySize)
+		fresh := New(blockCopySize)
+		for _, c := range []*Content{dst, fresh} {
+			if bc.scatter {
+				c.Scatter(len(bc.ranges), rangeAt, src, bc.at)
+			} else {
+				c.Gather(bc.at, src, len(bc.ranges), rangeAt)
+			}
+		}
+		checkSpanInvariants(t, dst)
+		if dst.Checksum() != fresh.Checksum() || dst.SpanCount() != fresh.SpanCount() {
+			t.Fatal("a copy into a reset content differs from one into a fresh content")
 		}
 	})
 }

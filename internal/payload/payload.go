@@ -294,11 +294,23 @@ func (c *Content) coalesce(from, to int) {
 	}
 }
 
-// Fill sets the whole content to bytes [0, Len) of PRF stream `seed`.
-func (c *Content) Fill(seed uint64) {
+// Reset makes c an all-zero content of n bytes, as New(n) would, but keeps
+// the capacity of its span list and literal table so a reused buffer does
+// not grow them from nothing again. No literal from before the reset stays
+// reachable.
+func (c *Content) Reset(n int64) {
+	if n < 0 {
+		panic(fmt.Sprintf("payload: negative content length %d", n))
+	}
+	c.n = n
 	c.spans = c.spans[:0]
 	clear(c.lits)
 	c.lits, c.nlit = c.lits[:0], 0
+}
+
+// Fill sets the whole content to bytes [0, Len) of PRF stream `seed`.
+func (c *Content) Fill(seed uint64) {
+	c.Reset(c.n)
 	if c.n > 0 {
 		c.spans = append(c.spans, span{off: 0, n: c.n, kind: srcFill, seed: seed})
 	}

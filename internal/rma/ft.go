@@ -135,6 +135,26 @@ func (f *Fabric) commRevoked(c *mpi.Comm) {
 	}
 	f.revoked = true
 	f.revokedAt = f.env().Now()
+	// The epoch's windows are unusable from here on, and a dead member
+	// never frees its share: retire their buffers now.
+	f.retireWindows(false)
+}
+
+// retireWindows retires the buffers of every window of the current epoch,
+// marking the windows freed too when free is set.
+func (f *Fabric) retireWindows(free bool) {
+	retire := func(w *Window) {
+		if free {
+			w.freed = true
+		}
+		w.release(false)
+	}
+	for _, ref := range f.named {
+		retire(ref.win)
+	}
+	for _, w := range f.heap.live {
+		retire(w)
+	}
 }
 
 // Reseat re-rendezvouses the fabric onto cm, a survivor communicator
@@ -199,13 +219,9 @@ func (f *Fabric) rebuild(cm *mpi.Comm) {
 	}
 	// Invalidate old-epoch windows and signals. Device buffers persist
 	// (the machines survive; contents are recovered via ckpt), but the
-	// handles are dead: check()/WaitSignal reject them by epoch.
-	for _, ref := range f.named {
-		ref.win.freed = true
-	}
-	for _, w := range f.heap.live {
-		w.freed = true
-	}
+	// handles are dead: check()/WaitSignal reject them by epoch. Their
+	// buffers are retired, never lent again.
+	f.retireWindows(true)
 	f.named = make(map[string]*winRef)
 	f.sigs = make(map[string]*Signal)
 	f.heap = &Heap{f: f, align: 64}

@@ -14,11 +14,12 @@ import (
 // one-sided addressing possible without an offset-exchange handshake.
 //
 // The allocator is a first-fit free list over an ever-growing break.
-// Backing storage is one gpu.Buffer per rank per window (allocated via
-// Device.AllocE, so the device's LazyThreshold gives lazy payloads for
-// big windows automatically), which keeps windows independent of rank
-// count and lets the fuzzer exercise allocator invariants without
-// building devices at all.
+// Backing storage is one gpu.Buffer per rank per window, lent by the
+// device's staging pool (Device.Staging, so the device's LazyThreshold
+// gives lazy payloads for big windows automatically) and given back when
+// the window is freed. That keeps windows independent of rank count and
+// lets the fuzzer exercise allocator invariants without building devices
+// at all.
 type Heap struct {
 	f      *Fabric
 	align  int64
@@ -157,6 +158,8 @@ type Window struct {
 	sizes    []int64
 	bufs     []*gpu.Buffer
 	freed    bool
+	released bool // bufs given back to the staging pools or retired
+	retained bool // bufs referenced from outside the fabric (Retain)
 }
 
 // Name returns the window's SPMD rendezvous name.
@@ -206,7 +209,16 @@ func (w *Window) check(rank int, off, n int64) error {
 	return nil
 }
 
+// Retain marks the window's buffers as referenced from outside the fabric
+// (a checkpoint registration that may restore into them later): freeing
+// the window then retires them instead of returning them to the pools.
+func (w *Window) Retain() { w.retained = true }
+
 // Free releases the window. Further accesses (and double frees) error.
+// Its buffers go back to their devices' staging pools, unless the window
+// was retained, one-sided ops are still pending on the fabric, or the
+// window's epoch was revoked: then something may still reach them, so
+// they are retired.
 func (w *Window) Free() error {
 	if w.freed {
 		return fmt.Errorf("rma: window %q already freed", w.name)
@@ -216,7 +228,26 @@ func (w *Window) Free() error {
 		w.f.heap.removeLive(w)
 		w.f.heap.release(w.off, w.reserved)
 	}
+	w.release(!w.retained && w.f.PendingOps() == 0 && w.f.checkEpoch(w.epoch) == nil)
 	return nil
+}
+
+// release gives the window's buffers back to the staging pools
+// (reusable) or retires them, once.
+func (w *Window) release(reusable bool) {
+	if w.released {
+		return
+	}
+	w.released = true
+	for _, b := range w.bufs {
+		switch {
+		case b == nil:
+		case reusable:
+			b.Dev.Free(b)
+		default:
+			b.Dev.Retire(b)
+		}
+	}
 }
 
 // AllocWindow creates a symmetric window of size bytes: one region per
@@ -234,27 +265,11 @@ func (f *Fabric) AllocWindow(name string, size int64) (*Window, error) {
 	f.heap.nextID++
 	w.off, w.reserved = f.heap.reserve(size)
 	for _, wr := range f.members {
-		b, err := f.w.Rank(wr).Dev.AllocE(f.bufName(name, w.id, wr), int(size))
-		if err != nil {
-			f.heap.release(w.off, w.reserved)
-			return nil, fmt.Errorf("rma: window %q: %w", name, err)
-		}
-		w.bufs = append(w.bufs, b)
+		w.bufs = append(w.bufs, f.w.Rank(wr).Dev.Staging(int(size)))
 		w.sizes = append(w.sizes, size)
 	}
 	f.heap.insertLive(w)
 	return w, nil
-}
-
-// bufName names a window's per-rank backing buffer. Epoch 0 keeps the
-// historical format (golden traces stay byte-identical); later epochs
-// are qualified so re-rendezvoused windows never collide with their
-// pre-failure namesakes on the same device.
-func (f *Fabric) bufName(name string, id, worldRank int) string {
-	if f.epoch != 0 {
-		return fmt.Sprintf("rma:e%d:%s#%d:r%d", f.epoch, name, id, worldRank)
-	}
-	return fmt.Sprintf("rma:%s#%d:r%d", name, id, worldRank)
 }
 
 type winRef struct {
@@ -324,11 +339,7 @@ func (f *Fabric) OpenWindowSized(rank int, name string, localSize int64) (*Windo
 	if w.bufs[rank] != nil {
 		return nil, fmt.Errorf("rma: window %q: rank %d attached twice", name, rank)
 	}
-	b, err := f.w.Rank(f.members[rank]).Dev.AllocE(f.bufName(name, w.id, f.members[rank]), int(localSize))
-	if err != nil {
-		return nil, fmt.Errorf("rma: window %q: %w", name, err)
-	}
-	w.bufs[rank] = b
+	w.bufs[rank] = f.w.Rank(f.members[rank]).Dev.Staging(int(localSize))
 	w.sizes[rank] = localSize
 	ref.opens++
 	return w, nil

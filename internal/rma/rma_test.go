@@ -468,3 +468,69 @@ func TestHeapReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Window.Free gives a window's buffers back to the staging pools, unless
+// something may still reach them: a retained window (a checkpoint
+// registration) and a window freed with ops pending are retired instead.
+func TestWindowFreeRecyclesOrRetires(t *testing.T) {
+	w := testWorld(2, false, nil, false)
+	f := rma.New(w)
+	pooled := func() int {
+		n := 0
+		for i := 0; i < w.Size(); i++ {
+			n += w.Rank(i).Dev.PooledBuffers()
+		}
+		return n
+	}
+	check := func(label string, live int64, pool int) {
+		t.Helper()
+		if w.LiveStagingBytes() != live || pooled() != pool {
+			t.Fatalf("%s: live=%d pooled=%d, want %d and %d", label, w.LiveStagingBytes(), pooled(), live, pool)
+		}
+	}
+	a, err := f.AllocWindow("a", 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("open", int64(w.Size())*256, 0)
+	if err := a.Free(); err != nil {
+		t.Fatal(err)
+	}
+	check("freed", 0, w.Size())
+	b, err := f.AllocWindow("b", 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("reopened from the pool", int64(w.Size())*256, 0)
+	b.Retain()
+	if err := b.Free(); err != nil {
+		t.Fatal(err)
+	}
+	check("retained", 0, 0)
+
+	c, err := f.AllocWindow("c", 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := w.Rank(0).Dev.Alloc("src", 64)
+	src.FillStream(3)
+	err = w.Run(func(r *mpi.Rank, p *sim.Proc) {
+		if r.ID() != 0 {
+			return
+		}
+		ep := f.Endpoint(0)
+		if err := ep.Put(p, c, 1, 0, src, 0, 64); err != nil {
+			t.Error(err)
+		}
+		if err := c.Free(); err != nil {
+			t.Error(err)
+		}
+		if err := ep.Quiet(p); err != nil {
+			t.Error(err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("freed with a put pending", 0, 0)
+}
