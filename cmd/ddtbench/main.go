@@ -31,16 +31,6 @@ import (
 
 var format = flag.String("format", "text", "output format: text or csv")
 
-func emitTo(w io.Writer, format string, tabs []*bench.Table) {
-	for _, t := range tabs {
-		if format == "csv" {
-			fmt.Fprintf(w, "# %s\n%s\n", t.Title, t.CSV())
-		} else {
-			fmt.Fprintln(w, t.String())
-		}
-	}
-}
-
 func main() {
 	fig := flag.String("fig", "", "table id to regenerate ("+strings.Join(bench.Figures(), ", ")+", or 'all')")
 	list := flag.Bool("list", false, "list every table id")
@@ -115,6 +105,6 @@ func runTo(w io.Writer, format, fig string) error {
 	if err != nil {
 		return err
 	}
-	emitTo(w, format, tabs)
+	bench.Render(w, format, tabs)
 	return nil
 }

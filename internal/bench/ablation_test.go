@@ -3,7 +3,7 @@ package bench
 import "testing"
 
 func TestAblationSyncVsStatusPoll(t *testing.T) {
-	tab := AblationSyncVsStatusPoll()
+	tab := figure(t, "ablations")[0]
 	poll := mustF(t, tab.Rows[0][1])
 	sync := mustF(t, tab.Rows[1][1])
 	if poll >= sync {
@@ -12,7 +12,7 @@ func TestAblationSyncVsStatusPoll(t *testing.T) {
 }
 
 func TestAblationFlushPolicy(t *testing.T) {
-	tab := AblationFlushPolicy()
+	tab := figure(t, "ablations")[1]
 	nothing := mustF(t, tab.Rows[0][1])
 	tuned := mustF(t, tab.Rows[1][1])
 	if tuned >= nothing {
@@ -26,7 +26,7 @@ func TestAblationFlushPolicy(t *testing.T) {
 }
 
 func TestAblationPartitioning(t *testing.T) {
-	tab := AblationPartitioning()
+	tab := figure(t, "ablations")[2]
 	prop := mustF(t, tab.Rows[0][1])
 	uniform := mustF(t, tab.Rows[1][1])
 	if prop > uniform {
@@ -35,7 +35,7 @@ func TestAblationPartitioning(t *testing.T) {
 }
 
 func TestAblationRendezvous(t *testing.T) {
-	tab := AblationRendezvous()
+	tab := figure(t, "ablations")[3]
 	rget := mustF(t, tab.Rows[0][1])
 	rput := mustF(t, tab.Rows[1][1])
 	// RPUT overlaps the handshake with packing; it should not be slower.
@@ -45,7 +45,7 @@ func TestAblationRendezvous(t *testing.T) {
 }
 
 func TestAblationLayoutCache(t *testing.T) {
-	tab := AblationLayoutCache()
+	tab := figure(t, "ablations")[4]
 	cached := mustF(t, tab.Rows[0][1])
 	uncached := mustF(t, tab.Rows[1][1])
 	if cached >= uncached {
@@ -54,7 +54,7 @@ func TestAblationLayoutCache(t *testing.T) {
 }
 
 func TestAblationPipelineBounded(t *testing.T) {
-	tab := AblationPipeline()
+	tab := figure(t, "ablations")[5]
 	whole := mustF(t, tab.Rows[0][1])
 	chunked := mustF(t, tab.Rows[1][1])
 	if chunked > whole*1.3 {

@@ -3,7 +3,7 @@ package bench
 import "testing"
 
 func TestApproachesAllVerifyAndRank(t *testing.T) {
-	tab := Approaches()
+	tab := figure(t, "approaches")[0]
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}

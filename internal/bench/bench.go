@@ -16,6 +16,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"time"
@@ -59,6 +60,51 @@ type Table struct {
 	Title  string
 	Header []string
 	Rows   [][]string
+	// Host marks, per Header column, the cells that measure the host
+	// running the simulation (wall time, allocation) rather than the
+	// modeled system. They differ run to run, so a compared table goes
+	// through BlankHost first.
+	Host []bool
+}
+
+// hostColumns is the Host marker of header: true at each named column.
+func hostColumns(header []string, names ...string) []bool {
+	host := make([]bool, len(header))
+	for i, h := range header {
+		for _, n := range names {
+			host[i] = host[i] || h == n
+		}
+	}
+	return host
+}
+
+// BlankHost returns a copy of t with every host cell written as "-": the
+// form the committed golden tables take.
+func (t *Table) BlankHost() *Table {
+	out := *t
+	out.Rows = make([][]string, len(t.Rows))
+	for r, row := range t.Rows {
+		out.Rows[r] = append([]string(nil), row...)
+		for i := range row {
+			if i < len(t.Host) && t.Host[i] {
+				out.Rows[r][i] = "-"
+			}
+		}
+	}
+	return &out
+}
+
+// Render writes tabs as ddtbench prints them. In text each table's
+// String is followed by a blank line; in csv each table is its title as
+// a comment line, its CSV and a blank line.
+func Render(w io.Writer, format string, tabs []*Table) {
+	for _, t := range tabs {
+		if format == "csv" {
+			fmt.Fprintf(w, "# %s\n%s\n", t.Title, t.CSV())
+		} else {
+			fmt.Fprintln(w, t.String())
+		}
+	}
 }
 
 // String renders the table with aligned columns.
@@ -128,8 +174,9 @@ func newWorld(spec cluster.Spec, factory mpi.SchemeFactory, mut func(*mpi.Config
 	return w, nil
 }
 
-// measure is one world run: virtual completion time, host wall time and
-// bytes allocated over the run, and kernel launches summed over ranks.
+// measure is one world run: virtual completion time, host wall time,
+// bytes allocated over the run (hostRun only), and kernel launches summed
+// over ranks.
 type measure struct {
 	virtNs  int64
 	wall    time.Duration
@@ -148,16 +195,12 @@ func (m measure) cells() []string {
 }
 
 // run is the harness's one world runner. It drives body on every rank —
-// the first body error wins — and times the run in host wall time and
-// allocation after a GC. It then applies every leak oracle: no request,
-// fused job, proc or lent staging byte may outlive the run, nor, when the
-// rma fabric f is in use, any one-sided op. A broken oracle is an error,
-// never a number.
+// the first body error wins — and times the run in host wall time. It
+// then applies every leak oracle: no request, fused job, proc or lent
+// staging byte may outlive the run, nor, when the rma fabric f is in use,
+// any one-sided op. A broken oracle is an error, never a number.
 func run(w *mpi.World, f *rma.Fabric, body func(r *mpi.Rank, p *sim.Proc) error) (measure, error) {
 	var bodyErr error
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
 	t0 := time.Now()
 	err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
 		if berr := body(r, p); berr != nil && bodyErr == nil {
@@ -165,8 +208,6 @@ func run(w *mpi.World, f *rma.Fabric, body func(r *mpi.Rank, p *sim.Proc) error)
 		}
 	})
 	m := measure{wall: time.Since(t0), virtNs: w.Env.Now()}
-	runtime.ReadMemStats(&after)
-	m.allocMB = float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
 	for i := 0; i < w.Size(); i++ {
 		m.kernels += w.Rank(i).Dev.Stats.KernelLaunches
 	}
@@ -187,6 +228,19 @@ func run(w *mpi.World, f *rma.Fabric, body func(r *mpi.Rank, p *sim.Proc) error)
 		return m, fmt.Errorf("bench: run left %d staging bytes lent", w.LiveStagingBytes())
 	}
 	return m, nil
+}
+
+// hostRun is run for the tables with host columns (scale, chaos-scale):
+// it also measures the bytes allocated over the run, after a GC. Both
+// are process-wide, so the tables that do not print them skip them.
+func hostRun(w *mpi.World, f *rma.Fabric, body func(r *mpi.Rank, p *sim.Proc) error) (measure, error) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m, err := run(w, f, body)
+	runtime.ReadMemStats(&after)
+	m.allocMB = float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	return m, err
 }
 
 // timedSteps is the steady-state loop every latency table shares: warmup

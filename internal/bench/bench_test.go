@@ -80,7 +80,7 @@ func TestRunBulkRPUT(t *testing.T) {
 }
 
 func TestFig1ShapesHold(t *testing.T) {
-	tab := Fig1()
+	tab := figure(t, "1")[0]
 	if len(tab.Rows) != 8 { // 4 archs x 2 workloads
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -102,7 +102,7 @@ func TestFig1ShapesHold(t *testing.T) {
 }
 
 func TestFig9ProposedWinsSparseBulk(t *testing.T) {
-	tab := Fig9()
+	tab := figure(t, "9")[0]
 	// Last row = 16 buffers. Columns: buffers, GPU-Sync, GPU-Async,
 	// Hybrid, Proposed, Proposed-Tuned.
 	last := tab.Rows[len(tab.Rows)-1]
@@ -121,7 +121,7 @@ func TestFig9ProposedWinsSparseBulk(t *testing.T) {
 }
 
 func TestFig10HybridWinsSmallDense(t *testing.T) {
-	tab := Fig10()
+	tab := figure(t, "10")[0]
 	// First row = 1 buffer: hybrid's CPU path should be competitive or
 	// better vs the proposed design (paper: hybrid wins small dense).
 	first := tab.Rows[0]
@@ -146,7 +146,7 @@ func TestFig10HybridWinsSmallDense(t *testing.T) {
 }
 
 func TestFig11BreakdownShapes(t *testing.T) {
-	tab := Fig11()
+	tab := figure(t, "11")[0]
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -182,7 +182,7 @@ func TestFig11BreakdownShapes(t *testing.T) {
 }
 
 func TestFig14ProposedTrouncesNaive(t *testing.T) {
-	tab := Fig14()
+	tab := figure(t, "14")[0]
 	for _, row := range tab.Rows {
 		// Columns: workload, dim, SpectrumMPI(=1.0x), OpenMPI,
 		// MVAPICH2-GDR, Proposed.

@@ -123,7 +123,7 @@ func runChaosScale(ranks int, mode string) (measure, int, error) {
 		}
 	}
 
-	m, err := run(w, nil, func(r *mpi.Rank, p *sim.Proc) error {
+	m, err := hostRun(w, nil, func(r *mpi.Rank, p *sim.Proc) error {
 		me := r.ID()
 		if !withFaults {
 			return e.Alltoallw(p, r, ops[me])
@@ -239,6 +239,7 @@ func ChaosScale(maxRanks int) *Table {
 			int64(chaosScaleSeed)),
 		Header: []string{"mode", "ranks", "nodes", "virt_ms", "wall_ms", "alloc_MB", "kernels", "crashed"},
 	}
+	t.Host = hostColumns(t.Header, "wall_ms", "alloc_MB")
 	for _, ranks := range []int{64, 256, 1024} {
 		if ranks > maxRanks {
 			continue

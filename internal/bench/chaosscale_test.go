@@ -1,75 +1,31 @@
 package bench
 
-import (
-	"testing"
-)
+import "testing"
 
-// TestChaosScaleSmoke runs every chaos-scale mode at a CI-sized rank
-// count: the crash fires, survivors shrink and retry checksum-exact, the
-// restore mode rolls state back, nothing leaks. 256 ranks normally, 64
-// under -short.
+// TestChaosScaleSmoke reads every chaos-scale mode off the shared table
+// (64 and 256 ranks): the crash fires exactly when the mode injects one,
+// and every row carries a real measurement. A failed or leaking cell is an
+// ERROR row, which the golden check reports.
 func TestChaosScaleSmoke(t *testing.T) {
-	ranks := 256
-	if testing.Short() {
-		ranks = 64
-	}
+	t.Parallel()
+	tab := figure(t, "chaos-scale")[0]
 	for _, mode := range chaosScaleModes {
-		mode := mode
 		t.Run(mode, func(t *testing.T) {
-			m, crashed, err := runChaosScale(ranks, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := "1"
 			if mode == "no-fault" {
-				if crashed != 0 {
-					t.Fatalf("no-fault run crashed %d ranks", crashed)
+				want = "0"
+			}
+			for _, row := range tab.Rows {
+				if row[0] != mode {
+					continue
 				}
-				return
-			}
-			if crashed != 1 {
-				t.Fatalf("crashed = %d, want 1", crashed)
-			}
-			if m.virtNs <= 0 || m.kernels == 0 {
-				t.Fatalf("degenerate measurement: virt=%d kernels=%d", m.virtNs, m.kernels)
+				if row[7] != want {
+					t.Errorf("%s at %s ranks crashed %q ranks, want %s", mode, row[1], row[7], want)
+				}
+				if mustF(t, row[3]) <= 0 || mustF(t, row[6]) == 0 {
+					t.Errorf("%s at %s ranks: degenerate measurement virt_ms=%s kernels=%s", mode, row[1], row[3], row[6])
+				}
 			}
 		})
-	}
-}
-
-// TestChaosScale1024 is the acceptance run: a 1024-rank lazy-mode
-// hierarchical Alltoallw under the rank-crash preset completes after
-// Shrink with checksum-exact survivor data, a committed checkpoint rolled
-// back on every survivor, and zero leaked requests or fused jobs (all
-// asserted inside runChaosScale).
-func TestChaosScale1024(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1024-rank chaos run skipped in -short")
-	}
-	m, crashed, err := runChaosScale(1024, "rank-crash+restore")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if crashed != 1 {
-		t.Fatalf("crashed = %d, want 1", crashed)
-	}
-	t.Logf("1024-rank chaos+restore: virt=%.1fms wall=%s alloc=%.1fMB kernels=%d",
-		float64(m.virtNs)/1e6, m.wall, m.allocMB, m.kernels)
-}
-
-// TestChaosScaleFigureRegistered pins the figure id into the registry
-// without paying for the full table (the smoke test covers the cells).
-func TestChaosScaleFigureRegistered(t *testing.T) {
-	found := false
-	for _, id := range Figures() {
-		if id == "chaos-scale" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal(`Figures() does not list "chaos-scale"`)
-	}
-	tab := ChaosScale(0)
-	if len(tab.Rows) != 0 || len(tab.Header) == 0 {
-		t.Fatalf("ChaosScale(0): %d rows, header %v", len(tab.Rows), tab.Header)
 	}
 }

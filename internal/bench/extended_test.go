@@ -6,10 +6,7 @@ import (
 )
 
 func TestExtendedWorkloadsAllVerify(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full eight-workload sweep")
-	}
-	tab := ExtendedWorkloads()
+	tab := figure(t, "extended")[0]
 	if len(tab.Rows) != 8 {
 		t.Fatalf("rows = %d, want 8", len(tab.Rows))
 	}
@@ -28,7 +25,7 @@ func TestExtendedWorkloadsAllVerify(t *testing.T) {
 }
 
 func TestScalingFlatAcrossNodes(t *testing.T) {
-	tab := Scaling()
+	tab := figure(t, "scaling")[0]
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -68,7 +65,7 @@ func TestCSVRendering(t *testing.T) {
 }
 
 func TestTableOneShapes(t *testing.T) {
-	tab := TableOne()
+	tab := figure(t, "table1")[0]
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -101,7 +98,7 @@ func TestTableOneShapes(t *testing.T) {
 }
 
 func TestIPCPathsOrdering(t *testing.T) {
-	tab := IPCPaths()
+	tab := figure(t, "ablations")[6]
 	ipc := mustF(t, tab.Rows[0][1])
 	packed := mustF(t, tab.Rows[1][1])
 	inter := mustF(t, tab.Rows[2][1])

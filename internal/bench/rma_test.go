@@ -14,10 +14,7 @@ import (
 // also burn fewer progress events. The per-kind plan counters and the
 // reuse column must be live.
 func TestRMAFigAcceptance(t *testing.T) {
-	tab := RMAFig(8)
-	if len(tab.Rows) != len(rmaAlgs) {
-		t.Fatalf("want %d rows at 8 ranks, got %d", len(rmaAlgs), len(tab.Rows))
-	}
+	tab := figure(t, "rma")[0]
 	type row struct {
 		timeUs   float64
 		progress int64
@@ -26,7 +23,7 @@ func TestRMAFigAcceptance(t *testing.T) {
 		reuse    int64
 	}
 	byAlg := map[string]row{}
-	for _, r := range tab.Rows {
+	for _, r := range tab.Rows[:len(rmaAlgs)] { // the 8-rank exact rows
 		if strings.HasPrefix(r[3], "ERROR") {
 			t.Fatalf("row %v errored", r)
 		}
@@ -82,13 +79,10 @@ func TestRMAFigAcceptance(t *testing.T) {
 // zero — the negotiated offsets persist across calls — which also shows
 // up as strictly fewer network messages on the repeat call.
 func TestRMAA2ACtrlPuts(t *testing.T) {
-	tab := RMAA2AFig(8)
-	if len(tab.Rows) != 2 {
-		t.Fatalf("want 2 rows at 8 ranks, got %d", len(tab.Rows))
-	}
+	tab := figure(t, "rma")[1]
 	const ranks = 8
 	wantCtrl := int64(ranks * 2 * (ranks - 1))
-	for _, r := range tab.Rows {
+	for _, r := range tab.Rows[:2] { // the 8-rank exact rows
 		if strings.HasPrefix(r[3], "ERROR") {
 			t.Fatalf("row %v errored", r)
 		}

@@ -106,7 +106,7 @@ func runScaleA2A(ranks int, lazy bool) (measure, error) {
 	}
 	ops := makeScaleA2AOps(w, collLayout()) // 32 KiB strided legs
 	e := coll.New(w, coll.Tuning{Alltoallw: coll.Hierarchical})
-	return run(w, nil, func(r *mpi.Rank, p *sim.Proc) error {
+	return hostRun(w, nil, func(r *mpi.Rank, p *sim.Proc) error {
 		return e.Alltoallw(p, r, ops[r.ID()])
 	})
 }
@@ -133,7 +133,7 @@ func runScaleHalo(ranks int, lazy bool) (measure, error) {
 		ops[r] = workload.HaloOps(cart, r, faces, grid, ghost)
 	}
 	e := coll.New(w, coll.Tuning{})
-	return run(w, nil, func(r *mpi.Rank, p *sim.Proc) error {
+	return hostRun(w, nil, func(r *mpi.Rank, p *sim.Proc) error {
 		return e.NeighborAlltoallw(p, r, ops[r.ID()])
 	})
 }
@@ -165,6 +165,7 @@ func Scale(maxRanks int) *Table {
 			int64(scalePollNs)),
 		Header: []string{"pattern", "ranks", "nodes", "mode", "virt_ms", "wall_ms", "alloc_MB", "kernels"},
 	}
+	t.Host = hostColumns(t.Header, "wall_ms", "alloc_MB")
 	for _, pattern := range []string{"a2a-hier", "halo3d"} {
 		for _, ranks := range []int{8, 64, 256, 1024} {
 			if ranks > maxRanks {

@@ -1,56 +1,31 @@
 package bench
 
-import (
-	"testing"
-
-	"repro/internal/cluster"
-	"repro/internal/workload"
-)
+import "testing"
 
 // TestExpectedShapes encodes the qualitative invariants of EXPERIMENTS.md
-// as assertions on simulated nanoseconds, so a model change that flips a
-// paper conclusion fails `go test` instead of requiring a human to re-read
-// the regenerated figures. Thresholds are deliberately looser than the
-// measured ratios (e.g. 2x asserted where 4.1x is measured) so calibration
-// nudges pass but shape regressions do not.
+// as assertions on the shared figure tables, so a model change that flips
+// a paper conclusion fails `go test` by name, beside the golden diff.
+// Thresholds are deliberately looser than the measured ratios (e.g. 2x
+// asserted where 4.1x is measured) so calibration nudges pass but shape
+// regressions do not.
 func TestExpectedShapes(t *testing.T) {
-	lassen := cluster.Lassen()
-	bulk := func(t *testing.T, o BulkOptions) int64 {
-		t.Helper()
-		r := RunBulk(o)
-		if r.VerifyErr != nil {
-			t.Fatalf("%s/%s dim=%d: verification failed: %v",
-				o.Scheme, o.Workload.Name, o.Dim, r.VerifyErr)
-		}
-		return r.AvgNs
-	}
-
 	// Fig 9: bulk sparse inter-node — the proposed fused design beats the
 	// per-request GPU designs by >4x at 16 outstanding buffers; assert 2x.
 	t.Run("proposed wins sparse", func(t *testing.T) {
-		opt := BulkOptions{System: lassen, Workload: workload.Specfem3DCM(), Dim: 32, Buffers: 16}
-		opt.Scheme = "GPU-Sync"
-		sync := bulk(t, opt)
-		opt.Scheme = "Proposed-Tuned"
-		tuned := bulk(t, opt)
-		if tuned*2 > sync {
-			t.Errorf("sparse bulk: Proposed-Tuned %d ns vs GPU-Sync %d ns, want >= 2x win",
-				tuned, sync)
+		tab := figure(t, "9")[0]
+		last := tab.Rows[len(tab.Rows)-1] // 16 buffers
+		if sync, tuned := mustF(t, last[1]), mustF(t, last[5]); tuned*2 > sync {
+			t.Errorf("sparse bulk: Proposed-Tuned %.1f us vs GPU-Sync %.1f us, want >= 2x win", tuned, sync)
 		}
 	})
 
 	// Fig 10: small dense messages — the CPU packs faster than any kernel
 	// launch amortizes, so CPU-GPU-Hybrid wins MILC dim=8 with 1 buffer.
 	t.Run("hybrid wins small dense", func(t *testing.T) {
-		opt := BulkOptions{System: lassen, Workload: workload.MILC(), Dim: 8, Buffers: 1}
-		opt.Scheme = "CPU-GPU-Hybrid"
-		hybrid := bulk(t, opt)
-		opt.Scheme = "GPU-Sync"
-		sync := bulk(t, opt)
-		opt.Scheme = "Proposed"
-		proposed := bulk(t, opt)
+		first := figure(t, "10")[0].Rows[0] // 1 buffer
+		sync, hybrid, proposed := mustF(t, first[1]), mustF(t, first[3]), mustF(t, first[4])
 		if hybrid >= sync || hybrid >= proposed {
-			t.Errorf("small dense: hybrid %d ns, GPU-Sync %d ns, Proposed %d ns — hybrid should win",
+			t.Errorf("small dense: hybrid %.1f us, GPU-Sync %.1f us, Proposed %.1f us — hybrid should win",
 				hybrid, sync, proposed)
 		}
 	})
@@ -58,14 +33,9 @@ func TestExpectedShapes(t *testing.T) {
 	// Fig 14: the naive per-block memcpy path of SpectrumMPI/OpenMPI is
 	// 60-880x slower on sparse workloads; assert a conservative 10x.
 	t.Run("naive at least 10x slower", func(t *testing.T) {
-		opt := BulkOptions{System: lassen, Workload: workload.Specfem3DCM(), Dim: 16,
-			Buffers: 4, Iterations: 2, Warmup: 1}
-		opt.Scheme = "NaiveMemcpy"
-		naive := bulk(t, opt)
-		opt.Scheme = "Proposed-Tuned"
-		tuned := bulk(t, opt)
-		if naive < tuned*10 {
-			t.Errorf("naive %d ns vs Proposed-Tuned %d ns, want >= 10x slower", naive, tuned)
+		cm := figure(t, "14")[0].Rows[1] // specfem3D_cm
+		if x := mustX(t, cm[5]); cm[0] != "specfem3D_cm" || x < 10 {
+			t.Errorf("%s: Proposed-Tuned only %.1fx faster than naive SpectrumMPI, want >= 10x", cm[0], x)
 		}
 	})
 
@@ -73,25 +43,17 @@ func TestExpectedShapes(t *testing.T) {
 	// small a threshold flushes constantly (under-fused), too large waits
 	// on work that should already be in flight (over-fused).
 	t.Run("threshold sweep regimes", func(t *testing.T) {
-		if testing.Short() {
-			t.Skip("large-dim sweep")
-		}
-		opt := BulkOptions{System: lassen, Scheme: "Proposed",
-			Workload: workload.Specfem3DCM(), Dim: 64, Buffers: 16}
-		opt.FusionThreshold = 16 << 10
-		under := bulk(t, opt)
-		opt.FusionThreshold = 512 << 10
-		best := bulk(t, opt)
-		opt.FusionThreshold = 4 << 20
-		over := bulk(t, opt)
+		tab := figure(t, "8")[0]
+		last := tab.Rows[len(tab.Rows)-1] // dim=64; thresholds 16KB..4MB from column 2
+		under, best, over := mustF(t, last[2]), mustF(t, last[5]), mustF(t, last[7])
 		if best >= under || best >= over {
-			t.Errorf("512KB (%d ns) should beat 16KB (%d ns) and 4MB (%d ns)", best, under, over)
+			t.Errorf("512KB (%.1f us) should beat 16KB (%.1f us) and 4MB (%.1f us)", best, under, over)
 		}
-		if under*10 < best*15 { // under < 1.5x best
-			t.Errorf("under-fused regime too shallow: 16KB %d ns vs best %d ns, want >= 1.5x", under, best)
+		if under < best*1.5 {
+			t.Errorf("under-fused regime too shallow: 16KB %.1f us vs best %.1f us, want >= 1.5x", under, best)
 		}
-		if over*100 < best*105 { // over < 1.05x best
-			t.Errorf("over-fused regime too shallow: 4MB %d ns vs best %d ns, want >= 1.05x", over, best)
+		if over < best*1.05 {
+			t.Errorf("over-fused regime too shallow: 4MB %.1f us vs best %.1f us, want >= 1.05x", over, best)
 		}
 	})
 }

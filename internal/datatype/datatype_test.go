@@ -405,31 +405,6 @@ func TestPropertyBlocksWithinExtent(t *testing.T) {
 	}
 }
 
-func BenchmarkCommitSparseIndexed(b *testing.B) {
-	n := 4000
-	lens := make([]int, n)
-	displs := make([]int, n)
-	for i := range lens {
-		lens[i] = 1
-		displs[i] = i * 3
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Commit(Indexed(lens, displs, Float32))
-	}
-}
-
-func BenchmarkPack1MBVector(b *testing.B) {
-	l := Commit(Vector(1024, 128, 256, Float64))
-	src := make([]byte, l.ExtentBytes)
-	dst := make([]byte, l.SizeBytes)
-	b.SetBytes(l.SizeBytes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Pack(src, dst)
-	}
-}
-
 func TestResizedChangesExtentOnly(t *testing.T) {
 	base := Vector(2, 1, 3, Int32) // size 8, extent 16
 	r := Resized(base, 64)

@@ -36,12 +36,18 @@ func prfWord(seed uint64, blk int64) uint64 {
 	return x
 }
 
-// StreamAt materializes bytes [pos, pos+len(p)) of stream `seed` into p.
+// StreamAt materializes bytes [pos, pos+len(p)) of stream `seed` into p:
+// byte at is byte at&7 (little-endian) of word prfWord(seed, at>>3), each
+// word computed once.
 func StreamAt(seed uint64, pos int64, p []byte) {
-	for i := range p {
+	for i := 0; i < len(p); {
 		at := pos + int64(i)
-		w := prfWord(seed, at>>3)
-		p[i] = byte(w >> (8 * uint(at&7)))
+		w := prfWord(seed, at>>3) >> (8 * uint(at&7))
+		for k := at & 7; k < 8 && i < len(p); k++ {
+			p[i] = byte(w)
+			w >>= 8
+			i++
+		}
 	}
 }
 

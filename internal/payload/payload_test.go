@@ -49,6 +49,11 @@ func TestFillMatchesFillBytes(t *testing.T) {
 func TestStreamAtIsPositionAddressable(t *testing.T) {
 	whole := make([]byte, 1024)
 	FillBytes(whole, 7)
+	for i, b := range whole {
+		if want := byte(prfWord(7, int64(i)>>3) >> (8 * (i & 7))); b != want {
+			t.Fatalf("byte %d = %#x, want byte %d of word %d: %#x", i, b, i&7, i>>3, want)
+		}
+	}
 	for _, off := range []int64{0, 1, 3, 7, 8, 9, 100, 511, 1000} {
 		part := make([]byte, 24)
 		StreamAt(7, off, part)

@@ -445,18 +445,6 @@ func TestPropertyEventTiming(t *testing.T) {
 	}
 }
 
-func BenchmarkSpawnRun(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		e := NewEnv()
-		for j := 0; j < 100; j++ {
-			e.Spawn("p", func(p *Proc) { p.Sleep(10) })
-		}
-		if err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // propertyRuns scales a property test's case count: the full matrix in CI,
 // a fast sample under `go test -short`.
 func propertyRuns(t *testing.T, full int) int {
