@@ -1,0 +1,84 @@
+package coll_test
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/coll"
+	"repro/internal/datatype"
+	"repro/internal/mpi"
+	"repro/internal/schemes"
+	"repro/internal/sim"
+)
+
+// sparseA2AAllocs runs a sparse hierarchical Alltoallw on a persistent
+// lazy world of n ranks (4 per node, each rank exchanging a 32 KiB strided
+// leg with its 16 nearest wrap-around peers, the -fig scale shape) and
+// returns the heap allocations per rank per step once warm.
+func sparseA2AAllocs(t *testing.T, n int) float64 {
+	t.Helper()
+	env := sim.NewEnv()
+	c := cluster.MustBuild(env, cluster.Lassen().WithNodes(n/4))
+	for _, node := range c.Devices {
+		for _, d := range node {
+			d.LazyThreshold = 4096
+		}
+	}
+	cfg := mpi.DefaultConfig()
+	cfg.PollIntervalNs = 5000
+	w := mpi.NewWorld(c, cfg, schemes.Factory("Proposed-Tuned"))
+	l := datatype.Commit(datatype.Vector(64, 64, 128, datatype.Float64))
+	ops := make([][]coll.WOp, n)
+	for r := range ops {
+		ops[r] = make([]coll.WOp, n)
+		d := w.Rank(r).Dev
+		for k := 1; k <= 8; k++ {
+			for _, peer := range []int{(r + k) % n, (r - k + n) % n} {
+				sb := d.Alloc(fmt.Sprintf("s-%d-%d", r, peer), int(l.ExtentBytes))
+				sb.FillStream(uint64(r)<<32 | uint64(peer))
+				rb := d.Alloc(fmt.Sprintf("r-%d-%d", r, peer), int(l.ExtentBytes))
+				ops[r][peer] = coll.WOp{SendBuf: sb, SendType: l, SendCount: 1, RecvBuf: rb, RecvType: l, RecvCount: 1}
+			}
+		}
+	}
+	e := coll.New(w, coll.Tuning{Alltoallw: coll.Hierarchical})
+	step := func() {
+		err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
+			if err := e.Alltoallw(p, r, ops[r.ID()]); err != nil {
+				t.Errorf("rank %d: %v", r.ID(), err)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	const warm, steps = 2, 2
+	for i := 0; i < warm; i++ {
+		step()
+	}
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < steps; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&m1)
+	checkNoLeaks(t, w, fmt.Sprintf("%d ranks", n))
+	return float64(m1.Mallocs-m0.Mallocs) / float64(n*steps)
+}
+
+// TestHierAlltoallwAllocsFlatInWorldSize pins that a rank's host work in
+// a hierarchical Alltoallw follows its legs, not the world: with the same
+// 16 legs per rank, a step allocates no more per rank at 256 ranks than at
+// 64, within 2 %.
+func TestHierAlltoallwAllocsFlatInWorldSize(t *testing.T) {
+	small := sparseA2AAllocs(t, 64)
+	large := sparseA2AAllocs(t, 256)
+	t.Logf("allocations per rank per step: %.1f at 64 ranks, %.1f at 256", small, large)
+	if large > 1.02*small {
+		t.Fatalf("a 256-rank step allocates %.1f per rank, %.1f%% above the %.1f of a 64-rank step",
+			large, 100*(large/small-1), small)
+	}
+}

@@ -135,18 +135,95 @@ func (c *call) alltoallwPairwise(ops []WOp) error {
 // launch), and gates only ever wait for a peer's *envelope* (reaching
 // Processing), never for work held in any open window.
 
-// hierPlan is the leader's size bookkeeping, decoded from the size phase.
+// sizeTable is the leader's view of one local's per-peer byte counts:
+// its own ops, or the table a local sent, read where it landed in
+// byte-exact staging (out[0..size) then in[0..size), little-endian).
+type sizeTable struct {
+	ops  []WOp
+	data []byte // nil: the leader's own legs, read from ops
+}
+
+func (t sizeTable) out(peer int) int64 {
+	if t.data == nil {
+		return t.ops[peer].sendBytes()
+	}
+	return int64(binary.LittleEndian.Uint64(t.data[8*peer:]))
+}
+
+func (t sizeTable) in(peer int) int64 {
+	if t.data == nil {
+		return t.ops[peer].recvBytes()
+	}
+	return int64(binary.LittleEndian.Uint64(t.data[8*(len(t.ops)+peer):]))
+}
+
+// hierLeg is one non-empty cross-node leg of the leader's node: local
+// index li of the node, the remote peer, and its byte count. Legs lie back
+// to back in their staging in plan order, so a leg's offset is the sum of
+// the legs before it, and each remote node's legs form its bundle.
+type hierLeg struct {
+	li, peer int32
+	n        int64
+}
+
+// hierPlan is the leader's per-call plan, kept in rankState and reused by
+// every call so the bookkeeping allocates nothing once warm. Out legs are
+// ordered (remote node, local, dst) — the outbound bundle layout — and in
+// legs (remote node, src, local), mirroring the sending leader's layout,
+// which is also the order the slices are forwarded in.
 type hierPlan struct {
-	out          [][]int64 // [localIdx][dst] bytes local sends to dst
-	in           [][]int64 // [localIdx][src] bytes local expects from src
-	outOff       map[[2]int]int64
-	inOff        map[[2]int]int64
-	bundleOutOff []int64
-	bundleOutLen []int64
-	bundleInOff  []int64
-	bundleInLen  []int64
-	totalOut     int64
-	totalIn      int64
+	tabs    []sizeTable // one per local, cleared once the layout is built
+	out, in []hierLeg
+}
+
+// layout lays the node's cross-node legs out in bundle order from the
+// size tables and returns the total outbound and inbound staging bytes.
+func (pl *hierPlan) layout(e *Engine, node int) (totalOut, totalIn int64) {
+	pl.out, pl.in = pl.out[:0], pl.in[:0]
+	for nd := 0; nd < e.nodes(); nd++ {
+		if nd == node {
+			continue
+		}
+		peers := e.localRanks(nd)
+		for li, t := range pl.tabs {
+			for _, dst := range peers {
+				if n := t.out(dst); n > 0 {
+					pl.out = append(pl.out, hierLeg{li: int32(li), peer: int32(dst), n: n})
+					totalOut += n
+				}
+			}
+		}
+		for _, src := range peers {
+			for li, t := range pl.tabs {
+				if n := t.in(src); n > 0 {
+					pl.in = append(pl.in, hierLeg{li: int32(li), peer: int32(src), n: n})
+					totalIn += n
+				}
+			}
+		}
+	}
+	pl.dropTables()
+	return totalOut, totalIn
+}
+
+// dropTables forgets the size tables, which point into the call's ops and
+// staging.
+func (pl *hierPlan) dropTables() {
+	clear(pl.tabs)
+	pl.tabs = pl.tabs[:0]
+}
+
+// eachBundle calls fn(node, off, n) for each remote node's bundle, in node
+// order: the run of legs bound to that node.
+func (e *Engine) eachBundle(legs []hierLeg, fn func(node int, off, n int64)) {
+	var off int64
+	for i := 0; i < len(legs); {
+		nd, start := e.nodeOf(int(legs[i].peer)), off
+		for ; i < len(legs) && e.nodeOf(int(legs[i].peer)) == nd; i++ {
+			off += legs[i].n
+		}
+		fn(nd, start, off-start)
+	}
 }
 
 func (c *call) alltoallwHier(ops []WOp) error {
@@ -156,100 +233,35 @@ func (c *call) alltoallwHier(ops []WOp) error {
 	node := e.nodeOf(id)
 	leader := e.leaderOf(node)
 	locals := e.localRanks(node)
-	gpn := e.gpusPerNode()
-
-	// Every rank's own size vectors: out[dst], in[src].
-	myOut := make([]int64, size)
-	myIn := make([]int64, size)
-	for i, op := range ops {
-		myOut[i] = op.sendBytes()
-		myIn[i] = op.recvBytes()
-	}
 
 	if id != leader {
-		return c.hierLocal(ops, leader, locals, myOut, myIn)
+		return c.hierLocal(ops, leader, locals)
 	}
 
-	// --- size phase: collect every local's vectors ---
-	sizeBufs := make([]*gpu.Buffer, gpn)
+	// --- size phase: collect every local's table; each is read where it
+	// lands. Size tables are control metadata, not payload: byte-exact
+	// staging whatever the payload mode. ---
+	pl := &c.st.hier
+	pl.dropTables() // a killed call may have left some behind
 	var sizeRecvs []*mpi.Request
-	for li, lr := range locals {
+	for _, lr := range locals {
 		if lr == id {
+			pl.tabs = append(pl.tabs, sizeTable{ops: ops})
 			continue
 		}
-		sizeBufs[li] = c.stagingExact(int64(2 * size * 8))
-		q := c.bind(r.IrecvRaw(c.p, lr, c.tag(tagSizes), sizeBufs[li], c.bytesAt(0, int64(2*size*8)), 1))
+		buf := c.stagingExact(int64(2 * size * 8))
+		pl.tabs = append(pl.tabs, sizeTable{ops: ops, data: buf.Data})
+		q := c.bind(r.IrecvRaw(c.p, lr, c.tag(tagSizes), buf, c.bytesAt(0, int64(2*size*8)), 1))
 		c.all = append(c.all, q)
 		sizeRecvs = append(sizeRecvs, q)
 	}
 	if err := c.subsetWait(sizeRecvs); err != nil {
+		pl.dropTables()
 		return err
 	}
-	plan := &hierPlan{
-		out:    make([][]int64, gpn),
-		in:     make([][]int64, gpn),
-		outOff: make(map[[2]int]int64),
-		inOff:  make(map[[2]int]int64),
-	}
-	for li, lr := range locals {
-		if lr == id {
-			plan.out[li], plan.in[li] = myOut, myIn
-			continue
-		}
-		out := make([]int64, size)
-		in := make([]int64, size)
-		// Size tables are control metadata, not payload: byte-exact
-		// staging whatever the payload mode.
-		data := sizeBufs[li].Data
-		for i := 0; i < size; i++ {
-			out[i] = int64(binary.LittleEndian.Uint64(data[i*8:]))
-			in[i] = int64(binary.LittleEndian.Uint64(data[(size+i)*8:]))
-		}
-		plan.out[li], plan.in[li] = out, in
-	}
-
-	// --- staging layout: bundleOut per remote node is ordered
-	// (srcLocal asc, dst asc); bundleIn mirrors the sender's ordering
-	// (src asc, dstLocal asc) — identical because both iterate the
-	// sending node's locals outer, receiving node's locals inner. ---
-	nodes := e.nodes()
-	plan.bundleOutOff = make([]int64, nodes)
-	plan.bundleOutLen = make([]int64, nodes)
-	plan.bundleInOff = make([]int64, nodes)
-	plan.bundleInLen = make([]int64, nodes)
-	for nd := 0; nd < nodes; nd++ {
-		if nd == node {
-			continue
-		}
-		plan.bundleOutOff[nd] = plan.totalOut
-		for li, lr := range locals {
-			_ = lr
-			for _, dst := range e.localRanks(nd) {
-				n := plan.out[li][dst]
-				if n == 0 {
-					continue
-				}
-				plan.outOff[[2]int{locals[li], dst}] = plan.totalOut
-				plan.totalOut += n
-			}
-		}
-		plan.bundleOutLen[nd] = plan.totalOut - plan.bundleOutOff[nd]
-
-		plan.bundleInOff[nd] = plan.totalIn
-		for _, src := range e.localRanks(nd) {
-			for li := range locals {
-				n := plan.in[li][src]
-				if n == 0 {
-					continue
-				}
-				plan.inOff[[2]int{src, locals[li]}] = plan.totalIn
-				plan.totalIn += n
-			}
-		}
-		plan.bundleInLen[nd] = plan.totalIn - plan.bundleInOff[nd]
-	}
-	stagingOut := c.staging(plan.totalOut)
-	stagingIn := c.staging(plan.totalIn)
+	totalOut, totalIn := pl.layout(e, node)
+	stagingOut := c.staging(totalOut)
+	stagingIn := c.staging(totalIn)
 
 	// --- window A1: post everything outbound-facing; close launches the
 	// fused pack kernel (own cross-leg packs + self-leg pack). ---
@@ -257,41 +269,39 @@ func (c *call) alltoallwHier(ops []WOp) error {
 		c.openWin()
 	}
 	var bundleRecvs, gatherRecvs []*mpi.Request
-	for ns := 0; ns < nodes; ns++ {
-		if n := plan.bundleInLen[ns]; n > 0 {
-			q := c.bind(r.IrecvRaw(c.p, e.leaderOf(ns), c.tag(tagBundle), stagingIn, c.bytesAt(plan.bundleInOff[ns], n), 1))
-			c.all = append(c.all, q)
-			bundleRecvs = append(bundleRecvs, q)
-		}
-	}
+	e.eachBundle(pl.in, func(nd int, off, n int64) {
+		q := c.bind(r.IrecvRaw(c.p, e.leaderOf(nd), c.tag(tagBundle), stagingIn, c.bytesAt(off, n), 1))
+		c.all = append(c.all, q)
+		bundleRecvs = append(bundleRecvs, q)
+	})
+	// Each local's gather legs in dst order, the order it sends them.
 	for li, lr := range locals {
 		if lr == id {
 			continue
 		}
-		for dst := 0; dst < size; dst++ {
-			if e.nodeOf(dst) == node {
-				continue
+		var off int64
+		for _, g := range pl.out {
+			if int(g.li) == li {
+				q := c.bind(r.IrecvRaw(c.p, lr, c.tag(tagGather), stagingOut, c.bytesAt(off, g.n), 1))
+				c.all = append(c.all, q)
+				gatherRecvs = append(gatherRecvs, q)
 			}
-			n := plan.out[li][dst]
-			if n == 0 {
-				continue
-			}
-			q := c.bind(r.IrecvRaw(c.p, lr, c.tag(tagGather), stagingOut, c.bytesAt(plan.outOff[[2]int{lr, dst}], n), 1))
-			c.all = append(c.all, q)
-			gatherRecvs = append(gatherRecvs, q)
+			off += g.n
 		}
 	}
 	var packHs []mpi.Handle
-	for dst := 0; dst < size; dst++ {
-		if e.nodeOf(dst) == node || myOut[dst] == 0 {
-			continue
+	var off int64
+	for _, g := range pl.out {
+		if locals[g.li] == id {
+			op := ops[g.peer]
+			e := r.LayoutEntry(op.SendType, op.SendCount)
+			job := pack.NewJob(pack.OpPack, op.SendBuf, stagingOut, e.Blocks)
+			job.Plan = e.Plan
+			job.TargetOff = off
+			packHs = append(packHs, r.Scheme().Pack(c.p, job))
+			c.bytes += g.n
 		}
-		e := r.LayoutEntry(ops[dst].SendType, ops[dst].SendCount)
-		job := pack.NewJob(pack.OpPack, ops[dst].SendBuf, stagingOut, e.Blocks)
-		job.Plan = e.Plan
-		job.TargetOff = plan.outOff[[2]int{id, dst}]
-		packHs = append(packHs, r.Scheme().Pack(c.p, job))
-		c.bytes += myOut[dst]
+		off += g.n
 	}
 	directRecvs := c.postDirect(ops, locals)
 	if c.batch != nil {
@@ -310,12 +320,10 @@ func (c *call) alltoallwHier(ops []WOp) error {
 	}
 
 	// --- bundle phase: one contiguous message per remote node pair. ---
-	for nd := 0; nd < nodes; nd++ {
-		if n := plan.bundleOutLen[nd]; n > 0 {
-			c.bytes += n
-			c.all = append(c.all, c.bind(r.IsendRaw(c.p, e.leaderOf(nd), c.tag(tagBundle), stagingOut, c.bytesAt(plan.bundleOutOff[nd], n), 1)))
-		}
-	}
+	e.eachBundle(pl.out, func(nd int, off, n int64) {
+		c.bytes += n
+		c.all = append(c.all, c.bind(r.IsendRaw(c.p, e.leaderOf(nd), c.tag(tagBundle), stagingOut, c.bytesAt(off, n), 1)))
+	})
 	if err := c.subsetWait(bundleRecvs); err != nil {
 		return err
 	}
@@ -326,22 +334,15 @@ func (c *call) alltoallwHier(ops []WOp) error {
 		c.openWin()
 	}
 	var unpackHs []mpi.Handle
-	for src := 0; src < size; src++ {
-		if e.nodeOf(src) == node {
-			continue
+	off = 0
+	for _, g := range pl.in {
+		if lr := locals[g.li]; lr != id {
+			c.all = append(c.all, c.bind(r.IsendRaw(c.p, lr, c.tag(tagSlice), stagingIn, c.bytesAt(off, g.n), 1)))
+		} else {
+			op := ops[g.peer]
+			unpackHs = append(unpackHs, c.unpackJob(stagingIn, op.RecvBuf, op.RecvType, op.RecvCount, off))
 		}
-		for li, lr := range locals {
-			n := plan.in[li][src]
-			if n == 0 {
-				continue
-			}
-			off := plan.inOff[[2]int{src, lr}]
-			if lr == id {
-				unpackHs = append(unpackHs, c.unpackJob(stagingIn, ops[src].RecvBuf, ops[src].RecvType, ops[src].RecvCount, off))
-				continue
-			}
-			c.all = append(c.all, c.bind(r.IsendRaw(c.p, lr, c.tag(tagSlice), stagingIn, c.bytesAt(off, n), 1)))
-		}
+		off += g.n
 	}
 	if c.batch != nil {
 		c.closeWin()
@@ -351,7 +352,7 @@ func (c *call) alltoallwHier(ops []WOp) error {
 
 // hierLocal is the non-leader side: hand cross-node legs to the leader,
 // exchange direct legs, and receive forwarded slices.
-func (c *call) hierLocal(ops []WOp, leader int, locals []int, myOut, myIn []int64) error {
+func (c *call) hierLocal(ops []WOp, leader int, locals []int) error {
 	e, r := c.e, c.r
 	size := len(ops)
 	node := e.nodeOf(r.ID())
@@ -362,26 +363,27 @@ func (c *call) hierLocal(ops []WOp, leader int, locals []int, myOut, myIn []int6
 	if c.batch != nil {
 		c.openWin()
 	}
+	// The size table is encoded straight from ops into the staging it is
+	// sent from; control metadata stays byte-exact.
 	sizeBuf := c.stagingExact(int64(2 * size * 8))
-	sizeData := sizeBuf.Data // control metadata stays byte-exact
-	for i := 0; i < size; i++ {
-		binary.LittleEndian.PutUint64(sizeData[i*8:], uint64(myOut[i]))
-		binary.LittleEndian.PutUint64(sizeData[(size+i)*8:], uint64(myIn[i]))
+	for i, op := range ops {
+		binary.LittleEndian.PutUint64(sizeBuf.Data[i*8:], uint64(op.sendBytes()))
+		binary.LittleEndian.PutUint64(sizeBuf.Data[(size+i)*8:], uint64(op.recvBytes()))
 	}
 	c.all = append(c.all, c.bind(r.IsendRaw(c.p, leader, c.tag(tagSizes), sizeBuf, c.bytesAt(0, int64(2*size*8)), 1)))
-	for dst := 0; dst < size; dst++ {
-		if e.nodeOf(dst) == node || myOut[dst] == 0 {
+	for dst, op := range ops {
+		if e.nodeOf(dst) == node || op.sendBytes() == 0 {
 			continue
 		}
-		c.bytes += myOut[dst]
-		c.all = append(c.all, c.bind(r.IsendRaw(c.p, leader, c.tag(tagGather), ops[dst].SendBuf, ops[dst].SendType, ops[dst].SendCount)))
+		c.bytes += op.sendBytes()
+		c.all = append(c.all, c.bind(r.IsendRaw(c.p, leader, c.tag(tagGather), op.SendBuf, op.SendType, op.SendCount)))
 	}
 	var sliceRecvs []*mpi.Request
-	for src := 0; src < size; src++ {
-		if e.nodeOf(src) == node || myIn[src] == 0 {
+	for src, op := range ops {
+		if e.nodeOf(src) == node || op.recvBytes() == 0 {
 			continue
 		}
-		q := c.bind(r.IrecvRaw(c.p, leader, c.tag(tagSlice), ops[src].RecvBuf, ops[src].RecvType, ops[src].RecvCount))
+		q := c.bind(r.IrecvRaw(c.p, leader, c.tag(tagSlice), op.RecvBuf, op.RecvType, op.RecvCount))
 		c.all = append(c.all, q)
 		sliceRecvs = append(sliceRecvs, q)
 	}

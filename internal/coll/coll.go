@@ -173,6 +173,8 @@ type Engine struct {
 
 	rmaF *rma.Fabric // lazily created; shared by UseRMA with the facade
 	osID int         // window/signal namespace id within the fabric
+
+	ids []int // 0..nodes*gpusPerNode-1; localRanks returns subslices
 }
 
 type shiftKey struct {
@@ -186,11 +188,16 @@ type rankState struct {
 	shifted map[shiftKey]*datatype.Layout
 	contig  map[[2]int64]*datatype.Layout
 	a2a     *a2aState // persistent one-sided Alltoallw negotiation (onesided.go)
+	hier    hierPlan  // the leader's hierarchical Alltoallw plan (alltoallw.go)
 }
 
 // New builds the engine for a world.
 func New(w *mpi.World, t Tuning) *Engine {
 	e := &Engine{w: w, tuning: t.withDefaults()}
+	e.ids = make([]int, e.nodes()*e.gpusPerNode())
+	for i := range e.ids {
+		e.ids[i] = i
+	}
 	for i := 0; i < w.Size(); i++ {
 		e.ranks = append(e.ranks, &rankState{
 			shifted: make(map[shiftKey]*datatype.Layout),
@@ -227,7 +234,7 @@ func (e *Engine) rmaFabric() *rma.Fabric {
 // comm ranks. The first one-sided collective on the sub-engine reseats
 // the shared fabric onto comm (fresh epoch, rebuilt symmetric heap).
 func (e *Engine) Sub(cm *mpi.Comm) *Engine {
-	sub := &Engine{w: e.w, comm: cm, tuning: e.tuning, rmaF: e.rmaF, osID: e.osID}
+	sub := &Engine{w: e.w, comm: cm, tuning: e.tuning, rmaF: e.rmaF, osID: e.osID, ids: e.ids}
 	for i := 0; i < e.w.Size(); i++ {
 		sub.ranks = append(sub.ranks, &rankState{
 			shifted: make(map[shiftKey]*datatype.Layout),
@@ -616,14 +623,11 @@ func (e *Engine) leaderOf(node int) int { return node * e.gpusPerNode() }
 // nodeOf returns the node a rank lives on.
 func (e *Engine) nodeOf(rank int) int { return rank / e.gpusPerNode() }
 
-// localRanks lists the ranks of one node in ascending order.
+// localRanks lists the ranks of one node in ascending order. The slice is
+// shared by every caller and must not be written.
 func (e *Engine) localRanks(node int) []int {
 	gpn := e.gpusPerNode()
-	out := make([]int, 0, gpn)
-	for i := 0; i < gpn; i++ {
-		out = append(out, node*gpn+i)
-	}
-	return out
+	return e.ids[node*gpn : (node+1)*gpn]
 }
 
 // topoHierarchical reports whether the cluster shape justifies two-level

@@ -60,6 +60,34 @@ type Block struct {
 	Len    int64
 }
 
+// EachPiece walks two block lists that cut one byte stream differently and
+// calls fn(dstOff, srcOff, n) for each maximal piece inside one block of
+// each, in stream order; empty blocks are skipped. It panics when the
+// lists cover different byte counts.
+func EachPiece(dst, src []Block, fn func(dstOff, srcOff, n int64)) {
+	si, di := 0, 0
+	var so, do int64
+	for {
+		for si < len(src) && so == src[si].Len {
+			si, so = si+1, 0
+		}
+		for di < len(dst) && do == dst[di].Len {
+			di, do = di+1, 0
+		}
+		if si == len(src) || di == len(dst) {
+			break
+		}
+		sb, db := src[si], dst[di]
+		n := min(sb.Len-so, db.Len-do)
+		fn(db.Offset+do, sb.Offset+so, n)
+		so += n
+		do += n
+	}
+	if si < len(src) || di < len(dst) {
+		panic("datatype: block lists cover different byte counts")
+	}
+}
+
 // Type is an uncommitted datatype description. Types are immutable once
 // built; Commit produces the flattened Layout used everywhere else.
 type Type interface {

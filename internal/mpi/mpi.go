@@ -329,6 +329,7 @@ type Rank struct {
 	posted     []*Request // posted receives awaiting a match
 	unexpected []*message // arrived messages with no posted receive
 	active     []*Request // all incomplete requests this rank owns
+	snap       []*Request // progress's reusable copy of active; nil while a poll holds it
 
 	// Envelope-ordering state: MPI's non-overtaking rule requires that
 	// the matchable envelopes (eager data or RTS) of sends to the same
@@ -1070,9 +1071,12 @@ func (r *Rank) progress(p *sim.Proc) {
 	if r.reliable() {
 		r.retransmitScan(p)
 	}
-	// Iterate over a snapshot: completions mutate r.active.
-	snapshot := append([]*Request(nil), r.active...)
-	for _, q := range snapshot {
+	// Iterate over a snapshot: completions mutate r.active. The snapshot
+	// slice is taken from the rank while in use, so a nested poll, or the
+	// first poll after a kill unwound this loop, starts a slice of its own.
+	snap := append(r.snap[:0], r.active...)
+	r.snap = nil
+	for _, q := range snap {
 		if q.settled() {
 			continue
 		}
@@ -1082,6 +1086,8 @@ func (r *Rank) progress(p *sim.Proc) {
 			r.progressRecv(p, q)
 		}
 	}
+	clear(snap) // keep no settled request reachable
+	r.snap = snap[:0]
 }
 
 func (r *Rank) progressSend(p *sim.Proc, q *Request) {

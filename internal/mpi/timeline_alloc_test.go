@@ -1,9 +1,11 @@
 package mpi_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/gpu"
 	"repro/internal/mpi"
 	"repro/internal/schemes"
 	"repro/internal/sim"
@@ -68,5 +70,48 @@ func TestWorldTimelineRecordsAndReconciles(t *testing.T) {
 	}
 	if len(w.Rank(0).Timeline().Events()) == 0 {
 		t.Fatal("sender rank recorded no events")
+	}
+}
+
+// TestProgressPollZeroAlloc pins the progress loop's snapshot reuse: once
+// warm, a poll over active requests that have nothing to do allocates
+// nothing.
+func TestProgressPollZeroAlloc(t *testing.T) {
+	w := newWorld("GPU-Sync", nil)
+	l := sparseLayout()
+	const n = 4
+	var sbufs, rbufs [n]*gpu.Buffer
+	for i := range sbufs {
+		sbufs[i] = w.Rank(4).Dev.Alloc(fmt.Sprint("s", i), int(l.ExtentBytes))
+		rbufs[i] = w.Rank(0).Dev.Alloc(fmt.Sprint("r", i), int(l.ExtentBytes))
+	}
+	var allocs float64
+	err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
+		switch r.ID() {
+		case 0:
+			var reqs []*mpi.Request
+			for tag := 0; tag < n; tag++ {
+				reqs = append(reqs, r.Irecv(p, 4, tag, rbufs[tag], l, 1))
+			}
+			allocs = testing.AllocsPerRun(100, func() { r.Progress(p) })
+			if err := r.Waitall(p, reqs); err != nil {
+				t.Error(err)
+			}
+		case 4:
+			p.Sleep(sim.Millisecond) // the receiver polls first
+			var reqs []*mpi.Request
+			for tag := 0; tag < n; tag++ {
+				reqs = append(reqs, r.Isend(p, 0, tag, sbufs[tag], l, 1))
+			}
+			if err := r.Waitall(p, reqs); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("a progress poll over %d posted receives allocates %v per call, want 0", n, allocs)
 	}
 }

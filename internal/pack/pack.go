@@ -166,60 +166,18 @@ func scatter(src []byte, dst []byte, blocks []datatype.Block) {
 // copyBlocks streams srcBlocks of src into dstBlocks of dst; the two block
 // lists must cover the same number of bytes but may be cut differently.
 func copyBlocks(src []byte, srcBlocks []datatype.Block, dst []byte, dstBlocks []datatype.Block) {
-	eachPiece(srcBlocks, dstBlocks, func(d, s, n int64) { copy(dst[d:d+n], src[s:s+n]) })
+	datatype.EachPiece(dstBlocks, srcBlocks, func(d, s, n int64) { copy(dst[d:d+n], src[s:s+n]) })
 }
 
-// lazyCopyBlocks is copyBlocks for when either side is a lazy buffer.
-// When both are lazy and one side is a single block, the whole list is one
-// payload Gather (one destination block) or Scatter (one source block);
-// otherwise each piece goes through gpu.CopyRange.
+// lazyCopyBlocks is copyBlocks for when either side is a lazy buffer: one
+// payload CopyBlocks when both are lazy, one gpu.CopyRange per piece when
+// only one is.
 func lazyCopyBlocks(src *gpu.Buffer, srcBlocks []datatype.Block, dst *gpu.Buffer, dstBlocks []datatype.Block) {
-	if src.IsLazy() && dst.IsLazy() && (len(srcBlocks) == 1 || len(dstBlocks) == 1) {
-		if totalLen(srcBlocks) != totalLen(dstBlocks) {
-			panic("pack: block lists cover different byte counts")
-		}
-		if len(dstBlocks) == 1 {
-			dst.Lazy.Gather(dstBlocks[0].Offset, src.Lazy, len(srcBlocks), blockAt(srcBlocks))
-		} else {
-			dst.Lazy.Scatter(len(dstBlocks), blockAt(dstBlocks), src.Lazy, srcBlocks[0].Offset)
-		}
+	if src.IsLazy() && dst.IsLazy() {
+		dst.Lazy.CopyBlocks(dstBlocks, src.Lazy, srcBlocks)
 		return
 	}
-	eachPiece(srcBlocks, dstBlocks, func(d, s, n int64) { gpu.CopyRange(dst, d, src, s, n) })
-}
-
-// eachPiece walks two block lists that cut one byte stream differently and
-// calls fn(dstOff, srcOff, n) for each maximal piece inside one block of
-// each; empty blocks are skipped. It panics when the lists cover different
-// byte counts.
-func eachPiece(srcBlocks, dstBlocks []datatype.Block, fn func(dstOff, srcOff, n int64)) {
-	si, di := 0, 0
-	var so, do int64
-	for {
-		for si < len(srcBlocks) && so == srcBlocks[si].Len {
-			si, so = si+1, 0
-		}
-		for di < len(dstBlocks) && do == dstBlocks[di].Len {
-			di, do = di+1, 0
-		}
-		if si == len(srcBlocks) || di == len(dstBlocks) {
-			break
-		}
-		sb, db := srcBlocks[si], dstBlocks[di]
-		n := min(sb.Len-so, db.Len-do)
-		fn(db.Offset+do, sb.Offset+so, n)
-		so += n
-		do += n
-	}
-	if si < len(srcBlocks) || di < len(dstBlocks) {
-		panic("pack: block lists cover different byte counts")
-	}
-}
-
-// blockAt exposes a block list as the range accessor of the payload
-// batched copies.
-func blockAt(blocks []datatype.Block) func(i int) (off, n int64) {
-	return func(i int) (int64, int64) { return blocks[i].Offset, blocks[i].Len }
+	datatype.EachPiece(dstBlocks, srcBlocks, func(d, s, n int64) { gpu.CopyRange(dst, d, src, s, n) })
 }
 
 // KernelSpec converts the job into a single-kernel launch description.

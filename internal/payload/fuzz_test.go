@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"repro/internal/datatype"
 )
 
 // checkSpanInvariants asserts the structural health of a span list:
@@ -203,44 +205,52 @@ func FuzzLazyChecksumAlgebra(f *testing.F) {
 	})
 }
 
-// blockCopyCase is one decoded FuzzLazyBlockCopy input: a Gather or a
-// Scatter over a range list, between two literal-bearing contents or
-// within one.
+// blockCopyCase is one decoded FuzzLazyBlockCopy input: a CopyBlocks
+// between two literal-bearing contents, or within one.
 type blockCopyCase struct {
-	scatter, self bool
-	ranges        [][2]int64 // the block list: (offset, length) pairs
-	at            int64      // dstOff of a Gather, srcOff of a Scatter
+	self     bool
+	dst, src []datatype.Block
 }
 
 // blockCopySize is the content length of FuzzLazyBlockCopy.
 const blockCopySize = int64(199)
 
-// decodeBlockCopy turns fuzz bytes into a case. With the ascending bit set
-// the ranges are built in ascending order with gaps of 0–7 bytes, so
-// touching ranges appear and Scatter takes its one-splice path; otherwise
-// offsets are free, so unsorted and overlapping lists reach the fallback.
-// The ranges never cover more than the content in total.
-func decodeBlockCopy(mode uint8, at uint16, ranges []byte) blockCopyCase {
+// decodeBlocks turns byte pairs into at most 32 blocks of at most 31
+// bytes, each inside the content, covering at most limit bytes in total.
+// An ascending list places each block 0–7 bytes after the previous one
+// (touching blocks included); a free list takes offsets mod the content
+// size, so unsorted and overlapping lists appear.
+func decodeBlocks(p []byte, ascending bool, limit int64) (bl []datatype.Block, total int64) {
 	const n = blockCopySize
-	bc := blockCopyCase{scatter: mode&1 != 0, self: mode&2 != 0}
-	ascending := mode&4 != 0
-	var prev, total int64
-	for len(ranges) >= 2 && len(bc.ranges) < 32 {
-		a, b := int64(ranges[0]), int64(ranges[1])
-		ranges = ranges[2:]
-		off := a % n
+	var prev int64
+	for len(p) >= 2 && len(bl) < 32 {
+		off, ln := int64(p[0])%n, min(int64(p[1])%32, limit-total)
 		if ascending {
-			off = prev + a%8
+			off = prev + int64(p[0])%8
 		}
-		ln := min(b%24, n-total)
+		p = p[2:]
 		if off+ln > n {
 			break
 		}
-		bc.ranges = append(bc.ranges, [2]int64{off, ln})
-		prev = off + ln
-		total += ln
+		bl = append(bl, datatype.Block{Offset: off, Len: ln})
+		prev, total = off+ln, total+ln
 	}
-	bc.at = int64(at) % (n - total + 1)
+	return bl, total
+}
+
+// decodeBlockCopy turns fuzz bytes into a case: mode bit 0 makes it a
+// self-copy, bits 1 and 2 make the destination and source lists
+// ascending, and the rest place the block that pads the source list to
+// the byte count of the destination list.
+func decodeBlockCopy(mode uint8, dst, src []byte) blockCopyCase {
+	bc := blockCopyCase{self: mode&1 != 0}
+	var total, got int64
+	bc.dst, total = decodeBlocks(dst, mode&2 != 0, blockCopySize)
+	bc.src, got = decodeBlocks(src, mode&4 != 0, total)
+	if rest := total - got; rest > 0 {
+		off := int64(mode>>3) * 13 % (blockCopySize - rest + 1)
+		bc.src = append(bc.src, datatype.Block{Offset: off, Len: rest})
+	}
 	return bc
 }
 
@@ -269,22 +279,26 @@ func blockCopyContents(self bool, seed uint64, lits []byte) (dst, src *Content) 
 	return dst, src
 }
 
-// FuzzLazyBlockCopy checks the batched block-list copies against two
-// references: a []byte model of one copy per range in list order, and the
-// same copies done with one CopyFrom per range. All three must agree on
-// bytes and Checksum, and the batched and per-range contents on SpanCount,
-// with the span invariants (literal table included) intact. It then resets
-// the destination, which must equal a fresh content before and after the
-// same copy.
+// FuzzLazyBlockCopy checks CopyBlocks between two block lists cut
+// differently against two references: a []byte model of one copy per
+// piece in list order, and the same pieces copied with one CopyFrom each.
+// All three must agree on bytes and Checksum, and CopyBlocks and the
+// per-piece copies on SpanCount, with the span invariants (literal table
+// included) intact. It then resets the destination, which must equal a
+// fresh content before and after the same copy. The corpus holds the
+// one-block gathers and scatters this op replaced.
 func FuzzLazyBlockCopy(f *testing.F) {
-	f.Add(uint8(0), uint64(1), []byte{3, 4, 50, 9}, uint16(7), []byte{10, 20, 40, 5, 90, 23})
-	f.Add(uint8(5), uint64(2), []byte{100, 7}, uint16(3), []byte{1, 16, 0, 16, 7, 3, 2, 23})
-	f.Add(uint8(1), uint64(3), []byte{9, 9, 9}, uint16(0), []byte{150, 20, 10, 20, 12, 20})
-	f.Add(uint8(7), uint64(4), []byte{60, 8, 61, 8}, uint16(40), []byte{0, 10, 0, 10, 4, 10})
-	f.Add(uint8(2), uint64(5), []byte{20, 3}, uint16(90), []byte{80, 23, 10, 23})
-	f.Fuzz(func(t *testing.T, mode uint8, seed uint64, lits []byte, at uint16, ranges []byte) {
-		bc := decodeBlockCopy(mode, at, ranges)
-		rangeAt := func(i int) (int64, int64) { return bc.ranges[i][0], bc.ranges[i][1] }
+	// Both lists multi-block, cut differently, ascending.
+	f.Add(uint8(6), uint64(1), []byte{3, 4, 50, 9}, []byte{10, 20, 3, 5, 90, 23, 1, 30}, []byte{4, 13, 5, 7, 0, 31, 2, 9})
+	// Unsorted, overlapping destination blocks.
+	f.Add(uint8(4), uint64(2), []byte{100, 7}, []byte{40, 20, 30, 20, 35, 10}, []byte{1, 16, 0, 16, 7, 3})
+	// Self-copies: source inside the destination's range, and outside it.
+	f.Add(uint8(7), uint64(3), []byte{9, 9, 9}, []byte{20, 12, 2, 12}, []byte{24, 10, 1, 14})
+	f.Add(uint8(3), uint64(4), []byte{60, 8, 61, 8}, []byte{10, 10, 2, 10}, []byte{150, 25, 180, 15})
+	// Unsorted source, padded by the last block.
+	f.Add(uint8(0x52), uint64(5), []byte{20, 3}, []byte{80, 23, 10, 23}, []byte{120, 9, 30, 9})
+	f.Fuzz(func(t *testing.T, mode uint8, seed uint64, lits, dstBlocks, srcBlocks []byte) {
+		bc := decodeBlockCopy(mode, dstBlocks, srcBlocks)
 
 		dst, src := blockCopyContents(bc.self, seed, lits)
 		refDst, refSrc := blockCopyContents(bc.self, seed, lits)
@@ -296,41 +310,29 @@ func FuzzLazyBlockCopy(f *testing.F) {
 			src.ReadAt(sb, 0)
 		}
 
-		w := bc.at
-		for _, r := range bc.ranges {
-			off, n := r[0], r[1]
-			if bc.scatter {
-				refDst.CopyFrom(off, refSrc, w, n)
-				copy(db[off:off+n], append([]byte(nil), sb[w:w+n]...))
-			} else {
-				refDst.CopyFrom(w, refSrc, off, n)
-				copy(db[w:w+n], append([]byte(nil), sb[off:off+n]...))
-			}
-			w += n
-		}
-		if bc.scatter {
-			dst.Scatter(len(bc.ranges), rangeAt, src, bc.at)
-		} else {
-			dst.Gather(bc.at, src, len(bc.ranges), rangeAt)
-		}
+		datatype.EachPiece(bc.dst, bc.src, func(d, s, n int64) {
+			refDst.CopyFrom(d, refSrc, s, n)
+			copy(db[d:d+n], append([]byte(nil), sb[s:s+n]...))
+		})
+		dst.CopyBlocks(bc.dst, src, bc.src)
 
 		checkSpanInvariants(t, dst)
 		checkSpanInvariants(t, refDst)
 		got := make([]byte, blockCopySize)
 		dst.ReadAt(got, 0)
 		if !bytes.Equal(got, db) {
-			t.Fatal("batched copy diverges from the byte model")
+			t.Fatal("CopyBlocks diverges from the byte model")
 		}
 		if dst.Checksum() != Checksum(db) || refDst.Checksum() != Checksum(db) {
 			t.Fatal("checksums diverge from the byte model")
 		}
 		if dst.SpanCount() != refDst.SpanCount() {
-			t.Fatalf("batched copy leaves %d spans, per-range copies %d", dst.SpanCount(), refDst.SpanCount())
+			t.Fatalf("CopyBlocks leaves %d spans, per-piece copies %d", dst.SpanCount(), refDst.SpanCount())
 		}
 
 		// Reset must leave exactly New(n): zero bytes, its checksum, no
 		// spans, and no literal from before still reachable.
-		rn := int64(at) % (2 * blockCopySize)
+		rn := int64(seed%uint64(2*blockCopySize)) + int64(mode)%2
 		dst.Reset(rn)
 		checkSpanInvariants(t, dst)
 		zeros := make([]byte, rn)
@@ -351,11 +353,7 @@ func FuzzLazyBlockCopy(f *testing.F) {
 		dst.Reset(blockCopySize)
 		fresh := New(blockCopySize)
 		for _, c := range []*Content{dst, fresh} {
-			if bc.scatter {
-				c.Scatter(len(bc.ranges), rangeAt, src, bc.at)
-			} else {
-				c.Gather(bc.at, src, len(bc.ranges), rangeAt)
-			}
+			c.CopyBlocks(bc.dst, src, bc.src)
 		}
 		checkSpanInvariants(t, dst)
 		if dst.Checksum() != fresh.Checksum() || dst.SpanCount() != fresh.SpanCount() {

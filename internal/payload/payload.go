@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"repro/internal/datatype"
 )
 
 // --- position-addressable PRF stream ---
@@ -128,7 +130,7 @@ func mergeable(a, b span) bool {
 // beyond twice its live literal spans before compacting the table.
 const litSlack = 16
 
-// addPool holds the staging span lists CopyFrom, Gather and Scatter build
+// addPool holds the staging span lists CopyFrom and CopyBlocks build
 // before their single splice (source spans must be snapshotted before the
 // destination is mutated: self-copies alias).
 var addPool = sync.Pool{New: func() any { return new([]span) }}
@@ -413,103 +415,57 @@ func (c *Content) CopyFrom(dstOff int64, src *Content, srcOff, n int64) {
 	addPool.Put(p)
 }
 
-// Gather copies src's ranges at(0), …, at(nr-1), in list order, into c's
-// contiguous range starting at dstOff: a whole block-list pack as one
-// splice. The ranges may be unsorted or overlap, since src is only read.
-// A self-gather whose ranges overlap the destination range falls back to
-// one CopyFrom per range, which keeps sequential copy semantics.
-func (c *Content) Gather(dstOff int64, src *Content, nr int, at func(i int) (off, n int64)) {
-	var total int64
-	for i := 0; i < nr; i++ {
-		off, n := at(i)
-		src.checkRange("Gather src", off, n)
-		total += n
-	}
-	c.checkRange("Gather dst", dstOff, total)
-	end := dstOff + total
-	batch := true
-	if src == c {
-		for i := 0; i < nr && batch; i++ {
-			off, n := at(i)
-			batch = n == 0 || off >= end || off+n <= dstOff
-		}
-	}
-	w := dstOff
-	if !batch {
-		for i := 0; i < nr; i++ {
-			off, n := at(i)
-			c.CopyFrom(w, src, off, n)
-			w += n
-		}
-		return
-	}
-	if total == 0 {
-		return
-	}
-	p := addPool.Get().(*[]span)
-	add := (*p)[:0]
-	for i := 0; i < nr; i++ {
-		off, n := at(i)
-		add = c.appendSpans(add, w, src, off, n)
-		w += n
-	}
-	c.splice(dstOff, end, add)
-	*p = add[:0]
-	addPool.Put(p)
-}
-
-// Scatter copies src's contiguous range starting at srcOff into c's
-// ranges at(0), …, at(nr-1), in list order: a whole block-list unpack as
-// one splice, the gaps between the ranges keeping c's own spans. Ranges
-// that are not ascending and disjoint, and a self-scatter whose source
-// overlaps them, fall back to one CopyFrom per range.
-func (c *Content) Scatter(nr int, at func(i int) (off, n int64), src *Content, srcOff int64) {
-	var total int64
+// CopyBlocks copies src's blocks srcBlocks into c's blocks dstBlocks: the
+// byte stream the source list reads, in list order, is written over the
+// destination list, in list order. The two lists cover the same byte count
+// but may be cut differently (a whole pack, unpack or DirectIPC block-list
+// copy). Source blocks may be unsorted or overlap, since src is only read.
+// When the non-empty destination blocks ascend without overlap, the copy
+// is one splice, the gaps between them keeping c's own spans. Any other
+// list, and a self-copy reading inside the destination's range, is one
+// CopyFrom per piece in list order, which keeps sequential copy semantics.
+func (c *Content) CopyBlocks(dstBlocks []datatype.Block, src *Content, srcBlocks []datatype.Block) {
+	var total, srcTotal int64
 	lo, hi := int64(-1), int64(0)
 	batch := true
-	for i := 0; i < nr; i++ {
-		off, n := at(i)
-		c.checkRange("Scatter dst", off, n)
-		total += n
-		if n == 0 {
+	for _, b := range dstBlocks {
+		c.checkRange("CopyBlocks dst", b.Offset, b.Len)
+		total += b.Len
+		if b.Len == 0 {
 			continue
 		}
 		if lo < 0 {
-			lo = off
-		} else if off < hi {
+			lo = b.Offset
+		} else if b.Offset < hi {
 			batch = false
 		}
-		hi = off + n
+		hi = b.Offset + b.Len
 	}
-	src.checkRange("Scatter src", srcOff, total)
-	if batch && src == c && srcOff < hi && srcOff+total > lo {
-		batch = false
-	}
-	r := srcOff
-	if !batch {
-		for i := 0; i < nr; i++ {
-			off, n := at(i)
-			c.CopyFrom(off, src, r, n)
-			r += n
+	for _, b := range srcBlocks {
+		src.checkRange("CopyBlocks src", b.Offset, b.Len)
+		srcTotal += b.Len
+		if src == c && b.Len > 0 && b.Offset < hi && b.Offset+b.Len > lo {
+			batch = false
 		}
-		return
+	}
+	if total != srcTotal {
+		panic(fmt.Sprintf("payload: CopyBlocks lists cover %d and %d bytes", total, srcTotal))
 	}
 	if total == 0 {
+		return
+	}
+	if !batch {
+		datatype.EachPiece(dstBlocks, srcBlocks, func(d, s, n int64) { c.CopyFrom(d, src, s, n) })
 		return
 	}
 	p := addPool.Get().(*[]span)
 	add := (*p)[:0]
 	prev := lo
-	for i := 0; i < nr; i++ {
-		off, n := at(i)
-		if n == 0 {
-			continue
-		}
-		add = c.appendSpans(add, prev, c, prev, off-prev)
-		add = c.appendSpans(add, off, src, r, n)
-		r += n
-		prev = off + n
-	}
+	datatype.EachPiece(dstBlocks, srcBlocks, func(d, s, n int64) {
+		add = c.appendSpans(add, prev, c, prev, d-prev)
+		add = c.appendSpans(add, d, src, s, n)
+		prev = d + n
+	})
 	c.splice(lo, prev, add)
 	*p = add[:0]
 	addPool.Put(p)

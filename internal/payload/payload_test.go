@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"unsafe"
+
+	"repro/internal/datatype"
 )
 
 // model pairs a Content with a plain []byte shadow; every op is applied to
@@ -169,7 +171,7 @@ func TestConcatLaw(t *testing.T) {
 // scatter them back into a filled destination — covered bytes must round
 // trip, gaps keep the destination's bytes, and the packed checksum must
 // equal the packed model bytes. Per-block CopyFrom and the batched
-// Gather/Scatter must agree on checksum and span count.
+// CopyBlocks must agree on checksum and span count.
 func TestPackUnpackRoundTrip(t *testing.T) {
 	const n = 4096
 	src := New(n)
@@ -178,26 +180,25 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	sb := make([]byte, n)
 	src.ReadAt(sb, 0)
 
-	type block struct{ off, ln int64 }
-	var blocks []block
+	var blocks []datatype.Block
 	for off := int64(16); off+48 < n; off += 160 {
-		blocks = append(blocks, block{off, 48})
+		blocks = append(blocks, datatype.Block{Offset: off, Len: 48})
 	}
-	at := func(i int) (int64, int64) { return blocks[i].off, blocks[i].ln }
 	var packedLen int64
 	for _, bl := range blocks {
-		packedLen += bl.ln
+		packedLen += bl.Len
 	}
+	whole := []datatype.Block{{Offset: 0, Len: packedLen}}
 	packed := New(packedLen)
 	pb := make([]byte, packedLen)
 	var w int64
 	for _, bl := range blocks {
-		packed.CopyFrom(w, src, bl.off, bl.ln)
-		copy(pb[w:w+bl.ln], sb[bl.off:bl.off+bl.ln])
-		w += bl.ln
+		packed.CopyFrom(w, src, bl.Offset, bl.Len)
+		copy(pb[w:w+bl.Len], sb[bl.Offset:bl.Offset+bl.Len])
+		w += bl.Len
 	}
 	gathered := New(packedLen)
-	gathered.Gather(0, src, len(blocks), at)
+	gathered.CopyBlocks(whole, src, blocks)
 	for _, c := range []*Content{packed, gathered} {
 		if c.Checksum() != Checksum(pb) {
 			t.Fatal("packed checksum mismatch")
@@ -208,7 +209,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 		}
 	}
 	if packed.SpanCount() != gathered.SpanCount() {
-		t.Fatalf("Gather leaves %d spans, per-block copies %d", gathered.SpanCount(), packed.SpanCount())
+		t.Fatalf("a gathering CopyBlocks leaves %d spans, per-block copies %d", gathered.SpanCount(), packed.SpanCount())
 	}
 
 	dst := New(n)
@@ -217,13 +218,13 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	FillBytes(db, 5)
 	w = 0
 	for _, bl := range blocks {
-		dst.CopyFrom(bl.off, packed, w, bl.ln)
-		copy(db[bl.off:bl.off+bl.ln], pb[w:w+bl.ln])
-		w += bl.ln
+		dst.CopyFrom(bl.Offset, packed, w, bl.Len)
+		copy(db[bl.Offset:bl.Offset+bl.Len], pb[w:w+bl.Len])
+		w += bl.Len
 	}
 	scattered := New(n)
 	scattered.Fill(5)
-	scattered.Scatter(len(blocks), at, packed, 0)
+	scattered.CopyBlocks(blocks, packed, whole)
 	for _, c := range []*Content{dst, scattered} {
 		if c.Checksum() != Checksum(db) {
 			t.Fatal("unpacked checksum mismatch")
@@ -235,7 +236,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 		}
 	}
 	if dst.SpanCount() != scattered.SpanCount() {
-		t.Fatalf("Scatter leaves %d spans, per-block copies %d", scattered.SpanCount(), dst.SpanCount())
+		t.Fatalf("a scattering CopyBlocks leaves %d spans, per-block copies %d", scattered.SpanCount(), dst.SpanCount())
 	}
 }
 
@@ -271,9 +272,9 @@ func TestRangePanics(t *testing.T) {
 		func() { c.ReadAt(make([]byte, 4), 8) },
 		func() { c.Slice(-1, 2) },
 		func() { c.ChecksumRange(0, 11) },
-		func() { c.Gather(8, c, 1, func(int) (int64, int64) { return 0, 4 }) },
-		func() { c.Scatter(1, func(int) (int64, int64) { return 0, 4 }, c, 8) },
-		func() { c.Scatter(1, func(int) (int64, int64) { return 8, 4 }, c, 0) },
+		func() { c.CopyBlocks([]datatype.Block{{Offset: 8, Len: 4}}, c, []datatype.Block{{Offset: 0, Len: 4}}) },
+		func() { c.CopyBlocks([]datatype.Block{{Offset: 0, Len: 4}}, c, []datatype.Block{{Offset: 8, Len: 4}}) },
+		func() { c.CopyBlocks([]datatype.Block{{Offset: 0, Len: 4}}, c, []datatype.Block{{Offset: 0, Len: 3}}) },
 	} {
 		func() {
 			defer func() {
