@@ -1,14 +1,18 @@
 package dkf_test
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	dkf "repro"
 )
 
-// TestNewSessionRejectsInvalidConfigs is the validation table: every bad
-// configuration must fail fast in NewSession with a descriptive error.
+// TestNewSessionRejectsInvalidConfigs is the one validation table: every
+// bad configuration fails fast in NewSession with a nil session and a
+// *ConfigError naming the offending option, whose message says what is
+// wrong with it.
 func TestNewSessionRejectsInvalidConfigs(t *testing.T) {
 	abci := dkf.SystemABCI.Spec()
 	noNodes := abci
@@ -18,31 +22,85 @@ func TestNewSessionRejectsInvalidConfigs(t *testing.T) {
 	cases := []struct {
 		name    string
 		cfg     dkf.SessionConfig
+		option  string
 		wantSub string
 	}{
-		{"negative fusion threshold", dkf.SessionConfig{FusionThreshold: -1}, "FusionThreshold"},
-		{"negative eager limit", dkf.SessionConfig{EagerLimit: -8192}, "EagerLimit"},
-		{"negative pipeline chunk", dkf.SessionConfig{PipelineChunk: -1}, "PipelineChunk"},
-		{"system below range", dkf.SessionConfig{System: dkf.System(-1)}, "unknown System"},
-		{"system above range", dkf.SessionConfig{System: dkf.System(99)}, "unknown System"},
-		{"unknown scheme", dkf.SessionConfig{Scheme: "bogus"}, `unknown scheme "bogus"`},
-		{"custom spec without nodes", dkf.SessionConfig{CustomSpec: &noNodes}, "at least one node"},
-		{"custom spec without gpus", dkf.SessionConfig{CustomSpec: &noGPUs}, "at least one GPU"},
+		{"negative fusion threshold", dkf.SessionConfig{FusionThreshold: -1}, "FusionThreshold", "negative FusionThreshold"},
+		{"fusion threshold on GPU-Sync", dkf.SessionConfig{Scheme: dkf.SchemeGPUSync, FusionThreshold: 1 << 20}, "FusionThreshold", "GPU-Sync takes no fusion threshold"},
+		{"fusion threshold on Proposed-Auto", dkf.SessionConfig{Scheme: dkf.SchemeProposedAuto, FusionThreshold: 1 << 20}, "FusionThreshold", "Proposed-Auto takes no fusion threshold"},
+		{"negative pipeline chunk", dkf.SessionConfig{PipelineChunk: -1}, "PipelineChunk", "negative PipelineChunk"},
+		{"system below range", dkf.SessionConfig{System: dkf.System(-1)}, "System", "unknown System"},
+		{"system above range", dkf.SessionConfig{System: dkf.System(99)}, "System", "unknown System"},
+		{"unknown scheme", dkf.SessionConfig{Scheme: "bogus"}, "Scheme", `unknown scheme "bogus"`},
+		{"custom spec without nodes", dkf.SessionConfig{CustomSpec: &noNodes}, "CustomSpec", "at least one node"},
+		{"custom spec without gpus", dkf.SessionConfig{CustomSpec: &noGPUs}, "CustomSpec", "at least one GPU"},
+		{"unknown payload mode", dkf.SessionConfig{Payload: dkf.PayloadMode(9)}, "Payload", "unknown PayloadMode 9"},
+		{"negative lazy threshold", dkf.SessionConfig{Payload: dkf.PayloadLazy, LazyThreshold: -1}, "LazyThreshold", "negative LazyThreshold"},
+		{"lazy threshold without lazy mode", dkf.SessionConfig{LazyThreshold: 64}, "LazyThreshold", "requires Payload: PayloadLazy"},
+		{"negative heartbeat interval", dkf.SessionConfig{Heartbeat: dkf.HeartbeatConfig{IntervalNs: -1}, Faults: &dkf.FaultPlan{}}, "Heartbeat.IntervalNs", "negative Heartbeat.IntervalNs"},
+		{"negative heartbeat timeout", dkf.SessionConfig{Heartbeat: dkf.HeartbeatConfig{TimeoutNs: -1}, Faults: &dkf.FaultPlan{}}, "Heartbeat.TimeoutNs", "negative Heartbeat.TimeoutNs"},
+		{"heartbeat without faults", dkf.SessionConfig{Heartbeat: dkf.HeartbeatConfig{TimeoutNs: 1000}}, "Heartbeat.TimeoutNs", "requires a fault plan"},
+		{"unknown backend", dkf.SessionConfig{Backend: dkf.Backend(7)}, "Backend", "unknown Backend 7"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sess, err := dkf.NewSession(tc.cfg)
-			if err == nil {
-				t.Fatalf("NewSession(%+v) succeeded, want error", tc.cfg)
-			}
 			if sess != nil {
-				t.Fatal("failed NewSession must return a nil session")
+				sess.Close()
+				t.Fatalf("NewSession(%+v) returned a session, want nil", tc.cfg)
+			}
+			var ce *dkf.ConfigError
+			if !errors.As(err, &ce) {
+				t.Fatalf("NewSession error %v, want *ConfigError", err)
+			}
+			if ce.Option != tc.option {
+				t.Fatalf("ConfigError.Option = %q, want %q (err: %v)", ce.Option, tc.option, err)
 			}
 			if !strings.Contains(err.Error(), tc.wantSub) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
 			}
 		})
 	}
+}
+
+// TestConfigErrorTyped pins the typed error's contract beyond the table
+// above: the message leads with the dotted option name, the *ConfigError
+// survives wrapping, and PayloadLazy with Faults — once blanket-rejected
+// but genuinely supported — constructs a session.
+func TestConfigErrorTyped(t *testing.T) {
+	cases := []struct {
+		name       string
+		cfg        dkf.SessionConfig
+		wantOption string
+		wantPrefix string
+	}{
+		{"negative fusion threshold", dkf.SessionConfig{FusionThreshold: -1}, "FusionThreshold",
+			"dkf: invalid SessionConfig.FusionThreshold: negative FusionThreshold -1"},
+		{"unknown scheme", dkf.SessionConfig{Scheme: "bogus"}, "Scheme",
+			`dkf: invalid SessionConfig.Scheme: unknown scheme "bogus" (valid: `},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := dkf.NewSession(tc.cfg)
+			if err == nil || !strings.HasPrefix(err.Error(), tc.wantPrefix) {
+				t.Fatalf("NewSession error %v, want prefix %q", err, tc.wantPrefix)
+			}
+			var ce *dkf.ConfigError
+			if !errors.As(fmt.Errorf("setup: %w", err), &ce) || ce.Option != tc.wantOption {
+				t.Fatalf("wrapped error %v does not unwrap to a *ConfigError on %q", err, tc.wantOption)
+			}
+		})
+	}
+
+	plan, err := dkf.ParseFaultPlan("mixed,seed=4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := dkf.NewSession(dkf.SessionConfig{Payload: dkf.PayloadLazy, Faults: plan})
+	if err != nil {
+		t.Fatalf("PayloadLazy + Faults rejected: %v", err)
+	}
+	sess.Close()
 }
 
 // TestUnknownSchemeErrorListsValidNames checks the error is actionable.

@@ -8,47 +8,6 @@ import (
 	dkf "repro"
 )
 
-// TestConfigErrorTyped pins the typed validation contract: every rejected
-// configuration surfaces as a *ConfigError naming the offending option,
-// and the combinations that used to be blanket-rejected but are genuinely
-// supported — PayloadLazy with Faults above all — now construct sessions.
-func TestConfigErrorTyped(t *testing.T) {
-	cases := []struct {
-		name       string
-		cfg        dkf.SessionConfig
-		wantOption string
-	}{
-		{"negative fusion threshold", dkf.SessionConfig{FusionThreshold: -1}, "FusionThreshold"},
-		{"unknown payload mode", dkf.SessionConfig{Payload: dkf.PayloadMode(9)}, "Payload"},
-		{"negative lazy threshold", dkf.SessionConfig{Payload: dkf.PayloadLazy, LazyThreshold: -1}, "LazyThreshold"},
-		{"lazy threshold without lazy mode", dkf.SessionConfig{LazyThreshold: 64}, "LazyThreshold"},
-		{"heartbeat without faults", dkf.SessionConfig{Heartbeat: dkf.HeartbeatConfig{TimeoutNs: 1000}}, "Heartbeat.TimeoutNs"},
-		{"unknown scheme", dkf.SessionConfig{Scheme: "bogus"}, "Scheme"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := dkf.NewSession(tc.cfg)
-			var ce *dkf.ConfigError
-			if !errors.As(err, &ce) {
-				t.Fatalf("NewSession error %v, want *ConfigError", err)
-			}
-			if ce.Option != tc.wantOption {
-				t.Fatalf("ConfigError.Option = %q, want %q (err: %v)", ce.Option, tc.wantOption, err)
-			}
-		})
-	}
-
-	plan, err := dkf.ParseFaultPlan("mixed,seed=4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := dkf.NewSession(dkf.SessionConfig{Payload: dkf.PayloadLazy, Faults: plan})
-	if err != nil {
-		t.Fatalf("PayloadLazy + Faults rejected: %v", err)
-	}
-	sess.Close()
-}
-
 // TestCheckpointRestoreDriverSide exercises the Session-level coordinated
 // checkpoint: register, capture, scribble, restore, verify — epochs
 // numbered in commit order, no virtual time involved.

@@ -2,9 +2,6 @@ package dkf_test
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	dkf "repro"
@@ -65,9 +62,7 @@ func neighborTrace(t *testing.T) (*dkf.Session, []byte) {
 }
 
 // TestGoldenNeighborTrace pins the Chrome trace of the fused 4-rank
-// NeighborAlltoallw byte-for-byte (the committed file also feeds the CI
-// tracecheck smoke). Refresh with
-// UPDATE_GOLDEN=1 go test -run TestGoldenNeighborTrace.
+// NeighborAlltoallw byte-for-byte.
 func TestGoldenNeighborTrace(t *testing.T) {
 	sess, got := neighborTrace(t)
 	_, again := neighborTrace(t)
@@ -80,23 +75,7 @@ func TestGoldenNeighborTrace(t *testing.T) {
 	if n := sess.LeakedRequests(); n != 0 {
 		t.Fatalf("%d leaked requests", n)
 	}
-	golden := filepath.Join("testdata", "golden_neighbor4rank_trace.json")
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("trace differs from golden %s (len got=%d want=%d); rerun with UPDATE_GOLDEN=1 if intended",
-			golden, len(got), len(want))
-	}
+	checkGoldenTrace(t, "golden_neighbor4rank_trace.json", got)
 }
 
 // TestNeighborTraceHasCollLayer checks the golden trace structurally:
@@ -104,32 +83,7 @@ func TestGoldenNeighborTrace(t *testing.T) {
 // alongside the pt2pt layers it drives.
 func TestNeighborTraceHasCollLayer(t *testing.T) {
 	_, raw := neighborTrace(t)
-	var cf struct {
-		TraceEvents []struct {
-			Cat string `json:"cat"`
-			Pid int    `json:"pid"`
-			Ph  string `json:"ph"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &cf); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	layers := map[string]bool{}
-	pids := map[int]bool{}
-	for _, e := range cf.TraceEvents {
-		if e.Cat != "" {
-			layers[e.Cat] = true
-		}
-		if e.Ph != "M" {
-			pids[e.Pid] = true
-		}
-	}
-	for _, want := range []string{"coll", "mpi", "fusion", "gpu"} {
-		if !layers[want] {
-			t.Errorf("no events from layer %q (got %v)", want, layers)
-		}
-	}
-	if len(pids) != 4 {
-		t.Errorf("want 4 rank processes, got %v", pids)
+	if n := checkTrace(t, raw, "coll", "mpi", "fusion", "gpu"); n != 4 {
+		t.Errorf("want 4 rank processes, got %d", n)
 	}
 }

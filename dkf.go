@@ -29,7 +29,6 @@ import (
 	"repro/internal/coll"
 	"repro/internal/datatype"
 	"repro/internal/fault"
-	"repro/internal/fusion"
 	"repro/internal/gpu"
 	"repro/internal/layoutcache"
 	"repro/internal/mpi"
@@ -300,12 +299,10 @@ type SessionConfig struct {
 	// dkf.SchemeGPUSync.
 	Scheme Scheme
 	// FusionThreshold overrides the fused-kernel flush threshold in
-	// bytes (0 = scheme default; only affects the Proposed schemes).
+	// bytes (0 = scheme default). Only SchemeProposed and
+	// SchemeProposedTuned take one; NewSession rejects it for any other
+	// scheme.
 	FusionThreshold int64
-	// EagerLimit, RendezvousRPUT, and DisableIPC tune the MPI runtime.
-	EagerLimit     int64
-	RendezvousRPUT bool
-	DisableIPC     bool
 	// PipelineChunk enables chunked rendezvous for non-contiguous RGET
 	// sends larger than this many bytes (0 = whole-message rendezvous).
 	PipelineChunk int64
@@ -435,9 +432,6 @@ func (cfg *SessionConfig) validate() error {
 	if cfg.FusionThreshold < 0 {
 		return cfgErr("FusionThreshold", "negative FusionThreshold %d", cfg.FusionThreshold)
 	}
-	if cfg.EagerLimit < 0 {
-		return cfgErr("EagerLimit", "negative EagerLimit %d", cfg.EagerLimit)
-	}
 	if cfg.PipelineChunk < 0 {
 		return cfgErr("PipelineChunk", "negative PipelineChunk %d", cfg.PipelineChunk)
 	}
@@ -530,14 +524,18 @@ func (s *Session) rmaFabric() *rma.Fabric {
 
 // NewSession builds the cluster and world. It returns a descriptive error
 // for any invalid configuration: unknown scheme (the message lists the valid
-// names), out-of-range System, negative tuning knobs, or a degenerate
-// CustomSpec.
+// names), out-of-range System, negative tuning knobs, a FusionThreshold for
+// a scheme that takes none, or a degenerate CustomSpec.
 func NewSession(cfg SessionConfig) (*Session, error) {
 	if cfg.Scheme == "" {
 		cfg.Scheme = SchemeProposedTuned
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
+	}
+	factory, err := schemes.ThresholdFactory(string(cfg.Scheme), cfg.FusionThreshold)
+	if err != nil {
+		return nil, cfgErr("FusionThreshold", "%v", err)
 	}
 	spec := cfg.System.Spec()
 	if cfg.CustomSpec != nil {
@@ -563,27 +561,11 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	if cfg.PollInterval > 0 {
 		mcfg.PollIntervalNs = cfg.PollInterval
 	}
-	if cfg.EagerLimit > 0 {
-		mcfg.EagerLimitBytes = cfg.EagerLimit
-	}
-	if cfg.RendezvousRPUT {
-		mcfg.Rendezvous = mpi.RPUT
-	}
-	mcfg.DisableIPC = cfg.DisableIPC
 	mcfg.PipelineChunkBytes = cfg.PipelineChunk
 	mcfg.Timeline = cfg.Trace
 	mcfg.Faults = cfg.Faults
 	mcfg.Heartbeat = cfg.Heartbeat
 	mcfg.StallTimeoutNs = cfg.StallTimeout
-	factory := schemes.Factory(string(cfg.Scheme))
-	if cfg.FusionThreshold > 0 {
-		th := cfg.FusionThreshold
-		factory = func(r *mpi.Rank) mpi.Scheme {
-			fc := fusion.DefaultConfig()
-			fc.ThresholdBytes = th
-			return schemes.NewFusionWith(r, fc)
-		}
-	}
 	world := mpi.NewWorld(cl, mcfg, factory)
 	ctun := cfg.Coll
 	if cfg.Backend == BackendRMA {

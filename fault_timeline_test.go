@@ -2,7 +2,6 @@ package dkf_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -106,31 +105,14 @@ func TestFaultLayerReconciliation(t *testing.T) {
 
 // TestGoldenChaosTrace pins the Chrome trace of the chaos exchange
 // byte-for-byte: fault injection is part of the deterministic simulation,
-// so recovery timings replay exactly. Refresh with
-// UPDATE_GOLDEN=1 go test -run TestGoldenChaosTrace.
+// so recovery timings replay exactly.
 func TestGoldenChaosTrace(t *testing.T) {
 	_, got := chaosTrace(t)
 	_, again := chaosTrace(t)
 	if !bytes.Equal(got, again) {
 		t.Fatal("chaos trace not byte-identical across two runs")
 	}
-	golden := filepath.Join("testdata", "golden_chaos_trace.json")
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("chaos trace differs from golden %s (len got=%d want=%d); rerun with UPDATE_GOLDEN=1 if intended",
-			golden, len(got), len(want))
-	}
+	checkGoldenTrace(t, "golden_chaos_trace.json", got)
 }
 
 // TestChaosTraceHasFaultLayer checks the machine view: the Chrome export of
@@ -138,25 +120,7 @@ func TestGoldenChaosTrace(t *testing.T) {
 // fault-free layers.
 func TestChaosTraceHasFaultLayer(t *testing.T) {
 	_, raw := chaosTrace(t)
-	var cf struct {
-		TraceEvents []struct {
-			Cat string `json:"cat"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &cf); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	layers := map[string]bool{}
-	for _, e := range cf.TraceEvents {
-		if e.Cat != "" {
-			layers[e.Cat] = true
-		}
-	}
-	for _, want := range []string{"sim", "gpu", "mpi", "fusion", "fault"} {
-		if !layers[want] {
-			t.Errorf("no events from layer %q (got %v)", want, layers)
-		}
-	}
+	checkTrace(t, raw, "sim", "gpu", "mpi", "fusion", "fault")
 }
 
 // TestFaultFreeGoldenUnchanged re-runs the fault-free golden halo trace next

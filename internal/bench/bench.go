@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
-	"repro/internal/fusion"
 	"repro/internal/gpu"
 	"repro/internal/mpi"
 	"repro/internal/rma"
@@ -284,7 +283,8 @@ type BulkOptions struct {
 	// MutateMPI tweaks the runtime config (protocol, IPC, ...).
 	MutateMPI func(*mpi.Config)
 	// FusionThreshold overrides the fusion flush threshold (0 = scheme
-	// default); only meaningful for the Proposed schemes.
+	// default); only Proposed and Proposed-Tuned take one (see
+	// schemes.ThresholdFactory).
 	FusionThreshold int64
 	// IntraNode exchanges between two GPUs of one node instead.
 	IntraNode bool
@@ -320,21 +320,13 @@ type BulkResult struct {
 	VerifyErr error
 }
 
-// factoryFor builds the scheme factory, honoring a threshold override.
-func factoryFor(name string, threshold int64) mpi.SchemeFactory {
-	if threshold > 0 {
-		return func(r *mpi.Rank) mpi.Scheme {
-			cfg := fusion.DefaultConfig()
-			cfg.ThresholdBytes = threshold
-			return schemes.NewFusionWith(r, cfg)
-		}
-	}
-	return schemes.Factory(name)
-}
-
 // RunBulk executes one measurement.
 func RunBulk(opt BulkOptions) BulkResult {
-	return runBulk(opt, factoryFor(opt.Scheme, opt.FusionThreshold))
+	factory, err := schemes.ThresholdFactory(opt.Scheme, opt.FusionThreshold)
+	if err != nil {
+		return BulkResult{Scheme: opt.Scheme, VerifyErr: err}
+	}
+	return runBulk(opt, factory)
 }
 
 // runBulk is RunBulk with an explicit scheme factory, for ablation

@@ -74,7 +74,7 @@ func (e *Engine) pickAllgatherv(recvs []VOp) Algorithm {
 			maxLeg = b
 		}
 	}
-	if maxLeg <= e.tuning.SmallMsgBytes {
+	if maxLeg <= smallMsgBytes {
 		return Bruck
 	}
 	if e.topoHierarchical() {

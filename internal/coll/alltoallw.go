@@ -83,7 +83,7 @@ func (e *Engine) pickAlltoallw(ops []WOp) Algorithm {
 			maxLeg = b
 		}
 	}
-	if maxLeg <= e.tuning.SmallMsgBytes {
+	if maxLeg <= smallMsgBytes {
 		return Linear
 	}
 	if e.topoHierarchical() {

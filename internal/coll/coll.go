@@ -100,29 +100,22 @@ type Tuning struct {
 	Allgatherv Algorithm
 	Gatherv    Algorithm
 	Scatterv   Algorithm
-	Neighbor   Algorithm
-	// SmallMsgBytes is the per-leg payload below which log-round
-	// algorithms (Bruck) and plain linear post-all win over bandwidth
-	// algorithms. Zero selects 8 KiB.
-	SmallMsgBytes int64
-	// HierMinRanks gates the hierarchical variants: below this world
-	// size the two-level overhead is not worth it. Zero selects 8.
-	HierMinRanks int
 	// DisableFusionWindow turns off collective-scope fusion windows;
 	// every launch decision falls back to the scheme's per-message
 	// policy (for ablations and the "unfused" benchmark baseline).
 	DisableFusionWindow bool
 }
 
-func (t Tuning) withDefaults() Tuning {
-	if t.SmallMsgBytes <= 0 {
-		t.SmallMsgBytes = 8 << 10
-	}
-	if t.HierMinRanks <= 0 {
-		t.HierMinRanks = 8
-	}
-	return t
-}
+// Auto-selection thresholds.
+const (
+	// smallMsgBytes is the per-leg payload at or below which log-round
+	// algorithms (Bruck) and plain linear post-all win over bandwidth
+	// algorithms.
+	smallMsgBytes = 8 << 10
+	// hierMinRanks gates the hierarchical variants: below this world
+	// size the two-level overhead is not worth it.
+	hierMinRanks = 8
+)
 
 // Schedule-pass CPU cost: walking the legs and building the fused phase
 // plan. Charged to trace.Scheduling on the coll timeline layer.
@@ -193,7 +186,7 @@ type rankState struct {
 
 // New builds the engine for a world.
 func New(w *mpi.World, t Tuning) *Engine {
-	e := &Engine{w: w, tuning: t.withDefaults()}
+	e := &Engine{w: w, tuning: t}
 	e.ids = make([]int, e.nodes()*e.gpusPerNode())
 	for i := range e.ids {
 		e.ids[i] = i
@@ -206,9 +199,6 @@ func New(w *mpi.World, t Tuning) *Engine {
 	}
 	return e
 }
-
-// Tuning returns the engine's effective tuning.
-func (e *Engine) Tuning() Tuning { return e.tuning }
 
 // UseRMA points the engine at an existing one-sided fabric (the facade
 // shares one fabric between user verbs and the put-based collectives).
@@ -636,7 +626,7 @@ func (e *Engine) localRanks(node int) []int {
 // node-leader layout is a world-rank property that a shrunken survivor
 // communicator no longer matches.
 func (e *Engine) topoHierarchical() bool {
-	return e.worldScope() && e.nodes() > 1 && e.gpusPerNode() > 1 && e.w.Size() >= e.tuning.HierMinRanks
+	return e.worldScope() && e.nodes() > 1 && e.gpusPerNode() > 1 && e.w.Size() >= hierMinRanks
 }
 
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }

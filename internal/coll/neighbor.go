@@ -17,10 +17,6 @@ import (
 // The whole exchange is ONE fused phase: every leg's pack launches as a
 // single kernel, and every arrival's unpack/IPC scatter as another.
 func (e *Engine) NeighborAlltoallw(p *sim.Proc, r *mpi.Rank, ops []mpi.NeighborOp) error {
-	alg := e.tuning.Neighbor
-	if err := validAlg("neighbor-alltoallw", alg, Linear); err != nil {
-		return err
-	}
 	for _, op := range ops {
 		if op.Peer < 0 || op.Peer >= e.size() {
 			return fmt.Errorf("coll: NeighborAlltoallw: peer %d out of range", op.Peer)

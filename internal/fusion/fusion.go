@@ -14,7 +14,7 @@
 //   - flush policies implementing the design considerations of Section
 //     IV-C: launch when the progress engine reaches a synchronization point
 //     (explicit Flush), or when enough work has accumulated that the fused
-//     kernel outweighs its launch overhead (bytes threshold / request cap).
+//     kernel outweighs its launch overhead (bytes threshold).
 package fusion
 
 import (
@@ -72,21 +72,6 @@ type Config struct {
 	// evaluation systems; too low under-fuses (launch storms), too high
 	// over-fuses (delayed communication, lost overlap).
 	ThresholdBytes int64
-	// MaxPending, if positive, triggers a fused launch once that many
-	// requests are pending regardless of bytes.
-	MaxPending int
-	// EnqueueCostNs and QueryCostNs are the CPU costs of scheduler
-	// interactions (the paper reports total scheduling overhead of at
-	// most ~2 µs per message).
-	EnqueueCostNs int64
-	QueryCostNs   int64
-	// LaunchRetries bounds retries of a failed (fused or unfused) kernel
-	// launch under a GPU fault plan before the scheduler degrades — a
-	// failed fused batch is re-issued as unfused per-request launches;
-	// a request whose unfused launches also exhaust retries fails with a
-	// typed error surfaced through Done. Zero selects the default (3).
-	// Irrelevant without fault injection: launches then never fail.
-	LaunchRetries int
 }
 
 // DefaultConfig mirrors the tuned settings used for "Proposed-Tuned".
@@ -94,12 +79,23 @@ func DefaultConfig() Config {
 	return Config{
 		QueueCapacity:  512,
 		ThresholdBytes: 512 << 10,
-		MaxPending:     0,
-		EnqueueCostNs:  350,
-		QueryCostNs:    60,
-		LaunchRetries:  3,
 	}
 }
+
+const (
+	// enqueueCostNs and queryCostNs are the CPU costs of scheduler
+	// interactions (the paper reports total scheduling overhead of at
+	// most ~2 µs per message).
+	enqueueCostNs = 350
+	queryCostNs   = 60
+	// launchRetries bounds retries of a failed (fused or unfused) kernel
+	// launch under a GPU fault plan before the scheduler degrades — a
+	// failed fused batch is re-issued as unfused per-request launches;
+	// a request whose unfused launches also exhaust retries fails with a
+	// typed error surfaced through Done. Irrelevant without fault
+	// injection: launches then never fail.
+	launchRetries = 3
+)
 
 // Stats counts scheduler activity.
 type Stats struct {
@@ -108,7 +104,6 @@ type Stats struct {
 	FusedLaunches    int64
 	FusedRequests    int64
 	ThresholdFlushes int64
-	CapFlushes       int64
 	ExplicitFlushes  int64
 	EmptyFlushes     int64
 	WindowFlushes    int64 // launches triggered by CloseWindow
@@ -175,15 +170,6 @@ func NewScheduler(dev *gpu.Device, stream *gpu.Stream, cfg Config) *Scheduler {
 	if cfg.QueueCapacity <= 0 {
 		cfg.QueueCapacity = DefaultConfig().QueueCapacity
 	}
-	if cfg.EnqueueCostNs <= 0 {
-		cfg.EnqueueCostNs = DefaultConfig().EnqueueCostNs
-	}
-	if cfg.QueryCostNs <= 0 {
-		cfg.QueryCostNs = DefaultConfig().QueryCostNs
-	}
-	if cfg.LaunchRetries <= 0 {
-		cfg.LaunchRetries = DefaultConfig().LaunchRetries
-	}
 	return &Scheduler{
 		env:    dev.Env(),
 		dev:    dev,
@@ -210,8 +196,8 @@ func (s *Scheduler) PendingCount() int { return len(s.pending) }
 // charged to the calling proc, exactly like the real runtime.
 func (s *Scheduler) Enqueue(p *sim.Proc, job *pack.Job) int64 {
 	t0 := p.Now()
-	p.Sleep(s.cfg.EnqueueCostNs)
-	s.addTraceAt(trace.Scheduling, "enqueue", t0, s.cfg.EnqueueCostNs)
+	p.Sleep(enqueueCostNs)
+	s.addTraceAt(trace.Scheduling, "enqueue", t0, enqueueCostNs)
 	e := s.freeEntry()
 	if e == nil {
 		s.Stats.Rejected++
@@ -246,13 +232,6 @@ func (s *Scheduler) Enqueue(p *sim.Proc, job *pack.Job) int64 {
 				timeline.Arg{Key: "bytes", Val: strconv.FormatInt(s.pendingBytes, 10)})
 		}
 		s.launch(p)
-	} else if s.cfg.MaxPending > 0 && len(s.pending) >= s.cfg.MaxPending {
-		s.Stats.CapFlushes++
-		if s.TL != nil {
-			s.TL.Instant(timeline.LayerFusion, "", "cap-trip", s.env.Now(),
-				timeline.Arg{Key: "pending", Val: strconv.Itoa(len(s.pending))})
-		}
-		s.launch(p)
 	}
 	return e.uid
 }
@@ -281,7 +260,7 @@ func (s *Scheduler) Flush(p *sim.Proc) {
 }
 
 // OpenWindow opens a collective-scope fusion window: every flush trigger —
-// bytes threshold, request cap, and explicit Flush — is deferred until the
+// bytes threshold and explicit Flush — is deferred until the
 // matching CloseWindow, which launches everything accumulated as a single
 // fused kernel. The collective engine brackets each schedule phase (all
 // peers' packs, then all peers' unpacks) with a window so per-message
@@ -362,7 +341,7 @@ func (s *Scheduler) launch(p *sim.Proc) {
 		// it to the recovery category.
 		s.Stats.FailedLaunches++
 		s.chargeRetrans("fused-relaunch", t0)
-		if attempt >= s.cfg.LaunchRetries {
+		if attempt >= launchRetries {
 			s.degrade(p, batch)
 			return
 		}
@@ -397,14 +376,14 @@ func (s *Scheduler) degrade(p *sim.Proc, batch []*entry) {
 			}
 			s.Stats.FailedLaunches++
 			s.chargeRetrans("unfused-relaunch", t0)
-			if attempt >= s.cfg.LaunchRetries {
+			if attempt >= launchRetries {
 				break
 			}
 		}
 		if err != nil {
 			s.Stats.FailedRequests++
 			e.err = fmt.Errorf("fusion: request %d: unfused fallback failed after %d attempts: %w",
-				e.uid, s.cfg.LaunchRetries+1, err)
+				e.uid, launchRetries+1, err)
 			e.doneAt = s.env.Now()
 			e.doneEv.Fire()
 			continue
@@ -442,8 +421,8 @@ func (s *Scheduler) chargeRetrans(name string, t0 int64) {
 // and the error is terminal.
 func (s *Scheduler) Done(p *sim.Proc, uid int64) (bool, error) {
 	t0 := p.Now()
-	p.Sleep(s.cfg.QueryCostNs)
-	s.addTraceAt(trace.Scheduling, "query", t0, s.cfg.QueryCostNs)
+	p.Sleep(queryCostNs)
+	s.addTraceAt(trace.Scheduling, "query", t0, queryCostNs)
 	e, ok := s.byUID[uid]
 	if !ok {
 		return true, nil

@@ -134,22 +134,6 @@ func TestThresholdFlushFires(t *testing.T) {
 	}
 }
 
-func TestMaxPendingCapFlush(t *testing.T) {
-	env, dev, s := newSched(Config{ThresholdBytes: 1 << 40, MaxPending: 4})
-	env.Spawn("pe", func(p *sim.Proc) {
-		for i := 0; i < 4; i++ {
-			j, _ := mkPackJob(dev, int64(i), 10, 1)
-			s.Enqueue(p, j)
-		}
-		if s.Stats.CapFlushes != 1 {
-			t.Errorf("cap flushes = %d", s.Stats.CapFlushes)
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestQueueFullFallback(t *testing.T) {
 	env, dev, s := newSched(Config{QueueCapacity: 2, ThresholdBytes: 1 << 40})
 	env.Spawn("pe", func(p *sim.Proc) {
@@ -373,7 +357,7 @@ func TestPropertyAllRequestsComplete(t *testing.T) {
 				return false
 			}
 		}
-		launches := s.Stats.ThresholdFlushes + s.Stats.CapFlushes + s.Stats.ExplicitFlushes
+		launches := s.Stats.ThresholdFlushes + s.Stats.ExplicitFlushes
 		return ok && dev.Stats.KernelLaunches == launches && s.Stats.FusedRequests == int64(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

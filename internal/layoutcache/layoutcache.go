@@ -39,27 +39,22 @@ type Entry struct {
 	charged bool
 }
 
-// CostModel prices cache interactions in virtual nanoseconds so the MPI
-// runtime can charge the calling process realistically.
-type CostModel struct {
-	// HitNs is the lookup cost on a hit.
-	HitNs int64
-	// MissBaseNs plus MissPerBlockNs*segments is the flattening cost on
-	// a miss.
-	MissBaseNs     int64
-	MissPerBlockNs float64
-}
+// Lookup costs in virtual nanoseconds, mirroring the ~2 µs/message
+// scheduling overhead ceiling reported in the paper: hits are cheap, misses
+// scale with layout size.
+const (
+	hitNs          = 120
+	missBaseNs     = 800
+	missPerBlockNs = 6
+)
 
-// DefaultCostModel mirrors the ~2 µs/message scheduling overhead ceiling
-// reported in the paper: hits are cheap, misses scale with layout size.
-var DefaultCostModel = CostModel{HitNs: 120, MissBaseNs: 800, MissPerBlockNs: 6}
-
-// Lookup returns the cost of one access given hit/miss and segment count.
-func (m CostModel) Lookup(hit bool, segments int) int64 {
+// Lookup returns the cost of one access given hit/miss and segment count,
+// so the MPI runtime can charge the calling process realistically.
+func Lookup(hit bool, segments int) int64 {
 	if hit {
-		return m.HitNs
+		return hitNs
 	}
-	return m.MissBaseNs + int64(m.MissPerBlockNs*float64(segments))
+	return missBaseNs + missPerBlockNs*int64(segments)
 }
 
 // Stats is a point-in-time snapshot of one cache's counters. Hits and

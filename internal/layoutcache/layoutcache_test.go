@@ -155,14 +155,16 @@ func TestEntryPlanMatchesBlocks(t *testing.T) {
 }
 
 func TestCostModel(t *testing.T) {
-	m := DefaultCostModel
-	if m.Lookup(true, 10_000) != m.HitNs {
+	if Lookup(true, 10_000) != Lookup(true, 1) {
 		t.Fatal("hit cost must not scale with segments")
 	}
-	small := m.Lookup(false, 10)
-	big := m.Lookup(false, 10_000)
+	small := Lookup(false, 10)
+	big := Lookup(false, 10_000)
 	if big <= small {
 		t.Fatal("miss cost must scale with segments")
+	}
+	if hit, miss := Lookup(true, 10), Lookup(false, 10); hit != 120 || miss != 860 {
+		t.Fatalf("Lookup(hit/miss, 10 segments) = %d/%d ns, want 120/860", hit, miss)
 	}
 }
 

@@ -334,84 +334,3 @@ func TestPackSize(t *testing.T) {
 		t.Fatalf("PackSize = %d", got)
 	}
 }
-
-func TestSendRecvBlocking(t *testing.T) {
-	w := newWorld("Proposed-Tuned", nil)
-	l := datatype.Commit(datatype.Vector(32, 1, 2, datatype.Float64))
-	sbuf := w.Rank(0).Dev.Alloc("s", int(l.ExtentBytes))
-	rbuf := w.Rank(4).Dev.Alloc("r", int(l.ExtentBytes))
-	for i := range sbuf.Data {
-		sbuf.Data[i] = byte(i * 3)
-	}
-	err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
-		switch r.ID() {
-		case 0:
-			r.Send(p, 4, 0, sbuf, l, 1)
-		case 4:
-			r.Recv(p, 0, 0, rbuf, l, 1)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range l.Blocks {
-		if !bytes.Equal(rbuf.Data[b.Offset:b.Offset+b.Len], sbuf.Data[b.Offset:b.Offset+b.Len]) {
-			t.Fatalf("block %+v mismatch", b)
-		}
-	}
-}
-
-func TestSendrecvBothDirections(t *testing.T) {
-	w := newWorld("Proposed-Tuned", nil)
-	l := datatype.Commit(datatype.Contiguous(512, datatype.Float32))
-	s0 := w.Rank(0).Dev.Alloc("s0", int(l.ExtentBytes))
-	r0 := w.Rank(0).Dev.Alloc("r0", int(l.ExtentBytes))
-	s4 := w.Rank(4).Dev.Alloc("s4", int(l.ExtentBytes))
-	r4 := w.Rank(4).Dev.Alloc("r4", int(l.ExtentBytes))
-	s0.Data[0], s4.Data[0] = 0xAA, 0xBB
-	err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
-		switch r.ID() {
-		case 0:
-			r.Sendrecv(p, 4, 1, s0, l, 1, 4, 1, r0, l, 1)
-		case 4:
-			r.Sendrecv(p, 0, 1, s4, l, 1, 0, 1, r4, l, 1)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r0.Data[0] != 0xBB || r4.Data[0] != 0xAA {
-		t.Fatalf("sendrecv wrong: %x %x", r0.Data[0], r4.Data[0])
-	}
-}
-
-func TestWaitanyReturnsFirstCompletion(t *testing.T) {
-	w := newWorld("GPU-Sync", nil)
-	l := datatype.Commit(datatype.Contiguous(256, datatype.Float64))
-	fast := w.Rank(0).Dev.Alloc("fast", int(l.ExtentBytes))
-	slowS := w.Rank(5).Dev.Alloc("slow", int(l.ExtentBytes))
-	fastR := w.Rank(4).Dev.Alloc("fr", int(l.ExtentBytes))
-	slowR := w.Rank(4).Dev.Alloc("sr", int(l.ExtentBytes))
-	err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
-		switch r.ID() {
-		case 0:
-			r.Send(p, 4, 1, fast, l, 1)
-		case 5:
-			p.Sleep(5 * sim.Millisecond)
-			r.Send(p, 4, 2, slowS, l, 1)
-		case 4:
-			slow := r.Irecv(p, 5, 2, slowR, l, 1)
-			quick := r.Irecv(p, 0, 1, fastR, l, 1)
-			idx := r.Waitany(p, []*mpi.Request{slow, quick})
-			if idx != 1 {
-				t.Errorf("Waitany = %d, want the fast request (1)", idx)
-			}
-			if !r.Testall(p, []*mpi.Request{slow, quick}) {
-				r.Waitall(p, []*mpi.Request{slow, quick})
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

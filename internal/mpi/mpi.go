@@ -62,8 +62,6 @@ type Config struct {
 	Rendezvous RendezvousMode
 	// PollIntervalNs is the progress-engine poll period while blocked.
 	PollIntervalNs int64
-	// CacheCost prices layout-cache interactions.
-	CacheCost layoutcache.CostModel
 	// StallTimeoutNs bounds how long the simulation may run without any
 	// request completing before the sim-level watchdog declares a
 	// deadlock: World.Run then returns a *sim.StallError naming the stuck
@@ -76,9 +74,9 @@ type Config struct {
 	// retransmission and typed request errors. Nil keeps every fault-free
 	// fast path byte-identical to a build without the layer.
 	Faults *fault.Plan
-	// Retry tunes the reliability layer; zero values select defaults.
-	// Ignored when Faults is nil.
-	Retry RetryPolicy
+	// MaxRetries bounds the reliability layer's re-issues per message or
+	// RDMA operation (0 = 8). Ignored when Faults is nil.
+	MaxRetries int
 	// Heartbeat tunes the rank-failure detector (ulfm.go). The detector
 	// activates automatically when the fault plan schedules rank crashes;
 	// setting TimeoutNs > 0 activates it explicitly. Zero values select
@@ -107,7 +105,6 @@ func DefaultConfig() Config {
 		EagerLimitBytes: 16 << 10,
 		Rendezvous:      RGET,
 		PollIntervalNs:  200,
-		CacheCost:       layoutcache.DefaultCostModel,
 	}
 }
 
@@ -154,9 +151,9 @@ type World struct {
 
 	// inj is the fault injector (nil without a fault plan); its presence
 	// is what switches the reliability layer on.
-	inj       *fault.Injector
-	retry     RetryPolicy
-	nextMsgID int64 // world-unique reliable-message ids
+	inj        *fault.Injector
+	maxRetries int
+	nextMsgID  int64 // world-unique reliable-message ids
 
 	barrierEv    *sim.Event
 	barrierCount int
@@ -202,7 +199,10 @@ func NewWorld(c *cluster.Cluster, cfg Config, factory SchemeFactory) *World {
 	}
 	w.inj = inj
 	if inj != nil {
-		w.retry = cfg.Retry.normalized()
+		w.maxRetries = cfg.MaxRetries
+		if w.maxRetries <= 0 {
+			w.maxRetries = defaultMaxRetries
+		}
 		c.Net.InjectFaults(inj)
 		if w.tl != nil {
 			cap := 0
@@ -587,7 +587,7 @@ func (r *Rank) lookupLayout(p *sim.Proc, l *datatype.Layout, count int) *layoutc
 	if r.world.Cfg.DisableLayoutCache {
 		hit = false // always pay the full flattening cost
 	}
-	c := r.world.Cfg.CacheCost.Lookup(hit, e.Segments)
+	c := layoutcache.Lookup(hit, e.Segments)
 	t0 := p.Now()
 	p.Sleep(c)
 	r.Charge(trace.Other, "layout-lookup", t0, c)

@@ -649,9 +649,9 @@ func TestMessageTruncationPanics(t *testing.T) {
 	_ = w.Run(func(r *mpi.Rank, p *sim.Proc) {
 		switch r.ID() {
 		case 0:
-			r.Send(p, 4, 0, sbuf, big, 1)
+			r.Wait(p, r.Isend(p, 4, 0, sbuf, big, 1))
 		case 4:
-			r.Recv(p, 0, 0, rbuf, small, 1)
+			r.Wait(p, r.Irecv(p, 0, 0, rbuf, small, 1))
 		}
 	})
 	t.Fatal("run returned despite truncation")

@@ -39,31 +39,17 @@ import (
 	"repro/internal/trace"
 )
 
-// RetryPolicy bounds the reliability layer's retransmission behaviour.
-// Zero values select the defaults.
-type RetryPolicy struct {
-	// MaxRetries bounds re-issues per message or RDMA operation (default 8).
-	MaxRetries int
-	// BaseTimeoutNs pads the size-derived retransmission timeout and is the
-	// NIC verb-retry backoff unit (default 10 µs).
-	BaseTimeoutNs int64
-	// BackoffCapNs caps the exponential backoff added per attempt
-	// (default 2 ms).
-	BackoffCapNs int64
-}
-
-func (rp RetryPolicy) normalized() RetryPolicy {
-	if rp.MaxRetries <= 0 {
-		rp.MaxRetries = 8
-	}
-	if rp.BaseTimeoutNs <= 0 {
-		rp.BaseTimeoutNs = 10_000
-	}
-	if rp.BackoffCapNs <= 0 {
-		rp.BackoffCapNs = 2 * sim.Millisecond
-	}
-	return rp
-}
+// Retransmission policy of the reliability layer.
+const (
+	// defaultMaxRetries bounds re-issues per message or RDMA operation
+	// when Config.MaxRetries is unset.
+	defaultMaxRetries = 8
+	// retryBaseNs pads the size-derived retransmission timeout and is the
+	// NIC verb-retry backoff unit.
+	retryBaseNs = 10_000
+	// backoffCapNs caps the exponential backoff added per attempt.
+	backoffCapNs = 2 * sim.Millisecond
+)
 
 // Typed failure sentinels; inspect with errors.Is through the *OpError that
 // Wait/Waitall return.
@@ -189,7 +175,7 @@ func (r *Rank) ChargeFault(name string, start, d int64) {
 func (r *Rank) timeoutFor(wire int64) int64 {
 	ls := r.world.Cluster.Net.Spec.Link
 	est := ls.LatencyNs + ls.PerMessageNs + int64(float64(wire)/ls.BWBytesPerNs)
-	return 2*est + r.world.retry.BaseTimeoutNs
+	return 2*est + retryBaseNs
 }
 
 // backoffExtra is the capped exponential deadline extension for a retry.
@@ -201,8 +187,8 @@ func (r *Rank) backoffExtra(est int64, attempts int) int64 {
 		attempts = 20
 	}
 	extra := est << uint(attempts)
-	if cap := r.world.retry.BackoffCapNs; extra > cap {
-		extra = cap
+	if extra > backoffCapNs {
+		extra = backoffCapNs
 	}
 	return extra
 }
@@ -216,19 +202,18 @@ func (r *Rank) postRetry(p *sim.Proc) error {
 		net.Post(p)
 		return nil
 	}
-	pol := r.world.retry
 	for attempt := 0; ; attempt++ {
 		err := net.PostV(p)
 		if err == nil {
 			return nil
 		}
-		if attempt >= pol.MaxRetries {
+		if attempt >= r.world.maxRetries {
 			r.fsite.Record(fault.GiveUp, "nic-post")
 			return err
 		}
-		back := pol.BaseTimeoutNs << uint(attempt)
-		if back > pol.BackoffCapNs {
-			back = pol.BackoffCapNs
+		back := int64(retryBaseNs) << uint(attempt)
+		if back > backoffCapNs {
+			back = backoffCapNs
 		}
 		p.Sleep(back)
 	}
@@ -389,7 +374,7 @@ func (r *Rank) retransmitScan(p *sim.Proc) {
 		}
 		pm.attempts++
 		r.fsite.Record(fault.Timeout, pm.m.kind.String())
-		if pm.attempts > r.world.retry.MaxRetries {
+		if pm.attempts > r.world.maxRetries {
 			r.fsite.Record(fault.GiveUp, pm.m.kind.String())
 			r.fail(p, pm.owner, pm.m.kind.String(), pm.attempts, ErrRetriesExhausted)
 			continue
@@ -562,7 +547,7 @@ func (r *Rank) scanReads(p *sim.Proc, q *Request) {
 		}
 		op.attempts++
 		r.fsite.Record(fault.Timeout, "rdma-read")
-		if op.attempts > r.world.retry.MaxRetries {
+		if op.attempts > r.world.maxRetries {
 			r.fsite.Record(fault.GiveUp, "rdma-read")
 			r.fail(p, q, "rdma-read", op.attempts, ErrRetriesExhausted)
 			return
@@ -624,7 +609,7 @@ func (r *Rank) scanWrite(p *sim.Proc, q *Request) {
 	}
 	q.writeAttempts++
 	r.fsite.Record(fault.Timeout, "rdma-write")
-	if q.writeAttempts > r.world.retry.MaxRetries {
+	if q.writeAttempts > r.world.maxRetries {
 		r.fsite.Record(fault.GiveUp, "rdma-write")
 		r.fail(p, q, "rdma-write", q.writeAttempts, ErrRetriesExhausted)
 		return

@@ -223,7 +223,7 @@ func TestRetriesExhaustedSurfacesTypedError(t *testing.T) {
 	l := datatype.Commit(datatype.Contiguous(512, datatype.Float64))
 	w := newWorld("GPU-Sync", func(cfg *mpi.Config) {
 		cfg.Faults = &fault.Plan{Seed: 1, Link: fault.LinkPlan{DropProb: 1}}
-		cfg.Retry = mpi.RetryPolicy{MaxRetries: 3}
+		cfg.MaxRetries = 3
 		cfg.StallTimeoutNs = 20 * sim.Millisecond
 	})
 	sbuf := w.Rank(0).Dev.Alloc("send", int(l.ExtentBytes))

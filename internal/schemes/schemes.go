@@ -11,6 +11,8 @@
 package schemes
 
 import (
+	"fmt"
+
 	"repro/internal/fusion"
 	"repro/internal/gpu"
 	"repro/internal/mpi"
@@ -136,21 +138,15 @@ func (s *GPUAsync) Flush(*sim.Proc) {}
 
 // --- CPU-GPU-Hybrid ---
 
-// HybridConfig controls when the hybrid scheme prefers the CPU window.
-type HybridConfig struct {
-	// MaxBytes is the largest payload handled on the CPU.
-	MaxBytes int64
-	// MinAvgBlock is the minimum average contiguous-block size (dense
-	// layouts have fat blocks; GDRCopy over tiny strided blocks is
-	// hopeless).
-	MinAvgBlock int64
-}
-
-// DefaultHybridConfig matches the behaviour in [24]: CPU for small dense
-// messages, GPU otherwise.
-func DefaultHybridConfig() HybridConfig {
-	return HybridConfig{MaxBytes: 256 << 10, MinAvgBlock: 32}
-}
+// The hybrid scheme packs on the CPU only payloads of at most
+// hybridMaxBytes whose average contiguous block is at least
+// hybridMinAvgBlock bytes (dense layouts have fat blocks; GDRCopy over tiny
+// strided blocks is hopeless): CPU for small dense messages, GPU otherwise,
+// matching the behaviour in [24].
+const (
+	hybridMaxBytes    = 256 << 10
+	hybridMinAvgBlock = 32
+)
 
 // CPUGPUHybrid adaptively packs on the CPU through a GDRCopy window (small
 // dense layouts: zero driver overhead) or falls back to GPU-Sync. This is
@@ -160,23 +156,16 @@ type CPUGPUHybrid struct {
 	r   *mpi.Rank
 	gpu *GPUSync
 	cpu pack.CPUEngine
-	cfg HybridConfig
 	// UsedCPU / UsedGPU count routing decisions (for tests).
 	UsedCPU, UsedGPU int64
 }
 
-// NewCPUGPUHybrid builds the scheme with default thresholds.
+// NewCPUGPUHybrid builds the scheme.
 func NewCPUGPUHybrid(r *mpi.Rank) mpi.Scheme {
-	return NewCPUGPUHybridWith(r, DefaultHybridConfig())
-}
-
-// NewCPUGPUHybridWith builds the scheme with explicit thresholds.
-func NewCPUGPUHybridWith(r *mpi.Rank, cfg HybridConfig) mpi.Scheme {
 	return &CPUGPUHybrid{
 		r:   r,
 		gpu: &GPUSync{r: r, st: r.Dev.NewStream("hybrid-gpu")},
 		cpu: pack.CPUEngine{Dev: r.Dev},
-		cfg: cfg,
 	}
 }
 
@@ -184,10 +173,10 @@ func NewCPUGPUHybridWith(r *mpi.Rank, cfg HybridConfig) mpi.Scheme {
 func (s *CPUGPUHybrid) Name() string { return "CPU-GPU-Hybrid" }
 
 func (s *CPUGPUHybrid) wantsCPU(job *pack.Job) bool {
-	if job.Bytes > s.cfg.MaxBytes || job.Segments == 0 {
+	if job.Bytes > hybridMaxBytes || job.Segments == 0 {
 		return false
 	}
-	return job.Bytes/int64(job.Segments) >= s.cfg.MinAvgBlock
+	return job.Bytes/int64(job.Segments) >= hybridMinAvgBlock
 }
 
 func (s *CPUGPUHybrid) run(p *sim.Proc, job *pack.Job) mpi.Handle {
@@ -393,11 +382,7 @@ func Factory(name string) mpi.SchemeFactory {
 	case "NaiveMemcpy", "SpectrumMPI", "OpenMPI":
 		return NewNaiveMemcpy
 	case "Proposed":
-		return func(r *mpi.Rank) mpi.Scheme {
-			cfg := fusion.DefaultConfig()
-			cfg.ThresholdBytes = 256 << 10 // untuned default
-			return NewFusionWith(r, cfg)
-		}
+		return fusionAt(256 << 10) // untuned default
 	case "Proposed-Tuned":
 		return NewFusion
 	case "Proposed-Auto":
@@ -406,6 +391,30 @@ func Factory(name string) mpi.SchemeFactory {
 		return NewStagedHost
 	default:
 		panic("schemes: unknown scheme " + name)
+	}
+}
+
+// ThresholdFactory is Factory(name) with the fusion flush threshold set to
+// threshold bytes; a threshold of zero or less keeps the scheme's own. Only
+// the fixed-threshold fusion schemes, Proposed and Proposed-Tuned, take a
+// threshold: any other scheme given one is an error, never a silent swap
+// for fusion.
+func ThresholdFactory(name string, threshold int64) (mpi.SchemeFactory, error) {
+	if threshold <= 0 {
+		return Factory(name), nil
+	}
+	if name != "Proposed" && name != "Proposed-Tuned" {
+		return nil, fmt.Errorf("schemes: %s takes no fusion threshold (only Proposed and Proposed-Tuned do)", name)
+	}
+	return fusionAt(threshold), nil
+}
+
+// fusionAt builds the fusion scheme with a fixed flush threshold.
+func fusionAt(threshold int64) mpi.SchemeFactory {
+	return func(r *mpi.Rank) mpi.Scheme {
+		cfg := fusion.DefaultConfig()
+		cfg.ThresholdBytes = threshold
+		return NewFusionWith(r, cfg)
 	}
 }
 

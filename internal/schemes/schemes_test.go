@@ -367,3 +367,31 @@ func TestStagedHostUnpackDirection(t *testing.T) {
 		t.Fatalf("stats: %+v", r.Dev.Stats)
 	}
 }
+
+// TestThresholdFactory pins which schemes take a fixed fusion threshold:
+// Proposed and Proposed-Tuned run fusion at the given threshold, a zero
+// threshold keeps the scheme's own, and any other scheme given one is an
+// error rather than a silent swap for fusion.
+func TestThresholdFactory(t *testing.T) {
+	for _, name := range []string{"Proposed", "Proposed-Tuned"} {
+		f, err := schemes.ThresholdFactory(name, 1<<20)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		_, r := rig(f)
+		if got := r.Scheme().(*schemes.Fusion).Sched.Config().ThresholdBytes; got != 1<<20 {
+			t.Errorf("%s: threshold %d, want %d", name, got, 1<<20)
+		}
+	}
+	for _, name := range schemes.Names() {
+		if _, err := schemes.ThresholdFactory(name, 0); err != nil {
+			t.Fatalf("%s without threshold: %v", name, err)
+		}
+		if name == "Proposed" || name == "Proposed-Tuned" {
+			continue
+		}
+		if _, err := schemes.ThresholdFactory(name, 1<<20); err == nil {
+			t.Errorf("%s accepted a fusion threshold", name)
+		}
+	}
+}

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	dkf "repro"
@@ -122,29 +120,13 @@ func lazyChaosTrace(t *testing.T) (*dkf.Session, []byte) {
 // shrink + retry scenario byte-for-byte across two in-process runs AND
 // against the committed golden file: crash injection, failure detection,
 // revocation, shrink rendezvous, and the retry collective all replay
-// bit-identically in lazy payload mode. Refresh with
-// UPDATE_GOLDEN=1 go test -run TestGoldenLazyChaosTrace.
+// bit-identically in lazy payload mode.
 func TestGoldenLazyChaosTrace(t *testing.T) {
 	_, got := lazyChaosTrace(t)
 	_, again := lazyChaosTrace(t)
 	if !bytes.Equal(got, again) {
 		t.Fatal("lazy chaos trace not byte-identical across two runs")
 	}
-	golden := filepath.Join("testdata", "golden_lazy_chaos_trace.json")
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("lazy chaos trace differs from golden %s (len got=%d want=%d); rerun with UPDATE_GOLDEN=1 if intended",
-			golden, len(got), len(want))
-	}
+	checkTrace(t, got, "coll", "gpu", "fusion", "mpi")
+	checkGoldenTrace(t, "golden_lazy_chaos_trace.json", got)
 }

@@ -2,10 +2,7 @@ package dkf_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	dkf "repro"
@@ -69,9 +66,7 @@ func rmaTrace(t *testing.T, fused bool) (*dkf.Session, []byte, []uint64) {
 
 // TestGoldenRMATrace pins the Chrome traces of the 2-rank put-based ring
 // Allgatherv — fused and unfused — byte-for-byte, with a bit-identical
-// replay assertion on each arm. The committed files also feed the CI
-// rma-smoke tracecheck (-require-layer rma). Refresh with
-// UPDATE_GOLDEN=1 go test -run TestGoldenRMATrace.
+// replay assertion on each arm.
 func TestGoldenRMATrace(t *testing.T) {
 	var fusedSums, unfusedSums []uint64
 	for _, arm := range []struct {
@@ -100,23 +95,7 @@ func TestGoldenRMATrace(t *testing.T) {
 			} else {
 				unfusedSums = sums
 			}
-			golden := filepath.Join("testdata", fmt.Sprintf("golden_rma2rank_%s_trace.json", arm.name))
-			if os.Getenv("UPDATE_GOLDEN") != "" {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(golden, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("trace differs from golden %s (len got=%d want=%d); rerun with UPDATE_GOLDEN=1 if intended",
-					golden, len(got), len(want))
-			}
+			checkGoldenTrace(t, fmt.Sprintf("golden_rma2rank_%s_trace.json", arm.name), got)
 		})
 	}
 	if len(fusedSums) == len(unfusedSums) && len(fusedSums) > 0 {
@@ -128,37 +107,14 @@ func TestGoldenRMATrace(t *testing.T) {
 	}
 }
 
-// TestRMATraceHasRMALayer checks the trace structurally: valid JSON, one
-// Chrome process per rank, and events from the rma layer alongside the
-// gpu layer the pack kernels run on.
+// TestRMATraceHasRMALayer checks both arms' traces structurally: valid
+// JSON, one Chrome process per rank, and events from the rma layer
+// alongside the gpu layer the pack kernels run on.
 func TestRMATraceHasRMALayer(t *testing.T) {
-	_, raw, _ := rmaTrace(t, true)
-	var cf struct {
-		TraceEvents []struct {
-			Cat string `json:"cat"`
-			Pid int    `json:"pid"`
-			Ph  string `json:"ph"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &cf); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	layers := map[string]bool{}
-	pids := map[int]bool{}
-	for _, e := range cf.TraceEvents {
-		if e.Cat != "" {
-			layers[e.Cat] = true
+	for _, fused := range []bool{true, false} {
+		_, raw, _ := rmaTrace(t, fused)
+		if n := checkTrace(t, raw, "rma", "gpu", "coll"); n != 2 {
+			t.Errorf("fused=%v: want 2 rank processes, got %d", fused, n)
 		}
-		if e.Ph != "M" {
-			pids[e.Pid] = true
-		}
-	}
-	for _, want := range []string{"rma", "gpu", "coll"} {
-		if !layers[want] {
-			t.Errorf("no events from layer %q (got %v)", want, layers)
-		}
-	}
-	if len(pids) != 2 {
-		t.Errorf("want 2 rank processes, got %v", pids)
 	}
 }

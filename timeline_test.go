@@ -2,9 +2,6 @@ package dkf_test
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	dkf "repro"
@@ -56,30 +53,14 @@ func haloTrace(t *testing.T) (*dkf.Session, []byte) {
 // TestGoldenHaloTrace pins the Chrome trace of a 2-rank halo exchange
 // byte-for-byte: the simulation is deterministic and the writer emits no
 // map-ordered or time-of-day content, so any diff is a real behavior
-// change. Refresh with UPDATE_GOLDEN=1 go test -run TestGoldenHaloTrace.
+// change.
 func TestGoldenHaloTrace(t *testing.T) {
 	_, got := haloTrace(t)
 	_, again := haloTrace(t)
 	if !bytes.Equal(got, again) {
 		t.Fatal("trace not byte-identical across two runs")
 	}
-	golden := filepath.Join("testdata", "golden_halo2rank_trace.json")
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("trace differs from golden %s (len got=%d want=%d); rerun with UPDATE_GOLDEN=1 if intended",
-			golden, len(got), len(want))
-	}
+	checkGoldenTrace(t, "golden_halo2rank_trace.json", got)
 }
 
 // TestTraceCoversAllLayersAndParses checks the structural acceptance
@@ -87,32 +68,8 @@ func TestGoldenHaloTrace(t *testing.T) {
 // Chrome process per rank.
 func TestTraceCoversAllLayersAndParses(t *testing.T) {
 	_, raw := haloTrace(t)
-	var cf struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-			Cat  string `json:"cat"`
-			Ph   string `json:"ph"`
-			Pid  int    `json:"pid"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &cf); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	layers := map[string]bool{}
-	pids := map[int]bool{}
-	for _, e := range cf.TraceEvents {
-		if e.Cat != "" {
-			layers[e.Cat] = true
-		}
-		pids[e.Pid] = true
-	}
-	for _, want := range []string{"sim", "gpu", "mpi", "fusion"} {
-		if !layers[want] {
-			t.Errorf("no events from layer %q (got %v)", want, layers)
-		}
-	}
-	if len(pids) != 2 {
-		t.Errorf("want 2 rank processes, got %v", pids)
+	if n := checkTrace(t, raw, "sim", "gpu", "mpi", "fusion"); n != 2 {
+		t.Errorf("want 2 rank processes, got %d", n)
 	}
 }
 
