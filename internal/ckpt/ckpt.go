@@ -31,22 +31,28 @@ import (
 	"repro/internal/payload"
 )
 
-// snap is one buffer's frozen content inside an epoch.
+// snap is one buffer's frozen content inside an epoch. It holds no
+// reference to the live buffer, so nothing read from it can see a later
+// write.
 type snap struct {
-	buf  *gpu.Buffer
 	data []byte           // exact mode: private byte copy
 	lazy *payload.Content // lazy mode: immutable span clone
-	sum  uint64           // content checksum at capture time
 }
 
 func takeSnap(b *gpu.Buffer) snap {
-	s := snap{buf: b, sum: b.Checksum()}
 	if b.IsLazy() {
-		s.lazy = b.Lazy.Slice(0, b.Lazy.Len())
-	} else {
-		s.data = append([]byte(nil), b.Data...)
+		return snap{lazy: b.Lazy.Slice(0, b.Lazy.Len())}
 	}
-	return s
+	return snap{data: append([]byte(nil), b.Data...)}
+}
+
+// checksum is the FNV-1a hash of the frozen content, computed on demand:
+// only RankSum reads it, so a capture hashes nothing.
+func (s snap) checksum() uint64 {
+	if s.lazy != nil {
+		return s.lazy.Checksum()
+	}
+	return payload.Checksum(s.data)
 }
 
 func (s snap) bytes() int64 {
@@ -108,12 +114,13 @@ func (e *Epoch) RankBytes(rank int) int64 {
 	return n
 }
 
-// RankSum folds the per-buffer capture checksums of rank into one value —
-// a fingerprint tests compare across capture/scribble/restore cycles.
+// RankSum folds the checksums of rank's snapshots into one value — a
+// fingerprint tests compare across capture/scribble/restore cycles. It
+// hashes the frozen snapshots on each call.
 func (e *Epoch) RankSum(rank int) uint64 {
 	h := uint64(14695981039346656037)
 	for _, s := range e.snaps[rank] {
-		h ^= s.sum
+		h ^= s.checksum()
 		h *= 1099511628211
 	}
 	return h

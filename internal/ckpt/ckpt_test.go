@@ -84,6 +84,35 @@ func TestCaptureRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// fold folds one buffer checksum the way RankSum folds a rank that
+// registered a single buffer.
+func fold(sum uint64) uint64 { return (14695981039346656037 ^ sum) * 1099511628211 }
+
+// TestRankSumReadsTheSnapshot checks that RankSum hashes the frozen
+// snapshot, not the live buffer: a scribble after capture leaves it at the
+// pre-scribble fold, and a restore brings the buffer back to it.
+func TestRankSumReadsTheSnapshot(t *testing.T) {
+	for _, b := range []*gpu.Buffer{exactBuf("x", 4099, 5), lazyBuf("l", 4099, 5)} {
+		st := NewStore(1)
+		st.Register(0, b)
+		want := fold(b.Checksum())
+		e := st.CaptureAll(0, 1)
+		scribble(b)
+		if fold(b.Checksum()) == want {
+			t.Fatalf("%s: scribble left the checksum unchanged", b.Name)
+		}
+		if got := e.RankSum(0); got != want {
+			t.Fatalf("%s: RankSum after scribble = %#x, want the capture fold %#x", b.Name, got, want)
+		}
+		if _, _, err := st.RestoreRank(0); err != nil {
+			t.Fatalf("%s: restore: %v", b.Name, err)
+		}
+		if got := fold(b.Checksum()); got != e.RankSum(0) {
+			t.Fatalf("%s: restored buffer folds to %#x, RankSum %#x", b.Name, got, e.RankSum(0))
+		}
+	}
+}
+
 // TestEpochQuorum checks the coordinated-commit rule: the epoch commits
 // only once every live registered rank has contributed, duplicates are
 // ignored, and a second epoch rolls Latest() forward.

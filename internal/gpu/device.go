@@ -100,8 +100,7 @@ func (b *Buffer) Checksum() uint64 {
 // ChecksumRange hashes buffer range [off, off+n) the same way Checksum
 // hashes the whole buffer: FNV-1a over real bytes in exact mode, the
 // composable span-algebra checksum in lazy mode — identical values for
-// identical logical content. The reliability layer uses it to stamp and
-// verify wire CRCs without ever materializing lazy payloads.
+// identical logical content, without ever materializing lazy payloads.
 func (b *Buffer) ChecksumRange(off, n int64) uint64 {
 	if b.Lazy != nil {
 		return b.Lazy.ChecksumRange(off, n)

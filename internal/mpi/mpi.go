@@ -504,10 +504,8 @@ type message struct {
 	chunkOff   int64
 	chunkBytes int64
 	// id is the reliability-layer message id (nonzero only for tracked
-	// messages; acks echo the id they acknowledge). sum is the payload
-	// checksum the receiver verifies.
-	id  int64
-	sum uint64
+	// messages; acks echo the id they acknowledge).
+	id int64
 	// sseq is the reliability layer's (source, tag) stream sequence of an
 	// envelope, or of the abort taking its place; zero when unsequenced.
 	sseq int64
@@ -836,8 +834,10 @@ func (r *Rank) arriveD(m *message, d fabric.Delivery) {
 		if m.id != 0 {
 			if d.Corrupt {
 				// Damaged frame: header/payload CRC rejects it; the
-				// sender's retransmission recovers.
-				if msgCorruptionUndetected(m) {
+				// sender's retransmission recovers. The payload is a
+				// byte copy or span snapshot taken when m was built.
+				b := &gpu.Buffer{Data: m.payload, Lazy: m.lazy}
+				if corruptionUndetected(b, 0, int64(b.Len())) {
 					panic("mpi: corruption not detected by checksum")
 				}
 				return
@@ -943,9 +943,9 @@ func (r *Rank) deliver(q *Request, m *message) {
 // --- transfer initiation (sender side) ---
 
 // srcBuf returns the buffer and base offset holding a send's wire bytes,
-// independent of payload mode. The reliability layer checksums the range
-// through Buffer.ChecksumRange (real FNV in exact mode, the composable
-// span algebra in lazy mode) and lands it with gpu.CopyRange, so every
+// independent of payload mode. The reliability layer lands the range with
+// gpu.CopyRange and checksums it only on a corrupt delivery (real FNV in
+// exact mode, the composable span algebra in lazy mode), so every
 // reliable path works identically on byte-exact and lazy payloads.
 func (q *Request) srcBuf() (*gpu.Buffer, int64) {
 	if q.contig {

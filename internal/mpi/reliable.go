@@ -34,6 +34,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/fault"
 	"repro/internal/gpu"
+	"repro/internal/payload"
 	"repro/internal/sim"
 	"repro/internal/timeline"
 	"repro/internal/trace"
@@ -85,61 +86,30 @@ func (e *OpError) Error() string {
 
 func (e *OpError) Unwrap() error { return e.Err }
 
-// checksum is FNV-1a over a payload — the simulation stand-in for the wire
-// CRC the reliability layer verifies before accepting data.
-func checksum(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// verifyDamaged simulates the receiver checksumming a payload corrupted in
-// flight: it flips one byte of a copy and reports whether the checksum
-// still (wrongly) matches the sender's.
-func verifyDamaged(payload []byte, sum uint64) bool {
-	dam := append([]byte(nil), payload...)
-	if len(dam) > 0 {
-		dam[len(dam)/2] ^= 0xa5
-	}
-	return checksum(dam) == sum
-}
-
-// msgCorruptionUndetected models a damaged eager frame in either payload
-// mode and reports whether the receiver's CRC would (impossibly) still
-// accept it. Exact mode flips one real byte; lazy mode applies the
-// deterministic PRF corrupt splice to a span clone. Either way the FNV-1a
-// single-byte-change bijection makes an undetected corruption unreachable,
-// which arriveD turns into a sanity panic.
-func msgCorruptionUndetected(m *message) bool {
-	if m.lazy != nil {
-		dam := m.lazy.Slice(0, m.lazy.Len())
-		dam.CorruptSplice(0, dam.Len(), m.sum)
-		return dam.Checksum() == m.sum
-	}
-	if m.payload != nil {
-		return verifyDamaged(m.payload, m.sum)
-	}
-	return false // header-only control frame: nothing to mis-verify
-}
-
-// corruptionUndetected is the RDMA-side twin of msgCorruptionUndetected: it
-// damages a copy of buffer range [off, off+n) — one byte flip in exact
-// mode, the PRF corrupt splice on a span clone in lazy mode — and reports
-// whether the damaged range still checksums to want.
-func corruptionUndetected(b *gpu.Buffer, off, n int64, want uint64) bool {
-	if b.IsLazy() {
+// corruptionUndetected models bytes [off, off+n) of b corrupted in flight
+// and reports whether the receiver's CRC (FNV-1a, payload.Checksum over
+// real bytes) would still, impossibly, accept them: it hashes the range
+// and a damaged copy, one byte flipped in exact mode, the deterministic PRF
+// corrupt splice seeded by the range's checksum on a span clone in lazy
+// mode. FNV-1a changes on any single-byte change, so the callers turn a
+// true result into a sanity panic. It runs only on a corrupt delivery, the
+// one branch that reads a checksum, and still reads what was posted: the
+// range is an immutable frame snapshot, sender staging (a reliable world
+// retires it instead of pooling it) or a send buffer the sender may not
+// write before its send completes.
+func corruptionUndetected(b *gpu.Buffer, off, n int64) bool {
+	switch {
+	case n == 0:
+		return false // header-only frame: nothing to mis-verify
+	case b.IsLazy():
+		want := b.Lazy.ChecksumRange(off, n)
 		dam := b.Lazy.Slice(off, n)
 		dam.CorruptSplice(0, n, want)
 		return dam.Checksum() == want
 	}
 	dam := append([]byte(nil), b.Data[off:off+n]...)
-	if len(dam) > 0 {
-		dam[len(dam)/2] ^= 0xa5
-	}
-	return checksum(dam) == want
+	dam[n/2] ^= 0xa5
+	return payload.Checksum(dam) == payload.Checksum(b.Data[off:off+n])
 }
 
 // pendingMsg tracks one unacked reliable message on the sender.
@@ -219,16 +189,11 @@ func (r *Rank) postRetry(p *sim.Proc) error {
 	}
 }
 
-// sendReliable stamps m with a world-unique id (and payload checksum),
-// registers it for ack tracking against owner, and transmits it.
+// sendReliable stamps m with a world-unique id, registers it for ack
+// tracking against owner, and transmits it.
 func (r *Rank) sendReliable(p *sim.Proc, owner *Request, m *message, wire int64) {
 	r.world.nextMsgID++
 	m.id = r.world.nextMsgID
-	if m.payload != nil {
-		m.sum = checksum(m.payload)
-	} else if m.lazy != nil {
-		m.sum = m.lazy.Checksum()
-	}
 	if m.kind == mkEager || m.kind == mkRTS {
 		k := streamKey(m.to, m.tag)
 		r.streamSeq[k]++
@@ -505,7 +470,6 @@ func (r *Rank) issueRead(p *sim.Proc, q *Request, op *readOp, retrans bool) {
 	fromNode := r.world.ranks[q.matched.from].node
 	off, n := op.off, op.bytes
 	sb, so := sender.srcBuf()
-	want := sb.ChecksumRange(so+off, n)
 	net.RDMAReadF(r.node, fromNode, n, func(d fabric.Delivery) {
 		if op.done || d.Dup || q.settled() {
 			return
@@ -514,7 +478,7 @@ func (r *Rank) issueRead(p *sim.Proc, q *Request, op *readOp, retrans bool) {
 			// CRC reject: discard, re-read on timeout. An undetected
 			// corruption is impossible (one-byte FNV flip always changes
 			// the sum), so surviving the check is a simulator bug.
-			if corruptionUndetected(sb, so+off, n, want) {
+			if corruptionUndetected(sb, so+off, n) {
 				panic("mpi: rdma-read corruption not detected by checksum")
 			}
 			return
@@ -572,14 +536,13 @@ func (r *Rank) issueWrite(p *sim.Proc, q *Request, recvReq *Request, retrans boo
 	net := r.world.Cluster.Net
 	peerNode := r.world.ranks[q.peer].node
 	sb, so := q.srcBuf()
-	want := sb.ChecksumRange(so, q.bytes)
 	net.RDMAWriteF(r.node, peerNode, q.bytes, func(d fabric.Delivery) {
 		if q.finHere || d.Dup || q.settled() {
 			return
 		}
 		if d.Corrupt {
 			// Receiver-side CRC reject: sender rewrites on timeout.
-			if corruptionUndetected(sb, so, q.bytes, want) {
+			if corruptionUndetected(sb, so, q.bytes) {
 				panic("mpi: rdma-write corruption not detected by checksum")
 			}
 			return

@@ -182,6 +182,102 @@ func TestReliableRendezvousRPUTSurvivesFaults(t *testing.T) {
 	})
 }
 
+// TestReliableCorruptRDMARejectedInBothModes drives the corrupt-delivery
+// branch of every RDMA protocol in both payload modes: the checksum must
+// reject each damaged read or write (a re-issue follows), the data must
+// still land intact, and exact and lazy runs must agree on the clock and
+// on every fault count.
+func TestReliableCorruptRDMARejectedInBothModes(t *testing.T) {
+	l := denseLayout()
+	const nmsg = 4
+	protocols := []struct {
+		name string
+		mut  func(*mpi.Config)
+	}{
+		{"RGET", nil},
+		{"RPUT", func(c *mpi.Config) { c.Rendezvous = mpi.RPUT }},
+		{"RGET-pipelined", func(c *mpi.Config) { c.PipelineChunkBytes = 8 << 10 }},
+	}
+	for _, pr := range protocols {
+		t.Run(pr.name, func(t *testing.T) {
+			run := func(lazy bool) (int64, string) {
+				w := newWorld("Proposed-Tuned", func(cfg *mpi.Config) {
+					cfg.Faults = &fault.Plan{Seed: 1, Link: fault.LinkPlan{CorruptProb: 0.3}}
+					if pr.mut != nil {
+						pr.mut(cfg)
+					}
+				})
+				if lazy {
+					w.Rank(0).Dev.LazyThreshold = 1
+					w.Rank(4).Dev.LazyThreshold = 1
+				}
+				sb := make([]*gpu.Buffer, nmsg)
+				rb := make([]*gpu.Buffer, nmsg)
+				for i := range sb {
+					sb[i] = w.Rank(0).Dev.Alloc(fmt.Sprintf("s%d", i), int(l.ExtentBytes))
+					rb[i] = w.Rank(4).Dev.Alloc(fmt.Sprintf("r%d", i), int(l.ExtentBytes))
+					if sb[i].IsLazy() != lazy || rb[i].IsLazy() != lazy {
+						t.Fatal("buffers not in the requested payload mode")
+					}
+					sb[i].FillStream(uint64(i + 1))
+				}
+				if err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
+					var qs []*mpi.Request
+					for i := 0; i < nmsg; i++ {
+						switch r.ID() {
+						case 0:
+							qs = append(qs, r.Isend(p, 4, i, sb[i], l, 1))
+						case 4:
+							qs = append(qs, r.Irecv(p, 0, i, rb[i], l, 1))
+						}
+					}
+					if err := r.Waitall(p, qs); err != nil {
+						t.Errorf("rank %d: %v", r.ID(), err)
+					}
+				}); err != nil {
+					t.Fatalf("lazy=%v under %s: %v", lazy, w.Injector().Counts(), err)
+				}
+				// Control frames are small; a corrupted frame of at least a
+				// pipeline chunk is RDMA data reaching the corrupt branch.
+				inj := w.Injector()
+				dataCorrupt, reissued := 0, 0
+				for _, e := range inj.Events() {
+					var n int
+					if e.Kind == fault.Corrupt {
+						if _, err := fmt.Sscanf(e.Detail, "%dB", &n); err == nil && n >= 8<<10 {
+							dataCorrupt++
+						}
+					}
+					if e.Kind == fault.Retransmit && (e.Detail == "rdma-read" || e.Detail == "rdma-write") {
+						reissued++
+					}
+				}
+				if dataCorrupt == 0 || reissued == 0 {
+					t.Fatalf("lazy=%v: %d corrupt RDMA payloads, %d re-issues under %s; the corrupt branch never ran",
+						lazy, dataCorrupt, reissued, inj.Counts())
+				}
+				for i := range sb {
+					for _, b := range l.Blocks {
+						if rb[i].ChecksumRange(b.Offset, b.Len) != sb[i].ChecksumRange(b.Offset, b.Len) {
+							t.Fatalf("lazy=%v: msg %d block %+v corrupted after recovery", lazy, i, b)
+						}
+					}
+				}
+				if n := w.LeakedRequests(); n != 0 {
+					t.Fatalf("lazy=%v: %d leaked requests", lazy, n)
+				}
+				return w.Env.Now(), inj.Counts()
+			}
+			exactAt, exactFaults := run(false)
+			lazyAt, lazyFaults := run(true)
+			if exactAt != lazyAt || exactFaults != lazyFaults {
+				t.Fatalf("exact ends at %d with %s, lazy at %d with %s",
+					exactAt, exactFaults, lazyAt, lazyFaults)
+			}
+		})
+	}
+}
+
 func TestReliableSurvivesNICPostErrors(t *testing.T) {
 	plan := &fault.Plan{Seed: 2, NIC: fault.NICPlan{PostErrorProb: 0.4}}
 	w := chaosExchange(t, "GPU-Sync", plan, 0, 4, denseLayout(), 1, nil)

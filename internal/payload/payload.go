@@ -67,10 +67,39 @@ const (
 
 // Checksum is FNV-1a 64 over real bytes; Content.Checksum matches it for
 // identical logical content.
-func Checksum(p []byte) uint64 {
-	h := uint64(fnvOffset)
+func Checksum(p []byte) uint64 { return hashBytes(fnvOffset, p) }
+
+// hashBytes advances an FNV-1a state over p.
+func hashBytes(h uint64, p []byte) uint64 {
 	for _, b := range p {
 		h = (h ^ uint64(b)) * fnvPrime
+	}
+	return h
+}
+
+// hashStream advances an FNV-1a state over bytes [pos, pos+n) of stream
+// `seed` in one pass, hashing each PRF word as it is computed: eight
+// unrolled steps per whole word, a partial word only at the ends, and no
+// byte ever materialized.
+func hashStream(h, seed uint64, pos, n int64) uint64 {
+	for end := pos + n; pos < end; {
+		w := prfWord(seed, pos>>3) >> (8 * uint(pos&7))
+		if k := min(8-pos&7, end-pos); k < 8 {
+			for pos += k; k > 0; k-- {
+				h = (h ^ w&0xff) * fnvPrime
+				w >>= 8
+			}
+			continue
+		}
+		h = (h ^ w&0xff) * fnvPrime
+		h = (h ^ w>>8&0xff) * fnvPrime
+		h = (h ^ w>>16&0xff) * fnvPrime
+		h = (h ^ w>>24&0xff) * fnvPrime
+		h = (h ^ w>>32&0xff) * fnvPrime
+		h = (h ^ w>>40&0xff) * fnvPrime
+		h = (h ^ w>>48&0xff) * fnvPrime
+		h = (h ^ w>>56) * fnvPrime
+		pos += 8
 	}
 	return h
 }
@@ -527,28 +556,14 @@ func (c *Content) ChecksumRange(off, n int64) uint64 {
 	h := uint64(fnvOffset)
 	end := off + n
 	pos := off
-	var buf [512]byte
 	for i := c.firstOverlap(off); i < len(c.spans) && c.spans[i].off < end; i++ {
 		s := c.spans[i]
 		a, b := max(s.off, off), min(s.off+s.n, end)
 		h = hashZeros(h, a-pos)
-		t := s.trim(a, b)
-		if t.kind == srcLit {
-			for _, v := range c.lit(t) {
-				h = (h ^ uint64(v)) * fnvPrime
-			}
+		if t := s.trim(a, b); t.kind == srcLit {
+			h = hashBytes(h, c.lit(t))
 		} else {
-			for w := int64(0); w < t.n; {
-				k := t.n - w
-				if k > int64(len(buf)) {
-					k = int64(len(buf))
-				}
-				StreamAt(t.seed, t.pos+w, buf[:k])
-				for _, v := range buf[:k] {
-					h = (h ^ uint64(v)) * fnvPrime
-				}
-				w += k
-			}
+			h = hashStream(h, t.seed, t.pos, t.n)
 		}
 		pos = b
 	}

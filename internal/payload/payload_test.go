@@ -48,6 +48,33 @@ func TestFillMatchesFillBytes(t *testing.T) {
 	}
 }
 
+// TestChecksumRangeMatchesBytes pins the fused word-at-a-time stream hash
+// at every word phase: a fill span starting at each stream position mod 8,
+// of lengths around the word, the old 512-byte buffer and a page, between
+// zero gaps, must hash like the bytes StreamAt materializes.
+func TestChecksumRangeMatchesBytes(t *testing.T) {
+	var lens []int64
+	for n := int64(0); n <= 17; n++ {
+		lens = append(lens, n)
+	}
+	lens = append(lens, 511, 512, 513, 4099)
+	const gap = 5
+	for pos := int64(64); pos < 72; pos++ {
+		for _, n := range lens {
+			c := New(gap + n + gap)
+			c.FillRange(gap, n, 9, pos)
+			b := make([]byte, c.Len())
+			StreamAt(9, pos, b[gap:gap+n])
+			if got, want := c.Checksum(), Checksum(b); got != want {
+				t.Fatalf("pos%%8=%d n=%d: whole checksum %#x, bytes %#x", pos&7, n, got, want)
+			}
+			if got, want := c.ChecksumRange(gap, n), Checksum(b[gap:gap+n]); got != want {
+				t.Fatalf("pos%%8=%d n=%d: span checksum %#x, bytes %#x", pos&7, n, got, want)
+			}
+		}
+	}
+}
+
 func TestStreamAtIsPositionAddressable(t *testing.T) {
 	whole := make([]byte, 1024)
 	FillBytes(whole, 7)
