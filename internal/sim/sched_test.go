@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -156,30 +158,148 @@ func TestWorkerReuseAfterKill(t *testing.T) {
 	}
 }
 
-// TestWorkerSurvivesProcPanic: a panicking proc aborts the run, but its
-// worker must be recycled, and the Env must stay usable for a fresh run.
+// TestWorkerSurvivesProcPanic: a panic in a proc body or in a callback
+// aborts the run and is re-raised by Run with its value, whichever
+// goroutine holds the baton when it happens — a callback runs on the
+// worker of the proc that blocked or finished last. The worker must be
+// recycled, and the Env must stay usable for a fresh run that ends with
+// every proc finished.
 func TestWorkerSurvivesProcPanic(t *testing.T) {
-	e := NewEnv()
-	e.Spawn("boom", func(p *Proc) { panic("bang") })
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected proc panic to propagate out of Run")
+	cases := []struct {
+		name  string
+		setup func(e *Env)
+		want  string // the value Run re-panics with, printed
+	}{
+		{"proc body", func(e *Env) {
+			e.Spawn("boom", func(p *Proc) { panic("bang") })
+		}, `sim: proc "boom" panicked: bang`},
+		{"callback on a finished proc's worker", func(e *Env) {
+			e.Spawn("sleeper", func(p *Proc) { p.Sleep(10) })
+			e.At(20, func() { panic("callback bang") })
+		}, "callback bang"},
+		{"callback on a blocked proc's worker", func(e *Env) {
+			e.Spawn("sleeper", func(p *Proc) { p.Sleep(30) })
+			e.At(20, func() { panic("callback bang") })
+		}, "callback bang"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEnv()
+			tc.setup(e)
+			func() {
+				defer func() {
+					if r := recover(); fmt.Sprint(r) != tc.want {
+						t.Fatalf("Run re-panicked with %v, want %q", r, tc.want)
+					}
+				}()
+				_ = e.Run()
+			}()
+			// The Env stays usable: a blocked proc resumes where it was,
+			// and a fresh proc runs on the pool machinery.
+			ran := false
+			e.Spawn("after", func(p *Proc) { p.Sleep(1); ran = true })
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
 			}
-		}()
-		_ = e.Run()
-	}()
-	if e.LiveProcs() != 0 {
-		t.Fatalf("%d live procs after panic, want 0", e.LiveProcs())
+			if !ran {
+				t.Fatal("post-panic proc did not run")
+			}
+			if e.LiveProcs() != 0 {
+				t.Fatalf("%d live procs after the second run, want 0", e.LiveProcs())
+			}
+			if idle, alive, _ := e.WorkerStats(); idle != 0 || alive != 0 {
+				t.Fatalf("worker pool not drained: idle=%d alive=%d", idle, alive)
+			}
+		})
 	}
-	// The Env stays usable and reuses pool machinery.
-	ran := false
-	e.Spawn("after", func(p *Proc) { p.Sleep(1); ran = true })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+}
+
+// TestWarmWakeupsAllocateNothing: on a warm Env (queue buckets, workers and
+// resource queue already grown) a wake-up allocates nothing — every wake
+// event queues the Proc's own wake closure, built once at spawn, and an
+// Event links its waiters through the Procs. In each case the measured
+// Proc and a partner wake each other, so every wake-up also passes the
+// baton to another goroutine.
+func TestWarmWakeupsAllocateNothing(t *testing.T) {
+	const runs = 200
+	type steps struct {
+		first   func(p *Proc) // measured Proc, before its first step
+		step    func(p *Proc) // measured: wakes the partner, then blocks
+		partner func(p *Proc) // the partner's mirror step
 	}
-	if !ran {
-		t.Fatal("post-panic proc did not run")
+	cases := []struct {
+		name  string
+		steps func(e *Env) steps
+	}{
+		{"Sleep", func(e *Env) steps {
+			sleep := func(p *Proc) { p.Sleep(1) }
+			return steps{step: sleep, partner: sleep}
+		}},
+		{"Event.Fire to Wait", func(e *Env) steps {
+			// AllocsPerRun makes runs+1 steps, and one more ends the partner.
+			var ping, pong []*Event
+			for i := 0; i < runs+2; i++ {
+				ping = append(ping, e.NewEvent("ping"))
+				pong = append(pong, e.NewEvent("pong"))
+			}
+			i, j := 0, 0
+			return steps{
+				step:    func(p *Proc) { ping[i].Fire(); p.Wait(pong[i]); i++ },
+				partner: func(p *Proc) { p.Wait(ping[j]); pong[j].Fire(); j++ },
+			}
+		}},
+		{"Resource.Release to Acquire", func(e *Env) steps {
+			r := e.NewResource("r", 1)
+			return steps{
+				// Hold the unit, then let the partner queue behind it.
+				first:   func(p *Proc) { r.Acquire(p); p.Sleep(0) },
+				step:    func(p *Proc) { r.Release(); r.Acquire(p) },
+				partner: func(p *Proc) { r.Acquire(p); r.Release() },
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEnv()
+			s := tc.steps(e)
+			allocs, done, partnerSteps := -1.0, false, 0
+			e.Spawn("measured", func(p *Proc) {
+				if s.first != nil {
+					s.first(p)
+				}
+				allocs = testing.AllocsPerRun(runs, func() { s.step(p) })
+				done = true
+				s.step(p) // lets the partner see done
+			})
+			e.Spawn("partner", func(p *Proc) {
+				for !done {
+					s.partner(p)
+					partnerSteps++
+				}
+			})
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if partnerSteps < runs {
+				t.Fatalf("partner stepped %d times, want >= %d: the procs did not wake each other", partnerSteps, runs)
+			}
+			if allocs != 0 {
+				t.Fatalf("%v allocations per step of two wake-ups, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestGoexitInBodyEndsRun: runtime.Goexit in a proc body (t.FailNow on a
+// worker goroutine) ends the run with an error naming the proc, instead of
+// leaving the baton on a goroutine that no longer exists.
+func TestGoexitInBodyEndsRun(t *testing.T) {
+	e := NewEnv()
+	e.Spawn("quitter", func(p *Proc) { p.Sleep(1); runtime.Goexit() })
+	e.Spawn("other", func(p *Proc) { p.Sleep(5) })
+	err := e.Run()
+	if err == nil || !strings.Contains(err.Error(), `runtime.Goexit on the goroutine of proc "quitter"`) {
+		t.Fatalf("Run = %v, want the Goexit error", err)
 	}
 }
 

@@ -14,15 +14,21 @@
 // bucket append/advance instead of an O(log n) heap rotation — at thousands
 // of in-flight events per tick this is what keeps dispatch near O(1).
 //
-// Worker goroutines are recycled: when a Proc finishes (normally, killed,
-// or panicked) its worker returns to an idle pool and picks up the next
-// spawned Proc, and all per-Proc state is released — an idle or finished
-// rank costs O(1) memory, which is what makes 1024-rank runs tractable.
+// Dispatch passes a baton. Procs run one at a time on pooled worker
+// goroutines, and whichever goroutine holds the baton runs the event loop
+// itself: when a Proc blocks or finishes, its own goroutine pops the next
+// events, runs callbacks inline and resumes the woken Proc directly, so a
+// wake-up costs one goroutine switch, or none when it wakes the same Proc.
+// A worker whose Proc finished runs the next fresh Proc on its own
+// goroutine, or parks in the idle pool; Run's goroutine holds the baton
+// until the first wake-up and then parks until the run ends. A finished
+// Proc releases all its per-Proc state — an idle or finished rank costs
+// O(1) memory, which is what makes 1024-rank runs tractable.
 //
 // Procs interact with virtual time through blocking calls (Sleep, Wait,
 // Acquire); while a Proc is running, virtual time does not advance.
-// Callbacks scheduled with Env.At run in the scheduler context and must not
-// block.
+// Callbacks scheduled with Env.At run in scheduler context, on whichever
+// goroutine holds the baton, and must not block.
 package sim
 
 import (
@@ -58,14 +64,16 @@ func FmtDuration(ns int64) string {
 // Env is a simulation environment: a virtual clock plus the machinery to
 // schedule callbacks and cooperatively run Procs.
 type Env struct {
-	now      int64
-	q        timeQueue
-	live     map[*Proc]struct{}
-	nspawned int
-	current  *Proc
-	running  bool
-	stopped  bool
-	panicv   any // re-panicked out of Run
+	now     int64
+	q       timeQueue
+	live    map[*Proc]struct{}
+	current *Proc // the Proc whose body holds the baton; nil in callbacks
+	woken   *Proc // set by the wake event the baton holder just ran
+	running bool
+	stopped bool
+	ended   chan struct{} // Run parks here once a worker holds the baton
+	err     error         // returned by Run, set by whoever ends the run
+	panicv  any           // re-panicked out of Run
 
 	idle         []*worker // workers with no Proc bound, ready for reuse
 	workersAlive int       // goroutines currently parked or running
@@ -193,16 +201,46 @@ func (e *Env) stalled() *StallError {
 // Run executes scheduled events in time order until the queue drains, Stop
 // is called, or every Proc has finished. It returns an error if any Proc is
 // still blocked when the event queue drains (a deadlock in the modeled
-// system) and names the stuck Procs.
+// system) and names the stuck Procs. A panic in a Proc body or a callback
+// is re-raised here, whichever goroutine it ran on.
 func (e *Env) Run() error {
 	if e.running {
 		panic("sim: Run called reentrantly")
 	}
 	e.running = true
+	if p := e.advance(); p != nil {
+		if e.ended == nil {
+			e.ended = make(chan struct{})
+		}
+		e.resume(p)
+		<-e.ended
+	}
+	e.running = false
+	e.current = nil
+	if len(e.live) == 0 {
+		e.drainIdleWorkers()
+	}
+	if v := e.panicv; v != nil {
+		e.panicv = nil
+		panic(v)
+	}
+	err := e.err
+	e.err = nil
+	return err
+}
+
+// advance runs events in (time, sequence) order on the calling goroutine,
+// callbacks inline, until one wakes a Proc that has a body to run, and
+// returns that Proc as the new current one. It returns nil once the run is
+// over — the queue drained, Stop, the watchdog fired, or a callback
+// panicked — with Run's outcome in e.err or e.panicv. The one recover per
+// call carries a callback's panic to Run from any goroutine.
+func (e *Env) advance() (next *Proc) {
+	e.current = nil
 	defer func() {
-		e.running = false
-		if len(e.live) == 0 {
-			e.drainIdleWorkers()
+		if r := recover(); r != nil {
+			e.panicv = r
+			next = nil
 		}
 	}()
 	for !e.stopped && e.q.len() > 0 {
@@ -213,22 +251,24 @@ func (e *Env) Run() error {
 		e.now = t
 		if e.wdTimeout > 0 && e.now-e.wdLast > e.wdTimeout {
 			if se := e.stalled(); len(se.Stuck) > 0 {
-				return se
+				e.err = se
+				return nil
 			}
 			e.wdLast = e.now // all procs done; trailing timers are not a stall
 		}
 		fn()
-		if e.panicv != nil {
-			v := e.panicv
-			e.panicv = nil
-			panic(v)
+		if p := e.woken; p != nil {
+			e.woken = nil
+			if e.runnable(p) {
+				e.current = p
+				return p
+			}
 		}
 	}
-	if e.stopped {
-		return nil
-	}
-	if stuck := e.stuckNames(); len(stuck) > 0 {
-		return fmt.Errorf("sim: deadlock, %d proc(s) still blocked: %v", len(stuck), stuck)
+	if !e.stopped {
+		if stuck := e.stuckNames(); len(stuck) > 0 {
+			e.err = fmt.Errorf("sim: deadlock, %d proc(s) still blocked: %v", len(stuck), stuck)
+		}
 	}
 	return nil
 }
@@ -338,69 +378,115 @@ func (q *timeQueue) heapPop() {
 	}
 }
 
-// --- pooled workers ---
+// --- pooled workers and the baton ---
 
 // worker is a reusable goroutine that hosts Proc bodies one after another.
-// The scheduler hands it a Proc on assign; the rendezvous channels carry
-// the run/yield ping-pong for whichever Proc is currently bound.
+// It parks on run: an idle worker receives the fresh Proc to start, a
+// worker whose Proc is blocked receives that Proc when it is resumed.
+// Whoever sends on run passes the baton and touches the Env no more.
 type worker struct {
-	assign  chan *Proc
-	resume  chan struct{}
-	yielded chan yieldKind
+	run chan *Proc
 }
 
-func (w *worker) loop() {
-	for p := range w.assign {
-		w.runProc(p)
+// host runs p's body on this goroutine. When a body finishes here and the
+// baton next lands on a fresh Proc, host runs that body too; otherwise the
+// worker parks in the idle pool until resume hands it a fresh Proc. A
+// closed run channel retires it.
+func (w *worker) host(p *Proc) {
+	e := p.env
+	retired := false
+	defer func() {
+		if !retired {
+			// runtime.Goexit (t.FailNow) in a body or callback run here:
+			// end the run instead of stranding the baton on a dead goroutine.
+			e.workersAlive--
+			e.err = fmt.Errorf("sim: runtime.Goexit on the goroutine of proc %q", p.name)
+			e.pass(nil)
+		}
+	}()
+	for p != nil {
+		var next *Proc
+		if p.exec() {
+			next = e.advance()
+		}
+		if next != nil && next.w == nil {
+			next.w = w
+			p = next
+			continue
+		}
+		e.idle = append(e.idle, w)
+		e.pass(next)
+		p = <-w.run
 	}
+	retired = true
 }
 
-// runProc executes one Proc body to completion, translating panics into
-// scheduler yields. A killSentinel unwind (Kill) finishes the Proc cleanly
-// without surfacing a panic. Pool bookkeeping happens scheduler-side in
-// dispatch; this goroutine only runs bodies.
-func (w *worker) runProc(p *Proc) {
+// exec runs p's body to completion and releases p's scheduler state. A
+// Kill unwind finishes p cleanly; any other panic ends the run: exec stores
+// it for Run to re-raise and reports false.
+func (p *Proc) exec() (ok bool) {
 	e := p.env
 	body := p.body
 	p.body = nil
 	defer func() {
 		if r := recover(); r != nil {
-			if _, isKill := r.(killSentinel); !isKill {
-				p.done = true
+			if _, ok = r.(killSentinel); !ok {
 				e.panicv = fmt.Errorf("sim: proc %q panicked: %v", p.name, r)
-				w.yielded <- yieldPanicked
-				return
 			}
 		}
-		p.done = true
-		if p.tl != nil {
-			p.tl.Span(timeline.LayerSim, timeline.CostNone, "sched", "proc:"+p.name, p.startAt, e.now-p.startAt)
-		}
-		w.yielded <- yieldFinished
+		e.finishProc(p, ok)
 	}()
 	if p.killed {
 		panic(killSentinel{})
 	}
 	body(p)
+	return true
 }
 
-// acquireWorker pops an idle worker or starts a fresh goroutine.
-func (e *Env) acquireWorker() *worker {
-	if k := len(e.idle); k > 0 {
-		w := e.idle[k-1]
+// runnable reports whether a woken p has a body to start or resume. A Proc
+// killed before it ever ran finishes here without costing a goroutine
+// (still recording its timeline span, so traces are identical either way).
+func (e *Env) runnable(p *Proc) bool {
+	if p.done {
+		return false
+	}
+	if p.w == nil {
+		p.started = true
+		if p.killed {
+			e.finishProc(p, true)
+			return false
+		}
+	}
+	return true
+}
+
+// resume hands the baton to p's goroutine: its own worker when p is
+// blocked, else an idle worker or a new goroutine.
+func (e *Env) resume(p *Proc) {
+	if p.w == nil {
+		k := len(e.idle)
+		if k == 0 {
+			p.w = &worker{run: make(chan *Proc)}
+			e.workersAlive++
+			e.workersTotal++
+			go p.w.host(p)
+			return
+		}
+		p.w = e.idle[k-1]
 		e.idle[k-1] = nil
 		e.idle = e.idle[:k-1]
-		return w
 	}
-	w := &worker{
-		assign:  make(chan *Proc),
-		resume:  make(chan struct{}),
-		yielded: make(chan yieldKind),
+	p.w.run <- p
+}
+
+// pass hands the baton to next, or back to Run when next is nil because
+// the run is over. The caller must not touch the Env afterwards.
+func (e *Env) pass(next *Proc) {
+	if next == nil {
+		e.ended <- struct{}{}
+		return
 	}
-	e.workersAlive++
-	e.workersTotal++
-	go w.loop()
-	return w
+	e.resume(next)
 }
 
 // drainIdleWorkers terminates parked worker goroutines. Called when a Run
@@ -408,21 +494,23 @@ func (e *Env) acquireWorker() *worker {
 // goroutines; the next Spawn simply starts fresh workers.
 func (e *Env) drainIdleWorkers() {
 	for _, w := range e.idle {
-		close(w.assign)
+		close(w.run)
 		e.workersAlive--
 	}
 	e.idle = e.idle[:0]
 }
 
-// finishProc releases all scheduler state bound to a completed Proc: its
-// worker returns to the idle pool and the live registry, timeline recorder,
-// and body reference are dropped. After this, a finished Proc costs O(1)
-// memory no matter how long the simulation keeps running.
-func (e *Env) finishProc(p *Proc) {
-	if p.w != nil {
-		e.idle = append(e.idle, p.w)
-		p.w = nil
+// finishProc marks p finished and releases all scheduler state bound to
+// it: the worker binding, live registry entry, timeline recorder and body
+// reference. After this, a finished Proc costs O(1) memory no matter how
+// long the simulation keeps running. A Proc that ended cleanly (returned
+// or killed, not panicked) records its lifetime span first.
+func (e *Env) finishProc(p *Proc, clean bool) {
+	p.done = true
+	if clean && p.tl != nil {
+		p.tl.Span(timeline.LayerSim, timeline.CostNone, "sched", "proc:"+p.name, p.startAt, e.now-p.startAt)
 	}
+	p.w = nil
 	p.body = nil
 	p.tl = nil
 	delete(e.live, p)
@@ -434,9 +522,10 @@ func (e *Env) finishProc(p *Proc) {
 type Proc struct {
 	env     *Env
 	name    string
-	id      int
 	w       *worker       // bound while started and unfinished
 	body    func(p *Proc) // held until first dispatch
+	wake    func()        // the queued event that makes this Proc e.woken
+	next    *Proc         // next waiter in an Event's FIFO while blocked in Wait
 	done    bool
 	started bool
 	killed  bool
@@ -462,7 +551,7 @@ func (p *Proc) Kill() {
 	if p == p.env.current {
 		return // dies at its next blocking call
 	}
-	p.env.q.push(p.env.now, func() { p.env.dispatch(p) })
+	p.env.q.push(p.env.now, p.wake)
 }
 
 // Killed reports whether the Proc was killed.
@@ -476,17 +565,9 @@ func (p *Proc) Finished() bool { return p.done }
 // default) disables tracing: the hot paths then skip all event construction.
 func (p *Proc) SetTimeline(tl *timeline.Recorder) { p.tl = tl }
 
-type yieldKind int
-
-const (
-	yieldBlocked yieldKind = iota
-	yieldFinished
-	yieldPanicked
-)
-
 func (e *Env) newProc(name string, startAt int64, body func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, id: e.nspawned, body: body, startAt: startAt}
-	e.nspawned++
+	p := &Proc{env: e, name: name, body: body, startAt: startAt}
+	p.wake = func() { p.env.woken = p }
 	if e.live == nil {
 		e.live = make(map[*Proc]struct{})
 	}
@@ -500,7 +581,7 @@ func (e *Env) newProc(name string, startAt int64, body func(p *Proc)) *Proc {
 // it starts never costs a goroutine.
 func (e *Env) Spawn(name string, body func(p *Proc)) *Proc {
 	p := e.newProc(name, e.now, body)
-	e.q.push(e.now, func() { e.dispatch(p) })
+	e.q.push(e.now, p.wake)
 	return p
 }
 
@@ -510,53 +591,20 @@ func (e *Env) SpawnAt(t int64, name string, body func(p *Proc)) *Proc {
 		panic("sim: SpawnAt in the past")
 	}
 	p := e.newProc(name, t, body)
-	e.q.push(t, func() { e.dispatch(p) })
+	e.q.push(t, p.wake)
 	return p
 }
 
-// dispatch resumes p and waits for it to block or finish. Runs in scheduler
-// context. The first dispatch binds a pooled worker; a Proc killed before
-// it ever ran finishes inline without consuming one (still recording its
-// timeline span, so traces are identical either way).
-func (e *Env) dispatch(p *Proc) {
-	if p.done {
-		return
-	}
-	prev := e.current
-	e.current = p
-	var kind yieldKind
-	if p.w == nil {
-		p.started = true
-		if p.killed {
-			p.done = true
-			if p.tl != nil {
-				p.tl.Span(timeline.LayerSim, timeline.CostNone, "sched", "proc:"+p.name, p.startAt, e.now-p.startAt)
-			}
-			e.current = prev
-			e.finishProc(p)
-			return
-		}
-		w := e.acquireWorker()
-		p.w = w
-		w.assign <- p
-		kind = <-w.yielded
-	} else {
-		p.w.resume <- struct{}{}
-		kind = <-p.w.yielded
-	}
-	e.current = prev
-	if kind != yieldBlocked {
-		e.finishProc(p)
-	}
-}
-
-// yield suspends the calling Proc until the scheduler resumes it again.
-// Must be called from within the Proc's body. A killed Proc unwinds here
-// instead of resuming.
+// yield suspends the calling Proc and passes the baton on: this goroutine
+// runs the scheduler until an event wakes a Proc, carries on inline when
+// that is p itself, and otherwise hands over and parks until p is resumed.
+// A killed Proc unwinds here instead of resuming.
 func (p *Proc) yield() {
 	w := p.w
-	w.yielded <- yieldBlocked
-	<-w.resume
+	if next := p.env.advance(); next != p {
+		p.env.pass(next)
+		<-w.run
+	}
 	if p.killed {
 		panic(killSentinel{})
 	}
@@ -580,7 +628,7 @@ func (p *Proc) Sleep(d int64) {
 	if p.tl != nil && d > 0 {
 		p.tl.Span(timeline.LayerSim, timeline.CostNone, "sched", "sleep", p.env.now, d)
 	}
-	p.env.q.push(p.env.now+d, func() { p.env.dispatch(p) })
+	p.env.q.push(p.env.now+d, p.wake)
 	p.yield()
 }
 
@@ -591,7 +639,12 @@ func (p *Proc) Wait(ev *Event) {
 		return
 	}
 	t0 := p.env.now
-	ev.waiters = append(ev.waiters, p)
+	if ev.last == nil {
+		ev.first = p
+	} else {
+		ev.last.next = p
+	}
+	ev.last = p
 	p.yield()
 	if p.tl != nil && p.env.now > t0 {
 		p.tl.Span(timeline.LayerSim, timeline.CostNone, "sched", "wait:"+ev.name, t0, p.env.now-t0)
@@ -602,12 +655,12 @@ func (p *Proc) Wait(ev *Event) {
 // waiters arriving afterwards do not block. Fire may be called from either
 // a Proc or a scheduler callback.
 type Event struct {
-	env     *Env
-	name    string
-	fired   bool
-	at      int64 // time of firing, valid once fired
-	waiters []*Proc
-	hooks   []func()
+	env         *Env
+	name        string
+	fired       bool
+	at          int64 // time of firing, valid once fired
+	first, last *Proc // waiting Procs in FIFO order, linked by Proc.next
+	hooks       []func()
 }
 
 // NewEvent creates an unfired event.
@@ -645,12 +698,13 @@ func (ev *Event) Fire() {
 	}
 	ev.fired = true
 	ev.at = ev.env.now
-	waiters := ev.waiters
-	ev.waiters = nil
-	for _, w := range waiters {
-		w := w
-		ev.env.q.push(ev.env.now, func() { ev.env.dispatch(w) })
+	for w := ev.first; w != nil; {
+		next := w.next
+		w.next = nil
+		ev.env.q.push(ev.env.now, w.wake)
+		w = next
 	}
+	ev.first, ev.last = nil, nil
 	hooks := ev.hooks
 	ev.hooks = nil
 	for _, h := range hooks {
@@ -716,14 +770,11 @@ func (r *Resource) Release() {
 		copy(r.queue, r.queue[1:])
 		r.queue = r.queue[:len(r.queue)-1]
 		// Unit transfers directly to head; inUse stays the same.
-		r.env.push(r.env.now, func() { r.env.dispatch(head) })
+		r.env.q.push(r.env.now, head.wake)
 		return
 	}
 	r.inUse--
 }
-
-// push keeps the old internal name alive for Resource above.
-func (e *Env) push(t int64, fn func()) { e.q.push(t, fn) }
 
 // InUse reports how many units are currently held.
 func (r *Resource) InUse() int { return r.inUse }
