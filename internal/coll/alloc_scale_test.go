@@ -82,3 +82,20 @@ func TestHierAlltoallwAllocsFlatInWorldSize(t *testing.T) {
 			large, 100*(large/small-1), small)
 	}
 }
+
+// TestSubAllocsFlatInWorldSize pins that a sub-engine builds a rank's
+// state only when that rank first calls a collective on it: a shrink that
+// derives one sub-engine per survivor then allocates the same per call on
+// a 1024-rank world as on a 64-rank one, not O(world) each.
+func TestSubAllocsFlatInWorldSize(t *testing.T) {
+	subAllocs := func(n int) float64 {
+		c := cluster.MustBuild(sim.NewEnv(), cluster.Lassen().WithNodes(n/4))
+		w := mpi.NewWorld(c, mpi.DefaultConfig(), schemes.Factory("Proposed-Tuned"))
+		e := coll.New(w, coll.Tuning{})
+		return testing.AllocsPerRun(20, func() { e.Sub(w.WorldComm()) })
+	}
+	small, large := subAllocs(64), subAllocs(1024)
+	if large != small {
+		t.Fatalf("Sub allocates %.0f times on a 1024-rank world, %.0f on a 64-rank one", large, small)
+	}
+}

@@ -162,7 +162,7 @@ type Engine struct {
 	w      *mpi.World
 	comm   *mpi.Comm // nil = world communicator
 	tuning Tuning
-	ranks  []*rankState
+	ranks  []*rankState // by world rank ID, each built on first use (state)
 
 	rmaF *rma.Fabric // lazily created; shared by UseRMA with the facade
 	osID int         // window/signal namespace id within the fabric
@@ -191,13 +191,23 @@ func New(w *mpi.World, t Tuning) *Engine {
 	for i := range e.ids {
 		e.ids[i] = i
 	}
-	for i := 0; i < w.Size(); i++ {
-		e.ranks = append(e.ranks, &rankState{
+	return e
+}
+
+// state returns world rank id's per-rank state, building it the first
+// time the rank uses the engine: a sub-engine a shrink derives for every
+// survivor then costs nothing per world rank.
+func (e *Engine) state(id int) *rankState {
+	if id >= len(e.ranks) {
+		e.ranks = append(e.ranks, make([]*rankState, id+1-len(e.ranks))...)
+	}
+	if e.ranks[id] == nil {
+		e.ranks[id] = &rankState{
 			shifted: make(map[shiftKey]*datatype.Layout),
 			contig:  make(map[[2]int64]*datatype.Layout),
-		})
+		}
 	}
-	return e
+	return e.ranks[id]
 }
 
 // UseRMA points the engine at an existing one-sided fabric (the facade
@@ -224,14 +234,7 @@ func (e *Engine) rmaFabric() *rma.Fabric {
 // comm ranks. The first one-sided collective on the sub-engine reseats
 // the shared fabric onto comm (fresh epoch, rebuilt symmetric heap).
 func (e *Engine) Sub(cm *mpi.Comm) *Engine {
-	sub := &Engine{w: e.w, comm: cm, tuning: e.tuning, rmaF: e.rmaF, osID: e.osID, ids: e.ids}
-	for i := 0; i < e.w.Size(); i++ {
-		sub.ranks = append(sub.ranks, &rankState{
-			shifted: make(map[shiftKey]*datatype.Layout),
-			contig:  make(map[[2]int64]*datatype.Layout),
-		})
-	}
-	return sub
+	return &Engine{w: e.w, comm: cm, tuning: e.tuning, rmaF: e.rmaF, osID: e.osID, ids: e.ids}
 }
 
 // size is the number of collective participants (comm size).
@@ -299,7 +302,7 @@ func (c *call) size() int { return c.cm.Size() }
 // begin runs the schedule pass: bump the call sequence, resolve the batch
 // hook, and charge the plan-building cost.
 func (e *Engine) begin(r *mpi.Rank, p *sim.Proc, legs int) *call {
-	st := e.ranks[r.ID()]
+	st := e.state(r.ID())
 	st.seq++
 	cm := e.comm
 	if cm == nil {

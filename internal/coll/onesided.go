@@ -245,7 +245,7 @@ func (st *a2aState) close(f *rma.Fabric) error {
 // window's buffers back to the staging pools. A later one-sided Alltoallw
 // negotiates afresh.
 func (e *Engine) Release(r *mpi.Rank) error {
-	st := e.ranks[r.ID()]
+	st := e.state(r.ID())
 	if st.a2a == nil || e.rmaF == nil {
 		return nil
 	}

@@ -170,14 +170,18 @@ func copyBlocks(src []byte, srcBlocks []datatype.Block, dst []byte, dstBlocks []
 }
 
 // lazyCopyBlocks is copyBlocks for when either side is a lazy buffer: one
-// payload CopyBlocks when both are lazy, one gpu.CopyRange per piece when
-// only one is.
+// payload CopyBlocks when both are lazy, one payload WriteBlocks into a
+// lazy destination from real bytes, and one gpu.CopyRange per piece from
+// a lazy source into real bytes.
 func lazyCopyBlocks(src *gpu.Buffer, srcBlocks []datatype.Block, dst *gpu.Buffer, dstBlocks []datatype.Block) {
-	if src.IsLazy() && dst.IsLazy() {
+	switch {
+	case src.IsLazy() && dst.IsLazy():
 		dst.Lazy.CopyBlocks(dstBlocks, src.Lazy, srcBlocks)
-		return
+	case dst.IsLazy():
+		dst.Lazy.WriteBlocks(dstBlocks, src.Data, srcBlocks)
+	default:
+		datatype.EachPiece(dstBlocks, srcBlocks, func(d, s, n int64) { gpu.CopyRange(dst, d, src, s, n) })
 	}
-	datatype.EachPiece(dstBlocks, srcBlocks, func(d, s, n int64) { gpu.CopyRange(dst, d, src, s, n) })
 }
 
 // KernelSpec converts the job into a single-kernel launch description.

@@ -3,6 +3,7 @@ package payload
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"repro/internal/datatype"
@@ -360,4 +361,249 @@ func FuzzLazyBlockCopy(f *testing.F) {
 			t.Fatal("a copy into a reset content differs from one into a fresh content")
 		}
 	})
+}
+
+// resolvedSpan is a span with its table index replaced by what it
+// indexes: the shape of a vector, the bytes of a literal.
+type resolvedSpan struct {
+	off, n, pos int64
+	kind        srcKind
+	seed        uint64
+	sh          shape
+	lit         string
+}
+
+// resolved returns c's span list with every table index resolved, so
+// two contents can be compared span for span whatever their tables hold.
+func resolved(c *Content) []resolvedSpan {
+	out := make([]resolvedSpan, 0, len(c.spans))
+	for _, s := range c.spans {
+		r := resolvedSpan{off: s.off, n: s.n, pos: s.pos, kind: s.kind, seed: s.seed}
+		switch s.kind {
+		case srcVec:
+			r.seed, r.sh = 0, c.vecs[s.seed]
+		case srcLit:
+			r.seed, r.pos, r.lit = 0, 0, string(c.lit(s))
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// canonicalForm rebuilds c's span list from scratch by the rule the
+// Content doc states: expand every vector into its blocks, join fill
+// runs that continue each other, then group the runs greedily from the
+// left — a run opens a group and each following run joins it while it
+// has the group's seed and length and steps by the group's strides.
+func canonicalForm(c *Content) []resolvedSpan {
+	var runs []span
+	for _, s := range c.spans {
+		blocks := []span{s}
+		if s.kind == srcVec {
+			sh := c.vecs[s.seed]
+			blocks = blocks[:0]
+			for k := int64(0); k < sh.count(s); k++ {
+				blocks = append(blocks, sh.block(s, k))
+			}
+		}
+		for _, b := range blocks {
+			if l := len(runs) - 1; l >= 0 && b.kind == srcFill && runs[l].kind == srcFill && continues(runs[l], b) {
+				runs[l].n += b.n
+				continue
+			}
+			runs = append(runs, b)
+		}
+	}
+	var out []resolvedSpan
+	for i := 0; i < len(runs); {
+		r := runs[i]
+		if r.kind == srcLit {
+			out = append(out, resolvedSpan{off: r.off, n: r.n, kind: srcLit, lit: string(c.lit(r))})
+			i++
+			continue
+		}
+		j := i + 1
+		next := func(k int) bool {
+			return k < len(runs) && runs[k].kind == srcFill && runs[k].seed == r.seed && runs[k].n == r.n
+		}
+		if !next(j) {
+			out = append(out, resolvedSpan{off: r.off, n: r.n, pos: r.pos, kind: srcFill, seed: r.seed})
+			i = j
+			continue
+		}
+		cs, ps := runs[j].off-r.off, runs[j].pos-r.pos
+		for next(j+1) && runs[j+1].off-runs[j].off == cs && runs[j+1].pos-runs[j].pos == ps {
+			j++
+		}
+		out = append(out, resolvedSpan{off: r.off, n: runs[j].off + r.n - r.off, pos: r.pos, kind: srcVec,
+			sh: shape{seed: r.seed, blk: r.n, cstride: cs, pstride: ps}})
+		i = j + 1
+	}
+	return out
+}
+
+// checkCanonical asserts checkSpanInvariants plus the vector ones: every
+// vector's shape inside the table, well-formed (two or more whole blocks,
+// never one fill span in disguise), the live-vector count exact, the
+// shape table within its compaction bound, and the list equal to the
+// canonical form rebuilt from scratch.
+func checkCanonical(t *testing.T, c *Content) {
+	t.Helper()
+	checkSpanInvariants(t, c)
+	nvec := 0
+	for i, s := range c.spans {
+		if s.kind != srcVec {
+			continue
+		}
+		nvec++
+		if s.seed >= uint64(len(c.vecs)) {
+			t.Fatalf("span %d: shape index %d outside table of %d", i, s.seed, len(c.vecs))
+		}
+		sh := c.vecs[s.seed]
+		if sh.blk <= 0 || sh.cstride < sh.blk || (s.n-sh.blk)%sh.cstride != 0 || sh.count(s) < 2 ||
+			sh.cstride == sh.blk && sh.pstride == sh.blk {
+			t.Fatalf("span %d: malformed vector of %d bytes, shape %+v", i, s.n, sh)
+		}
+	}
+	if nvec != c.nvec {
+		t.Fatalf("live vector count %d, content records %d", nvec, c.nvec)
+	}
+	if len(c.vecs) > 2*nvec+litSlack {
+		t.Fatalf("shape table holds %d entries for %d vector spans", len(c.vecs), nvec)
+	}
+	if got, want := resolved(c), canonicalForm(c); !slices.Equal(got, want) {
+		t.Fatalf("span list is not canonical:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// canonicalSize is the content length of FuzzLazyCanonicalSpans.
+const canonicalSize = int64(211)
+
+// decodeStrided turns 4-byte records into strided block lists, up to six
+// equal blocks each, every block inside the content, covering at most
+// limit bytes. Ascending records start 0–15 bytes after the previous
+// record's last block; free ones anywhere.
+func decodeStrided(p []byte, ascending bool, limit int64) (bl []datatype.Block, total int64) {
+	const n = canonicalSize
+	var prev int64
+	for ; len(p) >= 4 && len(bl) < 48; p = p[4:] {
+		off, blk := int64(p[0])%n, int64(p[1])%12+1
+		stride, count := blk+int64(p[2])%6, int64(p[3])%6+1
+		if ascending {
+			off = prev + int64(p[0])%16
+		}
+		for k := int64(0); k < count; k++ {
+			o, ln := off+k*stride, min(blk, limit-total)
+			if o+ln > n || ln == 0 {
+				return bl, total
+			}
+			bl = append(bl, datatype.Block{Offset: o, Len: ln})
+			prev, total = o+ln, total+ln
+		}
+	}
+	return bl, total
+}
+
+// canonicalContents replays the fill program of FuzzLazyCanonicalSpans:
+// 5-byte records each fill or zero a strided run of ranges in the
+// destination or the source — bit 0 of the first byte picks the content,
+// bit 1 zeroes, bits 2–3 pick one of four seeds and bits 4–5 the stream
+// step beyond the range length.
+func canonicalContents(mode uint8, fills []byte) (dst, src *Content) {
+	const n = canonicalSize
+	dst, src = New(n), New(n)
+	if mode&4 != 0 {
+		src.Fill(3)
+	}
+	for ; len(fills) >= 5; fills = fills[5:] {
+		op := fills[0]
+		c := dst
+		if op&1 != 0 {
+			c = src
+		}
+		off, ln, pos := int64(fills[1])%n, int64(fills[2])%24+1, int64(fills[3])
+		reps, cstride := int64(fills[4])%6+1, ln+int64(fills[4])/6%5
+		pstride := ln + int64(op>>4)%4
+		for k := int64(0); k < reps && off+k*cstride+ln <= n; k++ {
+			if op&2 != 0 {
+				c.Zero(off+k*cstride, ln)
+			} else {
+				c.FillRange(off+k*cstride, ln, uint64(op>>2&3), pos+k*pstride)
+			}
+		}
+	}
+	return dst, src
+}
+
+// FuzzLazyCanonicalSpans checks that a content's span list depends only
+// on its bytes' provenance, not on how the copies that built it were
+// ordered. A fill-and-copy program (no literal writes) builds two
+// contents and a strided CopyBlocks between them, which is then applied
+// as one CopyBlocks, as one CopyFrom per piece in list order, and — when
+// the destination pieces are disjoint — one CopyFrom per piece in reverse
+// order. All must read the byte model and hold identical span lists, with
+// shapes resolved through the table, in the canonical form rebuilt from
+// scratch. Mode bits 0 and 1 make the destination and source lists
+// ascending; bit 2 fills the source before the program runs.
+func FuzzLazyCanonicalSpans(f *testing.F) {
+	// A strided gather into zero staging: one vector.
+	f.Add(uint8(5), []byte{}, []byte{0, 7, 0, 5}, []byte{10, 7, 5, 5})
+	// A strided scatter into zero gaps, then a run continuing the last block.
+	f.Add(uint8(7), []byte{}, []byte{0, 7, 3, 5, 0, 4, 0, 0}, []byte{10, 7, 0, 5})
+	// Vectors already in the destination, cut by the copy's blocks.
+	f.Add(uint8(1), []byte{0, 10, 5, 0, 17, 1, 40, 10, 8, 5}, []byte{12, 3, 2, 4, 2, 11, 0, 1}, []byte{40, 3, 0, 2})
+	// A copy landing in the gaps of a vector of the same stream.
+	f.Add(uint8(4), []byte{0, 20, 6, 3, 23}, []byte{26, 3, 1, 3}, []byte{26, 3, 3, 3})
+	f.Fuzz(canonicalCopy)
+}
+
+// canonicalCopy is the body of FuzzLazyCanonicalSpans.
+func canonicalCopy(t *testing.T, mode uint8, fills, dstBlocks, srcBlocks []byte) {
+	dl, total := decodeStrided(dstBlocks, mode&1 != 0, canonicalSize)
+	sl, covered := decodeStrided(srcBlocks, mode&2 != 0, total)
+	if rest := total - covered; rest > 0 {
+		sl = append(sl, datatype.Block{Offset: (canonicalSize - rest) / 2, Len: rest})
+	}
+
+	dst, src := canonicalContents(mode, fills)
+	checkCanonical(t, dst)
+	checkCanonical(t, src)
+	db := make([]byte, canonicalSize)
+	sb := make([]byte, canonicalSize)
+	dst.ReadAt(db, 0)
+	src.ReadAt(sb, 0)
+	var pieces [][3]int64
+	datatype.EachPiece(dl, sl, func(d, s, n int64) {
+		pieces = append(pieces, [3]int64{d, s, n})
+		copy(db[d:d+n], sb[s:s+n])
+	})
+	dst.CopyBlocks(dl, src, sl)
+
+	orders := [][][3]int64{pieces}
+	byDst := slices.Clone(pieces)
+	slices.SortFunc(byDst, func(a, b [3]int64) int { return int(a[0] - b[0]) })
+	disjoint := true
+	for k := 1; k < len(byDst); k++ {
+		disjoint = disjoint && byDst[k-1][0]+byDst[k-1][2] <= byDst[k][0]
+	}
+	if disjoint {
+		orders = append(orders, slices.Clone(pieces))
+		slices.Reverse(orders[1])
+	}
+	for k, order := range orders {
+		ref, rsrc := canonicalContents(mode, fills)
+		for _, pc := range order {
+			ref.CopyFrom(pc[0], rsrc, pc[1], pc[2])
+		}
+		checkCanonical(t, ref)
+		if !slices.Equal(resolved(dst), resolved(ref)) {
+			t.Fatalf("order %d: CopyBlocks spans %+v, per-piece copies %+v", k, resolved(dst), resolved(ref))
+		}
+	}
+	checkCanonical(t, dst)
+	got := make([]byte, canonicalSize)
+	dst.ReadAt(got, 0)
+	if !bytes.Equal(got, db) || dst.Checksum() != Checksum(db) {
+		t.Fatal("CopyBlocks diverges from the byte model")
+	}
 }

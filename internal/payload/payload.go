@@ -1,6 +1,7 @@
 // Package payload implements the lazy-bytes content algebra: a byte
 // container represented as a sorted list of provenance spans (seeded PRF
-// stream ranges, literal bytes, implicit zeros) instead of a real []byte.
+// stream ranges, strided vectors of PRF blocks, literal bytes, implicit
+// zeros) instead of a real []byte.
 //
 // Copying, packing, unpacking, concatenating, and slicing lazy content are
 // span-list manipulations — O(spans), independent of the byte count — which
@@ -9,6 +10,18 @@
 // observable through an FNV-1a checksum computed by streaming the spans:
 // for identical logical bytes it equals Checksum() over a real []byte, so a
 // lazy run and a byte-exact run can be compared checksum-for-checksum.
+//
+// A span is 40 bytes of scalars (offset, length, seed, position, kind) in
+// one of three kinds. A fill span reads a range of one PRF stream. A
+// literal span reads a range of an immutable byte slice in its content's
+// literal table; its seed is the table index. A vector span is count
+// blocks of blk bytes, one every cstride content bytes, block k reading
+// stream seed from pos + k*pstride, with zero bytes between the blocks;
+// the shape (stream seed, blk, cstride, pstride) lives in its content's
+// shape table and the span's seed is the table index. The list is kept in
+// one canonical form (see Content), formed wherever spans are appended, so
+// a strided leg packed into contiguous staging or unpacked into a zeroed
+// buffer is one span, not one per block, whatever copies built it.
 //
 // The stream source is a position-addressable PRF (splitmix64 per 8-byte
 // block), NOT the sequential LCG of workload.FillPattern: a span copied to
@@ -125,49 +138,106 @@ type srcKind uint8
 const (
 	srcFill srcKind = iota // bytes [pos, pos+n) of PRF stream `seed`
 	srcLit                 // bytes [pos, pos+n) of literal `seed` in Content.lits
+	srcVec                 // blocks of shape `seed` in Content.vecs, block 0 reading its stream from pos
 )
 
-// span is one contiguous run of non-zero provenance inside a Content.
-// Ranges not covered by any span read as zero. A span holds no pointers —
-// literal bytes live in the owning Content's table — so span lists are
-// never scanned by the garbage collector and shifting them is a plain
-// memmove without write barriers.
+// span is one run of non-zero provenance inside a Content: a contiguous
+// fill or literal range, or a vector of equal fill blocks whose gaps read
+// as zero. Ranges not covered by any span read as zero. A span holds no
+// pointers — literal bytes and vector shapes live in the owning Content's
+// tables — so span lists are never scanned by the garbage collector and
+// shifting them is a plain memmove without write barriers.
 type span struct {
 	off  int64  // offset within the content
-	n    int64  // length in bytes
-	seed uint64 // srcFill: stream seed; srcLit: index into Content.lits
+	n    int64  // length in bytes; a vector's runs from its first block's start to its last block's end
+	seed uint64 // srcFill: stream seed; srcLit: index into Content.lits; srcVec: index into Content.vecs
 	pos  int64  // position of the span's first byte in its stream or literal
 	kind srcKind
 }
 
-// trim returns the sub-span covering content range [a, b).
+// trim returns the sub-span of a fill or literal span covering content
+// range [a, b).
 func (s span) trim(a, b int64) span {
 	s.pos += a - s.off
 	s.off, s.n = a, b-a
 	return s
 }
 
-// mergeable reports whether b directly continues a (so the two can be one
-// span). Literal spans are never merged, so a content's span count does
-// not depend on how its literals are shared.
-func mergeable(a, b span) bool {
-	return a.kind == srcFill && b.kind == srcFill &&
-		a.off+a.n == b.off && a.seed == b.seed && a.pos+a.n == b.pos
+// shape is the stride pattern of a vector span: blocks of blk bytes, one
+// every cstride content bytes, block k reading stream seed from the span's
+// pos + k*pstride. A vector holds two or more blocks and never has
+// cstride == pstride == blk (that is one fill span).
+type shape struct {
+	seed                  uint64
+	blk, cstride, pstride int64
 }
 
-// litSlack is how many dead literal-table entries a Content tolerates
-// beyond twice its live literal spans before compacting the table.
+// count returns how many blocks vector s of shape sh holds.
+func (sh shape) count(s span) int64 { return (s.n-sh.blk)/sh.cstride + 1 }
+
+// block returns block k of vector s as a fill span.
+func (sh shape) block(s span, k int64) span {
+	return span{off: s.off + k*sh.cstride, n: sh.blk, seed: sh.seed, pos: s.pos + k*sh.pstride}
+}
+
+// blocks returns blocks k0 through k1 of vector s as one span: a vector
+// when they are two or more, a fill span when one.
+func (sh shape) blocks(s span, k0, k1 int64) span {
+	b := sh.block(s, k0)
+	if k1 > k0 {
+		b.n, b.seed, b.kind = (k1-k0)*sh.cstride+sh.blk, s.seed, srcVec
+	}
+	return b
+}
+
+// overlap returns the first and last blocks of vector s that overlap
+// content range [a, b); k0 > k1 when the range lies in one gap.
+func (sh shape) overlap(s span, a, b int64) (k0, k1 int64) {
+	a, b = max(a, s.off), min(b, s.off+s.n)
+	return (a - s.off + sh.cstride - sh.blk) / sh.cstride, (b - s.off - 1) / sh.cstride
+}
+
+// continues reports whether fill span b starts where fill span a ends, in
+// both the content and a's stream.
+func continues(a, b span) bool {
+	return a.seed == b.seed && a.off+a.n == b.off && a.pos+a.n == b.pos
+}
+
+// mergeable reports whether fill spans a and b, b right after a with
+// nothing between, break the canonical form: b continues a (they are one
+// fill span), or b repeats a's seed and length (they are one vector).
+// Literal spans never merge, so a content's span count does not depend on
+// how its literals are shared.
+func mergeable(a, b span) bool {
+	return a.kind == srcFill && b.kind == srcFill && a.seed == b.seed && (a.n == b.n || continues(a, b))
+}
+
+// litSlack is how many dead entries the literal table, and the shape
+// table, tolerate beyond twice their live spans before compaction.
 const litSlack = 16
 
-// addPool holds the staging span lists CopyFrom and CopyBlocks build
-// before their single splice (source spans must be snapshotted before the
-// destination is mutated: self-copies alias).
+// seekWalk is how many spans seek walks forward from its hint before it
+// falls back to a binary search.
+const seekWalk = 8
+
+// addPool holds the staging span lists every splice takes its new spans
+// from (a copy's source spans must be snapshotted before the destination
+// is mutated: self-copies alias) and rebuilds its window in.
 var addPool = sync.Pool{New: func() any { return new([]span) }}
 
 // --- Content ---
 
 // Content is a fixed-length lazy byte container. The zero-span Content
 // reads as all zeros.
+//
+// Its span list is canonical: the same bytes of provenance always give
+// the same list, whatever sequence of copies built them. Fill spans are
+// maximal (no fill span continues the one before it), and the maximal
+// fill runs between literal spans are grouped greedily from the left:
+// a run opens a group, and each following run joins it while it has the
+// group's seed and length and steps by the group's content and stream
+// strides. A group of one run is a fill span, a longer one a vector.
+// Literal spans never merge.
 type Content struct {
 	n     int64
 	spans []span
@@ -177,6 +247,10 @@ type Content struct {
 	// the table is compacted when it outgrows them.
 	lits [][]byte
 	nlit int
+	// vecs is the shape table srcVec spans index, kept like lits: nvec
+	// counts the live srcVec spans.
+	vecs []shape
+	nvec int
 }
 
 // New returns an all-zero Content of n bytes.
@@ -204,6 +278,20 @@ func (c *Content) firstOverlap(off int64) int {
 	return sort.Search(len(c.spans), func(i int) bool { return c.spans[i].off+c.spans[i].n > off })
 }
 
+// seek returns firstOverlap(off), walking forward from span hint when
+// every span before hint ends at or before off and the answer is near.
+func (c *Content) seek(hint int, off int64) int {
+	if hint > len(c.spans) || hint > 0 && c.spans[hint-1].off+c.spans[hint-1].n > off {
+		return c.firstOverlap(off)
+	}
+	for stop := hint + seekWalk; hint < len(c.spans) && c.spans[hint].off+c.spans[hint].n <= off; hint++ {
+		if hint == stop {
+			return c.firstOverlap(off)
+		}
+	}
+	return hint
+}
+
 // lit returns the bytes of literal span s.
 func (c *Content) lit(s span) []byte { return c.lits[s.seed][s.pos : s.pos+s.n] }
 
@@ -218,122 +306,316 @@ func (c *Content) homeLit(p []byte) uint64 {
 	return uint64(len(c.lits) - 1)
 }
 
-// compactLits drops literal-table entries no span references, keeping the
-// survivors in order and renumbering the spans that use them.
-func (c *Content) compactLits() {
-	idx := make([]int32, len(c.lits))
-	for _, s := range c.spans {
-		if s.kind == srcLit {
+// homeShape returns an index of shape sh, for a vector at content offset
+// off, in c's table: the index of the vector c holds at off already, or
+// of the table's last entry, when either has shape sh, and a new entry
+// otherwise. A buffer rewritten with the same layouts step after step so
+// reuses its entries instead of growing and compacting its table.
+func (c *Content) homeShape(sh shape, off int64) uint64 {
+	if i := c.firstOverlap(off); i < len(c.spans) && c.spans[i].kind == srcVec && c.vecs[c.spans[i].seed] == sh {
+		return c.spans[i].seed
+	}
+	if k := len(c.vecs) - 1; k >= 0 && c.vecs[k] == sh {
+		return uint64(k)
+	}
+	c.vecs = append(c.vecs, sh)
+	return uint64(len(c.vecs) - 1)
+}
+
+// compact drops the entries of table tab that no span of kind k
+// references, keeping the survivors in order and renumbering the spans
+// that use them.
+func compact[T any](tab []T, spans []span, k srcKind) []T {
+	var buf [64]int32
+	var idx []int32
+	if len(tab) <= len(buf) {
+		idx = buf[:len(tab)]
+	} else {
+		idx = make([]int32, len(tab))
+	}
+	for _, s := range spans {
+		if s.kind == k {
 			idx[s.seed] = 1
 		}
 	}
 	w := int32(0)
-	for k, live := range idx {
+	for i, live := range idx {
 		if live != 0 {
-			idx[k] = w
-			c.lits[w] = c.lits[k]
+			idx[i] = w
+			tab[w] = tab[i]
 			w++
 		}
 	}
-	clear(c.lits[w:])
-	c.lits = c.lits[:w]
-	for i := range c.spans {
-		if s := &c.spans[i]; s.kind == srcLit {
+	clear(tab[w:])
+	for i := range spans {
+		if s := &spans[i]; s.kind == k {
 			s.seed = uint64(idx[s.seed])
 		}
 	}
+	return tab[:w]
 }
 
-// splice replaces coverage of [off, end) with add (sorted, within
-// [off, end)), splitting boundary spans, then coalesces mergeable fill
-// spans at the seams. The span list is shifted in place: no temporary
-// slice proportional to the tail is ever allocated, so a copy into a
-// bundle holding thousands of spans stays O(spans moved), not O(bytes
-// allocated) — the operation sits on the simulator's hottest path.
-func (c *Content) splice(off, end int64, add []span) {
+// stepPos returns how far into its stream a vector's block d content
+// bytes after block 0 starts (d a multiple of cstride), dividing only
+// when the two strides differ.
+func (sh *shape) stepPos(d int64) int64 {
+	if sh.pstride == sh.cstride {
+		return d
+	}
+	return d / sh.cstride * sh.pstride
+}
+
+// link reports how fill span r, placed right after span last with nothing
+// between, relates to it: r continues last's final block (cont), or r
+// steps last — repeats a fill span's seed and length, or is the next
+// block of a vector (step).
+func (c *Content) link(last, r *span) (cont, step bool) {
+	switch last.kind {
+	case srcFill:
+		cont = continues(*last, *r)
+		return cont, !cont && last.seed == r.seed && last.n == r.n
+	case srcVec:
+		sh := &c.vecs[last.seed]
+		bo := last.off + last.n - sh.blk // the final block's offset
+		if sh.seed != r.seed {
+			return false, false
+		}
+		if r.off != bo+sh.cstride && r.off != bo+sh.blk {
+			return false, false
+		}
+		bp := last.pos + sh.stepPos(bo-last.off) // the final block's stream position
+		cont = r.off == bo+sh.blk && r.pos == bp+sh.blk
+		return cont, !cont && r.off == bo+sh.cstride && r.n == sh.blk && r.pos == bp+sh.pstride
+	}
+	return false, false
+}
+
+// pushRun appends fill span r, which starts at or after the end of the
+// canonical list out, and keeps the list canonical. The last span of out
+// is the only one r can change: r adds a block to a vector it steps,
+// turns a fill span of r's seed and length into a vector, extends a fill
+// span it continues, or takes the final block off a vector whose final
+// block it continues.
+func (c *Content) pushRun(out []span, r span) []span {
+	l := len(out) - 1
+	if l < 0 {
+		return append(out, r)
+	}
+	last := &out[l]
+	cont, step := c.link(last, &r)
+	switch {
+	case step && last.kind == srcVec:
+		last.n += c.vecs[last.seed].cstride
+		return out
+	case step:
+		last.seed = c.homeShape(shape{seed: r.seed, blk: r.n, cstride: r.off - last.off, pstride: r.pos - last.pos}, last.off)
+		last.n, last.kind = r.off+r.n-last.off, srcVec
+		return out
+	case cont && last.kind == srcFill:
+		// The longer fill span may now step the span before it.
+		grown := *last
+		grown.n += r.n
+		return c.pushRun(out[:l], grown)
+	case cont:
+		sh := c.vecs[last.seed]
+		k := sh.count(*last) - 1
+		b := sh.block(*last, k)
+		*last = sh.blocks(*last, 0, k-1)
+		b.n += r.n
+		return append(out, b)
+	}
+	return append(out, r)
+}
+
+// push appends span s (indices in c's tables), which starts at or after
+// the end of the canonical list out, and keeps the list canonical. A
+// vector costs O(1): only its first block can meet the list.
+func (c *Content) push(out []span, s span) []span {
+	switch s.kind {
+	case srcLit:
+		return append(out, s)
+	case srcFill:
+		return c.pushRun(out, s)
+	}
+	sh := c.vecs[s.seed]
+	b0 := sh.block(s, 0)
+	l := len(out)
+	out = c.pushRun(out, b0)
+	switch last := &out[len(out)-1]; {
+	case len(out) == l+1 && *last == b0:
+		*last = s // block 0 opens a span, so the whole vector does
+	case last.kind == srcVec && last.off+last.n == b0.off+b0.n && c.vecs[last.seed] == sh:
+		last.n = s.off + s.n - last.off // block 0 stepped a vector of the same shape
+	default:
+		out = append(out, sh.blocks(s, 1, sh.count(s)-1))
+	}
+	return out
+}
+
+// pushCut pushes the pieces of src's span s inside content range [a, b),
+// moved by delta, re-homing literals and shapes when src is not c. A fill
+// or literal span is one piece, and so is a range inside one block of a
+// vector; a longer range of a vector is at most three — a partial head
+// block, a vector of whole blocks and a partial tail block.
+func (c *Content) pushCut(out []span, src *Content, s span, a, b, delta int64) []span {
+	a, b = max(a, s.off), min(b, s.off+s.n)
+	if a >= b {
+		return out
+	}
+	if s.kind != srcVec {
+		t := s.trim(a, b)
+		t.off += delta
+		if t.kind == srcLit {
+			if src != c {
+				t.seed = c.homeLit(src.lits[t.seed])
+			}
+			return append(out, t)
+		}
+		return c.pushRun(out, t)
+	}
+	sh := &src.vecs[s.seed]
+	k := (a - s.off) / sh.cstride
+	bo := s.off + k*sh.cstride // block k's offset
+	if a >= bo+sh.blk {        // a lies in a gap
+		k, bo = k+1, bo+sh.cstride
+	}
+	piece := func(k, bo, a, b int64) span { // bytes [a, b) of block k, at bo
+		return span{off: a + delta, n: b - a, seed: sh.seed, pos: s.pos + k*sh.pstride + a - bo}
+	}
+	if b <= bo+sh.blk {
+		if b <= bo {
+			return out
+		}
+		return c.pushRun(out, piece(k, bo, max(a, bo), b))
+	}
+	if a > bo {
+		out = c.pushRun(out, piece(k, bo, a, bo+sh.blk))
+		k, bo = k+1, bo+sh.cstride
+	}
+	kt := (b - s.off - 1) / sh.cstride // the last block starting before b
+	to := s.off + kt*sh.cstride
+	cutTail, kh := b < to+sh.blk, kt
+	if cutTail {
+		kh--
+	}
+	if k <= kh {
+		mid := sh.blocks(s, k, kh)
+		mid.off += delta
+		if mid.kind == srcVec && src != c {
+			mid.seed = c.homeShape(*sh, mid.off)
+		}
+		out = c.push(out, mid)
+	}
+	if cutTail {
+		out = c.pushRun(out, piece(kt, to, to, b))
+	}
+	return out
+}
+
+// joins reports whether pushing s onto out would change out's last span.
+func (c *Content) joins(out []span, s span) bool {
+	if len(out) == 0 || s.kind == srcLit {
+		return false
+	}
+	if s.kind == srcVec {
+		s = c.vecs[s.seed].block(s, 0)
+	}
+	cont, step := c.link(&out[len(out)-1], &s)
+	return cont || step
+}
+
+// tally adds d to the live literal and vector counts of spans.
+func (c *Content) tally(spans []span, d int) {
+	for _, s := range spans {
+		switch s.kind {
+		case srcLit:
+			c.nlit += d
+		case srcVec:
+			c.nvec += d
+		}
+	}
+}
+
+// splice replaces coverage of [off, end) with add (canonical, within
+// [off, end), indices in c's tables) and restores the canonical form. It
+// regroups from two spans left of the change (a fill span the change
+// grows may join the one before it), cutting the boundary spans, and
+// stops at the first old span right of the change that the regrouping
+// leaves as it was, so an ascending append touches O(1) spans. The
+// window is rebuilt in add's spare capacity, past its spans, and written
+// back with one shift of the tail in place: no temporary proportional to
+// the tail is ever allocated, so a copy into a bundle holding thousands of
+// spans stays O(spans moved) — the operation sits on the simulator's
+// hottest path. splice returns whichever of add and the window holds the
+// larger array, emptied, for the caller to pool.
+func (c *Content) splice(off, end int64, add []span) []span {
 	i := c.firstOverlap(off)
-	var left, right span
-	var hasLeft, hasRight bool
 	j := i
 	for j < len(c.spans) && c.spans[j].off < end {
-		if c.spans[j].kind == srcLit {
-			c.nlit--
-		}
 		j++
 	}
+	w := max(i-2, 0)
+	if need := 2*len(add) + i - w + 8; cap(add) < need {
+		// Room for the window past add, so the pooled list keeps it.
+		add = append(make([]span, 0, need), add...)
+	}
+	out := append(add[len(add):], c.spans[w:i]...)
 	if j > i {
-		if c.spans[i].off < off {
-			left = c.spans[i].trim(c.spans[i].off, off)
-			hasLeft = true
-		}
-		if last := c.spans[j-1]; last.off+last.n > end {
-			right = last.trim(end, last.off+last.n)
-			hasRight = true
-		}
+		out = c.pushCut(out, c, c.spans[i], c.spans[i].off, off, 0)
 	}
-	newLen := len(add)
-	if hasLeft {
-		newLen++
+	for _, s := range add {
+		out = c.push(out, s)
 	}
-	if hasRight {
-		newLen++
+	if j > i {
+		s := c.spans[j-1]
+		out = c.pushCut(out, c, s, end, s.off+s.n, 0)
 	}
-	oldLen := len(c.spans)
-	if d := newLen - (j - i); d > 0 {
-		c.spans = append(c.spans, make([]span, d)...)
-		copy(c.spans[i+newLen:], c.spans[j:oldLen])
-	} else if d < 0 {
-		copy(c.spans[i+newLen:], c.spans[j:])
-		c.spans = c.spans[:oldLen+d]
+	for ; j < len(c.spans) && c.joins(out, c.spans[j]); j++ {
+		out = c.push(out, c.spans[j])
 	}
-	w := i
-	if hasLeft {
-		c.spans[w] = left
-		w++
-	}
-	copy(c.spans[w:], add)
-	w += len(add)
-	if hasRight {
-		c.spans[w] = right
-	}
-	for _, s := range c.spans[i : i+newLen] {
-		if s.kind == srcLit {
-			c.nlit++
-		}
-	}
-	c.coalesce(i, i+newLen)
+	c.replace(w, j, out)
 	if len(c.lits) > 2*c.nlit+litSlack {
-		c.compactLits()
+		c.lits = compact(c.lits, c.spans, srcLit)
 	}
+	if len(c.vecs) > 2*c.nvec+litSlack {
+		c.vecs = compact(c.vecs, c.spans, srcVec)
+	}
+	if cap(out) > cap(add) {
+		return out[:0]
+	}
+	return add[:0]
 }
 
-// coalesce merges mergeable neighbors around spans [from, to).
-func (c *Content) coalesce(from, to int) {
-	lo := from - 1
-	if lo < 0 {
-		lo = 0
+// put replaces coverage of [off, end) with span s, or with nothing when s
+// is empty, through a pooled list.
+func (c *Content) put(off, end int64, s span) {
+	p := addPool.Get().(*[]span)
+	add := (*p)[:0]
+	if s.n > 0 {
+		add = append(add, s)
 	}
-	hi := to + 1
-	if hi > len(c.spans) {
-		hi = len(c.spans)
+	*p = c.splice(off, end, add)
+	addPool.Put(p)
+}
+
+// replace swaps spans [i, j) for repl, shifting the tail in place.
+func (c *Content) replace(i, j int, repl []span) {
+	c.tally(c.spans[i:j], -1)
+	c.tally(repl, 1)
+	oldLen := len(c.spans)
+	if d := len(repl) - (j - i); d > 0 {
+		c.spans = append(c.spans, make([]span, d)...)
+		copy(c.spans[i+len(repl):], c.spans[j:oldLen])
+	} else if d < 0 {
+		copy(c.spans[i+len(repl):], c.spans[j:])
+		c.spans = c.spans[:oldLen+d]
 	}
-	w := lo
-	for i := lo; i < hi; i++ {
-		if w > lo && mergeable(c.spans[w-1], c.spans[i]) {
-			c.spans[w-1].n += c.spans[i].n
-			continue
-		}
-		c.spans[w] = c.spans[i]
-		w++
-	}
-	if w < hi {
-		c.spans = append(c.spans[:w], c.spans[hi:]...)
-	}
+	copy(c.spans[i:], repl)
 }
 
 // Reset makes c an all-zero content of n bytes, as New(n) would, but keeps
-// the capacity of its span list and literal table so a reused buffer does
-// not grow them from nothing again. No literal from before the reset stays
+// the capacity of its span list and tables so a reused buffer does not
+// grow them from nothing again. No literal from before the reset stays
 // reachable.
 func (c *Content) Reset(n int64) {
 	if n < 0 {
@@ -343,6 +625,7 @@ func (c *Content) Reset(n int64) {
 	c.spans = c.spans[:0]
 	clear(c.lits)
 	c.lits, c.nlit = c.lits[:0], 0
+	c.vecs, c.nvec = c.vecs[:0], 0
 }
 
 // Fill sets the whole content to bytes [0, Len) of PRF stream `seed`.
@@ -359,7 +642,7 @@ func (c *Content) FillRange(off, n int64, seed uint64, pos int64) {
 	if n == 0 {
 		return
 	}
-	c.splice(off, off+n, []span{{off: off, n: n, kind: srcFill, seed: seed, pos: pos}})
+	c.put(off, off+n, span{off: off, n: n, kind: srcFill, seed: seed, pos: pos})
 }
 
 // Zero clears [off, off+n) back to zero bytes.
@@ -368,7 +651,7 @@ func (c *Content) Zero(off, n int64) {
 	if n == 0 {
 		return
 	}
-	c.splice(off, off+n, nil)
+	c.put(off, off+n, span{})
 }
 
 // WriteBytes copies p into the content at off (p is cloned: literals are
@@ -380,51 +663,60 @@ func (c *Content) WriteBytes(off int64, p []byte) {
 	}
 	k := c.homeLit(append([]byte(nil), p...))
 	n := int64(len(p))
-	c.splice(off, off+n, []span{{off: off, n: n, kind: srcLit, seed: k}})
+	c.put(off, off+n, span{off: off, n: n, kind: srcLit, seed: k})
+}
+
+// pieces calls fn with each contiguous fill or literal piece of content
+// range [off, end), in order, walking vectors block by block.
+func (c *Content) pieces(off, end int64, fn func(t span)) {
+	for i := c.firstOverlap(off); i < len(c.spans) && c.spans[i].off < end; i++ {
+		s := c.spans[i]
+		if s.kind != srcVec {
+			fn(s.trim(max(s.off, off), min(s.off+s.n, end)))
+			continue
+		}
+		sh := c.vecs[s.seed]
+		k0, k1 := sh.overlap(s, off, end)
+		for k := k0; k <= k1; k++ {
+			b := sh.block(s, k)
+			fn(b.trim(max(b.off, off), min(b.off+b.n, end)))
+		}
+	}
 }
 
 // ReadAt materializes content range [off, off+len(p)) into p.
 func (c *Content) ReadAt(p []byte, off int64) {
 	n := int64(len(p))
 	c.checkRange("ReadAt", off, n)
-	if n == 0 {
-		return
-	}
-	end := off + n
-	pos := off
-	for i := c.firstOverlap(off); i < len(c.spans) && c.spans[i].off < end; i++ {
-		s := c.spans[i]
-		a, b := max(s.off, off), min(s.off+s.n, end)
-		clear(p[pos-off : a-off])
-		t := s.trim(a, b)
-		if t.kind == srcFill {
-			StreamAt(t.seed, t.pos, p[a-off:b-off])
+	clear(p)
+	c.pieces(off, off+n, func(t span) {
+		q := p[t.off-off : t.off-off+t.n]
+		if t.kind == srcLit {
+			copy(q, c.lit(t))
 		} else {
-			copy(p[a-off:b-off], c.lit(t))
+			StreamAt(t.seed, t.pos, q)
 		}
-		pos = b
-	}
-	clear(p[pos-off:])
+	})
 }
 
-// appendSpans appends the spans of src covering [srcOff, srcOff+n), moved
-// to start at dstOff, to add. Literal spans of another content are
-// re-homed into c's table; a self-copy keeps its own indices.
-func (c *Content) appendSpans(add []span, dstOff int64, src *Content, srcOff, n int64) []span {
+// appendSpans pushes the spans of src covering [srcOff, srcOff+n), moved
+// to start at dstOff, onto add. Literals and shapes of another content are
+// re-homed into c's tables; a self-copy keeps its own indices. *cur is the
+// span of src the walk resumes from, so ascending calls cost no search;
+// it is left at the first span that may reach past the range.
+func (c *Content) appendSpans(add []span, dstOff int64, src *Content, srcOff, n int64, cur *int) []span {
 	if n == 0 {
 		return add
 	}
-	delta := dstOff - srcOff
-	end := srcOff + n
-	for i := src.firstOverlap(srcOff); i < len(src.spans) && src.spans[i].off < end; i++ {
-		s := src.spans[i]
-		t := s.trim(max(s.off, srcOff), min(s.off+s.n, end))
-		t.off += delta
-		if t.kind == srcLit && src != c {
-			t.seed = c.homeLit(src.lits[t.seed])
-		}
-		add = append(add, t)
+	delta, end := dstOff-srcOff, srcOff+n
+	i := src.seek(*cur, srcOff)
+	for ; i < len(src.spans) && src.spans[i].off < end; i++ {
+		add = c.pushCut(add, src, src.spans[i], srcOff, end, delta)
 	}
+	if i > 0 && src.spans[i-1].off+src.spans[i-1].n > end {
+		i--
+	}
+	*cur = i
 	return add
 }
 
@@ -438,9 +730,9 @@ func (c *Content) CopyFrom(dstOff int64, src *Content, srcOff, n int64) {
 		return
 	}
 	p := addPool.Get().(*[]span)
-	add := c.appendSpans((*p)[:0], dstOff, src, srcOff, n)
-	c.splice(dstOff, dstOff+n, add)
-	*p = add[:0]
+	var cur int
+	add := c.appendSpans((*p)[:0], dstOff, src, srcOff, n, &cur)
+	*p = c.splice(dstOff, dstOff+n, add)
 	addPool.Put(p)
 }
 
@@ -450,7 +742,8 @@ func (c *Content) CopyFrom(dstOff int64, src *Content, srcOff, n int64) {
 // but may be cut differently (a whole pack, unpack or DirectIPC block-list
 // copy). Source blocks may be unsorted or overlap, since src is only read.
 // When the non-empty destination blocks ascend without overlap, the copy
-// is one splice, the gaps between them keeping c's own spans. Any other
+// is one splice, the gaps between them keeping c's own spans, and each
+// piece resumes its span walks where the one before stopped. Any other
 // list, and a self-copy reading inside the destination's range, is one
 // CopyFrom per piece in list order, which keeps sequential copy semantics.
 func (c *Content) CopyBlocks(dstBlocks []datatype.Block, src *Content, srcBlocks []datatype.Block) {
@@ -490,14 +783,36 @@ func (c *Content) CopyBlocks(dstBlocks []datatype.Block, src *Content, srcBlocks
 	p := addPool.Get().(*[]span)
 	add := (*p)[:0]
 	prev := lo
+	var dc, sc int // span cursors into c's gaps and into src
 	datatype.EachPiece(dstBlocks, srcBlocks, func(d, s, n int64) {
-		add = c.appendSpans(add, prev, c, prev, d-prev)
-		add = c.appendSpans(add, d, src, s, n)
+		add = c.appendSpans(add, prev, c, prev, d-prev, &dc)
+		add = c.appendSpans(add, d, src, s, n, &sc)
 		prev = d + n
 	})
-	c.splice(lo, prev, add)
-	*p = add[:0]
+	*p = c.splice(lo, prev, add)
 	addPool.Put(p)
+}
+
+// WriteBlocks writes the bytes p's blocks srcBlocks read, in list order,
+// over c's blocks dstBlocks, as CopyBlocks does between two contents: the
+// lazy side of an exact-to-lazy pack, unpack or DirectIPC copy. The bytes
+// are cloned once, into one literal that every piece's span shares, so a
+// copy of many small pieces costs one clone and, when the destination
+// blocks ascend, one splice.
+func (c *Content) WriteBlocks(dstBlocks []datatype.Block, p []byte, srcBlocks []datatype.Block) {
+	var n int64
+	for _, b := range srcBlocks {
+		n += b.Len
+	}
+	lit := make([]byte, 0, n)
+	for _, b := range srcBlocks {
+		lit = append(lit, p[b.Offset:b.Offset+b.Len]...)
+	}
+	src := &Content{n: n, lits: [][]byte{lit}, nlit: 1}
+	if n > 0 {
+		src.spans = []span{{n: n, kind: srcLit}}
+	}
+	c.CopyBlocks(dstBlocks, src, []datatype.Block{{Len: n}})
 }
 
 // Slice returns an immutable snapshot of content range [off, off+n) as a
@@ -553,19 +868,15 @@ func (c *Content) Checksum() uint64 { return c.ChecksumRange(0, c.n) }
 // hashes the whole content.
 func (c *Content) ChecksumRange(off, n int64) uint64 {
 	c.checkRange("ChecksumRange", off, n)
-	h := uint64(fnvOffset)
-	end := off + n
-	pos := off
-	for i := c.firstOverlap(off); i < len(c.spans) && c.spans[i].off < end; i++ {
-		s := c.spans[i]
-		a, b := max(s.off, off), min(s.off+s.n, end)
-		h = hashZeros(h, a-pos)
-		if t := s.trim(a, b); t.kind == srcLit {
+	h, at := uint64(fnvOffset), off
+	c.pieces(off, off+n, func(t span) {
+		h = hashZeros(h, t.off-at)
+		if t.kind == srcLit {
 			h = hashBytes(h, c.lit(t))
 		} else {
 			h = hashStream(h, t.seed, t.pos, t.n)
 		}
-		pos = b
-	}
-	return hashZeros(h, end-pos)
+		at = t.off + t.n
+	})
+	return hashZeros(h, off+n-at)
 }

@@ -378,3 +378,94 @@ func TestLiteralTableBounded(t *testing.T) {
 		t.Fatalf("copy target holds %d literal spans, want 3", liveLits(dst))
 	}
 }
+
+// TestVectorLegIsOneSpan: the 32 KiB strided leg of the lazy collectives,
+// Vector(64, 64, 128, Float64), packs from a filled buffer into one vector
+// span of contiguous staging and unpacks into one vector span of a zeroed
+// buffer, each reading the bytes and checksum of the byte-exact copy.
+func TestVectorLegIsOneSpan(t *testing.T) {
+	l := datatype.Commit(datatype.Vector(64, 64, 128, datatype.Float64))
+	whole := []datatype.Block{{Offset: 0, Len: l.SizeBytes}}
+	src := New(l.ExtentBytes)
+	src.Fill(11)
+	sb := make([]byte, l.ExtentBytes)
+	FillBytes(sb, 11)
+	pb := make([]byte, l.SizeBytes)
+	ub := make([]byte, l.ExtentBytes)
+	var w int64
+	for _, b := range l.Blocks {
+		copy(pb[w:w+b.Len], sb[b.Offset:b.Offset+b.Len])
+		copy(ub[b.Offset:b.Offset+b.Len], pb[w:w+b.Len])
+		w += b.Len
+	}
+
+	packed := New(l.SizeBytes)
+	packed.CopyBlocks(whole, src, l.Blocks)
+	unpacked := New(l.ExtentBytes)
+	unpacked.CopyBlocks(l.Blocks, packed, whole)
+	for _, side := range []struct {
+		name string
+		c    *Content
+		want []byte
+	}{{"packed", packed, pb}, {"unpacked", unpacked, ub}} {
+		checkSpanInvariants(t, side.c)
+		if got := side.c.SpanCount(); got != 1 {
+			t.Errorf("%s leg holds %d spans, want 1", side.name, got)
+		}
+		if side.c.Checksum() != Checksum(side.want) {
+			t.Errorf("%s leg checksum differs from the byte-exact copy", side.name)
+		}
+		got := make([]byte, side.c.Len())
+		side.c.ReadAt(got, 0)
+		if !bytes.Equal(got, side.want) {
+			t.Errorf("%s leg bytes differ from the byte-exact copy", side.name)
+		}
+	}
+}
+
+// TestWriteBlocksMatchesPieceWrites: writing real bytes through two block
+// lists in one WriteBlocks reads and hashes like one WriteBytes per piece,
+// for ascending, unsorted and overlapping destination lists, with no more
+// spans (its literal is cut only where the destination blocks are) and
+// one literal-table entry for all its pieces.
+func TestWriteBlocksMatchesPieceWrites(t *testing.T) {
+	p := make([]byte, 512)
+	rand.New(rand.NewSource(3)).Read(p)
+	strided := func(off, blk, stride, count int64) (bl []datatype.Block) {
+		for k := int64(0); k < count; k++ {
+			bl = append(bl, datatype.Block{Offset: off + k*stride, Len: blk})
+		}
+		return bl
+	}
+	for _, tc := range []struct {
+		name     string
+		dst, src []datatype.Block
+	}{
+		{"scatter", strided(3, 8, 40, 12), []datatype.Block{{Offset: 100, Len: 96}}},
+		{"cut differently", strided(0, 12, 16, 8), strided(7, 16, 50, 6)},
+		{"unsorted", []datatype.Block{{Offset: 300, Len: 20}, {Offset: 10, Len: 20}}, []datatype.Block{{Offset: 0, Len: 40}}},
+		{"overlapping", []datatype.Block{{Offset: 50, Len: 30}, {Offset: 60, Len: 30}}, strided(0, 20, 25, 3)},
+	} {
+		batched, pieces := New(512), New(512)
+		for _, c := range []*Content{batched, pieces} {
+			c.Fill(8)
+			c.FillRange(200, 64, 9, 0)
+		}
+		batched.WriteBlocks(tc.dst, p, tc.src)
+		datatype.EachPiece(tc.dst, tc.src, func(d, s, n int64) { pieces.WriteBytes(d, p[s:s+n]) })
+		checkSpanInvariants(t, batched)
+		want := make([]byte, 512)
+		pieces.ReadAt(want, 0)
+		got := make([]byte, 512)
+		batched.ReadAt(got, 0)
+		if !bytes.Equal(got, want) || batched.Checksum() != Checksum(want) {
+			t.Errorf("%s: WriteBlocks diverges from per-piece writes", tc.name)
+		}
+		if batched.SpanCount() > pieces.SpanCount() {
+			t.Errorf("%s: WriteBlocks leaves %d spans, per-piece writes %d", tc.name, batched.SpanCount(), pieces.SpanCount())
+		}
+		if len(batched.lits) != 1 {
+			t.Errorf("%s: WriteBlocks keeps %d literal entries, want 1", tc.name, len(batched.lits))
+		}
+	}
+}
