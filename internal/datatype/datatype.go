@@ -88,6 +88,41 @@ func EachPiece(dst, src []Block, fn func(dstOff, srcOff, n int64)) {
 	}
 }
 
+// PieceRun is Count pieces of N bytes each: piece k copies the bytes at
+// SrcOff + k*SrcStep to DstOff + k*DstStep. A run of one piece has zero
+// steps.
+type PieceRun struct {
+	DstOff, SrcOff, N int64
+	Count             int64
+	DstStep, SrcStep  int64
+}
+
+// EachRun walks the pieces EachPiece walks, in the same order, grouped
+// greedily into runs by the rule Canonicalize groups blocks by, applied
+// to both lists at once: a piece opens a run, the next piece of the same
+// length joins it and fixes its steps, and each later piece joins while
+// it has that length and lies one step past the last in both lists. It
+// calls fn once per run; expanding the runs gives EachPiece's pieces.
+func EachRun(dst, src []Block, fn func(r PieceRun)) {
+	var r PieceRun
+	EachPiece(dst, src, func(d, s, n int64) {
+		switch {
+		case r.Count == 1 && n == r.N:
+			r.Count, r.DstStep, r.SrcStep = 2, d-r.DstOff, s-r.SrcOff
+			return
+		case r.Count > 1 && n == r.N && d == r.DstOff+r.Count*r.DstStep && s == r.SrcOff+r.Count*r.SrcStep:
+			r.Count++
+			return
+		case r.Count > 0:
+			fn(r)
+		}
+		r = PieceRun{DstOff: d, SrcOff: s, N: n, Count: 1}
+	})
+	if r.Count > 0 {
+		fn(r)
+	}
+}
+
 // Type is an uncommitted datatype description. Types are immutable once
 // built; Commit produces the flattened Layout used everywhere else.
 type Type interface {

@@ -189,6 +189,13 @@ func (s *Scheduler) PendingBytes() int64 { return s.pendingBytes }
 // PendingCount reports how many requests await fusion.
 func (s *Scheduler) PendingCount() int { return len(s.pending) }
 
+// uidName names the completion event of the request with that UID. The
+// UID is captured at enqueue: a request-list entry is reused once
+// released, so the name is never read from the entry.
+type uidName int64
+
+func (u uidName) EventName() string { return fmt.Sprintf("fusion-req-%d", int64(u)) }
+
 // Enqueue (① in Fig. 5) inserts a request for job and returns its UID, or
 // ErrQueueFull when the request list is exhausted — the caller must then
 // fall back to a non-fused path. Enqueue may trigger a fused launch when a
@@ -210,7 +217,7 @@ func (s *Scheduler) Enqueue(p *sim.Proc, job *pack.Job) int64 {
 		reqStatus:  StatusPending,
 		respStatus: StatusIdle,
 		enqueuedAt: s.env.Now(),
-		doneEv:     s.env.NewEvent(fmt.Sprintf("fusion-req-%d", s.nextUID)),
+		doneEv:     s.env.NewEventNamed(uidName(s.nextUID)),
 	}
 	s.byUID[e.uid] = e
 	s.pending = append(s.pending, e)
@@ -307,11 +314,16 @@ func (s *Scheduler) launch(p *sim.Proc) {
 	s.pendingBytes = 0
 
 	works := make([]gpu.FusedWork, len(batch))
+	traced := s.stream.Device().TL != nil // only a traced device reads request names
 	for i, e := range batch {
 		e := e
 		e.reqStatus = StatusBusy
 		bytes := e.job.Bytes
-		works[i] = e.job.FusedWork(fmt.Sprintf("req-%d", e.uid), func(end int64) {
+		var name string
+		if traced {
+			name = fmt.Sprintf("req-%d", e.uid)
+		}
+		works[i] = e.job.FusedWork(name, func(end int64) {
 			// ③: the GPU thread block signals completion by
 			// updating the response status — no CPU sync at the
 			// kernel boundary.

@@ -178,6 +178,39 @@ func TestEntriesRecycleAfterRelease(t *testing.T) {
 	}
 }
 
+// TestDoneEventNamesSurviveEntryReuse: a request's completion event is
+// named fusion-req-<uid> by the UID it was enqueued with, also after its
+// request-list entry was released and reused by a later request. The
+// name is read through the double-fire panic text.
+func TestDoneEventNamesSurviveEntryReuse(t *testing.T) {
+	env, dev, s := newSched(Config{QueueCapacity: 1, ThresholdBytes: 1 << 40})
+	nameOf := func(ev *sim.Event) (name any) {
+		defer func() { name = recover() }()
+		ev.Fire()
+		return nil
+	}
+	env.Spawn("pe", func(p *sim.Proc) {
+		var uids []int64
+		var evs []*sim.Event
+		for seed := int64(1); seed <= 2; seed++ {
+			j, _ := mkPackJob(dev, seed, 10, 1)
+			u := s.Enqueue(p, j)
+			uids, evs = append(uids, u), append(evs, s.DoneEvent(u))
+			s.Flush(p)
+			p.Wait(evs[len(evs)-1])
+			s.Release(u)
+		}
+		for i, ev := range evs {
+			if got, want := nameOf(ev), fmt.Sprintf("sim: event fired twice: fusion-req-%d", uids[i]); got != want {
+				t.Errorf("request %d: %v, want %q", i, got, want)
+			}
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDoneOnUnknownUIDIsTrue(t *testing.T) {
 	env, _, s := newSched(Config{})
 	env.Spawn("pe", func(p *sim.Proc) {

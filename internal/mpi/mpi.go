@@ -669,8 +669,8 @@ func (r *Rank) IsendRaw(p *sim.Proc, dest, tag int, buf *gpu.Buffer, l *datatype
 		rank: r, isSend: true, peer: dest, tag: tag,
 		buf: buf, entry: e, bytes: e.Bytes,
 		contig: e.Segments == 1,
-		doneEv: r.world.Env.NewEvent(fmt.Sprintf("send-%d->%d-tag%d", r.id, dest, tag)),
 	}
+	q.doneEv = r.world.Env.NewEventNamed(q)
 	r.active = append(r.active, q)
 	r.assignSeq(q)
 	if r.tl != nil {
@@ -741,8 +741,8 @@ func (r *Rank) IrecvRaw(p *sim.Proc, src, tag int, buf *gpu.Buffer, l *datatype.
 		buf: buf, entry: e, bytes: e.Bytes,
 		contig: e.Segments == 1,
 		state:  stWaitMatch,
-		doneEv: r.world.Env.NewEvent(fmt.Sprintf("recv-%d<-%d-tag%d", r.id, src, tag)),
 	}
+	q.doneEv = r.world.Env.NewEventNamed(q)
 	r.active = append(r.active, q)
 	if r.tl != nil {
 		r.tl.Instant(timeline.LayerMPI, "", "irecv", p.Now(),
@@ -760,6 +760,15 @@ func (r *Rank) IrecvRaw(p *sim.Proc, src, tag int, buf *gpu.Buffer, l *datatype.
 	}
 	r.posted = append(r.posted, q)
 	return q
+}
+
+// EventName names the request's completion event from the values it was
+// posted with (a wildcard receive keeps its posted source).
+func (q *Request) EventName() string {
+	if q.isSend {
+		return fmt.Sprintf("send-%d->%d-tag%d", q.rank.id, q.peer, q.tag)
+	}
+	return fmt.Sprintf("recv-%d<-%d-tag%d", q.rank.id, q.peer, q.tag)
 }
 
 func (q *Request) matches(m *message) bool {

@@ -23,6 +23,12 @@
 // a strided leg packed into contiguous staging or unpacked into a zeroed
 // buffer is one span, not one per block, whatever copies built it.
 //
+// A block-list copy walks strided runs, not pieces: a run of equal
+// pieces at constant steps whose source is one stream run (inside one
+// fill span, or inside the blocks of one vector span) and whose
+// destination gaps hold no span is pushed as one span. Any other run is
+// copied piece by piece; both ways build the same canonical list.
+//
 // The stream source is a position-addressable PRF (splitmix64 per 8-byte
 // block), NOT the sequential LCG of workload.FillPattern: a span copied to
 // a new offset must still be able to materialize or hash any sub-range in
@@ -267,10 +273,18 @@ func (c *Content) Len() int64 { return c.n }
 // SpanCount reports the current span-list length (for leak/blowup tests).
 func (c *Content) SpanCount() int { return len(c.spans) }
 
+// checkRange panics unless [off, off+n) lies inside c. It inlines into
+// the per-block checks of a batch copy; the panic text is built out of
+// line.
 func (c *Content) checkRange(op string, off, n int64) {
 	if n < 0 || off < 0 || off+n > c.n {
-		panic(fmt.Sprintf("payload: %s range [%d,%d) out of content [0,%d)", op, off, off+n, c.n))
+		c.rangePanic(op, off, n)
 	}
+}
+
+//go:noinline
+func (c *Content) rangePanic(op string, off, n int64) {
+	panic(fmt.Sprintf("payload: %s range [%d,%d) out of content [0,%d)", op, off, off+n, c.n))
 }
 
 // firstOverlap returns the index of the first span whose end is past off.
@@ -742,10 +756,14 @@ func (c *Content) CopyFrom(dstOff int64, src *Content, srcOff, n int64) {
 // but may be cut differently (a whole pack, unpack or DirectIPC block-list
 // copy). Source blocks may be unsorted or overlap, since src is only read.
 // When the non-empty destination blocks ascend without overlap, the copy
-// is one splice, the gaps between them keeping c's own spans, and each
-// piece resumes its span walks where the one before stopped. Any other
-// list, and a self-copy reading inside the destination's range, is one
-// CopyFrom per piece in list order, which keeps sequential copy semantics.
+// is one splice, the gaps between them keeping c's own spans. It walks
+// the pieces in runs (datatype.EachRun): a run of two or more pieces is
+// one pushed span when its source is one stream run (runSource) and its
+// destination gaps are clear (gapsClear); any other run is walked piece
+// by piece, each piece resuming its span walks where the one before
+// stopped. Any other list, and a self-copy reading inside the
+// destination's range, is one CopyFrom per piece in list order, which
+// keeps sequential copy semantics.
 func (c *Content) CopyBlocks(dstBlocks []datatype.Block, src *Content, srcBlocks []datatype.Block) {
 	var total, srcTotal int64
 	lo, hi := int64(-1), int64(0)
@@ -784,13 +802,103 @@ func (c *Content) CopyBlocks(dstBlocks []datatype.Block, src *Content, srcBlocks
 	add := (*p)[:0]
 	prev := lo
 	var dc, sc int // span cursors into c's gaps and into src
-	datatype.EachPiece(dstBlocks, srcBlocks, func(d, s, n int64) {
-		add = c.appendSpans(add, prev, c, prev, d-prev, &dc)
-		add = c.appendSpans(add, d, src, s, n, &sc)
-		prev = d + n
+	datatype.EachRun(dstBlocks, srcBlocks, func(r datatype.PieceRun) {
+		if r.Count > 1 {
+			if seed, pos, pstep, ok := src.runSource(r, &sc); ok && c.gapsClear(r, dc) {
+				add = c.appendSpans(add, prev, c, prev, r.DstOff-prev, &dc)
+				add = c.push(add, c.runSpan(r, seed, pos, pstep))
+				prev = r.DstOff + (r.Count-1)*r.DstStep + r.N
+				return
+			}
+		}
+		for k := int64(0); k < r.Count; k++ {
+			d := r.DstOff + k*r.DstStep
+			add = c.appendSpans(add, prev, c, prev, d-prev, &dc)
+			add = c.appendSpans(add, d, src, r.SrcOff+k*r.SrcStep, r.N, &sc)
+			prev = d + r.N
+		}
 	})
 	*p = c.splice(lo, prev, add)
 	addPool.Put(p)
+}
+
+// runSource reports where run r of a batch copy reads c when its source
+// is one stream run: the whole source range inside one fill span, or
+// inside one vector span with every piece inside one block (the pieces
+// step by whole blocks, or all lie in one). Piece k then reads stream
+// seed from pos + k*pstep. *cur is the span the search resumes from.
+func (c *Content) runSource(r datatype.PieceRun, cur *int) (seed uint64, pos, pstep int64, ok bool) {
+	last := r.SrcOff + (r.Count-1)*r.SrcStep
+	a, b := min(r.SrcOff, last), max(r.SrcOff, last)+r.N
+	i := c.seek(*cur, a)
+	if i == len(c.spans) || c.spans[i].off > a || c.spans[i].off+c.spans[i].n < b {
+		return 0, 0, 0, false
+	}
+	*cur = i
+	s := c.spans[i]
+	switch s.kind {
+	case srcFill:
+		return s.seed, s.pos + r.SrcOff - s.off, r.SrcStep, true
+	case srcVec:
+		sh := &c.vecs[s.seed]
+		x := r.SrcOff - s.off
+		k, ph := x/sh.cstride, x%sh.cstride // piece 0 is ph bytes into block k
+		pos = s.pos + k*sh.pstride + ph
+		switch {
+		case ph+r.N > sh.blk:
+			return 0, 0, 0, false
+		case r.SrcStep%sh.cstride == 0:
+			return sh.seed, pos, r.SrcStep / sh.cstride * sh.pstride, true
+		case (a-s.off)/sh.cstride == k && (b-s.off-1)/sh.cstride == k && b-s.off-k*sh.cstride <= sh.blk:
+			return sh.seed, pos, r.SrcStep, true
+		}
+	}
+	return 0, 0, 0, false
+}
+
+// gapsClear reports whether c holds no span byte between the pieces of
+// run r, whose destination pieces ascend without overlap: every span
+// reaching into that interior lies inside one piece, or is a vector
+// whose blocks all do. The search starts from span hint.
+func (c *Content) gapsClear(r datatype.PieceRun, hint int) bool {
+	if r.DstStep == r.N {
+		return true
+	}
+	inPiece := func(a, b int64) bool { // [a, b) inside one piece
+		x := a - r.DstOff
+		return x >= 0 && b-a+x%r.DstStep <= r.N
+	}
+	end := r.DstOff + (r.Count-1)*r.DstStep
+	for i := c.seek(hint, r.DstOff+r.N); i < len(c.spans) && c.spans[i].off < end; i++ {
+		s := c.spans[i]
+		if s.kind == srcVec {
+			if sh := &c.vecs[s.seed]; sh.cstride == r.DstStep {
+				ph := (s.off - r.DstOff) % r.DstStep
+				if ph < 0 {
+					ph += r.DstStep
+				}
+				if ph+sh.blk <= r.N {
+					continue
+				}
+			}
+		}
+		if !inPiece(s.off, s.off+s.n) {
+			return false
+		}
+	}
+	return true
+}
+
+// runSpan returns the span run r of a batch copy writes when piece k
+// reads stream seed from pos + k*pstep: one fill span when the pieces
+// continue each other in content and stream, and one vector, its shape
+// homed in c's table, otherwise.
+func (c *Content) runSpan(r datatype.PieceRun, seed uint64, pos, pstep int64) span {
+	if r.DstStep == r.N && pstep == r.N {
+		return span{off: r.DstOff, n: r.Count * r.N, seed: seed, pos: pos}
+	}
+	sh := shape{seed: seed, blk: r.N, cstride: r.DstStep, pstride: pstep}
+	return span{off: r.DstOff, n: (r.Count-1)*r.DstStep + r.N, seed: c.homeShape(sh, r.DstOff), pos: pos, kind: srcVec}
 }
 
 // WriteBlocks writes the bytes p's blocks srcBlocks read, in list order,

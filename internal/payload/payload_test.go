@@ -469,3 +469,102 @@ func TestWriteBlocksMatchesPieceWrites(t *testing.T) {
 		}
 	}
 }
+
+// TestCopyBlocksRunsMatchPieces: a batch copy takes each strided run as
+// one span when its source is one stream run and the destination's gaps
+// between its pieces are clear, and piece by piece otherwise. Either way
+// it must leave the span list, bytes and checksum one CopyFrom per piece
+// leaves. The rows cover both sides of every condition of the one-span
+// path.
+func TestCopyBlocksRunsMatchPieces(t *testing.T) {
+	const n = 1024
+	strided := func(off, blk, stride, count int64) (bl []datatype.Block) {
+		for k := int64(0); k < count; k++ {
+			bl = append(bl, datatype.Block{Offset: off + k*stride, Len: blk})
+		}
+		return bl
+	}
+	whole := func(ln int64) []datatype.Block { return []datatype.Block{{Offset: 0, Len: ln}} }
+	filled := func(seed uint64) func() *Content {
+		return func() *Content { c := New(n); c.Fill(seed); return c }
+	}
+	zero := func() *Content { return New(n) }
+	// packed holds a strided leg packed into staging: one vector whose
+	// blocks touch (cstride == blk) but whose stream steps by 32.
+	packed := func() *Content {
+		c := New(n)
+		c.CopyBlocks(whole(256), filled(5)(), strided(0, 16, 32, 16))
+		return c
+	}
+	// scattered holds a vector with zero gaps: 16-byte blocks every 32.
+	scattered := func() *Content {
+		c := New(n)
+		c.CopyBlocks(strided(0, 16, 32, 16), filled(6)(), whole(256))
+		return c
+	}
+	// wide holds a vector of 64-byte blocks every 128.
+	wide := func() *Content {
+		c := New(n)
+		c.CopyBlocks(strided(0, 64, 128, 4), filled(7)(), whole(256))
+		return c
+	}
+	twoFills := func() *Content {
+		c := New(n)
+		c.FillRange(0, n/2, 1, 0)
+		c.FillRange(n/2, n/2, 2, 0)
+		return c
+	}
+	literal := func() *Content {
+		c := New(n)
+		p := make([]byte, 512)
+		rand.New(rand.NewSource(4)).Read(p)
+		c.WriteBytes(0, p)
+		return c
+	}
+	rewritten := func() *Content { // a buffer unpacked into before
+		c := New(n)
+		c.CopyBlocks(strided(0, 16, 64, 16), packed(), whole(256))
+		return c
+	}
+	inner := func() *Content { // 8-byte blocks inside the pieces of later runs
+		c := New(n)
+		c.CopyBlocks(strided(8, 8, 64, 16), filled(3)(), whole(128))
+		return c
+	}
+	broken := append(strided(0, 16, 32, 7), datatype.Block{Offset: 224, Len: 8})
+	broken = append(broken, strided(256, 16, 32, 8)...)
+	for _, tc := range []struct {
+		name     string
+		dst, src func() *Content
+		dl, sl   []datatype.Block
+	}{
+		{"fill source", zero, filled(5), whole(256), strided(0, 16, 32, 16)},
+		{"fill source, descending", zero, filled(5), whole(256), strided(480, 16, -32, 16)},
+		{"aligned vector source", zero, packed, strided(0, 16, 64, 16), whole(256)},
+		{"vector source, pieces mid-block", zero, scattered, whole(64), strided(4, 8, 64, 8)},
+		{"vector source, pieces inside one block", zero, wide, whole(16), strided(136, 4, 12, 4)},
+		{"misaligned vector source", zero, scattered, whole(128), strided(8, 16, 32, 8)},
+		{"run across two fill spans", zero, twoFills, whole(256), strided(0, 16, 64, 16)},
+		{"literal source", zero, literal, whole(128), strided(0, 8, 32, 16)},
+		{"dirty destination gaps", filled(9), filled(5), strided(0, 16, 64, 16), whole(256)},
+		{"destination rewritten with the same layout", rewritten, packed, strided(0, 16, 64, 16), whole(256)},
+		{"run starting inside an old vector", inner, filled(5), strided(64, 16, 64, 8), whole(128)},
+		{"adjacent destination blocks", zero, filled(5), strided(0, 16, 16, 16), whole(256)},
+		{"run broken by one odd-length piece", zero, filled(5), broken, whole(248)},
+	} {
+		batched, pieces := tc.dst(), tc.dst()
+		src := tc.src()
+		batched.CopyBlocks(tc.dl, src, tc.sl)
+		datatype.EachPiece(tc.dl, tc.sl, func(d, s, n int64) { pieces.CopyFrom(d, src, s, n) })
+		checkCanonical(t, batched)
+		if got, want := resolved(batched), resolved(pieces); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: batch copy spans %+v, per-piece copies %+v", tc.name, got, want)
+		}
+		got, want := make([]byte, n), make([]byte, n)
+		batched.ReadAt(got, 0)
+		pieces.ReadAt(want, 0)
+		if !bytes.Equal(got, want) || batched.Checksum() != pieces.Checksum() || batched.Checksum() != Checksum(want) {
+			t.Errorf("%s: batch copy bytes or checksum differ from per-piece copies", tc.name)
+		}
+	}
+}

@@ -647,7 +647,7 @@ func (p *Proc) Wait(ev *Event) {
 	ev.last = p
 	p.yield()
 	if p.tl != nil && p.env.now > t0 {
-		p.tl.Span(timeline.LayerSim, timeline.CostNone, "sched", "wait:"+ev.name, t0, p.env.now-t0)
+		p.tl.Span(timeline.LayerSim, timeline.CostNone, "sched", "wait:"+ev.name.EventName(), t0, p.env.now-t0)
 	}
 }
 
@@ -656,7 +656,7 @@ func (p *Proc) Wait(ev *Event) {
 // a Proc or a scheduler callback.
 type Event struct {
 	env         *Env
-	name        string
+	name        EventNamer
 	fired       bool
 	at          int64 // time of firing, valid once fired
 	first, last *Proc // waiting Procs in FIFO order, linked by Proc.next
@@ -665,7 +665,23 @@ type Event struct {
 
 // NewEvent creates an unfired event.
 func (e *Env) NewEvent(name string) *Event {
-	return &Event{env: e, name: name}
+	return &Event{env: e, name: eventName(name)}
+}
+
+// EventNamer names an event when its name is read: by a traced proc's
+// wait span or a panic text. An event made per operation on a hot path
+// (a message request, a fusion request) so formats a name only when one
+// is read, from values the namer captured when the event was made.
+type EventNamer interface{ EventName() string }
+
+// eventName is the EventNamer of an event named when it is made.
+type eventName string
+
+func (n eventName) EventName() string { return string(n) }
+
+// NewEventNamed creates an unfired event named by n.
+func (e *Env) NewEventNamed(n EventNamer) *Event {
+	return &Event{env: e, name: n}
 }
 
 // Fired reports whether the event has fired.
@@ -674,7 +690,7 @@ func (ev *Event) Fired() bool { return ev.fired }
 // FiredAt returns the virtual time the event fired; it panics if unfired.
 func (ev *Event) FiredAt() int64 {
 	if !ev.fired {
-		panic("sim: FiredAt on unfired event " + ev.name)
+		panic("sim: FiredAt on unfired event " + ev.name.EventName())
 	}
 	return ev.at
 }
@@ -694,7 +710,7 @@ func (ev *Event) OnFire(fn func()) {
 // request/response status protocol built on top.
 func (ev *Event) Fire() {
 	if ev.fired {
-		panic("sim: event fired twice: " + ev.name)
+		panic("sim: event fired twice: " + ev.name.EventName())
 	}
 	ev.fired = true
 	ev.at = ev.env.now

@@ -141,6 +141,43 @@ func TestEventDoubleFirePanics(t *testing.T) {
 	_ = e.Run()
 }
 
+// countingNamer names an event and counts how often the name is read.
+type countingNamer struct {
+	id    int
+	reads int
+}
+
+func (n *countingNamer) EventName() string {
+	n.reads++
+	return fmt.Sprintf("req-%d", n.id)
+}
+
+// TestNamedEventFormatsOnlyWhenRead: an event made with NewEventNamed
+// fires and wakes its waiters without reading its name, and a panic text
+// reads the name the namer gives.
+func TestNamedEventFormatsOnlyWhenRead(t *testing.T) {
+	e := NewEnv()
+	n := &countingNamer{id: 7}
+	ev := e.NewEventNamed(n)
+	e.Spawn("waiter", func(p *Proc) { p.Wait(ev) })
+	e.Spawn("firer", func(p *Proc) {
+		p.Sleep(5)
+		ev.Fire()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n.reads != 0 {
+		t.Fatalf("an untraced fire and wait read the name %d times", n.reads)
+	}
+	defer func() {
+		if r := recover(); r != "sim: event fired twice: req-7" {
+			t.Fatalf("double fire panicked with %v", r)
+		}
+	}()
+	ev.Fire()
+}
+
 func TestOnFireHookRuns(t *testing.T) {
 	e := NewEnv()
 	ev := e.NewEvent("x")
