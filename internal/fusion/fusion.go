@@ -2,7 +2,7 @@
 // kernel-fusion framework for bulk non-contiguous data transfer (Section
 // IV). It provides
 //
-//   - a circular request list whose entries carry a UID, the requested
+//   - a request list whose entries carry a UID, the requested
 //     operation (Pack / Unpack / DirectIPC), origin and target buffers, the
 //     cached data layout, and separate request/response status words
 //     (Section IV-A1);
@@ -65,7 +65,8 @@ const ErrQueueFull int64 = -1
 
 // Config tunes the scheduler.
 type Config struct {
-	// QueueCapacity is the circular request-list size.
+	// QueueCapacity bounds the request list: at most this many requests
+	// are enqueued and not yet released.
 	QueueCapacity int
 	// ThresholdBytes triggers a fused launch once pending payload
 	// reaches it. The paper's heuristic lands around 512 KiB on both
@@ -95,6 +96,10 @@ const (
 	// typed error surfaced through Done. Irrelevant without fault
 	// injection: launches then never fail.
 	launchRetries = 3
+	// entryBlock is how many request-list entries are made at a time: a
+	// scheduler makes its first block up front and the next ones only as
+	// enough requests are in flight together, up to QueueCapacity.
+	entryBlock = 64
 )
 
 // Stats counts scheduler activity.
@@ -118,6 +123,7 @@ type Stats struct {
 
 // entry is one request-list slot.
 type entry struct {
+	next       *entry // next free entry while released
 	uid        int64
 	job        *pack.Job
 	reqStatus  Status
@@ -139,7 +145,8 @@ type Scheduler struct {
 	stream *gpu.Stream
 	cfg    Config
 
-	ring         []entry
+	free         *entry // released entries, reused first
+	made         int    // entries made so far, at most cfg.QueueCapacity
 	byUID        map[int64]*entry
 	pending      []*entry // insertion-ordered pending entries
 	pendingBytes int64
@@ -170,14 +177,15 @@ func NewScheduler(dev *gpu.Device, stream *gpu.Stream, cfg Config) *Scheduler {
 	if cfg.QueueCapacity <= 0 {
 		cfg.QueueCapacity = DefaultConfig().QueueCapacity
 	}
-	return &Scheduler{
+	s := &Scheduler{
 		env:    dev.Env(),
 		dev:    dev,
 		stream: stream,
 		cfg:    cfg,
-		ring:   make([]entry, cfg.QueueCapacity),
 		byUID:  make(map[int64]*entry),
 	}
+	s.grow()
+	return s
 }
 
 // Config returns the active configuration.
@@ -195,6 +203,11 @@ func (s *Scheduler) PendingCount() int { return len(s.pending) }
 type uidName int64
 
 func (u uidName) EventName() string { return fmt.Sprintf("fusion-req-%d", int64(u)) }
+
+// batchName names the fused kernel of the n-th launch, batch-<n>.
+type batchName int64
+
+func (n batchName) EventName() string { return fmt.Sprintf("batch-%d", int64(n)) }
 
 // Enqueue (① in Fig. 5) inserts a request for job and returns its UID, or
 // ErrQueueFull when the request list is exhausted — the caller must then
@@ -340,7 +353,7 @@ func (s *Scheduler) launch(p *sim.Proc) {
 	if len(batch) > s.Stats.MaxBatch {
 		s.Stats.MaxBatch = len(batch)
 	}
-	name := fmt.Sprintf("batch-%d", s.Stats.FusedLaunches)
+	name := batchName(s.Stats.FusedLaunches)
 	var fc *gpu.FusedCompletion
 	for attempt := 0; ; attempt++ {
 		t0 := s.env.Now()
@@ -479,21 +492,33 @@ func (s *Scheduler) Release(uid int64) {
 
 func (s *Scheduler) release(e *entry) {
 	delete(s.byUID, e.uid)
-	e.reqStatus = StatusIdle
-	e.respStatus = StatusIdle
-	e.job = nil
-	e.uid = 0
-	e.err = nil
+	*e = entry{next: s.free}
+	s.free = e
 }
 
-// freeEntry scans the ring for an idle slot.
+// freeEntry takes a released entry, or makes a block of them while the
+// list is below QueueCapacity; nil means the list is full.
 func (s *Scheduler) freeEntry() *entry {
-	for i := range s.ring {
-		if s.ring[i].reqStatus == StatusIdle && s.ring[i].uid == 0 {
-			return &s.ring[i]
-		}
+	if s.free == nil {
+		s.grow()
 	}
-	return nil
+	e := s.free
+	if e != nil {
+		s.free = e.next
+		e.next = nil
+	}
+	return e
+}
+
+// grow makes the next block of entries, none once QueueCapacity are made,
+// and puts them on the free list in order.
+func (s *Scheduler) grow() {
+	block := make([]entry, min(entryBlock, s.cfg.QueueCapacity-s.made))
+	s.made += len(block)
+	for i := len(block) - 1; i >= 0; i-- {
+		block[i].next = s.free
+		s.free = &block[i]
+	}
 }
 
 // RequestLatency reports enqueue→completion time for a finished entry that

@@ -178,6 +178,44 @@ func TestEntriesRecycleAfterRelease(t *testing.T) {
 	}
 }
 
+// TestRequestListGrowsInBlocks: a scheduler makes its request-list
+// entries a block at a time, reuses released ones before it makes more,
+// and makes none past QueueCapacity.
+func TestRequestListGrowsInBlocks(t *testing.T) {
+	const capacity = entryBlock + 10
+	env, dev, s := newSched(Config{QueueCapacity: capacity, ThresholdBytes: 1 << 40})
+	if s.made != entryBlock {
+		t.Fatalf("a new scheduler made %d entries, want %d", s.made, entryBlock)
+	}
+	env.Spawn("pe", func(p *sim.Proc) {
+		var uids []int64
+		for i := 0; i < entryBlock; i++ {
+			j, _ := mkPackJob(dev, int64(i), 4, 1)
+			uids = append(uids, s.Enqueue(p, j))
+		}
+		s.Flush(p)
+		for _, u := range uids {
+			p.Wait(s.DoneEvent(u))
+			s.Release(u)
+		}
+		// Never launched: these only hold entries.
+		for i := 0; i < capacity; i++ {
+			if u := s.Enqueue(p, &pack.Job{Bytes: 1}); u <= 0 {
+				t.Fatalf("enqueue %d of %d rejected", i+1, capacity)
+			}
+		}
+		if u := s.Enqueue(p, &pack.Job{Bytes: 1}); u != ErrQueueFull {
+			t.Errorf("enqueue past capacity = %d, want ErrQueueFull", u)
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if s.made != capacity || s.Stats.Rejected != 1 {
+		t.Fatalf("made %d entries and rejected %d, want %d and 1", s.made, s.Stats.Rejected, capacity)
+	}
+}
+
 // TestDoneEventNamesSurviveEntryReuse: a request's completion event is
 // named fusion-req-<uid> by the UID it was enqueued with, also after its
 // request-list entry was released and reused by a later request. The

@@ -283,7 +283,12 @@ type Completion struct {
 	Ev *sim.Event
 	// Start and End bound the operation's execution on the device.
 	Start, End int64
+	op         string
+	stream     *Stream
 }
+
+// EventName names the completion event "<op>@<stream>" when it is read.
+func (c *Completion) EventName() string { return c.op + "@" + c.stream.name }
 
 // Done reports whether the operation has retired.
 func (c *Completion) Done() bool { return c.Ev.Fired() }
@@ -392,19 +397,18 @@ func (d *Device) gridFor(bytes int64, segments, requested int) int {
 var ErrLaunchFailed = errors.New("gpu: transient kernel-launch failure")
 
 // launchFault pays the driver overhead and rolls the device's launch-fault
-// site when faultable. Returns ErrLaunchFailed on an injected failure (the
-// overhead is burned either way, as a rejected launch still makes the
-// driver round trip).
-func (s *Stream) launchFault(p *sim.Proc, name string, faultable bool) error {
+// site when faultable. It reports an injected failure, which the caller
+// records under the launch's name (the overhead is burned either way, as
+// a rejected launch still makes the driver round trip).
+func (s *Stream) launchFault(p *sim.Proc, faultable bool) (failed bool) {
 	d := s.dev
 	p.Sleep(d.Arch.LaunchOverheadNs)
 	d.Stats.LaunchCPUNs += d.Arch.LaunchOverheadNs
 	if faultable && d.Faults != nil && d.Faults.Roll(d.Faults.Plan().GPU.LaunchFailProb) {
 		d.Stats.FailedLaunches++
-		d.Faults.Record(fault.LaunchFail, name)
-		return ErrLaunchFailed
+		return true
 	}
-	return nil
+	return false
 }
 
 // Launch issues one kernel from proc p. The calling proc pays the driver
@@ -424,8 +428,9 @@ func (s *Stream) LaunchE(p *sim.Proc, spec KernelSpec) (*Completion, error) {
 
 func (s *Stream) launch(p *sim.Proc, spec KernelSpec, faultable bool) (*Completion, error) {
 	d := s.dev
-	if err := s.launchFault(p, spec.Name, faultable); err != nil {
-		return nil, err
+	if s.launchFault(p, faultable) {
+		d.Faults.Record(fault.LaunchFail, spec.Name)
+		return nil, ErrLaunchFailed
 	}
 	d.Stats.KernelLaunches++
 	blocks := d.gridFor(spec.Bytes, spec.Segments, spec.ThreadBlocks)
@@ -452,11 +457,8 @@ func (s *Stream) enqueue(p *sim.Proc, name string, dur, bytes int64, segments in
 	if d.TL != nil {
 		d.TL.Span(timeline.LayerGPU, timeline.CostNone, s.name, name, start, dur)
 	}
-	c := &Completion{
-		Ev:    d.env.NewEvent(fmt.Sprintf("%s@%s", name, s.name)),
-		Start: start,
-		End:   end,
-	}
+	c := &Completion{Start: start, End: end, op: name, stream: s}
+	c.Ev = d.env.NewEventNamed(c)
 	d.env.At(end, func() {
 		if exec != nil {
 			exec()
@@ -503,7 +505,19 @@ func (s *Stream) MemcpyAsync(p *sim.Proc, kind CopyKind, bytes int64, exec func(
 		bw = d.Arch.CPUGPULinkBWBytesPerNs
 	}
 	dur := d.Arch.CopyEngineLatencyNs + int64(math.Ceil(float64(bytes)/bw))
-	return s.enqueue(p, fmt.Sprintf("memcpy-%s", kind), dur, bytes, 1, exec)
+	return s.enqueue(p, kind.opName(), dur, bytes, 1, exec)
+}
+
+// opName names a copy of this kind on its stream: memcpy-<kind>.
+func (k CopyKind) opName() string {
+	switch k {
+	case CopyD2D:
+		return "memcpy-D2D"
+	case CopyH2D:
+		return "memcpy-H2D"
+	default:
+		return "memcpy-D2H"
+	}
 }
 
 // Event is a CUDA-event analogue: a marker recorded at a point in a stream.

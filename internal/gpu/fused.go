@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/timeline"
 )
@@ -42,14 +43,24 @@ type FusedCompletion struct {
 	// completion individually, before kernel end for all but the slowest
 	// group.
 	ReqEnd []int64
+	name   sim.EventNamer
+	stream *Stream
+}
+
+// EventName names the kernel's event "fused:<name>@<stream>" when it is
+// read.
+func (fc *FusedCompletion) EventName() string {
+	return "fused:" + fc.name.EventName() + "@" + fc.stream.name
 }
 
 // LaunchFused launches one kernel that executes all requests concurrently
 // using cooperative-group partitioning: the resident thread blocks are
 // divided among requests in proportion to their work, each group completing
 // (and signalling) independently. The caller pays exactly one launch
-// overhead regardless of len(reqs) — the entire point of the design.
-func (s *Stream) LaunchFused(p *sim.Proc, name string, reqs []FusedWork) *FusedCompletion {
+// overhead regardless of len(reqs) — the entire point of the design. The
+// kernel's name is formatted only where it is read: a trace span, a fault
+// record or the event's name.
+func (s *Stream) LaunchFused(p *sim.Proc, name sim.EventNamer, reqs []FusedWork) *FusedCompletion {
 	fc, _ := s.launchFused(p, name, reqs, false)
 	return fc
 }
@@ -58,17 +69,18 @@ func (s *Stream) LaunchFused(p *sim.Proc, name string, reqs []FusedWork) *FusedC
 // fault plan the fused launch may fail with ErrLaunchFailed after burning
 // the driver overhead. The fusion scheduler retries and then degrades to
 // unfused per-request launches.
-func (s *Stream) LaunchFusedE(p *sim.Proc, name string, reqs []FusedWork) (*FusedCompletion, error) {
+func (s *Stream) LaunchFusedE(p *sim.Proc, name sim.EventNamer, reqs []FusedWork) (*FusedCompletion, error) {
 	return s.launchFused(p, name, reqs, true)
 }
 
-func (s *Stream) launchFused(p *sim.Proc, name string, reqs []FusedWork, faultable bool) (*FusedCompletion, error) {
+func (s *Stream) launchFused(p *sim.Proc, name sim.EventNamer, reqs []FusedWork, faultable bool) (*FusedCompletion, error) {
 	if len(reqs) == 0 {
 		panic("gpu: LaunchFused with no requests")
 	}
 	d := s.dev
-	if err := s.launchFault(p, "fused:"+name, faultable); err != nil {
-		return nil, err
+	if s.launchFault(p, faultable) {
+		d.Faults.Record(fault.LaunchFail, "fused:"+name.EventName())
+		return nil, ErrLaunchFailed
 	}
 	d.Stats.KernelLaunches++
 	d.Stats.FusedKernels++
@@ -98,13 +110,15 @@ func (s *Stream) launchFused(p *sim.Proc, name string, reqs []FusedWork, faultab
 	d.Stats.SegmentsMoved += int64(totalSegs)
 
 	fc := &FusedCompletion{
-		Ev:     d.env.NewEvent(fmt.Sprintf("fused:%s@%s", name, s.name)),
 		Start:  start,
 		End:    end,
 		ReqEnd: make([]int64, len(reqs)),
+		name:   name,
+		stream: s,
 	}
+	fc.Ev = d.env.NewEventNamed(fc)
 	if d.TL != nil {
-		d.TL.Span(timeline.LayerGPU, timeline.CostNone, s.name, "fused:"+name, start, kernelDur,
+		d.TL.Span(timeline.LayerGPU, timeline.CostNone, s.name, "fused:"+name.EventName(), start, kernelDur,
 			timeline.Arg{Key: "requests", Val: fmt.Sprintf("%d", len(reqs))},
 			timeline.Arg{Key: "bytes", Val: fmt.Sprintf("%d", totalBytes)})
 	}

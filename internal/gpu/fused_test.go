@@ -8,6 +8,54 @@ import (
 	"repro/internal/sim"
 )
 
+// kernelName names a fused kernel by a fixed string.
+type kernelName string
+
+func (n kernelName) EventName() string { return string(n) }
+
+// countingName names a fused kernel batch-7 and counts how often the name
+// is read.
+type countingName struct{ reads int }
+
+func (n *countingName) EventName() string {
+	n.reads++
+	return "batch-7"
+}
+
+// TestLaunchNamesFormatOnlyWhenRead: on an untraced device, a kernel
+// launch, a copy and a fused launch retire and wake their waiter without
+// reading the fused kernel's name, and a panic text reads each completion
+// event's name as <op>@<stream>.
+func TestLaunchNamesFormatOnlyWhenRead(t *testing.T) {
+	env, d := newTestDevice(t)
+	st := d.NewStream("s0")
+	n := &countingName{}
+	var evs []*sim.Event
+	env.Spawn("host", func(p *sim.Proc) {
+		c := st.Launch(p, KernelSpec{Name: "k", Bytes: 1024, Segments: 4})
+		m := st.MemcpyAsync(p, CopyH2D, 1024, nil)
+		fc := st.LaunchFused(p, n, []FusedWork{{Name: "r0", Bytes: 1024, Segments: 4}})
+		evs = []*sim.Event{c.Ev, m.Ev, fc.Ev}
+		p.WaitAll(evs...)
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n.reads != 0 {
+		t.Fatalf("an untraced fused launch read its name %d times", n.reads)
+	}
+	nameOf := func(ev *sim.Event) (name any) {
+		defer func() { name = recover() }()
+		ev.Fire()
+		return nil
+	}
+	for i, want := range []string{"k@s0", "memcpy-H2D@s0", "fused:batch-7@s0"} {
+		if got := nameOf(evs[i]); got != "sim: event fired twice: "+want {
+			t.Errorf("event %d: double fire panicked with %v, want the name %q", i, got, want)
+		}
+	}
+}
+
 func TestFusedSingleLaunchOverhead(t *testing.T) {
 	env, d := newTestDevice(t)
 	st := d.NewStream("s0")
@@ -17,7 +65,7 @@ func TestFusedSingleLaunchOverhead(t *testing.T) {
 	}
 	var afterLaunch int64
 	env.Spawn("host", func(p *sim.Proc) {
-		st.LaunchFused(p, "fused16", reqs)
+		st.LaunchFused(p, kernelName("fused16"), reqs)
 		afterLaunch = p.Now()
 	})
 	if err := env.Run(); err != nil {
@@ -63,7 +111,7 @@ func TestFusedBeatsSerialLaunches(t *testing.T) {
 	stB := dB.NewStream("s")
 	var fusedEnd int64
 	envB.Spawn("host", func(p *sim.Proc) {
-		fc := stB.LaunchFused(p, "fused", mkReqs())
+		fc := stB.LaunchFused(p, kernelName("fused"), mkReqs())
 		p.Wait(fc.Ev)
 		fusedEnd = p.Now()
 	})
@@ -88,7 +136,7 @@ func TestFusedPerRequestCompletionSignalling(t *testing.T) {
 	}
 	var fc *FusedCompletion
 	env.Spawn("host", func(p *sim.Proc) {
-		fc = st.LaunchFused(p, "mix", reqs)
+		fc = st.LaunchFused(p, kernelName("mix"), reqs)
 		p.Wait(fc.Ev)
 	})
 	if err := env.Run(); err != nil {
@@ -118,7 +166,7 @@ func TestFusedExecMovesBytesPerRequest(t *testing.T) {
 		{Name: "hi", Bytes: 128, Segments: 2, Exec: func() { copy(dst.Data[128:], src.Data[128:]) }},
 	}
 	env.Spawn("host", func(p *sim.Proc) {
-		fc := st.LaunchFused(p, "two", reqs)
+		fc := st.LaunchFused(p, kernelName("two"), reqs)
 		p.Wait(fc.Ev)
 	})
 	if err := env.Run(); err != nil {
@@ -139,7 +187,7 @@ func TestFusedEmptyPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	env.Spawn("host", func(p *sim.Proc) { st.LaunchFused(p, "none", nil) })
+	env.Spawn("host", func(p *sim.Proc) { st.LaunchFused(p, kernelName("none"), nil) })
 	_ = env.Run()
 }
 

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestEqualTimestampStableOrder schedules 10k+ events across a handful of
@@ -82,7 +83,7 @@ func TestSameInstantCascadeOrder(t *testing.T) {
 }
 
 // TestWorkerReuse proves pooling: many sequentially-finishing procs must
-// share a small set of worker goroutines, and a clean run must end with
+// share a small set of worker coroutines, and a clean run must end with
 // every live-proc and pinned-worker counter at zero.
 func TestWorkerReuse(t *testing.T) {
 	e := NewEnv()
@@ -106,7 +107,7 @@ func TestWorkerReuse(t *testing.T) {
 	}
 	_, _, total := e.WorkerStats()
 	if total >= n/2 {
-		t.Fatalf("spawned %d worker goroutines for %d sequential procs; pool is not recycling", total, n)
+		t.Fatalf("made %d worker coroutines for %d sequential procs; pool is not recycling", total, n)
 	}
 	if e.LiveProcs() != 0 {
 		t.Fatalf("%d live procs after clean run, want 0", e.LiveProcs())
@@ -160,7 +161,7 @@ func TestWorkerReuseAfterKill(t *testing.T) {
 
 // TestWorkerSurvivesProcPanic: a panic in a proc body or in a callback
 // aborts the run and is re-raised by Run with its value, whichever
-// goroutine holds the baton when it happens — a callback runs on the
+// worker runs the event loop when it happens — a callback runs on the
 // worker of the proc that blocked or finished last. The worker must be
 // recycled, and the Env must stay usable for a fresh run that ends with
 // every proc finished.
@@ -218,8 +219,8 @@ func TestWorkerSurvivesProcPanic(t *testing.T) {
 // resource queue already grown) a wake-up allocates nothing — every wake
 // event queues the Proc's own wake closure, built once at spawn, and an
 // Event links its waiters through the Procs. In each case the measured
-// Proc and a partner wake each other, so every wake-up also passes the
-// baton to another goroutine.
+// Proc and a partner wake each other, so every wake-up also switches to
+// another worker.
 func TestWarmWakeupsAllocateNothing(t *testing.T) {
 	const runs = 200
 	type steps struct {
@@ -291,8 +292,8 @@ func TestWarmWakeupsAllocateNothing(t *testing.T) {
 }
 
 // TestGoexitInBodyEndsRun: runtime.Goexit in a proc body (t.FailNow on a
-// worker goroutine) ends the run with an error naming the proc, instead of
-// leaving the baton on a goroutine that no longer exists.
+// worker coroutine) ends the run with an error naming the proc, instead of
+// resuming a coroutine that no longer exists.
 func TestGoexitInBodyEndsRun(t *testing.T) {
 	e := NewEnv()
 	e.Spawn("quitter", func(p *Proc) { p.Sleep(1); runtime.Goexit() })
@@ -300,6 +301,70 @@ func TestGoexitInBodyEndsRun(t *testing.T) {
 	err := e.Run()
 	if err == nil || !strings.Contains(err.Error(), `runtime.Goexit on the goroutine of proc "quitter"`) {
 		t.Fatalf("Run = %v, want the Goexit error", err)
+	}
+}
+
+// TestRunLeavesNoGoroutines: once no Proc is live, no worker coroutine or
+// dispatcher goroutine is left, however the runs ended: cleanly, by a body
+// or callback panic, with procs killed before and after they started, or
+// by a runtime.Goexit, which also finishes the proc whose worker it ended.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	cases := []struct {
+		name  string
+		setup func(e *Env)
+	}{
+		{"clean", func(e *Env) {
+			for i := 0; i < 8; i++ {
+				d := int64(i)
+				e.Spawn("p", func(p *Proc) { p.Sleep(d); p.Sleep(1) })
+			}
+		}},
+		{"body panic", func(e *Env) {
+			e.Spawn("sleeper", func(p *Proc) { p.Sleep(10) })
+			e.Spawn("boom", func(p *Proc) { p.Sleep(1); panic("bang") })
+		}},
+		{"callback panic", func(e *Env) {
+			e.Spawn("sleeper", func(p *Proc) { p.Sleep(30) })
+			e.At(20, func() { panic("callback bang") })
+		}},
+		{"kill before start", func(e *Env) {
+			unstarted := e.SpawnAt(10, "unstarted", func(p *Proc) {})
+			blocked := e.Spawn("blocked", func(p *Proc) { p.Sleep(Second) })
+			e.At(5, func() { unstarted.Kill(); blocked.Kill() })
+		}},
+		{"goexit", func(e *Env) {
+			e.Spawn("quitter", func(p *Proc) { p.Sleep(1); runtime.Goexit() })
+			e.Spawn("other", func(p *Proc) { p.Sleep(5) })
+		}},
+		{"goexit in a callback on a blocked proc's worker", func(e *Env) {
+			e.Spawn("sleeper", func(p *Proc) { p.Sleep(30) })
+			e.At(20, func() { runtime.Goexit() })
+		}},
+	}
+	run := func(e *Env) {
+		defer func() { _ = recover() }()
+		_ = e.Run()
+	}
+	base := runtime.NumGoroutine()
+	for _, tc := range cases {
+		e := NewEnv()
+		tc.setup(e)
+		for i := 0; e.LiveProcs() > 0; i++ {
+			if i == 3 {
+				t.Fatalf("%s: %d procs still live after %d runs", tc.name, e.LiveProcs(), i)
+			}
+			run(e)
+		}
+		if idle, alive, _ := e.WorkerStats(); idle != 0 || alive != 0 {
+			t.Fatalf("%s: worker pool not drained: idle=%d alive=%d", tc.name, idle, alive)
+		}
+		// A dispatcher goroutine exits just after Run wakes up.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines after the runs, %d before", tc.name, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }
 

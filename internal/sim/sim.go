@@ -3,7 +3,7 @@
 //
 // An Env owns a virtual clock measured in integer nanoseconds and a queue of
 // pending events. Simulation actors are Procs: each body runs on a pooled
-// worker goroutine, but the scheduler resumes exactly one Proc at a time, so
+// worker coroutine, but the scheduler resumes exactly one Proc at a time, so
 // the simulation is fully deterministic — events at equal timestamps run in
 // insertion order.
 //
@@ -14,21 +14,21 @@
 // bucket append/advance instead of an O(log n) heap rotation — at thousands
 // of in-flight events per tick this is what keeps dispatch near O(1).
 //
-// Dispatch passes a baton. Procs run one at a time on pooled worker
-// goroutines, and whichever goroutine holds the baton runs the event loop
-// itself: when a Proc blocks or finishes, its own goroutine pops the next
-// events, runs callbacks inline and resumes the woken Proc directly, so a
-// wake-up costs one goroutine switch, or none when it wakes the same Proc.
-// A worker whose Proc finished runs the next fresh Proc on its own
-// goroutine, or parks in the idle pool; Run's goroutine holds the baton
-// until the first wake-up and then parks until the run ends. A finished
-// Proc releases all its per-Proc state — an idle or finished rank costs
-// O(1) memory, which is what makes 1024-rank runs tractable.
+// Pooled workers are coroutines. Each Proc body runs on a worker made with
+// iter.Pull, and one dispatcher goroutine per Run resumes them: when a
+// Proc blocks or finishes, its own worker runs the event loop, callbacks
+// inline, and switches back to the dispatcher with the Proc to wake, which
+// the dispatcher resumes directly. Both switches are coroswitches, so a
+// wake-up never passes through the Go scheduler's run queue, and a wake of
+// the same Proc costs no switch at all. A worker whose Proc finished runs
+// the next fresh Proc itself, or joins the idle pool. A finished Proc
+// releases all its per-Proc state — an idle or finished rank costs O(1)
+// memory, which is what makes 1024-rank runs tractable.
 //
 // Procs interact with virtual time through blocking calls (Sleep, Wait,
 // Acquire); while a Proc is running, virtual time does not advance.
 // Callbacks scheduled with Env.At run in scheduler context, on whichever
-// goroutine holds the baton, and must not block.
+// goroutine ran the event loop (Run's or a worker), and must not block.
 package sim
 
 import (
@@ -67,17 +67,17 @@ type Env struct {
 	now     int64
 	q       timeQueue
 	live    map[*Proc]struct{}
-	current *Proc // the Proc whose body holds the baton; nil in callbacks
-	woken   *Proc // set by the wake event the baton holder just ran
+	current *Proc // the Proc whose body runs; nil in callbacks
+	woken   *Proc // set by the wake event the event loop just ran
 	running bool
 	stopped bool
-	ended   chan struct{} // Run parks here once a worker holds the baton
+	ended   chan struct{} // Run parks here while the dispatcher runs
 	err     error         // returned by Run, set by whoever ends the run
 	panicv  any           // re-panicked out of Run
 
 	idle         []*worker // workers with no Proc bound, ready for reuse
-	workersAlive int       // goroutines currently parked or running
-	workersTotal int       // goroutines ever started (reuse oracle)
+	workersAlive int       // coroutines currently parked or running
+	workersTotal int       // coroutines ever made (reuse oracle)
 
 	// No-progress watchdog (SetWatchdog). Zero timeout = disarmed.
 	wdTimeout int64
@@ -122,7 +122,7 @@ func (e *Env) QueueLen() int { return e.q.len() }
 func (e *Env) LiveProcs() int { return len(e.live) }
 
 // WorkerStats reports the pooled-worker counters: idle workers ready for
-// reuse, worker goroutines currently alive, and goroutines ever started.
+// reuse, worker coroutines currently alive, and coroutines ever made.
 // total < procs-spawned proves recycling; alive == idle after a clean Run
 // proves no worker is pinned by a leaked Proc.
 func (e *Env) WorkerStats() (idle, alive, total int) {
@@ -212,7 +212,7 @@ func (e *Env) Run() error {
 		if e.ended == nil {
 			e.ended = make(chan struct{})
 		}
-		e.resume(p)
+		go e.dispatch(p)
 		<-e.ended
 	}
 	e.running = false
@@ -378,49 +378,6 @@ func (q *timeQueue) heapPop() {
 	}
 }
 
-// --- pooled workers and the baton ---
-
-// worker is a reusable goroutine that hosts Proc bodies one after another.
-// It parks on run: an idle worker receives the fresh Proc to start, a
-// worker whose Proc is blocked receives that Proc when it is resumed.
-// Whoever sends on run passes the baton and touches the Env no more.
-type worker struct {
-	run chan *Proc
-}
-
-// host runs p's body on this goroutine. When a body finishes here and the
-// baton next lands on a fresh Proc, host runs that body too; otherwise the
-// worker parks in the idle pool until resume hands it a fresh Proc. A
-// closed run channel retires it.
-func (w *worker) host(p *Proc) {
-	e := p.env
-	retired := false
-	defer func() {
-		if !retired {
-			// runtime.Goexit (t.FailNow) in a body or callback run here:
-			// end the run instead of stranding the baton on a dead goroutine.
-			e.workersAlive--
-			e.err = fmt.Errorf("sim: runtime.Goexit on the goroutine of proc %q", p.name)
-			e.pass(nil)
-		}
-	}()
-	for p != nil {
-		var next *Proc
-		if p.exec() {
-			next = e.advance()
-		}
-		if next != nil && next.w == nil {
-			next.w = w
-			p = next
-			continue
-		}
-		e.idle = append(e.idle, w)
-		e.pass(next)
-		p = <-w.run
-	}
-	retired = true
-}
-
 // exec runs p's body to completion and releases p's scheduler state. A
 // Kill unwind finishes p cleanly; any other panic ends the run: exec stores
 // it for Run to re-raise and reports false.
@@ -444,8 +401,8 @@ func (p *Proc) exec() (ok bool) {
 }
 
 // runnable reports whether a woken p has a body to start or resume. A Proc
-// killed before it ever ran finishes here without costing a goroutine
-// (still recording its timeline span, so traces are identical either way).
+// killed before it ever ran finishes here without costing a worker (still
+// recording its timeline span, so traces are identical either way).
 func (e *Env) runnable(p *Proc) bool {
 	if p.done {
 		return false
@@ -458,46 +415,6 @@ func (e *Env) runnable(p *Proc) bool {
 		}
 	}
 	return true
-}
-
-// resume hands the baton to p's goroutine: its own worker when p is
-// blocked, else an idle worker or a new goroutine.
-func (e *Env) resume(p *Proc) {
-	if p.w == nil {
-		k := len(e.idle)
-		if k == 0 {
-			p.w = &worker{run: make(chan *Proc)}
-			e.workersAlive++
-			e.workersTotal++
-			go p.w.host(p)
-			return
-		}
-		p.w = e.idle[k-1]
-		e.idle[k-1] = nil
-		e.idle = e.idle[:k-1]
-	}
-	p.w.run <- p
-}
-
-// pass hands the baton to next, or back to Run when next is nil because
-// the run is over. The caller must not touch the Env afterwards.
-func (e *Env) pass(next *Proc) {
-	if next == nil {
-		e.ended <- struct{}{}
-		return
-	}
-	e.resume(next)
-}
-
-// drainIdleWorkers terminates parked worker goroutines. Called when a Run
-// ends with no live Procs so an Env (and its test process) does not strand
-// goroutines; the next Spawn simply starts fresh workers.
-func (e *Env) drainIdleWorkers() {
-	for _, w := range e.idle {
-		close(w.run)
-		e.workersAlive--
-	}
-	e.idle = e.idle[:0]
 }
 
 // finishProc marks p finished and releases all scheduler state bound to
@@ -517,7 +434,7 @@ func (e *Env) finishProc(p *Proc, clean bool) {
 }
 
 // Proc is a simulated sequential process (for example, a CPU thread of one
-// MPI rank). Bodies run on pooled worker goroutines; the scheduler
+// MPI rank). Bodies run on pooled worker coroutines; the scheduler
 // guarantees at most one Proc executes at a time.
 type Proc struct {
 	env     *Env
@@ -578,7 +495,7 @@ func (e *Env) newProc(name string, startAt int64, body func(p *Proc)) *Proc {
 // Spawn creates a Proc named name whose body starts at the current virtual
 // time. The body receives the Proc for time-consuming calls. No worker is
 // bound until the first dispatch: a Proc that is spawned and killed before
-// it starts never costs a goroutine.
+// it starts never costs a worker.
 func (e *Env) Spawn(name string, body func(p *Proc)) *Proc {
 	p := e.newProc(name, e.now, body)
 	e.q.push(e.now, p.wake)
@@ -593,21 +510,6 @@ func (e *Env) SpawnAt(t int64, name string, body func(p *Proc)) *Proc {
 	p := e.newProc(name, t, body)
 	e.q.push(t, p.wake)
 	return p
-}
-
-// yield suspends the calling Proc and passes the baton on: this goroutine
-// runs the scheduler until an event wakes a Proc, carries on inline when
-// that is p itself, and otherwise hands over and parks until p is resumed.
-// A killed Proc unwinds here instead of resuming.
-func (p *Proc) yield() {
-	w := p.w
-	if next := p.env.advance(); next != p {
-		p.env.pass(next)
-		<-w.run
-	}
-	if p.killed {
-		panic(killSentinel{})
-	}
 }
 
 // Name returns the Proc's name.
