@@ -1082,7 +1082,7 @@ type VOp = coll.VOp
 // Errors from the underlying transfers are returned; under a crash plan a
 // dead root fails every survivor with an error matching ErrRankFailed.
 func (c *RankCtx) Bcast(root int, buf *Buffer, l *Layout, count int) error {
-	return c.rank.Bcast(c.proc, root, buf, l, count)
+	return c.sess.coll.Bcast(c.proc, c.rank, root, buf, l, count)
 }
 
 // AllreduceSumF64 sums n float64 values element-wise across all ranks.
@@ -1090,7 +1090,7 @@ func (c *RankCtx) Bcast(root int, buf *Buffer, l *Layout, count int) error {
 // binary-blocks fallback); errors from the underlying transfers or an
 // undersized buffer are returned.
 func (c *RankCtx) AllreduceSumF64(buf *Buffer, n int) error {
-	return c.rank.AllreduceSumF64(c.proc, buf, n)
+	return c.sess.coll.AllreduceSumF64(c.proc, c.rank, buf, n)
 }
 
 // Alltoallw runs a DDT-aware personalized all-to-all: ops[i] is the leg
@@ -1389,6 +1389,17 @@ func (cc *CommCtx) Rank() int { return cc.cm.CommRank(cc.c.ID()) }
 
 // Size reports the communicator size.
 func (cc *CommCtx) Size() int { return cc.cm.Size() }
+
+// Bcast broadcasts count elements of l from comm rank root's buf to every
+// member.
+func (cc *CommCtx) Bcast(root int, buf *Buffer, l *Layout, count int) error {
+	return cc.c.sess.engineFor(cc.cm).Bcast(cc.c.proc, cc.c.rank, root, buf, l, count)
+}
+
+// AllreduceSumF64 sums n float64 values element-wise across every member.
+func (cc *CommCtx) AllreduceSumF64(buf *Buffer, n int) error {
+	return cc.c.sess.engineFor(cc.cm).AllreduceSumF64(cc.c.proc, cc.c.rank, buf, n)
+}
 
 // Alltoallw runs the DDT-aware personalized all-to-all over the scoped
 // communicator: ops[i] is the leg pair with comm rank i, len(ops) == Size.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/gpu"
 	"repro/internal/mpi"
+	"repro/internal/payload"
 	"repro/internal/sim"
 )
 
@@ -18,7 +19,7 @@ import (
 // legs, lazy payloads), but driven through the rank-crash preset — a rank
 // dies mid-collective, the failure detector fires, survivors Agree +
 // Shrink and retry on the dense survivor communicator, and every retried
-// leg must land checksum-exact through the span algebra. Three modes:
+// leg must land byte-exact through the span algebra. Three modes:
 //
 //   - no-fault:            the collective completes untouched (baseline),
 //   - rank-crash:          crash + shrink + verified retry,
@@ -45,9 +46,21 @@ const chaosHorizonNs = 400_000
 // snapshot is a span clone.
 const chaosStateBytes = 1 << 20
 
+// chaosStateSeed plus the rank is the PRF stream a rank's state is
+// filled from.
+const chaosStateSeed = 0xC0FFEE
+
+// chaosStateRef returns rank r's registered state as filled before the
+// run: what a rollback, and the buddy's adopted snapshot, must hold.
+func chaosStateRef(r int) *payload.Content {
+	c := payload.New(chaosStateBytes)
+	c.Fill(uint64(chaosStateSeed + r))
+	return c
+}
+
 // chaosRetryLayout is the per-leg datatype for the post-shrink retry:
-// contiguous 32 KiB, so a delivered leg's span-algebra checksum can be
-// compared directly against the sender's without materializing either.
+// contiguous 32 KiB, so a delivered leg's spans can be compared directly
+// against the sender's without materializing either.
 func chaosRetryLayout() *datatype.Layout {
 	return datatype.Commit(datatype.Contiguous(32<<10, datatype.Byte))
 }
@@ -107,15 +120,12 @@ func runChaosScale(ranks int, mode string) (measure, int, error) {
 	// checkpoint before the run, driver-side.
 	var st *ckpt.Store
 	var state []*gpu.Buffer
-	var stateSums []uint64
 	if withRestore {
 		st = ckpt.NewStore(size)
 		state = make([]*gpu.Buffer, size)
-		stateSums = make([]uint64, size)
 		for r := 0; r < size; r++ {
 			state[r] = w.Rank(r).Dev.Alloc(fmt.Sprintf("cx-st-%d", r), chaosStateBytes)
-			state[r].FillStream(uint64(0xC0FFEE + r))
-			stateSums[r] = state[r].Checksum()
+			state[r].FillStream(uint64(chaosStateSeed + r))
 			st.Register(r, state[r])
 		}
 		if ep := st.CaptureAll(w.Env.Now(), 0); ep == nil || !ep.Committed() {
@@ -169,8 +179,8 @@ func runChaosScale(ranks int, mode string) (measure, int, error) {
 		return m, crashed, fmt.Errorf("bench: %d ranks crashed, plan says %d", crashed, len(dead))
 	}
 
-	// Checksum-exact delivery of the retried legs, straight through the
-	// span algebra — no materialization at any rank count. (The baseline
+	// Byte-exact delivery of the retried legs, straight through the
+	// span lists — no materialization at any rank count. (The baseline
 	// mode's strided delivery is covered by the conformance suite; here it
 	// only has to complete leak-free.)
 	if withFaults {
@@ -179,7 +189,7 @@ func runChaosScale(ranks int, mode string) (measure, int, error) {
 				if retry[cr][peer].SendBuf == nil {
 					continue
 				}
-				if retry[cr][peer].RecvBuf.Checksum() != retry[peer][cr].SendBuf.Checksum() {
+				if !retry[cr][peer].RecvBuf.Lazy.Equal(retry[peer][cr].SendBuf.Lazy) {
 					return m, crashed, fmt.Errorf("bench: comm rank %d recv-from-%d not checksum-exact after shrink retry", cr, peer)
 				}
 			}
@@ -187,7 +197,7 @@ func runChaosScale(ranks int, mode string) (measure, int, error) {
 	}
 	if withRestore {
 		for _, i := range comm2world {
-			if state[i].Checksum() != stateSums[i] {
+			if !state[i].Lazy.Equal(chaosStateRef(i)) {
 				return m, crashed, fmt.Errorf("bench: rank %d state not rolled back to the checkpoint", i)
 			}
 		}
@@ -200,7 +210,7 @@ func runChaosScale(ranks int, mode string) (measure, int, error) {
 		if _, aerr := st.AdoptRank(st.Buddy(d), d, []*gpu.Buffer{adopted}); aerr != nil {
 			return m, crashed, fmt.Errorf("bench: buddy adoption: %w", aerr)
 		}
-		if adopted.Checksum() != stateSums[d] {
+		if !adopted.Lazy.Equal(chaosStateRef(d)) {
 			return m, crashed, fmt.Errorf("bench: adopted state differs from rank %d's captured state", d)
 		}
 	}

@@ -64,7 +64,7 @@ func (e *Engine) Allgatherv(p *sim.Proc, r *mpi.Rank, send VOp, recvs []VOp) err
 	case OneSidedRing, OneSidedBruck:
 		err = c.allgathervOneSided(send, recvs, alg == OneSidedBruck)
 	}
-	return c.finish("allgatherv", alg, err)
+	return c.finish("allgatherv", alg.String(), err)
 }
 
 func (e *Engine) pickAllgatherv(recvs []VOp) Algorithm {

@@ -70,7 +70,7 @@ func (e *Engine) Alltoallw(p *sim.Proc, r *mpi.Rank, ops []WOp) error {
 	case OneSidedRing, OneSidedBruck:
 		err = c.alltoallwOneSided(ops, alg == OneSidedBruck)
 	}
-	return c.finish("alltoallw", alg, err)
+	return c.finish("alltoallw", alg.String(), err)
 }
 
 func (e *Engine) pickAlltoallw(ops []WOp) Algorithm {

@@ -1,11 +1,11 @@
 // Package coll is the topology-aware collective-communication subsystem,
 // layered on the point-to-point/rendezvous engine of internal/mpi. It
-// provides DDT-aware Alltoallw, Allgatherv, Gatherv/Scatterv, and
+// provides DDT-aware Alltoallw, Allgatherv, Gatherv/Scatterv and
 // NeighborAlltoallw, each with pluggable algorithms (linear post-all,
 // pairwise exchange, ring, Bruck-style dissemination for small messages,
 // recursive doubling) plus hierarchical two-level variants that aggregate
-// on a node leader over the NVLink-class intra-node fabric before crossing
-// the inter-node IB link.
+// on a node leader over NVLink before crossing the inter-node IB link,
+// and a binomial-tree Bcast and recursive-doubling AllreduceSumF64.
 //
 // The headline mechanism is collective-scope kernel fusion: a schedule
 // pass walks every leg of the collective and brackets each communication
@@ -124,9 +124,9 @@ const (
 	schedPerLegNs = 90
 )
 
-// tagSpace is where internal/coll's tags start inside the reserved range;
-// everything below (CollTagBase..tagSpace) belongs to the legacy mpi
-// collectives.
+// tagSpace is where internal/coll's tags start inside the reserved range.
+// The sub-range below it (CollTagBase..tagSpace) is unused; the value is
+// pinned by the tags recorded in golden traces.
 const tagSpace = mpi.CollTagBase + 4096
 
 // Tag purposes within one collective call.
@@ -333,7 +333,7 @@ func (e *Engine) begin(r *mpi.Rank, p *sim.Proc, legs int) *call {
 // stranded), and a detected peer death revokes the collective's
 // communicator so every other member's pending operations fail fast
 // instead of waiting out their own timeouts.
-func (c *call) finish(kind string, alg Algorithm, stageErr error) error {
+func (c *call) finish(kind, alg string, stageErr error) error {
 	for c.winOpen > 0 {
 		c.closeWin()
 	}
@@ -358,7 +358,7 @@ func (c *call) finish(kind string, alg Algorithm, stageErr error) error {
 		}
 	}
 	if tl := c.r.Timeline(); tl != nil {
-		tl.Span(timeline.LayerColl, timeline.CostNone, "", kind+":"+alg.String(), c.t0, c.p.Now()-c.t0,
+		tl.Span(timeline.LayerColl, timeline.CostNone, "", kind+":"+alg, c.t0, c.p.Now()-c.t0,
 			timeline.Arg{Key: "seq", Val: fmt.Sprint(c.seq)},
 			timeline.Arg{Key: "bytes", Val: fmt.Sprint(c.bytes)},
 			timeline.Arg{Key: "reqs", Val: fmt.Sprint(len(c.all))})
@@ -478,7 +478,7 @@ func (c *call) gate(reqs []*mpi.Request) {
 	}
 }
 
-// / exchangePhase runs one self-contained fused phase: window around the
+// exchangePhase runs one self-contained fused phase: window around the
 // posts (one fused pack launch), window around the arrivals (one fused
 // unpack/IPC launch), then settle the phase's requests.
 func (c *call) exchangePhase(recvs, sends []leg) error {

@@ -39,7 +39,7 @@ func (e *Engine) Gatherv(p *sim.Proc, r *mpi.Rank, root int, send VOp, recvs []V
 	} else {
 		err = c.gathervHier(root, send, recvs)
 	}
-	return c.finish("gatherv", alg, err)
+	return c.finish("gatherv", alg.String(), err)
 }
 
 func (c *call) gathervLinear(root int, send VOp, recvs []VOp) error {
@@ -245,7 +245,7 @@ func (e *Engine) Scatterv(p *sim.Proc, r *mpi.Rank, root int, sends []VOp, recv 
 	} else {
 		err = c.scattervHier(root, sends, recv)
 	}
-	return c.finish("scatterv", alg, err)
+	return c.finish("scatterv", alg.String(), err)
 }
 
 func (c *call) scattervLinear(root int, sends []VOp, recv VOp) error {

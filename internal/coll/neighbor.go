@@ -34,5 +34,5 @@ func (e *Engine) NeighborAlltoallw(p *sim.Proc, r *mpi.Rank, ops []mpi.NeighborO
 		sends = append(sends, leg{peer: op.Peer, tag: c.tag(tagData), buf: op.SendBuf, l: op.SendType, count: count})
 	}
 	err := c.exchangePhase(recvs, sends)
-	return c.finish("neighbor-alltoallw", Linear, err)
+	return c.finish("neighbor-alltoallw", Linear.String(), err)
 }

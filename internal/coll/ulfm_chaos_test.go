@@ -2,13 +2,16 @@ package coll_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/coll"
 	"repro/internal/fault"
+	"repro/internal/gpu"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/timeline"
@@ -42,6 +45,8 @@ type chaosState struct {
 	svSends  [][]coll.VOp
 	svRecvs  []coll.VOp
 	neighbor [][]mpi.NeighborOp
+	bcast    []coll.VOp
+	sums     []*gpu.Buffer
 }
 
 func buildChaosState(w *mpi.World) *chaosState {
@@ -63,8 +68,16 @@ func buildChaosState(w *mpi.World) *chaosState {
 		st.svRecvs[r] = coll.VOp{Buf: rb, Type: l, Count: 1 + r%3}
 	}
 	st.neighbor = makeNeighborOps(w, l)
+	for r := 0; r < size; r++ {
+		dev := w.Rank(r).Dev
+		st.bcast = append(st.bcast, coll.VOp{Buf: dev.Alloc(fmt.Sprintf("cs-b-%d", r), int(l.ExtentBytes)), Type: l, Count: 1})
+		st.sums = append(st.sums, dev.Alloc(fmt.Sprintf("cs-f-%d", r), chaosSumLen*8))
+	}
 	return st
 }
+
+// chaosSumLen is the float64 count of the allreduce cells' vectors.
+const chaosSumLen = 24
 
 func chaosMatrix() []chaosCase {
 	var cases []chaosCase
@@ -110,6 +123,19 @@ func chaosMatrix() []chaosCase {
 		tuning: coll.Tuning{},
 		run: func(e *coll.Engine, r *mpi.Rank, p *sim.Proc, st *chaosState) error {
 			return e.NeighborAlltoallw(p, r, st.neighbor[r.ID()])
+		},
+	}, chaosCase{
+		name:   "bcast/binomial",
+		tuning: coll.Tuning{},
+		run: func(e *coll.Engine, r *mpi.Rank, p *sim.Proc, st *chaosState) error {
+			op := st.bcast[r.ID()]
+			return e.Bcast(p, r, 5, op.Buf, op.Type, op.Count)
+		},
+	}, chaosCase{
+		name:   "allreduce/recursive-doubling",
+		tuning: coll.Tuning{},
+		run: func(e *coll.Engine, r *mpi.Rank, p *sim.Proc, st *chaosState) error {
+			return e.AllreduceSumF64(p, r, st.sums[r.ID()], chaosSumLen)
 		},
 	})
 	return cases
@@ -278,6 +304,30 @@ func TestShrinkRetryByteExact(t *testing.T) {
 		}
 	}
 
+	// Bcast and allreduce state for the same survivor comm: a 7-member
+	// allreduce runs the non-power-of-two fold. Every non-root broadcast
+	// buffer starts as junk, so the model is the junk with l's blocks
+	// replaced by the root's.
+	const bcastRoot, sumLen = 2, 17
+	bcast := make([]*gpu.Buffer, nSurv)
+	sums := make([]*gpu.Buffer, nSurv)
+	for cr := 0; cr < nSurv; cr++ {
+		dev := w.Rank(comm2world[cr]).Dev
+		bcast[cr] = dev.Alloc(fmt.Sprintf("rt-b-%d", cr), int(l.ExtentBytes))
+		rand.New(rand.NewSource(int64(9000 + cr))).Read(bcast[cr].Data)
+		sums[cr] = dev.Alloc(fmt.Sprintf("rt-f-%d", cr), sumLen*8)
+		for j := 0; j < sumLen; j++ {
+			binary.LittleEndian.PutUint64(sums[cr].Data[j*8:], math.Float64bits(float64(cr*100+j)))
+		}
+	}
+	expectBcast := make([][]byte, nSurv)
+	for cr := range expectBcast {
+		expectBcast[cr] = append([]byte(nil), bcast[cr].Data...)
+		for _, b := range l.Blocks {
+			copy(expectBcast[cr][b.Offset:b.Offset+b.Len], bcast[bcastRoot].Data[b.Offset:b.Offset+b.Len])
+		}
+	}
+
 	flags := make([]uint64, w.Size())
 	agreeErrs := make([]error, w.Size())
 	runErr := w.Run(func(r *mpi.Rank, p *sim.Proc) {
@@ -306,8 +356,15 @@ func TestShrinkRetryByteExact(t *testing.T) {
 			return
 		}
 		se := e.Sub(sub)
-		if rerr := se.Alltoallw(p, r, retry[world2comm[r.ID()]]); rerr != nil {
+		cr := world2comm[r.ID()]
+		if rerr := se.Alltoallw(p, r, retry[cr]); rerr != nil {
 			t.Errorf("rank %d: retry on shrunken comm: %v", r.ID(), rerr)
+		}
+		if berr := se.Bcast(p, r, bcastRoot, bcast[cr], l, 1); berr != nil {
+			t.Errorf("rank %d: bcast on shrunken comm: %v", r.ID(), berr)
+		}
+		if aerr := se.AllreduceSumF64(p, r, sums[cr], sumLen); aerr != nil {
+			t.Errorf("rank %d: allreduce on shrunken comm: %v", r.ID(), aerr)
 		}
 	})
 	if runErr != nil {
@@ -329,6 +386,20 @@ func TestShrinkRetryByteExact(t *testing.T) {
 			}
 		}
 	}
+	for cr := 0; cr < nSurv; cr++ {
+		if !bytes.Equal(bcast[cr].Data, expectBcast[cr]) {
+			t.Fatalf("comm rank %d: bcast from comm rank %d not byte-exact after shrink", cr, bcastRoot)
+		}
+		for j := 0; j < sumLen; j++ {
+			want := float64(0)
+			for k := 0; k < nSurv; k++ {
+				want += float64(k*100 + j)
+			}
+			if got := math.Float64frombits(binary.LittleEndian.Uint64(sums[cr].Data[j*8:])); got != want {
+				t.Fatalf("comm rank %d: allreduce elem %d = %f, want %f", cr, j, got, want)
+			}
+		}
+	}
 	if n := w.LeakedRequests(); n != 0 {
 		t.Fatalf("%d leaked requests", n)
 	}
@@ -346,7 +417,8 @@ func TestShrinkRetryByteExact(t *testing.T) {
 func TestCollectivesRankCrashReplay(t *testing.T) {
 	for _, cc := range chaosMatrix() {
 		switch cc.name {
-		case "alltoallw/pairwise", "allgatherv/bruck", "gatherv/hierarchical", "neighbor/indexed-fifo":
+		case "alltoallw/pairwise", "allgatherv/bruck", "gatherv/hierarchical", "neighbor/indexed-fifo",
+			"bcast/binomial", "allreduce/recursive-doubling":
 		default:
 			continue
 		}

@@ -606,6 +606,13 @@ func (r *Rank) LayoutEntry(l *datatype.Layout, count int) *layoutcache.Entry {
 // CacheStats snapshots this rank's layout-cache counters.
 func (r *Rank) CacheStats() layoutcache.Stats { return r.cache.Stats() }
 
+// CollTagBase is the first tag of the reserved collective range
+// [CollTagBase, ∞), which belongs to internal/coll: user Isend/Irecv with
+// a tag in it fails with a *TagError instead of colliding with collective
+// envelopes. internal/coll's tags start at CollTagBase+4096; the sub-range
+// below that is unused, and the offset is pinned by golden traces.
+const CollTagBase = 1 << 20
+
 // TagError is the typed configuration error returned (through
 // Request.Err and Wait/Waitall) when a user point-to-point operation uses
 // a tag inside the reserved collective range [CollTagBase, ∞). It unwraps

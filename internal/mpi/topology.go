@@ -1,6 +1,11 @@
 package mpi
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/datatype"
+	"repro/internal/gpu"
+)
 
 // CartComm is a Cartesian process topology (MPI_Cart_create) over the
 // first prod(dims) ranks of the world, row-major. It provides the neighbor
@@ -105,4 +110,17 @@ func (c *CartComm) Neighbors(rank int) []int {
 		}
 	}
 	return out
+}
+
+// NeighborOp describes one leg of a neighborhood exchange: what to send to
+// and receive from one peer, with per-peer datatypes — the shape of
+// MPI_Neighbor_alltoallw, which is exactly the paper's "bulk
+// non-contiguous data transfer".
+type NeighborOp struct {
+	Peer     int
+	SendBuf  *gpu.Buffer
+	SendType *datatype.Layout
+	RecvBuf  *gpu.Buffer
+	RecvType *datatype.Layout
+	Count    int
 }

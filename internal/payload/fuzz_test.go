@@ -545,6 +545,11 @@ func canonicalContents(mode uint8, fills []byte) (dst, src *Content) {
 // shapes resolved through the table, in the canonical form rebuilt from
 // scratch. Mode bits 0 and 1 make the destination and source lists
 // ascending; bit 2 fills the source before the program runs.
+//
+// Content.Equal is checked against bytes.Equal on the result: against
+// the per-piece copies (same spans), the source, and a twin of the
+// result whose middle third bit 3 rewrites as a literal of its own bytes
+// (other spans, same bytes) and bit 4 then damages by one byte.
 func FuzzLazyCanonicalSpans(f *testing.F) {
 	// A strided gather into zero staging: one vector.
 	f.Add(uint8(5), []byte{}, []byte{0, 7, 0, 5}, []byte{10, 7, 5, 5})
@@ -599,11 +604,30 @@ func canonicalCopy(t *testing.T, mode uint8, fills, dstBlocks, srcBlocks []byte)
 		if !slices.Equal(resolved(dst), resolved(ref)) {
 			t.Fatalf("order %d: CopyBlocks spans %+v, per-piece copies %+v", k, resolved(dst), resolved(ref))
 		}
+		if !dst.Equal(ref) {
+			t.Fatalf("order %d: Equal is false for identical span lists", k)
+		}
 	}
 	checkCanonical(t, dst)
 	got := make([]byte, canonicalSize)
 	dst.ReadAt(got, 0)
 	if !bytes.Equal(got, db) || dst.Checksum() != Checksum(db) {
 		t.Fatal("CopyBlocks diverges from the byte model")
+	}
+
+	twin := dst.Slice(0, canonicalSize)
+	if mode&8 != 0 {
+		a, b := canonicalSize/3, 2*canonicalSize/3
+		twin.WriteBytes(a, got[a:b])
+	}
+	if mode&16 != 0 {
+		twin.CorruptSplice(0, canonicalSize, 1)
+	}
+	for name, o := range map[string]*Content{"source": src, "twin": twin} {
+		ob := make([]byte, canonicalSize)
+		o.ReadAt(ob, 0)
+		if want := bytes.Equal(got, ob); dst.Equal(o) != want || o.Equal(dst) != want {
+			t.Fatalf("%s: Equal = %v/%v, bytes.Equal = %v", name, dst.Equal(o), o.Equal(dst), want)
+		}
 	}
 }

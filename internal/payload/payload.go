@@ -36,6 +36,7 @@
 package payload
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -965,6 +966,63 @@ func (c *Content) CorruptSplice(off, n int64, seed uint64) {
 	}
 	b[0] ^= m[0]
 	c.WriteBytes(pos, b[:])
+}
+
+// equalChunk is how many bytes of each side Equal materializes at a time
+// when the span lists differ.
+const equalChunk = 64 << 10
+
+// Equal reports whether c and o hold the same logical bytes. When the
+// lengths match and the span lists match span for span (fill seeds and
+// positions, vector shapes, literal bytes, each read through its own
+// content's tables), that is the answer in O(spans); otherwise the bytes
+// are compared chunk by chunk, so Equal is exactly byte equality.
+func (c *Content) Equal(o *Content) bool {
+	if c.n != o.n {
+		return false
+	}
+	if c.sameSpans(o) {
+		return true
+	}
+	a, b := make([]byte, min(equalChunk, c.n)), make([]byte, min(equalChunk, c.n))
+	for off := int64(0); off < c.n; off += equalChunk {
+		n := min(equalChunk, c.n-off)
+		c.ReadAt(a[:n], off)
+		o.ReadAt(b[:n], off)
+		if !bytes.Equal(a[:n], b[:n]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameSpans reports whether c's and o's span lists describe the same
+// provenance span for span; it implies byte equality.
+func (c *Content) sameSpans(o *Content) bool {
+	if len(c.spans) != len(o.spans) {
+		return false
+	}
+	for i, s := range c.spans {
+		t := o.spans[i]
+		if s.off != t.off || s.n != t.n || s.kind != t.kind {
+			return false
+		}
+		switch s.kind {
+		case srcFill:
+			if s.seed != t.seed || s.pos != t.pos {
+				return false
+			}
+		case srcLit:
+			if !bytes.Equal(c.lit(s), o.lit(t)) {
+				return false
+			}
+		case srcVec:
+			if c.vecs[s.seed] != o.vecs[t.seed] || s.pos != t.pos {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Checksum returns the FNV-1a 64 hash of the full logical byte string,

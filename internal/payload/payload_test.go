@@ -568,3 +568,67 @@ func TestCopyBlocksRunsMatchPieces(t *testing.T) {
 		}
 	}
 }
+
+// TestEqualIsByteEquality checks Content.Equal against bytes.Equal on
+// pairs that share a span shape but not bytes (a fill at another stream
+// position, a vector with another stride) and pairs that share bytes
+// but not spans (a literal over a fill, a zero-filled gap).
+func TestEqualIsByteEquality(t *testing.T) {
+	const n = 4096
+	fill := func(pos int64) *Content {
+		c := New(n)
+		c.FillRange(100, 1000, 7, pos)
+		return c
+	}
+	vec := func(pos, pstride int64) *Content {
+		c := New(n)
+		for k := int64(0); k < 8; k++ {
+			c.FillRange(k*256, 64, 9, pos+k*pstride)
+		}
+		return c
+	}
+	litTwin := func(c *Content, off, m int64) *Content {
+		p := make([]byte, m)
+		c.ReadAt(p, off)
+		out := c.Slice(0, c.Len())
+		out.WriteBytes(off, p)
+		return out
+	}
+	lit := func(b byte) *Content {
+		c := New(n)
+		c.WriteBytes(300, bytes.Repeat([]byte{b}, 50))
+		return c
+	}
+	damaged := litTwin(fill(0), 500, 40)
+	damaged.CorruptSplice(500, 40, 3)
+	zeroed := fill(0)
+	zeroed.Zero(0, 100)
+	for _, tc := range []struct {
+		name string
+		a, b *Content
+	}{
+		{"same fill", fill(0), fill(0)},
+		{"fill at another position", fill(0), fill(8)},
+		{"same vector", vec(0, 64), vec(0, 64)},
+		{"vector with another stream stride", vec(0, 64), vec(0, 72)},
+		{"vector at another stream position", vec(0, 64), vec(8, 64)},
+		{"literal over a fill", fill(0), litTwin(fill(0), 500, 40)},
+		{"literal over a vector", vec(0, 64), litTwin(vec(0, 64), 200, 300)},
+		{"damaged literal", fill(0), damaged},
+		{"same literal bytes", lit(1), lit(1)},
+		{"literal with other bytes", lit(1), lit(2)},
+		{"zeroed zeros", fill(0), zeroed},
+		{"other length", New(n), New(n + 1)},
+	} {
+		ab, bb := make([]byte, tc.a.Len()), make([]byte, tc.b.Len())
+		tc.a.ReadAt(ab, 0)
+		tc.b.ReadAt(bb, 0)
+		want := bytes.Equal(ab, bb)
+		if got := tc.a.Equal(tc.b); got != want {
+			t.Errorf("%s: Equal = %v, bytes.Equal = %v", tc.name, got, want)
+		}
+		if got := tc.b.Equal(tc.a); got != want {
+			t.Errorf("%s (swapped): Equal = %v, bytes.Equal = %v", tc.name, got, want)
+		}
+	}
+}

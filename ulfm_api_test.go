@@ -2,8 +2,10 @@ package dkf_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	dkf "repro"
@@ -70,12 +72,26 @@ func TestSessionShrinkRecovery(t *testing.T) {
 		}
 	}
 
+	// Survivor-comm Bcast (from comm rank 0) and AllreduceSumF64 buffers.
+	const sumLen = 8
+	bcast := make([]*dkf.Buffer, n)
+	sums := make([]*dkf.Buffer, n)
+	for r := 0; r < n; r++ {
+		bcast[r] = sess.Alloc(r, "bc", blk)
+		sums[r] = sess.Alloc(r, "sum", sumLen*8)
+		for j := 0; j < sumLen; j++ {
+			binary.LittleEndian.PutUint64(sums[r].Data[j*8:], math.Float64bits(float64(r+j)))
+		}
+	}
+	dkf.FillPattern(bcast[0].Data, 4242)
+
 	worldErrs := make([]error, n)
 	agreeFlags := make([]uint64, n)
 	agreeErrs := make([]error, n)
 	subSizes := make([]int, n)
 	subRanks := make([]int, n)
 	retryErrs := make([]error, n)
+	verbErrs := make([]error, n)
 	err = sess.Run(func(c *dkf.RankCtx) {
 		me := c.ID()
 		ops := make([]dkf.WOp, n)
@@ -108,6 +124,7 @@ func TestSessionShrinkRecovery(t *testing.T) {
 			}
 		}
 		retryErrs[me] = cc.Alltoallw(retry)
+		verbErrs[me] = errors.Join(cc.Bcast(0, bcast[me], l, 1), cc.AllreduceSumF64(sums[me], sumLen))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -149,6 +166,25 @@ func TestSessionShrinkRecovery(t *testing.T) {
 		for p, wp := range survivors {
 			if !bytes.Equal(rrecv[wq][p].Data, rsend[wp][q].Data) {
 				t.Errorf("retry: comm rank %d (world %d) slot %d differs from world %d's send", q, wq, p, wp)
+			}
+		}
+	}
+	// Bcast and AllreduceSumF64 on the survivor comm: every member holds
+	// comm rank 0's bytes and the sum over the survivors' vectors.
+	for _, w := range survivors {
+		if verbErrs[w] != nil {
+			t.Errorf("rank %d: Bcast/AllreduceSumF64 on shrunken comm failed: %v", w, verbErrs[w])
+		}
+		if !bytes.Equal(bcast[w].Data, bcast[survivors[0]].Data) {
+			t.Errorf("rank %d: Bcast on shrunken comm differs from comm rank 0's buffer", w)
+		}
+		for j := 0; j < sumLen; j++ {
+			want := float64(0)
+			for _, v := range survivors {
+				want += float64(v + j)
+			}
+			if got := math.Float64frombits(binary.LittleEndian.Uint64(sums[w].Data[j*8:])); got != want {
+				t.Errorf("rank %d: AllreduceSumF64 elem %d = %v, want %v", w, j, got, want)
 			}
 		}
 	}
