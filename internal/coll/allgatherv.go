@@ -246,8 +246,7 @@ func (c *call) allgathervHier(send VOp, recvs []VOp) error {
 		var packHs []mpi.Handle
 		if send.bytes() > 0 {
 			e := r.LayoutEntry(send.Type, send.Count)
-			job := pack.NewJob(pack.OpPack, send.Buf, staging, e.Blocks)
-			job.Plan = e.Plan
+			job := pack.JobFor(pack.OpPack, send.Buf, staging, e)
 			job.TargetOff = off[id]
 			packHs = append(packHs, r.Scheme().Pack(c.p, job))
 			c.bytes += send.bytes()

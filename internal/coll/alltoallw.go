@@ -295,8 +295,7 @@ func (c *call) alltoallwHier(ops []WOp) error {
 		if locals[g.li] == id {
 			op := ops[g.peer]
 			e := r.LayoutEntry(op.SendType, op.SendCount)
-			job := pack.NewJob(pack.OpPack, op.SendBuf, stagingOut, e.Blocks)
-			job.Plan = e.Plan
+			job := pack.JobFor(pack.OpPack, op.SendBuf, stagingOut, e)
 			job.TargetOff = off
 			packHs = append(packHs, r.Scheme().Pack(c.p, job))
 			c.bytes += g.n

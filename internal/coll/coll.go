@@ -590,8 +590,7 @@ func (c *call) bytesAt(off, n int64) *datatype.Layout {
 // window these jobs fuse with everything else pending.
 func (c *call) unpackJob(staging, buf *gpu.Buffer, l *datatype.Layout, count int, off int64) mpi.Handle {
 	e := c.r.LayoutEntry(l, count)
-	job := pack.NewJob(pack.OpUnpack, staging, buf, e.Blocks)
-	job.Plan = e.Plan
+	job := pack.JobFor(pack.OpUnpack, staging, buf, e)
 	job.OriginOff = off
 	return c.r.Scheme().Unpack(c.p, job)
 }

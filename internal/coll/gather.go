@@ -122,8 +122,7 @@ func (c *call) gathervHier(root int, send VOp, recvs []VOp) error {
 		var packHs []mpi.Handle
 		if send.bytes() > 0 {
 			e := r.LayoutEntry(send.Type, send.Count)
-			job := pack.NewJob(pack.OpPack, send.Buf, staging, e.Blocks)
-			job.Plan = e.Plan
+			job := pack.JobFor(pack.OpPack, send.Buf, staging, e)
 			job.TargetOff = loff[id]
 			packHs = append(packHs, r.Scheme().Pack(c.p, job))
 			c.bytes += send.bytes()
@@ -306,8 +305,7 @@ func (c *call) scattervHier(root int, sends []VOp, recv VOp) error {
 					continue
 				}
 				e := r.LayoutEntry(sends[lr].Type, sends[lr].Count)
-				job := pack.NewJob(pack.OpPack, sends[lr].Buf, stagingOut, e.Blocks)
-				job.Plan = e.Plan
+				job := pack.JobFor(pack.OpPack, sends[lr].Buf, stagingOut, e)
 				job.TargetOff = at
 				packHs = append(packHs, r.Scheme().Pack(c.p, job))
 				c.bytes += n

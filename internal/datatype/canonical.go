@@ -51,33 +51,36 @@ type Canonical struct {
 // Canonicalize normalizes a coalesced block list (pack order, as produced
 // by Commit or Layout.Repeat) plus its extent into the canonical form.
 func Canonicalize(blocks []Block, extent int64) *Canonical {
-	c := &Canonical{ExtentBytes: extent}
-	for i := 0; i < len(blocks); {
-		b := blocks[i]
-		run := Run{Offset: b.Offset, Len: b.Len, Count: 1}
-		j := i + 1
-		if j < len(blocks) && blocks[j].Len == b.Len {
-			stride := blocks[j].Offset - b.Offset
-			run.Stride = stride
-			run.Count = 2
-			for j+1 < len(blocks) &&
-				blocks[j+1].Len == b.Len &&
-				blocks[j+1].Offset-blocks[j].Offset == stride {
-				run.Count++
-				j++
-			}
-			j++
-		}
-		if run.Count == 1 {
-			run.Stride = 0
-		}
-		c.SizeBytes += run.Count * run.Len
-		c.Runs = append(c.Runs, run)
-		i += int(run.Count)
+	c := &Canonical{ExtentBytes: extent, Runs: Runs(blocks, nil)}
+	for _, r := range c.Runs {
+		c.SizeBytes += r.Count * r.Len
 	}
 	c.sig = c.buildSig()
 	c.hash = fnv1a64(c.sig)
 	return c
+}
+
+// Runs groups blocks, in list order, into maximal stride runs and appends
+// them to buf[:0]: a block opens a run, the next block of the same length
+// joins it and fixes its stride, and each later block joins while it has
+// that length and lies one stride past the last. Expanding the runs gives
+// blocks back.
+func Runs(blocks []Block, buf []Run) []Run {
+	buf = buf[:0]
+	for i := 0; i < len(blocks); {
+		b := blocks[i]
+		run := Run{Offset: b.Offset, Len: b.Len, Count: 1}
+		if j := i + 1; j < len(blocks) && blocks[j].Len == b.Len {
+			run.Stride, run.Count = blocks[j].Offset-b.Offset, 2
+			for j+1 < len(blocks) && blocks[j+1].Len == b.Len && blocks[j+1].Offset-blocks[j].Offset == run.Stride {
+				run.Count++
+				j++
+			}
+		}
+		buf = append(buf, run)
+		i += int(run.Count)
+	}
+	return buf
 }
 
 // buildSig renders the canonical identity as a compact stable string:

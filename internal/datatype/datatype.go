@@ -97,29 +97,83 @@ type PieceRun struct {
 	DstStep, SrcStep  int64
 }
 
-// EachRun walks the pieces EachPiece walks, in the same order, grouped
-// greedily into runs by the rule Canonicalize groups blocks by, applied
-// to both lists at once: a piece opens a run, the next piece of the same
-// length joins it and fixes its steps, and each later piece joins while
-// it has that length and lies one step past the last in both lists. It
-// calls fn once per run; expanding the runs gives EachPiece's pieces.
-func EachRun(dst, src []Block, fn func(r PieceRun)) {
-	var r PieceRun
-	EachPiece(dst, src, func(d, s, n int64) {
-		switch {
-		case r.Count == 1 && n == r.N:
-			r.Count, r.DstStep, r.SrcStep = 2, d-r.DstOff, s-r.SrcOff
-			return
-		case r.Count > 1 && n == r.N && d == r.DstOff+r.Count*r.DstStep && s == r.SrcOff+r.Count*r.SrcStep:
-			r.Count++
-			return
-		case r.Count > 0:
-			fn(r)
+// runCursor is a position in a run list: byte o of block k of run i.
+type runCursor struct {
+	runs []Run
+	i    int
+	k, o int64
+}
+
+// settle moves the cursor past a finished block, and past finished and
+// empty runs, and reports whether a byte is left.
+func (c *runCursor) settle() bool {
+	for ; c.i < len(c.runs); c.i, c.k, c.o = c.i+1, 0, 0 {
+		r := &c.runs[c.i]
+		if r.Len == 0 {
+			continue
 		}
-		r = PieceRun{DstOff: d, SrcOff: s, N: n, Count: 1}
-	})
-	if r.Count > 0 {
-		fn(r)
+		if c.o == r.Len {
+			c.k, c.o = c.k+1, 0
+		}
+		if c.k < r.Count {
+			return true
+		}
+	}
+	return false
+}
+
+// at returns the offset of the cursor's byte.
+func (c *runCursor) at() int64 {
+	r := &c.runs[c.i]
+	return r.Offset + c.k*r.Stride + c.o
+}
+
+// EachRun walks two run lists that cut one byte stream differently and
+// calls fn once per PieceRun, in stream order; expanding the runs gives
+// exactly EachPiece's pieces over the expanded lists. Its grouping is
+// arithmetic on the runs, never a walk over blocks: where both cursors
+// start a block of the same length, the whole blocks both runs have left
+// make one run; where one cursor starts a block that fits in what is left
+// of the other's block, the consecutive such blocks make one run, packed
+// back to back on the other side; any other piece is a run of one. It
+// panics when the lists cover different byte counts.
+func EachRun(dst, src []Run, fn func(r PieceRun)) {
+	d, s := runCursor{runs: dst}, runCursor{runs: src}
+	for {
+		dl, sl := d.settle(), s.settle()
+		if !dl || !sl {
+			if dl || sl {
+				panic("datatype: run lists cover different byte counts")
+			}
+			return
+		}
+		dr, sr := &d.runs[d.i], &s.runs[s.i]
+		p := PieceRun{DstOff: d.at(), SrcOff: s.at(), Count: 1}
+		switch dLeft, sLeft := dr.Len-d.o, sr.Len-s.o; {
+		case d.o == 0 && s.o == 0 && dr.Len == sr.Len:
+			p.N, p.Count = dr.Len, min(dr.Count-d.k, sr.Count-s.k)
+			p.DstStep, p.SrcStep = dr.Stride, sr.Stride
+			d.k += p.Count
+			s.k += p.Count
+		case s.o == 0 && sr.Len <= dLeft:
+			p.N, p.Count = sr.Len, min(sr.Count-s.k, dLeft/sr.Len)
+			p.DstStep, p.SrcStep = sr.Len, sr.Stride
+			d.o += p.Count * sr.Len
+			s.k += p.Count
+		case d.o == 0 && dr.Len <= sLeft:
+			p.N, p.Count = dr.Len, min(dr.Count-d.k, sLeft/dr.Len)
+			p.DstStep, p.SrcStep = dr.Stride, dr.Len
+			d.k += p.Count
+			s.o += p.Count * dr.Len
+		default:
+			p.N = min(dLeft, sLeft)
+			d.o += p.N
+			s.o += p.N
+		}
+		if p.Count == 1 {
+			p.DstStep, p.SrcStep = 0, 0
+		}
+		fn(p)
 	}
 }
 

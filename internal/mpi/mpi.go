@@ -711,8 +711,7 @@ func (r *Rank) IsendRaw(p *sim.Proc, dest, tag int, buf *gpu.Buffer, l *datatype
 	}
 
 	q.packed = r.stagingBuf(e.Bytes)
-	job := pack.NewJob(pack.OpPack, buf, q.packed, e.Blocks)
-	job.Plan = e.Plan
+	job := pack.JobFor(pack.OpPack, buf, q.packed, e)
 	q.handle = r.scheme.Pack(p, job)
 	q.state = stPacking
 	if r.world.Cfg.Rendezvous == RPUT && q.bytes > r.world.Cfg.EagerLimitBytes {
@@ -1248,9 +1247,11 @@ func (r *Rank) progressRecv(p *sim.Proc, q *Request) {
 			r.maybeComplete(q)
 			return
 		}
-		job := pack.NewJob(pack.OpUnpack, q.packed, q.buf, q.recvBlocks())
+		var job *pack.Job
 		if q.bytes == q.entry.Bytes {
-			job.Plan = q.entry.Plan
+			job = pack.JobFor(pack.OpUnpack, q.packed, q.buf, q.entry)
+		} else {
+			job = pack.NewJob(pack.OpUnpack, q.packed, q.buf, q.recvBlocks())
 		}
 		q.handle = r.scheme.Unpack(p, job)
 		q.state = stUnpacking
@@ -1282,8 +1283,11 @@ func (r *Rank) progressRecv(p *sim.Proc, q *Request) {
 // packed path if the scheme cannot fuse DirectIPC.
 func (r *Rank) startIPC(p *sim.Proc, q *Request, m *message) {
 	sender := m.sender
-	job := pack.NewJob(pack.OpDirectIPC, sender.buf, q.buf, sender.entry.Blocks)
+	job := pack.JobFor(pack.OpDirectIPC, sender.buf, q.buf, sender.entry)
 	job.TargetBlocks = q.recvBlocks()
+	if q.bytes == q.entry.Bytes {
+		job.TargetPlan = q.entry.Plan
+	}
 	spec := r.world.Cluster.Spec
 	job.PeerBWBytesPerNs = spec.GPUPeerBWBytesPerNs
 	job.PeerLatencyNs = spec.GPUPeerLatencyNs

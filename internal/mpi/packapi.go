@@ -31,8 +31,7 @@ func (r *Rank) Pack(p *sim.Proc, inbuf *gpu.Buffer, l *datatype.Layout, count in
 	if *position+e.Bytes > int64(outbuf.Len()) {
 		panic(fmt.Sprintf("mpi: Pack overflow: position %d + %d bytes > buffer %d", *position, e.Bytes, outbuf.Len()))
 	}
-	job := pack.NewJob(pack.OpPack, inbuf, outbuf, e.Blocks)
-	job.Plan = e.Plan
+	job := pack.JobFor(pack.OpPack, inbuf, outbuf, e)
 	job.TargetOff = *position
 	h := r.scheme.Pack(p, job)
 	r.blockOn(p, h)
@@ -46,8 +45,7 @@ func (r *Rank) Unpack(p *sim.Proc, inbuf *gpu.Buffer, position *int64, outbuf *g
 	if *position+e.Bytes > int64(inbuf.Len()) {
 		panic(fmt.Sprintf("mpi: Unpack underflow: position %d + %d bytes > buffer %d", *position, e.Bytes, inbuf.Len()))
 	}
-	job := pack.NewJob(pack.OpUnpack, inbuf, outbuf, e.Blocks)
-	job.Plan = e.Plan
+	job := pack.JobFor(pack.OpUnpack, inbuf, outbuf, e)
 	job.OriginOff = *position
 	h := r.scheme.Unpack(p, job)
 	r.blockOn(p, h)

@@ -8,7 +8,9 @@ import (
 	"repro/internal/conformance"
 	"repro/internal/datatype"
 	"repro/internal/gpu"
+	"repro/internal/layoutcache"
 	"repro/internal/pack"
+	"repro/internal/payload"
 	"repro/internal/sim"
 )
 
@@ -39,10 +41,22 @@ func recut(rng *rand.Rand, blocks []datatype.Block) []datatype.Block {
 	return out
 }
 
+// entryFor builds the layout-cache entry a cache would hold for blocks:
+// their aggregates and the plan compiled from their canonical form.
+func entryFor(blocks []datatype.Block) *layoutcache.Entry {
+	j := pack.NewJob(pack.OpPack, nil, nil, blocks)
+	canon := datatype.Canonicalize(blocks, blockSpan(blocks))
+	return &layoutcache.Entry{Blocks: blocks, Bytes: j.Bytes, Segments: j.Segments, MaxBlock: j.MaxBlock,
+		Extent: blockSpan(blocks), Canon: canon, Plan: datatype.CompilePlan(canon)}
+}
+
 // jobSums runs OpPack, OpUnpack and three OpDirectIPC jobs over one block
 // list on buffers in the given payload mode and returns the checksum of
 // every written buffer. The IPC jobs copy to a recut layout, gather into
-// one block and scatter out of one block.
+// one block and scatter out of one block. The last three sums are a pack,
+// an unpack and a recut IPC copy of JobFor jobs over the same blocks,
+// which take their aggregates and runs from cache entries; they must
+// equal the first three.
 func jobSums(lazy bool, blocks, cut []datatype.Block, seed uint64) []uint64 {
 	d := gpu.NewDevice(sim.NewEnv(), cluster.VoltaV100NVLink(), 0, 0)
 	if lazy {
@@ -77,7 +91,18 @@ func jobSums(lazy bool, blocks, cut []datatype.Block, seed uint64) []uint64 {
 	j.TargetBlocks = blocks
 	j.Execute()
 
-	return []uint64{packed.Checksum(), out.Checksum(), recutDst.Checksum(), gathered.Checksum(), scattered.Checksum()}
+	e, ce := entryFor(blocks), entryFor(cut)
+	packedFor := alloc("packed-for", size, seed+1)
+	outFor := alloc("out-for", blockSpan(blocks), seed+2)
+	recutFor := alloc("recut-for", blockSpan(cut), seed+3)
+	pack.JobFor(pack.OpPack, src, packedFor, e).Execute()
+	pack.JobFor(pack.OpUnpack, packedFor, outFor, e).Execute()
+	j = pack.JobFor(pack.OpDirectIPC, src, recutFor, e)
+	j.TargetBlocks, j.TargetPlan = ce.Blocks, ce.Plan
+	j.Execute()
+
+	return []uint64{packed.Checksum(), out.Checksum(), recutDst.Checksum(), gathered.Checksum(), scattered.Checksum(),
+		packedFor.Checksum(), outFor.Checksum(), recutFor.Checksum()}
 }
 
 // TestPropertyJobRoundTripLazy is the lazy twin of TestPropertyJobRoundTrip
@@ -114,8 +139,49 @@ func TestPropertyJobRoundTripLazy(t *testing.T) {
 					l.Name, len(blocks), k, exact[k], lazy[k])
 			}
 		}
+		for k := 5; k < len(lazy); k++ {
+			if lazy[k] != lazy[k-5] {
+				t.Fatalf("layout %s (%d blocks): JobFor job %d checksum %#x, NewJob %#x",
+					l.Name, len(blocks), k-5, lazy[k], lazy[k-5])
+			}
+		}
 	}
 	if ran < 100 {
 		t.Fatalf("only %d of 400 generated layouts carried bytes", ran)
+	}
+}
+
+// TestLazyPlanJobAllocatesNothing pins the warm lazy path of jobs built
+// from cache entries: a JobFor pack and unpack of the ddtperf leg layout
+// and a DirectIPC job carrying both plans copy over stride runs without
+// allocating, so the run walk and the splice state stay on the stack.
+func TestLazyPlanJobAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled span lists, so allocation counts do not hold")
+	}
+	cache := layoutcache.New()
+	leg, _ := cache.Get(datatype.Commit(datatype.Vector(64, 64, 128, datatype.Float64)), 1)
+	wide, _ := cache.Get(datatype.Commit(datatype.Vector(32, 128, 192, datatype.Float64)), 1)
+	lazy := func(n, seed int64) *gpu.Buffer {
+		b := &gpu.Buffer{Name: "lazy", Lazy: payload.New(n)}
+		b.FillStream(uint64(seed))
+		return b
+	}
+	src, packed := lazy(leg.Extent, 1), lazy(leg.Bytes, 2)
+	out, ipc := lazy(leg.Extent, 3), lazy(wide.Extent, 4)
+	direct := pack.JobFor(pack.OpDirectIPC, src, ipc, leg)
+	direct.TargetBlocks, direct.TargetPlan = wide.Blocks, wide.Plan
+	for _, tc := range []struct {
+		name string
+		job  *pack.Job
+	}{
+		{"pack", pack.JobFor(pack.OpPack, src, packed, leg)},
+		{"unpack", pack.JobFor(pack.OpUnpack, packed, out, leg)},
+		{"direct-ipc", direct},
+	} {
+		tc.job.Execute() // warm: span lists and shape tables reach their size
+		if n := testing.AllocsPerRun(100, tc.job.Execute); n != 0 {
+			t.Errorf("%s: a warm lazy plan job allocates %.1f times per run, want 0", tc.name, n)
+		}
 	}
 }

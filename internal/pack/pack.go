@@ -14,6 +14,8 @@ import (
 
 	"repro/internal/datatype"
 	"repro/internal/gpu"
+	"repro/internal/layoutcache"
+	"repro/internal/payload"
 	"repro/internal/sim"
 )
 
@@ -59,13 +61,17 @@ type Job struct {
 	// means same layout as Blocks.
 	TargetBlocks []datatype.Block
 	// Plan is the compiled pack routine for Blocks' canonical form, taken
-	// from the layout-cache entry Blocks came from (OpPack/OpUnpack; lazy
-	// buffers walk Blocks instead). It is nil for jobs built from a raw block
-	// list — pipeline chunks, DirectIPC, and tests — which run the exact
-	// block-list loops. Plans change host execution speed only:
-	// Bytes/Segments/MaxBlock stay block-derived, so kernel specs and
-	// virtual-time charges do not depend on Plan.
+	// from the layout-cache entry Blocks came from (JobFor). Exact pack and
+	// unpack run it; lazy buffers copy over its canonical runs. It is nil
+	// for jobs built from a raw block list — pipeline chunks, short
+	// receives, and tests — which walk the blocks. Plans change host
+	// execution speed only: Bytes/Segments/MaxBlock are the block-derived
+	// aggregates either way, so kernel specs and virtual-time charges do
+	// not depend on Plan.
 	Plan *datatype.Plan
+	// TargetPlan is the plan of TargetBlocks (OpDirectIPC only), nil when
+	// TargetBlocks is a raw list.
+	TargetPlan *datatype.Plan
 	// Aggregates for the cost model.
 	Bytes    int64
 	Segments int
@@ -76,7 +82,15 @@ type Job struct {
 	PeerLatencyNs    int64
 }
 
-// NewJob builds a job from a flattened block list, computing aggregates.
+// JobFor builds a job over a layout-cache entry's blocks, taking its
+// aggregates and compiled plan from the entry instead of walking the
+// blocks.
+func JobFor(op Op, origin, target *gpu.Buffer, e *layoutcache.Entry) *Job {
+	return &Job{Op: op, Origin: origin, Target: target, Blocks: e.Blocks, Plan: e.Plan,
+		Bytes: e.Bytes, Segments: e.Segments, MaxBlock: e.MaxBlock}
+}
+
+// NewJob builds a job from a raw flattened block list, computing aggregates.
 func NewJob(op Op, origin, target *gpu.Buffer, blocks []datatype.Block) *Job {
 	j := &Job{Op: op, Origin: origin, Target: target, Blocks: blocks, Segments: len(blocks)}
 	for _, b := range blocks {
@@ -92,57 +106,90 @@ func NewJob(op Op, origin, target *gpu.Buffer, blocks []datatype.Block) *Job {
 // Exec callback (scheduler context) but is also usable directly for
 // CPU-driven packing. When either buffer is lazy the copy goes through
 // lazyCopyBlocks (span bookkeeping instead of real bytes); the byte-exact
-// fast paths are untouched when both buffers are real.
+// fast paths are untouched when both buffers are real. Execute only
+// dispatches, so the lazy copy, which runs deep in the span algebra on a
+// simulated rank's small stack, does not carry the exact paths' frame.
 func (j *Job) Execute() {
-	lazy := j.Origin.IsLazy() || j.Target.IsLazy()
+	if j.Origin.IsLazy() || j.Target.IsLazy() {
+		j.executeLazy()
+		return
+	}
+	j.executeExact()
+}
+
+// executeExact is Execute when both buffers hold real bytes.
+func (j *Job) executeExact() {
 	switch j.Op {
 	case OpPack:
-		if lazy {
-			lazyCopyBlocks(j.Origin, j.Blocks, j.Target, contiguous(j.TargetOff, j.Blocks))
-			return
-		}
 		if j.Plan != nil {
 			j.Plan.Pack(j.Origin.Data, j.Target.Data[j.TargetOff:])
 			return
 		}
 		gather(j.Origin.Data, j.Blocks, j.Target.Data[j.TargetOff:])
 	case OpUnpack:
-		if lazy {
-			lazyCopyBlocks(j.Origin, contiguous(j.OriginOff, j.Blocks), j.Target, j.Blocks)
-			return
-		}
 		if j.Plan != nil {
 			j.Plan.Unpack(j.Origin.Data[j.OriginOff:], j.Target.Data)
 			return
 		}
 		scatter(j.Origin.Data[j.OriginOff:], j.Target.Data, j.Blocks)
 	case OpDirectIPC:
-		dstBlocks := j.TargetBlocks
-		if dstBlocks == nil {
-			dstBlocks = j.Blocks
-		}
-		if lazy {
-			lazyCopyBlocks(j.Origin, j.Blocks, j.Target, dstBlocks)
-			return
-		}
-		copyBlocks(j.Origin.Data, j.Blocks, j.Target.Data, dstBlocks)
+		copyBlocks(j.Origin.Data, j.Blocks, j.Target.Data, j.target().blocks)
 	default:
 		panic(fmt.Sprintf("pack: unknown op %d", j.Op))
 	}
 }
 
-// contiguous returns the one-block list of the packed side of a pack or
-// unpack over blocks, starting at off.
-func contiguous(off int64, blocks []datatype.Block) []datatype.Block {
-	return []datatype.Block{{Offset: off, Len: totalLen(blocks)}}
+// executeLazy is Execute when either buffer is lazy. The non-contiguous
+// sides carry their plans' runs, and the packed side of a pack or unpack
+// is one run of j.Bytes.
+func (j *Job) executeLazy() {
+	var src, dst side
+	switch j.Op {
+	case OpPack:
+		src, dst = planned(j.Blocks, j.Plan), packed(j.TargetOff, j.Bytes)
+	case OpUnpack:
+		src, dst = packed(j.OriginOff, j.Bytes), planned(j.Blocks, j.Plan)
+	case OpDirectIPC:
+		src, dst = planned(j.Blocks, j.Plan), j.target()
+	default:
+		panic(fmt.Sprintf("pack: unknown op %d", j.Op))
+	}
+	lazyCopyBlocks(j.Origin, &src, j.Target, &dst)
 }
 
-func totalLen(blocks []datatype.Block) int64 {
-	var n int64
-	for _, b := range blocks {
-		n += b.Len
+// target returns the destination side of a DirectIPC job: TargetBlocks
+// and TargetPlan, or the origin's layout when TargetBlocks is nil.
+func (j *Job) target() side {
+	if j.TargetBlocks == nil {
+		return planned(j.Blocks, j.Plan)
 	}
-	return n
+	return planned(j.TargetBlocks, j.TargetPlan)
+}
+
+// side is one buffer's layout in a copy: its block list and, when a
+// compiled plan describes that list, the plan's canonical runs (nil
+// otherwise).
+type side struct {
+	blocks []datatype.Block
+	runs   []datatype.Run
+}
+
+// planned returns the side of blocks, with plan's runs when plan is set.
+func planned(blocks []datatype.Block, plan *datatype.Plan) side {
+	s := side{blocks: blocks}
+	if plan != nil {
+		s.runs = plan.Canon.Runs
+	}
+	return s
+}
+
+// packed returns the packed side of a pack or unpack: one block, and one
+// run, of n bytes at off.
+func packed(off, n int64) side {
+	return side{
+		blocks: []datatype.Block{{Offset: off, Len: n}},
+		runs:   []datatype.Run{{Offset: off, Len: n, Count: 1}},
+	}
 }
 
 // gather packs src's blocks into contiguous dst.
@@ -170,18 +217,29 @@ func copyBlocks(src []byte, srcBlocks []datatype.Block, dst []byte, dstBlocks []
 }
 
 // lazyCopyBlocks is copyBlocks for when either side is a lazy buffer: one
-// payload CopyBlocks when both are lazy, one payload WriteBlocks into a
-// lazy destination from real bytes, and one gpu.CopyRange per piece from
-// a lazy source into real bytes.
-func lazyCopyBlocks(src *gpu.Buffer, srcBlocks []datatype.Block, dst *gpu.Buffer, dstBlocks []datatype.Block) {
+// payload copy when both are lazy (copyContent), one payload WriteBlocks
+// into a lazy destination from real bytes, and one gpu.CopyRange per piece
+// from a lazy source into real bytes.
+func lazyCopyBlocks(src *gpu.Buffer, s *side, dst *gpu.Buffer, d *side) {
 	switch {
 	case src.IsLazy() && dst.IsLazy():
-		dst.Lazy.CopyBlocks(dstBlocks, src.Lazy, srcBlocks)
+		copyContent(dst.Lazy, d, src.Lazy, s)
 	case dst.IsLazy():
-		dst.Lazy.WriteBlocks(dstBlocks, src.Data, srcBlocks)
+		dst.Lazy.WriteBlocks(d.blocks, src.Data, s.blocks)
 	default:
-		datatype.EachPiece(dstBlocks, srcBlocks, func(d, s, n int64) { gpu.CopyRange(dst, d, src, s, n) })
+		datatype.EachPiece(d.blocks, s.blocks, func(dOff, sOff, n int64) { gpu.CopyRange(dst, dOff, src, sOff, n) })
 	}
+}
+
+// copyContent copies s of content src over d of content dst: over the
+// runs when both sides have them, so the work scales with stride runs,
+// and over the block lists otherwise.
+func copyContent(dst *payload.Content, d *side, src *payload.Content, s *side) {
+	if d.runs != nil && s.runs != nil {
+		dst.CopyRuns(d.runs, src, s.runs)
+		return
+	}
+	dst.CopyBlocks(d.blocks, src, s.blocks)
 }
 
 // KernelSpec converts the job into a single-kernel launch description.

@@ -285,9 +285,11 @@ func blockCopyContents(self bool, seed uint64, lits []byte) (dst, src *Content) 
 // piece in list order, and the same pieces copied with one CopyFrom each.
 // All three must agree on bytes and Checksum, and CopyBlocks and the
 // per-piece copies on SpanCount, with the span invariants (literal table
-// included) intact. It then resets the destination, which must equal a
-// fresh content before and after the same copy. The corpus holds the
-// one-block gathers and scatters this op replaced.
+// included) intact; CopyRuns over the lists' canonical runs must leave
+// the bytes and span list CopyBlocks leaves. It then resets the
+// destination, which must equal a fresh content before and after the
+// same copy. The corpus holds the one-block gathers and scatters this op
+// replaced.
 func FuzzLazyBlockCopy(f *testing.F) {
 	// Both lists multi-block, cut differently, ascending.
 	f.Add(uint8(6), uint64(1), []byte{3, 4, 50, 9}, []byte{10, 20, 3, 5, 90, 23, 1, 30}, []byte{4, 13, 5, 7, 0, 31, 2, 9})
@@ -329,6 +331,17 @@ func FuzzLazyBlockCopy(f *testing.F) {
 		}
 		if dst.SpanCount() != refDst.SpanCount() {
 			t.Fatalf("CopyBlocks leaves %d spans, per-piece copies %d", dst.SpanCount(), refDst.SpanCount())
+		}
+		// CopyRuns over the canonical runs of both lists is the same copy.
+		runDst, runSrc := blockCopyContents(bc.self, seed, lits)
+		runDst.CopyRuns(datatype.Canonicalize(bc.dst, blockCopySize).Runs, runSrc, datatype.Canonicalize(bc.src, blockCopySize).Runs)
+		checkSpanInvariants(t, runDst)
+		runDst.ReadAt(got, 0)
+		if !bytes.Equal(got, db) || runDst.Checksum() != Checksum(db) {
+			t.Fatal("CopyRuns diverges from the byte model")
+		}
+		if !slices.Equal(resolved(runDst), resolved(dst)) {
+			t.Fatalf("CopyRuns spans %+v, CopyBlocks spans %+v", resolved(runDst), resolved(dst))
 		}
 
 		// Reset must leave exactly New(n): zero bytes, its checksum, no

@@ -751,59 +751,51 @@ func (c *Content) CopyFrom(dstOff int64, src *Content, srcOff, n int64) {
 	addPool.Put(p)
 }
 
+// runPool holds the run lists CopyBlocks groups its block lists into.
+var runPool = sync.Pool{New: func() any { return new([]datatype.Run) }}
+
 // CopyBlocks copies src's blocks srcBlocks into c's blocks dstBlocks: the
 // byte stream the source list reads, in list order, is written over the
 // destination list, in list order. The two lists cover the same byte count
-// but may be cut differently (a whole pack, unpack or DirectIPC block-list
-// copy). Source blocks may be unsorted or overlap, since src is only read.
-// When the non-empty destination blocks ascend without overlap, the copy
-// is one splice, the gaps between them keeping c's own spans. It walks
-// the pieces in runs (datatype.EachRun): a run of two or more pieces is
-// one pushed span when its source is one stream run (runSource) and its
-// destination gaps are clear (gapsClear); any other run is walked piece
-// by piece, each piece resuming its span walks where the one before
-// stopped. Any other list, and a self-copy reading inside the
-// destination's range, is one CopyFrom per piece in list order, which
-// keeps sequential copy semantics.
+// but may be cut differently. It groups both lists into stride runs
+// (datatype.Runs) and copies them with CopyRuns.
 func (c *Content) CopyBlocks(dstBlocks []datatype.Block, src *Content, srcBlocks []datatype.Block) {
-	var total, srcTotal int64
-	lo, hi := int64(-1), int64(0)
-	batch := true
-	for _, b := range dstBlocks {
-		c.checkRange("CopyBlocks dst", b.Offset, b.Len)
-		total += b.Len
-		if b.Len == 0 {
-			continue
-		}
-		if lo < 0 {
-			lo = b.Offset
-		} else if b.Offset < hi {
-			batch = false
-		}
-		hi = b.Offset + b.Len
-	}
-	for _, b := range srcBlocks {
-		src.checkRange("CopyBlocks src", b.Offset, b.Len)
-		srcTotal += b.Len
-		if src == c && b.Len > 0 && b.Offset < hi && b.Offset+b.Len > lo {
-			batch = false
-		}
-	}
-	if total != srcTotal {
-		panic(fmt.Sprintf("payload: CopyBlocks lists cover %d and %d bytes", total, srcTotal))
-	}
+	dp, sp := runPool.Get().(*[]datatype.Run), runPool.Get().(*[]datatype.Run)
+	*dp, *sp = datatype.Runs(dstBlocks, *dp), datatype.Runs(srcBlocks, *sp)
+	c.CopyRuns(*dp, src, *sp)
+	runPool.Put(dp)
+	runPool.Put(sp)
+}
+
+// CopyRuns copies src's runs srcRuns into c's runs dstRuns, as CopyBlocks
+// does between the blocks the runs expand to (a whole pack, unpack or
+// DirectIPC copy), with checks and totals taken per run, not per block;
+// every run holds at least one block. Source runs may be unsorted or
+// overlap, since src is only read. When the non-empty destination blocks
+// ascend without overlap, the copy is one splice, the gaps between them
+// keeping c's own spans. It walks the pieces in runs (datatype.EachRun):
+// a run of two or more pieces is one pushed span when its source is one
+// stream run (runSource) and its destination gaps are clear (gapsClear);
+// any other run is walked piece by piece, each piece resuming its span
+// walks where the one before stopped. Any other destination list (a run
+// with a negative stride or overlapping blocks, or one starting before
+// the previous run ends), and a self-copy whose source runs reach into
+// the destination's range, is one CopyFrom per piece in list order,
+// which keeps sequential copy semantics.
+func (c *Content) CopyRuns(dstRuns []datatype.Run, src *Content, srcRuns []datatype.Run) {
+	lo, total, batch := c.checkRuns(dstRuns, src, srcRuns)
 	if total == 0 {
 		return
 	}
 	if !batch {
-		datatype.EachPiece(dstBlocks, srcBlocks, func(d, s, n int64) { c.CopyFrom(d, src, s, n) })
+		c.copyPieces(dstRuns, src, srcRuns)
 		return
 	}
 	p := addPool.Get().(*[]span)
 	add := (*p)[:0]
 	prev := lo
 	var dc, sc int // span cursors into c's gaps and into src
-	datatype.EachRun(dstBlocks, srcBlocks, func(r datatype.PieceRun) {
+	datatype.EachRun(dstRuns, srcRuns, func(r datatype.PieceRun) {
 		if r.Count > 1 {
 			if seed, pos, pstep, ok := src.runSource(r, &sc); ok && c.gapsClear(r, dc) {
 				add = c.appendSpans(add, prev, c, prev, r.DstOff-prev, &dc)
@@ -821,6 +813,61 @@ func (c *Content) CopyBlocks(dstBlocks []datatype.Block, src *Content, srcBlocks
 	})
 	*p = c.splice(lo, prev, add)
 	addPool.Put(p)
+}
+
+// checkRuns range-checks a CopyRuns and totals its bytes, run by run. It
+// returns the first destination offset and whether the copy is one batch:
+// the non-empty destination blocks ascend without overlap and, in a
+// self-copy, no source run reaches into the destination's range.
+func (c *Content) checkRuns(dstRuns []datatype.Run, src *Content, srcRuns []datatype.Run) (lo, total int64, batch bool) {
+	var srcTotal, hi int64
+	lo, batch = -1, true
+	for _, r := range dstRuns {
+		a, z := runEnds(r)
+		c.checkRange("CopyRuns dst", a, r.Len)
+		c.checkRange("CopyRuns dst", z, r.Len)
+		total += r.Count * r.Len
+		if r.Len == 0 {
+			continue
+		}
+		if lo < 0 {
+			lo = r.Offset
+		} else if r.Offset < hi {
+			batch = false
+		}
+		if r.Count > 1 && r.Stride < r.Len {
+			batch = false
+		}
+		hi = z + r.Len
+	}
+	for _, r := range srcRuns {
+		a, z := runEnds(r)
+		src.checkRange("CopyRuns src", a, r.Len)
+		src.checkRange("CopyRuns src", z, r.Len)
+		srcTotal += r.Count * r.Len
+		if src == c && r.Len > 0 && a < hi && z+r.Len > lo {
+			batch = false
+		}
+	}
+	if total != srcTotal {
+		panic(fmt.Sprintf("payload: CopyRuns lists cover %d and %d bytes", total, srcTotal))
+	}
+	return lo, total, batch
+}
+
+// copyPieces is CopyRuns as one CopyFrom per piece, in list order.
+func (c *Content) copyPieces(dstRuns []datatype.Run, src *Content, srcRuns []datatype.Run) {
+	datatype.EachRun(dstRuns, srcRuns, func(r datatype.PieceRun) {
+		for k := int64(0); k < r.Count; k++ {
+			c.CopyFrom(r.DstOff+k*r.DstStep, src, r.SrcOff+k*r.SrcStep, r.N)
+		}
+	})
+}
+
+// runEnds returns the lowest and highest block offsets of run r.
+func runEnds(r datatype.Run) (lo, hi int64) {
+	last := r.Offset + (r.Count-1)*r.Stride
+	return min(r.Offset, last), max(r.Offset, last)
 }
 
 // runSource reports where run r of a batch copy reads c when its source

@@ -338,8 +338,7 @@ func (ep *Endpoint) PackPut(p *sim.Proc, w *Window, target int, dstOff int64,
 	if err := ep.f.checkTarget("put", target); err != nil {
 		return err
 	}
-	job := pack.NewJob(pack.OpPack, origin, w.bufs[self], entry.Blocks)
-	job.Plan = entry.Plan
+	job := pack.JobFor(pack.OpPack, origin, w.bufs[self], entry)
 	job.TargetOff = packOff
 	o := ep.newOp("put", w, target, w.bufs[self], packOff, w.bufs[target], dstOff, job.Bytes, sig, slot, add)
 	ep.Stats.PackPuts++
