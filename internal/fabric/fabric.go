@@ -54,6 +54,49 @@ type Delivery struct {
 	Dup bool
 }
 
+// Receiver takes a message's arrival in scheduler context. A clean
+// delivery calls Handle, so an object that already exists (an operation,
+// a message) is queued as its own arrival, with no closure; a corrupted or
+// duplicated delivery calls Deliver with the verdict.
+type Receiver interface {
+	sim.Handler
+	Deliver(Delivery)
+}
+
+// ReceiverFunc adapts a func(Delivery) to Receiver.
+type ReceiverFunc func(Delivery)
+
+// Handle is a clean delivery: f(Delivery{}).
+func (f ReceiverFunc) Handle() { f(Delivery{}) }
+
+// Deliver calls f(d).
+func (f ReceiverFunc) Deliver(d Delivery) { f(d) }
+
+// arrival adapts a func() that ignores the verdict to Receiver.
+type arrival func()
+
+func (f arrival) Handle()          { f() }
+func (f arrival) Deliver(Delivery) { f() }
+
+// onArrive is the Receiver of a func form of a verb: nil for a nil func,
+// so nothing is queued.
+func onArrive(f func()) Receiver {
+	if f == nil {
+		return nil
+	}
+	return arrival(f)
+}
+
+// deliverAt queues h's arrival at t: h itself for a clean delivery, a
+// closure carrying the verdict otherwise.
+func deliverAt(env *sim.Env, t int64, h Receiver, d Delivery) {
+	if d == (Delivery{}) {
+		env.AtHandler(t, h)
+		return
+	}
+	env.At(t, func() { h.Deliver(d) })
+}
+
 // Link is a directional channel instance with an occupancy cursor.
 type Link struct {
 	Spec      LinkSpec
@@ -99,25 +142,21 @@ func MustLink(env *sim.Env, spec LinkSpec) *Link {
 func (l *Link) InjectFaults(site *fault.Site) { l.faults = site }
 
 // Transfer schedules bytes onto the link. The payload occupies the link for
-// its serialization time starting when the link frees up; onArrive runs (in
+// its serialization time starting when the link frees up; arrive runs (in
 // scheduler context) one latency after serialization completes. Transfer
 // itself costs the caller nothing — callers model their own CPU posting
 // cost. It returns the arrival time.
-func (l *Link) Transfer(bytes int64, onArrive func()) int64 {
-	var deliver func(Delivery)
-	if onArrive != nil {
-		deliver = func(Delivery) { onArrive() }
-	}
-	return l.TransferF(bytes, deliver)
+func (l *Link) Transfer(bytes int64, arrive func()) int64 {
+	return l.TransferR(bytes, onArrive(arrive))
 }
 
-// TransferF is Transfer with fault visibility: deliver receives a Delivery
-// describing corruption and duplication. Under an installed fault site the
-// message may be dropped (deliver never runs), duplicated (deliver runs
-// twice, the second with Dup set), delayed, or corrupted; the link itself
-// may flap (traffic queues until it returns) or degrade (reduced bandwidth
-// window). Returns the nominal arrival time.
-func (l *Link) TransferF(bytes int64, deliver func(Delivery)) int64 {
+// TransferR is Transfer with fault visibility, delivering to h (nil:
+// nothing is delivered). Under an installed fault site the message may be
+// dropped (nothing is delivered), duplicated (delivered twice, the second
+// with Dup set), delayed, or corrupted; the link itself may flap (traffic
+// queues until it returns) or degrade (reduced bandwidth window). Returns
+// the nominal arrival time.
+func (l *Link) TransferR(bytes int64, h Receiver) int64 {
 	now := l.env.Now()
 	start := now
 	if l.busyUntil > start {
@@ -172,14 +211,14 @@ func (l *Link) TransferF(bytes int64, deliver func(Delivery)) int64 {
 		}
 		dup = s.Roll(lp.DupProb)
 	}
-	if deliver != nil {
-		l.env.At(arrive, func() { deliver(d) })
+	if h != nil {
+		deliverAt(l.env, arrive, h, d)
 		if dup {
 			l.Dups++
 			l.faults.Recordf(fault.Duplicate, "%dB", bytes)
 			d2 := d
 			d2.Dup = true
-			l.env.At(arrive+l.Spec.PerMessageNs, func() { deliver(d2) })
+			deliverAt(l.env, arrive+l.Spec.PerMessageNs, h, d2)
 		}
 	}
 	return arrive
@@ -331,76 +370,60 @@ func (n *Network) PostV(p *sim.Proc) error {
 // receiver when the message arrives. The caller should have paid Post.
 // Loopback (from == to) delivers after a small constant memcpy-like delay.
 func (n *Network) Send(from, to int, bytes int64, deliver func()) int64 {
-	var df func(Delivery)
-	if deliver != nil {
-		df = func(Delivery) { deliver() }
-	}
-	return n.SendF(from, to, bytes, df)
+	return n.SendR(from, to, bytes, onArrive(deliver))
 }
 
-// SendF is Send with fault visibility (see Link.TransferF). Loopback is a
-// shared-memory copy and never faults.
-func (n *Network) SendF(from, to int, bytes int64, deliver func(Delivery)) int64 {
+// SendR is Send with fault visibility, delivering to h (see
+// Link.TransferR). Loopback is a shared-memory copy and never faults.
+func (n *Network) SendR(from, to int, bytes int64, h Receiver) int64 {
 	if from == to {
 		arrive := n.env.Now() + n.Spec.Link.PerMessageNs
-		if deliver != nil {
-			n.env.At(arrive, func() { deliver(Delivery{}) })
+		if h != nil {
+			n.env.AtHandler(arrive, h)
 		}
 		return arrive
 	}
-	return n.LinkBetween(from, to).TransferF(bytes, deliver)
+	return n.LinkBetween(from, to).TransferR(bytes, h)
 }
 
 // RDMARead issues a one-sided read of `bytes` from node `target` into node
 // `reader`: a control request travels reader->target, then the payload
 // travels target->reader. onDone runs at the reader when data lands.
 func (n *Network) RDMARead(reader, target int, bytes int64, onDone func()) {
-	var df func(Delivery)
-	if onDone != nil {
-		df = func(Delivery) { onDone() }
-	}
-	n.RDMAReadF(reader, target, bytes, df)
+	n.RDMAReadR(reader, target, bytes, onArrive(onDone))
 }
 
-// RDMAReadF is RDMARead with fault visibility. A dropped or corrupted
-// control leg silently aborts the read (the HCA's CRC rejects the request);
-// payload-leg faults surface through the Delivery.
-func (n *Network) RDMAReadF(reader, target int, bytes int64, onDone func(Delivery)) {
+// RDMAReadR is RDMARead with fault visibility, delivering the payload leg
+// to h. A dropped or corrupted control leg silently aborts the read (the
+// HCA's CRC rejects the request); payload-leg faults surface through
+// h.Deliver.
+func (n *Network) RDMAReadR(reader, target int, bytes int64, h Receiver) {
 	if reader == target {
 		arrive := n.env.Now() + n.Spec.Link.PerMessageNs
-		if onDone != nil {
-			n.env.At(arrive, func() { onDone(Delivery{}) })
+		if h != nil {
+			n.env.AtHandler(arrive, h)
 		}
 		return
 	}
-	n.LinkBetween(reader, target).TransferF(n.Spec.CtrlBytes, func(d Delivery) {
+	n.LinkBetween(reader, target).TransferR(n.Spec.CtrlBytes, ReceiverFunc(func(d Delivery) {
 		if d.Corrupt || d.Dup {
 			return // corrupted ctrl request rejected; dup ctrl ignored
 		}
-		n.LinkBetween(target, reader).TransferF(bytes, onDone)
-	})
+		n.LinkBetween(target, reader).TransferR(bytes, h)
+	}))
 }
 
 // RDMAWrite issues a one-sided write of `bytes` from node `writer` to node
 // `target`. onPlaced runs at the target when data lands.
 func (n *Network) RDMAWrite(writer, target int, bytes int64, onPlaced func()) {
-	var df func(Delivery)
-	if onPlaced != nil {
-		df = func(Delivery) { onPlaced() }
-	}
-	n.RDMAWriteF(writer, target, bytes, df)
+	n.SendR(writer, target, bytes, onArrive(onPlaced))
 }
 
-// RDMAWriteF is RDMAWrite with fault visibility.
-func (n *Network) RDMAWriteF(writer, target int, bytes int64, onPlaced func(Delivery)) {
-	if writer == target {
-		arrive := n.env.Now() + n.Spec.Link.PerMessageNs
-		if onPlaced != nil {
-			n.env.At(arrive, func() { onPlaced(Delivery{}) })
-		}
-		return
-	}
-	n.LinkBetween(writer, target).TransferF(bytes, onPlaced)
+// RDMAWriteR is RDMAWrite with fault visibility, delivering to h. On the
+// wire a write is a send: one payload leg, loopback as a shared-memory
+// copy.
+func (n *Network) RDMAWriteR(writer, target int, bytes int64, h Receiver) {
+	n.SendR(writer, target, bytes, h)
 }
 
 // TotalBytes sums payload bytes across all links (for tests/metrics).

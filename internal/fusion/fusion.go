@@ -32,7 +32,7 @@ import (
 // Status is a request-list status word. The scheduler owns the request
 // status; only the GPU (the fused kernel's completion path) writes the
 // response status.
-type Status int
+type Status uint8
 
 const (
 	// StatusIdle marks a free request-list entry.
@@ -121,19 +121,36 @@ type Stats struct {
 	FailedRequests    int64 // requests that failed even unfused
 }
 
-// entry is one request-list slot.
+// entry is one request-list slot. It is its own fused-kernel request:
+// its Handle is the request's completion.
 type entry struct {
 	next       *entry // next free entry while released
+	s          *Scheduler
 	uid        int64
 	job        *pack.Job
+	enqueuedAt int64
 	reqStatus  Status
 	respStatus Status
-	enqueuedAt int64
-	doneAt     int64
-	doneEv     *sim.Event
+	// done is set when the request completes or fails; its event is
+	// made only by DoneEvent.
+	done sim.Flag
 	// err marks a permanently failed request (degraded launch also
 	// exhausted its retries); surfaced through Done.
 	err error
+}
+
+// Handle is ③ in Fig. 5, run when the request's cooperative group
+// retires: the group moves the request's bytes, and its GPU thread
+// signals completion by updating the response status — no CPU sync at
+// the kernel boundary.
+func (e *entry) Handle() {
+	s := e.s
+	e.job.Execute()
+	e.respStatus = StatusCompleted
+	e.done.Set(s.env)
+	if s.tuner != nil && s.tuner.Record(e.done.At()-e.enqueuedAt, e.job.Bytes) {
+		s.cfg.ThresholdBytes = s.tuner.Threshold()
+	}
 }
 
 // Scheduler is the fusion scheduler of Fig. 5. One scheduler serves one
@@ -225,12 +242,12 @@ func (s *Scheduler) Enqueue(p *sim.Proc, job *pack.Job) int64 {
 	}
 	s.nextUID++
 	*e = entry{
+		s:          s,
 		uid:        s.nextUID,
 		job:        job,
 		reqStatus:  StatusPending,
 		respStatus: StatusIdle,
 		enqueuedAt: s.env.Now(),
-		doneEv:     s.env.NewEventNamed(uidName(s.nextUID)),
 	}
 	s.byUID[e.uid] = e
 	s.pending = append(s.pending, e)
@@ -329,24 +346,12 @@ func (s *Scheduler) launch(p *sim.Proc) {
 	works := make([]gpu.FusedWork, len(batch))
 	traced := s.stream.Device().TL != nil // only a traced device reads request names
 	for i, e := range batch {
-		e := e
 		e.reqStatus = StatusBusy
-		bytes := e.job.Bytes
 		var name string
 		if traced {
 			name = fmt.Sprintf("req-%d", e.uid)
 		}
-		works[i] = e.job.FusedWork(name, func(end int64) {
-			// ③: the GPU thread block signals completion by
-			// updating the response status — no CPU sync at the
-			// kernel boundary.
-			e.respStatus = StatusCompleted
-			e.doneAt = end
-			e.doneEv.Fire()
-			if s.tuner != nil && s.tuner.Record(end-e.enqueuedAt, bytes) {
-				s.cfg.ThresholdBytes = s.tuner.Threshold()
-			}
-		})
+		works[i] = e.job.FusedWork(name, e)
 	}
 	s.Stats.FusedLaunches++
 	s.Stats.FusedRequests += int64(len(batch))
@@ -373,6 +378,9 @@ func (s *Scheduler) launch(p *sim.Proc) {
 	}
 	s.addTraceAt(trace.Launch, "fused-launch", s.env.Now()-s.dev.Arch.LaunchOverheadNs, s.dev.Arch.LaunchOverheadNs)
 	s.addTraceAt(trace.PackKernel, "fused-kernel", fc.Start, fc.End-fc.Start)
+	if s.pending == nil {
+		s.pending = batch[:0] // nothing reads the batch list any more: the next batch reuses it
+	}
 }
 
 // degrade re-issues a persistently failing fused batch as unfused
@@ -409,18 +417,15 @@ func (s *Scheduler) degrade(p *sim.Proc, batch []*entry) {
 			s.Stats.FailedRequests++
 			e.err = fmt.Errorf("fusion: request %d: unfused fallback failed after %d attempts: %w",
 				e.uid, launchRetries+1, err)
-			e.doneAt = s.env.Now()
-			e.doneEv.Fire()
+			e.done.Set(s.env)
 			continue
 		}
 		s.Stats.UnfusedRecoveries++
 		s.addTraceAt(trace.Launch, "unfused-launch", s.env.Now()-s.dev.Arch.LaunchOverheadNs, s.dev.Arch.LaunchOverheadNs)
 		s.addTraceAt(trace.PackKernel, "unfused-kernel", c.Start, c.End-c.Start)
-		end := c.End
-		s.env.At(end, func() {
+		s.env.At(c.End, func() {
 			e.respStatus = StatusCompleted
-			e.doneAt = end
-			e.doneEv.Fire()
+			e.done.Set(s.env)
 		})
 	}
 }
@@ -465,14 +470,16 @@ func (s *Scheduler) Done(p *sim.Proc, uid int64) (bool, error) {
 }
 
 // DoneEvent returns an event that fires when uid's request completes, or
-// nil if the UID is unknown (already released). Waiting on the event does
-// not release the entry; pair with Done or Release.
+// nil if the UID is unknown (already released). The event is made on the
+// first call; asked for after completion, it has already fired at the
+// completion time. Waiting on the event does not release the entry; pair
+// with Done or Release.
 func (s *Scheduler) DoneEvent(uid int64) *sim.Event {
 	e, ok := s.byUID[uid]
 	if !ok {
 		return nil
 	}
-	return e.doneEv
+	return e.done.Event(s.env, uidName(e.uid))
 }
 
 // SyncStream explicitly synchronizes the fused-kernel stream — the
@@ -528,7 +535,7 @@ func (s *Scheduler) RequestLatency(uid int64) (int64, bool) {
 	if !found || e.respStatus != StatusCompleted {
 		return 0, false
 	}
-	return e.doneAt - e.enqueuedAt, true
+	return e.done.At() - e.enqueuedAt, true
 }
 
 // addTraceAt accrues a cost to the Breakdown and mirrors it as a

@@ -249,6 +249,39 @@ func TestDoneEventNamesSurviveEntryReuse(t *testing.T) {
 	}
 }
 
+// TestDoneEventAfterCompletionHasFired: a request's completion event asked
+// for only after the request completed, and before its entry is released,
+// has already fired at the completion time, and a wait on it returns at
+// once.
+func TestDoneEventAfterCompletionHasFired(t *testing.T) {
+	env, dev, s := newSched(Config{ThresholdBytes: 1 << 40})
+	env.Spawn("pe", func(p *sim.Proc) {
+		j, _ := mkPackJob(dev, 1, 10, 1)
+		u := s.Enqueue(p, j)
+		enq := p.Now()
+		s.Flush(p)
+		p.Sleep(1 << 20)
+		lat, ok := s.RequestLatency(u)
+		if !ok {
+			t.Error("request not complete after 1 ms")
+			return
+		}
+		ev := s.DoneEvent(u)
+		t0 := p.Now()
+		p.Wait(ev)
+		if !ev.Fired() || ev.FiredAt() != enq+lat || p.Now() != t0 {
+			t.Errorf("event fired %v at %d, wait took %d ns; want fired at %d, no wait",
+				ev.Fired(), ev.FiredAt(), p.Now()-t0, enq+lat)
+		}
+		if ok, err := s.Done(p, u); !ok || err != nil {
+			t.Errorf("Done = %v, %v", ok, err)
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDoneOnUnknownUIDIsTrue(t *testing.T) {
 	env, _, s := newSched(Config{})
 	env.Spawn("pe", func(p *sim.Proc) {

@@ -277,12 +277,14 @@ func (s *Stream) BusyUntil() int64 { return s.busyUntil }
 // Idle reports whether the stream has no pending work at the current time.
 func (s *Stream) Idle() bool { return s.busyUntil <= s.dev.env.Now() }
 
-// Completion describes one retired (or in-flight) stream operation.
+// Completion describes one retired (or in-flight) stream operation. Its
+// retirement is a flag set at End; an event exists only once a caller asks
+// to wait (Event).
 type Completion struct {
-	// Ev fires when the operation retires.
-	Ev *sim.Event
 	// Start and End bound the operation's execution on the device.
 	Start, End int64
+	work       sim.Handler // the operation's data movement, run at End
+	done       sim.Flag
 	op         string
 	stream     *Stream
 }
@@ -291,7 +293,21 @@ type Completion struct {
 func (c *Completion) EventName() string { return c.op + "@" + c.stream.name }
 
 // Done reports whether the operation has retired.
-func (c *Completion) Done() bool { return c.Ev.Fired() }
+func (c *Completion) Done() bool { return c.done.Done() }
+
+// Event returns an event that fires when the operation retires, made on
+// the first call; asked for after retirement, it has already fired at End.
+func (c *Completion) Event() *sim.Event { return c.done.Event(c.stream.dev.env, c) }
+
+// Handle retires the operation: the event queue calls it at End. The
+// operation's work moves its bytes first, then the flag is set.
+func (c *Completion) Handle() {
+	if w := c.work; w != nil {
+		c.work = nil
+		w.Handle()
+	}
+	c.done.Set(c.stream.dev.env)
+}
 
 // KernelSpec describes one packing/unpacking kernel to launch.
 type KernelSpec struct {
@@ -311,9 +327,10 @@ type KernelSpec struct {
 	// MinDurationNs floors the kernel's execution time; DirectIPC
 	// kernels use it to model the GPU-GPU link their load/stores cross.
 	MinDurationNs int64
-	// Exec performs the real data movement. It runs in scheduler context
-	// when the kernel retires and must not block.
-	Exec func()
+	// Work performs the real data movement, typically the pack job
+	// itself. Its Handle runs in scheduler context when the kernel
+	// retires and must not block.
+	Work sim.Handler
 }
 
 // chunk returns the intra-segment parallelization granularity.
@@ -412,7 +429,7 @@ func (s *Stream) launchFault(p *sim.Proc, faultable bool) (failed bool) {
 }
 
 // Launch issues one kernel from proc p. The calling proc pays the driver
-// launch overhead; the kernel then executes in stream order. Exec runs when
+// launch overhead; the kernel then executes in stream order. Work runs when
 // the kernel retires.
 func (s *Stream) Launch(p *sim.Proc, spec KernelSpec) *Completion {
 	c, _ := s.launch(p, spec, false)
@@ -438,11 +455,12 @@ func (s *Stream) launch(p *sim.Proc, spec KernelSpec, faultable bool) (*Completi
 	if dur < spec.MinDurationNs {
 		dur = spec.MinDurationNs
 	}
-	return s.enqueue(p, spec.Name, dur, spec.Bytes, spec.Segments, spec.Exec), nil
+	return s.enqueue(spec.Name, dur, spec.Bytes, spec.Segments, spec.Work), nil
 }
 
-// enqueue places one operation of duration dur at the stream tail.
-func (s *Stream) enqueue(p *sim.Proc, name string, dur, bytes int64, segments int, exec func()) *Completion {
+// enqueue places one operation of duration dur at the stream tail; the
+// Completion itself is the queued retirement.
+func (s *Stream) enqueue(name string, dur, bytes int64, segments int, work sim.Handler) *Completion {
 	d := s.dev
 	now := d.env.Now()
 	start := now
@@ -457,14 +475,8 @@ func (s *Stream) enqueue(p *sim.Proc, name string, dur, bytes int64, segments in
 	if d.TL != nil {
 		d.TL.Span(timeline.LayerGPU, timeline.CostNone, s.name, name, start, dur)
 	}
-	c := &Completion{Start: start, End: end, op: name, stream: s}
-	c.Ev = d.env.NewEventNamed(c)
-	d.env.At(end, func() {
-		if exec != nil {
-			exec()
-		}
-		c.Ev.Fire()
-	})
+	c := &Completion{Start: start, End: end, work: work, op: name, stream: s}
+	d.env.AtHandler(end, c)
 	return c
 }
 
@@ -505,7 +517,11 @@ func (s *Stream) MemcpyAsync(p *sim.Proc, kind CopyKind, bytes int64, exec func(
 		bw = d.Arch.CPUGPULinkBWBytesPerNs
 	}
 	dur := d.Arch.CopyEngineLatencyNs + int64(math.Ceil(float64(bytes)/bw))
-	return s.enqueue(p, kind.opName(), dur, bytes, 1, exec)
+	var work sim.Handler
+	if exec != nil {
+		work = sim.HandlerFunc(exec)
+	}
+	return s.enqueue(kind.opName(), dur, bytes, 1, work)
 }
 
 // opName names a copy of this kind on its stream: memcpy-<kind>.

@@ -77,7 +77,7 @@ func TestKernelExecMovesRealBytes(t *testing.T) {
 	env.Spawn("host", func(p *sim.Proc) {
 		c := st.Launch(p, KernelSpec{
 			Name: "copy", Bytes: 64, Segments: 1,
-			Exec: func() { copy(dst.Data, src.Data) },
+			Work: sim.HandlerFunc(func() { copy(dst.Data, src.Data) }),
 		})
 		if c.Done() {
 			t.Error("kernel done immediately after launch")

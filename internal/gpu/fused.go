@@ -22,27 +22,26 @@ type FusedWork struct {
 	// MinDurationNs floors this request's group duration (DirectIPC
 	// link crossing).
 	MinDurationNs int64
-	// Exec performs the real data movement when this request's group
-	// finishes (scheduler context, must not block).
-	Exec func()
-	// OnComplete, if non-nil, runs right after Exec at the request's own
-	// completion time — this is the GPU thread updating the response
-	// status in the request list (step ③ in paper Fig. 5), which is what
-	// lets the scheduler skip kernel-boundary synchronization.
-	OnComplete func(end int64)
+	// Work, if non-nil, runs in scheduler context (it must not block) at
+	// the request's own completion time, when its group finishes. It is
+	// the request itself: it performs the real data movement and then
+	// updates the response status in the request list (step ③ in paper
+	// Fig. 5), which is what lets the scheduler skip kernel-boundary
+	// synchronization.
+	Work sim.Handler
 }
 
 // FusedCompletion reports the timing of a fused kernel and of each request
-// inside it.
+// inside it. The kernel's retirement is a flag set at End; an event exists
+// only once a caller asks to wait (Event).
 type FusedCompletion struct {
-	// Ev fires when the whole fused kernel retires.
-	Ev *sim.Event
 	// Start and End bound the kernel.
 	Start, End int64
 	// ReqEnd[i] is the completion time of request i; requests signal
 	// completion individually, before kernel end for all but the slowest
 	// group.
 	ReqEnd []int64
+	done   sim.Flag
 	name   sim.EventNamer
 	stream *Stream
 }
@@ -53,13 +52,25 @@ func (fc *FusedCompletion) EventName() string {
 	return "fused:" + fc.name.EventName() + "@" + fc.stream.name
 }
 
+// Done reports whether the whole fused kernel has retired.
+func (fc *FusedCompletion) Done() bool { return fc.done.Done() }
+
+// Event returns an event that fires when the whole fused kernel retires,
+// made on the first call; asked for after retirement, it has already
+// fired at End.
+func (fc *FusedCompletion) Event() *sim.Event { return fc.done.Event(fc.stream.dev.env, fc) }
+
+// Handle retires the kernel: the event queue calls it at End.
+func (fc *FusedCompletion) Handle() { fc.done.Set(fc.stream.dev.env) }
+
 // LaunchFused launches one kernel that executes all requests concurrently
 // using cooperative-group partitioning: the resident thread blocks are
 // divided among requests in proportion to their work, each group completing
 // (and signalling) independently. The caller pays exactly one launch
 // overhead regardless of len(reqs) — the entire point of the design. The
 // kernel's name is formatted only where it is read: a trace span, a fault
-// record or the event's name.
+// record or the event's name. reqs is read until its last request
+// completes, so the caller must not change it after the launch.
 func (s *Stream) LaunchFused(p *sim.Proc, name sim.EventNamer, reqs []FusedWork) *FusedCompletion {
 	fc, _ := s.launchFused(p, name, reqs, false)
 	return fc
@@ -109,37 +120,60 @@ func (s *Stream) launchFused(p *sim.Proc, name sim.EventNamer, reqs []FusedWork,
 	d.Stats.BytesMoved += totalBytes
 	d.Stats.SegmentsMoved += int64(totalSegs)
 
-	fc := &FusedCompletion{
-		Start:  start,
-		End:    end,
-		ReqEnd: make([]int64, len(reqs)),
-		name:   name,
-		stream: s,
-	}
-	fc.Ev = d.env.NewEventNamed(fc)
+	fc := &FusedCompletion{Start: start, End: end, ReqEnd: durs, name: name, stream: s}
 	if d.TL != nil {
 		d.TL.Span(timeline.LayerGPU, timeline.CostNone, s.name, "fused:"+name.EventName(), start, kernelDur,
 			timeline.Arg{Key: "requests", Val: fmt.Sprintf("%d", len(reqs))},
 			timeline.Arg{Key: "bytes", Val: fmt.Sprintf("%d", totalBytes)})
 	}
 	for i, r := range reqs {
-		i, r := i, r
-		reqEnd := start + durs[i]
-		fc.ReqEnd[i] = reqEnd
 		if d.TL != nil {
 			d.TL.Span(timeline.LayerGPU, timeline.CostNone, s.name, "fused-req:"+r.Name, start, durs[i])
 		}
-		d.env.At(reqEnd, func() {
-			if r.Exec != nil {
-				r.Exec()
-			}
-			if r.OnComplete != nil {
-				r.OnComplete(reqEnd)
-			}
-		})
+		fc.ReqEnd[i] = start + durs[i] // durs becomes ReqEnd in place
 	}
-	d.env.At(end, func() { fc.Ev.Fire() })
+	// A run of consecutive requests that complete at the same time is one
+	// queued event that completes them in index order. Nothing can run
+	// between events queued back to back at one time, so the order is that
+	// of one event per request, and a batch of equal requests costs the
+	// queue one slot instead of one per request.
+	for lo := 0; lo < len(reqs); {
+		hi := lo + 1
+		for hi < len(reqs) && fc.ReqEnd[hi] == fc.ReqEnd[lo] {
+			hi++
+		}
+		if hi-lo > 1 {
+			d.env.AtHandler(fc.ReqEnd[lo], fusedRun(reqs[lo:hi]))
+		} else if w := reqs[lo].Work; w != nil {
+			d.env.AtHandler(fc.ReqEnd[lo], w)
+		}
+		lo = hi
+	}
+	d.env.AtHandler(end, fc)
 	return fc, nil
+}
+
+// fusedRun is a run of requests of one fused kernel that complete at the
+// same time.
+type fusedRun []FusedWork
+
+// Handle completes the run's requests in index order.
+func (run fusedRun) Handle() {
+	for _, r := range run {
+		if r.Work != nil {
+			r.Work.Handle()
+		}
+	}
+}
+
+// serialWork is a request's serial work, the weight of its share of the
+// resident thread blocks.
+func (a Arch) serialWork(r FusedWork) float64 {
+	w := float64(r.Segments)*a.SegmentFixedNs + float64(r.Bytes)/a.BlockCopyBWBytesPerNs
+	if w <= 0 {
+		w = 1
+	}
+	return w
 }
 
 // EstimateFusedNs returns the modeled span of a fused kernel over the given
@@ -167,14 +201,8 @@ func (d *Device) EstimateFusedNs(reqs []FusedWork) int64 {
 func (d *Device) fusedDurations(reqs []FusedWork) []int64 {
 	a := d.Arch
 	total := 0.0
-	work := make([]float64, len(reqs))
-	for i, r := range reqs {
-		w := float64(r.Segments)*a.SegmentFixedNs + float64(r.Bytes)/a.BlockCopyBWBytesPerNs
-		if w <= 0 {
-			w = 1
-		}
-		work[i] = w
-		total += w
+	for _, r := range reqs {
+		total += a.serialWork(r)
 	}
 	budget := a.MaxResidentBlocks()
 	durs := make([]int64, len(reqs))
@@ -185,7 +213,7 @@ func (d *Device) fusedDurations(reqs []FusedWork) []int64 {
 		if a.UniformFusedPartition {
 			share = budget / len(reqs)
 		} else {
-			share = int(math.Floor(float64(budget) * work[i] / total))
+			share = int(math.Floor(float64(budget) * a.serialWork(r) / total))
 		}
 		if share < 1 {
 			share = 1

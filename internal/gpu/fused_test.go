@@ -35,7 +35,7 @@ func TestLaunchNamesFormatOnlyWhenRead(t *testing.T) {
 		c := st.Launch(p, KernelSpec{Name: "k", Bytes: 1024, Segments: 4})
 		m := st.MemcpyAsync(p, CopyH2D, 1024, nil)
 		fc := st.LaunchFused(p, n, []FusedWork{{Name: "r0", Bytes: 1024, Segments: 4}})
-		evs = []*sim.Event{c.Ev, m.Ev, fc.Ev}
+		evs = []*sim.Event{c.Event(), m.Event(), fc.Event()}
 		p.WaitAll(evs...)
 	})
 	if err := env.Run(); err != nil {
@@ -112,7 +112,7 @@ func TestFusedBeatsSerialLaunches(t *testing.T) {
 	var fusedEnd int64
 	envB.Spawn("host", func(p *sim.Proc) {
 		fc := stB.LaunchFused(p, kernelName("fused"), mkReqs())
-		p.Wait(fc.Ev)
+		p.Wait(fc.Event())
 		fusedEnd = p.Now()
 	})
 	if err := envB.Run(); err != nil {
@@ -131,13 +131,13 @@ func TestFusedPerRequestCompletionSignalling(t *testing.T) {
 	// completion well before the kernel retires.
 	var tinyEnd int64 = -1
 	reqs := []FusedWork{
-		{Name: "tiny", Bytes: 512, Segments: 4, OnComplete: func(end int64) { tinyEnd = end }},
+		{Name: "tiny", Bytes: 512, Segments: 4, Work: sim.HandlerFunc(func() { tinyEnd = env.Now() })},
 		{Name: "huge", Bytes: 256 << 20, Segments: 4096},
 	}
 	var fc *FusedCompletion
 	env.Spawn("host", func(p *sim.Proc) {
 		fc = st.LaunchFused(p, kernelName("mix"), reqs)
-		p.Wait(fc.Ev)
+		p.Wait(fc.Event())
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -153,6 +153,26 @@ func TestFusedPerRequestCompletionSignalling(t *testing.T) {
 	}
 }
 
+// TestFusedRequestsCompleteInTimeThenIndexOrder: requests complete in
+// (completion time, index) order, whether they share a completion time
+// with their neighbours (one queued run) or not.
+func TestFusedRequestsCompleteInTimeThenIndexOrder(t *testing.T) {
+	env, d := newTestDevice(t)
+	st := d.NewStream("s0")
+	var order []string
+	req := func(name string, bytes int64) FusedWork {
+		return FusedWork{Name: name, Bytes: bytes, Segments: 4, Work: sim.HandlerFunc(func() { order = append(order, name) })}
+	}
+	reqs := []FusedWork{req("a", 512), req("b", 512), req("big", 1<<20), req("c", 512), req("d", 512)}
+	env.Spawn("host", func(p *sim.Proc) { st.LaunchFused(p, kernelName("mix"), reqs) })
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(order); got != "[a b c d big]" {
+		t.Fatalf("completion order %s, want [a b c d big]", got)
+	}
+}
+
 func TestFusedExecMovesBytesPerRequest(t *testing.T) {
 	env, d := newTestDevice(t)
 	st := d.NewStream("s0")
@@ -162,12 +182,12 @@ func TestFusedExecMovesBytesPerRequest(t *testing.T) {
 		src.Data[i] = byte(255 - i)
 	}
 	reqs := []FusedWork{
-		{Name: "lo", Bytes: 128, Segments: 2, Exec: func() { copy(dst.Data[:128], src.Data[:128]) }},
-		{Name: "hi", Bytes: 128, Segments: 2, Exec: func() { copy(dst.Data[128:], src.Data[128:]) }},
+		{Name: "lo", Bytes: 128, Segments: 2, Work: sim.HandlerFunc(func() { copy(dst.Data[:128], src.Data[:128]) })},
+		{Name: "hi", Bytes: 128, Segments: 2, Work: sim.HandlerFunc(func() { copy(dst.Data[128:], src.Data[128:]) })},
 	}
 	env.Spawn("host", func(p *sim.Proc) {
 		fc := st.LaunchFused(p, kernelName("two"), reqs)
-		p.Wait(fc.Ev)
+		p.Wait(fc.Event())
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -282,5 +302,73 @@ func TestUniformPartitionHurtsHeterogeneousBatches(t *testing.T) {
 	uniform := NewDevice(sim.NewEnv(), arch, 0, 0).EstimateFusedNs(mixed)
 	if prop >= uniform {
 		t.Fatalf("work-proportional (%d) should beat uniform (%d) on skewed batches", prop, uniform)
+	}
+}
+
+// TestCompletionEventsBeforeAndAfterRetirement: the completion event of a
+// kernel or a fused kernel asked for before retirement fires once, at End,
+// and wakes its waiters then; one asked for only after retirement has
+// already fired at End, and a wait on it returns at once. Done reads the
+// retirement flag either way.
+func TestCompletionEventsBeforeAndAfterRetirement(t *testing.T) {
+	env, d := newTestDevice(t)
+	st := d.NewStream("s0")
+	type completion interface {
+		Done() bool
+		Event() *sim.Event
+	}
+	end := func(c completion) int64 {
+		if fc, ok := c.(*FusedCompletion); ok {
+			return fc.End
+		}
+		return c.(*Completion).End
+	}
+	woke := map[completion][]int64{}
+	// launch launches a kernel and a fused kernel; each is passed to
+	// asked right after its own launch, before it can retire.
+	launch := func(p *sim.Proc, asked func(completion)) []completion {
+		c := st.Launch(p, KernelSpec{Name: "k", Bytes: 1024, Segments: 4})
+		asked(c)
+		fc := st.LaunchFused(p, kernelName("f"), []FusedWork{{Name: "r", Bytes: 1 << 20, Segments: 8}})
+		asked(fc)
+		return []completion{c, fc}
+	}
+	env.Spawn("host", func(p *sim.Proc) {
+		early := launch(p, func(c completion) {
+			ev := c.Event()
+			if ev.Fired() || c.Done() {
+				t.Error("a completion retired at launch")
+			}
+			if c.Event() != ev {
+				t.Error("a second Event call made a second event")
+			}
+			for i := 0; i < 2; i++ {
+				env.Spawn("waiter", func(q *sim.Proc) { q.Wait(ev); woke[c] = append(woke[c], q.Now()) })
+			}
+		})
+		late := launch(p, func(completion) {})
+		p.Sleep(end(late[1]) - p.Now()) // all retired, no event asked for
+		for _, c := range append(early, late...) {
+			ev := c.Event()
+			if !c.Done() || !ev.Fired() || ev.FiredAt() != end(c) {
+				t.Errorf("after retirement: done %v, fired %v, want both at %d", c.Done(), ev.Fired(), end(c))
+			}
+			mustPanic(t, "fired twice", ev.Fire)
+		}
+		for _, c := range late {
+			t0 := p.Now()
+			p.Wait(c.Event())
+			if p.Now() != t0 {
+				t.Error("a wait on an event made after retirement blocked")
+			}
+		}
+		for _, c := range early {
+			if w := woke[c]; len(w) != 2 || w[0] != end(c) || w[1] != end(c) {
+				t.Errorf("waiters woke at %v, want twice at %d", w, end(c))
+			}
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
 	}
 }

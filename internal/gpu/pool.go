@@ -40,14 +40,23 @@ func sizeClass(n int) uint8 {
 // Alloc would give n bytes (lazy at or above LazyThreshold). Give it back
 // with Free, or Retire it when something may still reach it.
 func (d *Device) Staging(n int) *Buffer {
-	return d.lend(n, d.LazyThreshold > 0 && int64(n) >= d.LazyThreshold)
+	return d.lend(n, d.LazyThreshold > 0 && int64(n) >= d.LazyThreshold, true)
+}
+
+// StagingOverwrite is Staging for a caller that writes all n bytes before
+// it reads any, such as a pack's output or a receive's landing zone: a
+// reused exact buffer keeps its old bytes instead of being cleared first.
+func (d *Device) StagingOverwrite(n int) *Buffer {
+	return d.lend(n, d.LazyThreshold > 0 && int64(n) >= d.LazyThreshold, false)
 }
 
 // StagingExact is Staging with real bytes whatever the payload mode, for
 // control metadata (size tables, reduction scratch) the host must read.
-func (d *Device) StagingExact(n int) *Buffer { return d.lend(n, false) }
+func (d *Device) StagingExact(n int) *Buffer { return d.lend(n, false, true) }
 
-func (d *Device) lend(n int, lazy bool) *Buffer {
+// lend takes an idle buffer of n's class, or makes one. zero clears a
+// reused exact buffer; a lazy one is always reset to zero content.
+func (d *Device) lend(n int, lazy, zero bool) *Buffer {
 	if n < 0 {
 		panic(fmt.Sprintf("gpu: negative staging request of %d bytes on device %d (node %d)", n, d.ID, d.Node))
 	}
@@ -65,7 +74,9 @@ func (d *Device) lend(n int, lazy bool) *Buffer {
 			b.Data = make([]byte, n)
 		default:
 			b.Data = b.Data[:n]
-			clear(b.Data)
+			if zero {
+				clear(b.Data)
+			}
 		}
 	} else {
 		b = &Buffer{Name: "staging", Space: SpaceDevice, Dev: d}

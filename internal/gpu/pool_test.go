@@ -120,14 +120,17 @@ func TestStagingLifecycle(t *testing.T) {
 }
 
 // FuzzStagingPool runs random sequences of lend (both modes, sizes across
-// class boundaries), write, Materialize, give-back and FreeAll against a
-// model of what is lent: every lent buffer reads as zeros, no two lent
-// buffers share storage or a Content, LiveBytes matches the model, and a
-// double give-back panics.
+// class boundaries, and StagingOverwrite followed by a write of every
+// byte), write, Materialize, give-back and FreeAll against a model of what
+// is lent: every buffer Staging or StagingExact lends reads as zeros, even
+// one a StagingOverwrite caller left dirty, an overwritten buffer reads as
+// what was written, no two lent buffers share storage or a Content,
+// LiveBytes matches the model, and a double give-back panics.
 func FuzzStagingPool(f *testing.F) {
 	f.Add([]byte{0, 10, 1, 2, 0, 3, 0, 200, 4, 5, 0, 6})
 	f.Add([]byte{0, 63, 0, 64, 0, 65, 3, 0, 3, 0, 0, 64, 0, 63})
 	f.Add([]byte{0, 129, 2, 0, 3, 0, 0, 129, 4, 0, 3, 0})
+	f.Add([]byte{7, 64, 3, 0, 0, 64, 7, 200, 1, 50, 7, 40, 3, 1, 3, 0, 7, 33})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		d := NewDevice(sim.NewEnv(), testArch(), 0, 0)
 		d.LazyThreshold = 100
@@ -140,7 +143,7 @@ func FuzzStagingPool(f *testing.F) {
 			lent = append(lent[:i], lent[i+1:]...)
 		}
 		for len(prog) >= 2 {
-			op, arg := prog[0]%7, prog[1]
+			op, arg := prog[0]%8, prog[1]
 			prog = prog[2:]
 			switch {
 			case op == 0: // lend in the device's mode
@@ -156,6 +159,20 @@ func FuzzStagingPool(f *testing.F) {
 				b := d.StagingExact(n)
 				if b.Len() != n || b.IsLazy() || b.Checksum() != zeros(n) {
 					t.Fatalf("StagingExact(%d): len %d lazy %v, or not all zeros", n, b.Len(), b.IsLazy())
+				}
+				lent = append(lent, b)
+				want += int64(n)
+			case op == 7: // lend for a full overwrite, then write every byte
+				n := int(arg)
+				b := d.StagingOverwrite(n)
+				if b.Len() != n || b.IsLazy() != (n >= 100) {
+					t.Fatalf("StagingOverwrite(%d): len %d lazy %v", n, b.Len(), b.IsLazy())
+				}
+				b.FillStream(uint64(arg))
+				ref := make([]byte, n)
+				payload.FillBytes(ref, uint64(arg))
+				if b.Checksum() != payload.Checksum(ref) {
+					t.Fatalf("StagingOverwrite(%d) does not read as the bytes written", n)
 				}
 				lent = append(lent, b)
 				want += int64(n)

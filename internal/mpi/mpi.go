@@ -511,7 +511,24 @@ type message struct {
 	sseq int64
 	// comm identifies the revoked communicator on mkRevoke messages.
 	comm *Comm
+	// dst is the destination rank, set by sendMsg: a message sent that
+	// way is its own fabric receiver.
+	dst *Rank
 }
+
+// sendMsg ships m from r to rank m.to, charged as bytes on the wire, with
+// m itself as the fabric receiver, and returns the arrival time.
+func (r *Rank) sendMsg(bytes int64, m *message) int64 {
+	m.dst = r.world.ranks[m.to]
+	return r.world.Cluster.Net.SendR(r.node, m.dst.node, bytes, m)
+}
+
+// Handle is a clean arrival of a message sent by sendMsg.
+func (m *message) Handle() { m.dst.arrive(m, fabric.Delivery{}) }
+
+// Deliver is an arrival of a message sent by sendMsg that the link
+// corrupted or duplicated.
+func (m *message) Deliver(d fabric.Delivery) { m.dst.arrive(m, d) }
 
 // Request is a non-blocking operation handle (MPI_Request).
 type Request struct {
@@ -559,7 +576,6 @@ type Request struct {
 	// fails every bound request in place. Nil for plain point-to-point.
 	comm *Comm
 
-	doneEv *sim.Event
 	// DoneAt is the completion/failure time (valid once settled).
 	DoneAt int64
 }
@@ -646,10 +662,8 @@ func (r *Rank) failedTagRequest(isSend bool, peer, tag int) *Request {
 		rank: r, isSend: isSend, peer: peer, tag: tag,
 		state:  stFailed,
 		err:    &TagError{Rank: r.id, Tag: tag, IsSend: isSend},
-		doneEv: r.world.Env.NewEvent("tag-guard"),
 		DoneAt: r.world.Env.Now(),
 	}
-	q.doneEv.Fire()
 	return q
 }
 
@@ -677,7 +691,6 @@ func (r *Rank) IsendRaw(p *sim.Proc, dest, tag int, buf *gpu.Buffer, l *datatype
 		buf: buf, entry: e, bytes: e.Bytes,
 		contig: e.Segments == 1,
 	}
-	q.doneEv = r.world.Env.NewEventNamed(q)
 	r.active = append(r.active, q)
 	r.assignSeq(q)
 	if r.tl != nil {
@@ -748,7 +761,6 @@ func (r *Rank) IrecvRaw(p *sim.Proc, src, tag int, buf *gpu.Buffer, l *datatype.
 		contig: e.Segments == 1,
 		state:  stWaitMatch,
 	}
-	q.doneEv = r.world.Env.NewEventNamed(q)
 	r.active = append(r.active, q)
 	if r.tl != nil {
 		r.tl.Instant(timeline.LayerMPI, "", "irecv", p.Now(),
@@ -768,8 +780,8 @@ func (r *Rank) IrecvRaw(p *sim.Proc, src, tag int, buf *gpu.Buffer, l *datatype.
 	return q
 }
 
-// EventName names the request's completion event from the values it was
-// posted with (a wildcard receive keeps its posted source).
+// EventName names the request from the values it was posted with (a
+// wildcard receive keeps its posted source).
 func (q *Request) EventName() string {
 	if q.isSend {
 		return fmt.Sprintf("send-%d->%d-tag%d", q.rank.id, q.peer, q.tag)
@@ -788,8 +800,12 @@ func (q *Request) matches(m *message) bool {
 }
 
 // stagingBuf lends a packed staging buffer from the rank's device pool;
-// the request gives it back when it settles (complete, fail).
-func (r *Rank) stagingBuf(n int64) *gpu.Buffer { return r.Dev.Staging(int(n)) }
+// the request gives it back when it settles (complete, fail). Every
+// caller writes all n bytes before anything reads them: a send's pack
+// output (whole or chunk by chunk) and a receive's landing zone (eager
+// payload, pipelined chunks, RPUT write, RGET read), so a reused buffer
+// is not cleared first (Device.StagingOverwrite).
+func (r *Rank) stagingBuf(n int64) *gpu.Buffer { return r.Dev.StagingOverwrite(int(n)) }
 
 // ReleaseStaging gives staging lent by the rank's device back to the pool
 // when reusable is set and nothing can still reach it, and retires it
@@ -816,11 +832,8 @@ func (r *Rank) postCtrl(p *sim.Proc, owner *Request, m *message) {
 		return
 	}
 	net.Post(p)
-	fromNode, toNode := r.node, r.world.ranks[m.to].node
 	t0 := p.Now()
-	arrive := net.Send(fromNode, toNode, net.Spec.CtrlBytes, func() {
-		r.world.ranks[m.to].arrive(m)
-	})
+	arrive := r.sendMsg(net.Spec.CtrlBytes, m)
 	if r.tl != nil {
 		r.tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "ctrl:"+m.kind.String(), t0, arrive-t0,
 			timeline.Arg{Key: "peer", Val: strconv.Itoa(m.to)},
@@ -828,13 +841,11 @@ func (r *Rank) postCtrl(p *sim.Proc, owner *Request, m *message) {
 	}
 }
 
-// arrive runs in scheduler context when a message lands at this rank.
-func (r *Rank) arrive(m *message) { r.arriveD(m, fabric.Delivery{}) }
-
-// arriveD is arrive with the fabric's delivery verdict. The reliability
-// prologue discards corrupted frames (the checksum rejects them), re-acks
-// duplicates, and acks + dedups tracked messages before they take effect.
-func (r *Rank) arriveD(m *message, d fabric.Delivery) {
+// arrive runs in scheduler context when a message lands at this rank,
+// with the fabric's delivery verdict. The reliability prologue discards
+// corrupted frames (the checksum rejects them), re-acks duplicates, and
+// acks + dedups tracked messages before they take effect.
+func (r *Rank) arrive(m *message, d fabric.Delivery) {
 	if r.world.isCrashed(r.id) {
 		// A dead rank is silent: no acks, no matching, no progress. The
 		// sender's retransmissions go unanswered until the failure
@@ -1003,7 +1014,6 @@ func writeWire(dst *gpu.Buffer, off int64, m *message) {
 // cannot overtake each other.
 func (r *Rank) startTransfer(p *sim.Proc, q *Request) {
 	net := r.world.Cluster.Net
-	toNode := r.world.ranks[q.peer].node
 	if q.bytes <= r.world.Cfg.EagerLimitBytes {
 		// Eager: payload rides along; sender completes once the message
 		// is handed to the NIC (reliable mode: once it is acked).
@@ -1018,9 +1028,7 @@ func (r *Rank) startTransfer(p *sim.Proc, q *Request) {
 			}
 			net.Post(p)
 			t0 := p.Now()
-			arrive := net.Send(r.node, toNode, q.bytes+64, func() {
-				r.world.ranks[q.peer].arrive(m)
-			})
+			arrive := r.sendMsg(q.bytes+64, m)
 			if r.tl != nil {
 				r.tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "eager", t0, arrive-t0,
 					timeline.Arg{Key: "peer", Val: strconv.Itoa(q.peer)},
@@ -1053,7 +1061,6 @@ func (r *Rank) complete(q *Request) {
 	q.state = stDone
 	q.DoneAt = r.world.Env.Now()
 	r.ReleaseStaging(q.packed, true)
-	q.doneEv.Fire()
 	for i, a := range r.active {
 		if a == q {
 			r.active = append(r.active[:i], r.active[i+1:]...)
@@ -1340,7 +1347,7 @@ func (f alwaysIPCFallback) run(p *sim.Proc, job *pack.Job) (Handle, bool) {
 type completionHandle struct{ c *gpu.Completion }
 
 func (h completionHandle) Done(p *sim.Proc) bool { return h.c.Done() }
-func (h completionHandle) DoneEv() *sim.Event    { return h.c.Ev }
+func (h completionHandle) DoneEv() *sim.Event    { return h.c.Event() }
 func (h completionHandle) Err() error            { return nil }
 
 // --- waiting ---

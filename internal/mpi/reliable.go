@@ -257,12 +257,8 @@ func (r *Rank) transmit(p *sim.Proc, pm *pendingMsg, retrans bool) {
 		r.fail(p, pm.owner, "nic-post", pm.attempts+1, err)
 		return
 	}
-	net := r.world.Cluster.Net
 	m := pm.m
-	toNode := r.world.ranks[m.to].node
-	arrive := net.SendF(r.node, toNode, pm.wire, func(d fabric.Delivery) {
-		r.world.ranks[m.to].arriveD(m, d)
-	})
+	arrive := r.sendMsg(pm.wire, m)
 	est := r.timeoutFor(pm.wire)
 	pm.deadline = p.Now() + est + r.backoffExtra(est, pm.attempts)
 	if retrans {
@@ -285,12 +281,12 @@ func (r *Rank) transmit(p *sim.Proc, pm *pendingMsg, retrans bool) {
 func (r *Rank) sendAck(m *message) {
 	net := r.world.Cluster.Net
 	ack := &message{kind: mkAck, from: r.id, to: m.from, tag: m.tag, id: m.id}
-	net.SendF(r.node, r.world.ranks[m.from].node, net.Spec.CtrlBytes, func(d fabric.Delivery) {
+	net.SendR(r.node, r.world.ranks[m.from].node, net.Spec.CtrlBytes, fabric.ReceiverFunc(func(d fabric.Delivery) {
 		if d.Corrupt {
 			return // damaged ack: sender retransmits, receiver re-acks
 		}
-		r.world.ranks[ack.to].arriveD(ack, d)
-	})
+		r.world.ranks[ack.to].arrive(ack, d)
+	}))
 }
 
 // handleAck resolves an arriving ack against the pending list (scheduler
@@ -402,7 +398,6 @@ func (r *Rank) fail(p *sim.Proc, q *Request, phase string, attempts int, err err
 			r.needDrain = true
 		}
 	}
-	q.doneEv.Fire()
 	for i, a := range r.active {
 		if a == q {
 			r.active = append(r.active[:i], r.active[i+1:]...)
@@ -439,12 +434,12 @@ func (r *Rank) notifyPeer(q *Request) {
 	}
 	m := &message{kind: mkErr, from: r.id, to: q.peer, tag: q.tag, receiver: target, bytes: q.bytes, sseq: q.sseq}
 	net := r.world.Cluster.Net
-	net.SendF(r.node, r.world.ranks[q.peer].node, net.Spec.CtrlBytes, func(d fabric.Delivery) {
+	net.SendR(r.node, r.world.ranks[q.peer].node, net.Spec.CtrlBytes, fabric.ReceiverFunc(func(d fabric.Delivery) {
 		if d.Corrupt || d.Dup {
 			return
 		}
-		r.world.ranks[m.to].arriveD(m, d)
-	})
+		r.world.ranks[m.to].arrive(m, d)
+	}))
 }
 
 // readOp tracks one checksummed RDMA-read span (whole message or one
@@ -470,7 +465,7 @@ func (r *Rank) issueRead(p *sim.Proc, q *Request, op *readOp, retrans bool) {
 	fromNode := r.world.ranks[q.matched.from].node
 	off, n := op.off, op.bytes
 	sb, so := sender.srcBuf()
-	net.RDMAReadF(r.node, fromNode, n, func(d fabric.Delivery) {
+	net.RDMAReadR(r.node, fromNode, n, fabric.ReceiverFunc(func(d fabric.Delivery) {
 		if op.done || d.Dup || q.settled() {
 			return
 		}
@@ -494,7 +489,7 @@ func (r *Rank) issueRead(p *sim.Proc, q *Request, op *readOp, retrans bool) {
 				timeline.Arg{Key: "peer", Val: strconv.Itoa(q.matched.from)},
 				timeline.Arg{Key: "bytes", Val: strconv.FormatInt(n, 10)})
 		}
-	})
+	}))
 	est := r.timeoutFor(n)
 	op.deadline = p.Now() + est + r.backoffExtra(est, op.attempts)
 	if retrans {
@@ -536,7 +531,7 @@ func (r *Rank) issueWrite(p *sim.Proc, q *Request, recvReq *Request, retrans boo
 	net := r.world.Cluster.Net
 	peerNode := r.world.ranks[q.peer].node
 	sb, so := q.srcBuf()
-	net.RDMAWriteF(r.node, peerNode, q.bytes, func(d fabric.Delivery) {
+	net.RDMAWriteR(r.node, peerNode, q.bytes, fabric.ReceiverFunc(func(d fabric.Delivery) {
 		if q.finHere || d.Dup || q.settled() {
 			return
 		}
@@ -557,7 +552,7 @@ func (r *Rank) issueWrite(p *sim.Proc, q *Request, recvReq *Request, retrans boo
 				timeline.Arg{Key: "peer", Val: strconv.Itoa(q.peer)},
 				timeline.Arg{Key: "bytes", Val: strconv.FormatInt(q.bytes, 10)})
 		}
-	})
+	}))
 	est := r.timeoutFor(q.bytes)
 	q.writeDeadline = p.Now() + est + r.backoffExtra(est, q.writeAttempts)
 	if retrans {

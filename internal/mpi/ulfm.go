@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/fabric"
 	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/timeline"
@@ -306,12 +305,10 @@ func (r *Rank) failedPeerRequest(isSend bool, peer, tag int, phase string, err e
 			Rank: r.id, Peer: peer, Tag: tag, IsSend: isSend,
 			Phase: phase, Err: err,
 		},
-		doneEv:  r.world.Env.NewEvent("ft-guard"),
 		DoneAt:  r.world.Env.Now(),
 		emitted: true,
 		errSent: true,
 	}
-	q.doneEv.Fire()
 	return q
 }
 
@@ -521,10 +518,7 @@ func (c *Comm) flood(r *Rank) {
 		if wr == r.id || w.crashed[wr] {
 			continue
 		}
-		m := &message{kind: mkRevoke, from: r.id, to: wr, comm: c}
-		net.SendF(r.node, w.ranks[wr].node, net.Spec.CtrlBytes, func(d fabric.Delivery) {
-			w.ranks[m.to].arriveD(m, d)
-		})
+		r.sendMsg(net.Spec.CtrlBytes, &message{kind: mkRevoke, from: r.id, to: wr, comm: c})
 	}
 }
 

@@ -102,8 +102,8 @@ func NewJob(op Op, origin, target *gpu.Buffer, blocks []datatype.Block) *Job {
 	return j
 }
 
-// Execute performs the byte movement. It is designed to run as a kernel's
-// Exec callback (scheduler context) but is also usable directly for
+// Execute performs the byte movement. It is designed to run when a kernel
+// retires (scheduler context; see Handle) but is also usable directly for
 // CPU-driven packing. When either buffer is lazy the copy goes through
 // lazyCopyBlocks (span bookkeeping instead of real bytes); the byte-exact
 // fast paths are untouched when both buffers are real. Execute only
@@ -116,6 +116,10 @@ func (j *Job) Execute() {
 	}
 	j.executeExact()
 }
+
+// Handle executes the job: a job is the work of the kernel that runs it
+// (gpu.KernelSpec.Work), so a launch makes no closure.
+func (j *Job) Handle() { j.Execute() }
 
 // executeExact is Execute when both buffers hold real bytes.
 func (j *Job) executeExact() {
@@ -250,21 +254,21 @@ func (j *Job) KernelSpec() gpu.KernelSpec {
 		Segments:        j.Segments,
 		MaxSegmentBytes: j.MaxBlock,
 		MinDurationNs:   j.ipcFloor(),
-		Exec:            j.Execute,
+		Work:            j,
 	}
 }
 
-// FusedWork converts the job into a fused-kernel request; onComplete is the
-// GPU-side response-status update.
-func (j *Job) FusedWork(name string, onComplete func(end int64)) gpu.FusedWork {
+// FusedWork converts the job into a fused-kernel request. req is the
+// request that carries the job: at the request's completion time it
+// executes the job and then updates its response status.
+func (j *Job) FusedWork(name string, req sim.Handler) gpu.FusedWork {
 	return gpu.FusedWork{
 		Name:            name,
 		Bytes:           j.Bytes,
 		Segments:        j.Segments,
 		MaxSegmentBytes: j.MaxBlock,
 		MinDurationNs:   j.ipcFloor(),
-		Exec:            j.Execute,
-		OnComplete:      onComplete,
+		Work:            req,
 	}
 }
 

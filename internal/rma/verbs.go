@@ -45,12 +45,31 @@ type op struct {
 	slot int
 	add  uint64
 
+	job *pack.Job // fused PackPut: packs the bytes before the wire leg
+
 	issueT     int64 // first wire issue, for the machine-view span
 	tries      int
 	placedData bool
 	sigDone    bool
 	done       bool
 }
+
+// Handle is the op's queued event: its pack kernel retiring (while it
+// holds its job), which packs the bytes and issues the wire leg with no
+// CPU stream-sync, or else a clean delivery at the target.
+func (o *op) Handle() {
+	if j := o.job; j != nil {
+		o.job = nil
+		j.Execute()
+		o.ep.issue(o)
+		return
+	}
+	o.ep.place(o, false, false)
+}
+
+// Deliver is a delivery of the op's wire leg that the link corrupted or
+// duplicated.
+func (o *op) Deliver(d fabric.Delivery) { o.ep.place(o, d.Corrupt, d.Dup) }
 
 func (ep *Endpoint) newOp(verb string, w *Window, target int, from *gpu.Buffer, fromOff int64,
 	to *gpu.Buffer, toOff, n int64, sig *Signal, slot int, add uint64) *op {
@@ -214,20 +233,23 @@ func (ep *Endpoint) issue(o *op) {
 			s.Recordf(fault.Delay, "rma %s op=%d +%dns", o.verb, o.id, extraDelay)
 		}
 	}
-	deliver := func(d fabric.Delivery) {
-		apply := func() { ep.place(o, attemptCorrupt || d.Corrupt, d.Dup) }
-		if extraDelay > 0 {
-			env.At(env.Now()+extraDelay, apply)
-			return
-		}
-		apply()
+	var h fabric.Receiver = o // with no verb fault this attempt, the op receives itself
+	if attemptCorrupt || extraDelay > 0 {
+		h = fabric.ReceiverFunc(func(d fabric.Delivery) {
+			apply := func() { ep.place(o, attemptCorrupt || d.Corrupt, d.Dup) }
+			if extraDelay > 0 {
+				env.At(env.Now()+extraDelay, apply)
+				return
+			}
+			apply()
+		})
 	}
 	me := ep.r.Node()
 	tgt := ep.f.w.Rank(o.twr).Node()
 	if o.verb == "get" {
-		ep.f.net().RDMAReadF(me, tgt, o.n, deliver)
+		ep.f.net().RDMAReadR(me, tgt, o.n, h)
 	} else {
-		ep.f.net().RDMAWriteF(me, tgt, o.n, deliver)
+		ep.f.net().RDMAWriteR(me, tgt, o.n, h)
 	}
 	ep.armTimer(o)
 }
@@ -350,13 +372,8 @@ func (ep *Endpoint) PackPut(p *sim.Proc, w *Window, target int, dstOff int64,
 		}
 		spec := job.KernelSpec()
 		spec.Name = "PackPut"
-		packExec := spec.Exec
-		spec.Exec = func() {
-			if packExec != nil {
-				packExec()
-			}
-			ep.issue(o)
-		}
+		o.job = job
+		spec.Work = o
 		ep.launch(p, spec)
 		return nil
 	}

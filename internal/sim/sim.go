@@ -27,8 +27,10 @@
 //
 // Procs interact with virtual time through blocking calls (Sleep, Wait,
 // Acquire); while a Proc is running, virtual time does not advance.
-// Callbacks scheduled with Env.At run in scheduler context, on whichever
-// goroutine ran the event loop (Run's or a worker), and must not block.
+// Callbacks scheduled with Env.At, and Handlers with Env.AtHandler, run in
+// scheduler context, on whichever goroutine ran the event loop (Run's or a
+// worker), and must not block. An operation completes by setting a Flag in
+// place; the Event a Proc waits on is made only when one asks for it.
 package sim
 
 import (
@@ -93,13 +95,29 @@ func NewEnv() *Env {
 // Now returns the current virtual time in nanoseconds.
 func (e *Env) Now() int64 { return e.now }
 
+// Handler is an event carried by an object that already exists: the queue
+// calls Handle at the event's time, in the same (time, insertion) order
+// as a func() event, without a closure. A kernel's retirement, a request's
+// completion or a message's delivery is so one call on the request, the
+// operation or the message itself.
+type Handler interface{ Handle() }
+
+// HandlerFunc adapts a func() to Handler.
+type HandlerFunc func()
+
+// Handle calls f.
+func (f HandlerFunc) Handle() { f() }
+
 // At schedules fn to run at absolute virtual time t (>= Now). fn runs in the
 // scheduler context: it must not block and must not call Proc methods.
-func (e *Env) At(t int64, fn func()) {
+func (e *Env) At(t int64, fn func()) { e.AtHandler(t, HandlerFunc(fn)) }
+
+// AtHandler is At for a Handler: h.Handle runs at absolute time t.
+func (e *Env) AtHandler(t int64, h Handler) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: At(%d) is in the past (now=%d)", t, e.now))
 	}
-	e.q.push(t, fn)
+	e.q.push(t, h)
 }
 
 // After schedules fn to run d nanoseconds from now.
@@ -107,7 +125,7 @@ func (e *Env) After(d int64, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: After(%d) negative delay", d))
 	}
-	e.q.push(e.now+d, fn)
+	e.q.push(e.now+d, HandlerFunc(fn))
 }
 
 // Stop halts the simulation after the current event finishes. Blocked Procs
@@ -244,7 +262,7 @@ func (e *Env) advance() (next *Proc) {
 		}
 	}()
 	for !e.stopped && e.q.len() > 0 {
-		t, fn := e.q.pop()
+		t, h := e.q.pop()
 		if t < e.now {
 			panic("sim: time went backwards")
 		}
@@ -256,7 +274,7 @@ func (e *Env) advance() (next *Proc) {
 			}
 			e.wdLast = e.now // all procs done; trailing timers are not a stall
 		}
-		fn()
+		h.Handle()
 		if p := e.woken; p != nil {
 			e.woken = nil
 			if e.runnable(p) {
@@ -275,33 +293,57 @@ func (e *Env) advance() (next *Proc) {
 
 // RunUntil runs the simulation but stops once virtual time would exceed t.
 func (e *Env) RunUntil(t int64) error {
-	e.q.push(t, func() { e.Stop() })
+	e.q.push(t, HandlerFunc(e.Stop))
 	return e.Run()
 }
 
 // --- timestamp-sharded event queue ---
 
-// bucket holds the FIFO of events pending at one timestamp. next is the
-// read cursor; executed slots are nilled so closures release promptly.
+// chunkLen is how many events one chunk of a bucket's FIFO holds.
+const chunkLen = 32
+
+// chunk is a fixed-size block of a bucket's FIFO. All buckets take their
+// chunks from the queue's one free list, so the queue keeps about as much
+// memory as its peak of pending events, however those were spread over
+// timestamps.
+type chunk struct {
+	hs   [chunkLen]Handler
+	next *chunk
+}
+
+// bucket holds the FIFO of events pending at one timestamp: a list of
+// chunks, read in head at r and written in tail at w. Executed slots are
+// nilled so handlers release promptly.
 type bucket struct {
-	fns  []func()
-	next int
+	head, tail *chunk
+	r, w       int
 }
 
 // timeQueue orders events by (timestamp, insertion order): a min-heap of
 // the distinct pending timestamps plus a FIFO bucket per timestamp.
-// Drained buckets are recycled through a free list, so steady-state
-// scheduling allocates nothing.
+// Drained buckets and chunks are recycled through free lists, so
+// steady-state scheduling allocates nothing.
 type timeQueue struct {
 	times   []int64
 	buckets map[int64]*bucket
 	free    []*bucket
+	chunks  *chunk // free chunks, linked by next
 	n       int
 }
 
 func (q *timeQueue) len() int { return q.n }
 
-func (q *timeQueue) push(t int64, fn func()) {
+// newChunk takes a free chunk, or makes one.
+func (q *timeQueue) newChunk() *chunk {
+	c := q.chunks
+	if c == nil {
+		return &chunk{}
+	}
+	q.chunks, c.next = c.next, nil
+	return c
+}
+
+func (q *timeQueue) push(t int64, h Handler) {
 	b := q.buckets[t]
 	if b == nil {
 		if k := len(q.free); k > 0 {
@@ -316,31 +358,44 @@ func (q *timeQueue) push(t int64, fn func()) {
 		}
 		q.buckets[t] = b
 		q.heapPush(t)
+		b.head = q.newChunk()
+		b.tail = b.head
+	} else if b.w == chunkLen {
+		b.tail.next = q.newChunk()
+		b.tail = b.tail.next
+		b.w = 0
 	}
-	b.fns = append(b.fns, fn)
+	b.tail.hs[b.w] = h
+	b.w++
 	q.n++
 }
 
 // pop removes and returns the earliest pending event. The caller must have
 // checked len() > 0. If the popped event empties its bucket, the bucket is
 // retired immediately — a push at the same timestamp from inside the
-// returned fn recreates it, and that timestamp (== now) is still the heap
-// minimum, so ordering is preserved.
-func (q *timeQueue) pop() (int64, func()) {
+// returned handler recreates it, and that timestamp (== now) is still the
+// heap minimum, so ordering is preserved.
+func (q *timeQueue) pop() (int64, Handler) {
 	t := q.times[0]
 	b := q.buckets[t]
-	fn := b.fns[b.next]
-	b.fns[b.next] = nil
-	b.next++
+	c := b.head
+	h := c.hs[b.r]
+	c.hs[b.r] = nil
+	b.r++
 	q.n--
-	if b.next == len(b.fns) {
+	switch {
+	case c == b.tail && b.r == b.w: // the bucket is drained
 		q.heapPop()
 		delete(q.buckets, t)
-		b.fns = b.fns[:0]
-		b.next = 0
+		c.next, q.chunks = q.chunks, c
+		*b = bucket{}
 		q.free = append(q.free, b)
+	case b.r == chunkLen: // the head chunk is drained; more follow
+		b.head = c.next
+		c.next, q.chunks = q.chunks, c
+		b.r = 0
 	}
-	return t, fn
+	return t, h
 }
 
 func (q *timeQueue) heapPush(t int64) {
@@ -441,7 +496,7 @@ type Proc struct {
 	name    string
 	w       *worker       // bound while started and unfinished
 	body    func(p *Proc) // held until first dispatch
-	wake    func()        // the queued event that makes this Proc e.woken
+	wake    HandlerFunc   // the queued event that makes this Proc e.woken
 	next    *Proc         // next waiter in an Event's FIFO while blocked in Wait
 	done    bool
 	started bool
@@ -601,7 +656,7 @@ func (ev *Event) FiredAt() int64 {
 // If the event already fired, fn is scheduled to run at the current time.
 func (ev *Event) OnFire(fn func()) {
 	if ev.fired {
-		ev.env.q.push(ev.env.now, fn)
+		ev.env.q.push(ev.env.now, HandlerFunc(fn))
 		return
 	}
 	ev.hooks = append(ev.hooks, fn)
@@ -626,8 +681,47 @@ func (ev *Event) Fire() {
 	hooks := ev.hooks
 	ev.hooks = nil
 	for _, h := range hooks {
-		ev.env.q.push(ev.env.now, h)
+		ev.env.q.push(ev.env.now, HandlerFunc(h))
 	}
+}
+
+// Flag is a one-shot completion status set in place. The queued handler
+// that retires an operation Sets it, pollers read Done, and the Event a
+// waiter blocks on is made only when someone asks for it, so an operation
+// nobody waits on costs no event. The zero Flag is clear.
+type Flag struct {
+	setAt int64 // virtual time the flag was set, plus one; zero while clear
+	ev    *Event
+}
+
+// Set marks the flag set at the current virtual time and fires its event,
+// if one was made. Setting a flag twice panics, as firing an event twice
+// does.
+func (f *Flag) Set(env *Env) {
+	if f.Done() {
+		panic("sim: flag set twice")
+	}
+	f.setAt = env.now + 1
+	if f.ev != nil {
+		f.ev.Fire()
+	}
+}
+
+// Done reports whether the flag is set.
+func (f *Flag) Done() bool { return f.setAt != 0 }
+
+// At returns the virtual time the flag was set; it is valid once Done.
+func (f *Flag) At() int64 { return f.setAt - 1 }
+
+// Event returns the flag's event, made on the first call and named by n:
+// unfired while the flag is clear (Set fires it), and already fired at the
+// flag's time once the flag is set.
+func (f *Flag) Event(env *Env, n EventNamer) *Event {
+	if f.ev == nil {
+		f.ev = env.NewEventNamed(n)
+		f.ev.fired, f.ev.at = f.Done(), f.At()
+	}
+	return f.ev
 }
 
 // FireAt schedules the event to fire at absolute time t.

@@ -178,6 +178,40 @@ func TestNamedEventFormatsOnlyWhenRead(t *testing.T) {
 	ev.Fire()
 }
 
+// TestFlagEventBeforeAndAfterSet: a Flag's event asked for while the flag
+// is clear fires once, when the flag is set, and wakes its waiter then;
+// one asked for after the flag is set has already fired at the flag's
+// time. A Flag nobody asks about makes no event.
+func TestFlagEventBeforeAndAfterSet(t *testing.T) {
+	e := NewEnv()
+	var early, late, unasked Flag
+	var woke int64 = -1
+	ev := early.Event(e, eventName("early"))
+	if ev.Fired() || early.Done() || early.Event(e, eventName("again")) != ev {
+		t.Fatal("a clear flag's event fired, or a second call made another")
+	}
+	e.Spawn("waiter", func(p *Proc) { p.Wait(ev); woke = p.Now() })
+	e.At(5, func() { early.Set(e); late.Set(e); unasked.Set(e) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if woke != 5 || !ev.Fired() || ev.FiredAt() != 5 {
+		t.Fatalf("waiter woke at %d, event fired %v; want both at 5", woke, ev.Fired())
+	}
+	if lev := late.Event(e, eventName("late")); !late.Done() || late.At() != 5 || !lev.Fired() || lev.FiredAt() != 5 {
+		t.Fatal("an event asked for after Set has not fired at the flag's time")
+	}
+	if unasked.ev != nil {
+		t.Fatal("a flag nobody waited on made an event")
+	}
+	defer func() {
+		if r := recover(); r != "sim: flag set twice" {
+			t.Fatalf("setting a flag twice panicked with %v", r)
+		}
+	}()
+	early.Set(e)
+}
+
 func TestOnFireHookRuns(t *testing.T) {
 	e := NewEnv()
 	ev := e.NewEvent("x")
