@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/fault"
 	"repro/internal/sim"
@@ -97,34 +96,40 @@ func deliverAt(env *sim.Env, t int64, h Receiver, d Delivery) {
 	env.At(t, func() { h.Deliver(d) })
 }
 
-// Link is a directional channel instance with an occupancy cursor.
+// Link is a directional channel instance with an occupancy cursor. A
+// crossbar link reads its network's spec and is named from its endpoints
+// only when the name is read.
 type Link struct {
-	Spec      LinkSpec
+	spec      *LinkSpec
 	env       *sim.Env
 	busyUntil int64
+	from, to  int32 // crossbar endpoints; -1 for a standalone link
 
-	// Fault state (nil site = fault-free fast path).
-	faults        *fault.Site
-	downUntil     int64 // link flapped; serialization queues behind this
-	degradedUntil int64 // bandwidth divided by DegradeFactor until this
+	// faults is made by InjectFaults; nil (or a nil site) is the
+	// fault-free fast path.
+	faults *linkFaults
 
 	// Stats
 	Messages int64
 	Bytes    int64
-	Drops    int64
-	Dups     int64
-	Corrupts int64
-	Delays   int64
-	Flaps    int64
-	Degrades int64
 }
 
-// NewLink builds a link on the simulation environment.
+// linkFaults is a link's fault state: its draw site, its outage and
+// degrade windows, and what it injected.
+type linkFaults struct {
+	site          *fault.Site
+	downUntil     int64 // link flapped; serialization queues behind this
+	degradedUntil int64 // bandwidth divided by DegradeFactor until this
+
+	drops, dups, corrupts, delays, flaps, degrades int64
+}
+
+// NewLink builds a standalone link on the simulation environment.
 func NewLink(env *sim.Env, spec LinkSpec) (*Link, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return &Link{Spec: spec, env: env}, nil
+	return &Link{spec: &spec, env: env, from: -1, to: -1}, nil
 }
 
 // MustLink is NewLink panicking on an invalid spec, for callers whose spec
@@ -137,9 +142,28 @@ func MustLink(env *sim.Env, spec LinkSpec) *Link {
 	return l
 }
 
+// Spec returns the link's channel parameters.
+func (l *Link) Spec() LinkSpec { return *l.spec }
+
+// Name is the spec's name, suffixed [from->to] on a crossbar link.
+func (l *Link) Name() string {
+	if l.from < 0 {
+		return l.spec.Name
+	}
+	return fmt.Sprintf("%s[%d->%d]", l.spec.Name, l.from, l.to)
+}
+
 // InjectFaults installs the link's draw site. Nil restores the fault-free
-// fast path.
-func (l *Link) InjectFaults(site *fault.Site) { l.faults = site }
+// fast path; the link keeps its fault counts.
+func (l *Link) InjectFaults(site *fault.Site) {
+	if l.faults == nil {
+		if site == nil {
+			return
+		}
+		l.faults = &linkFaults{}
+	}
+	l.faults.site = site
+}
 
 // Transfer schedules bytes onto the link. The payload occupies the link for
 // its serialization time starting when the link frees up; arrive runs (in
@@ -162,51 +186,58 @@ func (l *Link) TransferR(bytes int64, h Receiver) int64 {
 	if l.busyUntil > start {
 		start = l.busyUntil
 	}
-	bw := l.Spec.BWBytesPerNs
-	if s := l.faults; s != nil {
+	spec := l.spec
+	bw := spec.BWBytesPerNs
+	f := l.faults
+	if f != nil && f.site == nil {
+		f = nil
+	}
+	if f != nil {
+		s := f.site
 		lp := &s.Plan().Link
 		if s.Roll(lp.FlapProb) {
-			l.downUntil = now + lp.FlapDownNs
-			l.Flaps++
+			f.downUntil = now + lp.FlapDownNs
+			f.flaps++
 			s.Recordf(fault.Flap, "down for %dns", lp.FlapDownNs)
 		}
-		if l.downUntil > start {
+		if f.downUntil > start {
 			// Link-layer retransmission: traffic queues behind the outage
 			// rather than vanishing.
-			start = l.downUntil
+			start = f.downUntil
 		}
 		if s.Roll(lp.DegradeProb) {
-			l.degradedUntil = now + lp.DegradeNs
-			l.Degrades++
+			f.degradedUntil = now + lp.DegradeNs
+			f.degrades++
 			s.Recordf(fault.Degrade, "bw/%g for %dns", lp.DegradeFactor, lp.DegradeNs)
 		}
-		if start < l.degradedUntil {
+		if start < f.degradedUntil {
 			bw /= lp.DegradeFactor
 		}
 	}
-	ser := l.Spec.PerMessageNs + int64(math.Ceil(float64(bytes)/bw))
+	ser := spec.PerMessageNs + int64(math.Ceil(float64(bytes)/bw))
 	l.busyUntil = start + ser
-	arrive := start + ser + l.Spec.LatencyNs
+	arrive := start + ser + spec.LatencyNs
 	l.Messages++
 	l.Bytes += bytes
 	d := Delivery{}
 	dup := false
-	if s := l.faults; s != nil {
+	if f != nil {
+		s := f.site
 		lp := &s.Plan().Link
 		if s.Roll(lp.DropProb) {
-			l.Drops++
+			f.drops++
 			s.Recordf(fault.Drop, "%dB", bytes)
 			return arrive
 		}
 		if s.Roll(lp.CorruptProb) {
 			d.Corrupt = true
-			l.Corrupts++
+			f.corrupts++
 			s.Recordf(fault.Corrupt, "%dB", bytes)
 		}
 		if s.Roll(lp.DelayProb) {
 			extra := 1 + s.Int63n(lp.DelayMaxNs)
 			arrive += extra
-			l.Delays++
+			f.delays++
 			s.Recordf(fault.Delay, "+%dns", extra)
 		}
 		dup = s.Roll(lp.DupProb)
@@ -214,11 +245,11 @@ func (l *Link) TransferR(bytes int64, h Receiver) int64 {
 	if h != nil {
 		deliverAt(l.env, arrive, h, d)
 		if dup {
-			l.Dups++
-			l.faults.Recordf(fault.Duplicate, "%dB", bytes)
+			f.dups++
+			f.site.Recordf(fault.Duplicate, "%dB", bytes)
 			d2 := d
 			d2.Dup = true
-			deliverAt(l.env, arrive+l.Spec.PerMessageNs, h, d2)
+			deliverAt(l.env, arrive+spec.PerMessageNs, h, d2)
 		}
 	}
 	return arrive
@@ -259,9 +290,10 @@ var ErrNICPost = errors.New("fabric: transient NIC verb post failure")
 
 // Network is a full crossbar of directional links between nodes.
 type Network struct {
-	Spec  NetworkSpec
-	env   *sim.Env
-	links map[[2]int]*Link
+	Spec NetworkSpec
+	env  *sim.Env
+	// links[from*Nodes+to] is the link from -> to; the diagonal is unused.
+	links []Link
 	nic   *fault.Site // verb-post fault site (nil = fault-free)
 }
 
@@ -273,20 +305,10 @@ func NewNetwork(env *sim.Env, spec NetworkSpec) (*Network, error) {
 	if spec.CtrlBytes <= 0 {
 		spec.CtrlBytes = 64
 	}
-	n := &Network{Spec: spec, env: env, links: make(map[[2]int]*Link)}
-	for i := 0; i < spec.Nodes; i++ {
-		for j := 0; j < spec.Nodes; j++ {
-			if i == j {
-				continue
-			}
-			ls := spec.Link
-			ls.Name = fmt.Sprintf("%s[%d->%d]", ls.Name, i, j)
-			l, err := NewLink(env, ls)
-			if err != nil {
-				return nil, err
-			}
-			n.links[[2]int{i, j}] = l
-		}
+	nodes := spec.Nodes
+	n := &Network{Spec: spec, env: env, links: make([]Link, nodes*nodes)}
+	for i := range n.links {
+		n.links[i] = Link{spec: &n.Spec.Link, env: env, from: int32(i / nodes), to: int32(i % nodes)}
 	}
 	return n, nil
 }
@@ -300,53 +322,50 @@ func MustNetwork(env *sim.Env, spec NetworkSpec) *Network {
 	return n
 }
 
+// eachLink calls f on every directional link in (from, to) order.
+func (n *Network) eachLink(f func(*Link)) {
+	for i := range n.links {
+		if l := &n.links[i]; l.from != l.to {
+			f(l)
+		}
+	}
+}
+
 // InjectFaults installs per-link and NIC draw sites from inj (nil removes
-// them). Links are wired in sorted order so site creation order — and hence
-// nothing at all, since sites are independently seeded — cannot perturb
-// determinism.
+// them). Links are wired in (from, to) order so site creation order — and
+// hence nothing at all, since sites are independently seeded — cannot
+// perturb determinism.
 func (n *Network) InjectFaults(inj *fault.Injector) {
 	if inj == nil {
 		n.nic = nil
-		for _, l := range n.links {
-			l.InjectFaults(nil)
-		}
+		n.eachLink(func(l *Link) { l.InjectFaults(nil) })
 		return
 	}
 	n.nic = inj.Site("nic")
-	for _, l := range n.sortedLinks() {
-		l.InjectFaults(inj.Site("link:" + l.Spec.Name))
-	}
+	fs := make([]linkFaults, 0, len(n.links))
+	n.eachLink(func(l *Link) {
+		if l.faults == nil {
+			fs = append(fs, linkFaults{})
+			l.faults = &fs[len(fs)-1]
+		}
+		l.faults.site = inj.Site("link:" + l.Name())
+	})
 }
 
-// sortedLinks returns the crossbar's links ordered by (from, to).
-func (n *Network) sortedLinks() []*Link {
-	keys := make([][2]int, 0, len(n.links))
-	for k := range n.links {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	out := make([]*Link, len(keys))
-	for i, k := range keys {
-		out[i] = n.links[k]
-	}
+// Links returns all directional links in (from, to) order.
+func (n *Network) Links() []*Link {
+	out := make([]*Link, 0, len(n.links)-n.Spec.Nodes)
+	n.eachLink(func(l *Link) { out = append(out, l) })
 	return out
 }
 
-// Links returns all directional links in deterministic order.
-func (n *Network) Links() []*Link { return n.sortedLinks() }
-
 // LinkBetween returns the directional link from node a to node b.
 func (n *Network) LinkBetween(a, b int) *Link {
-	l, ok := n.links[[2]int{a, b}]
-	if !ok {
+	nodes := n.Spec.Nodes
+	if a == b || uint(a) >= uint(nodes) || uint(b) >= uint(nodes) {
 		panic(fmt.Sprintf("fabric: no link %d->%d", a, b))
 	}
-	return l
+	return &n.links[a*nodes+b]
 }
 
 // Post charges the calling proc the NIC posting cost.
@@ -429,8 +448,8 @@ func (n *Network) RDMAWriteR(writer, target int, bytes int64, h Receiver) {
 // TotalBytes sums payload bytes across all links (for tests/metrics).
 func (n *Network) TotalBytes() int64 {
 	var sum int64
-	for _, l := range n.links {
-		sum += l.Bytes
+	for i := range n.links {
+		sum += n.links[i].Bytes
 	}
 	return sum
 }
@@ -438,8 +457,8 @@ func (n *Network) TotalBytes() int64 {
 // TotalMessages sums message counts across all links.
 func (n *Network) TotalMessages() int64 {
 	var sum int64
-	for _, l := range n.links {
-		sum += l.Messages
+	for i := range n.links {
+		sum += n.links[i].Messages
 	}
 	return sum
 }
@@ -448,14 +467,17 @@ func (n *Network) TotalMessages() int64 {
 // "drops=N dups=N corrupts=N delays=N flaps=N degrades=N" (zeros included),
 // for diagnostics.
 func (n *Network) FaultCounts() string {
-	var dr, du, co, de, fl, dg int64
-	for _, l := range n.links {
-		dr += l.Drops
-		du += l.Dups
-		co += l.Corrupts
-		de += l.Delays
-		fl += l.Flaps
-		dg += l.Degrades
-	}
-	return fmt.Sprintf("drops=%d dups=%d corrupts=%d delays=%d flaps=%d degrades=%d", dr, du, co, de, fl, dg)
+	var t linkFaults
+	n.eachLink(func(l *Link) {
+		if f := l.faults; f != nil {
+			t.drops += f.drops
+			t.dups += f.dups
+			t.corrupts += f.corrupts
+			t.delays += f.delays
+			t.flaps += f.flaps
+			t.degrades += f.degrades
+		}
+	})
+	return fmt.Sprintf("drops=%d dups=%d corrupts=%d delays=%d flaps=%d degrades=%d",
+		t.drops, t.dups, t.corrupts, t.delays, t.flaps, t.degrades)
 }

@@ -1,6 +1,9 @@
 package fabric
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -193,14 +196,66 @@ func TestNetworkStats(t *testing.T) {
 	}
 }
 
+// TestMissingLinkPanics: every pair that is not a crossbar link panics with
+// the same message, including (0, Nodes), whose flat index would
+// otherwise alias link 1->0.
 func TestMissingLinkPanics(t *testing.T) {
 	_, n := newTestNetwork(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	n.LinkBetween(0, 7)
+	nodes := n.Spec.Nodes
+	for _, c := range []struct{ a, b int }{
+		{0, 7}, {0, 0}, {-1, 0}, {0, -1}, {nodes, 0}, {0, nodes},
+	} {
+		t.Run(fmt.Sprintf("%d->%d", c.a, c.b), func(t *testing.T) {
+			defer func() {
+				want := fmt.Sprintf("fabric: no link %d->%d", c.a, c.b)
+				if got := recover(); got != want {
+					t.Fatalf("panic %v, want %q", got, want)
+				}
+			}()
+			n.LinkBetween(c.a, c.b)
+		})
+	}
+}
+
+// TestLinkNames: a crossbar link is named from its endpoints when the name
+// is read, and the fault sites are drawn under those names.
+func TestLinkNames(t *testing.T) {
+	_, n := newTestNetwork(t)
+	if got := n.LinkBetween(2, 1).Name(); got != "IB-EDR[2->1]" {
+		t.Errorf("crossbar link name %q", got)
+	}
+	if got := MustLink(sim.NewEnv(), edrSpec()).Name(); got != "IB-EDR" {
+		t.Errorf("standalone link name %q", got)
+	}
+	var names []string
+	for _, l := range n.Links() {
+		names = append(names, l.Name())
+	}
+	want := "IB-EDR[0->1] IB-EDR[0->2] IB-EDR[1->0] IB-EDR[1->2] IB-EDR[2->0] IB-EDR[2->1]"
+	if got := strings.Join(names, " "); got != want {
+		t.Errorf("links %s, want %s", got, want)
+	}
+}
+
+// TestCrossbarBuildAllocs: NewNetwork makes the crossbar in a constant
+// number of allocations, whatever the node count.
+func TestCrossbarBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	// A GC first, so that starting its workers is not counted, and enough
+	// runs that a one-off runtime allocation averages away.
+	runtime.GC()
+	build := func(nodes int) float64 {
+		env := sim.NewEnv()
+		return testing.AllocsPerRun(20, func() {
+			MustNetwork(env, NetworkSpec{Nodes: nodes, Link: edrSpec()})
+		})
+	}
+	small, large := build(16), build(256)
+	if small != large || large > 2 {
+		t.Fatalf("NewNetwork allocates %v times at 16 nodes and %v at 256, want the same, at most 2", small, large)
+	}
 }
 
 // Property: arrival time is monotone in message size, and total link
@@ -215,7 +270,7 @@ func TestPropertyTransferMonotone(t *testing.T) {
 		var expected int64
 		for _, s := range sizes {
 			b := int64(s) + 1
-			expected += l.Spec.PerMessageNs + (b+int64(l.Spec.BWBytesPerNs)-1)/int64(l.Spec.BWBytesPerNs)
+			expected += l.Spec().PerMessageNs + (b+int64(l.Spec().BWBytesPerNs)-1)/int64(l.Spec().BWBytesPerNs)
 			l.Transfer(b, nil)
 		}
 		if err := env.Run(); err != nil {

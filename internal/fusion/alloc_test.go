@@ -32,7 +32,7 @@ func TestWarmEnqueueFlushDoneAllocs(t *testing.T) {
 				}
 			}
 		}
-		cycle() // warm: entries, queue buckets and the UID map
+		cycle() // warm: entries and queue buckets
 		allocs = testing.AllocsPerRun(100, cycle)
 	})
 	if err := env.Run(); err != nil {

@@ -126,11 +126,12 @@ type Stats struct {
 type entry struct {
 	next       *entry // next free entry while released
 	s          *Scheduler
-	uid        int64
+	uid        int64 // 0 while released
 	job        *pack.Job
 	enqueuedAt int64
 	reqStatus  Status
 	respStatus Status
+	slot       int32 // index in the request list; kept across reuse
 	// done is set when the request completes or fails; its event is
 	// made only by DoneEvent.
 	done sim.Flag
@@ -162,13 +163,13 @@ type Scheduler struct {
 	stream *gpu.Stream
 	cfg    Config
 
-	free         *entry // released entries, reused first
-	made         int    // entries made so far, at most cfg.QueueCapacity
-	byUID        map[int64]*entry
-	pending      []*entry // insertion-ordered pending entries
+	free         *entry    // released entries, reused first
+	blocks       [][]entry // the request list, made entryBlock slots at a time
+	made         int       // entries made so far, at most cfg.QueueCapacity
+	pending      []*entry  // insertion-ordered pending entries
 	pendingBytes int64
-	nextUID      int64
-	windows      int // open collective-scope fusion windows (nest depth)
+	seq          int64 // requests enqueued so far; names the next one
+	windows      int   // open collective-scope fusion windows (nest depth)
 
 	Stats Stats
 	// Trace, if non-nil, accrues Scheduling/Launch/PackKernel costs.
@@ -199,7 +200,6 @@ func NewScheduler(dev *gpu.Device, stream *gpu.Stream, cfg Config) *Scheduler {
 		dev:    dev,
 		stream: stream,
 		cfg:    cfg,
-		byUID:  make(map[int64]*entry),
 	}
 	s.grow()
 	return s
@@ -214,12 +214,34 @@ func (s *Scheduler) PendingBytes() int64 { return s.pendingBytes }
 // PendingCount reports how many requests await fusion.
 func (s *Scheduler) PendingCount() int { return len(s.pending) }
 
-// uidName names the completion event of the request with that UID. The
-// UID is captured at enqueue: a request-list entry is reused once
-// released, so the name is never read from the entry.
-type uidName int64
+// seqOf is the sequence number of uid, which names the request. A UID is
+// seq*QueueCapacity + slot, its enqueue sequence number (from 1) and its
+// request-list slot: it addresses its entry, and the entry's uid tells a
+// live request from a stale UID whose slot was released or reused.
+func (s *Scheduler) seqOf(uid int64) int64 { return uid / int64(s.cfg.QueueCapacity) }
 
-func (u uidName) EventName() string { return fmt.Sprintf("fusion-req-%d", int64(u)) }
+// lookup returns uid's live entry, or nil for a UID that is unknown or
+// already released.
+func (s *Scheduler) lookup(uid int64) *entry {
+	if uid <= 0 {
+		return nil
+	}
+	slot := int(uid % int64(s.cfg.QueueCapacity))
+	if slot >= s.made {
+		return nil
+	}
+	if e := &s.blocks[slot/entryBlock][slot%entryBlock]; e.uid == uid {
+		return e
+	}
+	return nil
+}
+
+// seqName names the completion event of the request with that sequence
+// number. It is captured when the event is made: a request-list entry is
+// reused once released, so the name is never read from the entry.
+type seqName int64
+
+func (n seqName) EventName() string { return fmt.Sprintf("fusion-req-%d", int64(n)) }
 
 // batchName names the fused kernel of the n-th launch, batch-<n>.
 type batchName int64
@@ -240,16 +262,16 @@ func (s *Scheduler) Enqueue(p *sim.Proc, job *pack.Job) int64 {
 		s.Stats.Rejected++
 		return ErrQueueFull
 	}
-	s.nextUID++
+	s.seq++
 	*e = entry{
 		s:          s,
-		uid:        s.nextUID,
+		uid:        s.seq*int64(s.cfg.QueueCapacity) + int64(e.slot),
 		job:        job,
 		reqStatus:  StatusPending,
 		respStatus: StatusIdle,
+		slot:       e.slot,
 		enqueuedAt: s.env.Now(),
 	}
-	s.byUID[e.uid] = e
 	s.pending = append(s.pending, e)
 	s.pendingBytes += job.Bytes
 	s.Stats.Enqueued++
@@ -349,7 +371,7 @@ func (s *Scheduler) launch(p *sim.Proc) {
 		e.reqStatus = StatusBusy
 		var name string
 		if traced {
-			name = fmt.Sprintf("req-%d", e.uid)
+			name = fmt.Sprintf("req-%d", s.seqOf(e.uid))
 		}
 		works[i] = e.job.FusedWork(name, e)
 	}
@@ -416,7 +438,7 @@ func (s *Scheduler) degrade(p *sim.Proc, batch []*entry) {
 		if err != nil {
 			s.Stats.FailedRequests++
 			e.err = fmt.Errorf("fusion: request %d: unfused fallback failed after %d attempts: %w",
-				e.uid, launchRetries+1, err)
+				s.seqOf(e.uid), launchRetries+1, err)
 			e.done.Set(s.env)
 			continue
 		}
@@ -453,8 +475,8 @@ func (s *Scheduler) Done(p *sim.Proc, uid int64) (bool, error) {
 	t0 := p.Now()
 	p.Sleep(queryCostNs)
 	s.addTraceAt(trace.Scheduling, "query", t0, queryCostNs)
-	e, ok := s.byUID[uid]
-	if !ok {
+	e := s.lookup(uid)
+	if e == nil {
 		return true, nil
 	}
 	if e.err != nil {
@@ -475,11 +497,11 @@ func (s *Scheduler) Done(p *sim.Proc, uid int64) (bool, error) {
 // completion time. Waiting on the event does not release the entry; pair
 // with Done or Release.
 func (s *Scheduler) DoneEvent(uid int64) *sim.Event {
-	e, ok := s.byUID[uid]
-	if !ok {
+	e := s.lookup(uid)
+	if e == nil {
 		return nil
 	}
-	return e.done.Event(s.env, uidName(e.uid))
+	return e.done.Event(s.env, seqName(s.seqOf(uid)))
 }
 
 // SyncStream explicitly synchronizes the fused-kernel stream — the
@@ -492,14 +514,13 @@ func (s *Scheduler) SyncStream(p *sim.Proc) {
 // Release frees uid's entry without a status query (used after waiting on
 // DoneEvent).
 func (s *Scheduler) Release(uid int64) {
-	if e, ok := s.byUID[uid]; ok {
+	if e := s.lookup(uid); e != nil {
 		s.release(e)
 	}
 }
 
 func (s *Scheduler) release(e *entry) {
-	delete(s.byUID, e.uid)
-	*e = entry{next: s.free}
+	*e = entry{next: s.free, slot: e.slot}
 	s.free = e
 }
 
@@ -521,18 +542,23 @@ func (s *Scheduler) freeEntry() *entry {
 // and puts them on the free list in order.
 func (s *Scheduler) grow() {
 	block := make([]entry, min(entryBlock, s.cfg.QueueCapacity-s.made))
-	s.made += len(block)
+	if len(block) == 0 {
+		return
+	}
+	s.blocks = append(s.blocks, block)
 	for i := len(block) - 1; i >= 0; i-- {
+		block[i].slot = int32(s.made + i)
 		block[i].next = s.free
 		s.free = &block[i]
 	}
+	s.made += len(block)
 }
 
 // RequestLatency reports enqueue→completion time for a finished entry that
 // has not been released yet; ok is false otherwise.
 func (s *Scheduler) RequestLatency(uid int64) (int64, bool) {
-	e, found := s.byUID[uid]
-	if !found || e.respStatus != StatusCompleted {
+	e := s.lookup(uid)
+	if e == nil || e.respStatus != StatusCompleted {
 		return 0, false
 	}
 	return e.done.At() - e.enqueuedAt, true

@@ -249,6 +249,68 @@ func TestDoneEventNamesSurviveEntryReuse(t *testing.T) {
 	}
 }
 
+// TestStaleUIDAfterSlotReuse: a UID addresses its request-list slot, so a
+// released request's UID must stay done and unknown once a later request
+// reuses that slot, and acting on it must leave the later request alone.
+func TestStaleUIDAfterSlotReuse(t *testing.T) {
+	const capacity = 4
+	env, dev, s := newSched(Config{QueueCapacity: capacity, ThresholdBytes: 1 << 40})
+	env.Spawn("pe", func(p *sim.Proc) {
+		ja, _ := mkPackJob(dev, 1, 10, 1)
+		a := s.Enqueue(p, ja)
+		s.Flush(p)
+		p.Wait(s.DoneEvent(a))
+		s.Release(a)
+		jb, verify := mkPackJob(dev, 2, 10, 1)
+		b := s.Enqueue(p, jb)
+		if a%capacity != b%capacity {
+			t.Fatalf("B (uid %d) did not reuse A's (uid %d) slot", b, a)
+		}
+		if b <= a {
+			t.Errorf("B's uid %d not above A's %d", b, a)
+		}
+		if ok, err := s.Done(p, a); !ok || err != nil {
+			t.Errorf("Done(A) = %v, %v; want true", ok, err)
+		}
+		if ev := s.DoneEvent(a); ev != nil {
+			t.Error("DoneEvent(A) made an event for a released request")
+		}
+		s.Release(a)
+		if s.PendingCount() != 1 {
+			t.Fatalf("Release(A) left %d pending, want B", s.PendingCount())
+		}
+		if ok, _ := s.Done(p, b); ok {
+			t.Error("B done before its launch")
+		}
+		evB := s.DoneEvent(b)
+		s.Flush(p)
+		p.Wait(evB)
+		if _, ok := s.RequestLatency(a); ok {
+			t.Error("RequestLatency(A) reported B's completion")
+		}
+		if _, ok := s.RequestLatency(b); !ok {
+			t.Error("RequestLatency(B) not ok after its completion")
+		}
+		func() {
+			defer func() {
+				if got, want := recover(), "sim: event fired twice: fusion-req-2"; got != want {
+					t.Errorf("B's event: %v, want %q", got, want)
+				}
+			}()
+			evB.Fire()
+		}()
+		if err := verify(); err != nil {
+			t.Error(err)
+		}
+		if ok, err := s.Done(p, b); !ok || err != nil {
+			t.Errorf("Done(B) = %v, %v; want true", ok, err)
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDoneEventAfterCompletionHasFired: a request's completion event asked
 // for only after the request completed, and before its entry is released,
 // has already fired at the completion time, and a wait on it returns at

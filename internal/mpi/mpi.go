@@ -780,15 +780,6 @@ func (r *Rank) IrecvRaw(p *sim.Proc, src, tag int, buf *gpu.Buffer, l *datatype.
 	return q
 }
 
-// EventName names the request from the values it was posted with (a
-// wildcard receive keeps its posted source).
-func (q *Request) EventName() string {
-	if q.isSend {
-		return fmt.Sprintf("send-%d->%d-tag%d", q.rank.id, q.peer, q.tag)
-	}
-	return fmt.Sprintf("recv-%d<-%d-tag%d", q.rank.id, q.peer, q.tag)
-}
-
 func (q *Request) matches(m *message) bool {
 	if q.peer != AnySource && q.peer != m.from {
 		return false

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -217,37 +216,6 @@ func TestAnySourceAnyTag(t *testing.T) {
 	}
 	if rbuf.Data[0] != 0x5A {
 		t.Fatal("wildcard recv got wrong data")
-	}
-}
-
-// TestRequestEventNames: a request's completion event is named from the
-// values it was posted with, a matched wildcard receive keeping its
-// posted source and tag.
-func TestRequestEventNames(t *testing.T) {
-	w := newWorld("GPU-Sync", nil)
-	l := datatype.Commit(datatype.Contiguous(64, datatype.Byte))
-	sbuf := w.Rank(5).Dev.Alloc("s", 64)
-	rbuf := w.Rank(0).Dev.Alloc("r", 64)
-	names := map[int]string{}
-	err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
-		var q *mpi.Request
-		switch r.ID() {
-		case 5:
-			q = r.Isend(p, 0, 99, sbuf, l, 1)
-		case 0:
-			q = r.Irecv(p, mpi.AnySource, mpi.AnyTag, rbuf, l, 1)
-		default:
-			return
-		}
-		r.Wait(p, q)
-		names[r.ID()] = q.EventName()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[int]string{5: "send-5->0-tag99", 0: fmt.Sprintf("recv-0<-%d-tag%d", mpi.AnySource, mpi.AnyTag)}
-	if !reflect.DeepEqual(names, want) {
-		t.Fatalf("event names %q, want %q", names, want)
 	}
 }
 
