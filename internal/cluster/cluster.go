@@ -186,9 +186,6 @@ type Cluster struct {
 	Env     *sim.Env
 	Net     *fabric.Network
 	Devices [][]*gpu.Device // [node][gpu]
-	// PeerLinks[node] carries intra-node GPU peer traffic (shared per
-	// node, directionless approximation).
-	PeerLinks []*fabric.Link
 }
 
 // Validate reports an error for an unbuildable spec; configuration paths
@@ -237,16 +234,6 @@ func Build(env *sim.Env, spec Spec) (*Cluster, error) {
 			id++
 		}
 		c.Devices = append(c.Devices, devs)
-		peer, err := fabric.NewLink(env, fabric.LinkSpec{
-			Name:         fmt.Sprintf("nvlink-peer[node%d]", n),
-			LatencyNs:    spec.GPUPeerLatencyNs,
-			BWBytesPerNs: spec.GPUPeerBWBytesPerNs,
-			PerMessageNs: 120,
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.PeerLinks = append(c.PeerLinks, peer)
 	}
 	return c, nil
 }

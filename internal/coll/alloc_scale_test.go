@@ -13,11 +13,12 @@ import (
 	"repro/internal/sim"
 )
 
-// sparseA2AAllocs runs a sparse hierarchical Alltoallw on a persistent
-// lazy world of n ranks (4 per node, each rank exchanging a 32 KiB strided
-// leg with its 16 nearest wrap-around peers, the -fig scale shape) and
-// returns the heap allocations per rank per step once warm.
-func sparseA2AAllocs(t *testing.T, n int) float64 {
+// sparseA2AAllocs runs a sparse Alltoallw with algorithm alg on a
+// persistent lazy world of n ranks (4 per node, each rank exchanging a
+// 32 KiB strided leg with its 16 nearest wrap-around peers, the -fig scale
+// shape) and returns the heap objects and bytes allocated per rank per
+// step once warm.
+func sparseA2AAllocs(t *testing.T, alg coll.Algorithm, n int) (objs, bytes float64) {
 	t.Helper()
 	env := sim.NewEnv()
 	c := cluster.MustBuild(env, cluster.Lassen().WithNodes(n/4))
@@ -43,7 +44,7 @@ func sparseA2AAllocs(t *testing.T, n int) float64 {
 			}
 		}
 	}
-	e := coll.New(w, coll.Tuning{Alltoallw: coll.Hierarchical})
+	e := coll.New(w, coll.Tuning{Alltoallw: alg})
 	step := func() {
 		err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
 			if err := e.Alltoallw(p, r, ops[r.ID()]); err != nil {
@@ -66,7 +67,8 @@ func sparseA2AAllocs(t *testing.T, n int) float64 {
 	}
 	runtime.ReadMemStats(&m1)
 	checkNoLeaks(t, w, fmt.Sprintf("%d ranks", n))
-	return float64(m1.Mallocs-m0.Mallocs) / float64(n*steps)
+	per := float64(n * steps)
+	return float64(m1.Mallocs-m0.Mallocs) / per, float64(m1.TotalAlloc-m0.TotalAlloc) / per
 }
 
 // TestHierAlltoallwAllocsFlatInWorldSize pins that a rank's host work in
@@ -74,11 +76,26 @@ func sparseA2AAllocs(t *testing.T, n int) float64 {
 // 16 legs per rank, a step allocates no more per rank at 256 ranks than at
 // 64, within 2 %.
 func TestHierAlltoallwAllocsFlatInWorldSize(t *testing.T) {
-	small := sparseA2AAllocs(t, 64)
-	large := sparseA2AAllocs(t, 256)
+	small, _ := sparseA2AAllocs(t, coll.Hierarchical, 64)
+	large, _ := sparseA2AAllocs(t, coll.Hierarchical, 256)
 	t.Logf("allocations per rank per step: %.1f at 64 ranks, %.1f at 256", small, large)
 	if large > 1.02*small {
 		t.Fatalf("a 256-rank step allocates %.1f per rank, %.1f%% above the %.1f of a 64-rank step",
+			large, 100*(large/small-1), small)
+	}
+}
+
+// TestLinearAlltoallwAllocsFlatInLiveLegs pins that a linear Alltoallw
+// lists only a rank's live legs: with the same 16 legs per rank, a step
+// allocates no more bytes per rank at 256 ranks than at 64, within 2 %.
+// Listing one leg per peer, live or not, costs 80 B per peer.
+func TestLinearAlltoallwAllocsFlatInLiveLegs(t *testing.T) {
+	smallObjs, small := sparseA2AAllocs(t, coll.Linear, 64)
+	largeObjs, large := sparseA2AAllocs(t, coll.Linear, 256)
+	t.Logf("per rank per step: %.1f objects, %.0f B at 64 ranks; %.1f objects, %.0f B at 256",
+		smallObjs, small, largeObjs, large)
+	if large > 1.02*small {
+		t.Fatalf("a 256-rank step allocates %.0f B per rank, %.1f%% above the %.0f B of a 64-rank step",
 			large, 100*(large/small-1), small)
 	}
 }

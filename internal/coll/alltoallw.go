@@ -92,14 +92,38 @@ func (e *Engine) pickAlltoallw(ops []WOp) Algorithm {
 	return Pairwise
 }
 
+func (op WOp) recvLeg(peer, tag int) leg {
+	return leg{peer: peer, tag: tag, buf: op.RecvBuf, l: op.RecvType, count: op.RecvCount}
+}
+
+func (op WOp) sendLeg(peer, tag int) leg {
+	return leg{peer: peer, tag: tag, buf: op.SendBuf, l: op.SendType, count: op.SendCount}
+}
+
 // alltoallwLinear posts every leg in one fused phase: all packs launch as
-// one kernel, all unpacks/IPC scatters as another.
+// one kernel, all unpacks/IPC scatters as another. It lists only the
+// non-empty legs (post would skip the others), so a sparse op table costs
+// its live legs, not the communicator size.
 func (c *call) alltoallwLinear(ops []WOp) error {
-	recvs := make([]leg, 0, len(ops))
-	sends := make([]leg, 0, len(ops))
+	tag := c.tag(tagData)
+	nr, ns := 0, 0
 	for peer, op := range ops {
-		recvs = append(recvs, leg{peer: peer, tag: c.tag(tagData), buf: op.RecvBuf, l: op.RecvType, count: op.RecvCount})
-		sends = append(sends, leg{peer: peer, tag: c.tag(tagData), buf: op.SendBuf, l: op.SendType, count: op.SendCount})
+		if !op.recvLeg(peer, tag).empty() {
+			nr++
+		}
+		if !op.sendLeg(peer, tag).empty() {
+			ns++
+		}
+	}
+	legs := make([]leg, nr+ns)
+	recvs, sends := legs[:0:nr], legs[nr:nr]
+	for peer, op := range ops {
+		if lg := op.recvLeg(peer, tag); !lg.empty() {
+			recvs = append(recvs, lg)
+		}
+		if lg := op.sendLeg(peer, tag); !lg.empty() {
+			sends = append(sends, lg)
+		}
 	}
 	return c.exchangePhase(recvs, sends)
 }
@@ -114,8 +138,8 @@ func (c *call) alltoallwPairwise(ops []WOp) error {
 		to := (id + step) % size
 		from := (id - step + size) % size
 		err := c.exchangePhase(
-			[]leg{{peer: from, tag: c.tag(tagData), buf: ops[from].RecvBuf, l: ops[from].RecvType, count: ops[from].RecvCount}},
-			[]leg{{peer: to, tag: c.tag(tagData), buf: ops[to].SendBuf, l: ops[to].SendType, count: ops[to].SendCount}},
+			[]leg{ops[from].recvLeg(from, c.tag(tagData))},
+			[]leg{ops[to].sendLeg(to, c.tag(tagData))},
 		)
 		if err != nil {
 			return err

@@ -98,8 +98,9 @@ const (
 	launchRetries = 3
 	// entryBlock is how many request-list entries are made at a time: a
 	// scheduler makes its first block up front and the next ones only as
-	// enough requests are in flight together, up to QueueCapacity.
-	entryBlock = 64
+	// enough requests are in flight together, up to QueueCapacity. Most
+	// ranks of a sparse exchange never hold more than 16 at once.
+	entryBlock = 16
 )
 
 // Stats counts scheduler activity.

@@ -466,12 +466,10 @@ const (
 	mkRTSChunk
 	mkCTS
 	mkFIN
-	mkAck    // reliability layer: firmware-level acknowledgment
-	mkErr    // reliability layer: best-effort peer-abort notification
-	mkRevoke // failure tolerance: in-band communicator revocation (gossip)
+	mkErr // reliability layer: best-effort peer-abort notification
 )
 
-var msgKindNames = [...]string{"eager", "rts", "rts-chunk", "cts", "fin", "ack", "err", "revoke"}
+var msgKindNames = [...]string{"eager", "rts", "rts-chunk", "cts", "fin", "err"}
 
 func (m msgKind) String() string {
 	if int(m) < len(msgKindNames) {
@@ -504,13 +502,11 @@ type message struct {
 	chunkOff   int64
 	chunkBytes int64
 	// id is the reliability-layer message id (nonzero only for tracked
-	// messages; acks echo the id they acknowledge).
+	// messages).
 	id int64
 	// sseq is the reliability layer's (source, tag) stream sequence of an
 	// envelope, or of the abort taking its place; zero when unsequenced.
 	sseq int64
-	// comm identifies the revoked communicator on mkRevoke messages.
-	comm *Comm
 	// dst is the destination rank, set by sendMsg: a message sent that
 	// way is its own fabric receiver.
 	dst *Rank
@@ -844,10 +840,6 @@ func (r *Rank) arrive(m *message, d fabric.Delivery) {
 		return
 	}
 	if r.reliable() {
-		if m.kind == mkAck {
-			r.handleAck(m)
-			return
-		}
 		if m.id != 0 {
 			if d.Corrupt {
 				// Damaged frame: header/payload CRC rejects it; the
@@ -865,13 +857,11 @@ func (r *Rank) arrive(m *message, d fabric.Delivery) {
 			}
 			r.seen[m.id] = true
 			r.sendAck(m)
-		} else if d.Corrupt || (d.Dup && (m.kind == mkErr || m.kind == mkRevoke)) {
+		} else if d.Corrupt || (d.Dup && m.kind == mkErr) {
 			return // untracked frame damaged or duplicated: drop
 		}
 	}
 	switch m.kind {
-	case mkRevoke:
-		m.comm.revokeArrived(r)
 	case mkCTS:
 		m.receiver.ctsHere = true
 	case mkFIN:

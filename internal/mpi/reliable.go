@@ -280,21 +280,36 @@ func (r *Rank) transmit(p *sim.Proc, pm *pendingMsg, retrans bool) {
 // NIC-firmware-level (IB RC hardware acks) and cost the CPU nothing.
 func (r *Rank) sendAck(m *message) {
 	net := r.world.Cluster.Net
-	ack := &message{kind: mkAck, from: r.id, to: m.from, tag: m.tag, id: m.id}
-	net.SendR(r.node, r.world.ranks[m.from].node, net.Spec.CtrlBytes, fabric.ReceiverFunc(func(d fabric.Delivery) {
-		if d.Corrupt {
-			return // damaged ack: sender retransmits, receiver re-acks
-		}
-		r.world.ranks[ack.to].arrive(ack, d)
-	}))
+	dst := r.world.ranks[m.from]
+	net.SendR(r.node, dst.node, net.Spec.CtrlBytes, &ackFrame{dst: dst, id: m.id})
 }
 
-// handleAck resolves an arriving ack against the pending list (scheduler
-// context). Unknown ids (already acked and pruned, or a duplicated ack) are
-// ignored.
-func (r *Rank) handleAck(m *message) {
+// ackFrame is an ack in flight: the rank it returns to and the message id
+// it acknowledges. It is its own fabric receiver.
+type ackFrame struct {
+	dst *Rank
+	id  int64
+}
+
+// Handle is a clean arrival of the ack.
+func (a *ackFrame) Handle() { a.Deliver(fabric.Delivery{}) }
+
+// Deliver resolves the ack at its destination unless the link corrupted
+// it (the sender then retransmits and the receiver re-acks) or the
+// destination is dead.
+func (a *ackFrame) Deliver(d fabric.Delivery) {
+	if d.Corrupt || a.dst.world.isCrashed(a.dst.id) {
+		return
+	}
+	a.dst.handleAck(a.id)
+}
+
+// handleAck resolves an arriving ack for message id against the pending
+// list (scheduler context). Unknown ids (already acked and pruned, or a
+// duplicated ack) are ignored.
+func (r *Rank) handleAck(id int64) {
 	for _, pm := range r.pending {
-		if pm.m.id != m.id || pm.acked {
+		if pm.m.id != id || pm.acked {
 			continue
 		}
 		pm.acked = true

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/fabric"
 	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/timeline"
@@ -331,16 +332,17 @@ func (r *Rank) postGuard(isSend bool, peer, tag int) *Request {
 // failed collective can never match a post-shrink retry).
 //
 // Comm is a shared SPMD object, like the simulation's other cross-rank
-// state: revocation is still propagated in-band (an mkRevoke gossip flood),
-// and each rank acts only on its own local view (revokedAt).
+// state: revocation is still propagated in-band (a gossip flood of
+// revokeFrames), and each rank acts only on its own local view (revokedAt).
 type Comm struct {
 	w     *World
 	epoch int
 	ranks []int // comm rank -> world rank
 	index []int // world rank -> comm rank (-1 non-member)
 
-	revokedAt []bool // per world rank: local view of revocation
-	notified  bool   // world-level OnCommRevoked observers fired
+	revokedAt []bool        // per world rank: local view of revocation
+	frames    []revokeFrame // per comm rank: flood receivers, made on first flood
+	notified  bool          // world-level OnCommRevoked observers fired
 	shr       *shrinkState
 	agr       *agreeState
 	agreeSeq  int
@@ -508,18 +510,45 @@ func (c *Comm) markRevoked(r *Rank) {
 	}
 }
 
-// flood sends an untracked mkRevoke to every other member (from rank r).
-// Like mkErr, revocations are NIC-firmware-level: no CPU post cost, lost or
-// corrupted frames are recovered by the gossip re-flood.
+// flood sends an untracked revocation frame to every other member (from
+// rank r). Like mkErr, revocations are NIC-firmware-level: no CPU post
+// cost, lost or corrupted frames are recovered by the gossip re-flood.
 func (c *Comm) flood(r *Rank) {
 	w := c.w
+	if c.frames == nil {
+		c.frames = make([]revokeFrame, len(c.ranks))
+		for cr, wr := range c.ranks {
+			c.frames[cr] = revokeFrame{c: c, dst: w.ranks[wr]}
+		}
+	}
 	net := w.Cluster.Net
-	for _, wr := range c.ranks {
+	for cr, wr := range c.ranks {
 		if wr == r.id || w.crashed[wr] {
 			continue
 		}
-		r.sendMsg(net.Spec.CtrlBytes, &message{kind: mkRevoke, from: r.id, to: wr, comm: c})
+		net.SendR(r.node, w.ranks[wr].node, net.Spec.CtrlBytes, &c.frames[cr])
 	}
+}
+
+// revokeFrame receives a communicator's revocation at one member. It
+// carries nothing per sender, so one frame serves every arrival there.
+type revokeFrame struct {
+	c   *Comm
+	dst *Rank
+}
+
+// Handle is a clean arrival of the revocation.
+func (f *revokeFrame) Handle() { f.Deliver(fabric.Delivery{}) }
+
+// Deliver applies the revocation at its member: a dead member is silent,
+// and under the reliability layer a corrupted or duplicated frame is
+// dropped. Applying it twice is harmless (revokeArrived is idempotent).
+func (f *revokeFrame) Deliver(d fabric.Delivery) {
+	r := f.dst
+	if r.world.isCrashed(r.id) || (r.reliable() && (d.Corrupt || d.Dup)) {
+		return
+	}
+	f.c.revokeArrived(r)
 }
 
 // revokeArrived handles an in-band revocation at rank r (scheduler
