@@ -114,7 +114,7 @@ func AblationPartitioning() *Table {
 		var span int64
 		env.Spawn("pe", func(p *sim.Proc) {
 			var uids []int64
-			enq := func(bytes int64, segs int, max int64) {
+			enq := func(bytes int64, segs int32, max int64) {
 				src := dev.Alloc(fmt.Sprintf("s%d", len(uids)), 1)
 				dst := dev.Alloc(fmt.Sprintf("d%d", len(uids)), 1)
 				j := &pack.Job{Op: pack.OpPack, Origin: src, Target: dst, Bytes: bytes, Segments: segs, MaxBlock: max}
@@ -123,7 +123,7 @@ func AblationPartitioning() *Table {
 			for i := 0; i < 15; i++ {
 				enq(4<<10, 4, 1<<10) // trivial dense requests
 			}
-			enq(huge.SizeBytes, huge.NumBlocks(), huge.MaxBlockBytes)
+			enq(huge.SizeBytes, int32(huge.NumBlocks()), huge.MaxBlockBytes)
 			start := p.Now()
 			sched.Flush(p)
 			for _, u := range uids {

@@ -19,6 +19,18 @@ import (
 // shape) and returns the heap objects and bytes allocated per rank per
 // step once warm.
 func sparseA2AAllocs(t *testing.T, alg coll.Algorithm, n int) (objs, bytes float64) {
+	return a2aAllocs(t, alg, n, func(r int) []int {
+		var peers []int
+		for k := 1; k <= 8; k++ {
+			peers = append(peers, (r+k)%n, (r-k+n)%n)
+		}
+		return peers
+	})
+}
+
+// a2aAllocs is sparseA2AAllocs with rank r exchanging a leg with each of
+// peers(r), which must be distinct.
+func a2aAllocs(t *testing.T, alg coll.Algorithm, n int, peers func(r int) []int) (objs, bytes float64) {
 	t.Helper()
 	env := sim.NewEnv()
 	c := cluster.MustBuild(env, cluster.Lassen().WithNodes(n/4))
@@ -35,25 +47,26 @@ func sparseA2AAllocs(t *testing.T, alg coll.Algorithm, n int) (objs, bytes float
 	for r := range ops {
 		ops[r] = make([]coll.WOp, n)
 		d := w.Rank(r).Dev
-		for k := 1; k <= 8; k++ {
-			for _, peer := range []int{(r + k) % n, (r - k + n) % n} {
-				sb := d.Alloc(fmt.Sprintf("s-%d-%d", r, peer), int(l.ExtentBytes))
-				sb.FillStream(uint64(r)<<32 | uint64(peer))
-				rb := d.Alloc(fmt.Sprintf("r-%d-%d", r, peer), int(l.ExtentBytes))
-				ops[r][peer] = coll.WOp{SendBuf: sb, SendType: l, SendCount: 1, RecvBuf: rb, RecvType: l, RecvCount: 1}
-			}
+		for _, peer := range peers(r) {
+			sb := d.Alloc(fmt.Sprintf("s-%d-%d", r, peer), int(l.ExtentBytes))
+			sb.FillStream(uint64(r)<<32 | uint64(peer))
+			rb := d.Alloc(fmt.Sprintf("r-%d-%d", r, peer), int(l.ExtentBytes))
+			ops[r][peer] = coll.WOp{SendBuf: sb, SendType: l, SendCount: 1, RecvBuf: rb, RecvType: l, RecvCount: 1}
 		}
 	}
 	e := coll.New(w, coll.Tuning{Alltoallw: alg})
-	step := func() {
+	run := func(body func(r *mpi.Rank, p *sim.Proc) error) {
 		err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
-			if err := e.Alltoallw(p, r, ops[r.ID()]); err != nil {
+			if err := body(r, p); err != nil {
 				t.Errorf("rank %d: %v", r.ID(), err)
 			}
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+	step := func() {
+		run(func(r *mpi.Rank, p *sim.Proc) error { return e.Alltoallw(p, r, ops[r.ID()]) })
 	}
 	const warm, steps = 2, 2
 	for i := 0; i < warm; i++ {
@@ -66,6 +79,8 @@ func sparseA2AAllocs(t *testing.T, alg coll.Algorithm, n int) (objs, bytes float
 		step()
 	}
 	runtime.ReadMemStats(&m1)
+	// A one-sided Alltoallw keeps its window until every rank releases it.
+	run(func(r *mpi.Rank, p *sim.Proc) error { return e.Release(r) })
 	checkNoLeaks(t, w, fmt.Sprintf("%d ranks", n))
 	per := float64(n * steps)
 	return float64(m1.Mallocs-m0.Mallocs) / per, float64(m1.TotalAlloc-m0.TotalAlloc) / per
@@ -114,5 +129,29 @@ func TestSubAllocsFlatInWorldSize(t *testing.T) {
 	small, large := subAllocs(64), subAllocs(1024)
 	if large != small {
 		t.Fatalf("Sub allocates %.0f times on a 1024-rank world, %.0f on a 64-rank one", large, small)
+	}
+}
+
+// TestOneSidedAlltoallwAllocBytes pins what a warm put-based Alltoallw
+// allocates per leg: on 8 lazy ranks exchanging a 32 KiB strided leg with
+// every rank, itself included, a leg's fused PackPut allocates only its
+// op (it packs from the cached layout, and nobody waits on its kernel),
+// and its unpack job is 96 B.
+func TestOneSidedAlltoallwAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled span lists, so allocation counts do not hold")
+	}
+	const n, maxPerLeg = 8, 600
+	_, perRank := a2aAllocs(t, coll.OneSidedBruck, n, func(int) []int {
+		all := make([]int, n)
+		for i := range all {
+			all[i] = i
+		}
+		return all
+	})
+	perLeg := perRank / n
+	t.Logf("%.0f B per leg", perLeg)
+	if perLeg > maxPerLeg {
+		t.Fatalf("a warm one-sided Alltoallw allocates %.0f B per leg, want at most %d", perLeg, maxPerLeg)
 	}
 }

@@ -96,14 +96,14 @@ func deliverAt(env *sim.Env, t int64, h Receiver, d Delivery) {
 	env.At(t, func() { h.Deliver(d) })
 }
 
-// Link is a directional channel instance with an occupancy cursor. A
-// crossbar link reads its network's spec and is named from its endpoints
-// only when the name is read.
+// Link is a directional channel instance with an occupancy cursor. It
+// reads its network's spec and is named from its endpoints only when the
+// name is read.
 type Link struct {
 	spec      *LinkSpec
 	env       *sim.Env
 	busyUntil int64
-	from, to  int32 // crossbar endpoints; -1 for a standalone link
+	from, to  int32 // crossbar endpoints
 
 	// faults is made by InjectFaults; nil (or a nil site) is the
 	// fault-free fast path.
@@ -124,32 +124,11 @@ type linkFaults struct {
 	drops, dups, corrupts, delays, flaps, degrades int64
 }
 
-// NewLink builds a standalone link on the simulation environment.
-func NewLink(env *sim.Env, spec LinkSpec) (*Link, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	return &Link{spec: &spec, env: env, from: -1, to: -1}, nil
-}
-
-// MustLink is NewLink panicking on an invalid spec, for callers whose spec
-// is statically known-good (tests, table-driven benchmarks).
-func MustLink(env *sim.Env, spec LinkSpec) *Link {
-	l, err := NewLink(env, spec)
-	if err != nil {
-		panic(err.Error())
-	}
-	return l
-}
-
 // Spec returns the link's channel parameters.
 func (l *Link) Spec() LinkSpec { return *l.spec }
 
-// Name is the spec's name, suffixed [from->to] on a crossbar link.
+// Name is the spec's name, suffixed [from->to].
 func (l *Link) Name() string {
-	if l.from < 0 {
-		return l.spec.Name
-	}
 	return fmt.Sprintf("%s[%d->%d]", l.spec.Name, l.from, l.to)
 }
 

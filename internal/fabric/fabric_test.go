@@ -14,9 +14,14 @@ func edrSpec() LinkSpec {
 	return LinkSpec{Name: "IB-EDR", LatencyNs: 1000, BWBytesPerNs: 25, PerMessageNs: 300}
 }
 
+// testLink is the 0->1 link of a two-node network whose links are spec.
+func testLink(env *sim.Env, spec LinkSpec) *Link {
+	return MustNetwork(env, NetworkSpec{Nodes: 2, Link: spec}).LinkBetween(0, 1)
+}
+
 func TestLinkTransferTiming(t *testing.T) {
 	env := sim.NewEnv()
-	l := MustLink(env, edrSpec())
+	l := testLink(env, edrSpec())
 	var arrived int64 = -1
 	env.Spawn("sender", func(p *sim.Proc) {
 		l.Transfer(25_000, func() { arrived = env.Now() })
@@ -32,7 +37,7 @@ func TestLinkTransferTiming(t *testing.T) {
 
 func TestLinkSerializesBackToBack(t *testing.T) {
 	env := sim.NewEnv()
-	l := MustLink(env, edrSpec())
+	l := testLink(env, edrSpec())
 	var first, second int64
 	env.Spawn("sender", func(p *sim.Proc) {
 		l.Transfer(25_000, func() { first = env.Now() })
@@ -49,7 +54,7 @@ func TestLinkSerializesBackToBack(t *testing.T) {
 func TestLatencyPipelines(t *testing.T) {
 	// Two small messages: the second's latency overlaps the first's.
 	env := sim.NewEnv()
-	l := MustLink(env, LinkSpec{Name: "x", LatencyNs: 10_000, BWBytesPerNs: 25, PerMessageNs: 100})
+	l := testLink(env, LinkSpec{Name: "x", LatencyNs: 10_000, BWBytesPerNs: 25, PerMessageNs: 100})
 	var a1, a2 int64
 	env.Spawn("sender", func(p *sim.Proc) {
 		l.Transfer(25, func() { a1 = env.Now() })
@@ -69,10 +74,10 @@ func TestBadLinkSpecPanics(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected MustLink panic")
+			t.Fatal("expected MustNetwork panic")
 		}
 	}()
-	MustLink(sim.NewEnv(), LinkSpec{Name: "bad", BWBytesPerNs: 0})
+	testLink(sim.NewEnv(), LinkSpec{Name: "bad", BWBytesPerNs: 0})
 }
 
 func newTestNetwork(t *testing.T) (*sim.Env, *Network) {
@@ -224,9 +229,6 @@ func TestLinkNames(t *testing.T) {
 	if got := n.LinkBetween(2, 1).Name(); got != "IB-EDR[2->1]" {
 		t.Errorf("crossbar link name %q", got)
 	}
-	if got := MustLink(sim.NewEnv(), edrSpec()).Name(); got != "IB-EDR" {
-		t.Errorf("standalone link name %q", got)
-	}
 	var names []string
 	for _, l := range n.Links() {
 		names = append(names, l.Name())
@@ -266,7 +268,7 @@ func TestPropertyTransferMonotone(t *testing.T) {
 			return true
 		}
 		env := sim.NewEnv()
-		l := MustLink(env, edrSpec())
+		l := testLink(env, edrSpec())
 		var expected int64
 		for _, s := range sizes {
 			b := int64(s) + 1

@@ -2,9 +2,21 @@ package fusion
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 )
+
+// TestEntrySize pins a request-list entry at exactly 80 B. Entries are
+// made a block at a time and kept for the scheduler's life, so a job held
+// inline instead of by pointer would grow every slot made, the live heap
+// of a one-sided exchange whose ranks each reach 64 in-flight requests
+// most of all.
+func TestEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n != 80 {
+		t.Fatalf("entry is %d B, want 80", n)
+	}
+}
 
 // TestWarmEnqueueFlushDoneAllocs pins what a warm Enqueue → Flush → Done
 // cycle of one request allocates. The request-list entry is its own

@@ -430,9 +430,9 @@ func (s *Stream) launchFault(p *sim.Proc, faultable bool) (failed bool) {
 
 // Launch issues one kernel from proc p. The calling proc pays the driver
 // launch overhead; the kernel then executes in stream order. Work runs when
-// the kernel retires.
+// the kernel retires, and then the returned Completion is set.
 func (s *Stream) Launch(p *sim.Proc, spec KernelSpec) *Completion {
-	c, _ := s.launch(p, spec, false)
+	c, _ := s.launchWait(p, spec, false)
 	return c
 }
 
@@ -440,14 +440,37 @@ func (s *Stream) Launch(p *sim.Proc, spec KernelSpec) *Completion {
 // the launch may fail with ErrLaunchFailed after burning the driver
 // overhead, and the caller is expected to retry or fall back.
 func (s *Stream) LaunchE(p *sim.Proc, spec KernelSpec) (*Completion, error) {
-	return s.launch(p, spec, true)
+	return s.launchWait(p, spec, true)
 }
 
-func (s *Stream) launch(p *sim.Proc, spec KernelSpec, faultable bool) (*Completion, error) {
+// Submit is Launch for a kernel that nobody waits on: spec.Work, which
+// must be set, is itself the queued retirement, so no Completion is made.
+// It returns the kernel's start and end for the caller to charge.
+func (s *Stream) Submit(p *sim.Proc, spec KernelSpec) (start, end int64) {
+	start, end, _ = s.launch(p, spec, false)
+	return start, end
+}
+
+// launchWait is launch with a Completion queued in spec.Work's place: it
+// runs the work at End and then sets its flag.
+func (s *Stream) launchWait(p *sim.Proc, spec KernelSpec, faultable bool) (*Completion, error) {
+	c := &Completion{work: spec.Work, op: spec.Name, stream: s}
+	spec.Work = c
+	var err error
+	if c.Start, c.End, err = s.launch(p, spec, faultable); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// launch is the one kernel-launch path: it pays the driver overhead, rolls
+// the launch-fault site when faultable, and queues spec.Work at the
+// kernel's end.
+func (s *Stream) launch(p *sim.Proc, spec KernelSpec, faultable bool) (start, end int64, err error) {
 	d := s.dev
 	if s.launchFault(p, faultable) {
 		d.Faults.Record(fault.LaunchFail, spec.Name)
-		return nil, ErrLaunchFailed
+		return 0, 0, ErrLaunchFailed
 	}
 	d.Stats.KernelLaunches++
 	blocks := d.gridFor(spec.Bytes, spec.Segments, spec.ThreadBlocks)
@@ -455,19 +478,19 @@ func (s *Stream) launch(p *sim.Proc, spec KernelSpec, faultable bool) (*Completi
 	if dur < spec.MinDurationNs {
 		dur = spec.MinDurationNs
 	}
-	return s.enqueue(spec.Name, dur, spec.Bytes, spec.Segments, spec.Work), nil
+	start, end = s.enqueue(spec.Name, dur, spec.Bytes, spec.Segments, spec.Work)
+	return start, end, nil
 }
 
-// enqueue places one operation of duration dur at the stream tail; the
-// Completion itself is the queued retirement.
-func (s *Stream) enqueue(name string, dur, bytes int64, segments int, work sim.Handler) *Completion {
+// enqueue places one operation of duration dur at the stream tail and
+// queues its retirement h at the end.
+func (s *Stream) enqueue(name string, dur, bytes int64, segments int, h sim.Handler) (start, end int64) {
 	d := s.dev
-	now := d.env.Now()
-	start := now
+	start = d.env.Now()
 	if s.busyUntil > start {
 		start = s.busyUntil
 	}
-	end := start + dur
+	end = start + dur
 	s.busyUntil = end
 	d.Stats.KernelBusyNs += dur
 	d.Stats.BytesMoved += bytes
@@ -475,9 +498,8 @@ func (s *Stream) enqueue(name string, dur, bytes int64, segments int, work sim.H
 	if d.TL != nil {
 		d.TL.Span(timeline.LayerGPU, timeline.CostNone, s.name, name, start, dur)
 	}
-	c := &Completion{Start: start, End: end, work: work, op: name, stream: s}
-	d.env.AtHandler(end, c)
-	return c
+	d.env.AtHandler(end, h)
+	return start, end
 }
 
 // CopyKind distinguishes the path a cudaMemcpyAsync takes.
@@ -517,11 +539,12 @@ func (s *Stream) MemcpyAsync(p *sim.Proc, kind CopyKind, bytes int64, exec func(
 		bw = d.Arch.CPUGPULinkBWBytesPerNs
 	}
 	dur := d.Arch.CopyEngineLatencyNs + int64(math.Ceil(float64(bytes)/bw))
-	var work sim.Handler
+	c := &Completion{op: kind.opName(), stream: s}
 	if exec != nil {
-		work = sim.HandlerFunc(exec)
+		c.work = sim.HandlerFunc(exec)
 	}
-	return s.enqueue(kind.opName(), dur, bytes, 1, work)
+	c.Start, c.End = s.enqueue(c.op, dur, bytes, 1, c)
+	return c
 }
 
 // opName names a copy of this kind on its stream: memcpy-<kind>.

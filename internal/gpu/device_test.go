@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -283,5 +284,62 @@ func TestPropertyKernelCostMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSubmitMatchesLaunch: a kernel nobody waits on (Submit) starts, ends
+// and runs its work exactly where Launch would, at the same place among
+// events queued for the same time.
+func TestSubmitMatchesLaunch(t *testing.T) {
+	run := func(submit bool) (spans [][2]int64, order []string) {
+		env, d := newTestDevice(t)
+		st := d.NewStream("s0")
+		work := func(name string) sim.Handler {
+			return sim.HandlerFunc(func() { order = append(order, fmt.Sprintf("%s@%d", name, env.Now())) })
+		}
+		env.Spawn("host", func(p *sim.Proc) {
+			for i, segs := range []int{4, 1, 64} {
+				spec := KernelSpec{Name: "k", Bytes: 4096, Segments: segs, Work: work(fmt.Sprint(i))}
+				var start, end int64
+				if submit {
+					start, end = st.Submit(p, spec)
+				} else {
+					c := st.Launch(p, spec)
+					start, end = c.Start, c.End
+				}
+				spans = append(spans, [2]int64{start, end})
+				env.At(end, func() { order = append(order, fmt.Sprintf("after%d", i)) })
+			}
+		})
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return spans, order
+	}
+	ls, lo := run(false)
+	ss, so := run(true)
+	if fmt.Sprint(ls) != fmt.Sprint(ss) || fmt.Sprint(lo) != fmt.Sprint(so) {
+		t.Fatalf("Launch: spans %v, order %v\nSubmit: spans %v, order %v", ls, lo, ss, so)
+	}
+}
+
+// TestWarmSubmitAllocs: a warm Submit whose work already exists allocates
+// nothing, where Launch makes the Completion.
+func TestWarmSubmitAllocs(t *testing.T) {
+	env, d := newTestDevice(t)
+	st := d.NewStream("s0")
+	spec := KernelSpec{Name: "k", Bytes: 4096, Segments: 4, Work: sim.HandlerFunc(func() {})}
+	submit, launch := -1.0, -1.0
+	env.Spawn("host", func(p *sim.Proc) {
+		st.Submit(p, spec)
+		st.Launch(p, spec) // warm: queue buckets
+		submit = testing.AllocsPerRun(100, func() { st.Submit(p, spec) })
+		launch = testing.AllocsPerRun(100, func() { st.Launch(p, spec) })
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if submit != 0 || launch != 1 {
+		t.Fatalf("a warm Submit allocates %v times and Launch %v, want 0 and 1", submit, launch)
 	}
 }

@@ -1271,14 +1271,12 @@ func (r *Rank) progressRecv(p *sim.Proc, q *Request) {
 // packed path if the scheme cannot fuse DirectIPC.
 func (r *Rank) startIPC(p *sim.Proc, q *Request, m *message) {
 	sender := m.sender
-	job := pack.JobFor(pack.OpDirectIPC, sender.buf, q.buf, sender.entry)
-	job.TargetBlocks = q.recvBlocks()
-	if q.bytes == q.entry.Bytes {
-		job.TargetPlan = q.entry.Plan
-	}
 	spec := r.world.Cluster.Spec
-	job.PeerBWBytesPerNs = spec.GPUPeerBWBytesPerNs
-	job.PeerLatencyNs = spec.GPUPeerLatencyNs
+	peer := pack.Peer{Blocks: q.recvBlocks(), BWBytesPerNs: spec.GPUPeerBWBytesPerNs, LatencyNs: spec.GPUPeerLatencyNs}
+	if q.bytes == q.entry.Bytes {
+		peer.Plan = q.entry.Plan
+	}
+	job := pack.DirectIPCFor(sender.buf, q.buf, sender.entry, peer)
 	if h, ok := r.scheme.DirectIPC(p, job); ok {
 		q.handle = h
 		q.state = stIPC

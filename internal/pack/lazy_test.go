@@ -46,7 +46,7 @@ func recut(rng *rand.Rand, blocks []datatype.Block) []datatype.Block {
 func entryFor(blocks []datatype.Block) *layoutcache.Entry {
 	j := pack.NewJob(pack.OpPack, nil, nil, blocks)
 	canon := datatype.Canonicalize(blocks, blockSpan(blocks))
-	return &layoutcache.Entry{Blocks: blocks, Bytes: j.Bytes, Segments: j.Segments, MaxBlock: j.MaxBlock,
+	return &layoutcache.Entry{Blocks: blocks, Bytes: j.Bytes, Segments: int(j.Segments), MaxBlock: j.MaxBlock,
 		Extent: blockSpan(blocks), Canon: canon, Plan: datatype.CompilePlan(canon)}
 }
 
@@ -80,15 +80,15 @@ func jobSums(lazy bool, blocks, cut []datatype.Block, seed uint64) []uint64 {
 
 	recutDst := alloc("recut", blockSpan(cut), seed+3)
 	j := pack.NewJob(pack.OpDirectIPC, src, recutDst, blocks)
-	j.TargetBlocks = cut
+	j.Peer = &pack.Peer{Blocks: cut}
 	j.Execute()
 	gathered := alloc("gathered", size+3, seed+4)
 	j = pack.NewJob(pack.OpDirectIPC, src, gathered, blocks)
-	j.TargetBlocks = one
+	j.Peer = &pack.Peer{Blocks: one}
 	j.Execute()
 	scattered := alloc("scattered", blockSpan(blocks), seed+5)
 	j = pack.NewJob(pack.OpDirectIPC, gathered, scattered, one)
-	j.TargetBlocks = blocks
+	j.Peer = &pack.Peer{Blocks: blocks}
 	j.Execute()
 
 	e, ce := entryFor(blocks), entryFor(cut)
@@ -97,9 +97,7 @@ func jobSums(lazy bool, blocks, cut []datatype.Block, seed uint64) []uint64 {
 	recutFor := alloc("recut-for", blockSpan(cut), seed+3)
 	pack.JobFor(pack.OpPack, src, packedFor, e).Execute()
 	pack.JobFor(pack.OpUnpack, packedFor, outFor, e).Execute()
-	j = pack.JobFor(pack.OpDirectIPC, src, recutFor, e)
-	j.TargetBlocks, j.TargetPlan = ce.Blocks, ce.Plan
-	j.Execute()
+	pack.DirectIPCFor(src, recutFor, e, pack.Peer{Blocks: ce.Blocks, Plan: ce.Plan}).Execute()
 
 	return []uint64{packed.Checksum(), out.Checksum(), recutDst.Checksum(), gathered.Checksum(), scattered.Checksum(),
 		packedFor.Checksum(), outFor.Checksum(), recutFor.Checksum()}
@@ -169,8 +167,7 @@ func TestLazyPlanJobAllocatesNothing(t *testing.T) {
 	}
 	src, packed := lazy(leg.Extent, 1), lazy(leg.Bytes, 2)
 	out, ipc := lazy(leg.Extent, 3), lazy(wide.Extent, 4)
-	direct := pack.JobFor(pack.OpDirectIPC, src, ipc, leg)
-	direct.TargetBlocks, direct.TargetPlan = wide.Blocks, wide.Plan
+	direct := pack.DirectIPCFor(src, ipc, leg, pack.Peer{Blocks: wide.Blocks, Plan: wide.Plan})
 	for _, tc := range []struct {
 		name string
 		job  *pack.Job

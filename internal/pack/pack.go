@@ -6,7 +6,9 @@
 // fusion framework supports as a third request operation.
 //
 // A Job carries both the cost-model inputs (bytes, segments) and the real
-// buffers, so executing a job actually moves bytes.
+// buffers, so executing a job actually moves bytes. It is 96 B: what only
+// DirectIPC needs (the destination layout and the peer link) sits behind
+// one pointer, Peer.
 package pack
 
 import (
@@ -21,7 +23,7 @@ import (
 
 // Op is the requested operation, matching the request types of the paper's
 // Section IV-A1.
-type Op int
+type Op uint8
 
 const (
 	// OpPack gathers a non-contiguous origin into a contiguous target.
@@ -48,6 +50,10 @@ func (o Op) String() string {
 // Job is one datatype-processing operation over real buffers.
 type Job struct {
 	Op Op
+	// Segments is the number of contiguous blocks, an aggregate for the
+	// cost model like Bytes and MaxBlock. It is narrow so that it shares a
+	// word with Op.
+	Segments int32
 	// Origin and Target follow the request-object naming of the paper:
 	// Origin is the buffer read, Target the buffer written.
 	Origin, Target *gpu.Buffer
@@ -57,9 +63,6 @@ type Job struct {
 	// Blocks is the non-contiguous block list: the origin's layout for
 	// OpPack/OpDirectIPC, the target's for OpUnpack.
 	Blocks []datatype.Block
-	// TargetBlocks is the destination layout for OpDirectIPC only; nil
-	// means same layout as Blocks.
-	TargetBlocks []datatype.Block
 	// Plan is the compiled pack routine for Blocks' canonical form, taken
 	// from the layout-cache entry Blocks came from (JobFor). Exact pack and
 	// unpack run it; lazy buffers copy over its canonical runs. It is nil
@@ -69,17 +72,28 @@ type Job struct {
 	// aggregates either way, so kernel specs and virtual-time charges do
 	// not depend on Plan.
 	Plan *datatype.Plan
-	// TargetPlan is the plan of TargetBlocks (OpDirectIPC only), nil when
-	// TargetBlocks is a raw list.
-	TargetPlan *datatype.Plan
-	// Aggregates for the cost model.
+	// Peer is the destination side of an OpDirectIPC job and the link it
+	// crosses; nil for pack and unpack, and for a DirectIPC job that
+	// writes the origin's layout with no link floor.
+	Peer *Peer
+	// Bytes and MaxBlock are the cost model's other aggregates: the
+	// payload and its largest block.
 	Bytes    int64
-	Segments int
 	MaxBlock int64
-	// PeerBWBytesPerNs and PeerLatencyNs describe the GPU-GPU link a
-	// DirectIPC job crosses (zero for pack/unpack).
-	PeerBWBytesPerNs float64
-	PeerLatencyNs    int64
+}
+
+// Peer is what only a DirectIPC job needs: the destination layout and the
+// GPU-GPU link its load/stores cross.
+type Peer struct {
+	// Blocks is the destination layout; nil means the same layout as the
+	// job's Blocks (and Plan).
+	Blocks []datatype.Block
+	// Plan is the plan of Blocks, nil when Blocks is a raw list.
+	Plan *datatype.Plan
+	// BWBytesPerNs and LatencyNs describe the link; zero bandwidth puts no
+	// floor under the kernel.
+	BWBytesPerNs float64
+	LatencyNs    int64
 }
 
 // JobFor builds a job over a layout-cache entry's blocks, taking its
@@ -87,12 +101,26 @@ type Job struct {
 // blocks.
 func JobFor(op Op, origin, target *gpu.Buffer, e *layoutcache.Entry) *Job {
 	return &Job{Op: op, Origin: origin, Target: target, Blocks: e.Blocks, Plan: e.Plan,
-		Bytes: e.Bytes, Segments: e.Segments, MaxBlock: e.MaxBlock}
+		Bytes: e.Bytes, Segments: int32(e.Segments), MaxBlock: e.MaxBlock}
+}
+
+// ipcJob is a DirectIPC job and its peer side made in one allocation.
+type ipcJob struct {
+	job  Job
+	peer Peer
+}
+
+// DirectIPCFor is JobFor for an OpDirectIPC job writing peer's layout:
+// the job and its Peer are one allocation.
+func DirectIPCFor(origin, target *gpu.Buffer, e *layoutcache.Entry, peer Peer) *Job {
+	x := &ipcJob{job: *JobFor(OpDirectIPC, origin, target, e), peer: peer}
+	x.job.Peer = &x.peer
+	return &x.job
 }
 
 // NewJob builds a job from a raw flattened block list, computing aggregates.
 func NewJob(op Op, origin, target *gpu.Buffer, blocks []datatype.Block) *Job {
-	j := &Job{Op: op, Origin: origin, Target: target, Blocks: blocks, Segments: len(blocks)}
+	j := &Job{Op: op, Origin: origin, Target: target, Blocks: blocks, Segments: int32(len(blocks))}
 	for _, b := range blocks {
 		j.Bytes += b.Len
 		if b.Len > j.MaxBlock {
@@ -161,13 +189,13 @@ func (j *Job) executeLazy() {
 	lazyCopyBlocks(j.Origin, &src, j.Target, &dst)
 }
 
-// target returns the destination side of a DirectIPC job: TargetBlocks
-// and TargetPlan, or the origin's layout when TargetBlocks is nil.
+// target returns the destination side of a DirectIPC job: the Peer's
+// layout, or the origin's when there is no Peer or its Blocks is nil.
 func (j *Job) target() side {
-	if j.TargetBlocks == nil {
+	if j.Peer == nil || j.Peer.Blocks == nil {
 		return planned(j.Blocks, j.Plan)
 	}
-	return planned(j.TargetBlocks, j.TargetPlan)
+	return planned(j.Peer.Blocks, j.Peer.Plan)
 }
 
 // side is one buffer's layout in a copy: its block list and, when a
@@ -251,7 +279,7 @@ func (j *Job) KernelSpec() gpu.KernelSpec {
 	return gpu.KernelSpec{
 		Name:            j.Op.String(),
 		Bytes:           j.Bytes,
-		Segments:        j.Segments,
+		Segments:        int(j.Segments),
 		MaxSegmentBytes: j.MaxBlock,
 		MinDurationNs:   j.ipcFloor(),
 		Work:            j,
@@ -265,7 +293,7 @@ func (j *Job) FusedWork(name string, req sim.Handler) gpu.FusedWork {
 	return gpu.FusedWork{
 		Name:            name,
 		Bytes:           j.Bytes,
-		Segments:        j.Segments,
+		Segments:        int(j.Segments),
 		MaxSegmentBytes: j.MaxBlock,
 		MinDurationNs:   j.ipcFloor(),
 		Work:            req,
@@ -274,10 +302,10 @@ func (j *Job) FusedWork(name string, req sim.Handler) gpu.FusedWork {
 
 // ipcFloor returns the GPU-GPU link crossing time for DirectIPC jobs.
 func (j *Job) ipcFloor() int64 {
-	if j.Op != OpDirectIPC || j.PeerBWBytesPerNs <= 0 {
+	if j.Op != OpDirectIPC || j.Peer == nil || j.Peer.BWBytesPerNs <= 0 {
 		return 0
 	}
-	return j.PeerLatencyNs + int64(float64(j.Bytes)/j.PeerBWBytesPerNs)
+	return j.Peer.LatencyNs + int64(float64(j.Bytes)/j.Peer.BWBytesPerNs)
 }
 
 // GPUEngine launches one kernel per job on a dedicated stream — the

@@ -11,9 +11,10 @@ import (
 )
 
 // TestWarmFusedPackPutAllocs pins what a warm fused PackPut + Quiet to a
-// rank on another node allocates, in both payload modes: the op, its pack
-// job and the kernel's Completion. The kernel's retirement and the wire
-// delivery are the op itself, so no event and no closure is made.
+// rank on another node allocates, in both payload modes: the op and
+// nothing else. The kernel's retirement and the wire delivery are the op
+// itself, so no Completion, event or closure is made, and the op packs
+// from the cached layout with a job on the stack.
 func TestWarmFusedPackPutAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled span lists, so allocation counts do not hold")
@@ -49,8 +50,8 @@ func TestWarmFusedPackPutAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if allocs != 3 {
-				t.Fatalf("a warm fused PackPut + Quiet allocates %v times, want 3 (op, job, Completion)", allocs)
+			if allocs != 1 {
+				t.Fatalf("a warm fused PackPut + Quiet allocates %v times, want 1 (the op)", allocs)
 			}
 		})
 	}

@@ -114,13 +114,13 @@ func (f *Fabric) reapDead(dead int) {
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		for _, id := range ids {
 			o := ep.inflight[id]
-			if o.done || (!epDead && o.twr != dead) {
+			if o.done || (!epDead && int(o.twr) != dead) {
 				continue
 			}
 			ep.Stats.Reaped++
 			ep.site.Recordf(fault.Reap, "%s op=%d target=rank%d dead=rank%d tries=%d",
 				o.verb, o.id, o.twr, dead, o.tries)
-			ep.complete(o, &OpError{Verb: o.verb, Target: o.target, Tries: o.tries, Err: ferr})
+			ep.complete(o, o.fail(o.tries, ferr))
 		}
 	}
 }
@@ -214,7 +214,7 @@ func (f *Fabric) rebuild(cm *mpi.Comm) {
 			}
 			ep.Stats.Reaped++
 			ep.site.Recordf(fault.Reap, "%s op=%d target=rank%d epoch=%d reseat", o.verb, o.id, o.twr, f.epoch)
-			ep.complete(o, &OpError{Verb: o.verb, Target: o.target, Tries: o.tries, Err: rerr})
+			ep.complete(o, o.fail(o.tries, rerr))
 		}
 	}
 	// Invalidate old-epoch windows and signals. Device buffers persist

@@ -7,6 +7,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/fault"
 	"repro/internal/gpu"
+	"repro/internal/layoutcache"
 	"repro/internal/pack"
 	"repro/internal/sim"
 	"repro/internal/timeline"
@@ -24,16 +25,35 @@ const (
 	doorbellMaxTries = 8
 )
 
+// verb is an op's kind. Its String is the name that fault records,
+// timeline spans and OpError carry.
+type verb uint8
+
+const (
+	verbPut verb = iota
+	verbSignal
+	verbGet
+)
+
+func (v verb) String() string {
+	switch v {
+	case verbSignal:
+		return "signal"
+	case verbGet:
+		return "get"
+	default:
+		return "put"
+	}
+}
+
 // op is one in-flight one-sided operation. Placement is idempotent:
 // payload deposit and signal application are guarded separately so a
-// retransmission after signal loss reapplies only the missing half.
+// retransmission after signal loss reapplies only the missing half. The
+// fields are narrow so an op is 128 B.
 type op struct {
-	ep     *Endpoint
-	id     int64
-	verb   string // "put" or "get"
-	win    *Window
-	target int // target member index (== world rank until a reseat)
-	twr    int // target world rank at issue time (epoch-proof, for node lookup and reaping)
+	ep  *Endpoint
+	id  int64
+	win *Window
 
 	from    *gpu.Buffer // read side (put: source; get: target window)
 	fromOff int64
@@ -41,25 +61,35 @@ type op struct {
 	toOff   int64
 	n       int64
 
-	sig  *Signal // optional, applied at target after payload
-	slot int
-	add  uint64
+	sig *Signal // optional, applied at target after payload
+	add uint64
 
-	job *pack.Job // fused PackPut: packs the bytes before the wire leg
+	// A fused PackPut packs origin's entry layout into from at fromOff
+	// before the wire leg; entry is nil once packed, and for other ops.
+	origin *gpu.Buffer
+	entry  *layoutcache.Entry
 
-	issueT     int64 // first wire issue, for the machine-view span
-	tries      int
+	issueT int64 // first wire issue, for the machine-view span
+	target int32 // target member index (== world rank until a reseat)
+	twr    int32 // target world rank at issue time (epoch-proof, for node lookup and reaping)
+	slot   int32
+	tries  int32
+
+	verb       verb
 	placedData bool
 	sigDone    bool
 	done       bool
 }
 
 // Handle is the op's queued event: its pack kernel retiring (while it
-// holds its job), which packs the bytes and issues the wire leg with no
-// CPU stream-sync, or else a clean delivery at the target.
+// holds its entry), which packs the bytes and issues the wire leg with no
+// CPU stream-sync, or else a clean delivery at the target. The pack job
+// is built here, on the stack, from the cached layout.
 func (o *op) Handle() {
-	if j := o.job; j != nil {
-		o.job = nil
+	if e := o.entry; e != nil {
+		j := pack.JobFor(pack.OpPack, o.origin, o.from, e)
+		j.TargetOff = o.fromOff
+		o.entry, o.origin = nil, nil
 		j.Execute()
 		o.ep.issue(o)
 		return
@@ -71,7 +101,12 @@ func (o *op) Handle() {
 // duplicated.
 func (o *op) Deliver(d fabric.Delivery) { o.ep.place(o, d.Corrupt, d.Dup) }
 
-func (ep *Endpoint) newOp(verb string, w *Window, target int, from *gpu.Buffer, fromOff int64,
+// fail is the typed failure of o after tries attempts.
+func (o *op) fail(tries int32, err error) *OpError {
+	return &OpError{Verb: o.verb.String(), Target: int(o.target), Tries: int(tries), Err: err}
+}
+
+func (ep *Endpoint) newOp(v verb, w *Window, target int, from *gpu.Buffer, fromOff int64,
 	to *gpu.Buffer, toOff, n int64, sig *Signal, slot int, add uint64) *op {
 	ep.f.nextOp++
 	ep.pending++
@@ -80,9 +115,9 @@ func (ep *Endpoint) newOp(verb string, w *Window, target int, from *gpu.Buffer, 
 		twr = ep.f.members[target]
 	}
 	o := &op{
-		ep: ep, id: ep.f.nextOp, verb: verb, win: w, target: target, twr: twr,
+		ep: ep, id: ep.f.nextOp, verb: v, win: w, target: int32(target), twr: int32(twr),
 		from: from, fromOff: fromOff, to: to, toOff: toOff, n: n,
-		sig: sig, slot: slot, add: add, issueT: -1,
+		sig: sig, slot: int32(slot), add: add, issueT: -1,
 	}
 	if ep.f.ft {
 		// Registry for the reaper: only maintained under failure
@@ -134,9 +169,9 @@ func (ep *Endpoint) PutSignal(p *sim.Proc, w *Window, target int, dstOff int64,
 	if src != nil && (srcOff < 0 || srcOff+n > int64(src.Len())) {
 		return fmt.Errorf("rma: put source range [%d,%d) outside %q[0,%d)", srcOff, srcOff+n, src.Name, src.Len())
 	}
-	o := ep.newOp("put", w, target, src, srcOff, w.bufs[target], dstOff, n, sig, slot, add)
+	o := ep.newOp(verbPut, w, target, src, srcOff, w.bufs[target], dstOff, n, sig, slot, add)
 	if err := ep.doorbell(p); err != nil {
-		ep.complete(o, &OpError{Verb: o.verb, Target: target, Tries: 1, Err: err})
+		ep.complete(o, o.fail(1, err))
 		return err
 	}
 	ep.Stats.Puts++
@@ -162,9 +197,9 @@ func (ep *Endpoint) SignalPut(p *sim.Proc, sig *Signal, target, slot int, add ui
 	if err := ep.f.checkTarget("signal", target); err != nil {
 		return err
 	}
-	o := ep.newOp("signal", nil, target, nil, 0, nil, 0, 0, sig, slot, add)
+	o := ep.newOp(verbSignal, nil, target, nil, 0, nil, 0, 0, sig, slot, add)
 	if err := ep.doorbell(p); err != nil {
-		ep.complete(o, &OpError{Verb: o.verb, Target: target, Tries: 1, Err: err})
+		ep.complete(o, o.fail(1, err))
 		return err
 	}
 	ep.Stats.Puts++
@@ -186,9 +221,9 @@ func (ep *Endpoint) Get(p *sim.Proc, w *Window, target int, srcOff int64, dst *g
 	if dst == nil || dstOff < 0 || dstOff+n > int64(dst.Len()) {
 		return fmt.Errorf("rma: get destination range [%d,%d) invalid", dstOff, dstOff+n)
 	}
-	o := ep.newOp("get", w, target, w.bufs[target], srcOff, dst, dstOff, n, nil, 0, 0)
+	o := ep.newOp(verbGet, w, target, w.bufs[target], srcOff, dst, dstOff, n, nil, 0, 0)
 	if err := ep.doorbell(p); err != nil {
-		ep.complete(o, &OpError{Verb: o.verb, Target: target, Tries: 1, Err: err})
+		ep.complete(o, o.fail(1, err))
 		return err
 	}
 	ep.Stats.Gets++
@@ -245,8 +280,8 @@ func (ep *Endpoint) issue(o *op) {
 		})
 	}
 	me := ep.r.Node()
-	tgt := ep.f.w.Rank(o.twr).Node()
-	if o.verb == "get" {
+	tgt := ep.f.w.Rank(int(o.twr)).Node()
+	if o.verb == verbGet {
 		ep.f.net().RDMAReadR(me, tgt, o.n, h)
 	} else {
 		ep.f.net().RDMAWriteR(me, tgt, o.n, h)
@@ -280,7 +315,7 @@ func (ep *Endpoint) place(o *op, corrupt, dup bool) {
 			s.Recordf(fault.Flap, "rma signal-loss op=%d slot=%d", o.id, o.slot)
 			return
 		}
-		o.sig.add(o.target, o.slot, o.add)
+		o.sig.add(int(o.target), int(o.slot), o.add)
 		o.sigDone = true
 	}
 	ep.completeOK(o)
@@ -300,7 +335,7 @@ func (ep *Endpoint) complete(o *op, err error) {
 	}
 	env := ep.f.env()
 	if tl := ep.r.Timeline(); tl != nil && o.issueT >= 0 {
-		tl.Span(timeline.LayerRMA, timeline.CostNone, "net", o.verb, o.issueT, env.Now()-o.issueT,
+		tl.Span(timeline.LayerRMA, timeline.CostNone, "net", o.verb.String(), o.issueT, env.Now()-o.issueT,
 			timeline.Arg{Key: "bytes", Val: fmt.Sprint(o.n)},
 			timeline.Arg{Key: "target", Val: fmt.Sprint(o.target)})
 	}
@@ -326,7 +361,7 @@ func (ep *Endpoint) armTimer(o *op) {
 		}
 		if o.tries >= rmaMaxTries {
 			ep.site.Recordf(fault.GiveUp, "rma %s op=%d after %d tries", o.verb, o.id, o.tries)
-			ep.complete(o, &OpError{Verb: o.verb, Target: o.target, Tries: o.tries, Err: ErrRetriesExhausted})
+			ep.complete(o, o.fail(o.tries, ErrRetriesExhausted))
 			return
 		}
 		ep.site.Recordf(fault.Timeout, "rma %s op=%d try=%d", o.verb, o.id, o.tries)
@@ -360,29 +395,27 @@ func (ep *Endpoint) PackPut(p *sim.Proc, w *Window, target int, dstOff int64,
 	if err := ep.f.checkTarget("put", target); err != nil {
 		return err
 	}
-	job := pack.JobFor(pack.OpPack, origin, w.bufs[self], entry)
-	job.TargetOff = packOff
-	o := ep.newOp("put", w, target, w.bufs[self], packOff, w.bufs[target], dstOff, job.Bytes, sig, slot, add)
+	o := ep.newOp(verbPut, w, target, w.bufs[self], packOff, w.bufs[target], dstOff, entry.Bytes, sig, slot, add)
 	ep.Stats.PackPuts++
-	ep.Stats.BytesPut += job.Bytes
+	ep.Stats.BytesPut += entry.Bytes
 	if fused {
 		if err := ep.doorbell(p); err != nil {
-			ep.complete(o, &OpError{Verb: o.verb, Target: target, Tries: 1, Err: err})
+			ep.complete(o, o.fail(1, err))
 			return err
 		}
-		spec := job.KernelSpec()
-		spec.Name = "PackPut"
-		o.job = job
-		spec.Work = o
-		ep.launch(p, spec)
+		o.origin, o.entry = origin, entry
+		ep.launch(p, gpu.KernelSpec{Name: "PackPut", Bytes: entry.Bytes, Segments: entry.Segments,
+			MaxSegmentBytes: entry.MaxBlock, Work: o})
 		return nil
 	}
+	job := pack.JobFor(pack.OpPack, origin, w.bufs[self], entry)
+	job.TargetOff = packOff
 	ep.launch(p, job.KernelSpec())
 	start := p.Now()
 	ep.stream.Synchronize(p)
 	ep.charge(trace.Sync, "pack-sync", start, p.Now()-start)
 	if err := ep.doorbell(p); err != nil {
-		ep.complete(o, &OpError{Verb: o.verb, Target: target, Tries: 1, Err: err})
+		ep.complete(o, o.fail(1, err))
 		return err
 	}
 	ep.issue(o)
@@ -391,15 +424,16 @@ func (ep *Endpoint) PackPut(p *sim.Proc, w *Window, target int, dstOff int64,
 
 // launch runs a kernel on the endpoint's pack stream with the standard
 // launch-overhead + kernel-span charging, mirrored onto the rma layer.
-func (ep *Endpoint) launch(p *sim.Proc, spec gpu.KernelSpec) *gpu.Completion {
+// Nobody waits on the kernel itself: its Work packs (and, fused, issues
+// the wire leg), and the unfused path synchronizes the stream.
+func (ep *Endpoint) launch(p *sim.Proc, spec gpu.KernelSpec) {
 	if ep.stream == nil {
 		ep.stream = ep.r.Dev.NewStream(fmt.Sprintf("rma%d", ep.r.ID()))
 	}
-	c := ep.stream.Launch(p, spec)
+	start, end := ep.stream.Submit(p, spec)
 	over := ep.r.Dev.Arch.LaunchOverheadNs
 	ep.charge(trace.Launch, "pack-launch", p.Now()-over, over)
-	ep.charge(trace.PackKernel, "pack", c.Start, c.End-c.Start)
-	return c
+	ep.charge(trace.PackKernel, "pack", start, end-start)
 }
 
 // Quiet blocks until every op this endpoint issued has completed, then

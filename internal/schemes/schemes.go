@@ -225,7 +225,7 @@ func (s *NaiveMemcpy) Name() string { return "NaiveMemcpy" }
 
 func (s *NaiveMemcpy) run(p *sim.Proc, job *pack.Job) mpi.Handle {
 	// One driver call per block; bytes move when the last copy retires.
-	n := job.Segments
+	n := int(job.Segments)
 	if n == 0 {
 		n = 1
 	}
