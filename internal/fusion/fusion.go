@@ -125,7 +125,7 @@ type Stats struct {
 // entry is one request-list slot. It is its own fused-kernel request:
 // its Handle is the request's completion.
 type entry struct {
-	next       *entry // next free entry while released
+	next       *entry // next free entry while released; next of its run while busy
 	s          *Scheduler
 	uid        int64 // 0 while released
 	job        *pack.Job
@@ -144,8 +144,20 @@ type entry struct {
 // Handle is ③ in Fig. 5, run when the request's cooperative group
 // retires: the group moves the request's bytes, and its GPU thread
 // signals completion by updating the response status — no CPU sync at
-// the kernel boundary.
+// the kernel boundary. A busy entry heads the run of requests chained
+// through next that end at the same time (batch.Retire); Handle completes
+// the run in index order.
 func (e *entry) Handle() {
+	for e != nil {
+		next := e.next
+		e.next = nil
+		e.complete()
+		e = next
+	}
+}
+
+// complete retires the request alone.
+func (e *entry) complete() {
 	s := e.s
 	e.job.Execute()
 	e.respStatus = StatusCompleted
@@ -171,6 +183,7 @@ type Scheduler struct {
 	pendingBytes int64
 	seq          int64 // requests enqueued so far; names the next one
 	windows      int   // open collective-scope fusion windows (nest depth)
+	launching    batch // the batch in a fused launch call, if any
 
 	Stats Stats
 	// Trace, if non-nil, accrues Scheduling/Launch/PackKernel costs.
@@ -209,9 +222,6 @@ func NewScheduler(dev *gpu.Device, stream *gpu.Stream, cfg Config) *Scheduler {
 // Config returns the active configuration.
 func (s *Scheduler) Config() Config { return s.cfg }
 
-// PendingBytes reports the payload waiting to be fused.
-func (s *Scheduler) PendingBytes() int64 { return s.pendingBytes }
-
 // PendingCount reports how many requests await fusion.
 func (s *Scheduler) PendingCount() int { return len(s.pending) }
 
@@ -244,10 +254,38 @@ type seqName int64
 
 func (n seqName) EventName() string { return fmt.Sprintf("fusion-req-%d", int64(n)) }
 
-// batchName names the fused kernel of the n-th launch, batch-<n>.
-type batchName int64
+// batch is the request list of one fused launch, which the kernel reads
+// in place during the launch call (paper Section IV-A): request i is
+// entries[i]. It names the kernel batch-<n>, the n-th launch.
+type batch struct {
+	entries []*entry
+	n       int64
+}
 
-func (n batchName) EventName() string { return fmt.Sprintf("batch-%d", int64(n)) }
+func (b *batch) EventName() string { return fmt.Sprintf("batch-%d", b.n) }
+
+// Len implements gpu.FusedBatch.
+func (b *batch) Len() int { return len(b.entries) }
+
+// Work implements gpu.FusedBatch: request i's cost, read from its job.
+func (b *batch) Work(i int) gpu.FusedWork { return b.entries[i].job.FusedWork() }
+
+// Name implements gpu.FusedBatch: request i is req-<seq>.
+func (b *batch) Name(i int) string {
+	e := b.entries[i]
+	return fmt.Sprintf("req-%d", e.s.seqOf(e.uid))
+}
+
+// Retire implements gpu.FusedBatch: it chains requests lo..hi-1 through
+// next, which a busy entry does not use, and returns the first, whose
+// Handle completes them in index order.
+func (b *batch) Retire(lo, hi int) sim.Handler {
+	run := b.entries[lo:hi]
+	for i, e := range run[:len(run)-1] {
+		e.next = run[i+1]
+	}
+	return run[0]
+}
 
 // Enqueue (① in Fig. 5) inserts a request for job and returns its UID, or
 // ErrQueueFull when the request list is exhausted — the caller must then
@@ -357,36 +395,30 @@ func (s *Scheduler) CloseWindow(p *sim.Proc) {
 	s.launch(p)
 }
 
-// WindowOpen reports whether a collective-scope window is currently open.
-func (s *Scheduler) WindowOpen() bool { return s.windows > 0 }
-
 // launch fuses all pending requests into a single kernel.
 func (s *Scheduler) launch(p *sim.Proc) {
-	batch := s.pending
+	b := &s.launching
+	if b.entries != nil {
+		b = new(batch) // another proc's launch is still in its driver call
+	}
+	b.entries = s.pending
 	s.pending = nil
 	s.pendingBytes = 0
 
-	works := make([]gpu.FusedWork, len(batch))
-	traced := s.stream.Device().TL != nil // only a traced device reads request names
-	for i, e := range batch {
+	for _, e := range b.entries {
 		e.reqStatus = StatusBusy
-		var name string
-		if traced {
-			name = fmt.Sprintf("req-%d", s.seqOf(e.uid))
-		}
-		works[i] = e.job.FusedWork(name, e)
 	}
 	s.Stats.FusedLaunches++
-	s.Stats.FusedRequests += int64(len(batch))
-	if len(batch) > s.Stats.MaxBatch {
-		s.Stats.MaxBatch = len(batch)
+	s.Stats.FusedRequests += int64(len(b.entries))
+	if len(b.entries) > s.Stats.MaxBatch {
+		s.Stats.MaxBatch = len(b.entries)
 	}
-	name := batchName(s.Stats.FusedLaunches)
-	var fc *gpu.FusedCompletion
+	b.n = s.Stats.FusedLaunches
+	var start, end int64
 	for attempt := 0; ; attempt++ {
 		t0 := s.env.Now()
 		var err error
-		fc, err = s.stream.LaunchFusedE(p, name, works)
+		start, end, err = s.stream.LaunchFused(p, b, b)
 		if err == nil {
 			break
 		}
@@ -395,15 +427,18 @@ func (s *Scheduler) launch(p *sim.Proc) {
 		s.Stats.FailedLaunches++
 		s.chargeRetrans("fused-relaunch", t0)
 		if attempt >= launchRetries {
+			batch := b.entries
+			b.entries = nil
 			s.degrade(p, batch)
 			return
 		}
 	}
 	s.addTraceAt(trace.Launch, "fused-launch", s.env.Now()-s.dev.Arch.LaunchOverheadNs, s.dev.Arch.LaunchOverheadNs)
-	s.addTraceAt(trace.PackKernel, "fused-kernel", fc.Start, fc.End-fc.Start)
+	s.addTraceAt(trace.PackKernel, "fused-kernel", start, end-start)
 	if s.pending == nil {
-		s.pending = batch[:0] // nothing reads the batch list any more: the next batch reuses it
+		s.pending = b.entries[:0] // the kernel is done reading the batch: the next one reuses the list
 	}
+	b.entries = nil
 }
 
 // degrade re-issues a persistently failing fused batch as unfused

@@ -530,3 +530,43 @@ func TestPropertyAllRequestsComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLaunchesFromTwoProcsOverlap: two procs share one scheduler, and the
+// second launches while the first is still in its launch call (paying the
+// driver overhead). Each launch keeps its own batch, so every request of
+// both completes with its bytes moved.
+func TestLaunchesFromTwoProcsOverlap(t *testing.T) {
+	env, dev, s := newSched(Config{ThresholdBytes: 1 << 40})
+	var verifiers []func() error
+	for _, name := range []string{"pe0", "pe1"} {
+		var jobs []*pack.Job
+		for i := 0; i < 3; i++ {
+			j, v := mkPackJob(dev, int64(len(verifiers)), 32, 2)
+			jobs, verifiers = append(jobs, j), append(verifiers, v)
+		}
+		env.Spawn(name, func(p *sim.Proc) {
+			var uids []int64
+			for _, j := range jobs {
+				uids = append(uids, s.Enqueue(p, j))
+			}
+			s.Flush(p)
+			for _, u := range uids {
+				p.Wait(s.DoneEvent(u))
+				if ok, err := s.Done(p, u); !ok || err != nil {
+					t.Errorf("%s: request %d: done %v, %v", name, u, ok, err)
+				}
+			}
+		})
+	}
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range verifiers {
+		if err := v(); err != nil {
+			t.Error(err)
+		}
+	}
+	if s.Stats.FusedLaunches != 2 || s.Stats.FusedRequests != 6 {
+		t.Fatalf("%d launches of %d requests, want 2 of 6", s.Stats.FusedLaunches, s.Stats.FusedRequests)
+	}
+}

@@ -159,8 +159,8 @@ type Device struct {
 	// copy occupancy per stream, sync waits).
 	TL *timeline.Recorder
 	// Faults, when non-nil, injects transient launch failures into the
-	// fault-aware launch paths (LaunchE, LaunchFusedE). The plain Launch
-	// variants never fail, so baseline schemes without a retry story keep
+	// fault-aware launch paths (LaunchE, LaunchFused). The plain Launch
+	// and Submit never fail, so baseline schemes without a retry story keep
 	// their fault-free semantics.
 	Faults *fault.Site
 	// LazyThreshold, when positive, switches allocations of at least that
@@ -262,6 +262,9 @@ type Stream struct {
 	dev       *Device
 	name      string
 	busyUntil int64
+	// durs is LaunchFused's scratch of per-request durations, reused by
+	// every fused launch on the stream.
+	durs []int64
 }
 
 // Name returns the stream name.
@@ -273,9 +276,6 @@ func (s *Stream) Device() *Device { return s.dev }
 // BusyUntil reports the virtual time at which all currently enqueued work
 // retires.
 func (s *Stream) BusyUntil() int64 { return s.busyUntil }
-
-// Idle reports whether the stream has no pending work at the current time.
-func (s *Stream) Idle() bool { return s.busyUntil <= s.dev.env.Now() }
 
 // Completion describes one retired (or in-flight) stream operation. Its
 // retirement is a flag set at End; an event exists only once a caller asks

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
+	"repro/internal/timeline"
 )
 
 // kernelName names a fused kernel by a fixed string.
@@ -22,10 +23,9 @@ func (n *countingName) EventName() string {
 	return "batch-7"
 }
 
-// TestLaunchNamesFormatOnlyWhenRead: on an untraced device, a kernel
-// launch, a copy and a fused launch retire and wake their waiter without
-// reading the fused kernel's name, and a panic text reads each completion
-// event's name as <op>@<stream>.
+// TestLaunchNamesFormatOnlyWhenRead: on an untraced device, a fused launch
+// never reads the fused kernel's name, and a panic text reads a kernel's
+// and a copy's completion event names as <op>@<stream>.
 func TestLaunchNamesFormatOnlyWhenRead(t *testing.T) {
 	env, d := newTestDevice(t)
 	st := d.NewStream("s0")
@@ -34,8 +34,10 @@ func TestLaunchNamesFormatOnlyWhenRead(t *testing.T) {
 	env.Spawn("host", func(p *sim.Proc) {
 		c := st.Launch(p, KernelSpec{Name: "k", Bytes: 1024, Segments: 4})
 		m := st.MemcpyAsync(p, CopyH2D, 1024, nil)
-		fc := st.LaunchFused(p, n, []FusedWork{{Name: "r0", Bytes: 1024, Segments: 4}})
-		evs = []*sim.Event{c.Event(), m.Event(), fc.Event()}
+		if _, _, err := st.LaunchFused(p, n, works{{Bytes: 1024, Segments: 4}}); err != nil {
+			t.Error(err)
+		}
+		evs = []*sim.Event{c.Event(), m.Event()}
 		p.WaitAll(evs...)
 	})
 	if err := env.Run(); err != nil {
@@ -49,7 +51,7 @@ func TestLaunchNamesFormatOnlyWhenRead(t *testing.T) {
 		ev.Fire()
 		return nil
 	}
-	for i, want := range []string{"k@s0", "memcpy-H2D@s0", "fused:batch-7@s0"} {
+	for i, want := range []string{"k@s0", "memcpy-H2D@s0"} {
 		if got := nameOf(evs[i]); got != "sim: event fired twice: "+want {
 			t.Errorf("event %d: double fire panicked with %v, want the name %q", i, got, want)
 		}
@@ -59,9 +61,9 @@ func TestLaunchNamesFormatOnlyWhenRead(t *testing.T) {
 func TestFusedSingleLaunchOverhead(t *testing.T) {
 	env, d := newTestDevice(t)
 	st := d.NewStream("s0")
-	reqs := make([]FusedWork, 16)
+	reqs := make(works, 16)
 	for i := range reqs {
-		reqs[i] = FusedWork{Name: fmt.Sprintf("r%d", i), Bytes: 32 << 10, Segments: 1000}
+		reqs[i] = FusedWork{Bytes: 32 << 10, Segments: 1000}
 	}
 	var afterLaunch int64
 	env.Spawn("host", func(p *sim.Proc) {
@@ -83,10 +85,10 @@ func TestFusedBeatsSerialLaunches(t *testing.T) {
 	// The headline claim: N small packing operations fused into one
 	// kernel finish far sooner than N individually launched kernels.
 	arch := testArch()
-	mkReqs := func() []FusedWork {
-		reqs := make([]FusedWork, 16)
+	mkReqs := func() works {
+		reqs := make(works, 16)
 		for i := range reqs {
-			reqs[i] = FusedWork{Name: fmt.Sprintf("r%d", i), Bytes: 24 << 10, Segments: 2000}
+			reqs[i] = FusedWork{Bytes: 24 << 10, Segments: 2000}
 		}
 		return reqs
 	}
@@ -96,8 +98,8 @@ func TestFusedBeatsSerialLaunches(t *testing.T) {
 	stA := dA.NewStream("s")
 	var serialEnd int64
 	envA.Spawn("host", func(p *sim.Proc) {
-		for _, r := range mkReqs() {
-			stA.Launch(p, KernelSpec{Name: r.Name, Bytes: r.Bytes, Segments: r.Segments})
+		for i, r := range mkReqs() {
+			stA.Launch(p, KernelSpec{Name: fmt.Sprintf("r%d", i), Bytes: r.Bytes, Segments: r.Segments})
 		}
 		stA.Synchronize(p)
 		serialEnd = p.Now()
@@ -111,8 +113,8 @@ func TestFusedBeatsSerialLaunches(t *testing.T) {
 	stB := dB.NewStream("s")
 	var fusedEnd int64
 	envB.Spawn("host", func(p *sim.Proc) {
-		fc := stB.LaunchFused(p, kernelName("fused"), mkReqs())
-		p.Wait(fc.Event())
+		_, end, _ := stB.LaunchFused(p, kernelName("fused"), mkReqs())
+		p.Sleep(end - p.Now())
 		fusedEnd = p.Now()
 	})
 	if err := envB.Run(); err != nil {
@@ -126,30 +128,36 @@ func TestFusedBeatsSerialLaunches(t *testing.T) {
 
 func TestFusedPerRequestCompletionSignalling(t *testing.T) {
 	env, d := newTestDevice(t)
+	d.TL = timeline.NewRecorder(0, 0)
 	st := d.NewStream("s0")
 	// One tiny request and one huge one: the tiny one must signal
 	// completion well before the kernel retires.
-	var tinyEnd int64 = -1
-	reqs := []FusedWork{
-		{Name: "tiny", Bytes: 512, Segments: 4, Work: sim.HandlerFunc(func() { tinyEnd = env.Now() })},
-		{Name: "huge", Bytes: 256 << 20, Segments: 4096},
+	ends := []int64{-1, -1}
+	reqs := signalling{
+		works: works{{Bytes: 512, Segments: 4}, {Bytes: 256 << 20, Segments: 4096}},
+		done:  func(i int) { ends[i] = env.Now() },
 	}
-	var fc *FusedCompletion
+	var end int64
 	env.Spawn("host", func(p *sim.Proc) {
-		fc = st.LaunchFused(p, kernelName("mix"), reqs)
-		p.Wait(fc.Event())
+		_, end, _ = st.LaunchFused(p, kernelName("mix"), reqs)
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if tinyEnd < 0 {
+	if ends[0] < 0 {
 		t.Fatal("tiny request never signalled completion")
 	}
-	if tinyEnd >= fc.End {
-		t.Fatalf("tiny completed at %d, not before kernel end %d", tinyEnd, fc.End)
+	if ends[0] >= end || ends[1] != end {
+		t.Fatalf("tiny completed at %d and huge at %d, want before and at kernel end %d", ends[0], ends[1], end)
 	}
-	if fc.ReqEnd[0] != tinyEnd {
-		t.Fatalf("ReqEnd[0] = %d, want %d", fc.ReqEnd[0], tinyEnd)
+	spanEnd := int64(-1)
+	for _, ev := range d.TL.Events() {
+		if ev.Name == "fused-req:r0" {
+			spanEnd = ev.End()
+		}
+	}
+	if spanEnd != ends[0] {
+		t.Fatalf("the tiny request's span ends at %d, want %d", spanEnd, ends[0])
 	}
 }
 
@@ -160,10 +168,12 @@ func TestFusedRequestsCompleteInTimeThenIndexOrder(t *testing.T) {
 	env, d := newTestDevice(t)
 	st := d.NewStream("s0")
 	var order []string
-	req := func(name string, bytes int64) FusedWork {
-		return FusedWork{Name: name, Bytes: bytes, Segments: 4, Work: sim.HandlerFunc(func() { order = append(order, name) })}
+	names := []string{"a", "b", "big", "c", "d"}
+	reqs := signalling{
+		works: works{{Bytes: 512, Segments: 4}, {Bytes: 512, Segments: 4}, {Bytes: 1 << 20, Segments: 4},
+			{Bytes: 512, Segments: 4}, {Bytes: 512, Segments: 4}},
+		done: func(i int) { order = append(order, names[i]) },
 	}
-	reqs := []FusedWork{req("a", 512), req("b", 512), req("big", 1<<20), req("c", 512), req("d", 512)}
 	env.Spawn("host", func(p *sim.Proc) { st.LaunchFused(p, kernelName("mix"), reqs) })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -181,14 +191,11 @@ func TestFusedExecMovesBytesPerRequest(t *testing.T) {
 	for i := range src.Data {
 		src.Data[i] = byte(255 - i)
 	}
-	reqs := []FusedWork{
-		{Name: "lo", Bytes: 128, Segments: 2, Work: sim.HandlerFunc(func() { copy(dst.Data[:128], src.Data[:128]) })},
-		{Name: "hi", Bytes: 128, Segments: 2, Work: sim.HandlerFunc(func() { copy(dst.Data[128:], src.Data[128:]) })},
+	reqs := signalling{
+		works: works{{Bytes: 128, Segments: 2}, {Bytes: 128, Segments: 2}},
+		done:  func(i int) { copy(dst.Data[i*128:(i+1)*128], src.Data[i*128:(i+1)*128]) },
 	}
-	env.Spawn("host", func(p *sim.Proc) {
-		fc := st.LaunchFused(p, kernelName("two"), reqs)
-		p.Wait(fc.Event())
-	})
+	env.Spawn("host", func(p *sim.Proc) { st.LaunchFused(p, kernelName("two"), reqs) })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +214,7 @@ func TestFusedEmptyPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	env.Spawn("host", func(p *sim.Proc) { st.LaunchFused(p, kernelName("none"), nil) })
+	env.Spawn("host", func(p *sim.Proc) { st.LaunchFused(p, kernelName("none"), works(nil)) })
 	_ = env.Run()
 }
 
@@ -306,35 +313,25 @@ func TestUniformPartitionHurtsHeterogeneousBatches(t *testing.T) {
 }
 
 // TestCompletionEventsBeforeAndAfterRetirement: the completion event of a
-// kernel or a fused kernel asked for before retirement fires once, at End,
-// and wakes its waiters then; one asked for only after retirement has
-// already fired at End, and a wait on it returns at once. Done reads the
+// kernel or a copy asked for before retirement fires once, at End, and
+// wakes its waiters then; one asked for only after retirement has already
+// fired at End, and a wait on it returns at once. Done reads the
 // retirement flag either way.
 func TestCompletionEventsBeforeAndAfterRetirement(t *testing.T) {
 	env, d := newTestDevice(t)
 	st := d.NewStream("s0")
-	type completion interface {
-		Done() bool
-		Event() *sim.Event
-	}
-	end := func(c completion) int64 {
-		if fc, ok := c.(*FusedCompletion); ok {
-			return fc.End
-		}
-		return c.(*Completion).End
-	}
-	woke := map[completion][]int64{}
-	// launch launches a kernel and a fused kernel; each is passed to
-	// asked right after its own launch, before it can retire.
-	launch := func(p *sim.Proc, asked func(completion)) []completion {
+	woke := map[*Completion][]int64{}
+	// launch launches a kernel and a copy; each is passed to asked right
+	// after its own launch, before it can retire.
+	launch := func(p *sim.Proc, asked func(*Completion)) []*Completion {
 		c := st.Launch(p, KernelSpec{Name: "k", Bytes: 1024, Segments: 4})
 		asked(c)
-		fc := st.LaunchFused(p, kernelName("f"), []FusedWork{{Name: "r", Bytes: 1 << 20, Segments: 8}})
-		asked(fc)
-		return []completion{c, fc}
+		m := st.MemcpyAsync(p, CopyD2D, 1<<20, nil)
+		asked(m)
+		return []*Completion{c, m}
 	}
 	env.Spawn("host", func(p *sim.Proc) {
-		early := launch(p, func(c completion) {
+		early := launch(p, func(c *Completion) {
 			ev := c.Event()
 			if ev.Fired() || c.Done() {
 				t.Error("a completion retired at launch")
@@ -346,12 +343,12 @@ func TestCompletionEventsBeforeAndAfterRetirement(t *testing.T) {
 				env.Spawn("waiter", func(q *sim.Proc) { q.Wait(ev); woke[c] = append(woke[c], q.Now()) })
 			}
 		})
-		late := launch(p, func(completion) {})
-		p.Sleep(end(late[1]) - p.Now()) // all retired, no event asked for
+		late := launch(p, func(*Completion) {})
+		p.Sleep(late[1].End - p.Now()) // all retired, no event asked for
 		for _, c := range append(early, late...) {
 			ev := c.Event()
-			if !c.Done() || !ev.Fired() || ev.FiredAt() != end(c) {
-				t.Errorf("after retirement: done %v, fired %v, want both at %d", c.Done(), ev.Fired(), end(c))
+			if !c.Done() || !ev.Fired() || ev.FiredAt() != c.End {
+				t.Errorf("after retirement: done %v, fired %v, want both at %d", c.Done(), ev.Fired(), c.End)
 			}
 			mustPanic(t, "fired twice", ev.Fire)
 		}
@@ -363,12 +360,35 @@ func TestCompletionEventsBeforeAndAfterRetirement(t *testing.T) {
 			}
 		}
 		for _, c := range early {
-			if w := woke[c]; len(w) != 2 || w[0] != end(c) || w[1] != end(c) {
-				t.Errorf("waiters woke at %v, want twice at %d", w, end(c))
+			if w := woke[c]; len(w) != 2 || w[0] != c.End || w[1] != c.End {
+				t.Errorf("waiters woke at %v, want twice at %d", w, c.End)
 			}
 		}
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWarmLaunchFusedAllocs: a warm fused launch allocates nothing. The
+// kernel reads the batch in place, computes its durations into the
+// stream's scratch and makes no completion.
+func TestWarmLaunchFusedAllocs(t *testing.T) {
+	env, d := newTestDevice(t)
+	st := d.NewStream("s0")
+	reqs := make(works, 64)
+	for i := range reqs {
+		reqs[i] = FusedWork{Bytes: 4096, Segments: 4 + i%3}
+	}
+	allocs := -1.0
+	env.Spawn("host", func(p *sim.Proc) {
+		st.LaunchFused(p, kernelName("k"), &reqs) // warm: the scratch
+		allocs = testing.AllocsPerRun(100, func() { st.LaunchFused(p, kernelName("k"), &reqs) })
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("a warm fused launch allocates %v times, want 0", allocs)
 	}
 }

@@ -286,17 +286,13 @@ func (j *Job) KernelSpec() gpu.KernelSpec {
 	}
 }
 
-// FusedWork converts the job into a fused-kernel request. req is the
-// request that carries the job: at the request's completion time it
-// executes the job and then updates its response status.
-func (j *Job) FusedWork(name string, req sim.Handler) gpu.FusedWork {
+// FusedWork is the job's cost as a fused-kernel request.
+func (j *Job) FusedWork() gpu.FusedWork {
 	return gpu.FusedWork{
-		Name:            name,
 		Bytes:           j.Bytes,
 		Segments:        int(j.Segments),
 		MaxSegmentBytes: j.MaxBlock,
 		MinDurationNs:   j.ipcFloor(),
-		Work:            req,
 	}
 }
 
