@@ -84,9 +84,6 @@ func (k Kind) String() string {
 	return kindNames[k]
 }
 
-// NumKinds reports how many event kinds exist (for tally arrays).
-func NumKinds() int { return int(numKinds) }
-
 // LinkPlan holds per-transfer fault probabilities for every fabric link.
 // All probabilities are independent per message and clamped to [0,1] by
 // Validate. The zero value injects nothing.

@@ -336,10 +336,11 @@ type Rank struct {
 	// destination hit the wire in Isend order, even when an earlier
 	// send's packing finishes later. sendSeq numbers sends per
 	// destination; emitNext/emitWait implement the FIFO send queue a
-	// real NIC channel provides.
+	// real NIC channel provides. emitWait parks the send requests
+	// themselves (nil for a send that failed before it could emit).
 	sendSeq  map[int]int64
 	emitNext map[int]int64
-	emitWait map[int]map[int64]func(*sim.Proc)
+	emitWait map[int]map[int64]*Request
 
 	// orphanChunks parks pipelined chunk announcements that arrived
 	// before their envelope matched.
@@ -365,36 +366,88 @@ func (r *Rank) assignSeq(q *Request) {
 	r.sendSeq[q.peer]++
 }
 
-// emitInOrder queues q's envelope emission and drains every emission that
-// is now in sequence for q's destination. The closure runs on the calling
-// proc (this rank's own thread), so its costs are charged correctly.
-func (r *Rank) emitInOrder(p *sim.Proc, q *Request, emit func(p *sim.Proc)) {
-	dest := q.peer
+// emitInOrder parks send q in its destination's envelope FIFO and drains
+// every envelope that is now in sequence there.
+func (r *Rank) emitInOrder(p *sim.Proc, q *Request) {
+	q.emitted = true
+	r.park(q.peer, q.seq, q)
+	r.drainEmits(p, q.peer)
+}
+
+// park puts q (nil for an envelope that will never go out) into dest's
+// FIFO slot seq.
+func (r *Rank) park(dest int, seq int64, q *Request) {
 	if r.emitWait == nil {
-		r.emitWait = make(map[int]map[int64]func(*sim.Proc))
-	}
-	if r.emitNext == nil {
+		r.emitWait = make(map[int]map[int64]*Request)
 		r.emitNext = make(map[int]int64)
 	}
 	if r.emitWait[dest] == nil {
-		r.emitWait[dest] = make(map[int64]func(*sim.Proc))
+		r.emitWait[dest] = make(map[int64]*Request)
 	}
-	q.emitted = true
-	r.emitWait[dest][q.seq] = emit
-	r.drainEmits(p, dest)
+	r.emitWait[dest][seq] = q
 }
 
-// drainEmits runs every emission that is now in sequence for dest.
+// drainEmits emits every envelope that is now in sequence for dest. It
+// runs on this rank's own proc, so the emissions' costs are charged
+// correctly.
 func (r *Rank) drainEmits(p *sim.Proc, dest int) {
 	for {
-		fn, ok := r.emitWait[dest][r.emitNext[dest]]
+		q, ok := r.emitWait[dest][r.emitNext[dest]]
 		if !ok {
 			return
 		}
 		delete(r.emitWait[dest], r.emitNext[dest])
 		r.emitNext[dest]++
-		fn(p)
+		if q != nil {
+			r.emitEnvelope(p, q)
+		}
 	}
+}
+
+// emitEnvelope puts send q's matchable envelope on the wire, built from q
+// when its FIFO turn comes: an RTS offering DirectIPC to a same-node peer,
+// eager data (whose bytes are snapshotted now), or an RTS that carries the
+// chunk count of a pipelined send.
+func (r *Rank) emitEnvelope(p *sim.Proc, q *Request) {
+	ipc := r.ipcPeer(q.peer)
+	if !ipc && q.bytes <= r.world.Cfg.EagerLimitBytes {
+		r.emitEager(p, q)
+		return
+	}
+	m := &message{kind: mkRTS, from: r.id, to: q.peer, tag: q.tag, bytes: q.bytes, sender: q, ipc: ipc}
+	if q.pipe != nil {
+		m.chunks = int32(len(q.pipe.chunks))
+	}
+	r.postCtrl(p, q, m)
+}
+
+// emitEager sends q's payload with its envelope. The sender completes once
+// the message is handed to the NIC (reliable mode: once it is acked).
+func (r *Rank) emitEager(p *sim.Proc, q *Request) {
+	m := &message{kind: mkEager, from: r.id, to: q.peer, tag: q.tag, bytes: q.bytes}
+	snapshotWire(m, q)
+	if r.reliable() {
+		q.state = stWaitFin // resolved by the ack, not a FIN
+		r.sendReliable(p, q, m, q.bytes+64)
+		r.maybeComplete(q)
+		return
+	}
+	net := r.world.Cluster.Net
+	net.Post(p)
+	t0 := p.Now()
+	arrive := r.sendMsg(q.bytes+64, m)
+	if r.tl != nil {
+		r.tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "eager", t0, arrive-t0,
+			timeline.Arg{Key: "peer", Val: strconv.Itoa(q.peer)},
+			timeline.Arg{Key: "bytes", Val: strconv.FormatInt(q.bytes, 10)})
+	}
+	r.complete(q)
+}
+
+// ipcPeer reports whether sends to dest take the DirectIPC path: another
+// rank on this node, with IPC enabled.
+func (r *Rank) ipcPeer(dest int) bool {
+	return !r.world.Cfg.DisableIPC && dest != r.id && r.world.ranks[dest].node == r.node
 }
 
 // ID returns the rank number; Node its node; World the owning world.
@@ -429,7 +482,7 @@ func (r *Rank) Scheme() Scheme { return r.scheme }
 func (r *Rank) Cache() *layoutcache.Cache { return r.cache }
 
 // reqState is the request state machine position.
-type reqState int
+type reqState uint8
 
 const (
 	stPacking     reqState = iota // send: waiting for pack handle
@@ -458,7 +511,7 @@ func (s reqState) String() string {
 }
 
 // msgKind tags control/data messages.
-type msgKind int
+type msgKind uint8
 
 const (
 	mkEager msgKind = iota
@@ -478,9 +531,16 @@ func (m msgKind) String() string {
 	return "msg?"
 }
 
-// message is an in-flight or queued wire message.
+// message is an in-flight or queued wire message: 128 B
+// (TestMessageSize). kind, ipc and chunks share one word; from, to and tag
+// stay full ints, as collective tags reach CollTagBase plus an epoch.
 type message struct {
-	kind     msgKind
+	kind msgKind
+	// ipc marks an RTS offering a same-node zero-copy transfer.
+	ipc bool
+	// chunks > 0 marks a pipelined-rendezvous envelope; chunkOff and
+	// chunkBytes describe one chunk on mkRTSChunk messages.
+	chunks   int32
 	from, to int
 	tag      int
 	bytes    int64 // payload size (data description for RTS)
@@ -492,13 +552,8 @@ type message struct {
 	// payload holds eager data bytes (already packed). In lazy-bytes mode
 	// lazy carries the same logical bytes as a span snapshot instead and
 	// payload stays nil.
-	payload []byte
-	lazy    *payload.Content
-	// ipc marks an RTS offering a same-node zero-copy transfer.
-	ipc bool
-	// chunks > 0 marks a pipelined-rendezvous envelope; chunkOff and
-	// chunkBytes describe one chunk on mkRTSChunk messages.
-	chunks     int
+	payload    []byte
+	lazy       *payload.Content
 	chunkOff   int64
 	chunkBytes int64
 	// id is the reliability-layer message id (nonzero only for tracked
@@ -526,54 +581,49 @@ func (m *message) Handle() { m.dst.arrive(m, fabric.Delivery{}) }
 // corrupted or duplicated.
 func (m *message) Deliver(d fabric.Delivery) { m.dst.arrive(m, d) }
 
-// Request is a non-blocking operation handle (MPI_Request).
+// Request is a non-blocking operation handle (MPI_Request). It is 160 B
+// (TestRequestSize): the state that only a pipelined rendezvous or the
+// reliability layer needs sits behind pipe and rel, made by the legs that
+// use it. Callers keep a *Request after Wait, so requests are never
+// recycled.
 type Request struct {
-	rank   *Rank
-	isSend bool
-	peer   int
-	tag    int
-	state  reqState
+	rank  *Rank
+	peer  int
+	tag   int
+	buf   *gpu.Buffer
+	entry *layoutcache.Entry
+	bytes int64
 
-	buf    *gpu.Buffer
-	entry  *layoutcache.Entry
-	bytes  int64
-	contig bool
+	seq    int64       // send: per-destination envelope sequence
+	sseq   int64       // send: reliability-layer stream sequence of the emitted envelope
+	packed *gpu.Buffer // staging (send: packed output; recv: packed input)
+	handle Handle      // pack or unpack handle
+	// matched is a receive's matched envelope.
+	matched *message
+	// peerRecv is a send's matched receive, set by the receiver: the one
+	// that issued an RPUT CTS, or that matched a pipelined envelope.
+	peerRecv *Request
+	pipe     *pipeState // pipelined rendezvous (pipeline.go); nil on a plain leg
+	rel      *relState  // reliability-layer and ULFM state (reliable.go); nil without a fault plan
 
-	seq           int64       // send: per-destination envelope sequence
-	packed        *gpu.Buffer // staging (send: packed output; recv: packed input)
-	chunks        []sendChunk // send: pipelined-rendezvous chunk states
-	remoteRecv    *Request    // send: matched receive (set by the receiver)
-	pendingChunks []*message  // recv: announced, not yet pulled chunks
-	pulledChunks  int         // recv: chunks whose RDMA read was issued
-	recvdBytes    int64       // recv: pipelined bytes landed so far
-	handle        Handle      // pack or unpack handle
-	matched       *message    // recv: matched message
-	dataHere      bool        // recv: payload landed in staging
-	finHere       bool        // send: FIN arrived (or local RDMA write done)
-	ctsHere       bool        // send RPUT: CTS arrived
-	ctsFrom       *Request    // send RPUT: the receive that issued the CTS
-	rtsSent       bool        // send rendezvous: RTS already posted
-	rdmaStarted   bool        // recv: RDMA/CTS/IPC already initiated
-	ipcDone       bool
-	finSent       bool // recv: rendezvous FIN already posted (one-shot)
-
-	// Reliability-layer state (reliable.go); inert without a fault plan.
-	err           error     // terminal *OpError once state == stFailed
-	unacked       int       // emitted reliable messages not yet acked
-	wantDone      bool      // protocol done, waiting for last acks
-	emitted       bool      // send: envelope FIFO slot consumed
-	errSent       bool      // peer-abort notification already sent
-	sseq          int64     // send: stream sequence of the emitted envelope
-	reads         []*readOp // recv RGET: checksummed read spans
-	writeDeadline int64     // send RPUT: rewrite deadline
-	writeAttempts int       // send RPUT: write issues so far
-
-	// comm binds the request to a communicator (ulfm.go): a revocation
-	// fails every bound request in place. Nil for plain point-to-point.
-	comm *Comm
-
+	// err is the terminal error once state == stFailed.
+	err error
 	// DoneAt is the completion/failure time (valid once settled).
 	DoneAt int64
+
+	unacked     int32 // reliability layer: emitted messages not yet acked
+	state       reqState
+	isSend      bool
+	contig      bool
+	dataHere    bool // recv: payload landed in staging
+	finHere     bool // send: FIN arrived (or local RDMA write done)
+	ctsHere     bool // send RPUT: CTS arrived
+	rtsSent     bool // send rendezvous: RTS already posted
+	rdmaStarted bool // recv: RDMA/CTS/IPC already initiated
+	finSent     bool // recv: FIN already posted (one-shot)
+	emitted     bool // send: envelope FIFO slot consumed
+	wantDone    bool // reliability layer: protocol done, waiting for last acks
+	errSent     bool // reliability layer: peer-abort notification already sent
 }
 
 // Done reports successful completion without charging any cost.
@@ -696,14 +746,11 @@ func (r *Rank) IsendRaw(p *sim.Proc, dest, tag int, buf *gpu.Buffer, l *datatype
 			timeline.Arg{Key: "bytes", Val: strconv.FormatInt(e.Bytes, 10)})
 	}
 
-	destRank := r.world.ranks[dest]
-	if !r.world.Cfg.DisableIPC && destRank.node == r.node && dest != r.id {
+	if r.ipcPeer(dest) {
 		// Same-node: offer DirectIPC. No packing; the receiver drives
 		// a zero-copy gather/scatter kernel and FINs us.
 		q.state = stWaitFin
-		r.emitInOrder(p, q, func(p *sim.Proc) {
-			r.postCtrl(p, q, &message{kind: mkRTS, from: r.id, to: dest, tag: tag, bytes: e.Bytes, sender: q, ipc: true})
-		})
+		r.emitInOrder(p, q)
 		return q
 	}
 
@@ -727,9 +774,7 @@ func (r *Rank) IsendRaw(p *sim.Proc, dest, tag int, buf *gpu.Buffer, l *datatype
 		// RPUT sends RTS before packing finishes: the handshake
 		// overlaps the pack kernel (Section IV-B1).
 		q.rtsSent = true
-		r.emitInOrder(p, q, func(p *sim.Proc) {
-			r.postCtrl(p, q, &message{kind: mkRTS, from: r.id, to: dest, tag: tag, bytes: e.Bytes, sender: q})
-		})
+		r.emitInOrder(p, q)
 	}
 	return q
 }
@@ -821,12 +866,50 @@ func (r *Rank) postCtrl(p *sim.Proc, owner *Request, m *message) {
 	net.Post(p)
 	t0 := p.Now()
 	arrive := r.sendMsg(net.Spec.CtrlBytes, m)
+	r.ctrlSpan(m.kind, m.to, m.tag, t0, arrive)
+}
+
+// ctrlSpan records an untracked control message's wire time.
+func (r *Rank) ctrlSpan(kind msgKind, to, tag int, t0, arrive int64) {
 	if r.tl != nil {
-		r.tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "ctrl:"+m.kind.String(), t0, arrive-t0,
-			timeline.Arg{Key: "peer", Val: strconv.Itoa(m.to)},
-			timeline.Arg{Key: "tag", Val: strconv.Itoa(m.tag)})
+		r.tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "ctrl:"+kind.String(), t0, arrive-t0,
+			timeline.Arg{Key: "peer", Val: strconv.Itoa(to)},
+			timeline.Arg{Key: "tag", Val: strconv.Itoa(tag)})
 	}
 }
+
+// signal posts a FIN or CTS from receive q to its matched send. Under the
+// reliability layer it is a tracked message. Without it no rank can crash
+// and no frame can be damaged, so the send request itself receives the
+// arrival (finArrival, ctsArrival) and the signal makes no frame.
+func (r *Rank) signal(p *sim.Proc, q *Request, kind msgKind) {
+	m := q.matched
+	if r.reliable() {
+		r.postCtrl(p, q, &message{kind: kind, from: r.id, to: m.from, tag: q.tag, receiver: m.sender})
+		return
+	}
+	var to fabric.Receiver = (*finArrival)(m.sender)
+	if kind == mkCTS {
+		to = (*ctsArrival)(m.sender)
+	}
+	net := r.world.Cluster.Net
+	net.Post(p)
+	t0 := p.Now()
+	arrive := net.SendR(r.node, r.world.ranks[m.from].node, net.Spec.CtrlBytes, to)
+	r.ctrlSpan(kind, m.from, q.tag, t0, arrive)
+}
+
+// finArrival is a send request as the receiver of its FIN.
+type finArrival Request
+
+func (a *finArrival) Handle()                 { a.finHere = true }
+func (a *finArrival) Deliver(fabric.Delivery) { a.Handle() }
+
+// ctsArrival is an RPUT send request as the receiver of its CTS.
+type ctsArrival Request
+
+func (a *ctsArrival) Handle()                 { a.ctsHere = true }
+func (a *ctsArrival) Deliver(fabric.Delivery) { a.Handle() }
 
 // arrive runs in scheduler context when a message lands at this rank,
 // with the fabric's delivery verdict. The reliability prologue discards
@@ -938,7 +1021,8 @@ func (r *Rank) deliver(q *Request, m *message) {
 		if m.chunks > 0 {
 			// Pipelined envelope: remember the cross link and adopt
 			// chunks that raced ahead of the match.
-			m.sender.remoteRecv = q
+			m.sender.peerRecv = q
+			q.pipe = &pipeState{}
 			q.packed = r.stagingBuf(q.bytes)
 			r.adoptOrphanChunks(q)
 		}
@@ -991,50 +1075,17 @@ func writeWire(dst *gpu.Buffer, off int64, m *message) {
 }
 
 // startTransfer moves a packed/contiguous payload toward the peer. The
-// matchable envelope is emitted through the per-destination FIFO so sends
-// cannot overtake each other.
+// matchable envelope (eager data or RTS) is emitted through the
+// per-destination FIFO so sends cannot overtake each other.
 func (r *Rank) startTransfer(p *sim.Proc, q *Request) {
-	net := r.world.Cluster.Net
-	if q.bytes <= r.world.Cfg.EagerLimitBytes {
-		// Eager: payload rides along; sender completes once the message
-		// is handed to the NIC (reliable mode: once it is acked).
-		r.emitInOrder(p, q, func(p *sim.Proc) {
-			m := &message{kind: mkEager, from: r.id, to: q.peer, tag: q.tag, bytes: q.bytes}
-			snapshotWire(m, q)
-			if r.reliable() {
-				q.state = stWaitFin // resolved by the ack, not a FIN
-				r.sendReliable(p, q, m, q.bytes+64)
-				r.maybeComplete(q)
-				return
-			}
-			net.Post(p)
-			t0 := p.Now()
-			arrive := r.sendMsg(q.bytes+64, m)
-			if r.tl != nil {
-				r.tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "eager", t0, arrive-t0,
-					timeline.Arg{Key: "peer", Val: strconv.Itoa(q.peer)},
-					timeline.Arg{Key: "bytes", Val: strconv.FormatInt(q.bytes, 10)})
-			}
-			r.complete(q)
-		})
-		return
-	}
-	switch r.world.Cfg.Rendezvous {
-	case RGET:
+	if q.bytes > r.world.Cfg.EagerLimitBytes {
 		q.state = stRTSSent
-		q.rtsSent = true
-		r.emitInOrder(p, q, func(p *sim.Proc) {
-			r.postCtrl(p, q, &message{kind: mkRTS, from: r.id, to: q.peer, tag: q.tag, bytes: q.bytes, sender: q})
-		})
-	case RPUT:
-		q.state = stRTSSent
-		if !q.rtsSent { // contiguous sends reach here without an RTS
-			q.rtsSent = true
-			r.emitInOrder(p, q, func(p *sim.Proc) {
-				r.postCtrl(p, q, &message{kind: mkRTS, from: r.id, to: q.peer, tag: q.tag, bytes: q.bytes, sender: q})
-			})
+		if q.rtsSent {
+			return // RPUT: the RTS went out while q was packing
 		}
+		q.rtsSent = true
 	}
+	r.emitInOrder(p, q)
 }
 
 // complete finishes a request successfully.
@@ -1096,7 +1147,7 @@ func (r *Rank) progress(p *sim.Proc) {
 func (r *Rank) progressSend(p *sim.Proc, q *Request) {
 	switch q.state {
 	case stPacking:
-		if q.chunks != nil {
+		if q.pipe != nil {
 			r.progressPipelinedSend(p, q)
 			return
 		}
@@ -1120,13 +1171,13 @@ func (r *Rank) progressSend(p *sim.Proc, q *Request) {
 			if q.ctsHere && (q.contig || q.handle == nil || q.handle.Done(p)) {
 				q.state = stWriting
 				if r.reliable() {
-					r.issueWrite(p, q, q.matchedRecv(), false)
+					r.issueWrite(p, q, false)
 					return
 				}
 				net := r.world.Cluster.Net
 				net.Post(p)
 				peer := r.world.ranks[q.peer]
-				recvReq := q.matchedRecv()
+				recvReq := q.peerRecv
 				t0 := p.Now()
 				net.RDMAWrite(r.node, peer.node, q.bytes, func() {
 					if recvReq != nil {
@@ -1159,11 +1210,6 @@ func (r *Rank) progressSend(p *sim.Proc, q *Request) {
 	}
 }
 
-// matchedRecv finds the peer receive this send's RPUT CTS came from.
-func (q *Request) matchedRecv() *Request {
-	return q.ctsFrom
-}
-
 func (r *Rank) progressRecv(p *sim.Proc, q *Request) {
 	switch q.state {
 	case stWaitData:
@@ -1185,16 +1231,14 @@ func (r *Rank) progressRecv(p *sim.Proc, q *Request) {
 			if r.world.Cfg.Rendezvous == RPUT {
 				// Tell the sender where to put the data.
 				q.packed = r.stagingBuf(q.bytes)
-				m.sender.ctsFrom = q
-				r.postCtrl(p, q, &message{kind: mkCTS, from: r.id, to: m.from, tag: q.tag, receiver: m.sender})
+				m.sender.peerRecv = q
+				r.signal(p, q, mkCTS)
 				return
 			}
 			// RGET: pull the packed payload from the sender.
 			q.packed = r.stagingBuf(q.bytes)
 			if r.reliable() {
-				op := &readOp{off: 0, bytes: q.bytes}
-				q.reads = append(q.reads, op)
-				r.issueRead(p, q, op, false)
+				r.issueRead(p, q, q.newRead(0, q.bytes), false)
 				return
 			}
 			net := r.world.Cluster.Net
@@ -1214,7 +1258,7 @@ func (r *Rank) progressRecv(p *sim.Proc, q *Request) {
 			return
 		}
 		if !q.dataHere {
-			if r.reliable() && len(q.reads) > 0 {
+			if r.reliable() {
 				r.scanReads(p, q)
 			}
 			return
@@ -1225,7 +1269,7 @@ func (r *Rank) progressRecv(p *sim.Proc, q *Request) {
 		// the request un-settled and this state re-entered each poll.
 		if m != nil && m.kind == mkRTS && r.world.Cfg.Rendezvous == RGET && !q.finSent {
 			q.finSent = true
-			r.postCtrl(p, q, &message{kind: mkFIN, from: r.id, to: m.from, tag: q.tag, receiver: m.sender})
+			r.signal(p, q, mkFIN)
 		}
 		if q.contig {
 			if m != nil && m.kind == mkRTS {
@@ -1257,10 +1301,9 @@ func (r *Rank) progressRecv(p *sim.Proc, q *Request) {
 			return
 		}
 		if q.handle.Done(p) {
-			if !q.ipcDone {
-				q.ipcDone = true
-				m := q.matched
-				r.postCtrl(p, q, &message{kind: mkFIN, from: r.id, to: m.from, tag: q.tag, receiver: m.sender})
+			if !q.finSent {
+				q.finSent = true
+				r.signal(p, q, mkFIN)
 			}
 			r.maybeComplete(q)
 		}

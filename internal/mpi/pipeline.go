@@ -24,6 +24,27 @@ import (
 //	receiver: match envelope; per RTS-chunk -> RDMA-READ that span;
 //	          when all spans landed -> FIN + unpack (whole message)
 
+// pipeState is a pipelined leg's chunk state, made only for such legs: the
+// sender's chunks, the receiver's announced chunks and landed bytes.
+type pipeState struct {
+	chunks        []sendChunk // send: chunk states
+	pendingChunks []*message  // recv: announced, not yet pulled chunks
+	recvdBytes    int64       // recv: bytes landed so far
+}
+
+// land counts n more bytes landed in receive q's staging, from a pipelined
+// chunk or a checksummed read, and marks the payload here once all of it
+// landed.
+func (q *Request) land(n int64) {
+	if q.pipe != nil {
+		q.pipe.recvdBytes += n
+		n = q.pipe.recvdBytes
+	}
+	if n == q.bytes {
+		q.dataHere = true
+	}
+}
+
 // sendChunk tracks one pipeline chunk on the sender.
 type sendChunk struct {
 	handle    Handle
@@ -66,6 +87,7 @@ func (r *Rank) wantsPipeline(q *Request) bool {
 // Called from Isend in place of the whole-message pack.
 func (r *Rank) startPipelinedSend(p *sim.Proc, q *Request, buf *gpu.Buffer) {
 	groups := splitChunks(q.entry.Blocks, r.world.Cfg.PipelineChunkBytes)
+	q.pipe = &pipeState{}
 	q.packed = r.stagingBuf(q.bytes)
 	var off int64
 	for _, g := range groups {
@@ -75,7 +97,7 @@ func (r *Rank) startPipelinedSend(p *sim.Proc, q *Request, buf *gpu.Buffer) {
 		for _, b := range g {
 			bytes += b.Len
 		}
-		q.chunks = append(q.chunks, sendChunk{
+		q.pipe.chunks = append(q.pipe.chunks, sendChunk{
 			handle: r.scheme.Pack(p, job),
 			off:    off,
 			bytes:  bytes,
@@ -85,20 +107,15 @@ func (r *Rank) startPipelinedSend(p *sim.Proc, q *Request, buf *gpu.Buffer) {
 	q.state = stPacking
 	// Envelope goes out immediately (ordered): the receiver needs it to
 	// match before any chunk can be pulled.
-	r.emitInOrder(p, q, func(p *sim.Proc) {
-		r.postCtrl(p, q, &message{
-			kind: mkRTS, from: r.id, to: q.peer, tag: q.tag,
-			bytes: q.bytes, sender: q, chunks: len(q.chunks),
-		})
-	})
+	r.emitInOrder(p, q)
 }
 
 // progressPipelinedSend announces packed chunks; returns true while the
 // send still has work (caller should not fall through to the plain path).
 func (r *Rank) progressPipelinedSend(p *sim.Proc, q *Request) {
 	allDone := true
-	for i := range q.chunks {
-		c := &q.chunks[i]
+	for i := range q.pipe.chunks {
+		c := &q.pipe.chunks[i]
 		if c.announced {
 			continue
 		}
@@ -123,8 +140,8 @@ func (r *Rank) progressPipelinedSend(p *sim.Proc, q *Request) {
 
 // acceptChunk records an RTS-chunk at the receiver (scheduler context).
 func (r *Rank) acceptChunk(m *message) {
-	if q := m.sender.remoteRecv; q != nil {
-		q.pendingChunks = append(q.pendingChunks, m)
+	if q := m.sender.peerRecv; q != nil {
+		q.pipe.pendingChunks = append(q.pipe.pendingChunks, m)
 		return
 	}
 	// Envelope not matched yet: park the chunk.
@@ -137,7 +154,7 @@ func (r *Rank) adoptOrphanChunks(q *Request) {
 	keep := r.orphanChunks[:0]
 	for _, m := range r.orphanChunks {
 		if m.sender == sender {
-			q.pendingChunks = append(q.pendingChunks, m)
+			q.pipe.pendingChunks = append(q.pipe.pendingChunks, m)
 		} else {
 			keep = append(keep, m)
 		}
@@ -155,15 +172,12 @@ func (r *Rank) progressPipelinedRecv(p *sim.Proc, q *Request) bool {
 	// announcements arriving during the yield append to pendingChunks —
 	// they must land on the fresh slice, not be lost to the post-loop
 	// clear.
-	chunks := q.pendingChunks
-	q.pendingChunks = nil
+	chunks := q.pipe.pendingChunks
+	q.pipe.pendingChunks = nil
 	if r.reliable() {
 		// Each announced chunk becomes a checksummed, retried read span.
 		for _, m := range chunks {
-			op := &readOp{off: m.chunkOff, bytes: m.chunkBytes}
-			q.reads = append(q.reads, op)
-			q.pulledChunks++
-			r.issueRead(p, q, op, false)
+			r.issueRead(p, q, q.newRead(m.chunkOff, m.chunkBytes), false)
 			if q.settled() {
 				return false
 			}
@@ -176,17 +190,13 @@ func (r *Rank) progressPipelinedRecv(p *sim.Proc, q *Request) bool {
 		t0 := p.Now()
 		net.RDMARead(r.node, fromNode, m.chunkBytes, func() {
 			gpu.CopyRange(q.packed, m.chunkOff, sender.packed, m.chunkOff, m.chunkBytes)
-			q.recvdBytes += m.chunkBytes
-			if q.recvdBytes == q.bytes {
-				q.dataHere = true
-			}
+			q.land(m.chunkBytes)
 			if r.tl != nil {
 				r.tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "rdma-read-chunk", t0, r.world.Env.Now()-t0,
 					timeline.Arg{Key: "off", Val: strconv.FormatInt(m.chunkOff, 10)},
 					timeline.Arg{Key: "bytes", Val: strconv.FormatInt(m.chunkBytes, 10)})
 			}
 		})
-		q.pulledChunks++
 	}
 	return q.dataHere
 }

@@ -390,23 +390,11 @@ func (r *Rank) fail(p *sim.Proc, q *Request, phase string, attempts int, err err
 	q.DoneAt = r.world.Env.Now()
 	r.ReleaseStaging(q.packed, false)
 	if q.isSend && !q.emitted {
-		// The envelope never went out; emit a no-op in its FIFO slot so
-		// later sends to the same destination are not wedged forever
-		// behind a request that will never emit.
+		// The envelope never went out; park an empty slot in its FIFO
+		// place so later sends to the same destination are not wedged
+		// forever behind a request that will never emit.
 		q.emitted = true
-		if r.emitWait == nil {
-			r.emitWait = make(map[int]map[int64]func(*sim.Proc))
-		}
-		if r.emitWait[q.peer] == nil {
-			r.emitWait[q.peer] = make(map[int64]func(*sim.Proc))
-		}
-		if r.emitNext == nil {
-			// A send can fail before emitInOrder ever ran (e.g. its
-			// peer was declared dead while the send was still packing),
-			// so the drain-side map may not exist yet.
-			r.emitNext = make(map[int]int64)
-		}
-		r.emitWait[q.peer][q.seq] = func(*sim.Proc) {}
+		r.park(q.peer, q.seq, nil)
 		if p != nil {
 			r.drainEmits(p, q.peer)
 		} else {
@@ -421,10 +409,10 @@ func (r *Rank) fail(p *sim.Proc, q *Request, phase string, attempts int, err err
 	}
 	r.world.Env.Beat()
 	r.notifyPeer(q)
-	if q.comm != nil {
+	if c := q.boundComm(); c != nil {
 		// Self-healing hook: a comm-bound op failing on a dead member
 		// revokes the communicator at the moment of observation.
-		q.comm.maybeAutoRevoke(r, err)
+		c.maybeAutoRevoke(r, err)
 	}
 }
 
@@ -437,14 +425,8 @@ func (r *Rank) notifyPeer(q *Request) {
 		return
 	}
 	q.errSent = true
-	var target *Request
-	if q.isSend {
-		if q.ctsFrom != nil {
-			target = q.ctsFrom
-		} else {
-			target = q.remoteRecv
-		}
-	} else if q.matched != nil {
+	target := q.peerRecv
+	if !q.isSend && q.matched != nil {
 		target = q.matched.sender
 	}
 	m := &message{kind: mkErr, from: r.id, to: q.peer, tag: q.tag, receiver: target, bytes: q.bytes, sseq: q.sseq}
@@ -457,6 +439,33 @@ func (r *Rank) notifyPeer(q *Request) {
 	}))
 }
 
+// relState is a request's reliability-layer and ULFM state beyond the
+// ack count and stream sequence, which every reliable eager leg needs and
+// Request keeps inline. It is made on first use, so only under a fault
+// plan.
+type relState struct {
+	comm          *Comm     // bound communicator: a revocation fails q in place
+	reads         []*readOp // recv RGET: checksummed read spans
+	writeDeadline int64     // send RPUT: rewrite deadline
+	writeAttempts int       // send RPUT: write issues so far
+}
+
+// reliability returns q's reliability-layer state, making it on first use.
+func (q *Request) reliability() *relState {
+	if q.rel == nil {
+		q.rel = &relState{}
+	}
+	return q.rel
+}
+
+// boundComm returns the communicator q is bound to, or nil.
+func (q *Request) boundComm() *Comm {
+	if q.rel == nil {
+		return nil
+	}
+	return q.rel.comm
+}
+
 // readOp tracks one checksummed RDMA-read span (whole message or one
 // pipeline chunk) on the receiver.
 type readOp struct {
@@ -464,6 +473,14 @@ type readOp struct {
 	attempts   int
 	deadline   int64
 	done       bool
+}
+
+// newRead records a checksummed read of q's bytes [off, off+n).
+func (q *Request) newRead(off, n int64) *readOp {
+	op := &readOp{off: off, bytes: n}
+	rs := q.reliability()
+	rs.reads = append(rs.reads, op)
+	return op
 }
 
 // issueRead posts one (re)issue of op's RDMA read with checksum-verified
@@ -495,10 +512,7 @@ func (r *Rank) issueRead(p *sim.Proc, q *Request, op *readOp, retrans bool) {
 		}
 		gpu.CopyRange(q.packed, off, sb, so+off, n)
 		op.done = true
-		q.recvdBytes += n
-		if q.recvdBytes == q.bytes {
-			q.dataHere = true
-		}
+		q.land(n)
 		if r.tl != nil {
 			r.tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "rdma-read", t0, r.world.Env.Now()-t0,
 				timeline.Arg{Key: "peer", Val: strconv.Itoa(q.matched.from)},
@@ -515,7 +529,10 @@ func (r *Rank) issueRead(p *sim.Proc, q *Request, op *readOp, retrans bool) {
 // scanReads re-issues expired RDMA reads and fails q when one exhausts its
 // retries.
 func (r *Rank) scanReads(p *sim.Proc, q *Request) {
-	for _, op := range q.reads {
+	if q.rel == nil {
+		return
+	}
+	for _, op := range q.rel.reads {
 		if op.done || p.Now() < op.deadline {
 			continue
 		}
@@ -537,12 +554,14 @@ func (r *Rank) scanReads(p *sim.Proc, q *Request) {
 // issueWrite posts one (re)issue of q's RPUT RDMA write. The receiver
 // verifies the checksum before accepting; a corrupted or dropped write
 // leaves finHere unset and the deadline scan rewrites.
-func (r *Rank) issueWrite(p *sim.Proc, q *Request, recvReq *Request, retrans bool) {
+func (r *Rank) issueWrite(p *sim.Proc, q *Request, retrans bool) {
 	t0 := p.Now()
+	rs := q.reliability()
 	if err := r.postRetry(p); err != nil {
-		r.fail(p, q, "rdma-write-post", q.writeAttempts+1, err)
+		r.fail(p, q, "rdma-write-post", rs.writeAttempts+1, err)
 		return
 	}
+	recvReq := q.peerRecv
 	net := r.world.Cluster.Net
 	peerNode := r.world.ranks[q.peer].node
 	sb, so := q.srcBuf()
@@ -569,7 +588,7 @@ func (r *Rank) issueWrite(p *sim.Proc, q *Request, recvReq *Request, retrans boo
 		}
 	}))
 	est := r.timeoutFor(q.bytes)
-	q.writeDeadline = p.Now() + est + r.backoffExtra(est, q.writeAttempts)
+	rs.writeDeadline = p.Now() + est + r.backoffExtra(est, rs.writeAttempts)
 	if retrans {
 		r.ChargeFault("rdma-rewrite", t0, p.Now()-t0)
 	}
@@ -577,18 +596,19 @@ func (r *Rank) issueWrite(p *sim.Proc, q *Request, recvReq *Request, retrans boo
 
 // scanWrite rewrites an expired RPUT and fails q when retries exhaust.
 func (r *Rank) scanWrite(p *sim.Proc, q *Request) {
-	if p.Now() < q.writeDeadline {
+	rs := q.reliability()
+	if p.Now() < rs.writeDeadline {
 		return
 	}
-	q.writeAttempts++
+	rs.writeAttempts++
 	r.fsite.Record(fault.Timeout, "rdma-write")
-	if q.writeAttempts > r.world.maxRetries {
+	if rs.writeAttempts > r.world.maxRetries {
 		r.fsite.Record(fault.GiveUp, "rdma-write")
-		r.fail(p, q, "rdma-write", q.writeAttempts, ErrRetriesExhausted)
+		r.fail(p, q, "rdma-write", rs.writeAttempts, ErrRetriesExhausted)
 		return
 	}
 	r.fsite.Record(fault.Retransmit, "rdma-write")
-	r.issueWrite(p, q, q.matchedRecv(), true)
+	r.issueWrite(p, q, true)
 }
 
 // --- world-level fault/robustness accessors ---
@@ -625,23 +645,6 @@ func (w *World) LiveStagingBytes() int64 {
 	for _, r := range w.ranks {
 		if !w.isCrashed(r.id) {
 			n += r.Dev.LiveBytes()
-		}
-	}
-	return n
-}
-
-// PendingMessages counts unresolved reliability-layer messages still being
-// tracked for retransmission across the surviving ranks.
-func (w *World) PendingMessages() int {
-	n := 0
-	for _, r := range w.ranks {
-		if w.isCrashed(r.id) {
-			continue
-		}
-		for _, pm := range r.pending {
-			if !pm.acked && !pm.owner.settled() {
-				n++
-			}
 		}
 	}
 	return n

@@ -439,7 +439,10 @@ func (c *Comm) Bind(q *Request) {
 		}
 		return
 	}
-	q.comm = c
+	if !c.w.ftOn {
+		return // no revocation can happen: leave q without reliability state
+	}
+	q.reliability().comm = c
 	if c.revokedAt[q.rank.id] {
 		q.rank.dropPosted(q)
 		q.errSent = true
@@ -501,7 +504,7 @@ func (c *Comm) markRevoked(r *Rank) {
 	}
 	snapshot := append([]*Request(nil), r.active...)
 	for _, q := range snapshot {
-		if q.settled() || q.comm != c {
+		if q.settled() || q.boundComm() != c {
 			continue
 		}
 		r.dropPosted(q)

@@ -31,12 +31,6 @@ type Heap struct {
 
 type span struct{ off, size int64 }
 
-// Align returns the heap's allocation granularity.
-func (h *Heap) Align() int64 { return h.align }
-
-// Brk returns the high-water mark of the symmetric address space.
-func (h *Heap) Brk() int64 { return h.brk }
-
 // reserve carves an aligned region, reusing freed space first-fit.
 func (h *Heap) reserve(size int64) (off, reserved int64) {
 	reserved = (size + h.align - 1) / h.align * h.align

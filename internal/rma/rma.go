@@ -266,9 +266,6 @@ type Endpoint struct {
 // Rank returns the owning rank.
 func (ep *Endpoint) Rank() *mpi.Rank { return ep.r }
 
-// Pending reports this endpoint's incomplete op count.
-func (ep *Endpoint) Pending() int { return ep.pending }
-
 // charge mirrors a Breakdown charge as an rma-layer timeline span — the
 // pairing that keeps timeline sums reconciled with trace.Breakdown.
 func (ep *Endpoint) charge(cat trace.Category, name string, start, d int64) {

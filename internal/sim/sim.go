@@ -729,11 +729,6 @@ func (ev *Event) FireAt(t int64) {
 	ev.env.At(t, func() { ev.Fire() })
 }
 
-// FireAfter schedules the event to fire d nanoseconds from now.
-func (ev *Event) FireAfter(d int64) {
-	ev.env.After(d, func() { ev.Fire() })
-}
-
 // WaitAll blocks p until every event in evs has fired.
 func (p *Proc) WaitAll(evs ...*Event) {
 	for _, ev := range evs {
@@ -787,9 +782,6 @@ func (r *Resource) Release() {
 	}
 	r.inUse--
 }
-
-// InUse reports how many units are currently held.
-func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen reports how many Procs are waiting.
 func (r *Resource) QueueLen() int { return len(r.queue) }
