@@ -243,7 +243,7 @@ func (c *call) allgathervHier(send VOp, recvs []VOp) error {
 			c.all = append(c.all, q)
 			gatherRecvs = append(gatherRecvs, q)
 		}
-		var packHs []mpi.Handle
+		packHs := make([]mpi.Handle, 0, 1) // at most our own leg
 		if send.bytes() > 0 {
 			e := r.LayoutEntry(send.Type, send.Count)
 			job := pack.JobFor(pack.OpPack, send.Buf, staging, e)
@@ -298,7 +298,13 @@ func (c *call) allgathervHier(send VOp, recvs []VOp) error {
 				c.all = append(c.all, c.bind(r.IsendRaw(c.p, lr, c.tag(tagSlice), staging, c.bytesAt(nodeOff(ns), nodeLen(ns)), 1)))
 			}
 		}
-		var unpackHs []mpi.Handle
+		legs := 0
+		for i := 0; i < size; i++ {
+			if recvs[i].bytes() != 0 {
+				legs++
+			}
+		}
+		unpackHs := make([]mpi.Handle, 0, legs)
 		for i := 0; i < size; i++ {
 			if recvs[i].bytes() == 0 {
 				continue
@@ -370,7 +376,13 @@ func (c *call) allgathervHier(send VOp, recvs []VOp) error {
 	if c.batch != nil {
 		c.openWin()
 	}
-	var unpackHs []mpi.Handle
+	legs := 0
+	for i := 0; i < size; i++ {
+		if e.nodeOf(i) != node && recvs[i].bytes() != 0 {
+			legs++
+		}
+	}
+	unpackHs := make([]mpi.Handle, 0, legs)
 	for i := 0; i < size; i++ {
 		ns := e.nodeOf(i)
 		if ns == node || recvs[i].bytes() == 0 {

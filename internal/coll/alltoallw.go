@@ -313,7 +313,13 @@ func (c *call) alltoallwHier(ops []WOp) error {
 			off += g.n
 		}
 	}
-	var packHs []mpi.Handle
+	legs := 0
+	for _, g := range pl.out {
+		if locals[g.li] == id {
+			legs++
+		}
+	}
+	packHs := make([]mpi.Handle, 0, legs)
 	var off int64
 	for _, g := range pl.out {
 		if locals[g.li] == id {
@@ -356,7 +362,13 @@ func (c *call) alltoallwHier(ops []WOp) error {
 	if c.batch != nil {
 		c.openWin()
 	}
-	var unpackHs []mpi.Handle
+	legs = 0
+	for _, g := range pl.in {
+		if locals[g.li] == id {
+			legs++
+		}
+	}
+	unpackHs := make([]mpi.Handle, 0, legs)
 	off = 0
 	for _, g := range pl.in {
 		if lr := locals[g.li]; lr != id {

@@ -119,7 +119,7 @@ func (c *call) gathervHier(root int, send VOp, recvs []VOp) error {
 			c.all = append(c.all, q)
 			gatherRecvs = append(gatherRecvs, q)
 		}
-		var packHs []mpi.Handle
+		packHs := make([]mpi.Handle, 0, 1) // at most our own leg
 		if send.bytes() > 0 {
 			e := r.LayoutEntry(send.Type, send.Count)
 			job := pack.JobFor(pack.OpPack, send.Buf, staging, e)
@@ -194,7 +194,18 @@ func (c *call) gathervHier(root int, send VOp, recvs []VOp) error {
 	if c.batch != nil {
 		c.openWin()
 	}
-	var unpackHs []mpi.Handle
+	legs := 0
+	for ns := 0; ns < nodes; ns++ {
+		if ns == rootNode {
+			continue
+		}
+		for _, lr := range e.localRanks(ns) {
+			if recvs[lr].bytes() != 0 {
+				legs++
+			}
+		}
+	}
+	unpackHs := make([]mpi.Handle, 0, legs)
 	for ns := 0; ns < nodes; ns++ {
 		if ns == rootNode {
 			continue
@@ -293,7 +304,18 @@ func (c *call) scattervHier(root int, sends []VOp, recv VOp) error {
 		if c.batch != nil {
 			c.openWin()
 		}
-		var packHs []mpi.Handle
+		legs := 0
+		for nd := 0; nd < nodes; nd++ {
+			if nd == rootNode {
+				continue
+			}
+			for _, lr := range e.localRanks(nd) {
+				if sends[lr].bytes() != 0 {
+					legs++
+				}
+			}
+		}
+		packHs := make([]mpi.Handle, 0, legs)
 		for nd := 0; nd < nodes; nd++ {
 			if nd == rootNode {
 				continue
@@ -366,7 +388,7 @@ func (c *call) scattervHier(root int, sends []VOp, recv VOp) error {
 		if c.batch != nil {
 			c.openWin()
 		}
-		var unpackHs []mpi.Handle
+		unpackHs := make([]mpi.Handle, 0, 1) // at most our own slot
 		var at int64
 		for _, lr := range locals {
 			n := sends[lr].bytes()

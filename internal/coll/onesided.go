@@ -169,7 +169,13 @@ func (c *call) allgathervOneSided(send VOp, recvs []VOp, bruck bool) error {
 	// Every block has landed: unpack them all in one fused window, then
 	// drain our outstanding puts before the window can be released.
 	c.openWin()
-	var hs []mpi.Handle
+	legs := 0
+	for _, op := range recvs {
+		if op.bytes() != 0 {
+			legs++
+		}
+	}
+	hs := make([]mpi.Handle, 0, legs)
 	for i, op := range recvs {
 		if op.bytes() == 0 {
 			continue
@@ -419,7 +425,13 @@ func (c *call) alltoallwOneSided(ops []WOp, bruck bool) error {
 		}
 	}
 	c.openWin()
-	var hs []mpi.Handle
+	legs := 0
+	for _, op := range ops {
+		if op.recvBytes() != 0 {
+			legs++
+		}
+	}
+	hs := make([]mpi.Handle, 0, legs)
 	for src, op := range ops {
 		if op.recvBytes() == 0 {
 			continue

@@ -389,7 +389,8 @@ func (r *Rank) park(dest int, seq int64, q *Request) {
 
 // drainEmits emits every envelope that is now in sequence for dest. It
 // runs on this rank's own proc, so the emissions' costs are charged
-// correctly.
+// correctly. A send that settled while parked (a revocation failed it)
+// only gives up its place: its envelope never leaves.
 func (r *Rank) drainEmits(p *sim.Proc, dest int) {
 	for {
 		q, ok := r.emitWait[dest][r.emitNext[dest]]
@@ -398,7 +399,7 @@ func (r *Rank) drainEmits(p *sim.Proc, dest int) {
 		}
 		delete(r.emitWait[dest], r.emitNext[dest])
 		r.emitNext[dest]++
-		if q != nil {
+		if q != nil && !q.settled() {
 			r.emitEnvelope(p, q)
 		}
 	}

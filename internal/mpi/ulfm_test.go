@@ -3,12 +3,14 @@ package mpi_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/datatype"
 	"repro/internal/fault"
 	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/timeline"
 )
 
 // crashPlan schedules the death of rank at atNs.
@@ -384,5 +386,51 @@ func TestShrinkCommCarriesTraffic(t *testing.T) {
 	}
 	if n := w.LeakedRequests(); n != 0 {
 		t.Fatalf("leaked requests = %d", n)
+	}
+}
+
+// TestRevokeSkipsParkedSend: a send that a revocation fails while it is
+// parked in the envelope FIFO behind an earlier send that is still
+// packing stays failed, and its envelope never leaves the rank when its
+// FIFO turn comes.
+func TestRevokeSkipsParkedSend(t *testing.T) {
+	w := newWorld("GPU-Sync", func(c *mpi.Config) {
+		c.Faults = ftOnlyPlan(1)
+		c.Timeline = &timeline.Options{}
+	})
+	strided := datatype.Commit(datatype.Vector(1024, 8, 16, datatype.Float64)) // 64 KiB packed
+	contig := datatype.Commit(datatype.Contiguous(512, datatype.Float64))      // 4 KiB
+	c := w.WorldComm()
+	var parked *mpi.Request
+	var waitErr error
+	revokedAt := int64(-1)
+	err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
+		if r.ID() != 0 {
+			return
+		}
+		big := r.Dev.Alloc("big", int(strided.ExtentBytes))
+		small := r.Dev.Alloc("small", int(contig.ExtentBytes))
+		q1 := r.Isend(p, 4, 1, big, strided, 1)
+		parked = r.Isend(p, 4, 2, small, contig, 1)
+		c.Bind(q1)
+		c.Bind(parked)
+		revokedAt = p.Now()
+		c.Revoke(p, r)
+		r.Wait(p, q1)
+		waitErr = r.Wait(p, parked)
+	})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if !parked.Failed() || parked.Done() {
+		t.Errorf("parked send: Failed() %v, Done() %v; want failed, not done", parked.Failed(), parked.Done())
+	}
+	if !errors.Is(parked.Err(), mpi.ErrCommRevoked) || !errors.Is(waitErr, mpi.ErrCommRevoked) {
+		t.Errorf("parked send: Err() %v, Wait %v; want ErrCommRevoked", parked.Err(), waitErr)
+	}
+	for _, ev := range w.Rank(0).Timeline().Events() {
+		if ev.Track == "net" && (ev.Name == "eager" || strings.HasPrefix(ev.Name, "ctrl:rts")) && ev.Start >= revokedAt {
+			t.Errorf("envelope %q left rank 0 at %d ns, after the revocation at %d ns", ev.Name, ev.Start, revokedAt)
+		}
 	}
 }

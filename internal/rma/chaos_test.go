@@ -76,6 +76,11 @@ func chaosRing(t *testing.T, lazy bool, seed uint64) (clock int64, events int, s
 	if f.PendingOps() != 0 {
 		t.Fatalf("%d one-sided ops leaked", f.PendingOps())
 	}
+	if n := rma.FreeOps(f); n != 0 {
+		// A retransmission timer or a delayed delivery may still reach a
+		// settled op, so none is given back for reuse.
+		t.Fatalf("%d ops were given back for reuse under an injector", n)
+	}
 	if w.LeakedRequests() != 0 {
 		t.Fatalf("%d two-sided requests leaked", w.LeakedRequests())
 	}

@@ -105,6 +105,7 @@ type Fabric struct {
 
 	nextOp   int64
 	nextColl int
+	free     []*op // settled ops to reuse (see op); empty under faults or failure tolerance
 }
 
 // New builds the one-sided fabric for a world, spanning every rank at

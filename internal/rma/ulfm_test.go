@@ -323,3 +323,85 @@ func TestReseatRebuild(t *testing.T) {
 		t.Fatal("no reseat fault event recorded")
 	}
 }
+
+// TestReapedOpNotReused: under failure tolerance a reaped op is never
+// given back for reuse. Rank 0's signalled put to a crashed target is
+// reaped while its wire leg is still in flight; the survivor puts issued
+// after it run while that leg lands, and its late delivery must touch
+// none of them: every survivor signal counts each of its puts once, the
+// bytes land, and no op goes back to the free list.
+func TestReapedOpNotReused(t *testing.T) {
+	const (
+		victim  = 5
+		crashAt = 20_000
+		n       = 32 << 20 // ~670 µs on the IB leg, far beyond the detection bound
+		small   = 64 << 10
+		until   = 1_500_000 // well after the reaped leg has landed
+	)
+	w := testWorld(2, true, crashPlan(victim, crashAt), false)
+	f := rma.New(w)
+	win, err := f.AllocWindow("reap", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig, err := f.OpenSignal("reap-sig", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := w.Rank(0).Dev.Alloc("reap-src", n)
+	src.FillStream(99)
+	var reapErr error
+	var puts [8]uint64
+	err = w.Run(func(r *mpi.Rank, p *sim.Proc) {
+		switch r.ID() {
+		case 0:
+			p.Sleep(crashAt + 5_000 - p.Now()) // issue after the crash, before detection
+			ep := f.Endpoint(0)
+			if err := ep.PutSignal(p, win, victim, 0, src, 0, n, sig, 0, 1); err != nil {
+				t.Errorf("put to the victim: %v", err)
+				return
+			}
+			reapErr = ep.Quiet(p)
+			for i := 0; p.Now() < until; i++ {
+				tgt, dst, from := []int{1, 4}[i%2], int64(i%8)*small, int64(i)*small%n
+				if err := ep.PutSignal(p, win, tgt, dst, src, from, small, sig, 0, 1); err != nil {
+					t.Errorf("survivor put %d: %v", i, err)
+					return
+				}
+				puts[tgt]++
+				if err := ep.Quiet(p); err != nil {
+					t.Errorf("survivor quiet %d: %v", i, err)
+					return
+				}
+				if got := sig.Value(tgt, 0); got != puts[tgt] {
+					t.Errorf("after survivor put %d, rank %d's signal reads %d, want %d", i, tgt, got, puts[tgt])
+					return
+				}
+				if got, want := win.Buf(tgt).ChecksumRange(dst, small), src.ChecksumRange(from, small); got != want {
+					t.Errorf("survivor put %d: rank %d's window reads %#x, want %#x", i, tgt, got, want)
+					return
+				}
+			}
+		case victim:
+			p.Sleep(10_000_000) // killed mid-sleep at crashAt
+		}
+	})
+	if err != nil {
+		t.Fatalf("world: %v", err)
+	}
+	if !errors.Is(reapErr, mpi.ErrRankFailed) {
+		t.Fatalf("Quiet after the crash returned %v, want ErrRankFailed", reapErr)
+	}
+	if puts[1] < 2 || puts[4] < 2 {
+		t.Fatalf("survivor puts %d to rank 1 and %d to rank 4, want several of each", puts[1], puts[4])
+	}
+	if got := f.TotalStats().Reaped; got != 1 {
+		t.Fatalf("Reaped = %d, want 1", got)
+	}
+	if n := f.PendingOps(); n != 0 {
+		t.Fatalf("%d ops still pending", n)
+	}
+	if n := rma.FreeOps(f); n != 0 {
+		t.Fatalf("%d ops were given back for reuse under failure tolerance", n)
+	}
+}

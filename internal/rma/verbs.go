@@ -50,6 +50,16 @@ func (v verb) String() string {
 // payload deposit and signal application are guarded separately so a
 // retransmission after signal loss reapplies only the missing half. The
 // fields are narrow so an op is 128 B.
+//
+// An op is a reusable descriptor: newOp takes one from the fabric's free
+// list and complete gives it back, zeroed, after its last use (the
+// timeline span and the Beat). It goes back only when nothing can reach
+// a settled op: with no injector there is no retransmission timer, no
+// duplicate delivery and no delayed-apply closure (ep.site == nil), and
+// with failure tolerance off no reaper settles an op whose wire leg is
+// still in flight (!ep.f.ft). Otherwise a settled op stays where late
+// events find it and the garbage collector takes it. No caller of
+// complete reads the op afterwards.
 type op struct {
 	ep  *Endpoint
 	id  int64
@@ -114,7 +124,14 @@ func (ep *Endpoint) newOp(v verb, w *Window, target int, from *gpu.Buffer, fromO
 	if target >= 0 && target < len(ep.f.members) {
 		twr = ep.f.members[target]
 	}
-	o := &op{
+	var o *op
+	if k := len(ep.f.free); k > 0 {
+		o = ep.f.free[k-1]
+		ep.f.free = ep.f.free[:k-1]
+	} else {
+		o = new(op)
+	}
+	*o = op{
 		ep: ep, id: ep.f.nextOp, verb: v, win: w, target: int32(target), twr: int32(twr),
 		from: from, fromOff: fromOff, to: to, toOff: toOff, n: n,
 		sig: sig, slot: int32(slot), add: add, issueT: -1,
@@ -340,6 +357,10 @@ func (ep *Endpoint) complete(o *op, err error) {
 			timeline.Arg{Key: "target", Val: fmt.Sprint(o.target)})
 	}
 	env.Beat()
+	if ep.site == nil && !ep.f.ft {
+		*o = op{}
+		ep.f.free = append(ep.f.free, o)
+	}
 }
 
 // armTimer schedules the bounded retransmission timer for an in-flight
