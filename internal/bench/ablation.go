@@ -6,6 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fusion"
 	"repro/internal/gpu"
+	"repro/internal/layoutcache"
 	"repro/internal/mpi"
 	"repro/internal/pack"
 	"repro/internal/schemes"
@@ -30,15 +31,15 @@ func newBoundarySyncFusion(r *mpi.Rank) mpi.Scheme {
 
 func (s *boundarySyncFusion) Name() string { return "Fusion+BoundarySync" }
 
-func (s *boundarySyncFusion) Pack(p *sim.Proc, job *pack.Job) mpi.Handle {
+func (s *boundarySyncFusion) Pack(p *sim.Proc, job pack.Job) mpi.Handle {
 	return s.inner.Pack(p, job)
 }
 
-func (s *boundarySyncFusion) Unpack(p *sim.Proc, job *pack.Job) mpi.Handle {
+func (s *boundarySyncFusion) Unpack(p *sim.Proc, job pack.Job) mpi.Handle {
 	return s.inner.Unpack(p, job)
 }
 
-func (s *boundarySyncFusion) DirectIPC(p *sim.Proc, job *pack.Job) (mpi.Handle, bool) {
+func (s *boundarySyncFusion) DirectIPC(p *sim.Proc, job pack.Job) (mpi.Handle, bool) {
 	return s.inner.DirectIPC(p, job)
 }
 
@@ -114,16 +115,17 @@ func AblationPartitioning() *Table {
 		var span int64
 		env.Spawn("pe", func(p *sim.Proc) {
 			var uids []int64
-			enq := func(bytes int64, segs int32, max int64) {
+			enq := func(bytes int64, segs int, max int64) {
 				src := dev.Alloc(fmt.Sprintf("s%d", len(uids)), 1)
 				dst := dev.Alloc(fmt.Sprintf("d%d", len(uids)), 1)
-				j := &pack.Job{Op: pack.OpPack, Origin: src, Target: dst, Bytes: bytes, Segments: segs, MaxBlock: max}
-				uids = append(uids, sched.Enqueue(p, j))
+				j := pack.Job{Op: pack.OpPack, Origin: src, Target: dst,
+					Shape: &layoutcache.Shape{Bytes: bytes, Segments: segs, MaxBlock: max}}
+				uids = append(uids, sched.Enqueue(p, &j))
 			}
 			for i := 0; i < 15; i++ {
 				enq(4<<10, 4, 1<<10) // trivial dense requests
 			}
-			enq(huge.SizeBytes, int32(huge.NumBlocks()), huge.MaxBlockBytes)
+			enq(huge.SizeBytes, huge.NumBlocks(), huge.MaxBlockBytes)
 			start := p.Now()
 			sched.Flush(p)
 			for _, u := range uids {

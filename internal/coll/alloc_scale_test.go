@@ -136,13 +136,16 @@ func TestSubAllocsFlatInWorldSize(t *testing.T) {
 // allocates per leg: on 8 lazy ranks exchanging a 32 KiB strided leg with
 // every rank, itself included, a leg's fused PackPut allocates nothing
 // (its op comes from the fabric's free list, it packs from the cached
-// layout, and nobody waits on its kernel), its unpack job is 96 B, and
-// the unpack handles are one slice sized to the live legs.
+// layout, and nobody waits on its kernel), its unpack job is a value
+// copied into its request-list entry, so its 32-B fusion handle is all
+// the unpack makes, and the unpack handles are one slice sized to the
+// live legs. It reads 168-199 B (264-295 B while each unpack made a 96-B
+// job).
 func TestOneSidedAlltoallwAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled span lists, so allocation counts do not hold")
 	}
-	const n, maxPerLeg = 8, 350
+	const n, maxPerLeg = 8, 250
 	_, perRank := a2aAllocs(t, coll.OneSidedBruck, n, func(int) []int {
 		all := make([]int, n)
 		for i := range all {

@@ -340,7 +340,7 @@ func (c *call) finish(kind, alg string, stageErr error) error {
 	err := c.r.Waitall(c.p, c.all)
 	if stageErr != nil {
 		if err != nil {
-			err = fmt.Errorf("%w; %w", stageErr, err)
+			err = &stageWaitError{stage: stageErr, wait: err}
 		} else {
 			err = stageErr
 		}
@@ -365,6 +365,15 @@ func (c *call) finish(kind, alg string, stageErr error) error {
 	}
 	return err
 }
+
+// stageWaitError is a failed call's stage error joined with the error its
+// Waitall returned: the text and unwrapping of fmt.Errorf("%w; %w", stage,
+// wait), with the text built only when read, as rendering both errors
+// costs more than the rest of the failed call.
+type stageWaitError struct{ stage, wait error }
+
+func (e *stageWaitError) Error() string   { return e.stage.Error() + "; " + e.wait.Error() }
+func (e *stageWaitError) Unwrap() []error { return []error{e.stage, e.wait} }
 
 // tag derives a wire tag for this call and purpose. The per-rank sequence
 // is SPMD-consistent, so both endpoints of every leg agree. The

@@ -396,19 +396,36 @@ func (n *Network) RDMARead(reader, target int, bytes int64, onDone func()) {
 // HCA's CRC rejects the request); payload-leg faults surface through
 // h.Deliver.
 func (n *Network) RDMAReadR(reader, target int, bytes int64, h Receiver) {
-	if reader == target {
-		arrive := n.env.Now() + n.Spec.Link.PerMessageNs
-		if h != nil {
-			n.env.AtHandler(arrive, h)
-		}
-		return
-	}
-	n.LinkBetween(reader, target).TransferR(n.Spec.CtrlBytes, ReceiverFunc(func(d Delivery) {
+	n.RDMAReadBy(reader, target, ReceiverFunc(func(d Delivery) {
 		if d.Corrupt || d.Dup {
 			return // corrupted ctrl request rejected; dup ctrl ignored
 		}
-		n.LinkBetween(target, reader).TransferR(bytes, h)
-	}))
+		n.RDMAReadReply(target, reader, bytes, h)
+	}), h)
+}
+
+// RDMAReadBy is RDMAReadR for a read whose own object receives both legs,
+// as a message receives its own delivery, so the read makes no closure.
+// ctrl receives the control request at the target: on a clean arrival it
+// answers with RDMAReadReply, and it ignores a corrupted or duplicated
+// request (the HCA's CRC rejects it; a duplicate asks for nothing new). A
+// loopback read has no control leg: data receives the payload after the
+// shared-memory copy delay.
+func (n *Network) RDMAReadBy(reader, target int, ctrl, data Receiver) {
+	if reader == target {
+		arrive := n.env.Now() + n.Spec.Link.PerMessageNs
+		if data != nil {
+			n.env.AtHandler(arrive, data)
+		}
+		return
+	}
+	n.LinkBetween(reader, target).TransferR(n.Spec.CtrlBytes, ctrl)
+}
+
+// RDMAReadReply sends an RDMA read's payload leg of bytes from node target
+// back to node reader, delivered to h.
+func (n *Network) RDMAReadReply(target, reader int, bytes int64, h Receiver) {
+	n.LinkBetween(target, reader).TransferR(bytes, h)
 }
 
 // RDMAWrite issues a one-sided write of `bytes` from node `writer` to node

@@ -286,3 +286,50 @@ func TestPropertyTransferMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// readObject receives both legs of an RDMA read issued with RDMAReadBy:
+// its control leg answers with the payload, which lands in landed.
+type readObject struct {
+	n              *Network
+	reader, target int
+	landed         int64
+}
+
+type readCtrl readObject
+
+func (c *readCtrl) Handle() {
+	c.n.RDMAReadReply(c.target, c.reader, 25_000, (*readObject)(c))
+}
+func (c *readCtrl) Deliver(d Delivery) {
+	if !d.Corrupt && !d.Dup {
+		c.Handle()
+	}
+}
+
+func (o *readObject) Handle()          { o.landed = o.n.env.Now() }
+func (o *readObject) Deliver(Delivery) { o.Handle() }
+
+// TestRDMAReadByMatchesRDMARead checks that a read whose object receives
+// both legs lands when the closure form does, over a link and in
+// loopback.
+func TestRDMAReadByMatchesRDMARead(t *testing.T) {
+	for _, target := range []int{1, 0} {
+		env, n := newTestNetwork(t)
+		want := int64(-1)
+		env.Spawn("r", func(p *sim.Proc) {
+			n.RDMARead(0, target, 25_000, func() { want = env.Now() })
+		})
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		env, n = newTestNetwork(t)
+		o := &readObject{n: n, reader: 0, target: target, landed: -1}
+		env.Spawn("r", func(p *sim.Proc) { n.RDMAReadBy(0, target, (*readCtrl)(o), o) })
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if o.landed != want || want < 0 {
+			t.Errorf("target %d: RDMAReadBy landed at %d, RDMARead at %d", target, o.landed, want)
+		}
+	}
+}

@@ -122,13 +122,15 @@ type Stats struct {
 	FailedRequests    int64 // requests that failed even unfused
 }
 
-// entry is one request-list slot. It is its own fused-kernel request:
-// its Handle is the request's completion.
+// entry is one request-list slot, 128 B (TestEntrySize). It holds the
+// request itself, as the paper's request list does: the job, copied in
+// by Enqueue, points at its cached layout. It is its own fused-kernel
+// request: its Handle is the request's completion.
 type entry struct {
 	next       *entry // next free entry while released; next of its run while busy
 	s          *Scheduler
 	uid        int64 // 0 while released
-	job        *pack.Job
+	job        pack.Job
 	enqueuedAt int64
 	reqStatus  Status
 	respStatus Status
@@ -289,9 +291,12 @@ func (b *batch) Retire(lo, hi int) sim.Handler {
 
 // Enqueue (① in Fig. 5) inserts a request for job and returns its UID, or
 // ErrQueueFull when the request list is exhausted — the caller must then
-// fall back to a non-fused path. Enqueue may trigger a fused launch when a
-// flush policy fires (scenario 2 of Section IV-C); the launch overhead is
-// charged to the calling proc, exactly like the real runtime.
+// fall back to a non-fused path. The entry holds a copy of *job and
+// Enqueue keeps no pointer to it, so the caller may reuse or edit job
+// once Enqueue returns, and a job on the caller's stack stays there.
+// Enqueue may trigger a fused launch when a flush policy fires (scenario
+// 2 of Section IV-C); the launch overhead is charged to the calling proc,
+// exactly like the real runtime.
 func (s *Scheduler) Enqueue(p *sim.Proc, job *pack.Job) int64 {
 	t0 := p.Now()
 	p.Sleep(enqueueCostNs)
@@ -305,7 +310,7 @@ func (s *Scheduler) Enqueue(p *sim.Proc, job *pack.Job) int64 {
 	*e = entry{
 		s:          s,
 		uid:        s.seq*int64(s.cfg.QueueCapacity) + int64(e.slot),
-		job:        job,
+		job:        *job,
 		reqStatus:  StatusPending,
 		respStatus: StatusIdle,
 		slot:       e.slot,
@@ -457,11 +462,12 @@ func (s *Scheduler) degrade(p *sim.Proc, batch []*entry) {
 	}
 	for _, e := range batch {
 		e := e
+		job := e.job // the unfused kernel keeps its own copy as Work
 		var c *gpu.Completion
 		var err error
 		for attempt := 0; ; attempt++ {
 			t0 := s.env.Now()
-			c, err = s.stream.LaunchE(p, e.job.KernelSpec())
+			c, err = s.stream.LaunchE(p, job.KernelSpec())
 			if err == nil {
 				break
 			}

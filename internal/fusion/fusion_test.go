@@ -10,6 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/datatype"
 	"repro/internal/gpu"
+	"repro/internal/layoutcache"
 	"repro/internal/pack"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -200,11 +201,11 @@ func TestRequestListGrowsInBlocks(t *testing.T) {
 		}
 		// Never launched: these only hold entries.
 		for i := 0; i < capacity; i++ {
-			if u := s.Enqueue(p, &pack.Job{Bytes: 1}); u <= 0 {
+			if u := s.Enqueue(p, &pack.Job{Shape: &layoutcache.Shape{Bytes: 1}}); u <= 0 {
 				t.Fatalf("enqueue %d of %d rejected", i+1, capacity)
 			}
 		}
-		if u := s.Enqueue(p, &pack.Job{Bytes: 1}); u != ErrQueueFull {
+		if u := s.Enqueue(p, &pack.Job{Shape: &layoutcache.Shape{Bytes: 1}}); u != ErrQueueFull {
 			t.Errorf("enqueue past capacity = %d, want ErrQueueFull", u)
 		}
 	})
@@ -568,5 +569,59 @@ func TestLaunchesFromTwoProcsOverlap(t *testing.T) {
 	}
 	if s.Stats.FusedLaunches != 2 || s.Stats.FusedRequests != 6 {
 		t.Fatalf("%d launches of %d requests, want 2 of 6", s.Stats.FusedLaunches, s.Stats.FusedRequests)
+	}
+}
+
+// TestEnqueueCopiesJob checks that a request-list entry holds its own
+// copy of the job: reusing the caller's job for the next request and then
+// editing it changes neither the pending requests' bytes nor their fused
+// kernel's cost, and each request still moves the bytes it was enqueued
+// with.
+func TestEnqueueCopiesJob(t *testing.T) {
+	run := func(reuse bool) (latencies []int64) {
+		env, dev, s := newSched(Config{ThresholdBytes: 1 << 40})
+		var pending int64
+		a, verifyA := mkPackJob(dev, 1, 64, 4)
+		b, verifyB := mkPackJob(dev, 2, 8, 512)
+		env.Spawn("pe", func(p *sim.Proc) {
+			var uids []int64
+			if reuse {
+				j := *a
+				uids = append(uids, s.Enqueue(p, &j))
+				j = *b
+				uids = append(uids, s.Enqueue(p, &j))
+				j.Op, j.Target, j.TargetOff = pack.OpUnpack, a.Origin, 1
+				j.Shape = &layoutcache.Shape{Bytes: 1 << 30, Segments: 1 << 20, MaxBlock: 4}
+			} else {
+				uids = append(uids, s.Enqueue(p, a), s.Enqueue(p, b))
+			}
+			pending = s.pendingBytes
+			s.Flush(p)
+			for _, u := range uids {
+				p.Wait(s.DoneEvent(u))
+				d, ok := s.RequestLatency(u)
+				if !ok {
+					t.Errorf("request %d not completed", u)
+				}
+				latencies = append(latencies, d)
+				s.Release(u)
+			}
+		})
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for _, verify := range []func() error{verifyA, verifyB} {
+			if err := verify(); err != nil {
+				t.Errorf("reuse=%v: %v", reuse, err)
+			}
+		}
+		if want := a.Bytes + b.Bytes; pending != want {
+			t.Errorf("reuse=%v: %d bytes pending, want %d", reuse, pending, want)
+		}
+		return latencies
+	}
+	fresh, reused := run(false), run(true)
+	if fmt.Sprint(reused) != fmt.Sprint(fresh) {
+		t.Errorf("latencies with a reused job %v, with separate jobs %v", reused, fresh)
 	}
 }

@@ -18,21 +18,42 @@ type Key struct {
 	Count int
 }
 
-// Entry is a cached flattened layout for (canonical form, count). Only the
-// charged flag changes after creation.
-type Entry struct {
-	Key      Key
-	Blocks   []datatype.Block
+// Shape is the layout half of a pack job: a block list, the pack routine
+// compiled for it, and the aggregates the cost model reads. A cache entry
+// embeds its shape and every job over the entry points at it, so a
+// request refers to one canonical layout instead of copying it; nothing
+// writes to a cached shape after Get made it.
+type Shape struct {
+	Blocks []datatype.Block
+	// Plan is the pack routine compiled for Blocks' canonical form; nil
+	// for a shape made from a raw block list (NewShape), which is walked
+	// block by block.
+	Plan     *datatype.Plan
 	Bytes    int64 // payload per message
 	Segments int   // contiguous segments per message
 	MaxBlock int64 // largest contiguous segment
-	Extent   int64 // memory span of the full message
+}
+
+// NewShape returns the shape of a raw block list, with no plan.
+func NewShape(blocks []datatype.Block) Shape {
+	s := Shape{Blocks: blocks, Segments: len(blocks)}
+	for _, b := range blocks {
+		s.Bytes += b.Len
+		s.MaxBlock = max(s.MaxBlock, b.Len)
+	}
+	return s
+}
+
+// Entry is a cached flattened layout for (canonical form, count). Only the
+// charged flag changes after creation.
+type Entry struct {
+	Key Key
+	Shape
+	Extent int64 // memory span of the full message
 
 	// Canon is the canonical stride-run form of the *repeated* block list
-	// (count elements at extent stride), and Plan the pack routine
-	// compiled from it.
+	// (count elements at extent stride); Shape.Plan is compiled from it.
 	Canon *datatype.Canonical
-	Plan  *datatype.Plan
 
 	// charged records whether a charged lookup (GetCharged) has seen
 	// this entry yet.
@@ -122,18 +143,7 @@ func (c *Cache) Get(l *datatype.Layout, count int) (*Entry, bool) {
 	}
 	c.Misses++
 	blocks := l.Repeat(count)
-	e := &Entry{
-		Key:      k,
-		Blocks:   blocks,
-		Segments: len(blocks),
-		Extent:   l.ExtentBytes * int64(count),
-	}
-	for _, b := range blocks {
-		e.Bytes += b.Len
-		if b.Len > e.MaxBlock {
-			e.MaxBlock = b.Len
-		}
-	}
+	e := &Entry{Key: k, Shape: NewShape(blocks), Extent: l.ExtentBytes * int64(count)}
 	e.Canon = datatype.Canonicalize(blocks, e.Extent)
 	e.Plan = datatype.CompilePlan(e.Canon)
 	c.Compiled[int(e.Plan.Kind)]++

@@ -123,11 +123,13 @@ func legAllocs(t *testing.T, w *mpi.World, src, dst int, l *datatype.Layout) (ob
 // TestWarmTwoSidedLegAllocs pins the heap objects of one warm leg under
 // Proposed-Tuned, each a sequential Isend+Wait / Irecv+Wait pair:
 //   - a same-node DirectIPC leg of the 6000-B sparse layout makes 5: the
-//     two requests, the IPC RTS, the IPC job and the fusion handle (7
-//     before, 1136 B, with the envelope closure and the FIN frame; 624 B
-//     now);
-//   - an inter-node RGET leg of the 64 KiB strided vector makes 9 and no
-//     FIN (11 before, 1322 B; 818 B now);
+//     two requests, the IPC RTS, the 24-B Peer and the fusion handle
+//     (about 520 B; 624 B while the Peer was a 144-B job and Peer);
+//   - an inter-node RGET leg of the 64 KiB strided vector makes 5: the
+//     requests, the RTS and the pack and unpack fusion handles. The jobs
+//     are values copied into their request-list entries, and the RTS
+//     receives both legs of its read, so the read makes no closure and
+//     the FIN no frame (9 before, 818 B; 512 B now);
 //   - an eager leg of 4 KiB contiguous makes 4: the requests, the eager
 //     frame and its payload snapshot, and no closure (5 before).
 func TestWarmTwoSidedLegAllocs(t *testing.T) {
@@ -138,7 +140,7 @@ func TestWarmTwoSidedLegAllocs(t *testing.T) {
 		want     float64
 	}{
 		{"same-node", 0, 1, sparseLayout(), 5},
-		{"RGET", 0, 4, denseLayout(), 9},
+		{"RGET", 0, 4, denseLayout(), 5},
 		{"eager", 0, 4, datatype.Commit(datatype.Contiguous(512, datatype.Float64)), 4},
 	} {
 		w := newWorld("Proposed-Tuned", nil)

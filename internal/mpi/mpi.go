@@ -126,13 +126,15 @@ type Handle interface {
 type Scheme interface {
 	Name() string
 	// Pack starts packing job (origin non-contiguous -> target packed).
-	Pack(p *sim.Proc, job *pack.Job) Handle
+	// Jobs are passed by value: a scheme that keeps one (a kernel's Work,
+	// a fusion request-list entry) keeps its own copy.
+	Pack(p *sim.Proc, job pack.Job) Handle
 	// Unpack starts unpacking job (origin packed -> target scattered).
-	Unpack(p *sim.Proc, job *pack.Job) Handle
+	Unpack(p *sim.Proc, job pack.Job) Handle
 	// DirectIPC starts a zero-copy device-to-device non-contiguous
 	// transfer; ok=false means unsupported and the caller falls back to
 	// pack/send/unpack.
-	DirectIPC(p *sim.Proc, job *pack.Job) (h Handle, ok bool)
+	DirectIPC(p *sim.Proc, job pack.Job) (h Handle, ok bool)
 	// Flush tells the scheme no more operations are coming before a
 	// synchronization point (MPI_Waitall); fusion launches here.
 	Flush(p *sim.Proc)
@@ -415,7 +417,7 @@ func (r *Rank) emitEnvelope(p *sim.Proc, q *Request) {
 		r.emitEager(p, q)
 		return
 	}
-	m := &message{kind: mkRTS, from: r.id, to: q.peer, tag: q.tag, bytes: q.bytes, sender: q, ipc: ipc}
+	m := &message{kind: mkRTS, from: int32(r.id), to: int32(q.peer), tag: q.tag, bytes: q.bytes, sender: q, ipc: ipc}
 	if q.pipe != nil {
 		m.chunks = int32(len(q.pipe.chunks))
 	}
@@ -425,7 +427,7 @@ func (r *Rank) emitEnvelope(p *sim.Proc, q *Request) {
 // emitEager sends q's payload with its envelope. The sender completes once
 // the message is handed to the NIC (reliable mode: once it is acked).
 func (r *Rank) emitEager(p *sim.Proc, q *Request) {
-	m := &message{kind: mkEager, from: r.id, to: q.peer, tag: q.tag, bytes: q.bytes}
+	m := &message{kind: mkEager, from: int32(r.id), to: int32(q.peer), tag: q.tag, bytes: q.bytes}
 	snapshotWire(m, q)
 	if r.reliable() {
 		q.state = stWaitFin // resolved by the ack, not a FIN
@@ -533,8 +535,9 @@ func (m msgKind) String() string {
 }
 
 // message is an in-flight or queued wire message: 128 B
-// (TestMessageSize). kind, ipc and chunks share one word; from, to and tag
-// stay full ints, as collective tags reach CollTagBase plus an epoch.
+// (TestMessageSize). kind, ipc and chunks share one word, and so do the
+// ranks from and to; tag stays a full int, as collective tags reach
+// CollTagBase plus an epoch.
 type message struct {
 	kind msgKind
 	// ipc marks an RTS offering a same-node zero-copy transfer.
@@ -542,13 +545,14 @@ type message struct {
 	// chunks > 0 marks a pipelined-rendezvous envelope; chunkOff and
 	// chunkBytes describe one chunk on mkRTSChunk messages.
 	chunks   int32
-	from, to int
+	from, to int32
 	tag      int
 	bytes    int64 // payload size (data description for RTS)
 	// sender is the originating send request (control messages carry a
 	// pointer — the simulation-level stand-in for rkeys/addresses).
 	sender *Request
-	// receiver is set on CTS/FIN destined for a specific request.
+	// receiver is set on CTS/FIN destined for a specific request, and on
+	// an RTS or RTS-chunk whose payload a receive reads (readRequest).
 	receiver *Request
 	// payload holds eager data bytes (already packed). In lazy-bytes mode
 	// lazy carries the same logical bytes as a span snapshot instead and
@@ -566,6 +570,9 @@ type message struct {
 	// dst is the destination rank, set by sendMsg: a message sent that
 	// way is its own fabric receiver.
 	dst *Rank
+	// readAt is when the read of an RTS's or RTS-chunk's payload was
+	// posted: the start of its rdma-read span.
+	readAt int64
 }
 
 // sendMsg ships m from r to rank m.to, charged as bytes on the wire, with
@@ -823,7 +830,7 @@ func (r *Rank) IrecvRaw(p *sim.Proc, src, tag int, buf *gpu.Buffer, l *datatype.
 }
 
 func (q *Request) matches(m *message) bool {
-	if q.peer != AnySource && q.peer != m.from {
+	if q.peer != AnySource && q.peer != int(m.from) {
 		return false
 	}
 	if q.tag != AnyTag && q.tag != m.tag {
@@ -867,7 +874,7 @@ func (r *Rank) postCtrl(p *sim.Proc, owner *Request, m *message) {
 	net.Post(p)
 	t0 := p.Now()
 	arrive := r.sendMsg(net.Spec.CtrlBytes, m)
-	r.ctrlSpan(m.kind, m.to, m.tag, t0, arrive)
+	r.ctrlSpan(m.kind, int(m.to), m.tag, t0, arrive)
 }
 
 // ctrlSpan records an untracked control message's wire time.
@@ -886,7 +893,7 @@ func (r *Rank) ctrlSpan(kind msgKind, to, tag int, t0, arrive int64) {
 func (r *Rank) signal(p *sim.Proc, q *Request, kind msgKind) {
 	m := q.matched
 	if r.reliable() {
-		r.postCtrl(p, q, &message{kind: kind, from: r.id, to: m.from, tag: q.tag, receiver: m.sender})
+		r.postCtrl(p, q, &message{kind: kind, from: int32(r.id), to: m.from, tag: q.tag, receiver: m.sender})
 		return
 	}
 	var to fabric.Receiver = (*finArrival)(m.sender)
@@ -897,7 +904,7 @@ func (r *Rank) signal(p *sim.Proc, q *Request, kind msgKind) {
 	net.Post(p)
 	t0 := p.Now()
 	arrive := net.SendR(r.node, r.world.ranks[m.from].node, net.Spec.CtrlBytes, to)
-	r.ctrlSpan(kind, m.from, q.tag, t0, arrive)
+	r.ctrlSpan(kind, int(m.from), q.tag, t0, arrive)
 }
 
 // finArrival is a send request as the receiver of its FIN.
@@ -911,6 +918,70 @@ type ctsArrival Request
 
 func (a *ctsArrival) Handle()                 { a.ctsHere = true }
 func (a *ctsArrival) Deliver(fabric.Delivery) { a.Handle() }
+
+// postRead posts the RDMA read of m's payload into receive q's staging
+// without the reliability layer: the whole message for an RGET envelope,
+// one chunk for an RTS-chunk. m receives both legs of its read, as it
+// received its own delivery, so the read makes no closure.
+func (r *Rank) postRead(p *sim.Proc, q *Request, m *message) {
+	net := r.world.Cluster.Net
+	net.Post(p)
+	m.receiver, m.readAt = q, p.Now()
+	net.RDMAReadBy(r.node, r.world.ranks[m.from].node, (*readRequest)(m), (*readLanded)(m))
+}
+
+// readRequest is a read envelope or chunk as the receiver of its read's
+// control leg at the sender's node, which answers with the payload.
+type readRequest message
+
+func (c *readRequest) Handle() {
+	m := (*message)(c)
+	q := m.receiver
+	n := q.bytes
+	if m.kind == mkRTSChunk {
+		n = m.chunkBytes
+	}
+	net := q.rank.world.Cluster.Net
+	net.RDMAReadReply(q.rank.world.ranks[m.from].node, q.rank.node, n, (*readLanded)(m))
+}
+
+// Deliver drops a corrupted or duplicated control request, as the HCA
+// does.
+func (c *readRequest) Deliver(d fabric.Delivery) {
+	if !d.Corrupt && !d.Dup {
+		c.Handle()
+	}
+}
+
+// readLanded is a read envelope or chunk as the receiver of its payload
+// at the reading rank, which copies it into the receive's staging.
+type readLanded message
+
+func (l *readLanded) Handle() {
+	m := (*message)(l)
+	q := m.receiver
+	r := q.rank
+	if m.kind == mkRTSChunk {
+		gpu.CopyRange(q.packed, m.chunkOff, m.sender.packed, m.chunkOff, m.chunkBytes)
+		q.land(m.chunkBytes)
+		if r.tl != nil {
+			r.tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "rdma-read-chunk", m.readAt, r.world.Env.Now()-m.readAt,
+				timeline.Arg{Key: "off", Val: strconv.FormatInt(m.chunkOff, 10)},
+				timeline.Arg{Key: "bytes", Val: strconv.FormatInt(m.chunkBytes, 10)})
+		}
+		return
+	}
+	sb, so := m.sender.srcBuf()
+	gpu.CopyRange(q.packed, 0, sb, so, q.bytes)
+	q.dataHere = true
+	if r.tl != nil {
+		r.tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "rdma-read", m.readAt, r.world.Env.Now()-m.readAt,
+			timeline.Arg{Key: "peer", Val: strconv.Itoa(int(m.from))},
+			timeline.Arg{Key: "bytes", Val: strconv.FormatInt(q.bytes, 10)})
+	}
+}
+
+func (l *readLanded) Deliver(fabric.Delivery) { l.Handle() }
 
 // arrive runs in scheduler context when a message lands at this rank,
 // with the fabric's delivery verdict. The reliability prologue discards
@@ -1001,7 +1072,7 @@ func (r *Rank) deliver(q *Request, m *message) {
 	q.matched = m
 	// A message shorter than the posted receive is legal: receive exactly
 	// its bytes, and unpack them into the front of the posted layout only
-	// (recvBlocks), leaving the rest of the receive buffer untouched.
+	// (recvShape), leaving the rest of the receive buffer untouched.
 	q.bytes = m.bytes
 	switch m.kind {
 	case mkEager:
@@ -1242,20 +1313,7 @@ func (r *Rank) progressRecv(p *sim.Proc, q *Request) {
 				r.issueRead(p, q, q.newRead(0, q.bytes), false)
 				return
 			}
-			net := r.world.Cluster.Net
-			net.Post(p)
-			sender := m.sender
-			t0 := p.Now()
-			net.RDMARead(r.node, r.world.ranks[m.from].node, q.bytes, func() {
-				sb, so := sender.srcBuf()
-				gpu.CopyRange(q.packed, 0, sb, so, q.bytes)
-				q.dataHere = true
-				if r.tl != nil {
-					r.tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "rdma-read", t0, r.world.Env.Now()-t0,
-						timeline.Arg{Key: "peer", Val: strconv.Itoa(m.from)},
-						timeline.Arg{Key: "bytes", Val: strconv.FormatInt(q.bytes, 10)})
-				}
-			})
+			r.postRead(p, q, m)
 			return
 		}
 		if !q.dataHere {
@@ -1280,13 +1338,7 @@ func (r *Rank) progressRecv(p *sim.Proc, q *Request) {
 			r.maybeComplete(q)
 			return
 		}
-		var job *pack.Job
-		if q.bytes == q.entry.Bytes {
-			job = pack.JobFor(pack.OpUnpack, q.packed, q.buf, q.entry)
-		} else {
-			job = pack.NewJob(pack.OpUnpack, q.packed, q.buf, q.recvBlocks())
-		}
-		q.handle = r.scheme.Unpack(p, job)
+		q.handle = r.scheme.Unpack(p, pack.Job{Op: pack.OpUnpack, Origin: q.packed, Target: q.buf, Shape: q.recvShape()})
 		q.state = stUnpacking
 	case stUnpacking:
 		if err := q.handle.Err(); err != nil {
@@ -1316,11 +1368,8 @@ func (r *Rank) progressRecv(p *sim.Proc, q *Request) {
 func (r *Rank) startIPC(p *sim.Proc, q *Request, m *message) {
 	sender := m.sender
 	spec := r.world.Cluster.Spec
-	peer := pack.Peer{Blocks: q.recvBlocks(), BWBytesPerNs: spec.GPUPeerBWBytesPerNs, LatencyNs: spec.GPUPeerLatencyNs}
-	if q.bytes == q.entry.Bytes {
-		peer.Plan = q.entry.Plan
-	}
-	job := pack.DirectIPCFor(sender.buf, q.buf, sender.entry, peer)
+	job := pack.JobFor(pack.OpDirectIPC, sender.buf, q.buf, sender.entry)
+	job.Peer = &pack.Peer{Shape: q.recvShape(), BWBytesPerNs: spec.GPUPeerBWBytesPerNs, LatencyNs: spec.GPUPeerLatencyNs}
 	if h, ok := r.scheme.DirectIPC(p, job); ok {
 		q.handle = h
 		q.state = stIPC
@@ -1336,12 +1385,12 @@ func (r *Rank) startIPC(p *sim.Proc, q *Request, m *message) {
 	q.state = stIPC
 }
 
-// recvBlocks returns the blocks of a receive's posted layout that the
-// matched message fills: all of them, or for a short message the prefix
-// covering its q.bytes.
-func (q *Request) recvBlocks() []datatype.Block {
+// recvShape returns the part of a receive's posted layout that the
+// matched message fills: the cached shape, or for a short message a shape
+// of its own over the prefix of blocks covering q.bytes, with no plan.
+func (q *Request) recvShape() *layoutcache.Shape {
 	if q.bytes == q.entry.Bytes {
-		return q.entry.Blocks
+		return &q.entry.Shape
 	}
 	var out []datatype.Block
 	for n, i := q.bytes, 0; n > 0; i++ {
@@ -1350,14 +1399,15 @@ func (q *Request) recvBlocks() []datatype.Block {
 		out = append(out, b)
 		n -= b.Len
 	}
-	return out
+	s := layoutcache.NewShape(out)
+	return &s
 }
 
 // alwaysIPCFallback runs DirectIPC as a plain (unfused) kernel when the
 // scheme declines it.
 type alwaysIPCFallback struct{ r *Rank }
 
-func (f alwaysIPCFallback) run(p *sim.Proc, job *pack.Job) (Handle, bool) {
+func (f alwaysIPCFallback) run(p *sim.Proc, job pack.Job) (Handle, bool) {
 	st := f.r.Dev.NewStream("ipc-fallback")
 	c := st.Launch(p, job.KernelSpec())
 	over := f.r.Dev.Arch.LaunchOverheadNs

@@ -1,13 +1,11 @@
 package mpi
 
 import (
-	"strconv"
-
 	"repro/internal/datatype"
 	"repro/internal/gpu"
+	"repro/internal/layoutcache"
 	"repro/internal/pack"
 	"repro/internal/sim"
-	"repro/internal/timeline"
 )
 
 // Chunked (pipelined) rendezvous: large non-contiguous RGET sends are
@@ -91,18 +89,14 @@ func (r *Rank) startPipelinedSend(p *sim.Proc, q *Request, buf *gpu.Buffer) {
 	q.packed = r.stagingBuf(q.bytes)
 	var off int64
 	for _, g := range groups {
-		job := pack.NewJob(pack.OpPack, buf, q.packed, g)
-		job.TargetOff = off
-		var bytes int64
-		for _, b := range g {
-			bytes += b.Len
-		}
+		sh := layoutcache.NewShape(g)
+		job := pack.Job{Op: pack.OpPack, Origin: buf, Target: q.packed, TargetOff: off, Shape: &sh}
 		q.pipe.chunks = append(q.pipe.chunks, sendChunk{
 			handle: r.scheme.Pack(p, job),
 			off:    off,
-			bytes:  bytes,
+			bytes:  sh.Bytes,
 		})
-		off += bytes
+		off += sh.Bytes
 	}
 	q.state = stPacking
 	// Envelope goes out immediately (ordered): the receiver needs it to
@@ -129,7 +123,7 @@ func (r *Rank) progressPipelinedSend(p *sim.Proc, q *Request) {
 		}
 		c.announced = true
 		r.postCtrl(p, q, &message{
-			kind: mkRTSChunk, from: r.id, to: q.peer, tag: q.tag,
+			kind: mkRTSChunk, from: int32(r.id), to: int32(q.peer), tag: q.tag,
 			sender: q, chunkOff: c.off, chunkBytes: c.bytes,
 		})
 	}
@@ -165,9 +159,6 @@ func (r *Rank) adoptOrphanChunks(q *Request) {
 // progressPipelinedRecv pulls announced chunks; returns true once the full
 // payload has landed.
 func (r *Rank) progressPipelinedRecv(p *sim.Proc, q *Request) bool {
-	net := r.world.Cluster.Net
-	sender := q.matched.sender
-	fromNode := r.world.ranks[q.matched.from].node
 	// Snapshot and clear first: net.Post yields the proc, and chunk
 	// announcements arriving during the yield append to pendingChunks —
 	// they must land on the fresh slice, not be lost to the post-loop
@@ -185,18 +176,7 @@ func (r *Rank) progressPipelinedRecv(p *sim.Proc, q *Request) bool {
 		return q.dataHere
 	}
 	for _, m := range chunks {
-		m := m
-		net.Post(p)
-		t0 := p.Now()
-		net.RDMARead(r.node, fromNode, m.chunkBytes, func() {
-			gpu.CopyRange(q.packed, m.chunkOff, sender.packed, m.chunkOff, m.chunkBytes)
-			q.land(m.chunkBytes)
-			if r.tl != nil {
-				r.tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "rdma-read-chunk", t0, r.world.Env.Now()-t0,
-					timeline.Arg{Key: "off", Val: strconv.FormatInt(m.chunkOff, 10)},
-					timeline.Arg{Key: "bytes", Val: strconv.FormatInt(m.chunkBytes, 10)})
-			}
-		})
+		r.postRead(p, q, m)
 	}
 	return q.dataHere
 }

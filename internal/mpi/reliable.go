@@ -195,7 +195,7 @@ func (r *Rank) sendReliable(p *sim.Proc, owner *Request, m *message, wire int64)
 	r.world.nextMsgID++
 	m.id = r.world.nextMsgID
 	if m.kind == mkEager || m.kind == mkRTS {
-		k := streamKey(m.to, m.tag)
+		k := streamKey(int(m.to), m.tag)
 		r.streamSeq[k]++
 		m.sseq = r.streamSeq[k]
 		owner.sseq = m.sseq
@@ -226,7 +226,7 @@ func (r *Rank) admit(m *message) {
 		r.match(m)
 		return
 	}
-	k := streamKey(m.from, m.tag)
+	k := streamKey(int(m.from), m.tag)
 	next := r.streamNext[k] + 1
 	switch {
 	case m.sseq > next:
@@ -271,7 +271,7 @@ func (r *Rank) transmit(p *sim.Proc, pm *pendingMsg, retrans bool) {
 			name = "eager"
 		}
 		r.tl.Span(timeline.LayerMPI, timeline.CostNone, "net", name, t0, arrive-t0,
-			timeline.Arg{Key: "peer", Val: strconv.Itoa(m.to)},
+			timeline.Arg{Key: "peer", Val: strconv.Itoa(int(m.to))},
 			timeline.Arg{Key: "bytes", Val: strconv.FormatInt(m.bytes, 10)})
 	}
 }
@@ -429,7 +429,7 @@ func (r *Rank) notifyPeer(q *Request) {
 	if !q.isSend && q.matched != nil {
 		target = q.matched.sender
 	}
-	m := &message{kind: mkErr, from: r.id, to: q.peer, tag: q.tag, receiver: target, bytes: q.bytes, sseq: q.sseq}
+	m := &message{kind: mkErr, from: int32(r.id), to: int32(q.peer), tag: q.tag, receiver: target, bytes: q.bytes, sseq: q.sseq}
 	net := r.world.Cluster.Net
 	net.SendR(r.node, r.world.ranks[q.peer].node, net.Spec.CtrlBytes, fabric.ReceiverFunc(func(d fabric.Delivery) {
 		if d.Corrupt || d.Dup {
@@ -492,37 +492,73 @@ func (r *Rank) issueRead(p *sim.Proc, q *Request, op *readOp, retrans bool) {
 		r.fail(p, q, "rdma-read-post", op.attempts+1, err)
 		return
 	}
-	net := r.world.Cluster.Net
-	sender := q.matched.sender
-	fromNode := r.world.ranks[q.matched.from].node
-	off, n := op.off, op.bytes
-	sb, so := sender.srcBuf()
-	net.RDMAReadR(r.node, fromNode, n, fabric.ReceiverFunc(func(d fabric.Delivery) {
-		if op.done || d.Dup || q.settled() {
-			return
-		}
-		if d.Corrupt {
-			// CRC reject: discard, re-read on timeout. An undetected
-			// corruption is impossible (one-byte FNV flip always changes
-			// the sum), so surviving the check is a simulator bug.
-			if corruptionUndetected(sb, so+off, n) {
-				panic("mpi: rdma-read corruption not detected by checksum")
-			}
-			return
-		}
-		gpu.CopyRange(q.packed, off, sb, so+off, n)
-		op.done = true
-		q.land(n)
-		if r.tl != nil {
-			r.tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "rdma-read", t0, r.world.Env.Now()-t0,
-				timeline.Arg{Key: "peer", Val: strconv.Itoa(q.matched.from)},
-				timeline.Arg{Key: "bytes", Val: strconv.FormatInt(n, 10)})
-		}
-	}))
-	est := r.timeoutFor(n)
+	sb, so := q.matched.sender.srcBuf()
+	a := &readAttempt{op: op, q: q, src: sb, srcOff: so, at: t0}
+	r.world.Cluster.Net.RDMAReadBy(r.node, r.world.ranks[q.matched.from].node, (*readAttemptRequest)(a), a)
+	est := r.timeoutFor(op.bytes)
 	op.deadline = p.Now() + est + r.backoffExtra(est, op.attempts)
 	if retrans {
 		r.ChargeFault("rdma-reread", t0, p.Now()-t0)
+	}
+}
+
+// readAttempt is one (re)issue of a checksummed RDMA read and the
+// receiver of both of its legs (readAttemptRequest takes the control
+// leg), so the attempt makes one object and no closure. It keeps what it
+// reads from and when it was posted: a re-read may be in flight beside
+// an earlier attempt.
+type readAttempt struct {
+	op     *readOp
+	q      *Request
+	src    *gpu.Buffer
+	srcOff int64
+	at     int64
+}
+
+// Handle is a clean arrival of the attempt's payload.
+func (a *readAttempt) Handle() { a.Deliver(fabric.Delivery{}) }
+
+// Deliver lands the payload after its checksum, discarding a corrupted
+// or duplicated one: the deadline scan re-reads it.
+func (a *readAttempt) Deliver(d fabric.Delivery) {
+	op, q := a.op, a.q
+	if op.done || d.Dup || q.settled() {
+		return
+	}
+	if d.Corrupt {
+		// CRC reject: discard, re-read on timeout. An undetected
+		// corruption is impossible (one-byte FNV flip always changes
+		// the sum), so surviving the check is a simulator bug.
+		if corruptionUndetected(a.src, a.srcOff+op.off, op.bytes) {
+			panic("mpi: rdma-read corruption not detected by checksum")
+		}
+		return
+	}
+	gpu.CopyRange(q.packed, op.off, a.src, a.srcOff+op.off, op.bytes)
+	op.done = true
+	q.land(op.bytes)
+	if r := q.rank; r.tl != nil {
+		r.tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "rdma-read", a.at, r.world.Env.Now()-a.at,
+			timeline.Arg{Key: "peer", Val: strconv.Itoa(int(q.matched.from))},
+			timeline.Arg{Key: "bytes", Val: strconv.FormatInt(op.bytes, 10)})
+	}
+}
+
+// readAttemptRequest is a read attempt as the receiver of its control leg
+// at the sender's node, which answers with the payload.
+type readAttemptRequest readAttempt
+
+func (c *readAttemptRequest) Handle() {
+	a := (*readAttempt)(c)
+	r := a.q.rank
+	r.world.Cluster.Net.RDMAReadReply(r.world.ranks[a.q.matched.from].node, r.node, a.op.bytes, a)
+}
+
+// Deliver drops a corrupted or duplicated control request, as the HCA
+// does.
+func (c *readAttemptRequest) Deliver(d fabric.Delivery) {
+	if !d.Corrupt && !d.Dup {
+		c.Handle()
 	}
 }
 

@@ -44,10 +44,16 @@ func recut(rng *rand.Rand, blocks []datatype.Block) []datatype.Block {
 // entryFor builds the layout-cache entry a cache would hold for blocks:
 // their aggregates and the plan compiled from their canonical form.
 func entryFor(blocks []datatype.Block) *layoutcache.Entry {
-	j := pack.NewJob(pack.OpPack, nil, nil, blocks)
-	canon := datatype.Canonicalize(blocks, blockSpan(blocks))
-	return &layoutcache.Entry{Blocks: blocks, Bytes: j.Bytes, Segments: int(j.Segments), MaxBlock: j.MaxBlock,
-		Extent: blockSpan(blocks), Canon: canon, Plan: datatype.CompilePlan(canon)}
+	e := &layoutcache.Entry{Shape: layoutcache.NewShape(blocks), Extent: blockSpan(blocks)}
+	e.Canon = datatype.Canonicalize(blocks, e.Extent)
+	e.Plan = datatype.CompilePlan(e.Canon)
+	return e
+}
+
+// peerOf is the Peer of a DirectIPC job writing the raw block list blocks.
+func peerOf(blocks []datatype.Block) *pack.Peer {
+	s := layoutcache.NewShape(blocks)
+	return &pack.Peer{Shape: &s}
 }
 
 // jobSums runs OpPack, OpUnpack and three OpDirectIPC jobs over one block
@@ -80,27 +86,39 @@ func jobSums(lazy bool, blocks, cut []datatype.Block, seed uint64) []uint64 {
 
 	recutDst := alloc("recut", blockSpan(cut), seed+3)
 	j := pack.NewJob(pack.OpDirectIPC, src, recutDst, blocks)
-	j.Peer = &pack.Peer{Blocks: cut}
+	j.Peer = peerOf(cut)
 	j.Execute()
 	gathered := alloc("gathered", size+3, seed+4)
 	j = pack.NewJob(pack.OpDirectIPC, src, gathered, blocks)
-	j.Peer = &pack.Peer{Blocks: one}
+	j.Peer = peerOf(one)
 	j.Execute()
 	scattered := alloc("scattered", blockSpan(blocks), seed+5)
 	j = pack.NewJob(pack.OpDirectIPC, gathered, scattered, one)
-	j.Peer = &pack.Peer{Blocks: blocks}
+	j.Peer = peerOf(blocks)
 	j.Execute()
 
 	e, ce := entryFor(blocks), entryFor(cut)
 	packedFor := alloc("packed-for", size, seed+1)
 	outFor := alloc("out-for", blockSpan(blocks), seed+2)
 	recutFor := alloc("recut-for", blockSpan(cut), seed+3)
-	pack.JobFor(pack.OpPack, src, packedFor, e).Execute()
-	pack.JobFor(pack.OpUnpack, packedFor, outFor, e).Execute()
-	pack.DirectIPCFor(src, recutFor, e, pack.Peer{Blocks: ce.Blocks, Plan: ce.Plan}).Execute()
+	for _, j := range []pack.Job{
+		pack.JobFor(pack.OpPack, src, packedFor, e),
+		pack.JobFor(pack.OpUnpack, packedFor, outFor, e),
+		directFor(src, recutFor, e, ce),
+	} {
+		j.Execute()
+	}
 
 	return []uint64{packed.Checksum(), out.Checksum(), recutDst.Checksum(), gathered.Checksum(), scattered.Checksum(),
 		packedFor.Checksum(), outFor.Checksum(), recutFor.Checksum()}
+}
+
+// directFor is a DirectIPC job from entry e's layout of origin into entry
+// dst's layout of target, both plans from the cache entries.
+func directFor(origin, target *gpu.Buffer, e, dst *layoutcache.Entry) pack.Job {
+	j := pack.JobFor(pack.OpDirectIPC, origin, target, e)
+	j.Peer = &pack.Peer{Shape: &dst.Shape}
+	return j
 }
 
 // TestPropertyJobRoundTripLazy is the lazy twin of TestPropertyJobRoundTrip
@@ -167,14 +185,13 @@ func TestLazyPlanJobAllocatesNothing(t *testing.T) {
 	}
 	src, packed := lazy(leg.Extent, 1), lazy(leg.Bytes, 2)
 	out, ipc := lazy(leg.Extent, 3), lazy(wide.Extent, 4)
-	direct := pack.DirectIPCFor(src, ipc, leg, pack.Peer{Blocks: wide.Blocks, Plan: wide.Plan})
 	for _, tc := range []struct {
 		name string
-		job  *pack.Job
+		job  pack.Job
 	}{
 		{"pack", pack.JobFor(pack.OpPack, src, packed, leg)},
 		{"unpack", pack.JobFor(pack.OpUnpack, packed, out, leg)},
-		{"direct-ipc", direct},
+		{"direct-ipc", directFor(src, ipc, leg, wide)},
 	} {
 		tc.job.Execute() // warm: span lists and shape tables reach their size
 		if n := testing.AllocsPerRun(100, tc.job.Execute); n != 0 {

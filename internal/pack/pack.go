@@ -6,9 +6,10 @@
 // fusion framework supports as a third request operation.
 //
 // A Job carries both the cost-model inputs (bytes, segments) and the real
-// buffers, so executing a job actually moves bytes. It is 96 B: what only
-// DirectIPC needs (the destination layout and the peer link) sits behind
-// one pointer, Peer.
+// buffers, so executing a job actually moves bytes. It is a 56-B value
+// that points at its layout (a layoutcache.Shape, normally the cached
+// entry's) instead of copying it; what only DirectIPC needs (the
+// destination layout and the peer link) sits behind one pointer, Peer.
 package pack
 
 import (
@@ -47,87 +48,55 @@ func (o Op) String() string {
 	}
 }
 
-// Job is one datatype-processing operation over real buffers.
+// Job is one datatype-processing operation over real buffers: 56 B,
+// passed and held by value (a fusion request-list entry holds its job
+// inline). Its layout is a pointer to a shape: a layout-cache entry's for
+// a job made by JobFor, its own for one made by NewJob.
 type Job struct {
 	Op Op
-	// Segments is the number of contiguous blocks, an aggregate for the
-	// cost model like Bytes and MaxBlock. It is narrow so that it shares a
-	// word with Op.
-	Segments int32
 	// Origin and Target follow the request-object naming of the paper:
 	// Origin is the buffer read, Target the buffer written.
 	Origin, Target *gpu.Buffer
 	// OriginOff/TargetOff shift the contiguous side (packed buffers are
 	// often suballocated from a staging pool).
 	OriginOff, TargetOff int64
-	// Blocks is the non-contiguous block list: the origin's layout for
-	// OpPack/OpDirectIPC, the target's for OpUnpack.
-	Blocks []datatype.Block
-	// Plan is the compiled pack routine for Blocks' canonical form, taken
-	// from the layout-cache entry Blocks came from (JobFor). Exact pack and
-	// unpack run it; lazy buffers copy over its canonical runs. It is nil
-	// for jobs built from a raw block list — pipeline chunks, short
-	// receives, and tests — which walk the blocks. Plans change host
-	// execution speed only: Bytes/Segments/MaxBlock are the block-derived
-	// aggregates either way, so kernel specs and virtual-time charges do
-	// not depend on Plan.
-	Plan *datatype.Plan
+	// Shape is the non-contiguous layout: the origin's for
+	// OpPack/OpDirectIPC, the target's for OpUnpack. Exact pack and unpack
+	// run its Plan and lazy buffers copy over the plan's canonical runs;
+	// a shape without a plan (pipeline chunks, short receives, tests) is
+	// walked block by block. Plans change host execution speed only:
+	// Bytes/Segments/MaxBlock are the block-derived aggregates either way,
+	// so kernel specs and virtual-time charges do not depend on Plan.
+	*layoutcache.Shape
 	// Peer is the destination side of an OpDirectIPC job and the link it
 	// crosses; nil for pack and unpack, and for a DirectIPC job that
 	// writes the origin's layout with no link floor.
 	Peer *Peer
-	// Bytes and MaxBlock are the cost model's other aggregates: the
-	// payload and its largest block.
-	Bytes    int64
-	MaxBlock int64
 }
 
 // Peer is what only a DirectIPC job needs: the destination layout and the
-// GPU-GPU link its load/stores cross.
+// GPU-GPU link its load/stores cross. It is 24 B, made only for DirectIPC
+// legs.
 type Peer struct {
-	// Blocks is the destination layout; nil means the same layout as the
-	// job's Blocks (and Plan).
-	Blocks []datatype.Block
-	// Plan is the plan of Blocks, nil when Blocks is a raw list.
-	Plan *datatype.Plan
+	// Shape is the destination layout; nil means the job's own.
+	Shape *layoutcache.Shape
 	// BWBytesPerNs and LatencyNs describe the link; zero bandwidth puts no
 	// floor under the kernel.
 	BWBytesPerNs float64
 	LatencyNs    int64
 }
 
-// JobFor builds a job over a layout-cache entry's blocks, taking its
-// aggregates and compiled plan from the entry instead of walking the
-// blocks.
-func JobFor(op Op, origin, target *gpu.Buffer, e *layoutcache.Entry) *Job {
-	return &Job{Op: op, Origin: origin, Target: target, Blocks: e.Blocks, Plan: e.Plan,
-		Bytes: e.Bytes, Segments: int32(e.Segments), MaxBlock: e.MaxBlock}
+// JobFor builds a job over a layout-cache entry, pointing at the entry's
+// shape for its blocks, aggregates and compiled plan.
+func JobFor(op Op, origin, target *gpu.Buffer, e *layoutcache.Entry) Job {
+	return Job{Op: op, Origin: origin, Target: target, Shape: &e.Shape}
 }
 
-// ipcJob is a DirectIPC job and its peer side made in one allocation.
-type ipcJob struct {
-	job  Job
-	peer Peer
-}
-
-// DirectIPCFor is JobFor for an OpDirectIPC job writing peer's layout:
-// the job and its Peer are one allocation.
-func DirectIPCFor(origin, target *gpu.Buffer, e *layoutcache.Entry, peer Peer) *Job {
-	x := &ipcJob{job: *JobFor(OpDirectIPC, origin, target, e), peer: peer}
-	x.job.Peer = &x.peer
-	return &x.job
-}
-
-// NewJob builds a job from a raw flattened block list, computing aggregates.
+// NewJob builds a job from a raw flattened block list, computing
+// aggregates into a shape of its own.
 func NewJob(op Op, origin, target *gpu.Buffer, blocks []datatype.Block) *Job {
-	j := &Job{Op: op, Origin: origin, Target: target, Blocks: blocks, Segments: int32(len(blocks))}
-	for _, b := range blocks {
-		j.Bytes += b.Len
-		if b.Len > j.MaxBlock {
-			j.MaxBlock = b.Len
-		}
-	}
-	return j
+	s := layoutcache.NewShape(blocks)
+	return &Job{Op: op, Origin: origin, Target: target, Shape: &s}
 }
 
 // Execute performs the byte movement. It is designed to run when a kernel
@@ -190,12 +159,12 @@ func (j *Job) executeLazy() {
 }
 
 // target returns the destination side of a DirectIPC job: the Peer's
-// layout, or the origin's when there is no Peer or its Blocks is nil.
+// layout, or the origin's when there is no Peer or its Shape is nil.
 func (j *Job) target() side {
-	if j.Peer == nil || j.Peer.Blocks == nil {
+	if j.Peer == nil || j.Peer.Shape == nil {
 		return planned(j.Blocks, j.Plan)
 	}
-	return planned(j.Peer.Blocks, j.Peer.Plan)
+	return planned(j.Peer.Shape.Blocks, j.Peer.Shape.Plan)
 }
 
 // side is one buffer's layout in a copy: its block list and, when a
@@ -275,11 +244,14 @@ func copyContent(dst *payload.Content, d *side, src *payload.Content, s *side) {
 }
 
 // KernelSpec converts the job into a single-kernel launch description.
+// The kernel keeps the job as its Work, so a job launched this way lives
+// on the heap; a fused request's job is copied into its request-list
+// entry instead.
 func (j *Job) KernelSpec() gpu.KernelSpec {
 	return gpu.KernelSpec{
 		Name:            j.Op.String(),
 		Bytes:           j.Bytes,
-		Segments:        int(j.Segments),
+		Segments:        j.Segments,
 		MaxSegmentBytes: j.MaxBlock,
 		MinDurationNs:   j.ipcFloor(),
 		Work:            j,
@@ -290,7 +262,7 @@ func (j *Job) KernelSpec() gpu.KernelSpec {
 func (j *Job) FusedWork() gpu.FusedWork {
 	return gpu.FusedWork{
 		Bytes:           j.Bytes,
-		Segments:        int(j.Segments),
+		Segments:        j.Segments,
 		MaxSegmentBytes: j.MaxBlock,
 		MinDurationNs:   j.ipcFloor(),
 	}

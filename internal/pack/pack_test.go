@@ -10,8 +10,16 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/datatype"
 	"repro/internal/gpu"
+	"repro/internal/layoutcache"
 	"repro/internal/sim"
 )
+
+// rawPeer is the Peer of a DirectIPC job writing the raw block list
+// blocks.
+func rawPeer(blocks []datatype.Block) *Peer {
+	s := layoutcache.NewShape(blocks)
+	return &Peer{Shape: &s}
+}
 
 func newDev() (*sim.Env, *gpu.Device) {
 	env := sim.NewEnv()
@@ -99,7 +107,7 @@ func TestDirectIPCDifferentLayouts(t *testing.T) {
 		src.Data[i] = byte(i)
 	}
 	j := NewJob(OpDirectIPC, src, dst, []datatype.Block{{Offset: 0, Len: 3}, {Offset: 10, Len: 3}})
-	j.Peer = &Peer{Blocks: []datatype.Block{{Offset: 0, Len: 2}, {Offset: 8, Len: 2}, {Offset: 16, Len: 2}}}
+	j.Peer = rawPeer([]datatype.Block{{Offset: 0, Len: 2}, {Offset: 8, Len: 2}, {Offset: 16, Len: 2}})
 	j.Execute()
 	want := []byte{0, 1, 2, 10, 11, 12}
 	got := []byte{dst.Data[0], dst.Data[1], dst.Data[8], dst.Data[9], dst.Data[16], dst.Data[17]}
@@ -126,7 +134,7 @@ func TestDirectIPCMismatchedBytesPanics(t *testing.T) {
 					d.LazyThreshold = 1
 				}
 				j := NewJob(OpDirectIPC, d.Alloc("src", 32), d.Alloc("dst", 32), c.from)
-				j.Peer = &Peer{Blocks: c.to}
+				j.Peer = rawPeer(c.to)
 				defer func() {
 					if recover() == nil {
 						t.Fatal("expected panic")
@@ -215,14 +223,14 @@ func TestCPUBeatsGPUForTinyDenseAndLosesForLarge(t *testing.T) {
 	// because its bandwidth is tiny.
 	_, d := newDev()
 	cpu := &CPUEngine{Dev: d}
-	small := &Job{Op: OpPack, Bytes: 4 << 10, Segments: 8, MaxBlock: 512}
-	gpuSmall := d.EstimateKernelNs(small.Bytes, int(small.Segments), small.MaxBlock) +
+	small := &Job{Op: OpPack, Shape: &layoutcache.Shape{Bytes: 4 << 10, Segments: 8, MaxBlock: 512}}
+	gpuSmall := d.EstimateKernelNs(small.Bytes, small.Segments, small.MaxBlock) +
 		d.Arch.LaunchOverheadNs + d.Arch.StreamSyncBaseNs
 	if cpu.CostNs(small) >= gpuSmall {
 		t.Fatalf("CPU small (%d) should beat GPU small (%d)", cpu.CostNs(small), gpuSmall)
 	}
-	large := &Job{Op: OpPack, Bytes: 8 << 20, Segments: 64, MaxBlock: 128 << 10}
-	gpuLarge := d.EstimateKernelNs(large.Bytes, int(large.Segments), large.MaxBlock) +
+	large := &Job{Op: OpPack, Shape: &layoutcache.Shape{Bytes: 8 << 20, Segments: 64, MaxBlock: 128 << 10}}
+	gpuLarge := d.EstimateKernelNs(large.Bytes, large.Segments, large.MaxBlock) +
 		d.Arch.LaunchOverheadNs + d.Arch.StreamSyncBaseNs
 	if cpu.CostNs(large) <= gpuLarge {
 		t.Fatalf("CPU large (%d) should lose to GPU large (%d)", cpu.CostNs(large), gpuLarge)

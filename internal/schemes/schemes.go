@@ -45,7 +45,7 @@ func NewGPUSync(r *mpi.Rank) mpi.Scheme {
 // Name implements mpi.Scheme.
 func (s *GPUSync) Name() string { return "GPU-Sync" }
 
-func (s *GPUSync) run(p *sim.Proc, job *pack.Job) mpi.Handle {
+func (s *GPUSync) run(p *sim.Proc, job pack.Job) mpi.Handle {
 	c := s.st.Launch(p, job.KernelSpec())
 	over := s.r.Dev.Arch.LaunchOverheadNs
 	s.r.Charge(trace.Launch, "launch", p.Now()-over, over)
@@ -57,13 +57,13 @@ func (s *GPUSync) run(p *sim.Proc, job *pack.Job) mpi.Handle {
 }
 
 // Pack implements mpi.Scheme.
-func (s *GPUSync) Pack(p *sim.Proc, job *pack.Job) mpi.Handle { return s.run(p, job) }
+func (s *GPUSync) Pack(p *sim.Proc, job pack.Job) mpi.Handle { return s.run(p, job) }
 
 // Unpack implements mpi.Scheme.
-func (s *GPUSync) Unpack(p *sim.Proc, job *pack.Job) mpi.Handle { return s.run(p, job) }
+func (s *GPUSync) Unpack(p *sim.Proc, job pack.Job) mpi.Handle { return s.run(p, job) }
 
 // DirectIPC implements mpi.Scheme: supported, as a synchronous kernel.
-func (s *GPUSync) DirectIPC(p *sim.Proc, job *pack.Job) (mpi.Handle, bool) {
+func (s *GPUSync) DirectIPC(p *sim.Proc, job pack.Job) (mpi.Handle, bool) {
 	return s.run(p, job), true
 }
 
@@ -109,7 +109,7 @@ func (h asyncHandle) Done(p *sim.Proc) bool {
 func (h asyncHandle) DoneEv() *sim.Event { return nil }
 func (h asyncHandle) Err() error         { return nil }
 
-func (s *GPUAsync) run(p *sim.Proc, job *pack.Job) mpi.Handle {
+func (s *GPUAsync) run(p *sim.Proc, job pack.Job) mpi.Handle {
 	st := s.streams[s.next%len(s.streams)]
 	s.next++
 	c := st.Launch(p, job.KernelSpec())
@@ -123,13 +123,13 @@ func (s *GPUAsync) run(p *sim.Proc, job *pack.Job) mpi.Handle {
 }
 
 // Pack implements mpi.Scheme.
-func (s *GPUAsync) Pack(p *sim.Proc, job *pack.Job) mpi.Handle { return s.run(p, job) }
+func (s *GPUAsync) Pack(p *sim.Proc, job pack.Job) mpi.Handle { return s.run(p, job) }
 
 // Unpack implements mpi.Scheme.
-func (s *GPUAsync) Unpack(p *sim.Proc, job *pack.Job) mpi.Handle { return s.run(p, job) }
+func (s *GPUAsync) Unpack(p *sim.Proc, job pack.Job) mpi.Handle { return s.run(p, job) }
 
 // DirectIPC implements mpi.Scheme.
-func (s *GPUAsync) DirectIPC(p *sim.Proc, job *pack.Job) (mpi.Handle, bool) {
+func (s *GPUAsync) DirectIPC(p *sim.Proc, job pack.Job) (mpi.Handle, bool) {
 	return s.run(p, job), true
 }
 
@@ -172,18 +172,18 @@ func NewCPUGPUHybrid(r *mpi.Rank) mpi.Scheme {
 // Name implements mpi.Scheme.
 func (s *CPUGPUHybrid) Name() string { return "CPU-GPU-Hybrid" }
 
-func (s *CPUGPUHybrid) wantsCPU(job *pack.Job) bool {
+func (s *CPUGPUHybrid) wantsCPU(job pack.Job) bool {
 	if job.Bytes > hybridMaxBytes || job.Segments == 0 {
 		return false
 	}
 	return job.Bytes/int64(job.Segments) >= hybridMinAvgBlock
 }
 
-func (s *CPUGPUHybrid) run(p *sim.Proc, job *pack.Job) mpi.Handle {
+func (s *CPUGPUHybrid) run(p *sim.Proc, job pack.Job) mpi.Handle {
 	if s.wantsCPU(job) {
 		s.UsedCPU++
 		before := p.Now()
-		s.cpu.Run(p, job)
+		s.cpu.Run(p, &job)
 		s.r.Charge(trace.PackKernel, "gdrcopy", before, p.Now()-before)
 		return doneHandle{}
 	}
@@ -192,13 +192,13 @@ func (s *CPUGPUHybrid) run(p *sim.Proc, job *pack.Job) mpi.Handle {
 }
 
 // Pack implements mpi.Scheme.
-func (s *CPUGPUHybrid) Pack(p *sim.Proc, job *pack.Job) mpi.Handle { return s.run(p, job) }
+func (s *CPUGPUHybrid) Pack(p *sim.Proc, job pack.Job) mpi.Handle { return s.run(p, job) }
 
 // Unpack implements mpi.Scheme.
-func (s *CPUGPUHybrid) Unpack(p *sim.Proc, job *pack.Job) mpi.Handle { return s.run(p, job) }
+func (s *CPUGPUHybrid) Unpack(p *sim.Proc, job pack.Job) mpi.Handle { return s.run(p, job) }
 
 // DirectIPC implements mpi.Scheme: the zero-copy scheme of [24].
-func (s *CPUGPUHybrid) DirectIPC(p *sim.Proc, job *pack.Job) (mpi.Handle, bool) {
+func (s *CPUGPUHybrid) DirectIPC(p *sim.Proc, job pack.Job) (mpi.Handle, bool) {
 	return s.gpu.run(p, job), true
 }
 
@@ -223,9 +223,9 @@ func NewNaiveMemcpy(r *mpi.Rank) mpi.Scheme {
 // Name implements mpi.Scheme.
 func (s *NaiveMemcpy) Name() string { return "NaiveMemcpy" }
 
-func (s *NaiveMemcpy) run(p *sim.Proc, job *pack.Job) mpi.Handle {
+func (s *NaiveMemcpy) run(p *sim.Proc, job pack.Job) mpi.Handle {
 	// One driver call per block; bytes move when the last copy retires.
-	n := int(job.Segments)
+	n := job.Segments
 	if n == 0 {
 		n = 1
 	}
@@ -233,7 +233,7 @@ func (s *NaiveMemcpy) run(p *sim.Proc, job *pack.Job) mpi.Handle {
 	for i := 0; i < n; i++ {
 		var exec func()
 		if i == n-1 {
-			exec = job.Execute
+			exec = job.Execute // the last copy keeps the job
 		}
 		var bytes int64
 		if i < len(job.Blocks) {
@@ -255,14 +255,14 @@ func (s *NaiveMemcpy) run(p *sim.Proc, job *pack.Job) mpi.Handle {
 }
 
 // Pack implements mpi.Scheme.
-func (s *NaiveMemcpy) Pack(p *sim.Proc, job *pack.Job) mpi.Handle { return s.run(p, job) }
+func (s *NaiveMemcpy) Pack(p *sim.Proc, job pack.Job) mpi.Handle { return s.run(p, job) }
 
 // Unpack implements mpi.Scheme.
-func (s *NaiveMemcpy) Unpack(p *sim.Proc, job *pack.Job) mpi.Handle { return s.run(p, job) }
+func (s *NaiveMemcpy) Unpack(p *sim.Proc, job pack.Job) mpi.Handle { return s.run(p, job) }
 
 // DirectIPC implements mpi.Scheme: production libraries have no zero-copy
 // DDT path.
-func (s *NaiveMemcpy) DirectIPC(*sim.Proc, *pack.Job) (mpi.Handle, bool) { return nil, false }
+func (s *NaiveMemcpy) DirectIPC(*sim.Proc, pack.Job) (mpi.Handle, bool) { return nil, false }
 
 // Flush implements mpi.Scheme.
 func (s *NaiveMemcpy) Flush(*sim.Proc) {}
@@ -322,8 +322,11 @@ func (h *fusionHandle) Done(p *sim.Proc) bool {
 func (h *fusionHandle) DoneEv() *sim.Event { return h.sched.DoneEvent(h.uid) }
 func (h *fusionHandle) Err() error         { return h.err }
 
-func (s *Fusion) run(p *sim.Proc, job *pack.Job) mpi.Handle {
-	uid := s.Sched.Enqueue(p, job)
+// run enqueues job, which the request-list entry copies, so job stays on
+// the caller's stack; only the queue-full fallback's kernel keeps a heap
+// copy.
+func (s *Fusion) run(p *sim.Proc, job pack.Job) mpi.Handle {
+	uid := s.Sched.Enqueue(p, &job)
 	if uid == fusion.ErrQueueFull {
 		// Negative UID: the progress engine takes the fallback path
 		// (paper Section IV-A2).
@@ -334,14 +337,14 @@ func (s *Fusion) run(p *sim.Proc, job *pack.Job) mpi.Handle {
 }
 
 // Pack implements mpi.Scheme.
-func (s *Fusion) Pack(p *sim.Proc, job *pack.Job) mpi.Handle { return s.run(p, job) }
+func (s *Fusion) Pack(p *sim.Proc, job pack.Job) mpi.Handle { return s.run(p, job) }
 
 // Unpack implements mpi.Scheme.
-func (s *Fusion) Unpack(p *sim.Proc, job *pack.Job) mpi.Handle { return s.run(p, job) }
+func (s *Fusion) Unpack(p *sim.Proc, job pack.Job) mpi.Handle { return s.run(p, job) }
 
 // DirectIPC implements mpi.Scheme: IPC requests fuse with pack/unpack
 // requests in the same kernel (paper Fig. 6).
-func (s *Fusion) DirectIPC(p *sim.Proc, job *pack.Job) (mpi.Handle, bool) {
+func (s *Fusion) DirectIPC(p *sim.Proc, job pack.Job) (mpi.Handle, bool) {
 	return s.run(p, job), true
 }
 
@@ -463,7 +466,7 @@ func NewStagedHost(r *mpi.Rank) mpi.Scheme {
 // Name implements mpi.Scheme.
 func (s *StagedHost) Name() string { return "StagedHost" }
 
-func (s *StagedHost) run(p *sim.Proc, job *pack.Job, toHost bool) mpi.Handle {
+func (s *StagedHost) run(p *sim.Proc, job pack.Job, toHost bool) mpi.Handle {
 	kind := gpu.CopyD2H
 	if !toHost {
 		kind = gpu.CopyH2D
@@ -493,13 +496,13 @@ func (s *StagedHost) run(p *sim.Proc, job *pack.Job, toHost bool) mpi.Handle {
 }
 
 // Pack implements mpi.Scheme.
-func (s *StagedHost) Pack(p *sim.Proc, job *pack.Job) mpi.Handle { return s.run(p, job, true) }
+func (s *StagedHost) Pack(p *sim.Proc, job pack.Job) mpi.Handle { return s.run(p, job, true) }
 
 // Unpack implements mpi.Scheme.
-func (s *StagedHost) Unpack(p *sim.Proc, job *pack.Job) mpi.Handle { return s.run(p, job, false) }
+func (s *StagedHost) Unpack(p *sim.Proc, job pack.Job) mpi.Handle { return s.run(p, job, false) }
 
 // DirectIPC implements mpi.Scheme: without GPUDirect there is no peer path.
-func (s *StagedHost) DirectIPC(*sim.Proc, *pack.Job) (mpi.Handle, bool) { return nil, false }
+func (s *StagedHost) DirectIPC(*sim.Proc, pack.Job) (mpi.Handle, bool) { return nil, false }
 
 // Flush implements mpi.Scheme.
 func (s *StagedHost) Flush(*sim.Proc) {}

@@ -29,7 +29,7 @@ func rig(factory mpi.SchemeFactory) (*mpi.World, *mpi.Rank) {
 var jobSeq int
 
 // sparseJob returns a pack job with the given segment geometry.
-func sparseJob(r *mpi.Rank, segments, blockBytes int) *pack.Job {
+func sparseJob(r *mpi.Rank, segments, blockBytes int) pack.Job {
 	lens := make([]int, segments)
 	displs := make([]int, segments)
 	for i := range lens {
@@ -40,7 +40,7 @@ func sparseJob(r *mpi.Rank, segments, blockBytes int) *pack.Job {
 	jobSeq++
 	src := r.Dev.Alloc(fmt.Sprintf("src%d", jobSeq), int(l.ExtentBytes))
 	dst := r.Dev.Alloc(fmt.Sprintf("dst%d", jobSeq), int(l.SizeBytes))
-	return pack.NewJob(pack.OpPack, src, dst, l.Blocks)
+	return *pack.NewJob(pack.OpPack, src, dst, l.Blocks)
 }
 
 func TestGPUSyncHandleImmediatelyDone(t *testing.T) {
@@ -233,7 +233,7 @@ func TestStagedHostPaysTwoLinkCrossings(t *testing.T) {
 	if r.Dev.Stats.KernelLaunches != 2 || r.Dev.Stats.MemcpyCalls != 2 {
 		t.Fatalf("stats: %+v", r.Dev.Stats)
 	}
-	if _, ok := r.Scheme().DirectIPC(nil, nil); ok {
+	if _, ok := r.Scheme().DirectIPC(nil, pack.Job{}); ok {
 		t.Fatal("StagedHost must not claim a GPUDirect peer path")
 	}
 }
