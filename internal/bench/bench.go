@@ -61,8 +61,8 @@ type Table struct {
 	Rows   [][]string
 	// Host marks, per Header column, the cells that measure the host
 	// running the simulation (wall time, allocation) rather than the
-	// modeled system. They differ run to run, so a compared table goes
-	// through BlankHost first.
+	// modeled system. They differ run to run, so a compared table has
+	// them blanked first.
 	Host []bool
 }
 
@@ -75,22 +75,6 @@ func hostColumns(header []string, names ...string) []bool {
 		}
 	}
 	return host
-}
-
-// BlankHost returns a copy of t with every host cell written as "-": the
-// form the committed golden tables take.
-func (t *Table) BlankHost() *Table {
-	out := *t
-	out.Rows = make([][]string, len(t.Rows))
-	for r, row := range t.Rows {
-		out.Rows[r] = append([]string(nil), row...)
-		for i := range row {
-			if i < len(t.Host) && t.Host[i] {
-				out.Rows[r][i] = "-"
-			}
-		}
-	}
-	return &out
 }
 
 // Render writes tabs as ddtbench prints them. In text each table's

@@ -120,7 +120,7 @@ func TestChaosScale1024(t *testing.T) {
 	go func() { row <- chaosScaleRow(tab, 1024, mode) }()
 	t.Parallel()
 	tab.Rows = [][]string{<-row}
-	got := tab.BlankHost().Rows[0]
+	got := blankHost(tab).Rows[0]
 
 	raw, err := os.ReadFile(goldenPath("chaos-scale"))
 	if err != nil {
@@ -140,7 +140,7 @@ func checkGolden(t *testing.T, path string, tabs []*Table, prefix bool) string {
 	t.Helper()
 	var b strings.Builder
 	for _, tab := range tabs {
-		Render(&b, "text", []*Table{tab.BlankHost()})
+		Render(&b, "text", []*Table{blankHost(tab)})
 	}
 	got := b.String()
 	if *update {
@@ -226,4 +226,20 @@ func TestExperimentsMatchGoldens(t *testing.T) {
 	for title := range golden {
 		t.Errorf("EXPERIMENTS.md does not show the table %q", title)
 	}
+}
+
+// blankHost returns a copy of t with every host cell written as "-": the
+// form the committed golden tables take.
+func blankHost(t *Table) *Table {
+	out := *t
+	out.Rows = make([][]string, len(t.Rows))
+	for r, row := range t.Rows {
+		out.Rows[r] = append([]string(nil), row...)
+		for i := range row {
+			if i < len(t.Host) && t.Host[i] {
+				out.Rows[r][i] = "-"
+			}
+		}
+	}
+	return &out
 }

@@ -105,15 +105,6 @@ type Epoch struct {
 // Committed reports whether every live registered rank has contributed.
 func (e *Epoch) Committed() bool { return e != nil && e.want == 0 }
 
-// RankBytes is the logical snapshot size rank holds in this epoch.
-func (e *Epoch) RankBytes(rank int) int64 {
-	var n int64
-	for _, s := range e.snaps[rank] {
-		n += s.bytes()
-	}
-	return n
-}
-
 // RankSum folds the checksums of rank's snapshots into one value — a
 // fingerprint tests compare across capture/scribble/restore cycles. It
 // hashes the frozen snapshots on each call.

@@ -160,7 +160,7 @@ func TestMarkDeadShrinksQuorum(t *testing.T) {
 	if e == nil || !e.Committed() {
 		t.Fatal("epoch did not commit when the missing rank died")
 	}
-	if e.RankBytes(2) != 0 || e.RankBytes(0) != 64 {
+	if rankBytes(e, 2) != 0 || rankBytes(e, 0) != 64 {
 		t.Fatal("committed epoch has wrong per-rank contents")
 	}
 }
@@ -296,4 +296,13 @@ func TestRebindRestoreBuffer(t *testing.T) {
 			}
 		})
 	}
+}
+
+// rankBytes is the logical snapshot size rank holds in epoch e.
+func rankBytes(e *Epoch, rank int) int64 {
+	var n int64
+	for _, s := range e.snaps[rank] {
+		n += s.bytes()
+	}
+	return n
 }

@@ -250,6 +250,3 @@ func MustBuild(env *sim.Env, spec Spec) *Cluster {
 
 // Device returns GPU g of node n.
 func (c *Cluster) Device(n, g int) *gpu.Device { return c.Devices[n][g] }
-
-// TotalGPUs reports the GPU count.
-func (c *Cluster) TotalGPUs() int { return c.Spec.Nodes * c.Spec.GPUsPerNode }

@@ -73,9 +73,6 @@ var algorithmNames = [...]string{
 	"onesided-ring", "onesided-bruck",
 }
 
-// oneSided reports whether alg runs over the rma backend.
-func oneSided(alg Algorithm) bool { return alg == OneSidedRing || alg == OneSidedBruck }
-
 func (a Algorithm) String() string {
 	if int(a) < len(algorithmNames) {
 		return algorithmNames[a]
@@ -170,18 +167,11 @@ type Engine struct {
 	ids []int // 0..nodes*gpusPerNode-1; localRanks returns subslices
 }
 
-type shiftKey struct {
-	uid   int64
-	count int
-	off   int64
-}
-
 type rankState struct {
-	seq     int // collective-call sequence (tag derivation)
-	shifted map[shiftKey]*datatype.Layout
-	contig  map[[2]int64]*datatype.Layout
-	a2a     *a2aState // persistent one-sided Alltoallw negotiation (onesided.go)
-	hier    hierPlan  // the leader's hierarchical Alltoallw plan (alltoallw.go)
+	seq    int // collective-call sequence (tag derivation)
+	contig map[[2]int64]*datatype.Layout
+	a2a    *a2aState // persistent one-sided Alltoallw negotiation (onesided.go)
+	hier   hierPlan  // the leader's hierarchical Alltoallw plan (alltoallw.go)
 }
 
 // New builds the engine for a world.
@@ -203,8 +193,7 @@ func (e *Engine) state(id int) *rankState {
 	}
 	if e.ranks[id] == nil {
 		e.ranks[id] = &rankState{
-			shifted: make(map[shiftKey]*datatype.Layout),
-			contig:  make(map[[2]int64]*datatype.Layout),
+			contig: make(map[[2]int64]*datatype.Layout),
 		}
 	}
 	return e.ranks[id]
@@ -557,25 +546,6 @@ func (c *call) stagingExact(n int64) *gpu.Buffer {
 	b := c.r.Dev.StagingExact(int(max(n, 1)))
 	c.lent = append(c.lent, b)
 	return b
-}
-
-// shifted returns l's blocks repeated count times and displaced by off
-// bytes, committed as a reusable layout (cached per rank per signature).
-func (c *call) shifted(l *datatype.Layout, count int, off int64) *datatype.Layout {
-	key := shiftKey{uid: l.UID, count: count, off: off}
-	if sl, ok := c.st.shifted[key]; ok {
-		return sl
-	}
-	blocks := l.Repeat(count)
-	lens := make([]int, len(blocks))
-	displs := make([]int64, len(blocks))
-	for i, b := range blocks {
-		lens[i] = int(b.Len)
-		displs[i] = off + b.Offset
-	}
-	sl := datatype.Commit(datatype.Hindexed(lens, displs, datatype.Byte))
-	c.st.shifted[key] = sl
-	return sl
 }
 
 // bytesAt returns a contiguous n-byte layout at byte offset off (cached).

@@ -674,16 +674,6 @@ func Coalesce(raw []Block) []Block {
 // NumBlocks returns the contiguous-segment count of one element.
 func (l *Layout) NumBlocks() int { return len(l.Blocks) }
 
-// Density is payload bytes divided by extent — the paper's sparse layouts
-// (specfem) have low density and thousands of blocks; dense layouts
-// (NAS_MG, MILC) have few, fatter blocks.
-func (l *Layout) Density() float64 {
-	if l.ExtentBytes == 0 {
-		return 1
-	}
-	return float64(l.SizeBytes) / float64(l.ExtentBytes)
-}
-
 // Repeat returns the block list for `count` consecutive elements laid out
 // at extent stride, coalescing across element boundaries.
 func (l *Layout) Repeat(count int) []Block {
@@ -720,24 +710,6 @@ func (l *Layout) Unpack(src, dst []byte) int64 {
 	for _, b := range l.Blocks {
 		copy(dst[b.Offset:b.Offset+b.Len], src[r:r+b.Len])
 		r += b.Len
-	}
-	return r
-}
-
-// PackN packs count consecutive elements.
-func (l *Layout) PackN(src, dst []byte, count int) int64 {
-	var w int64
-	for i := 0; i < count; i++ {
-		w += l.Pack(src[int64(i)*l.ExtentBytes:], dst[w:])
-	}
-	return w
-}
-
-// UnpackN unpacks count consecutive elements.
-func (l *Layout) UnpackN(src, dst []byte, count int) int64 {
-	var r int64
-	for i := 0; i < count; i++ {
-		r += l.Unpack(src[r:], dst[int64(i)*l.ExtentBytes:])
 	}
 	return r
 }

@@ -199,14 +199,16 @@ func TestCommitUIDsUnique(t *testing.T) {
 	}
 }
 
+// TestDensity: payload bytes over extent is 1 for a contiguous layout and
+// under 1/2 for a sparse vector.
 func TestDensity(t *testing.T) {
 	dense := Commit(Contiguous(64, Byte))
-	if dense.Density() != 1 {
-		t.Fatalf("dense density = %f", dense.Density())
+	if dense.SizeBytes != dense.ExtentBytes {
+		t.Fatalf("dense layout: %d of %d bytes", dense.SizeBytes, dense.ExtentBytes)
 	}
 	sparse := Commit(Vector(4, 1, 16, Byte))
-	if d := sparse.Density(); d >= 0.5 {
-		t.Fatalf("sparse density = %f, want < 0.5", d)
+	if 2*sparse.SizeBytes >= sparse.ExtentBytes {
+		t.Fatalf("sparse layout: %d of %d bytes, want under half", sparse.SizeBytes, sparse.ExtentBytes)
 	}
 }
 
@@ -262,11 +264,11 @@ func TestPackNUnpackN(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	rng.Read(src)
 	packed := make([]byte, int(l.SizeBytes)*count)
-	if w := l.PackN(src, packed, count); w != l.SizeBytes*int64(count) {
+	if w := packN(l, src, packed, count); w != l.SizeBytes*int64(count) {
 		t.Fatalf("PackN wrote %d", w)
 	}
 	dst := make([]byte, len(src))
-	if r := l.UnpackN(packed, dst, count); r != l.SizeBytes*int64(count) {
+	if r := unpackN(l, packed, dst, count); r != l.SizeBytes*int64(count) {
 		t.Fatalf("UnpackN read %d", r)
 	}
 	for e := 0; e < count; e++ {
@@ -439,4 +441,22 @@ func TestResizedNegativePanics(t *testing.T) {
 		}
 	}()
 	Commit(tt)
+}
+
+// packN packs count consecutive elements of l.
+func packN(l *Layout, src, dst []byte, count int) int64 {
+	var w int64
+	for i := 0; i < count; i++ {
+		w += l.Pack(src[int64(i)*l.ExtentBytes:], dst[w:])
+	}
+	return w
+}
+
+// unpackN unpacks count consecutive elements of l.
+func unpackN(l *Layout, src, dst []byte, count int) int64 {
+	var r int64
+	for i := 0; i < count; i++ {
+		r += l.Unpack(src[r:], dst[int64(i)*l.ExtentBytes:])
+	}
+	return r
 }

@@ -71,21 +71,6 @@ func (f ReceiverFunc) Handle() { f(Delivery{}) }
 // Deliver calls f(d).
 func (f ReceiverFunc) Deliver(d Delivery) { f(d) }
 
-// arrival adapts a func() that ignores the verdict to Receiver.
-type arrival func()
-
-func (f arrival) Handle()          { f() }
-func (f arrival) Deliver(Delivery) { f() }
-
-// onArrive is the Receiver of a func form of a verb: nil for a nil func,
-// so nothing is queued.
-func onArrive(f func()) Receiver {
-	if f == nil {
-		return nil
-	}
-	return arrival(f)
-}
-
 // deliverAt queues h's arrival at t: h itself for a clean delivery, a
 // closure carrying the verdict otherwise.
 func deliverAt(env *sim.Env, t int64, h Receiver, d Delivery) {
@@ -124,9 +109,6 @@ type linkFaults struct {
 	drops, dups, corrupts, delays, flaps, degrades int64
 }
 
-// Spec returns the link's channel parameters.
-func (l *Link) Spec() LinkSpec { return *l.spec }
-
 // Name is the spec's name, suffixed [from->to].
 func (l *Link) Name() string {
 	return fmt.Sprintf("%s[%d->%d]", l.spec.Name, l.from, l.to)
@@ -144,22 +126,16 @@ func (l *Link) InjectFaults(site *fault.Site) {
 	l.faults.site = site
 }
 
-// Transfer schedules bytes onto the link. The payload occupies the link for
-// its serialization time starting when the link frees up; arrive runs (in
-// scheduler context) one latency after serialization completes. Transfer
-// itself costs the caller nothing — callers model their own CPU posting
-// cost. It returns the arrival time.
-func (l *Link) Transfer(bytes int64, arrive func()) int64 {
-	return l.TransferR(bytes, onArrive(arrive))
-}
-
-// TransferR is Transfer with fault visibility, delivering to h (nil:
-// nothing is delivered). Under an installed fault site the message may be
-// dropped (nothing is delivered), duplicated (delivered twice, the second
-// with Dup set), delayed, or corrupted; the link itself may flap (traffic
-// queues until it returns) or degrade (reduced bandwidth window). Returns
-// the nominal arrival time.
-func (l *Link) TransferR(bytes int64, h Receiver) int64 {
+// Transfer schedules bytes onto the link, delivering to h (nil: nothing is
+// delivered). The payload occupies the link for its serialization time
+// starting when the link frees up; h receives it (in scheduler context)
+// one latency after serialization completes. Transfer itself costs the
+// caller nothing — callers model their own CPU posting cost. Under an
+// installed fault site the message may be dropped (nothing is delivered),
+// duplicated (delivered twice, the second with Dup set), delayed, or
+// corrupted; the link itself may flap (traffic queues until it returns) or
+// degrade (reduced bandwidth window). Returns the nominal arrival time.
+func (l *Link) Transfer(bytes int64, h Receiver) int64 {
 	now := l.env.Now()
 	start := now
 	if l.busyUntil > start {
@@ -234,9 +210,6 @@ func (l *Link) TransferR(bytes int64, h Receiver) int64 {
 	return arrive
 }
 
-// BusyUntil reports when the link's serialization queue drains.
-func (l *Link) BusyUntil() int64 { return l.busyUntil }
-
 // NetworkSpec configures an inter-node network.
 type NetworkSpec struct {
 	Nodes int
@@ -292,15 +265,6 @@ func NewNetwork(env *sim.Env, spec NetworkSpec) (*Network, error) {
 	return n, nil
 }
 
-// MustNetwork is NewNetwork panicking on an invalid spec.
-func MustNetwork(env *sim.Env, spec NetworkSpec) *Network {
-	n, err := NewNetwork(env, spec)
-	if err != nil {
-		panic(err.Error())
-	}
-	return n
-}
-
 // eachLink calls f on every directional link in (from, to) order.
 func (n *Network) eachLink(f func(*Link)) {
 	for i := range n.links {
@@ -331,13 +295,6 @@ func (n *Network) InjectFaults(inj *fault.Injector) {
 	})
 }
 
-// Links returns all directional links in (from, to) order.
-func (n *Network) Links() []*Link {
-	out := make([]*Link, 0, len(n.links)-n.Spec.Nodes)
-	n.eachLink(func(l *Link) { out = append(out, l) })
-	return out
-}
-
 // LinkBetween returns the directional link from node a to node b.
 func (n *Network) LinkBetween(a, b int) *Link {
 	nodes := n.Spec.Nodes
@@ -364,16 +321,12 @@ func (n *Network) PostV(p *sim.Proc) error {
 	return nil
 }
 
-// Send ships bytes from node `from` to node `to`. deliver runs at the
-// receiver when the message arrives. The caller should have paid Post.
-// Loopback (from == to) delivers after a small constant memcpy-like delay.
-func (n *Network) Send(from, to int, bytes int64, deliver func()) int64 {
-	return n.SendR(from, to, bytes, onArrive(deliver))
-}
-
-// SendR is Send with fault visibility, delivering to h (see
-// Link.TransferR). Loopback is a shared-memory copy and never faults.
-func (n *Network) SendR(from, to int, bytes int64, h Receiver) int64 {
+// Send ships bytes from node `from` to node `to`, delivering to h when the
+// message arrives (see Link.Transfer). The caller should have paid Post.
+// Loopback (from == to) is a shared-memory copy: it delivers after a small
+// constant memcpy-like delay and never faults. An RDMA write is a send on
+// the wire: one payload leg.
+func (n *Network) Send(from, to int, bytes int64, h Receiver) int64 {
 	if from == to {
 		arrive := n.env.Now() + n.Spec.Link.PerMessageNs
 		if h != nil {
@@ -381,36 +334,19 @@ func (n *Network) SendR(from, to int, bytes int64, h Receiver) int64 {
 		}
 		return arrive
 	}
-	return n.LinkBetween(from, to).TransferR(bytes, h)
+	return n.LinkBetween(from, to).Transfer(bytes, h)
 }
 
-// RDMARead issues a one-sided read of `bytes` from node `target` into node
-// `reader`: a control request travels reader->target, then the payload
-// travels target->reader. onDone runs at the reader when data lands.
-func (n *Network) RDMARead(reader, target int, bytes int64, onDone func()) {
-	n.RDMAReadR(reader, target, bytes, onArrive(onDone))
-}
-
-// RDMAReadR is RDMARead with fault visibility, delivering the payload leg
-// to h. A dropped or corrupted control leg silently aborts the read (the
-// HCA's CRC rejects the request); payload-leg faults surface through
-// h.Deliver.
-func (n *Network) RDMAReadR(reader, target int, bytes int64, h Receiver) {
-	n.RDMAReadBy(reader, target, ReceiverFunc(func(d Delivery) {
-		if d.Corrupt || d.Dup {
-			return // corrupted ctrl request rejected; dup ctrl ignored
-		}
-		n.RDMAReadReply(target, reader, bytes, h)
-	}), h)
-}
-
-// RDMAReadBy is RDMAReadR for a read whose own object receives both legs,
-// as a message receives its own delivery, so the read makes no closure.
-// ctrl receives the control request at the target: on a clean arrival it
-// answers with RDMAReadReply, and it ignores a corrupted or duplicated
-// request (the HCA's CRC rejects it; a duplicate asks for nothing new). A
-// loopback read has no control leg: data receives the payload after the
-// shared-memory copy delay.
+// RDMAReadBy issues a one-sided read from node target into node reader: a
+// control request travels reader->target, then the payload travels
+// target->reader. The read's own object receives both legs, as a message
+// receives its own delivery, so the read makes no closure. ctrl receives
+// the control request at the target: on a clean arrival it answers with
+// RDMAReadReply, and it ignores a corrupted or duplicated request (the
+// HCA's CRC rejects it; a duplicate asks for nothing new), so a dropped or
+// corrupted control leg silently aborts the read. Payload-leg faults reach
+// data.Deliver. A loopback read has no control leg: data receives the
+// payload after the shared-memory copy delay.
 func (n *Network) RDMAReadBy(reader, target int, ctrl, data Receiver) {
 	if reader == target {
 		arrive := n.env.Now() + n.Spec.Link.PerMessageNs
@@ -419,26 +355,13 @@ func (n *Network) RDMAReadBy(reader, target int, ctrl, data Receiver) {
 		}
 		return
 	}
-	n.LinkBetween(reader, target).TransferR(n.Spec.CtrlBytes, ctrl)
+	n.LinkBetween(reader, target).Transfer(n.Spec.CtrlBytes, ctrl)
 }
 
 // RDMAReadReply sends an RDMA read's payload leg of bytes from node target
 // back to node reader, delivered to h.
 func (n *Network) RDMAReadReply(target, reader int, bytes int64, h Receiver) {
-	n.LinkBetween(target, reader).TransferR(bytes, h)
-}
-
-// RDMAWrite issues a one-sided write of `bytes` from node `writer` to node
-// `target`. onPlaced runs at the target when data lands.
-func (n *Network) RDMAWrite(writer, target int, bytes int64, onPlaced func()) {
-	n.SendR(writer, target, bytes, onArrive(onPlaced))
-}
-
-// RDMAWriteR is RDMAWrite with fault visibility, delivering to h. On the
-// wire a write is a send: one payload leg, loopback as a shared-memory
-// copy.
-func (n *Network) RDMAWriteR(writer, target int, bytes int64, h Receiver) {
-	n.SendR(writer, target, bytes, h)
+	n.LinkBetween(target, reader).Transfer(bytes, h)
 }
 
 // TotalBytes sums payload bytes across all links (for tests/metrics).

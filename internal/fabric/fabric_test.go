@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -16,7 +17,16 @@ func edrSpec() LinkSpec {
 
 // testLink is the 0->1 link of a two-node network whose links are spec.
 func testLink(env *sim.Env, spec LinkSpec) *Link {
-	return MustNetwork(env, NetworkSpec{Nodes: 2, Link: spec}).LinkBetween(0, 1)
+	n, err := NewNetwork(env, NetworkSpec{Nodes: 2, Link: spec})
+	if err != nil {
+		panic(err)
+	}
+	return n.LinkBetween(0, 1)
+}
+
+// arriveAt is a receiver that records when it receives a message in at.
+func arriveAt(env *sim.Env, at *int64) Receiver {
+	return ReceiverFunc(func(Delivery) { *at = env.Now() })
 }
 
 func TestLinkTransferTiming(t *testing.T) {
@@ -24,7 +34,7 @@ func TestLinkTransferTiming(t *testing.T) {
 	l := testLink(env, edrSpec())
 	var arrived int64 = -1
 	env.Spawn("sender", func(p *sim.Proc) {
-		l.Transfer(25_000, func() { arrived = env.Now() })
+		l.Transfer(25_000, arriveAt(env, &arrived))
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -40,8 +50,8 @@ func TestLinkSerializesBackToBack(t *testing.T) {
 	l := testLink(env, edrSpec())
 	var first, second int64
 	env.Spawn("sender", func(p *sim.Proc) {
-		l.Transfer(25_000, func() { first = env.Now() })
-		l.Transfer(25_000, func() { second = env.Now() })
+		l.Transfer(25_000, arriveAt(env, &first))
+		l.Transfer(25_000, arriveAt(env, &second))
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -57,8 +67,8 @@ func TestLatencyPipelines(t *testing.T) {
 	l := testLink(env, LinkSpec{Name: "x", LatencyNs: 10_000, BWBytesPerNs: 25, PerMessageNs: 100})
 	var a1, a2 int64
 	env.Spawn("sender", func(p *sim.Proc) {
-		l.Transfer(25, func() { a1 = env.Now() })
-		l.Transfer(25, func() { a2 = env.Now() })
+		l.Transfer(25, arriveAt(env, &a1))
+		l.Transfer(25, arriveAt(env, &a2))
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -68,27 +78,30 @@ func TestLatencyPipelines(t *testing.T) {
 	}
 }
 
+// TestBadLinkSpecPanics: a zero-bandwidth link spec fails Validate, and
+// NewNetwork rejects it before building a link.
 func TestBadLinkSpecPanics(t *testing.T) {
-	if err := (LinkSpec{Name: "bad", BWBytesPerNs: 0}).Validate(); err == nil {
+	bad := LinkSpec{Name: "bad", BWBytesPerNs: 0}
+	if err := bad.Validate(); err == nil {
 		t.Fatal("expected validation error")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected MustNetwork panic")
-		}
-	}()
-	testLink(sim.NewEnv(), LinkSpec{Name: "bad", BWBytesPerNs: 0})
+	if _, err := NewNetwork(sim.NewEnv(), NetworkSpec{Nodes: 2, Link: bad}); err == nil {
+		t.Fatal("NewNetwork accepted a zero-bandwidth link")
+	}
 }
 
 func newTestNetwork(t *testing.T) (*sim.Env, *Network) {
 	t.Helper()
 	env := sim.NewEnv()
-	n := MustNetwork(env, NetworkSpec{
+	n, err := NewNetwork(env, NetworkSpec{
 		Nodes:      3,
 		Link:       edrSpec(),
 		PostCostNs: 200,
 		CtrlBytes:  64,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return env, n
 }
 
@@ -97,7 +110,7 @@ func TestNetworkSendDelivers(t *testing.T) {
 	var at int64 = -1
 	env.Spawn("s", func(p *sim.Proc) {
 		n.Post(p)
-		n.Send(0, 1, 1000, func() { at = env.Now() })
+		n.Send(0, 1, 1000, arriveAt(env, &at))
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -113,7 +126,7 @@ func TestNetworkLoopback(t *testing.T) {
 	env, n := newTestNetwork(t)
 	var at int64 = -1
 	env.Spawn("s", func(p *sim.Proc) {
-		n.Send(2, 2, 1<<20, func() { at = env.Now() })
+		n.Send(2, 2, 1<<20, arriveAt(env, &at))
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -123,37 +136,46 @@ func TestNetworkLoopback(t *testing.T) {
 	}
 }
 
+// wantRead is when an RDMA read of bytes issued at time 0 on an idle
+// network lands: the control leg's serialization and latency, then the
+// payload's. A loopback read pays one per-message cost.
+func wantRead(n *Network, reader, target int, bytes int64) int64 {
+	s := n.Spec.Link
+	if reader == target {
+		return s.PerMessageNs
+	}
+	ser := func(b int64) int64 { return s.PerMessageNs + int64(math.Ceil(float64(b)/s.BWBytesPerNs)) }
+	return ser(n.Spec.CtrlBytes) + s.LatencyNs + ser(bytes) + s.LatencyNs
+}
+
 func TestRDMAReadRoundTrip(t *testing.T) {
 	env, n := newTestNetwork(t)
-	var at int64 = -1
-	env.Spawn("r", func(p *sim.Proc) {
-		n.RDMARead(0, 1, 25_000, func() { at = env.Now() })
-	})
+	o := newReadObject(n, 0, 1, 25_000)
+	env.Spawn("r", func(p *sim.Proc) { o.issue() })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// ctrl: 300 + 64/25(=3) + 1000 = 1303(ceil 1303?) then data: 300+1000+1000
-	// = two latencies + two serializations; just assert both directions paid.
+	// ctrl: 300 + ceil(64/25) + 1000 = 1303, then data: 300 + 1000 + 1000,
+	// so 3603: two latencies and two serializations.
 	oneWay := int64(300 + 1000 + 1000) // data only
-	if at <= oneWay {
-		t.Fatalf("RDMA read at %d, should include request leg (> %d)", at, oneWay)
+	if o.landed <= oneWay || o.landed != 3603 {
+		t.Fatalf("RDMA read at %d, should include request leg (> %d) and land at 3603", o.landed, oneWay)
 	}
 }
 
 func TestRDMAWriteOneWay(t *testing.T) {
 	env, n := newTestNetwork(t)
-	var readAt, writeAt int64
-	env.Spawn("r", func(p *sim.Proc) {
-		n.RDMARead(0, 1, 25_000, func() { readAt = env.Now() })
-	})
+	var writeAt int64
+	read := newReadObject(n, 0, 1, 25_000)
+	env.Spawn("r", func(p *sim.Proc) { read.issue() })
 	env.Spawn("w", func(p *sim.Proc) {
-		n.RDMAWrite(2, 1, 25_000, func() { writeAt = env.Now() })
+		n.Send(2, 1, 25_000, arriveAt(env, &writeAt)) // an RDMA write is a send
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if writeAt >= readAt {
-		t.Fatalf("one-way write (%d) should beat read round trip (%d)", writeAt, readAt)
+	if writeAt >= read.landed {
+		t.Fatalf("one-way write (%d) should beat read round trip (%d)", writeAt, read.landed)
 	}
 }
 
@@ -161,8 +183,8 @@ func TestDistinctDirectionsDoNotContend(t *testing.T) {
 	env, n := newTestNetwork(t)
 	var a01, a10 int64
 	env.Spawn("s", func(p *sim.Proc) {
-		n.Send(0, 1, 250_000, func() { a01 = env.Now() })
-		n.Send(1, 0, 250_000, func() { a10 = env.Now() })
+		n.Send(0, 1, 250_000, arriveAt(env, &a01))
+		n.Send(1, 0, 250_000, arriveAt(env, &a10))
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -176,8 +198,8 @@ func TestSameDirectionContends(t *testing.T) {
 	env, n := newTestNetwork(t)
 	var a1, a2 int64
 	env.Spawn("s", func(p *sim.Proc) {
-		n.Send(0, 1, 250_000, func() { a1 = env.Now() })
-		n.Send(0, 1, 250_000, func() { a2 = env.Now() })
+		n.Send(0, 1, 250_000, arriveAt(env, &a1))
+		n.Send(0, 1, 250_000, arriveAt(env, &a2))
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -230,9 +252,7 @@ func TestLinkNames(t *testing.T) {
 		t.Errorf("crossbar link name %q", got)
 	}
 	var names []string
-	for _, l := range n.Links() {
-		names = append(names, l.Name())
-	}
+	n.eachLink(func(l *Link) { names = append(names, l.Name()) })
 	want := "IB-EDR[0->1] IB-EDR[0->2] IB-EDR[1->0] IB-EDR[1->2] IB-EDR[2->0] IB-EDR[2->1]"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("links %s, want %s", got, want)
@@ -251,7 +271,9 @@ func TestCrossbarBuildAllocs(t *testing.T) {
 	build := func(nodes int) float64 {
 		env := sim.NewEnv()
 		return testing.AllocsPerRun(20, func() {
-			MustNetwork(env, NetworkSpec{Nodes: nodes, Link: edrSpec()})
+			if _, err := NewNetwork(env, NetworkSpec{Nodes: nodes, Link: edrSpec()}); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 	small, large := build(16), build(256)
@@ -272,7 +294,7 @@ func TestPropertyTransferMonotone(t *testing.T) {
 		var expected int64
 		for _, s := range sizes {
 			b := int64(s) + 1
-			expected += l.Spec().PerMessageNs + (b+int64(l.Spec().BWBytesPerNs)-1)/int64(l.Spec().BWBytesPerNs)
+			expected += l.spec.PerMessageNs + (b+int64(l.spec.BWBytesPerNs)-1)/int64(l.spec.BWBytesPerNs)
 			l.Transfer(b, nil)
 		}
 		if err := env.Run(); err != nil {
@@ -280,7 +302,7 @@ func TestPropertyTransferMonotone(t *testing.T) {
 		}
 		// ceil in the model vs integer arithmetic here: allow exact match
 		// by recomputing with the same formula.
-		return l.BusyUntil() == expected
+		return l.busyUntil == expected
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -292,13 +314,21 @@ func TestPropertyTransferMonotone(t *testing.T) {
 type readObject struct {
 	n              *Network
 	reader, target int
+	bytes          int64
 	landed         int64
 }
+
+func newReadObject(n *Network, reader, target int, bytes int64) *readObject {
+	return &readObject{n: n, reader: reader, target: target, bytes: bytes, landed: -1}
+}
+
+// issue reads o.bytes from o.target into o.reader.
+func (o *readObject) issue() { o.n.RDMAReadBy(o.reader, o.target, (*readCtrl)(o), o) }
 
 type readCtrl readObject
 
 func (c *readCtrl) Handle() {
-	c.n.RDMAReadReply(c.target, c.reader, 25_000, (*readObject)(c))
+	c.n.RDMAReadReply(c.target, c.reader, c.bytes, (*readObject)(c))
 }
 func (c *readCtrl) Deliver(d Delivery) {
 	if !d.Corrupt && !d.Dup {
@@ -310,26 +340,18 @@ func (o *readObject) Handle()          { o.landed = o.n.env.Now() }
 func (o *readObject) Deliver(Delivery) { o.Handle() }
 
 // TestRDMAReadByMatchesRDMARead checks that a read whose object receives
-// both legs lands when the closure form does, over a link and in
-// loopback.
+// both legs lands when the link arithmetic says a read does, over a link
+// and in loopback.
 func TestRDMAReadByMatchesRDMARead(t *testing.T) {
 	for _, target := range []int{1, 0} {
 		env, n := newTestNetwork(t)
-		want := int64(-1)
-		env.Spawn("r", func(p *sim.Proc) {
-			n.RDMARead(0, target, 25_000, func() { want = env.Now() })
-		})
+		o := newReadObject(n, 0, target, 25_000)
+		env.Spawn("r", func(p *sim.Proc) { o.issue() })
 		if err := env.Run(); err != nil {
 			t.Fatal(err)
 		}
-		env, n = newTestNetwork(t)
-		o := &readObject{n: n, reader: 0, target: target, landed: -1}
-		env.Spawn("r", func(p *sim.Proc) { n.RDMAReadBy(0, target, (*readCtrl)(o), o) })
-		if err := env.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if o.landed != want || want < 0 {
-			t.Errorf("target %d: RDMAReadBy landed at %d, RDMARead at %d", target, o.landed, want)
+		if want := wantRead(n, 0, target, 25_000); o.landed != want {
+			t.Errorf("target %d: RDMAReadBy landed at %d, want %d", target, o.landed, want)
 		}
 	}
 }

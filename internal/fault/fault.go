@@ -18,7 +18,6 @@ package fault
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -191,19 +190,6 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-// Enabled reports whether the plan can inject any fault at all.
-func (p *Plan) Enabled() bool {
-	if p == nil {
-		return false
-	}
-	for _, v := range p.probs() {
-		if v > 0 {
-			return true
-		}
-	}
-	return len(p.Proc.Crashes) > 0
-}
-
 // HasCrashes reports whether the plan kills any rank. Crash plans are not
 // delivery-recoverable: survivors see typed failures instead of byte-exact
 // delivery, so recoverable-chaos sweeps must treat them separately.
@@ -347,14 +333,6 @@ type Site struct {
 	inj   *Injector
 	name  string
 	state uint64
-}
-
-// Name returns the site's name. Nil-safe.
-func (s *Site) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
 }
 
 // Plan returns the owning injector's normalized plan. Nil-safe (nil plan).
@@ -605,18 +583,4 @@ func ParsePlan(spec string) (*Plan, error) {
 		return nil, err
 	}
 	return p, nil
-}
-
-// SortedSiteNames returns the injector's site names in sorted order (for
-// deterministic diagnostics).
-func (i *Injector) SortedSiteNames() []string {
-	if i == nil {
-		return nil
-	}
-	names := make([]string, 0, len(i.sites))
-	for n := range i.sites {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -109,7 +109,7 @@ func TestSchedulerAutoTuneAdjustsThreshold(t *testing.T) {
 	tuner := NewAutoTuner(16 << 10)
 	tuner.Window = 8
 	s.EnableAutoTune(tuner)
-	if s.Config().ThresholdBytes != tuner.Threshold() {
+	if s.cfg.ThresholdBytes != tuner.Threshold() {
 		t.Fatal("EnableAutoTune must adopt the tuner's threshold")
 	}
 	env.Spawn("pe", func(p *sim.Proc) {
@@ -134,7 +134,7 @@ func TestSchedulerAutoTuneAdjustsThreshold(t *testing.T) {
 	if tuner.Moves == 0 {
 		t.Fatal("tuner never moved under live traffic")
 	}
-	if s.Config().ThresholdBytes != tuner.Threshold() {
+	if s.cfg.ThresholdBytes != tuner.Threshold() {
 		t.Fatal("scheduler threshold out of sync with tuner")
 	}
 }

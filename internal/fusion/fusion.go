@@ -221,9 +221,6 @@ func NewScheduler(dev *gpu.Device, stream *gpu.Stream, cfg Config) *Scheduler {
 	return s
 }
 
-// Config returns the active configuration.
-func (s *Scheduler) Config() Config { return s.cfg }
-
 // PendingCount reports how many requests await fusion.
 func (s *Scheduler) PendingCount() int { return len(s.pending) }
 
@@ -594,16 +591,6 @@ func (s *Scheduler) grow() {
 		s.free = &block[i]
 	}
 	s.made += len(block)
-}
-
-// RequestLatency reports enqueue→completion time for a finished entry that
-// has not been released yet; ok is false otherwise.
-func (s *Scheduler) RequestLatency(uid int64) (int64, bool) {
-	e := s.lookup(uid)
-	if e == nil || e.respStatus != StatusCompleted {
-		return 0, false
-	}
-	return e.done.At() - e.enqueuedAt, true
 }
 
 // addTraceAt accrues a cost to the Breakdown and mirrors it as a

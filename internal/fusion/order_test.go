@@ -32,7 +32,7 @@ func TestMixedBatchCompletionOrder(t *testing.T) {
 		t.Run(fmt.Sprintf("traced=%v", traced), func(t *testing.T) {
 			env, dev, s := newSched(Config{ThresholdBytes: 1 << 40})
 			if traced {
-				dev.TL = timeline.NewRecorder(0, 0)
+				dev.TL = timeline.NewRecorder(0)
 			}
 			small := func() *pack.Job { j, _ := mkPackJob(dev, 1, 8, 4); return j }
 			ipc, _ := mkPackJob(dev, 5, 16, 4)
@@ -59,7 +59,9 @@ func TestMixedBatchCompletionOrder(t *testing.T) {
 						})
 					}
 					s.Flush(p)
-					p.WaitAll(evs...)
+					for _, ev := range evs {
+						p.Wait(ev)
+					}
 					p.Sleep(1) // let the last waiters record
 				}
 			})

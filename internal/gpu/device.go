@@ -267,16 +267,6 @@ type Stream struct {
 	durs []int64
 }
 
-// Name returns the stream name.
-func (s *Stream) Name() string { return s.name }
-
-// Device returns the owning device.
-func (s *Stream) Device() *Device { return s.dev }
-
-// BusyUntil reports the virtual time at which all currently enqueued work
-// retires.
-func (s *Stream) BusyUntil() int64 { return s.busyUntil }
-
 // Completion describes one retired (or in-flight) stream operation. Its
 // retirement is a flag set at End; an event exists only once a caller asks
 // to wait (Event).
@@ -563,7 +553,6 @@ func (k CopyKind) opName() string {
 type Event struct {
 	dev *Device
 	ev  *sim.Event
-	at  int64
 }
 
 // Record places an event after all work currently enqueued on the stream.
@@ -576,7 +565,7 @@ func (s *Stream) Record(p *sim.Proc, name string) *Event {
 	if s.busyUntil > at {
 		at = s.busyUntil
 	}
-	e := &Event{dev: d, ev: d.env.NewEvent("gpuev:" + name), at: at}
+	e := &Event{dev: d, ev: d.env.NewEvent("gpuev:" + name)}
 	if at <= d.env.Now() {
 		e.ev.Fire()
 	} else {
@@ -592,16 +581,6 @@ func (e *Event) Query(p *sim.Proc) bool {
 	e.dev.Stats.EventQueries++
 	return e.ev.Fired()
 }
-
-// Synchronize blocks until the event fires (cudaEventSynchronize).
-func (e *Event) Synchronize(p *sim.Proc) {
-	p.Sleep(e.dev.Arch.StreamSyncBaseNs)
-	e.dev.Stats.StreamSyncs++
-	p.Wait(e.ev)
-}
-
-// Done reports the event state without any API cost (for assertions).
-func (e *Event) Done() bool { return e.ev.Fired() }
 
 // Synchronize blocks the proc until all work enqueued on the stream at call
 // time retires (cudaStreamSynchronize).

@@ -174,9 +174,9 @@ func TestEventRecordQuerySync(t *testing.T) {
 		if ev.Query(p) {
 			t.Error("event fired while kernel still running")
 		}
-		ev.Synchronize(p)
+		p.Wait(ev.ev)
 		if !ev.Query(p) {
-			t.Error("event not fired after synchronize")
+			t.Error("event not fired after a wait on it")
 		}
 		if p.Now() < c.End {
 			t.Errorf("sync returned at %d before kernel end %d", p.Now(), c.End)
@@ -195,7 +195,7 @@ func TestRecordOnIdleStreamFiresImmediately(t *testing.T) {
 	st := d.NewStream("s0")
 	env.Spawn("host", func(p *sim.Proc) {
 		ev := st.Record(p, "idle")
-		if !ev.Done() {
+		if !ev.ev.Fired() {
 			t.Error("event on idle stream should fire immediately")
 		}
 	})

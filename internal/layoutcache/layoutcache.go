@@ -123,9 +123,6 @@ func New() *Cache {
 	return &Cache{items: make(map[Key]*Entry)}
 }
 
-// Len reports the number of cached entries.
-func (c *Cache) Len() int { return len(c.items) }
-
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() Stats {
 	return Stats{Hits: c.Hits, Misses: c.Misses, Compiled: c.Compiled}

@@ -62,8 +62,8 @@ func TestUnboundedCacheNeverEvicts(t *testing.T) {
 		// all canonically equal.
 		c.Get(vecLayout(), i+1)
 	}
-	if c.Len() != 100 {
-		t.Fatalf("len = %d, want 100", c.Len())
+	if len(c.items) != 100 {
+		t.Fatalf("len = %d, want 100", len(c.items))
 	}
 }
 
@@ -92,8 +92,8 @@ func TestEquivalentSpellingsShareEntry(t *testing.T) {
 	if got := c.Stats().TotalCompiled(); got != compiledAfterFirst {
 		t.Fatalf("recompiled: %d plans after hit, want %d", got, compiledAfterFirst)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("len = %d, want 1", c.Len())
+	if len(c.items) != 1 {
+		t.Fatalf("len = %d, want 1", len(c.items))
 	}
 }
 

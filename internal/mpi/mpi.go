@@ -460,14 +460,16 @@ func (r *Rank) World() *World { return r.world }
 
 // Timeline returns the rank's recorder (nil when tracing is disabled). A nil
 // recorder is valid and fully disabled, so callers may use it unguarded for
-// emission — but must guard any event-name/arg construction behind Enabled.
+// emission — but must build any event name or args only when it is not nil.
 func (r *Rank) Timeline() *timeline.Recorder { return r.tl }
 
 // Charge accrues d nanoseconds of category cat to the rank's Breakdown and,
 // when tracing is on, mirrors it as a cost-carrying timeline span starting at
-// start. All Breakdown charges in the runtime and the schemes route through
-// here (or through the fusion scheduler's equivalent), which is what makes
-// timeline per-category sums reconcile exactly with TraceOf.
+// start. Every Breakdown charge pairs the two the same way, which is what
+// makes timeline per-category sums reconcile exactly with TraceOf: here, in
+// ChargeFault and ChargeFailure, rma's (*Endpoint).charge, coll's
+// collCharge, the facade's (*RankCtx).chargeCkpt, and the fusion
+// scheduler's addTraceAt and chargeRetrans.
 func (r *Rank) Charge(cat trace.Category, name string, start, d int64) {
 	r.Trace.Add(cat, d)
 	if r.tl != nil {
@@ -480,9 +482,6 @@ func (r *Rank) SchemeName() string { return r.scheme.Name() }
 
 // Scheme exposes the rank's DDT scheme (tests, ablations).
 func (r *Rank) Scheme() Scheme { return r.scheme }
-
-// Cache exposes the rank's layout cache (stats, tests).
-func (r *Rank) Cache() *layoutcache.Cache { return r.cache }
 
 // reqState is the request state machine position.
 type reqState uint8
@@ -579,7 +578,7 @@ type message struct {
 // m itself as the fabric receiver, and returns the arrival time.
 func (r *Rank) sendMsg(bytes int64, m *message) int64 {
 	m.dst = r.world.ranks[m.to]
-	return r.world.Cluster.Net.SendR(r.node, m.dst.node, bytes, m)
+	return r.world.Cluster.Net.Send(r.node, m.dst.node, bytes, m)
 }
 
 // Handle is a clean arrival of a message sent by sendMsg.
@@ -903,7 +902,7 @@ func (r *Rank) signal(p *sim.Proc, q *Request, kind msgKind) {
 	net := r.world.Cluster.Net
 	net.Post(p)
 	t0 := p.Now()
-	arrive := net.SendR(r.node, r.world.ranks[m.from].node, net.Spec.CtrlBytes, to)
+	arrive := net.Send(r.node, r.world.ranks[m.from].node, net.Spec.CtrlBytes, to)
 	r.ctrlSpan(kind, int(m.from), q.tag, t0, arrive)
 }
 
@@ -1251,7 +1250,7 @@ func (r *Rank) progressSend(p *sim.Proc, q *Request) {
 				peer := r.world.ranks[q.peer]
 				recvReq := q.peerRecv
 				t0 := p.Now()
-				net.RDMAWrite(r.node, peer.node, q.bytes, func() {
+				net.Send(r.node, peer.node, q.bytes, fabric.ReceiverFunc(func(fabric.Delivery) {
 					if recvReq != nil {
 						sb, so := q.srcBuf()
 						gpu.CopyRange(recvReq.packed, 0, sb, so, q.bytes)
@@ -1263,7 +1262,7 @@ func (r *Rank) progressSend(p *sim.Proc, q *Request) {
 							timeline.Arg{Key: "peer", Val: strconv.Itoa(q.peer)},
 							timeline.Arg{Key: "bytes", Val: strconv.FormatInt(q.bytes, 10)})
 					}
-				})
+				}))
 			}
 			return
 		}

@@ -370,7 +370,7 @@ func TestLayoutCacheHitsOnRepeatedSends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := w.Rank(0).Cache()
+	c := w.Rank(0).CacheStats()
 	if c.Misses != 1 || c.Hits != 4 {
 		t.Fatalf("cache: %d hits %d misses, want 4/1", c.Hits, c.Misses)
 	}

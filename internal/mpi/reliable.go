@@ -281,7 +281,7 @@ func (r *Rank) transmit(p *sim.Proc, pm *pendingMsg, retrans bool) {
 func (r *Rank) sendAck(m *message) {
 	net := r.world.Cluster.Net
 	dst := r.world.ranks[m.from]
-	net.SendR(r.node, dst.node, net.Spec.CtrlBytes, &ackFrame{dst: dst, id: m.id})
+	net.Send(r.node, dst.node, net.Spec.CtrlBytes, &ackFrame{dst: dst, id: m.id})
 }
 
 // ackFrame is an ack in flight: the rank it returns to and the message id
@@ -431,7 +431,7 @@ func (r *Rank) notifyPeer(q *Request) {
 	}
 	m := &message{kind: mkErr, from: int32(r.id), to: int32(q.peer), tag: q.tag, receiver: target, bytes: q.bytes, sseq: q.sseq}
 	net := r.world.Cluster.Net
-	net.SendR(r.node, r.world.ranks[q.peer].node, net.Spec.CtrlBytes, fabric.ReceiverFunc(func(d fabric.Delivery) {
+	net.Send(r.node, r.world.ranks[q.peer].node, net.Spec.CtrlBytes, fabric.ReceiverFunc(func(d fabric.Delivery) {
 		if d.Corrupt || d.Dup {
 			return
 		}
@@ -601,7 +601,7 @@ func (r *Rank) issueWrite(p *sim.Proc, q *Request, retrans bool) {
 	net := r.world.Cluster.Net
 	peerNode := r.world.ranks[q.peer].node
 	sb, so := q.srcBuf()
-	net.RDMAWriteR(r.node, peerNode, q.bytes, fabric.ReceiverFunc(func(d fabric.Delivery) {
+	net.Send(r.node, peerNode, q.bytes, fabric.ReceiverFunc(func(d fabric.Delivery) {
 		if q.finHere || d.Dup || q.settled() {
 			return
 		}

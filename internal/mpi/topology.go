@@ -41,9 +41,6 @@ func (w *World) CartCreate(dims []int, periods []bool) *CartComm {
 	}
 }
 
-// Size returns the number of ranks in the topology.
-func (c *CartComm) Size() int { return c.size }
-
 // Dims returns a copy of the grid dimensions.
 func (c *CartComm) Dims() []int { return append([]int(nil), c.dims...) }
 
@@ -94,22 +91,6 @@ func (c *CartComm) Shift(rank, axis, disp int) (src, dst int) {
 	down := append([]int(nil), coords...)
 	down[axis] -= disp
 	return c.RankOf(down), c.RankOf(up)
-}
-
-// Neighbors lists the distinct valid face neighbors (±1 along every axis)
-// of rank in axis order: -x, +x, -y, +y, ... (skipping PROC_NULL).
-func (c *CartComm) Neighbors(rank int) []int {
-	var out []int
-	for a := range c.dims {
-		src, dst := c.Shift(rank, a, 1)
-		if src >= 0 {
-			out = append(out, src)
-		}
-		if dst >= 0 {
-			out = append(out, dst)
-		}
-	}
-	return out
 }
 
 // NeighborOp describes one leg of a neighborhood exchange: what to send to

@@ -529,7 +529,7 @@ func (c *Comm) flood(r *Rank) {
 		if wr == r.id || w.crashed[wr] {
 			continue
 		}
-		net.SendR(r.node, w.ranks[wr].node, net.Spec.CtrlBytes, &c.frames[cr])
+		net.Send(r.node, w.ranks[wr].node, net.Spec.CtrlBytes, &c.frames[cr])
 	}
 }
 

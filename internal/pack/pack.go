@@ -276,18 +276,6 @@ func (j *Job) ipcFloor() int64 {
 	return j.Peer.LatencyNs + int64(float64(j.Bytes)/j.Peer.BWBytesPerNs)
 }
 
-// GPUEngine launches one kernel per job on a dedicated stream — the
-// GPU-Sync / GPU-Async building block.
-type GPUEngine struct {
-	Stream *gpu.Stream
-}
-
-// Run launches the job's kernel; the caller pays launch overhead and
-// receives the completion handle.
-func (e *GPUEngine) Run(p *sim.Proc, j *Job) *gpu.Completion {
-	return e.Stream.Launch(p, j.KernelSpec())
-}
-
 // CPUEngine packs/unpacks on the host CPU through a GDRCopy-style mapped
 // window: the calling proc blocks for the whole operation (it IS the copy
 // loop), but there is zero driver involvement — no launch, no sync.

@@ -163,19 +163,21 @@ func TestKernelSpecCarriesIPCFloor(t *testing.T) {
 	}
 }
 
+// TestGPUEngineMovesBytesAtKernelCompletion: a pack job's kernel, launched
+// on a stream, moves the bytes when it retires, not at launch.
 func TestGPUEngineMovesBytesAtKernelCompletion(t *testing.T) {
 	env, d := newDev()
-	e := &GPUEngine{Stream: d.NewStream("pack")}
+	st := d.NewStream("pack")
 	l := datatype.Commit(datatype.Vector(8, 4, 8, datatype.Float32))
 	src := d.Alloc("src", int(l.ExtentBytes))
 	dst := d.Alloc("dst", int(l.SizeBytes))
 	fillPattern(src, 3)
 	env.Spawn("host", func(p *sim.Proc) {
-		c := e.Run(p, NewJob(OpPack, src, dst, l.Blocks))
+		c := st.Launch(p, NewJob(OpPack, src, dst, l.Blocks).KernelSpec())
 		if c.Done() {
 			t.Error("kernel retired instantly")
 		}
-		e.Stream.Synchronize(p)
+		st.Synchronize(p)
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)

@@ -210,15 +210,6 @@ func continues(a, b span) bool {
 	return a.seed == b.seed && a.off+a.n == b.off && a.pos+a.n == b.pos
 }
 
-// mergeable reports whether fill spans a and b, b right after a with
-// nothing between, break the canonical form: b continues a (they are one
-// fill span), or b repeats a's seed and length (they are one vector).
-// Literal spans never merge, so a content's span count does not depend on
-// how its literals are shared.
-func mergeable(a, b span) bool {
-	return a.kind == srcFill && b.kind == srcFill && a.seed == b.seed && (a.n == b.n || continues(a, b))
-}
-
 // litSlack is how many dead entries the literal table, and the shape
 // table, tolerate beyond twice their live spans before compaction.
 const litSlack = 16
@@ -978,14 +969,6 @@ func (c *Content) Slice(off, n int64) *Content {
 	c.checkRange("Slice", off, n)
 	out := New(n)
 	out.CopyFrom(0, c, off, n)
-	return out
-}
-
-// Concat returns a fresh Content holding a followed by b.
-func Concat(a, b *Content) *Content {
-	out := New(a.n + b.n)
-	out.CopyFrom(0, a, 0, a.n)
-	out.CopyFrom(a.n, b, 0, b.n)
 	return out
 }
 

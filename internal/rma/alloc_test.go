@@ -56,3 +56,50 @@ func TestWarmFusedPackPutAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestWarmGetAllocs pins that a warm fault-free 4 KiB Get + Quiet from a
+// rank on another node allocates nothing, in both payload modes: the op
+// comes from the fabric's free list and receives both of its legs, the
+// control request as a getRequest and the payload as itself, so the read
+// makes no closure.
+func TestWarmGetAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled span lists, so allocation counts do not hold")
+	}
+	const n = 4 << 10
+	for _, lazy := range []bool{false, true} {
+		t.Run(fmt.Sprintf("lazy=%v", lazy), func(t *testing.T) {
+			w := testWorld(2, lazy, nil, false)
+			f := rma.New(w)
+			win, err := f.AllocWindow("pin", n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			win.Buf(4).FillStream(1)
+			dst := w.Rank(0).Dev.Alloc("dst", n)
+			allocs := -1.0
+			err = w.Run(func(r *mpi.Rank, p *sim.Proc) {
+				if r.ID() != 0 {
+					return
+				}
+				ep := f.Endpoint(0)
+				get := func() {
+					if err := ep.Get(p, win, 4, 0, dst, 0, n); err != nil {
+						t.Error(err)
+					}
+					if err := ep.Quiet(p); err != nil {
+						t.Error(err)
+					}
+				}
+				get() // warm: stream, queue buckets and the op free list
+				allocs = testing.AllocsPerRun(100, get)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if allocs != 0 {
+				t.Fatalf("a warm Get + Quiet allocates %v times, want 0", allocs)
+			}
+		})
+	}
+}

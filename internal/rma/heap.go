@@ -70,52 +70,6 @@ func (h *Heap) release(off, reserved int64) {
 	}
 }
 
-// CheckInvariants validates the allocator state: live symmetric windows
-// sorted, aligned, non-overlapping, inside the break, and disjoint from
-// every free span; free spans sorted, aligned, coalesced. The fuzz
-// target calls this after every operation.
-func (h *Heap) CheckInvariants() error {
-	prevEnd := int64(-1)
-	for _, w := range h.live {
-		if w.freed {
-			return fmt.Errorf("heap: freed window %q still live", w.name)
-		}
-		if w.off%h.align != 0 {
-			return fmt.Errorf("heap: window %q offset %d unaligned", w.name, w.off)
-		}
-		if w.off < prevEnd {
-			return fmt.Errorf("heap: window %q at %d overlaps previous region ending %d", w.name, w.off, prevEnd)
-		}
-		if w.off+w.reserved > h.brk {
-			return fmt.Errorf("heap: window %q [%d,%d) beyond break %d", w.name, w.off, w.off+w.reserved, h.brk)
-		}
-		for _, s := range h.free {
-			if w.off < s.off+s.size && s.off < w.off+w.reserved {
-				return fmt.Errorf("heap: window %q [%d,%d) overlaps free span [%d,%d)",
-					w.name, w.off, w.off+w.reserved, s.off, s.off+s.size)
-			}
-		}
-		prevEnd = w.off + w.reserved
-	}
-	prevEnd = -1
-	for _, s := range h.free {
-		if s.off%h.align != 0 || s.size%h.align != 0 || s.size <= 0 {
-			return fmt.Errorf("heap: malformed free span [%d,%d)", s.off, s.off+s.size)
-		}
-		if s.off == prevEnd {
-			return fmt.Errorf("heap: uncoalesced free spans at %d", s.off)
-		}
-		if s.off < prevEnd {
-			return fmt.Errorf("heap: free span at %d overlaps previous ending %d", s.off, prevEnd)
-		}
-		if s.off+s.size > h.brk {
-			return fmt.Errorf("heap: free span [%d,%d) beyond break %d", s.off, s.off+s.size, h.brk)
-		}
-		prevEnd = s.off + s.size
-	}
-	return nil
-}
-
 func (h *Heap) insertLive(w *Window) {
 	i := sort.Search(len(h.live), func(i int) bool { return h.live[i].off >= w.off })
 	h.live = append(h.live, nil)
@@ -159,28 +113,11 @@ type Window struct {
 // Name returns the window's SPMD rendezvous name.
 func (w *Window) Name() string { return w.name }
 
-// Offset returns the symmetric-heap offset, or -1 for dynamic windows.
-func (w *Window) Offset() int64 { return w.off }
-
 // Symmetric reports whether the window is mirrored across all ranks.
 func (w *Window) Symmetric() bool { return w.off >= 0 }
 
-// Freed reports whether the window has been released.
-func (w *Window) Freed() bool { return w.freed }
-
-// Size returns rank's attached region size (0 if unattached).
-func (w *Window) Size(rank int) int64 {
-	if rank < 0 || rank >= len(w.sizes) {
-		return 0
-	}
-	return w.sizes[rank]
-}
-
 // Buf exposes rank's backing buffer (local packing, unpack jobs, tests).
 func (w *Window) Buf(rank int) *gpu.Buffer { return w.bufs[rank] }
-
-// Epoch returns the fabric epoch the window was allocated under.
-func (w *Window) Epoch() int { return w.epoch }
 
 // check validates a one-sided access to rank's region of the window.
 func (w *Window) check(rank int, off, n int64) error {

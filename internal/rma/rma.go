@@ -149,12 +149,6 @@ func New(w *mpi.World) *Fabric {
 	return f
 }
 
-// World returns the underlying two-sided world.
-func (f *Fabric) World() *mpi.World { return f.w }
-
-// Heap returns the symmetric heap (allocation state and invariants).
-func (f *Fabric) Heap() *Heap { return f.heap }
-
 // Endpoint returns world rank i's one-sided endpoint. Endpoints are
 // world-rank addressed across reseats (the NIC belongs to the machine,
 // not the epoch); verb targets are member indices.
@@ -164,21 +158,6 @@ func (f *Fabric) Endpoint(rank int) *Endpoint { return f.eps[rank] }
 // (0 = the unshrunk world).
 func (f *Fabric) Epoch() int { return f.epoch }
 
-// Size reports the fabric's member count at the current epoch.
-func (f *Fabric) Size() int { return len(f.members) }
-
-// Members returns the member world ranks in member-index order (a copy).
-func (f *Fabric) Members() []int { return append([]int(nil), f.members...) }
-
-// WorldRank translates a member index to its world rank (-1 if out of
-// range).
-func (f *Fabric) WorldRank(m int) int {
-	if m < 0 || m >= len(f.members) {
-		return -1
-	}
-	return f.members[m]
-}
-
 // MemberOf translates a world rank to its member index at the current
 // epoch (-1 for non-members).
 func (f *Fabric) MemberOf(worldRank int) int {
@@ -187,10 +166,6 @@ func (f *Fabric) MemberOf(worldRank int) int {
 	}
 	return f.mindex[worldRank]
 }
-
-// Revoked reports whether the fabric's current epoch has been revoked
-// (windows unusable until Reseat).
-func (f *Fabric) Revoked() bool { return f.revoked }
 
 // NextCollID hands out collective-engine namespace ids so two engines
 // over one fabric never collide on window/signal names.
@@ -263,9 +238,6 @@ type Endpoint struct {
 
 	Stats Stats
 }
-
-// Rank returns the owning rank.
-func (ep *Endpoint) Rank() *mpi.Rank { return ep.r }
 
 // charge mirrors a Breakdown charge as an rma-layer timeline span — the
 // pairing that keeps timeline sums reconciled with trace.Breakdown.

@@ -60,12 +60,6 @@ func (f *Fabric) CloseSignal(s *Signal) {
 	}
 }
 
-// Name returns the signal's SPMD rendezvous name.
-func (s *Signal) Name() string { return s.name }
-
-// Epoch returns the fabric epoch the signal was opened under.
-func (s *Signal) Epoch() int { return s.epoch }
-
 // Value reads rank's slot without blocking.
 func (s *Signal) Value(rank, slot int) uint64 { return s.vals[rank][slot] }
 

@@ -285,9 +285,14 @@ func (ep *Endpoint) issue(o *op) {
 			s.Recordf(fault.Delay, "rma %s op=%d +%dns", o.verb, o.id, extraDelay)
 		}
 	}
-	var h fabric.Receiver = o // with no verb fault this attempt, the op receives itself
+	me := ep.r.Node()
+	tgt := ep.f.w.Rank(int(o.twr)).Node()
+	net := ep.f.net()
+	// With no verb fault this attempt, the op receives its own legs.
+	var h fabric.Receiver = o
+	var ctrl fabric.Receiver = (*getRequest)(o)
 	if attemptCorrupt || extraDelay > 0 {
-		h = fabric.ReceiverFunc(func(d fabric.Delivery) {
+		faulted := fabric.ReceiverFunc(func(d fabric.Delivery) {
 			apply := func() { ep.place(o, attemptCorrupt || d.Corrupt, d.Dup) }
 			if extraDelay > 0 {
 				env.At(env.Now()+extraDelay, apply)
@@ -295,16 +300,36 @@ func (ep *Endpoint) issue(o *op) {
 			}
 			apply()
 		})
+		h = faulted
+		if o.verb == verbGet {
+			ctrl = fabric.ReceiverFunc(func(d fabric.Delivery) {
+				if !d.Corrupt && !d.Dup { // the HCA rejects a damaged request
+					net.RDMAReadReply(tgt, me, o.n, faulted)
+				}
+			})
+		}
 	}
-	me := ep.r.Node()
-	tgt := ep.f.w.Rank(int(o.twr)).Node()
 	if o.verb == verbGet {
-		ep.f.net().RDMAReadR(me, tgt, o.n, h)
+		net.RDMAReadBy(me, tgt, ctrl, h)
 	} else {
-		ep.f.net().RDMAWriteR(me, tgt, o.n, h)
+		net.Send(me, tgt, o.n, h)
 	}
 	ep.armTimer(o)
 }
+
+// getRequest is a fault-free Get's op as the receiver of its control
+// request at the target: a clean arrival answers with the payload leg,
+// which the op receives itself.
+type getRequest op
+
+func (g *getRequest) Handle() {
+	o := (*op)(g)
+	o.ep.f.net().RDMAReadReply(o.ep.f.w.Rank(int(o.twr)).Node(), o.ep.r.Node(), o.n, o)
+}
+
+// Deliver drops a corrupted or duplicated control request, as the HCA
+// does.
+func (*getRequest) Deliver(fabric.Delivery) {}
 
 // place applies a delivery at the target (scheduler context).
 func (ep *Endpoint) place(o *op, corrupt, dup bool) {

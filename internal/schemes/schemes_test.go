@@ -337,19 +337,33 @@ func TestNaiveMemcpyUnpackAndEmptyJob(t *testing.T) {
 	}
 }
 
+// trips reports whether one n-byte request, enqueued alone on r's fusion
+// scheduler, reaches the scheduler's threshold and so launches at once.
+func trips(p *sim.Proc, r *mpi.Rank, n int) bool {
+	s := r.Scheme().(*schemes.Fusion).Sched
+	j := sparseJob(r, 1, n)
+	uid := s.Enqueue(p, &j)
+	tripped := s.PendingCount() == 0
+	s.Flush(p)
+	s.SyncStream(p)
+	s.Release(uid)
+	return tripped
+}
+
 func TestProposedAutoSeedsFromModel(t *testing.T) {
-	w, r := rig(schemes.Factory("Proposed-Auto"))
+	w, _ := rig(schemes.Factory("Proposed-Auto"))
 	err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
-		s := r.Scheme().(*schemes.Fusion)
-		th := s.Sched.Config().ThresholdBytes
-		if th < 16<<10 || th > 4<<20 {
-			t.Errorf("auto seed threshold %d out of model bounds", th)
+		if r.ID() != 0 {
+			return
+		}
+		// The seed threshold lies in [16 KiB, 4 MiB].
+		if trips(p, r, 16<<10-1) || !trips(p, r, 4<<20) {
+			t.Error("auto seed threshold out of model bounds")
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = r
 }
 
 func TestStagedHostUnpackDirection(t *testing.T) {
@@ -378,9 +392,14 @@ func TestThresholdFactory(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		_, r := rig(f)
-		if got := r.Scheme().(*schemes.Fusion).Sched.Config().ThresholdBytes; got != 1<<20 {
-			t.Errorf("%s: threshold %d, want %d", name, got, 1<<20)
+		w, _ := rig(f)
+		err = w.Run(func(r *mpi.Rank, p *sim.Proc) {
+			if r.ID() == 0 && (trips(p, r, 1<<20-1) || !trips(p, r, 1<<20)) {
+				t.Errorf("%s: threshold is not %d", name, 1<<20)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 	for _, name := range schemes.Names() {

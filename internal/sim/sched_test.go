@@ -89,16 +89,14 @@ func TestWorkerReuse(t *testing.T) {
 	e := NewEnv()
 	const n = 500
 	ran := 0
-	var prev *Proc
 	for i := 0; i < n; i++ {
-		p := e.SpawnAt(int64(i), fmt.Sprintf("p%d", i), func(p *Proc) {
-			p.Sleep(1)
-			ran++
+		e.At(int64(i), func() {
+			e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+				p.Sleep(1)
+				ran++
+			})
 		})
-		_ = p
-		prev = p
 	}
-	_ = prev
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +114,8 @@ func TestWorkerReuse(t *testing.T) {
 	if idle != 0 || alive != 0 {
 		t.Fatalf("worker pool not drained after clean run: idle=%d alive=%d", idle, alive)
 	}
-	if e.QueueLen() != 0 {
-		t.Fatalf("%d events still queued after clean run", e.QueueLen())
+	if e.q.len() != 0 {
+		t.Fatalf("%d events still queued after clean run", e.q.len())
 	}
 }
 
@@ -134,9 +132,11 @@ func TestWorkerReuseAfterKill(t *testing.T) {
 		t.Error("self proc survived its own kill")
 	})
 	_ = self
-	unstarted := e.SpawnAt(Second, "unstarted", func(p *Proc) { killedUnstartedRan = true })
+	var unstarted *Proc
 	e.At(10, func() {
 		blocked.Kill()
+		// Killed before its first dispatch.
+		unstarted = e.Spawn("unstarted", func(p *Proc) { killedUnstartedRan = true })
 		unstarted.Kill()
 	})
 	if err := e.Run(); err != nil {
@@ -147,7 +147,7 @@ func TestWorkerReuseAfterKill(t *testing.T) {
 	}
 	for _, p := range []*Proc{blocked, self, unstarted} {
 		if !p.Finished() {
-			t.Fatalf("proc %s not finished after kill", p.Name())
+			t.Fatalf("proc %s not finished after kill", p.name)
 		}
 	}
 	if e.LiveProcs() != 0 {
@@ -215,8 +215,8 @@ func TestWorkerSurvivesProcPanic(t *testing.T) {
 	}
 }
 
-// TestWarmWakeupsAllocateNothing: on a warm Env (queue buckets, workers and
-// resource queue already grown) a wake-up allocates nothing — every wake
+// TestWarmWakeupsAllocateNothing: on a warm Env (queue buckets and workers
+// already grown) a wake-up allocates nothing — every wake
 // event queues the Proc's own wake closure, built once at spawn, and an
 // Event links its waiters through the Procs. In each case the measured
 // Proc and a partner wake each other, so every wake-up also switches to
@@ -224,7 +224,6 @@ func TestWorkerSurvivesProcPanic(t *testing.T) {
 func TestWarmWakeupsAllocateNothing(t *testing.T) {
 	const runs = 200
 	type steps struct {
-		first   func(p *Proc) // measured Proc, before its first step
 		step    func(p *Proc) // measured: wakes the partner, then blocks
 		partner func(p *Proc) // the partner's mirror step
 	}
@@ -249,15 +248,6 @@ func TestWarmWakeupsAllocateNothing(t *testing.T) {
 				partner: func(p *Proc) { p.Wait(ping[j]); pong[j].Fire(); j++ },
 			}
 		}},
-		{"Resource.Release to Acquire", func(e *Env) steps {
-			r := e.NewResource("r", 1)
-			return steps{
-				// Hold the unit, then let the partner queue behind it.
-				first:   func(p *Proc) { r.Acquire(p); p.Sleep(0) },
-				step:    func(p *Proc) { r.Release(); r.Acquire(p) },
-				partner: func(p *Proc) { r.Acquire(p); r.Release() },
-			}
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -265,9 +255,6 @@ func TestWarmWakeupsAllocateNothing(t *testing.T) {
 			s := tc.steps(e)
 			allocs, done, partnerSteps := -1.0, false, 0
 			e.Spawn("measured", func(p *Proc) {
-				if s.first != nil {
-					s.first(p)
-				}
 				allocs = testing.AllocsPerRun(runs, func() { s.step(p) })
 				done = true
 				s.step(p) // lets the partner see done
@@ -328,9 +315,11 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			e.At(20, func() { panic("callback bang") })
 		}},
 		{"kill before start", func(e *Env) {
-			unstarted := e.SpawnAt(10, "unstarted", func(p *Proc) {})
 			blocked := e.Spawn("blocked", func(p *Proc) { p.Sleep(Second) })
-			e.At(5, func() { unstarted.Kill(); blocked.Kill() })
+			e.At(5, func() {
+				blocked.Kill()
+				e.Spawn("unstarted", func(p *Proc) {}).Kill()
+			})
 		}},
 		{"goexit", func(e *Env) {
 			e.Spawn("quitter", func(p *Proc) { p.Sleep(1); runtime.Goexit() })
@@ -392,7 +381,7 @@ func TestKillUnderWatchdog(t *testing.T) {
 	if len(se.Stuck) != 1 || se.Stuck[0] != "stuck" {
 		t.Fatalf("stuck = %v, want [stuck]", se.Stuck)
 	}
-	if !victim.Killed() || !victim.Finished() {
+	if !victim.killed || !victim.Finished() {
 		t.Fatal("killed proc should be finished before the stall fired")
 	}
 	if e.LiveProcs() != 1 {
@@ -408,9 +397,11 @@ func TestFinishedProcReleasesState(t *testing.T) {
 	e := NewEnv()
 	normal := e.Spawn("normal", func(p *Proc) { p.Sleep(5) })
 	killedBlocked := e.Spawn("killedBlocked", func(p *Proc) { p.Sleep(Second) })
-	killedUnstarted := e.SpawnAt(Second, "killedUnstarted", func(p *Proc) {})
+	var killedUnstarted *Proc
 	e.At(1, func() {
 		killedBlocked.Kill()
+		// Killed before its first dispatch.
+		killedUnstarted = e.Spawn("killedUnstarted", func(p *Proc) {})
 		killedUnstarted.Kill()
 	})
 	if err := e.Run(); err != nil {
@@ -418,20 +409,20 @@ func TestFinishedProcReleasesState(t *testing.T) {
 	}
 	for _, p := range []*Proc{normal, killedBlocked, killedUnstarted} {
 		if !p.Finished() {
-			t.Fatalf("%s not finished", p.Name())
+			t.Fatalf("%s not finished", p.name)
 		}
 		if p.w != nil {
-			t.Fatalf("%s retains a worker binding after Finished()", p.Name())
+			t.Fatalf("%s retains a worker binding after Finished()", p.name)
 		}
 		if p.body != nil {
-			t.Fatalf("%s retains its body closure after Finished()", p.Name())
+			t.Fatalf("%s retains its body closure after Finished()", p.name)
 		}
 		if p.tl != nil {
-			t.Fatalf("%s retains a timeline recorder after Finished()", p.Name())
+			t.Fatalf("%s retains a timeline recorder after Finished()", p.name)
 		}
 	}
-	if e.LiveProcs() != 0 || e.QueueLen() != 0 {
-		t.Fatalf("leak: live=%d queued=%d", e.LiveProcs(), e.QueueLen())
+	if e.LiveProcs() != 0 || e.q.len() != 0 {
+		t.Fatalf("leak: live=%d queued=%d", e.LiveProcs(), e.q.len())
 	}
 }
 

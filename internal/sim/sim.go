@@ -25,8 +25,8 @@
 // releases all its per-Proc state — an idle or finished rank costs O(1)
 // memory, which is what makes 1024-rank runs tractable.
 //
-// Procs interact with virtual time through blocking calls (Sleep, Wait,
-// Acquire); while a Proc is running, virtual time does not advance.
+// Procs interact with virtual time through blocking calls (Sleep and
+// Wait); while a Proc is running, virtual time does not advance.
 // Callbacks scheduled with Env.At, and Handlers with Env.AtHandler, run in
 // scheduler context, on whichever goroutine ran the event loop (Run's or a
 // worker), and must not block. An operation completes by setting a Flag in
@@ -42,7 +42,6 @@ import (
 
 // Handy duration constants, in virtual nanoseconds.
 const (
-	Nanosecond  int64 = 1
 	Microsecond int64 = 1000
 	Millisecond int64 = 1000 * 1000
 	Second      int64 = 1000 * 1000 * 1000
@@ -72,7 +71,6 @@ type Env struct {
 	current *Proc // the Proc whose body runs; nil in callbacks
 	woken   *Proc // set by the wake event the event loop just ran
 	running bool
-	stopped bool
 	ended   chan struct{} // Run parks here while the dispatcher runs
 	err     error         // returned by Run, set by whoever ends the run
 	panicv  any           // re-panicked out of Run
@@ -127,13 +125,6 @@ func (e *Env) After(d int64, fn func()) {
 	}
 	e.q.push(e.now+d, HandlerFunc(fn))
 }
-
-// Stop halts the simulation after the current event finishes. Blocked Procs
-// are left in place; Run returns without error.
-func (e *Env) Stop() { e.stopped = true }
-
-// QueueLen reports how many events are pending (for leak oracles).
-func (e *Env) QueueLen() int { return e.q.len() }
 
 // LiveProcs reports how many spawned Procs have not yet finished. A clean
 // run ends at zero: every Proc's scheduler state has been released.
@@ -261,7 +252,7 @@ func (e *Env) advance() (next *Proc) {
 			next = nil
 		}
 	}()
-	for !e.stopped && e.q.len() > 0 {
+	for e.q.len() > 0 {
 		t, h := e.q.pop()
 		if t < e.now {
 			panic("sim: time went backwards")
@@ -283,18 +274,10 @@ func (e *Env) advance() (next *Proc) {
 			}
 		}
 	}
-	if !e.stopped {
-		if stuck := e.stuckNames(); len(stuck) > 0 {
-			e.err = fmt.Errorf("sim: deadlock, %d proc(s) still blocked: %v", len(stuck), stuck)
-		}
+	if stuck := e.stuckNames(); len(stuck) > 0 {
+		e.err = fmt.Errorf("sim: deadlock, %d proc(s) still blocked: %v", len(stuck), stuck)
 	}
 	return nil
-}
-
-// RunUntil runs the simulation but stops once virtual time would exceed t.
-func (e *Env) RunUntil(t int64) error {
-	e.q.push(t, HandlerFunc(e.Stop))
-	return e.Run()
 }
 
 // --- timestamp-sharded event queue ---
@@ -511,7 +494,7 @@ type killSentinel struct{}
 
 // Kill marks the Proc dead (a simulated process crash). The Proc's body is
 // unwound at its next scheduling point and never runs again; a Proc blocked
-// in Sleep/Wait/Acquire is woken immediately so the unwind happens at the
+// in Sleep or Wait is woken immediately so the unwind happens at the
 // current virtual time. Killing a finished or already-killed Proc is a no-op.
 // Must be called from scheduler context (an Env.At callback), like every
 // other scheduler-side mutation.
@@ -526,9 +509,6 @@ func (p *Proc) Kill() {
 	p.env.q.push(p.env.now, p.wake)
 }
 
-// Killed reports whether the Proc was killed.
-func (p *Proc) Killed() bool { return p.killed }
-
 // Finished reports whether the Proc's body has completed (normally, or by
 // being killed).
 func (p *Proc) Finished() bool { return p.done }
@@ -537,41 +517,17 @@ func (p *Proc) Finished() bool { return p.done }
 // default) disables tracing: the hot paths then skip all event construction.
 func (p *Proc) SetTimeline(tl *timeline.Recorder) { p.tl = tl }
 
-func (e *Env) newProc(name string, startAt int64, body func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, body: body, startAt: startAt}
-	p.wake = func() { p.env.woken = p }
-	if e.live == nil {
-		e.live = make(map[*Proc]struct{})
-	}
-	e.live[p] = struct{}{}
-	return p
-}
-
 // Spawn creates a Proc named name whose body starts at the current virtual
 // time. The body receives the Proc for time-consuming calls. No worker is
 // bound until the first dispatch: a Proc that is spawned and killed before
 // it starts never costs a worker.
 func (e *Env) Spawn(name string, body func(p *Proc)) *Proc {
-	p := e.newProc(name, e.now, body)
+	p := &Proc{env: e, name: name, body: body, startAt: e.now}
+	p.wake = func() { p.env.woken = p }
+	e.live[p] = struct{}{}
 	e.q.push(e.now, p.wake)
 	return p
 }
-
-// SpawnAt is Spawn with the body delayed until absolute time t.
-func (e *Env) SpawnAt(t int64, name string, body func(p *Proc)) *Proc {
-	if t < e.now {
-		panic("sim: SpawnAt in the past")
-	}
-	p := e.newProc(name, t, body)
-	e.q.push(t, p.wake)
-	return p
-}
-
-// Name returns the Proc's name.
-func (p *Proc) Name() string { return p.name }
-
-// Env returns the owning environment.
-func (p *Proc) Env() *Env { return p.env }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() int64 { return p.env.now }
@@ -615,9 +571,7 @@ type Event struct {
 	env         *Env
 	name        EventNamer
 	fired       bool
-	at          int64 // time of firing, valid once fired
 	first, last *Proc // waiting Procs in FIFO order, linked by Proc.next
-	hooks       []func()
 }
 
 // NewEvent creates an unfired event.
@@ -644,24 +598,6 @@ func (e *Env) NewEventNamed(n EventNamer) *Event {
 // Fired reports whether the event has fired.
 func (ev *Event) Fired() bool { return ev.fired }
 
-// FiredAt returns the virtual time the event fired; it panics if unfired.
-func (ev *Event) FiredAt() int64 {
-	if !ev.fired {
-		panic("sim: FiredAt on unfired event " + ev.name.EventName())
-	}
-	return ev.at
-}
-
-// OnFire registers fn to run (in scheduler context) when the event fires.
-// If the event already fired, fn is scheduled to run at the current time.
-func (ev *Event) OnFire(fn func()) {
-	if ev.fired {
-		ev.env.q.push(ev.env.now, HandlerFunc(fn))
-		return
-	}
-	ev.hooks = append(ev.hooks, fn)
-}
-
 // Fire marks the event fired at the current virtual time and wakes all
 // waiters. Firing twice panics: one-shot semantics are load-bearing for the
 // request/response status protocol built on top.
@@ -670,7 +606,6 @@ func (ev *Event) Fire() {
 		panic("sim: event fired twice: " + ev.name.EventName())
 	}
 	ev.fired = true
-	ev.at = ev.env.now
 	for w := ev.first; w != nil; {
 		next := w.next
 		w.next = nil
@@ -678,11 +613,6 @@ func (ev *Event) Fire() {
 		w = next
 	}
 	ev.first, ev.last = nil, nil
-	hooks := ev.hooks
-	ev.hooks = nil
-	for _, h := range hooks {
-		ev.env.q.push(ev.env.now, HandlerFunc(h))
-	}
 }
 
 // Flag is a one-shot completion status set in place. The queued handler
@@ -719,7 +649,7 @@ func (f *Flag) At() int64 { return f.setAt - 1 }
 func (f *Flag) Event(env *Env, n EventNamer) *Event {
 	if f.ev == nil {
 		f.ev = env.NewEventNamed(n)
-		f.ev.fired, f.ev.at = f.Done(), f.At()
+		f.ev.fired = f.Done()
 	}
 	return f.ev
 }
@@ -728,60 +658,3 @@ func (f *Flag) Event(env *Env, n EventNamer) *Event {
 func (ev *Event) FireAt(t int64) {
 	ev.env.At(t, func() { ev.Fire() })
 }
-
-// WaitAll blocks p until every event in evs has fired.
-func (p *Proc) WaitAll(evs ...*Event) {
-	for _, ev := range evs {
-		p.Wait(ev)
-	}
-}
-
-// Resource is a FIFO-ordered counted resource (a DMA engine, a driver
-// serialization point, ...). Procs Acquire a unit, possibly queueing, and
-// must Release it afterwards.
-type Resource struct {
-	env      *Env
-	name     string
-	capacity int
-	inUse    int
-	queue    []*Proc
-}
-
-// NewResource creates a resource with the given number of units.
-func (e *Env) NewResource(name string, capacity int) *Resource {
-	if capacity <= 0 {
-		panic("sim: resource capacity must be positive")
-	}
-	return &Resource{env: e, name: name, capacity: capacity}
-}
-
-// Acquire takes one unit, blocking in FIFO order until one is free.
-func (r *Resource) Acquire(p *Proc) {
-	if r.inUse < r.capacity && len(r.queue) == 0 {
-		r.inUse++
-		return
-	}
-	r.queue = append(r.queue, p)
-	p.yield()
-}
-
-// Release returns one unit and wakes the head of the queue, if any.
-// The woken Proc owns the unit immediately (no re-check race: the scheduler
-// is single-threaded).
-func (r *Resource) Release() {
-	if r.inUse <= 0 {
-		panic("sim: Release without Acquire on " + r.name)
-	}
-	if len(r.queue) > 0 {
-		head := r.queue[0]
-		copy(r.queue, r.queue[1:])
-		r.queue = r.queue[:len(r.queue)-1]
-		// Unit transfers directly to head; inUse stays the same.
-		r.env.q.push(r.env.now, head.wake)
-		return
-	}
-	r.inUse--
-}
-
-// QueueLen reports how many Procs are waiting.
-func (r *Resource) QueueLen() int { return len(r.queue) }

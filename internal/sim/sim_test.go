@@ -59,7 +59,7 @@ func TestSpawnOrderIsDeterministic(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			name := fmt.Sprintf("p%d", i)
 			e.Spawn(name, func(p *Proc) {
-				order = append(order, p.Name())
+				order = append(order, p.name)
 			})
 		}
 		if err := e.Run(); err != nil {
@@ -103,8 +103,8 @@ func TestEventWakesWaiters(t *testing.T) {
 			t.Fatalf("waiter woke at %d, want %d", w, 7*Microsecond)
 		}
 	}
-	if !ev.Fired() || ev.FiredAt() != 7*Microsecond {
-		t.Fatalf("event state wrong: fired=%v at=%d", ev.Fired(), ev.at)
+	if !ev.Fired() {
+		t.Fatal("event not fired")
 	}
 }
 
@@ -195,10 +195,10 @@ func TestFlagEventBeforeAndAfterSet(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if woke != 5 || !ev.Fired() || ev.FiredAt() != 5 {
+	if woke != 5 || !ev.Fired() {
 		t.Fatalf("waiter woke at %d, event fired %v; want both at 5", woke, ev.Fired())
 	}
-	if lev := late.Event(e, eventName("late")); !late.Done() || late.At() != 5 || !lev.Fired() || lev.FiredAt() != 5 {
+	if lev := late.Event(e, eventName("late")); !late.Done() || late.At() != 5 || !lev.Fired() {
 		t.Fatal("an event asked for after Set has not fired at the flag's time")
 	}
 	if unasked.ev != nil {
@@ -210,36 +210,6 @@ func TestFlagEventBeforeAndAfterSet(t *testing.T) {
 		}
 	}()
 	early.Set(e)
-}
-
-func TestOnFireHookRuns(t *testing.T) {
-	e := NewEnv()
-	ev := e.NewEvent("x")
-	var hookAt int64 = -1
-	ev.OnFire(func() { hookAt = e.Now() })
-	ev.FireAt(9 * Microsecond)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if hookAt != 9*Microsecond {
-		t.Fatalf("hook ran at %d, want %d", hookAt, 9*Microsecond)
-	}
-}
-
-func TestOnFireAfterFiredRunsImmediately(t *testing.T) {
-	e := NewEnv()
-	ev := e.NewEvent("x")
-	var ran bool
-	e.Spawn("p", func(p *Proc) {
-		ev.Fire()
-		ev.OnFire(func() { ran = true })
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Fatal("hook registered after fire never ran")
-	}
 }
 
 func TestDeadlockDetected(t *testing.T) {
@@ -284,26 +254,6 @@ func TestAtInPastPanics(t *testing.T) {
 	e.At(1, func() {})
 }
 
-func TestRunUntilStopsEarly(t *testing.T) {
-	e := NewEnv()
-	var last int64
-	e.Spawn("ticker", func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			p.Sleep(Microsecond)
-			last = p.Now()
-		}
-	})
-	if err := e.RunUntil(10 * Microsecond); err != nil {
-		t.Fatal(err)
-	}
-	if last > 10*Microsecond {
-		t.Fatalf("ran past the stop time: last=%d", last)
-	}
-	if e.Now() != 10*Microsecond {
-		t.Fatalf("clock = %d, want %d", e.Now(), 10*Microsecond)
-	}
-}
-
 func TestProcPanicPropagates(t *testing.T) {
 	defer func() {
 		r := recover()
@@ -319,92 +269,13 @@ func TestProcPanicPropagates(t *testing.T) {
 	_ = e.Run()
 }
 
-func TestResourceSerializes(t *testing.T) {
-	e := NewEnv()
-	r := e.NewResource("dma", 1)
-	var spans [][2]int64
-	for i := 0; i < 4; i++ {
-		e.Spawn(fmt.Sprintf("user%d", i), func(p *Proc) {
-			r.Acquire(p)
-			start := p.Now()
-			p.Sleep(10 * Microsecond)
-			spans = append(spans, [2]int64{start, p.Now()})
-			r.Release()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(spans) != 4 {
-		t.Fatalf("got %d spans, want 4", len(spans))
-	}
-	for i := 1; i < len(spans); i++ {
-		if spans[i][0] < spans[i-1][1] {
-			t.Fatalf("span %d overlaps previous: %v", i, spans)
-		}
-	}
-}
-
-func TestResourceCapacityTwoAllowsOverlap(t *testing.T) {
-	e := NewEnv()
-	r := e.NewResource("dma", 2)
-	var maxConc, conc int
-	for i := 0; i < 6; i++ {
-		e.Spawn(fmt.Sprintf("user%d", i), func(p *Proc) {
-			r.Acquire(p)
-			conc++
-			if conc > maxConc {
-				maxConc = conc
-			}
-			p.Sleep(10 * Microsecond)
-			conc--
-			r.Release()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if maxConc != 2 {
-		t.Fatalf("max concurrency = %d, want 2", maxConc)
-	}
-}
-
-func TestResourceFIFOOrder(t *testing.T) {
-	e := NewEnv()
-	r := e.NewResource("q", 1)
-	var order []string
-	for i := 0; i < 5; i++ {
-		name := fmt.Sprintf("u%d", i)
-		e.Spawn(name, func(p *Proc) {
-			r.Acquire(p)
-			order = append(order, p.Name())
-			p.Sleep(Microsecond)
-			r.Release()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !sort.StringsAreSorted(order) {
-		t.Fatalf("not FIFO: %v", order)
-	}
-}
-
-func TestReleaseWithoutAcquirePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	e := NewEnv()
-	r := e.NewResource("r", 1)
-	r.Release()
-}
-
+// TestSpawnAt: a Proc spawned from a callback at a later time starts then.
 func TestSpawnAt(t *testing.T) {
 	e := NewEnv()
 	var start int64 = -1
-	e.SpawnAt(42*Microsecond, "late", func(p *Proc) { start = p.Now() })
+	e.At(42*Microsecond, func() {
+		e.Spawn("late", func(p *Proc) { start = p.Now() })
+	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -413,6 +284,8 @@ func TestSpawnAt(t *testing.T) {
 	}
 }
 
+// TestWaitAll: waiting on several events in turn returns when the last
+// of them fires.
 func TestWaitAll(t *testing.T) {
 	e := NewEnv()
 	evs := []*Event{e.NewEvent("a"), e.NewEvent("b"), e.NewEvent("c")}
@@ -421,7 +294,9 @@ func TestWaitAll(t *testing.T) {
 	evs[2].FireAt(10 * Microsecond)
 	var done int64
 	e.Spawn("joiner", func(p *Proc) {
-		p.WaitAll(evs...)
+		for _, ev := range evs {
+			p.Wait(ev)
+		}
 		done = p.Now()
 	})
 	if err := e.Run(); err != nil {
@@ -449,41 +324,6 @@ func TestFmtDuration(t *testing.T) {
 	}
 }
 
-// Property: with a single resource of capacity 1, total busy time equals the
-// sum of individual hold times (perfect serialization, no lost time).
-func TestPropertyResourceConservation(t *testing.T) {
-	f := func(holdsRaw []uint16) bool {
-		if len(holdsRaw) == 0 || len(holdsRaw) > 50 {
-			return true
-		}
-		e := NewEnv()
-		r := e.NewResource("r", 1)
-		var total int64
-		var finish int64
-		for i, h := range holdsRaw {
-			d := int64(h%1000) + 1
-			total += d
-			e.Spawn(fmt.Sprintf("u%d", i), func(p *Proc) {
-				r.Acquire(p)
-				p.Sleep(d)
-				r.Release()
-				if p.Now() > finish {
-					finish = p.Now()
-				}
-			})
-		}
-		if err := e.Run(); err != nil {
-			return false
-		}
-		return finish == total
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: propertyRuns(t, 50)}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: events fired at random times wake waiters exactly at those
-// times, and the maximum observed wake time equals the maximum fire time.
 func TestPropertyEventTiming(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw%20) + 1

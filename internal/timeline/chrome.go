@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-
-	"repro/internal/trace"
 )
 
 // Options configures timeline recording for a world/session.
@@ -29,7 +27,7 @@ type Timeline struct {
 func New(ranks, capacity int) *Timeline {
 	t := &Timeline{recs: make([]*Recorder, ranks)}
 	for i := range t.recs {
-		t.recs[i] = NewRecorder(i, capacity)
+		t.recs[i] = NewRecorder(capacity)
 	}
 	return t
 }
@@ -63,23 +61,10 @@ func (t *Timeline) ExtraTrack(name string, capacity int) *Recorder {
 			return t.extras[i]
 		}
 	}
-	r := NewRecorder(-1, capacity)
+	r := NewRecorder(capacity)
 	t.extras = append(t.extras, r)
 	t.extraNames = append(t.extraNames, name)
 	return r
-}
-
-// Reset resets every rank's recorder and every auxiliary track.
-func (t *Timeline) Reset() {
-	if t == nil {
-		return
-	}
-	for _, r := range t.recs {
-		r.Reset()
-	}
-	for _, r := range t.extras {
-		r.Reset()
-	}
 }
 
 // WriteChrome emits the whole timeline as Chrome trace-event JSON
@@ -90,13 +75,6 @@ func (t *Timeline) WriteChrome(w io.Writer) error {
 	c := &Collector{}
 	c.Add("", t)
 	return c.WriteChrome(w)
-}
-
-// WriteSummary emits the plain-text per-rank summary.
-func (t *Timeline) WriteSummary(w io.Writer) error {
-	c := &Collector{}
-	c.Add("", t)
-	return c.WriteSummary(w)
 }
 
 // Collector merges timelines from several worlds (a benchmark sweep runs one
@@ -224,31 +202,4 @@ func extraName(label, track string) string {
 		return track
 	}
 	return label + "/" + track
-}
-
-// WriteSummary emits a plain-text per-rank account of where time went. The
-// per-category sums come from Recorder.Sums, which accrues at emission and
-// therefore reconciles exactly with the rank's trace.Breakdown regardless of
-// ring eviction.
-func (c *Collector) WriteSummary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	line := func(rec *Recorder, pname string) {
-		b := rec.Sums()
-		fmt.Fprintf(bw, "%s: total=%dns", pname, b.Total())
-		for _, cat := range trace.Categories() {
-			if v := b.Get(cat); v != 0 {
-				fmt.Fprintf(bw, "  %s=%dns/%d", cat, v, rec.Count(cat))
-			}
-		}
-		fmt.Fprintf(bw, "  events=%d dropped=%d\n", len(rec.Events()), rec.Dropped())
-	}
-	for wi, tl := range c.tls {
-		for ri := 0; ri < tl.Ranks(); ri++ {
-			line(tl.Rank(ri), procName(c.labels[wi], ri))
-		}
-		for ei, rec := range tl.extras {
-			line(rec, extraName(c.labels[wi], tl.extraNames[ei]))
-		}
-	}
-	return bw.Flush()
 }

@@ -92,7 +92,6 @@ const DefaultCapacity = 1 << 16
 // Recorder collects events for one rank. A nil Recorder is disabled: every
 // method no-ops, costs nothing, and allocates nothing.
 type Recorder struct {
-	rank    int
 	max     int
 	buf     []Event // grows to max, then becomes a ring
 	head    int     // oldest element once len(buf) == max
@@ -102,30 +101,18 @@ type Recorder struct {
 	counts  []int64 // per-category event counts, never evicted
 }
 
-// NewRecorder builds an enabled recorder for rank with the given ring
-// capacity (<= 0 selects DefaultCapacity).
-func NewRecorder(rank, capacity int) *Recorder {
+// NewRecorder builds an enabled recorder with the given ring capacity
+// (<= 0 selects DefaultCapacity).
+func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
 	return &Recorder{
-		rank:   rank,
 		max:    capacity,
 		last:   -1,
 		sums:   make([]int64, trace.NumCategories()),
 		counts: make([]int64, trace.NumCategories()),
 	}
-}
-
-// Enabled reports whether events are being recorded.
-func (r *Recorder) Enabled() bool { return r != nil }
-
-// Rank returns the rank this recorder belongs to.
-func (r *Recorder) Rank() int {
-	if r == nil {
-		return -1
-	}
-	return r.rank
 }
 
 // Span records an event. Consecutive events with identical layer, cost,
@@ -192,14 +179,6 @@ func (r *Recorder) Events() []Event {
 	out = append(out, r.buf[r.head:]...)
 	out = append(out, r.buf[:r.head]...)
 	return out
-}
-
-// Dropped reports how many events were evicted from the ring.
-func (r *Recorder) Dropped() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.dropped
 }
 
 // Sums returns the per-category cost totals across every emitted event —

@@ -48,13 +48,6 @@ func (w Workload) Layout(dim int) *datatype.Layout {
 	return datatype.Commit(w.Build(dim))
 }
 
-// Describe summarizes the layout for a dimension (for experiment tables).
-func (w Workload) Describe(dim int) string {
-	l := w.Layout(dim)
-	return fmt.Sprintf("%s dim=%d: %d blocks, %dB payload, %dB extent",
-		w.Name, dim, l.NumBlocks(), l.SizeBytes, l.ExtentBytes)
-}
-
 // lcg is a tiny deterministic generator so layouts are stable across runs
 // without importing math/rand into layout construction.
 type lcg uint64

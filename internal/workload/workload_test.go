@@ -126,15 +126,6 @@ func TestSpecfemCMIsStructOfThreeFields(t *testing.T) {
 	}
 }
 
-func TestDescribeMentionsGeometry(t *testing.T) {
-	s := MILC().Describe(8)
-	for _, frag := range []string{"MILC", "dim=8", "blocks"} {
-		if !strings.Contains(s, frag) {
-			t.Fatalf("describe %q missing %q", s, frag)
-		}
-	}
-}
-
 func TestFillPatternDeterministicAndVaried(t *testing.T) {
 	a := make([]byte, 1024)
 	b := make([]byte, 1024)
