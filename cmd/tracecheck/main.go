@@ -1,9 +1,10 @@
 // Command tracecheck validates a Chrome trace-event JSON file as emitted
 // by ddtbench/halo3d/fusiontune -trace: it must parse, carry at least one
 // duration event, and every event must satisfy the trace-event contract
-// (known phase, non-negative timestamps and durations, named). Used by CI
-// as a smoke check; exits non-zero with a diagnostic on the first
-// violation.
+// (known phase, non-negative timestamps and durations, named). A trace
+// whose recorder dropped events (a timeline.DroppedRecord metadata record)
+// fails too: its oldest events are missing. Used by CI as a smoke check;
+// exits non-zero with a diagnostic on the first violation.
 //
 // Usage:
 //
@@ -20,6 +21,8 @@ import (
 	"fmt"
 	"os"
 	"strings"
+
+	"repro/internal/timeline"
 )
 
 type traceFile struct {
@@ -71,6 +74,9 @@ func check(path string, requireLayers []string) error {
 			}
 		case "M":
 			metas++
+			if e.Name == timeline.DroppedRecord {
+				return fmt.Errorf("%s: event %d: pid %d dropped events %s (ring capacity too small)", path, i, e.Pid, e.Args)
+			}
 		default:
 			return fmt.Errorf("%s: event %d (%s): unknown phase %q", path, i, e.Name, e.Ph)
 		}

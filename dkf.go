@@ -977,7 +977,8 @@ func Workloads() []Workload { return workload.All() }
 // WorkloadByName looks a workload up by its paper legend name.
 func WorkloadByName(name string) (Workload, bool) { return workload.ByName(name) }
 
-// FillPattern deterministically fills a buffer for verification.
+// FillPattern deterministically fills a buffer for verification with PRF
+// stream seed: the bytes a lazy-bytes buffer filled from seed holds.
 func FillPattern(data []byte, seed uint64) { workload.FillPattern(data, seed) }
 
 // VerifyBlocks checks that the layout-covered bytes of got match want.

@@ -36,8 +36,8 @@ func run(scheme string, threshold int64) (int64, error) {
 	mk := func(rank int) []pair {
 		ps := make([]pair, buffers)
 		for i := range ps {
-			ps[i].s = sess.Alloc(rank, "s", int(l.ExtentBytes))
-			ps[i].r = sess.Alloc(rank, "r", int(l.ExtentBytes))
+			ps[i].s = sess.Alloc(rank, fmt.Sprintf("s%d", i), int(l.ExtentBytes))
+			ps[i].r = sess.Alloc(rank, fmt.Sprintf("r%d", i), int(l.ExtentBytes))
 			dkf.FillPattern(ps[i].s.Data, uint64(rank+i))
 		}
 		return ps

@@ -60,9 +60,9 @@ func AblationSyncVsStatusPoll() *Table {
 		Header: []string{"variant", "latency_us"},
 	}
 	opt := BulkOptions{System: cluster.Lassen(), Scheme: "Proposed-Tuned", Workload: wl, Dim: 32, Buffers: 16}
-	t.Rows = append(t.Rows, []string{"status-poll (paper)", cell(RunBulk(opt))})
+	t.Rows = append(t.Rows, []string{"status-poll (paper)", t.cell(RunBulk(opt))})
 	opt.Scheme = "Fusion+BoundarySync"
-	t.Rows = append(t.Rows, []string{"boundary-sync", cell(runBulk(opt, newBoundarySyncFusion))})
+	t.Rows = append(t.Rows, []string{"boundary-sync", t.cell(runBulk(opt, newBoundarySyncFusion))})
 	return t
 }
 
@@ -88,7 +88,7 @@ func AblationFlushPolicy() *Table {
 			System: cluster.Lassen(), Scheme: "Proposed", Workload: wl,
 			Dim: 32, Buffers: 16, FusionThreshold: c.threshold,
 		})
-		t.Rows = append(t.Rows, []string{c.name, cell(r)})
+		t.Rows = append(t.Rows, []string{c.name, t.cell(r)})
 	}
 	return t
 }
@@ -162,7 +162,7 @@ func AblationRendezvous() *Table {
 			Workload: workload.NASMG(), Dim: 128, Buffers: 8,
 			MutateMPI: mutRendezvous(mode),
 		})
-		t.Rows = append(t.Rows, []string{mode.String(), cell(r)})
+		t.Rows = append(t.Rows, []string{mode.String(), t.cell(r)})
 	}
 	return t
 }
@@ -185,7 +185,7 @@ func AblationLayoutCache() *Table {
 		if disabled {
 			name = "flatten every message"
 		}
-		t.Rows = append(t.Rows, []string{name, cell(r)})
+		t.Rows = append(t.Rows, []string{name, t.cell(r)})
 	}
 	return t
 }
@@ -226,7 +226,7 @@ func AblationPipeline() *Table {
 		if chunk > 0 {
 			name = "chunked 32KB"
 		}
-		t.Rows = append(t.Rows, []string{name, cell(r)})
+		t.Rows = append(t.Rows, []string{name, t.cell(r)})
 	}
 	return t
 }

@@ -177,7 +177,7 @@ func Approaches() *Table {
 	}
 	for _, row := range rows {
 		r := runApproach(row.scheme, wl, dim, nbuf, row.fn)
-		t.Rows = append(t.Rows, []string{row.name, row.scheme, cell(r)})
+		t.Rows = append(t.Rows, []string{row.name, row.scheme, t.cell(r)})
 	}
 	return t
 }

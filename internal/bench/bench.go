@@ -64,6 +64,9 @@ type Table struct {
 	// modeled system. They differ run to run, so a compared table has
 	// them blanked first.
 	Host []bool
+	// Corrupt holds the verification errors behind the table's CORRUPT
+	// cells, each naming its first mismatching block. Render omits them.
+	Corrupt []error
 }
 
 // hostColumns is the Host marker of header: true at each named column.

@@ -10,7 +10,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/gpu"
 	"repro/internal/mpi"
-	"repro/internal/payload"
 	"repro/internal/sim"
 )
 
@@ -50,12 +49,13 @@ const chaosStateBytes = 1 << 20
 // filled from.
 const chaosStateSeed = 0xC0FFEE
 
-// chaosStateRef returns rank r's registered state as filled before the
-// run: what a rollback, and the buddy's adopted snapshot, must hold.
-func chaosStateRef(r int) *payload.Content {
-	c := payload.New(chaosStateBytes)
-	c.Fill(uint64(chaosStateSeed + r))
-	return c
+// chaosState allocates rank r's registered state on its device, named
+// prefix-r, and fills it as before the run: what a rollback, and the
+// buddy's adopted snapshot, must hold.
+func chaosState(w *mpi.World, r int, prefix string) *gpu.Buffer {
+	b := w.Rank(r).Dev.Alloc(fmt.Sprintf("%s-%d", prefix, r), chaosStateBytes)
+	b.FillStream(uint64(chaosStateSeed + r))
+	return b
 }
 
 // chaosRetryLayout is the per-leg datatype for the post-shrink retry:
@@ -124,8 +124,7 @@ func runChaosScale(ranks int, mode string) (measure, int, error) {
 		st = ckpt.NewStore(size)
 		state = make([]*gpu.Buffer, size)
 		for r := 0; r < size; r++ {
-			state[r] = w.Rank(r).Dev.Alloc(fmt.Sprintf("cx-st-%d", r), chaosStateBytes)
-			state[r].FillStream(uint64(chaosStateSeed + r))
+			state[r] = chaosState(w, r, "cx-st")
 			st.Register(r, state[r])
 		}
 		if ep := st.CaptureAll(w.Env.Now(), 0); ep == nil || !ep.Committed() {
@@ -189,7 +188,7 @@ func runChaosScale(ranks int, mode string) (measure, int, error) {
 				if retry[cr][peer].SendBuf == nil {
 					continue
 				}
-				if !retry[cr][peer].RecvBuf.Lazy.Equal(retry[peer][cr].SendBuf.Lazy) {
+				if !retry[cr][peer].RecvBuf.Equal(retry[peer][cr].SendBuf) {
 					return m, crashed, fmt.Errorf("bench: comm rank %d recv-from-%d not checksum-exact after shrink retry", cr, peer)
 				}
 			}
@@ -197,7 +196,7 @@ func runChaosScale(ranks int, mode string) (measure, int, error) {
 	}
 	if withRestore {
 		for _, i := range comm2world {
-			if !state[i].Lazy.Equal(chaosStateRef(i)) {
+			if !state[i].Equal(chaosState(w, i, "cx-ref")) {
 				return m, crashed, fmt.Errorf("bench: rank %d state not rolled back to the checkpoint", i)
 			}
 		}
@@ -210,7 +209,7 @@ func runChaosScale(ranks int, mode string) (measure, int, error) {
 		if _, aerr := st.AdoptRank(st.Buddy(d), d, []*gpu.Buffer{adopted}); aerr != nil {
 			return m, crashed, fmt.Errorf("bench: buddy adoption: %w", aerr)
 		}
-		if !adopted.Lazy.Equal(chaosStateRef(d)) {
+		if !adopted.Equal(chaosState(w, d, "cx-ref")) {
 			return m, crashed, fmt.Errorf("bench: adopted state differs from rank %d's captured state", d)
 		}
 	}

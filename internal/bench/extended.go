@@ -54,7 +54,7 @@ func ExtendedWorkloads() *Table {
 			fmt.Sprintf("%.1f", float64(l.SizeBytes)/1024)}
 		for _, s := range schemesList {
 			r := RunBulk(BulkOptions{System: system, Scheme: s, Workload: wl, Dim: dim, Buffers: 16})
-			row = append(row, cell(r))
+			row = append(row, t.cell(r))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -74,7 +74,7 @@ func Scaling() *Table {
 	for _, nodes := range []int{2, 4, 8} {
 		row := []string{fmt.Sprint(nodes)}
 		for _, scheme := range []string{"GPU-Sync", "Proposed-Tuned"} {
-			row = append(row, cell(runRing(base.WithNodes(nodes), scheme, wl, dim)))
+			row = append(row, t.cell(runRing(base.WithNodes(nodes), scheme, wl, dim)))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -179,7 +179,7 @@ func IPCPaths() *Table {
 			System: system, Scheme: "Proposed-Tuned", Workload: wl,
 			Dim: dim, Buffers: nbuf, IntraNode: cse.intra, MutateMPI: cse.mut,
 		})
-		t.Rows = append(t.Rows, []string{cse.name, cell(r)})
+		t.Rows = append(t.Rows, []string{cse.name, t.cell(r)})
 	}
 	return t
 }

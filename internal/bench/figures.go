@@ -66,7 +66,7 @@ func Fig8() *Table {
 				System: system, Scheme: "Proposed", Workload: wl, Dim: d,
 				Buffers: 16, FusionThreshold: th,
 			})
-			row = append(row, cell(r))
+			row = append(row, t.cell(r))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -76,9 +76,11 @@ func Fig8() *Table {
 // bulkSchemes are the series of Figs. 9-13.
 var bulkSchemes = []string{"GPU-Sync", "GPU-Async", "CPU-GPU-Hybrid", "Proposed", "Proposed-Tuned"}
 
-// cell formats one measurement, flagging verification failures loudly.
-func cell(r BulkResult) string {
+// cell formats one measurement of t, flagging verification failures
+// loudly: the cell reads CORRUPT and the error joins t.Corrupt.
+func (t *Table) cell(r BulkResult) string {
 	if r.VerifyErr != nil {
+		t.Corrupt = append(t.Corrupt, r.VerifyErr)
 		return "CORRUPT"
 	}
 	return fmtUs(r.AvgNs)
@@ -95,7 +97,7 @@ func figBuffersSweep(title string, system cluster.Spec, wl workload.Workload, di
 		row := []string{fmt.Sprint(nbuf)}
 		for _, s := range bulkSchemes {
 			r := RunBulk(BulkOptions{System: system, Scheme: s, Workload: wl, Dim: dim, Buffers: nbuf})
-			row = append(row, cell(r))
+			row = append(row, t.cell(r))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -178,7 +180,7 @@ func figWorkloadSweep(fig string, system cluster.Spec, wl workload.Workload) *Ta
 		row := []string{fmt.Sprint(d), fmt.Sprintf("%.1f", float64(l.SizeBytes)/1024)}
 		for _, s := range bulkSchemes {
 			r := RunBulk(BulkOptions{System: system, Scheme: s, Workload: wl, Dim: d, Buffers: 16})
-			row = append(row, cell(r))
+			row = append(row, t.cell(r))
 		}
 		t.Rows = append(t.Rows, row)
 	}

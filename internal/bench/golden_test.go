@@ -2,6 +2,7 @@ package bench
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -155,7 +156,13 @@ func checkGolden(t *testing.T, path string, tabs []*Table, prefix bool) string {
 	}
 	want := string(raw)
 	if !prefix && got != want {
-		t.Errorf("%s differs from the regenerated tables (-update rewrites it, git diff shows how):\n%s", path, got)
+		var corrupt strings.Builder
+		for _, tab := range tabs {
+			for _, err := range tab.Corrupt {
+				fmt.Fprintf(&corrupt, "CORRUPT: %v\n", err)
+			}
+		}
+		t.Errorf("%s differs from the regenerated tables (-update rewrites it, git diff shows how):\n%s%s", path, got, corrupt.String())
 	}
 	gotTabs, wantTabs := strings.Split(got, "\n\n"), strings.Split(want, "\n\n")
 	for i := 0; prefix && i < len(gotTabs); i++ {

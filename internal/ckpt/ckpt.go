@@ -10,10 +10,11 @@
 //     commits once every live registered rank has contributed — the
 //     "coordinated checkpoint" consistency rule: no epoch ever mixes
 //     pre- and post-collective state across ranks.
-//   - Snapshots are cheap span clones in lazy payload mode (O(spans),
-//     no byte materialization) and byte copies in exact mode, so the
-//     same rollback story scales from 4-rank conformance runs to
-//     1024-rank chaos runs.
+//   - A snapshot is a gpu.Snapshot: a cheap span clone in lazy payload
+//     mode (O(spans), no byte materialization) and a byte copy in exact
+//     mode, so the same rollback story scales from 4-rank conformance
+//     runs to 1024-rank chaos runs. It holds no reference to the live
+//     buffer, so nothing read from it can see a later write.
 //   - Buddy placement models where the redundant copy physically lives:
 //     rank r's snapshot is mirrored on buddy (r+1) mod n. r's state is
 //     recoverable iff r itself or its buddy is still alive; a live rank
@@ -28,61 +29,7 @@ import (
 	"fmt"
 
 	"repro/internal/gpu"
-	"repro/internal/payload"
 )
-
-// snap is one buffer's frozen content inside an epoch. It holds no
-// reference to the live buffer, so nothing read from it can see a later
-// write.
-type snap struct {
-	data []byte           // exact mode: private byte copy
-	lazy *payload.Content // lazy mode: immutable span clone
-}
-
-func takeSnap(b *gpu.Buffer) snap {
-	if b.IsLazy() {
-		return snap{lazy: b.Lazy.Slice(0, b.Lazy.Len())}
-	}
-	return snap{data: append([]byte(nil), b.Data...)}
-}
-
-// checksum is the FNV-1a hash of the frozen content, computed on demand:
-// only RankSum reads it, so a capture hashes nothing.
-func (s snap) checksum() uint64 {
-	if s.lazy != nil {
-		return s.lazy.Checksum()
-	}
-	return payload.Checksum(s.data)
-}
-
-func (s snap) bytes() int64 {
-	if s.lazy != nil {
-		return s.lazy.Len()
-	}
-	return int64(len(s.data))
-}
-
-// restoreInto writes the frozen content back into dst, which must have the
-// same length and payload mode as the captured buffer.
-func (s snap) restoreInto(dst *gpu.Buffer) error {
-	if dst.IsLazy() != (s.lazy != nil) {
-		return fmt.Errorf("ckpt: payload-mode mismatch restoring %s", dst.Name)
-	}
-	if s.lazy != nil {
-		if dst.Lazy.Len() != s.lazy.Len() {
-			return fmt.Errorf("ckpt: size mismatch restoring %s: have %d want %d",
-				dst.Name, dst.Lazy.Len(), s.lazy.Len())
-		}
-		dst.Lazy.CopyFrom(0, s.lazy, 0, s.lazy.Len())
-		return nil
-	}
-	if int64(len(dst.Data)) != int64(len(s.data)) {
-		return fmt.Errorf("ckpt: size mismatch restoring %s: have %d want %d",
-			dst.Name, len(dst.Data), len(s.data))
-	}
-	copy(dst.Data, s.data)
-	return nil
-}
 
 // Epoch is one committed (or still-collecting) coordinated checkpoint.
 type Epoch struct {
@@ -97,7 +44,7 @@ type Epoch struct {
 	// Bytes is the total logical snapshot size across all ranks.
 	Bytes int64
 
-	snaps    [][]snap
+	snaps    [][]gpu.Snapshot
 	captured []bool
 	want     int // live registered ranks still to contribute
 }
@@ -111,7 +58,7 @@ func (e *Epoch) Committed() bool { return e != nil && e.want == 0 }
 func (e *Epoch) RankSum(rank int) uint64 {
 	h := uint64(14695981039346656037)
 	for _, s := range e.snaps[rank] {
-		h ^= s.checksum()
+		h ^= s.Checksum()
 		h *= 1099511628211
 	}
 	return h
@@ -190,10 +137,10 @@ func (st *Store) RestoreBuffer(rank int, b *gpu.Buffer) (int64, error) {
 			return 0, fmt.Errorf("ckpt: buffer %s registered after epoch %d was captured", b.Name, e.Seq)
 		}
 		s := e.snaps[rank][i]
-		if err := s.restoreInto(b); err != nil {
-			return 0, err
+		if err := s.Restore(b); err != nil {
+			return 0, fmt.Errorf("ckpt: %w", err)
 		}
-		return s.bytes(), nil
+		return s.Len(), nil
 	}
 	return 0, fmt.Errorf("ckpt: buffer %s is not registered for rank %d", b.Name, rank)
 }
@@ -232,7 +179,7 @@ func (st *Store) CaptureRank(rank int, now int64, commEpoch int) (*Epoch, bool) 
 	if st.open == nil {
 		st.open = &Epoch{
 			CommEpoch: commEpoch,
-			snaps:     make([][]snap, st.n),
+			snaps:     make([][]gpu.Snapshot, st.n),
 			captured:  make([]bool, st.n),
 			want:      st.participants(),
 		}
@@ -244,9 +191,9 @@ func (st *Store) CaptureRank(rank int, now int64, commEpoch int) (*Epoch, bool) 
 	e.captured[rank] = true
 	e.snaps[rank] = e.snaps[rank][:0]
 	for _, b := range st.regs[rank] {
-		s := takeSnap(b)
+		s := b.Snapshot(0, int64(b.Len()))
 		e.snaps[rank] = append(e.snaps[rank], s)
-		e.Bytes += s.bytes()
+		e.Bytes += s.Len()
 	}
 	if now > e.TakenAt {
 		e.TakenAt = now
@@ -324,10 +271,10 @@ func (st *Store) RestoreRank(rank int) (int64, *Epoch, error) {
 	}
 	var n int64
 	for i, s := range e.snaps[rank] {
-		if err := s.restoreInto(st.regs[rank][i]); err != nil {
-			return n, e, err
+		if err := s.Restore(st.regs[rank][i]); err != nil {
+			return n, e, fmt.Errorf("ckpt: %w", err)
 		}
-		n += s.bytes()
+		n += s.Len()
 	}
 	return n, e, nil
 }
@@ -354,10 +301,10 @@ func (st *Store) AdoptRank(adopter, dead int, into []*gpu.Buffer) (int64, error)
 	}
 	var n int64
 	for i, s := range e.snaps[dead] {
-		if err := s.restoreInto(into[i]); err != nil {
-			return n, err
+		if err := s.Restore(into[i]); err != nil {
+			return n, fmt.Errorf("ckpt: %w", err)
 		}
-		n += s.bytes()
+		n += s.Len()
 	}
 	return n, nil
 }

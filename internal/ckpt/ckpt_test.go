@@ -214,6 +214,26 @@ func TestAdoptRank(t *testing.T) {
 	}
 }
 
+// TestAdoptRankRejectsMismatch: adopting into a buffer of another payload
+// mode or length fails with a ckpt error naming the buffer.
+func TestAdoptRankRejectsMismatch(t *testing.T) {
+	st := NewStore(2)
+	st.Register(1, lazyBuf("g", 2048, 5))
+	st.CaptureAll(10, 1)
+	st.MarkDead(1)
+	for _, c := range []struct {
+		into *gpu.Buffer
+		want string
+	}{
+		{exactBuf("adopt", 2048, 0), "ckpt: payload-mode mismatch restoring adopt"},
+		{lazyBuf("adopt", 1024, 0), "ckpt: size mismatch restoring adopt: have 1024 want 2048"},
+	} {
+		if _, err := st.AdoptRank(0, 1, []*gpu.Buffer{c.into}); err == nil || err.Error() != c.want {
+			t.Errorf("AdoptRank error = %v, want %q", err, c.want)
+		}
+	}
+}
+
 // TestRestoreErrors: restoring before any commit, and with no snapshot
 // for the rank, must fail with a useful error rather than corrupting.
 func TestRestoreErrors(t *testing.T) {
@@ -302,7 +322,7 @@ func TestRebindRestoreBuffer(t *testing.T) {
 func rankBytes(e *Epoch, rank int) int64 {
 	var n int64
 	for _, s := range e.snaps[rank] {
-		n += s.bytes()
+		n += s.Len()
 	}
 	return n
 }

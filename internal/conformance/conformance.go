@@ -7,7 +7,6 @@ import (
 	"repro/internal/datatype"
 	"repro/internal/fault"
 	"repro/internal/mpi"
-	"repro/internal/payload"
 	"repro/internal/schemes"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -120,36 +119,22 @@ type Result struct {
 	LiveStaging int64
 }
 
-// fillKind selects how scenario buffers are seeded.
-type fillKind int
-
-const (
-	// fillLCG is the legacy sequential-LCG pattern (workload.FillPattern)
-	// used by the byte-exact differential against the sequential model.
-	fillLCG fillKind = iota
-	// fillPRF seeds with the position-addressable payload PRF, which both
-	// exact and lazy modes can represent — required by the lazy oracle.
-	fillPRF
-)
-
-// RunScenario executes sc once under the named scheme on SpecSmall and
-// returns the observables. Rank 0 sends; rank 2 (inter-node) or rank 1
-// (intra-node) receives. On a sim error (e.g. the watchdog's StallError)
-// the partially populated Result is returned alongside the error so chaos
-// tests can still inspect the endpoint errors.
+// RunScenario executes sc once under the named scheme on SpecSmall, in
+// byte-exact payload mode, and returns the observables. Rank 0 sends;
+// rank 2 (inter-node) or rank 1 (intra-node) receives. On a sim error
+// (e.g. the watchdog's StallError) the partially populated Result is
+// returned alongside the error so chaos tests can still inspect the
+// endpoint errors.
 func RunScenario(sc Scenario, scheme string) (*Result, error) {
-	return runScenario(sc, scheme, fillLCG, false)
+	return RunScenarioPayload(sc, scheme, false)
 }
 
-// RunScenarioPayload is RunScenario with PRF-seeded buffers and a payload
-// mode switch: lazy=false is the byte-exact reference, lazy=true carries
-// every buffer (threshold 1) through the lazy span algebra. Identical
-// observables between the two are the lazy-vs-exact conformance oracle.
+// RunScenarioPayload is RunScenario with a payload mode switch: lazy=false
+// is RunScenario, lazy=true carries every buffer (threshold 1) through the
+// lazy span algebra. Both modes fill the buffers with the same bytes from
+// sc.Seed, so identical observables between the two are the lazy-vs-exact
+// conformance oracle.
 func RunScenarioPayload(sc Scenario, scheme string, lazy bool) (*Result, error) {
-	return runScenario(sc, scheme, fillPRF, lazy)
-}
-
-func runScenario(sc Scenario, scheme string, fill fillKind, lazy bool) (*Result, error) {
 	env := sim.NewEnv()
 	cl := cluster.MustBuild(env, SpecSmall())
 	if lazy {
@@ -192,13 +177,8 @@ func runScenario(sc Scenario, scheme string, fill fillKind, lazy bool) (*Result,
 
 	sbuf := world.Rank(src).Dev.Alloc("conf-send", int(bufSpan(sc.Send, sc.Count)))
 	rbuf := world.Rank(dst).Dev.Alloc("conf-recv", int(bufSpan(sc.Recv, sc.Count)))
-	if fill == fillLCG {
-		workload.FillPattern(sbuf.Data, sc.Seed)
-		workload.FillPattern(rbuf.Data, ^sc.Seed)
-	} else {
-		sbuf.FillStream(sc.Seed)
-		rbuf.FillStream(^sc.Seed)
-	}
+	sbuf.FillStream(sc.Seed)
+	rbuf.FillStream(^sc.Seed)
 
 	res := &Result{Scheme: scheme, Trace: make(map[string]int64)}
 	err := world.Run(func(r *mpi.Rank, p *sim.Proc) {
@@ -248,20 +228,11 @@ func runScenario(sc Scenario, scheme string, fill fillKind, lazy bool) (*Result,
 // a wire stream, scatter the stream through the receive blocks into a
 // buffer pre-filled exactly like the real run's. Bytes no scheme should
 // touch are therefore compared too.
-func Expected(sc Scenario) []byte { return expected(sc, fillLCG) }
-
-// expected is Expected for either fill: fillPRF models the buffers of
-// RunScenarioPayload.
-func expected(sc Scenario, fill fillKind) []byte {
+func Expected(sc Scenario) []byte {
 	src := make([]byte, bufSpan(sc.Send, sc.Count))
 	dst := make([]byte, bufSpan(sc.Recv, sc.Count))
-	if fill == fillLCG {
-		workload.FillPattern(src, sc.Seed)
-		workload.FillPattern(dst, ^sc.Seed)
-	} else {
-		payload.FillBytes(src, sc.Seed)
-		payload.FillBytes(dst, ^sc.Seed)
-	}
+	workload.FillPattern(src, sc.Seed)
+	workload.FillPattern(dst, ^sc.Seed)
 
 	var wire []byte
 	for _, b := range sc.Send.Repeat(sc.Count) {

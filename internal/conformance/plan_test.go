@@ -11,11 +11,11 @@ import (
 // (bytes outside the receive type included), that plans were compiled
 // whenever the scenario moves bytes, and that nothing leaked.
 func planCheck(sc Scenario, scheme string) error {
-	res, err := RunScenarioPayload(sc, scheme, false)
+	res, err := RunScenario(sc, scheme)
 	if err != nil {
 		return err
 	}
-	if err := compare("block-list model", scheme+"/plans", expected(sc, fillPRF), res.Recv); err != nil {
+	if err := compare("block-list model", scheme+"/plans", Expected(sc), res.Recv); err != nil {
 		return err
 	}
 	if sc.Send.SizeBytes*int64(sc.Count) > 0 && res.Plans == 0 {

@@ -33,13 +33,15 @@ func (s Space) String() string {
 // buffers so correctness is observable. In lazy-bytes mode large buffers
 // instead carry a payload.Content span algebra (Data is nil, Lazy is set):
 // the same copies become O(spans) bookkeeping and correctness is observed
-// through checksums, which match the byte-exact run exactly.
+// through checksums, which match the byte-exact run exactly. The mode is
+// this package's decision: callers use the verbs of content.go.
 type Buffer struct {
 	Name  string
 	Space Space
 	Data  []byte
-	// Lazy, when non-nil, is the buffer's lazy-bytes representation; Data
-	// is nil for the buffer's whole life unless Materialize is called.
+	// Lazy, when non-nil, is the buffer's lazy-bytes representation (Data
+	// is nil unless Materialize is called). Outside this package only the
+	// benchmark and tests select it.
 	Lazy *payload.Content
 	// Dev is the owning device for SpaceDevice buffers, nil for host.
 	Dev *Device
@@ -49,82 +51,6 @@ type Buffer struct {
 	lent bool
 	key  poolKey
 	gen  uint32
-}
-
-// Len returns the buffer length in bytes.
-func (b *Buffer) Len() int {
-	if b.Lazy != nil {
-		return int(b.Lazy.Len())
-	}
-	return len(b.Data)
-}
-
-// IsLazy reports whether the buffer carries lazy-bytes content.
-func (b *Buffer) IsLazy() bool { return b.Lazy != nil }
-
-// Materialize converts a lazy buffer to real bytes in place and returns
-// them; on a byte-exact buffer it just returns Data. It is the escape
-// hatch for code that must address real bytes (size-table headers,
-// reductions) regardless of payload mode.
-func (b *Buffer) Materialize() []byte {
-	if b.Lazy != nil {
-		data := make([]byte, b.Lazy.Len())
-		b.Lazy.ReadAt(data, 0)
-		b.Data = data
-		b.Lazy = nil
-	}
-	return b.Data
-}
-
-// FillStream sets the buffer's whole content to PRF stream `seed`,
-// regardless of payload mode — the mode-independent way to seed test and
-// benchmark data so exact and lazy runs see identical logical bytes.
-func (b *Buffer) FillStream(seed uint64) {
-	if b.Lazy != nil {
-		b.Lazy.Fill(seed)
-		return
-	}
-	payload.FillBytes(b.Data, seed)
-}
-
-// Checksum returns the FNV-1a 64 hash of the buffer's logical content,
-// identical between a lazy buffer and a byte-exact buffer holding the same
-// bytes.
-func (b *Buffer) Checksum() uint64 {
-	if b.Lazy != nil {
-		return b.Lazy.Checksum()
-	}
-	return payload.Checksum(b.Data)
-}
-
-// ChecksumRange hashes buffer range [off, off+n) the same way Checksum
-// hashes the whole buffer: FNV-1a over real bytes in exact mode, the
-// composable span-algebra checksum in lazy mode — identical values for
-// identical logical content, without ever materializing lazy payloads.
-func (b *Buffer) ChecksumRange(off, n int64) uint64 {
-	if b.Lazy != nil {
-		return b.Lazy.ChecksumRange(off, n)
-	}
-	return payload.Checksum(b.Data[off : off+n])
-}
-
-// CopyRange copies n bytes from src at srcOff into dst at dstOff, handling
-// every real/lazy combination. It is the single copy primitive the pack
-// kernels and MPI runtime use once lazy mode is in play.
-func CopyRange(dst *Buffer, dstOff int64, src *Buffer, srcOff, n int64) {
-	if n == 0 {
-		return
-	}
-	switch {
-	case dst.Lazy != nil && src.Lazy != nil:
-		dst.Lazy.CopyFrom(dstOff, src.Lazy, srcOff, n)
-	case dst.Lazy != nil:
-		dst.Lazy.WriteBytes(dstOff, src.Data[srcOff:srcOff+n])
-	case src.Lazy != nil:
-		src.Lazy.ReadAt(dst.Data[dstOff:dstOff+n], srcOff)
-	default:
-		copy(dst.Data[dstOff:dstOff+n], src.Data[srcOff:srcOff+n])
-	}
 }
 
 // HostAlloc allocates a host buffer.

@@ -23,7 +23,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/layoutcache"
 	"repro/internal/pack"
-	"repro/internal/payload"
 	"repro/internal/sim"
 	"repro/internal/timeline"
 	"repro/internal/trace"
@@ -427,8 +426,8 @@ func (r *Rank) emitEnvelope(p *sim.Proc, q *Request) {
 // emitEager sends q's payload with its envelope. The sender completes once
 // the message is handed to the NIC (reliable mode: once it is acked).
 func (r *Rank) emitEager(p *sim.Proc, q *Request) {
-	m := &message{kind: mkEager, from: int32(r.id), to: int32(q.peer), tag: q.tag, bytes: q.bytes}
-	snapshotWire(m, q)
+	sb, so := q.srcBuf()
+	m := &message{kind: mkEager, from: int32(r.id), to: int32(q.peer), tag: q.tag, bytes: q.bytes, wire: sb.Snapshot(so, q.bytes)}
 	if r.reliable() {
 		q.state = stWaitFin // resolved by the ack, not a FIN
 		r.sendReliable(p, q, m, q.bytes+64)
@@ -553,11 +552,9 @@ type message struct {
 	// receiver is set on CTS/FIN destined for a specific request, and on
 	// an RTS or RTS-chunk whose payload a receive reads (readRequest).
 	receiver *Request
-	// payload holds eager data bytes (already packed). In lazy-bytes mode
-	// lazy carries the same logical bytes as a span snapshot instead and
-	// payload stays nil.
-	payload    []byte
-	lazy       *payload.Content
+	// wire is an eager message's data bytes (already packed), a snapshot
+	// taken when the message was built.
+	wire       gpu.Snapshot
 	chunkOff   int64
 	chunkBytes int64
 	// id is the reliability-layer message id (nonzero only for tracked
@@ -997,10 +994,8 @@ func (r *Rank) arrive(m *message, d fabric.Delivery) {
 		if m.id != 0 {
 			if d.Corrupt {
 				// Damaged frame: header/payload CRC rejects it; the
-				// sender's retransmission recovers. The payload is a
-				// byte copy or span snapshot taken when m was built.
-				b := &gpu.Buffer{Data: m.payload, Lazy: m.lazy}
-				if corruptionUndetected(b, 0, int64(b.Len())) {
+				// sender's retransmission recovers.
+				if m.wire.CorruptionUndetected() {
 					panic("mpi: corruption not detected by checksum")
 				}
 				return
@@ -1078,13 +1073,13 @@ func (r *Rank) deliver(q *Request, m *message) {
 		// Payload came with the envelope.
 		if q.contig {
 			b := q.entry.Blocks[0]
-			writeWire(q.buf, b.Offset, m)
+			m.wire.CopyTo(q.buf, b.Offset)
 			q.dataHere = true
 			q.state = stWaitData // progress completes it
 			return
 		}
 		q.packed = r.stagingBuf(q.bytes)
-		writeWire(q.packed, 0, m)
+		m.wire.CopyTo(q.packed, 0)
 		q.dataHere = true
 		q.state = stWaitData
 	case mkRTS:
@@ -1104,45 +1099,15 @@ func (r *Rank) deliver(q *Request, m *message) {
 
 // --- transfer initiation (sender side) ---
 
-// srcBuf returns the buffer and base offset holding a send's wire bytes,
-// independent of payload mode. The reliability layer lands the range with
-// gpu.CopyRange and checksums it only on a corrupt delivery (real FNV in
-// exact mode, the composable span algebra in lazy mode), so every
-// reliable path works identically on byte-exact and lazy payloads.
+// srcBuf returns the buffer and base offset holding a send's wire bytes.
+// The reliability layer lands the range with gpu.CopyRange and checks it
+// only on a corrupt delivery (Buffer.CorruptionUndetected); both are
+// payload-mode independent.
 func (q *Request) srcBuf() (*gpu.Buffer, int64) {
 	if q.contig {
 		return q.buf, q.entry.Blocks[0].Offset
 	}
 	return q.packed, 0
-}
-
-// snapshotWire captures a send's q.bytes wire bytes into an eager message:
-// a cloned []byte in exact mode, a span snapshot in lazy mode.
-func snapshotWire(m *message, q *Request) {
-	sb, so := q.srcBuf()
-	if sb.IsLazy() {
-		m.lazy = sb.Lazy.Slice(so, q.bytes)
-		return
-	}
-	m.payload = append([]byte(nil), sb.Data[so:so+q.bytes]...)
-}
-
-// writeWire lands an eager message's bytes at dst[off:], whatever mode
-// either side is in.
-func writeWire(dst *gpu.Buffer, off int64, m *message) {
-	if m.lazy != nil {
-		if dst.IsLazy() {
-			dst.Lazy.CopyFrom(off, m.lazy, 0, m.lazy.Len())
-			return
-		}
-		m.lazy.ReadAt(dst.Data[off:off+m.lazy.Len()], 0)
-		return
-	}
-	if dst.IsLazy() {
-		dst.Lazy.WriteBytes(off, m.payload)
-		return
-	}
-	copy(dst.Data[off:off+int64(len(m.payload))], m.payload)
 }
 
 // startTransfer moves a packed/contiguous payload toward the peer. The

@@ -34,7 +34,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/fault"
 	"repro/internal/gpu"
-	"repro/internal/payload"
 	"repro/internal/sim"
 	"repro/internal/timeline"
 	"repro/internal/trace"
@@ -85,32 +84,6 @@ func (e *OpError) Error() string {
 }
 
 func (e *OpError) Unwrap() error { return e.Err }
-
-// corruptionUndetected models bytes [off, off+n) of b corrupted in flight
-// and reports whether the receiver's CRC (FNV-1a, payload.Checksum over
-// real bytes) would still, impossibly, accept them: it hashes the range
-// and a damaged copy, one byte flipped in exact mode, the deterministic PRF
-// corrupt splice seeded by the range's checksum on a span clone in lazy
-// mode. FNV-1a changes on any single-byte change, so the callers turn a
-// true result into a sanity panic. It runs only on a corrupt delivery, the
-// one branch that reads a checksum, and still reads what was posted: the
-// range is an immutable frame snapshot, sender staging (a reliable world
-// retires it instead of pooling it) or a send buffer the sender may not
-// write before its send completes.
-func corruptionUndetected(b *gpu.Buffer, off, n int64) bool {
-	switch {
-	case n == 0:
-		return false // header-only frame: nothing to mis-verify
-	case b.IsLazy():
-		want := b.Lazy.ChecksumRange(off, n)
-		dam := b.Lazy.Slice(off, n)
-		dam.CorruptSplice(0, n, want)
-		return dam.Checksum() == want
-	}
-	dam := append([]byte(nil), b.Data[off:off+n]...)
-	dam[n/2] ^= 0xa5
-	return payload.Checksum(dam) == payload.Checksum(b.Data[off:off+n])
-}
 
 // pendingMsg tracks one unacked reliable message on the sender.
 type pendingMsg struct {
@@ -529,7 +502,7 @@ func (a *readAttempt) Deliver(d fabric.Delivery) {
 		// CRC reject: discard, re-read on timeout. An undetected
 		// corruption is impossible (one-byte FNV flip always changes
 		// the sum), so surviving the check is a simulator bug.
-		if corruptionUndetected(a.src, a.srcOff+op.off, op.bytes) {
+		if a.src.CorruptionUndetected(a.srcOff+op.off, op.bytes) {
 			panic("mpi: rdma-read corruption not detected by checksum")
 		}
 		return
@@ -607,7 +580,7 @@ func (r *Rank) issueWrite(p *sim.Proc, q *Request, retrans bool) {
 		}
 		if d.Corrupt {
 			// Receiver-side CRC reject: sender rewrites on timeout.
-			if corruptionUndetected(sb, so, q.bytes) {
+			if sb.CorruptionUndetected(so, q.bytes) {
 				panic("mpi: rdma-write corruption not detected by checksum")
 			}
 			return

@@ -18,7 +18,6 @@ import (
 	"repro/internal/datatype"
 	"repro/internal/gpu"
 	"repro/internal/layoutcache"
-	"repro/internal/payload"
 	"repro/internal/sim"
 )
 
@@ -99,149 +98,33 @@ func NewJob(op Op, origin, target *gpu.Buffer, blocks []datatype.Block) *Job {
 	return &Job{Op: op, Origin: origin, Target: target, Shape: &s}
 }
 
-// Execute performs the byte movement. It is designed to run when a kernel
-// retires (scheduler context; see Handle) but is also usable directly for
-// CPU-driven packing. When either buffer is lazy the copy goes through
-// lazyCopyBlocks (span bookkeeping instead of real bytes); the byte-exact
-// fast paths are untouched when both buffers are real. Execute only
-// dispatches, so the lazy copy, which runs deep in the span algebra on a
-// simulated rank's small stack, does not carry the exact paths' frame.
+// Execute performs the byte movement: one gpu.CopyLayout from the origin
+// to the target, whatever their payload modes. It is designed to run when
+// a kernel retires (scheduler context; see Handle) but is also usable
+// directly for CPU-driven packing.
 func (j *Job) Execute() {
-	if j.Origin.IsLazy() || j.Target.IsLazy() {
-		j.executeLazy()
-		return
+	switch j.Op {
+	case OpPack:
+		gpu.CopyLayout(j.Target, gpu.Contig(j.TargetOff, j.Bytes), j.Origin, layout(j.Shape))
+	case OpUnpack:
+		gpu.CopyLayout(j.Target, layout(j.Shape), j.Origin, gpu.Contig(j.OriginOff, j.Bytes))
+	case OpDirectIPC:
+		dst := j.Shape
+		if j.Peer != nil && j.Peer.Shape != nil {
+			dst = j.Peer.Shape
+		}
+		gpu.CopyLayout(j.Target, layout(dst), j.Origin, layout(j.Shape))
+	default:
+		panic(fmt.Sprintf("pack: unknown op %d", j.Op))
 	}
-	j.executeExact()
 }
+
+// layout is shape s as one side of a gpu.CopyLayout.
+func layout(s *layoutcache.Shape) gpu.Layout { return gpu.Layout{Blocks: s.Blocks, Plan: s.Plan} }
 
 // Handle executes the job: a job is the work of the kernel that runs it
 // (gpu.KernelSpec.Work), so a launch makes no closure.
 func (j *Job) Handle() { j.Execute() }
-
-// executeExact is Execute when both buffers hold real bytes.
-func (j *Job) executeExact() {
-	switch j.Op {
-	case OpPack:
-		if j.Plan != nil {
-			j.Plan.Pack(j.Origin.Data, j.Target.Data[j.TargetOff:])
-			return
-		}
-		gather(j.Origin.Data, j.Blocks, j.Target.Data[j.TargetOff:])
-	case OpUnpack:
-		if j.Plan != nil {
-			j.Plan.Unpack(j.Origin.Data[j.OriginOff:], j.Target.Data)
-			return
-		}
-		scatter(j.Origin.Data[j.OriginOff:], j.Target.Data, j.Blocks)
-	case OpDirectIPC:
-		copyBlocks(j.Origin.Data, j.Blocks, j.Target.Data, j.target().blocks)
-	default:
-		panic(fmt.Sprintf("pack: unknown op %d", j.Op))
-	}
-}
-
-// executeLazy is Execute when either buffer is lazy. The non-contiguous
-// sides carry their plans' runs, and the packed side of a pack or unpack
-// is one run of j.Bytes.
-func (j *Job) executeLazy() {
-	var src, dst side
-	switch j.Op {
-	case OpPack:
-		src, dst = planned(j.Blocks, j.Plan), packed(j.TargetOff, j.Bytes)
-	case OpUnpack:
-		src, dst = packed(j.OriginOff, j.Bytes), planned(j.Blocks, j.Plan)
-	case OpDirectIPC:
-		src, dst = planned(j.Blocks, j.Plan), j.target()
-	default:
-		panic(fmt.Sprintf("pack: unknown op %d", j.Op))
-	}
-	lazyCopyBlocks(j.Origin, &src, j.Target, &dst)
-}
-
-// target returns the destination side of a DirectIPC job: the Peer's
-// layout, or the origin's when there is no Peer or its Shape is nil.
-func (j *Job) target() side {
-	if j.Peer == nil || j.Peer.Shape == nil {
-		return planned(j.Blocks, j.Plan)
-	}
-	return planned(j.Peer.Shape.Blocks, j.Peer.Shape.Plan)
-}
-
-// side is one buffer's layout in a copy: its block list and, when a
-// compiled plan describes that list, the plan's canonical runs (nil
-// otherwise).
-type side struct {
-	blocks []datatype.Block
-	runs   []datatype.Run
-}
-
-// planned returns the side of blocks, with plan's runs when plan is set.
-func planned(blocks []datatype.Block, plan *datatype.Plan) side {
-	s := side{blocks: blocks}
-	if plan != nil {
-		s.runs = plan.Canon.Runs
-	}
-	return s
-}
-
-// packed returns the packed side of a pack or unpack: one block, and one
-// run, of n bytes at off.
-func packed(off, n int64) side {
-	return side{
-		blocks: []datatype.Block{{Offset: off, Len: n}},
-		runs:   []datatype.Run{{Offset: off, Len: n, Count: 1}},
-	}
-}
-
-// gather packs src's blocks into contiguous dst.
-func gather(src []byte, blocks []datatype.Block, dst []byte) {
-	var w int64
-	for _, b := range blocks {
-		copy(dst[w:w+b.Len], src[b.Offset:b.Offset+b.Len])
-		w += b.Len
-	}
-}
-
-// scatter unpacks contiguous src into dst's blocks.
-func scatter(src []byte, dst []byte, blocks []datatype.Block) {
-	var r int64
-	for _, b := range blocks {
-		copy(dst[b.Offset:b.Offset+b.Len], src[r:r+b.Len])
-		r += b.Len
-	}
-}
-
-// copyBlocks streams srcBlocks of src into dstBlocks of dst; the two block
-// lists must cover the same number of bytes but may be cut differently.
-func copyBlocks(src []byte, srcBlocks []datatype.Block, dst []byte, dstBlocks []datatype.Block) {
-	datatype.EachPiece(dstBlocks, srcBlocks, func(d, s, n int64) { copy(dst[d:d+n], src[s:s+n]) })
-}
-
-// lazyCopyBlocks is copyBlocks for when either side is a lazy buffer: one
-// payload copy when both are lazy (copyContent), one payload WriteBlocks
-// into a lazy destination from real bytes, and one gpu.CopyRange per piece
-// from a lazy source into real bytes.
-func lazyCopyBlocks(src *gpu.Buffer, s *side, dst *gpu.Buffer, d *side) {
-	switch {
-	case src.IsLazy() && dst.IsLazy():
-		copyContent(dst.Lazy, d, src.Lazy, s)
-	case dst.IsLazy():
-		dst.Lazy.WriteBlocks(d.blocks, src.Data, s.blocks)
-	default:
-		datatype.EachPiece(d.blocks, s.blocks, func(dOff, sOff, n int64) { gpu.CopyRange(dst, dOff, src, sOff, n) })
-	}
-}
-
-// copyContent copies s of content src over d of content dst: over the
-// runs when both sides have them, so the work scales with stride runs,
-// and over the block lists otherwise.
-func copyContent(dst *payload.Content, d *side, src *payload.Content, s *side) {
-	if d.runs != nil && s.runs != nil {
-		dst.CopyRuns(d.runs, src, s.runs)
-		return
-	}
-	dst.CopyBlocks(d.blocks, src, s.blocks)
-}
 
 // KernelSpec converts the job into a single-kernel launch description.
 // The kernel keeps the job as its Work, so a job launched this way lives

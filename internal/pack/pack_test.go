@@ -266,9 +266,9 @@ func TestPropertyJobRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: copyBlocks is a permutation-preserving stream copy — the
-// concatenated payload read equals the concatenated payload written — for
-// random compatible cuts.
+// Property: gpu.CopyLayout between two block lists of real bytes is a
+// permutation-preserving stream copy — the concatenated payload read
+// equals the concatenated payload written — for random compatible cuts.
 func TestPropertyCopyBlocksStreamEquality(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -298,7 +298,7 @@ func TestPropertyCopyBlocksStreamEquality(t *testing.T) {
 		src := make([]byte, need(srcBlocks))
 		dst := make([]byte, need(dstBlocks))
 		rng.Read(src)
-		copyBlocks(src, srcBlocks, dst, dstBlocks)
+		gpu.CopyLayout(&gpu.Buffer{Data: dst}, gpu.Layout{Blocks: dstBlocks}, &gpu.Buffer{Data: src}, gpu.Layout{Blocks: srcBlocks})
 		read := make([]byte, 0, total)
 		for _, b := range srcBlocks {
 			read = append(read, src[b.Offset:b.Offset+b.Len]...)

@@ -30,9 +30,10 @@
 // copied piece by piece; both ways build the same canonical list.
 //
 // The stream source is a position-addressable PRF (splitmix64 per 8-byte
-// block), NOT the sequential LCG of workload.FillPattern: a span copied to
-// a new offset must still be able to materialize or hash any sub-range in
-// O(1) seek time.
+// block), so a span copied to a new offset can still materialize or hash
+// any sub-range in O(1) seek time. FillBytes writes the same stream into
+// real bytes; workload.FillPattern is FillBytes, so exact and lazy runs
+// fill the same bytes from the same seed.
 package payload
 
 import (

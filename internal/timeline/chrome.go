@@ -126,6 +126,12 @@ func usFmt(ns int64) string {
 	return fmt.Sprintf("%d.%03d", ns/1000, ns%1000)
 }
 
+// DroppedRecord names the metadata record WriteChrome emits for a recorder
+// whose ring evicted events, with the count in its "dropped" arg: the
+// trace is then missing its oldest events. A recorder that dropped nothing
+// gets no such record.
+const DroppedRecord = "dropped_events"
+
 // WriteChrome emits all collected timelines as one Chrome trace-event JSON
 // document. Deterministic: iteration follows insertion and event order only.
 func (c *Collector) WriteChrome(w io.Writer) error {
@@ -149,6 +155,10 @@ func (c *Collector) WriteChrome(w io.Writer) error {
 			pid, strconv.Quote(pname)))
 		emit(fmt.Sprintf(`{"name":"process_sort_index","ph":"M","pid":%d,"tid":0,"args":{"sort_index":%d}}`,
 			pid, pid))
+		if rec.dropped > 0 {
+			emit(fmt.Sprintf(`{"name":%q,"ph":"M","pid":%d,"tid":0,"args":{"dropped":%d}}`,
+				DroppedRecord, pid, rec.dropped))
+		}
 		for i, tr := range tracks {
 			tid[tr] = i
 			name := tr

@@ -3,6 +3,8 @@ package timeline
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/trace"
@@ -243,5 +245,33 @@ func TestCollectorMultipleTimelines(t *testing.T) {
 	}
 	if len(pids) != 2 {
 		t.Fatalf("want 2 distinct pids, got %v", pids)
+	}
+}
+
+// TestWriteChromeReportsDroppedEvents checks that a recorder whose ring
+// evicted events gets one dropped-events record with the count, and that
+// a recorder that dropped nothing gets none.
+func TestWriteChromeReportsDroppedEvents(t *testing.T) {
+	tl := New(2, 2)
+	for i := int64(0); i < 5; i++ {
+		tl.Rank(0).Span(LayerMPI, trace.Comm, "", "eager", 10*i, 1, Arg{Key: "i", Val: "x"})
+	}
+	tl.Rank(1).Span(LayerMPI, trace.Comm, "", "eager", 0, 1)
+	var b bytes.Buffer
+	if err := tl.WriteChrome(&b); err != nil {
+		t.Fatal(err)
+	}
+	var cf chromeFile
+	if err := json.Unmarshal(b.Bytes(), &cf); err != nil {
+		t.Fatalf("output is not valid JSON: %v", err)
+	}
+	var got []string
+	for _, e := range cf.TraceEvents {
+		if e.Name == DroppedRecord {
+			got = append(got, fmt.Sprintf("%s pid=%d dropped=%v", e.Ph, e.Pid, e.Args["dropped"]))
+		}
+	}
+	if want := []string{"M pid=0 dropped=3"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("dropped records %q, want %q", got, want)
 	}
 }

@@ -15,9 +15,11 @@
 package workload
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/datatype"
+	"repro/internal/payload"
 )
 
 // Kind classifies a layout the way the paper's text does.
@@ -173,24 +175,25 @@ func ByName(name string) (Workload, bool) {
 	return Workload{}, false
 }
 
-// FillPattern writes a deterministic, offset-dependent pattern so that
-// copies to the wrong place are detectable.
-func FillPattern(data []byte, seed uint64) {
-	g := lcg(seed | 1)
-	for i := range data {
-		data[i] = byte(g.next(256))
-	}
-}
+// FillPattern writes PRF stream seed (payload.FillBytes), the bytes a
+// lazy buffer filled from the same seed holds: a deterministic,
+// offset-dependent pattern, so copies to the wrong place are detectable.
+func FillPattern(data []byte, seed uint64) { payload.FillBytes(data, seed) }
 
 // VerifyBlocks checks that every layout-covered byte of got equals want.
-// It returns a descriptive error naming the first mismatching block.
+// It compares block by block and returns a descriptive error naming the
+// first mismatching byte and its block.
 func VerifyBlocks(l *datatype.Layout, count int, want, got []byte) error {
 	for _, b := range l.Repeat(count) {
-		for off := b.Offset; off < b.Offset+b.Len; off++ {
-			if got[off] != want[off] {
-				return fmt.Errorf("workload: mismatch at byte %d of block %+v", off, b)
-			}
+		end := b.Offset + b.Len
+		if bytes.Equal(got[b.Offset:end], want[b.Offset:end]) {
+			continue
 		}
+		off := b.Offset
+		for got[off] == want[off] {
+			off++
+		}
+		return fmt.Errorf("workload: mismatch at byte %d of block %+v", off, b)
 	}
 	return nil
 }

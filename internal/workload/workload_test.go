@@ -1,9 +1,13 @@
 package workload
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/payload"
 )
 
 func TestAllFourWorkloadsPresent(t *testing.T) {
@@ -148,6 +152,21 @@ func TestFillPatternDeterministicAndVaried(t *testing.T) {
 	}
 }
 
+// TestFillPatternIsTheLazyStream checks that FillPattern writes the bytes
+// a lazy content filled from the same seed holds, at an odd length.
+func TestFillPatternIsTheLazyStream(t *testing.T) {
+	const n = 1027
+	got := make([]byte, n)
+	FillPattern(got, 42)
+	c := payload.New(n)
+	c.Fill(42)
+	want := make([]byte, n)
+	c.ReadAt(want, 0)
+	if !bytes.Equal(got, want) {
+		t.Fatal("FillPattern differs from the lazy fill of the same seed")
+	}
+}
+
 func TestVerifyBlocksCatchesCorruption(t *testing.T) {
 	w := MILC()
 	l := w.Layout(4)
@@ -159,9 +178,10 @@ func TestVerifyBlocksCatchesCorruption(t *testing.T) {
 		t.Fatalf("identical buffers should verify: %v", err)
 	}
 	b := l.Blocks[len(l.Blocks)/2]
-	dst[b.Offset] ^= 0xFF
-	if err := VerifyBlocks(l, 1, src, dst); err == nil {
-		t.Fatal("corruption not detected")
+	dst[b.Offset+1] ^= 0xFF
+	want := fmt.Sprintf("workload: mismatch at byte %d of block %+v", b.Offset+1, b)
+	if err := VerifyBlocks(l, 1, src, dst); err == nil || err.Error() != want {
+		t.Fatalf("corruption reported as %v, want %q", err, want)
 	}
 	// Corruption in a hole must NOT be detected (holes are dont-care).
 	copy(dst, src)

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -66,24 +67,7 @@ func exportedWithoutCallers(root string) ([]exportedDecl, error) {
 	var decls []exportedDecl
 	declIdents := map[*ast.Ident]bool{}
 	internal := filepath.Join(root, "internal") + string(filepath.Separator)
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	err := parseNonTestFiles(fset, root, func(path string, f *ast.File) {
 		if strings.HasPrefix(path, internal) {
 			pkg := f.Name.Name
 			add := func(id *ast.Ident, key string) {
@@ -121,7 +105,6 @@ func exportedWithoutCallers(root string) ([]exportedDecl, error) {
 			}
 			return true
 		})
-		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -134,6 +117,32 @@ func exportedWithoutCallers(root string) ([]exportedDecl, error) {
 		}
 	}
 	return dead, nil
+}
+
+// parseNonTestFiles parses every non-test .go file under root, except under
+// testdata/ and hidden directories, and calls fn with its path and syntax.
+func parseNonTestFiles(fset *token.FileSet, root string, fn func(path string, f *ast.File)) error {
+	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		fn(path, f)
+		return nil
+	})
 }
 
 // recvIdent is the type name of a method receiver, without pointer or
@@ -190,6 +199,96 @@ func TestExportedNamesScanFixture(t *testing.T) {
 	want := []string{
 		"widget.Orphan testdata/surface/internal/widget/widget.go:16",
 		"widget.TestOnly testdata/surface/internal/widget/widget.go:19",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("reported %q, want %q", got, want)
+	}
+}
+
+// payloadModeOwners are the directories, relative to the module root,
+// whose non-test files may branch on a buffer's payload mode by selecting
+// Lazy or IsLazy: internal/gpu decides the mode, internal/payload is the
+// lazy representation, and cmd/ddtperf builds lazy buffers itself.
+var payloadModeOwners = []string{"internal/gpu", "internal/payload", "cmd/ddtperf"}
+
+// payloadImporters may import internal/payload: the mode owners, and
+// internal/workload, whose FillPattern writes the payload fill stream.
+var payloadImporters = append([]string{"internal/workload"}, payloadModeOwners...)
+
+// payloadModeLeaks parses every non-test .go file under root (see
+// parseNonTestFiles) and reports, as "file:line: what", each import of
+// module's internal/payload outside payloadImporters and each selection of
+// Lazy or IsLazy outside payloadModeOwners.
+func payloadModeLeaks(root, module string) ([]string, error) {
+	fset := token.NewFileSet()
+	within := func(path string, dirs []string) bool {
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return false
+		}
+		rel = filepath.ToSlash(rel)
+		for _, d := range dirs {
+			if strings.HasPrefix(rel, d+"/") {
+				return true
+			}
+		}
+		return false
+	}
+	var leaks []string
+	report := func(pos token.Pos, what string) {
+		p := fset.Position(pos)
+		leaks = append(leaks, fmt.Sprintf("%s:%d: %s", filepath.ToSlash(p.Filename), p.Line, what))
+	}
+	err := parseNonTestFiles(fset, root, func(path string, f *ast.File) {
+		if !within(path, payloadImporters) {
+			for _, imp := range f.Imports {
+				if imp.Path.Value == strconv.Quote(module+"/internal/payload") {
+					report(imp.Pos(), "imports "+imp.Path.Value)
+				}
+			}
+		}
+		if within(path, payloadModeOwners) {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Lazy" || sel.Sel.Name == "IsLazy") {
+				report(sel.Sel.Pos(), "selects ."+sel.Sel.Name)
+			}
+			return true
+		})
+	})
+	return leaks, err
+}
+
+// TestPayloadModeStaysInGPU fails when a non-test file outside the mode's
+// owners branches on exact vs lazy content or reaches for the lazy
+// representation: that decision is internal/gpu's, made through its
+// mode-independent verbs (CopyLayout, Snapshot, Equal, ...).
+func TestPayloadModeStaysInGPU(t *testing.T) {
+	leaks, err := payloadModeLeaks(".", "repro")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range leaks {
+		t.Error(l)
+	}
+}
+
+// TestPayloadModeScanFixture runs the payload-mode scan over the fixture
+// module: its gpu package may import payload and select Lazy, its workload
+// package may only import payload, and its ckpt package may do neither.
+func TestPayloadModeScanFixture(t *testing.T) {
+	root := filepath.Join("testdata", "surface")
+	got, err := payloadModeLeaks(root, "surface")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(got)
+	want := []string{
+		`testdata/surface/internal/ckpt/ckpt.go:4: imports "surface/internal/payload"`,
+		"testdata/surface/internal/ckpt/ckpt.go:6: selects .IsLazy",
+		"testdata/surface/internal/ckpt/ckpt.go:6: selects .Lazy",
+		"testdata/surface/internal/workload/workload.go:6: selects .Lazy",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("reported %q, want %q", got, want)
