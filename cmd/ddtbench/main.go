@@ -62,11 +62,15 @@ func main() {
 			fmt.Printf("  -fig %s\n", f)
 		}
 	case *fig == "all":
+		failed := false
 		for _, f := range bench.Figures() {
 			if err := run(f); err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				failed = true
 			}
+		}
+		if failed {
+			os.Exit(1)
 		}
 	case *fig != "":
 		if err := run(*fig); err != nil {
@@ -98,13 +102,32 @@ func writeTrace(coll *timeline.Collector, path string) {
 	fmt.Fprintf(os.Stderr, "ddtbench: wrote Chrome trace to %s (open in https://ui.perfetto.dev)\n", path)
 }
 
-func run(fig string) error { return runTo(os.Stdout, *format, fig) }
+func run(fig string) error { return runTo(os.Stdout, os.Stderr, *format, fig) }
 
-func runTo(w io.Writer, format, fig string) error {
+// runTo regenerates table id fig and renders it to w, and each CORRUPT
+// cell's reason to ew (see render).
+func runTo(w, ew io.Writer, format, fig string) error {
 	tabs, err := bench.Run(fig)
 	if err != nil {
 		return err
 	}
+	return render(w, ew, format, tabs)
+}
+
+// render writes tabs to w and then, to ew, the verification error behind
+// every CORRUPT cell, which names the first mismatching block. It fails
+// when any table holds one.
+func render(w, ew io.Writer, format string, tabs []*bench.Table) error {
 	bench.Render(w, format, tabs)
+	n := 0
+	for _, t := range tabs {
+		for _, err := range t.Corrupt {
+			fmt.Fprintf(ew, "ddtbench: %s: CORRUPT: %v\n", t.Title, err)
+			n++
+		}
+	}
+	if n > 0 {
+		return fmt.Errorf("ddtbench: %d CORRUPT cells", n)
+	}
 	return nil
 }

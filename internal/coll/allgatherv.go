@@ -226,14 +226,13 @@ func (c *call) allgathervHier(send VOp, recvs []VOp) error {
 		if c.batch != nil {
 			c.openWin()
 		}
-		var bundleRecvs, gatherRecvs []*mpi.Request
 		for ns := 0; ns < nodes; ns++ {
 			if ns == node || nodeLen(ns) == 0 {
 				continue
 			}
 			q := c.bind(r.IrecvRaw(c.p, e.leaderOf(ns), c.tag(tagBundle), staging, c.bytesAt(nodeOff(ns), nodeLen(ns)), 1))
 			c.all = append(c.all, q)
-			bundleRecvs = append(bundleRecvs, q)
+			c.bundleRecvs = append(c.bundleRecvs, q)
 		}
 		for _, lr := range locals {
 			if lr == id || recvs[lr].bytes() == 0 {
@@ -241,14 +240,13 @@ func (c *call) allgathervHier(send VOp, recvs []VOp) error {
 			}
 			q := c.bind(r.IrecvRaw(c.p, lr, c.tag(tagGather), staging, c.bytesAt(off[lr], recvs[lr].bytes()), 1))
 			c.all = append(c.all, q)
-			gatherRecvs = append(gatherRecvs, q)
+			c.gatherRecvs = append(c.gatherRecvs, q)
 		}
-		packHs := make([]mpi.Handle, 0, 1) // at most our own leg
 		if send.bytes() > 0 {
 			e := r.LayoutEntry(send.Type, send.Count)
 			job := pack.JobFor(pack.OpPack, send.Buf, staging, e)
 			job.TargetOff = off[id]
-			packHs = append(packHs, r.Scheme().Pack(c.p, job))
+			c.packHs = append(c.packHs, r.Scheme().Pack(c.p, job))
 			c.bytes += send.bytes()
 		}
 		for _, lr := range locals {
@@ -261,13 +259,13 @@ func (c *call) allgathervHier(send VOp, recvs []VOp) error {
 		if c.batch != nil {
 			c.closeWin()
 			c.openWin()
-			c.gate(gatherRecvs)
+			c.gate(c.gatherRecvs)
 			c.closeWin()
 		}
-		if err := c.subsetWait(gatherRecvs); err != nil {
+		if err := c.subsetWait(c.gatherRecvs); err != nil {
 			return err
 		}
-		if err := c.waitHandles(packHs); err != nil {
+		if err := c.waitHandles(c.packHs); err != nil {
 			return err
 		}
 		// Bundle phase: our whole node region, one message per peer node.
@@ -278,7 +276,7 @@ func (c *call) allgathervHier(send VOp, recvs []VOp) error {
 			c.bytes += nodeLen(node)
 			c.all = append(c.all, c.bind(r.IsendRaw(c.p, e.leaderOf(nd), c.tag(tagBundle), staging, c.bytesAt(nodeOff(node), nodeLen(node)), 1)))
 		}
-		if err := c.subsetWait(bundleRecvs); err != nil {
+		if err := c.subsetWait(c.bundleRecvs); err != nil {
 			return err
 		}
 		// Window B: fan remote regions out to locals (one contiguous
@@ -298,23 +296,16 @@ func (c *call) allgathervHier(send VOp, recvs []VOp) error {
 				c.all = append(c.all, c.bind(r.IsendRaw(c.p, lr, c.tag(tagSlice), staging, c.bytesAt(nodeOff(ns), nodeLen(ns)), 1)))
 			}
 		}
-		legs := 0
-		for i := 0; i < size; i++ {
-			if recvs[i].bytes() != 0 {
-				legs++
-			}
-		}
-		unpackHs := make([]mpi.Handle, 0, legs)
 		for i := 0; i < size; i++ {
 			if recvs[i].bytes() == 0 {
 				continue
 			}
-			unpackHs = append(unpackHs, c.unpackJob(staging, recvs[i].Buf, recvs[i].Type, recvs[i].Count, off[i]))
+			c.unpackHs = append(c.unpackHs, c.unpackJob(staging, recvs[i].Buf, recvs[i].Type, recvs[i].Count, off[i]))
 		}
 		if c.batch != nil {
 			c.closeWin()
 		}
-		return c.waitHandles(unpackHs)
+		return c.waitHandles(c.unpackHs)
 	}
 
 	// --- non-leader ---
@@ -344,14 +335,13 @@ func (c *call) allgathervHier(send VOp, recvs []VOp) error {
 		}
 		c.all = append(c.all, c.bind(r.IsendRaw(c.p, id, c.tag(tagDirect), send.Buf, send.Type, send.Count)))
 	}
-	var directRecvs, sliceRecvs []*mpi.Request
 	for _, lr := range locals {
 		if recvs[lr].bytes() == 0 {
 			continue
 		}
 		q := c.bind(r.IrecvRaw(c.p, lr, c.tag(tagDirect), recvs[lr].Buf, recvs[lr].Type, recvs[lr].Count))
 		c.all = append(c.all, q)
-		directRecvs = append(directRecvs, q)
+		c.directRecvs = append(c.directRecvs, q)
 	}
 	for ns := 0; ns < nodes; ns++ {
 		if ns == node || nodeLen(ns) == 0 {
@@ -359,16 +349,16 @@ func (c *call) allgathervHier(send VOp, recvs []VOp) error {
 		}
 		q := c.bind(r.IrecvRaw(c.p, leader, c.tag(tagSlice), myStaging, c.bytesAt(remOff[ns], nodeLen(ns)), 1))
 		c.all = append(c.all, q)
-		sliceRecvs = append(sliceRecvs, q)
+		c.sliceRecvs = append(c.sliceRecvs, q)
 	}
 	if c.batch != nil {
 		c.closeWin()
 		// Window B: local IPC scatters + self unpack fuse.
 		c.openWin()
-		c.gate(directRecvs)
+		c.gate(c.directRecvs)
 		c.closeWin()
 	}
-	if err := c.subsetWait(sliceRecvs); err != nil {
+	if err := c.subsetWait(c.sliceRecvs); err != nil {
 		return err
 	}
 	// Window C: every remote contribution unpacks from the staged node
@@ -376,22 +366,15 @@ func (c *call) allgathervHier(send VOp, recvs []VOp) error {
 	if c.batch != nil {
 		c.openWin()
 	}
-	legs := 0
-	for i := 0; i < size; i++ {
-		if e.nodeOf(i) != node && recvs[i].bytes() != 0 {
-			legs++
-		}
-	}
-	unpackHs := make([]mpi.Handle, 0, legs)
 	for i := 0; i < size; i++ {
 		ns := e.nodeOf(i)
 		if ns == node || recvs[i].bytes() == 0 {
 			continue
 		}
-		unpackHs = append(unpackHs, c.unpackJob(myStaging, recvs[i].Buf, recvs[i].Type, recvs[i].Count, remOff[ns]+(off[i]-nodeOff(ns))))
+		c.unpackHs = append(c.unpackHs, c.unpackJob(myStaging, recvs[i].Buf, recvs[i].Type, recvs[i].Count, remOff[ns]+(off[i]-nodeOff(ns))))
 	}
 	if c.batch != nil {
 		c.closeWin()
 	}
-	return c.waitHandles(unpackHs)
+	return c.waitHandles(c.unpackHs)
 }

@@ -100,6 +100,24 @@ func TestHierAlltoallwAllocsFlatInWorldSize(t *testing.T) {
 	}
 }
 
+// TestHierAlltoallwAllocBytes pins what a warm hierarchical Alltoallw
+// allocates per rank on 64 lazy ranks with 16 legs each: its requests and
+// fusion handles, not its bookkeeping. A call's request and handle lists
+// are the rank's scratch, reset by each call, and a rendezvous send is
+// its own RTS. It reads 9.3-9.6 KB per rank per step (15.5-15.7 KB while
+// each call built its own lists and each RTS was a message).
+func TestHierAlltoallwAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled span lists, so allocation counts do not hold")
+	}
+	const maxPerRank = 11 << 10
+	objs, perRank := sparseA2AAllocs(t, coll.Hierarchical, 64)
+	t.Logf("%.1f objects, %.0f B per rank per step", objs, perRank)
+	if perRank > maxPerRank {
+		t.Fatalf("a warm hierarchical Alltoallw allocates %.0f B per rank per step, want at most %d", perRank, maxPerRank)
+	}
+}
+
 // TestLinearAlltoallwAllocsFlatInLiveLegs pins that a linear Alltoallw
 // lists only a rank's live legs: with the same 16 legs per rank, a step
 // allocates no more bytes per rank at 256 ranks than at 64, within 2 %.
@@ -138,9 +156,9 @@ func TestSubAllocsFlatInWorldSize(t *testing.T) {
 // (its op comes from the fabric's free list, it packs from the cached
 // layout, and nobody waits on its kernel), its unpack job is a value
 // copied into its request-list entry, so its 32-B fusion handle is all
-// the unpack makes, and the unpack handles are one slice sized to the
-// live legs. It reads 168-199 B (264-295 B while each unpack made a 96-B
-// job).
+// the unpack makes, and the unpack handles go in the rank's reusable
+// call scratch. It reads 125-135 B (159-199 B while each call made its
+// own handle slice; 264-295 B while each unpack made a 96-B job).
 func TestOneSidedAlltoallwAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled span lists, so allocation counts do not hold")

@@ -267,7 +267,6 @@ func (c *call) alltoallwHier(ops []WOp) error {
 	// staging whatever the payload mode. ---
 	pl := &c.st.hier
 	pl.dropTables() // a killed call may have left some behind
-	var sizeRecvs []*mpi.Request
 	for _, lr := range locals {
 		if lr == id {
 			pl.tabs = append(pl.tabs, sizeTable{ops: ops})
@@ -277,9 +276,9 @@ func (c *call) alltoallwHier(ops []WOp) error {
 		pl.tabs = append(pl.tabs, sizeTable{ops: ops, data: buf.Data})
 		q := c.bind(r.IrecvRaw(c.p, lr, c.tag(tagSizes), buf, c.bytesAt(0, int64(2*size*8)), 1))
 		c.all = append(c.all, q)
-		sizeRecvs = append(sizeRecvs, q)
+		c.sizeRecvs = append(c.sizeRecvs, q)
 	}
-	if err := c.subsetWait(sizeRecvs); err != nil {
+	if err := c.subsetWait(c.sizeRecvs); err != nil {
 		pl.dropTables()
 		return err
 	}
@@ -292,11 +291,10 @@ func (c *call) alltoallwHier(ops []WOp) error {
 	if c.batch != nil {
 		c.openWin()
 	}
-	var bundleRecvs, gatherRecvs []*mpi.Request
 	e.eachBundle(pl.in, func(nd int, off, n int64) {
 		q := c.bind(r.IrecvRaw(c.p, e.leaderOf(nd), c.tag(tagBundle), stagingIn, c.bytesAt(off, n), 1))
 		c.all = append(c.all, q)
-		bundleRecvs = append(bundleRecvs, q)
+		c.bundleRecvs = append(c.bundleRecvs, q)
 	})
 	// Each local's gather legs in dst order, the order it sends them.
 	for li, lr := range locals {
@@ -308,18 +306,11 @@ func (c *call) alltoallwHier(ops []WOp) error {
 			if int(g.li) == li {
 				q := c.bind(r.IrecvRaw(c.p, lr, c.tag(tagGather), stagingOut, c.bytesAt(off, g.n), 1))
 				c.all = append(c.all, q)
-				gatherRecvs = append(gatherRecvs, q)
+				c.gatherRecvs = append(c.gatherRecvs, q)
 			}
 			off += g.n
 		}
 	}
-	legs := 0
-	for _, g := range pl.out {
-		if locals[g.li] == id {
-			legs++
-		}
-	}
-	packHs := make([]mpi.Handle, 0, legs)
 	var off int64
 	for _, g := range pl.out {
 		if locals[g.li] == id {
@@ -327,24 +318,24 @@ func (c *call) alltoallwHier(ops []WOp) error {
 			e := r.LayoutEntry(op.SendType, op.SendCount)
 			job := pack.JobFor(pack.OpPack, op.SendBuf, stagingOut, e)
 			job.TargetOff = off
-			packHs = append(packHs, r.Scheme().Pack(c.p, job))
+			c.packHs = append(c.packHs, r.Scheme().Pack(c.p, job))
 			c.bytes += g.n
 		}
 		off += g.n
 	}
-	directRecvs := c.postDirect(ops, locals)
+	c.postDirect(ops, locals)
 	if c.batch != nil {
 		c.closeWin()
 		// --- window A2: the phase's inbound GPU work (gather IPC
 		// scatters, direct unpacks, self unpack) fuses into one launch. ---
 		c.openWin()
-		c.gate(append(append([]*mpi.Request{}, gatherRecvs...), directRecvs...))
+		c.gate(c.gatherRecvs, c.directRecvs)
 		c.closeWin()
 	}
-	if err := c.subsetWait(gatherRecvs); err != nil {
+	if err := c.subsetWait(c.gatherRecvs); err != nil {
 		return err
 	}
-	if err := c.waitHandles(packHs); err != nil {
+	if err := c.waitHandles(c.packHs); err != nil {
 		return err
 	}
 
@@ -353,7 +344,7 @@ func (c *call) alltoallwHier(ops []WOp) error {
 		c.bytes += n
 		c.all = append(c.all, c.bind(r.IsendRaw(c.p, e.leaderOf(nd), c.tag(tagBundle), stagingOut, c.bytesAt(off, n), 1)))
 	})
-	if err := c.subsetWait(bundleRecvs); err != nil {
+	if err := c.subsetWait(c.bundleRecvs); err != nil {
 		return err
 	}
 
@@ -362,27 +353,20 @@ func (c *call) alltoallwHier(ops []WOp) error {
 	if c.batch != nil {
 		c.openWin()
 	}
-	legs = 0
-	for _, g := range pl.in {
-		if locals[g.li] == id {
-			legs++
-		}
-	}
-	unpackHs := make([]mpi.Handle, 0, legs)
 	off = 0
 	for _, g := range pl.in {
 		if lr := locals[g.li]; lr != id {
 			c.all = append(c.all, c.bind(r.IsendRaw(c.p, lr, c.tag(tagSlice), stagingIn, c.bytesAt(off, g.n), 1)))
 		} else {
 			op := ops[g.peer]
-			unpackHs = append(unpackHs, c.unpackJob(stagingIn, op.RecvBuf, op.RecvType, op.RecvCount, off))
+			c.unpackHs = append(c.unpackHs, c.unpackJob(stagingIn, op.RecvBuf, op.RecvType, op.RecvCount, off))
 		}
 		off += g.n
 	}
 	if c.batch != nil {
 		c.closeWin()
 	}
-	return c.waitHandles(unpackHs)
+	return c.waitHandles(c.unpackHs)
 }
 
 // hierLocal is the non-leader side: hand cross-node legs to the leader,
@@ -413,38 +397,37 @@ func (c *call) hierLocal(ops []WOp, leader int, locals []int) error {
 		c.bytes += op.sendBytes()
 		c.all = append(c.all, c.bind(r.IsendRaw(c.p, leader, c.tag(tagGather), op.SendBuf, op.SendType, op.SendCount)))
 	}
-	var sliceRecvs []*mpi.Request
 	for src, op := range ops {
 		if e.nodeOf(src) == node || op.recvBytes() == 0 {
 			continue
 		}
 		q := c.bind(r.IrecvRaw(c.p, leader, c.tag(tagSlice), op.RecvBuf, op.RecvType, op.RecvCount))
 		c.all = append(c.all, q)
-		sliceRecvs = append(sliceRecvs, q)
+		c.sliceRecvs = append(c.sliceRecvs, q)
 	}
-	directRecvs := c.postDirect(ops, locals)
+	c.postDirect(ops, locals)
 	if c.batch != nil {
 		c.closeWin()
 		// --- window B: all inbound GPU work (direct IPC scatters, self
 		// unpack, slice unpacks) fuses into one launch once everything
 		// has at least reached the scheme. ---
 		c.openWin()
-		c.gate(append(append([]*mpi.Request{}, directRecvs...), sliceRecvs...))
+		c.gate(c.directRecvs, c.sliceRecvs)
 		c.closeWin()
 	}
 	return nil
 }
 
 // postDirect posts the same-node legs (peers in ascending rank order,
-// self included via the loopback path) and returns the receives.
-func (c *call) postDirect(ops []WOp, locals []int) []*mpi.Request {
-	var recvs []*mpi.Request
+// self included via the loopback path), listing the receives in the
+// call's directRecvs.
+func (c *call) postDirect(ops []WOp, locals []int) {
 	for _, peer := range locals {
 		op := ops[peer]
 		if op.recvBytes() > 0 {
 			q := c.bind(c.r.IrecvRaw(c.p, peer, c.tag(tagDirect), op.RecvBuf, op.RecvType, op.RecvCount))
 			c.all = append(c.all, q)
-			recvs = append(recvs, q)
+			c.directRecvs = append(c.directRecvs, q)
 		}
 	}
 	for _, peer := range locals {
@@ -454,7 +437,6 @@ func (c *call) postDirect(ops []WOp, locals []int) []*mpi.Request {
 			c.all = append(c.all, c.bind(c.r.IsendRaw(c.p, peer, c.tag(tagDirect), op.SendBuf, op.SendType, op.SendCount)))
 		}
 	}
-	return recvs
 }
 
 // validAlg rejects algorithms a collective doesn't implement.

@@ -165,6 +165,10 @@ type Engine struct {
 	osID int         // window/signal namespace id within the fabric
 
 	ids []int // 0..nodes*gpusPerNode-1; localRanks returns subslices
+
+	// calls holds each world rank's call, made by its first begin and
+	// shared with every Sub engine: a rank runs one collective at a time.
+	calls []*call
 }
 
 type rankState struct {
@@ -181,6 +185,7 @@ func New(w *mpi.World, t Tuning) *Engine {
 	for i := range e.ids {
 		e.ids[i] = i
 	}
+	e.calls = make([]*call, len(e.ids))
 	return e
 }
 
@@ -223,7 +228,7 @@ func (e *Engine) rmaFabric() *rma.Fabric {
 // comm ranks. The first one-sided collective on the sub-engine reseats
 // the shared fabric onto comm (fresh epoch, rebuilt symmetric heap).
 func (e *Engine) Sub(cm *mpi.Comm) *Engine {
-	return &Engine{w: e.w, comm: cm, tuning: e.tuning, rmaF: e.rmaF, osID: e.osID, ids: e.ids}
+	return &Engine{w: e.w, comm: cm, tuning: e.tuning, rmaF: e.rmaF, osID: e.osID, ids: e.ids, calls: e.calls}
 }
 
 // size is the number of collective participants (comm size).
@@ -266,7 +271,10 @@ func (lg leg) empty() bool {
 	return lg.count == 0 || lg.l.SizeBytes == 0
 }
 
-// call tracks one in-flight collective on one rank.
+// call tracks one in-flight collective on one rank. Each rank has one,
+// shared by an engine and its Sub engines (Engine.calls): a rank runs one
+// collective at a time, so each begin after the first resets it in place
+// and its lists keep their capacity from call to call, as hierPlan does.
 type call struct {
 	e       *Engine
 	r       *mpi.Rank
@@ -276,10 +284,40 @@ type call struct {
 	seq     int
 	batch   batchScheme // nil when windows are off for this call
 	winOpen int         // fusion windows currently open (see openWin)
-	all     []*mpi.Request
-	lent    []*gpu.Buffer // staging to give back in finish
 	t0      int64
 	bytes   int64 // payload posted (sends), for the wrapper span
+	callLists
+}
+
+// callLists are a call's request, handle and staging lists: every posted
+// request (all), the staging to give back in finish (lent), and the
+// hierarchical and one-sided schedules' lists of one phase's receives and
+// scheme handles, named by their legs. finish empties them, so no settled
+// request stays reachable.
+type callLists struct {
+	all                                                          []*mpi.Request
+	lent                                                         []*gpu.Buffer
+	sizeRecvs, bundleRecvs, gatherRecvs, sliceRecvs, directRecvs []*mpi.Request
+	packHs, unpackHs                                             []mpi.Handle
+}
+
+// reset empties every list, keeping its capacity.
+func (l *callLists) reset() {
+	empty(&l.all)
+	empty(&l.lent)
+	empty(&l.sizeRecvs)
+	empty(&l.bundleRecvs)
+	empty(&l.gatherRecvs)
+	empty(&l.sliceRecvs)
+	empty(&l.directRecvs)
+	empty(&l.packHs)
+	empty(&l.unpackHs)
+}
+
+// empty clears the list s points at and truncates it to length zero.
+func empty[T any](s *[]T) {
+	clear(*s)
+	*s = (*s)[:0]
 }
 
 // rank is the calling rank's position in the collective's communicator.
@@ -300,7 +338,13 @@ func (e *Engine) begin(r *mpi.Rank, p *sim.Proc, legs int) *call {
 	if cm.CommRank(r.ID()) < 0 {
 		panic(fmt.Sprintf("coll: rank %d is not a member of the collective's communicator (epoch %d)", r.ID(), cm.Epoch()))
 	}
-	c := &call{e: e, r: r, p: p, st: st, cm: cm, seq: st.seq, t0: p.Now()}
+	c := e.calls[r.ID()]
+	if c == nil {
+		c = &call{}
+		e.calls[r.ID()] = c
+	}
+	c.reset() // a killed call may have left entries behind
+	*c = call{e: e, r: r, p: p, st: st, cm: cm, seq: st.seq, t0: p.Now(), callLists: c.callLists}
 	if !e.tuning.DisableFusionWindow && r.World().Cfg.PipelineChunkBytes == 0 {
 		// Pipelined rendezvous enqueues chunk packs across many progress
 		// calls; holding a window open would starve them, so batching is
@@ -315,7 +359,8 @@ func (e *Engine) begin(r *mpi.Rank, p *sim.Proc, legs int) *call {
 }
 
 // finish emits the collective's wrapper span and settles every posted
-// request, joining any intermediate error with the final Waitall errors.
+// request, joining any intermediate error with the final Waitall errors,
+// and then empties the call's lists.
 // Two failure-tolerance duties live here because finish is on every exit
 // path: any fusion window the aborted schedule left open is force-closed
 // (so pending fused pack/unpack jobs launch or drain instead of being
@@ -352,6 +397,7 @@ func (c *call) finish(kind, alg string, stageErr error) error {
 			timeline.Arg{Key: "bytes", Val: fmt.Sprint(c.bytes)},
 			timeline.Arg{Key: "reqs", Val: fmt.Sprint(len(c.all))})
 	}
+	c.reset()
 	return err
 }
 
@@ -406,14 +452,15 @@ func (c *call) bind(q *mpi.Request) *mpi.Request {
 }
 
 // post issues receives then sends (skipping empty legs identically on
-// both endpoints) and returns the receive requests for gating. Leg peers
+// both endpoints) and returns the receive requests for gating, the part
+// of the call's list of every request that holds them. Leg peers
 // are comm ranks; the world translation happens here, as does the
 // failure-tolerance fail-fast: posts on a locally-revoked communicator
 // settle immediately with ErrCommRevoked (posts to a declared-dead peer
 // fail fast inside the mpi layer), and every request is bound to the
 // communicator so an in-band revocation fails it in place.
 func (c *call) post(recvs, sends []leg) []*mpi.Request {
-	var rr []*mpi.Request
+	first := len(c.all)
 	for _, lg := range recvs {
 		if lg.empty() {
 			continue
@@ -427,8 +474,8 @@ func (c *call) post(recvs, sends []leg) []*mpi.Request {
 			c.cm.Bind(q)
 		}
 		c.all = append(c.all, q)
-		rr = append(rr, q)
 	}
+	rr := c.all[first:len(c.all):len(c.all)]
 	for _, lg := range sends {
 		if lg.empty() {
 			continue
@@ -447,12 +494,12 @@ func (c *call) post(recvs, sends []leg) []*mpi.Request {
 	return rr
 }
 
-// gate drives the progress engine until every listed receive has either
-// settled or handed its unpack/DirectIPC work to the scheme — the point
-// where the open fusion window has seen all of the phase's incoming GPU
-// work and can close. Sends are never gated (their completion may depend
-// on the peer's window, which would deadlock).
-func (c *call) gate(reqs []*mpi.Request) {
+// gate drives the progress engine until every receive of the listed
+// lists has either settled or handed its unpack/DirectIPC work to the
+// scheme — the point where the open fusion window has seen all of the
+// phase's incoming GPU work and can close. Sends are never gated (their
+// completion may depend on the peer's window, which would deadlock).
+func (c *call) gate(lists ...[]*mpi.Request) {
 	poll := c.r.World().Cfg.PollIntervalNs
 	for {
 		// With an open fusion window this is held (CloseBatch launches);
@@ -460,20 +507,26 @@ func (c *call) gate(reqs []*mpi.Request) {
 		// exactly as Waitall would.
 		c.r.Scheme().Flush(c.p)
 		c.r.Progress(c.p)
-		ready := true
-		for _, q := range reqs {
-			if !q.Done() && !q.Failed() && !q.Processing() {
-				ready = false
-				break
-			}
-		}
-		if ready {
+		if ready(lists) {
 			return
 		}
 		start := c.p.Now()
 		c.p.Sleep(poll)
 		collCharge(c.r, trace.Comm, "gate-poll", start, poll)
 	}
+}
+
+// ready reports whether every receive of lists has settled or reached
+// its datatype processing.
+func ready(lists [][]*mpi.Request) bool {
+	for _, reqs := range lists {
+		for _, q := range reqs {
+			if !q.Done() && !q.Failed() && !q.Processing() {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // exchangePhase runs one self-contained fused phase: window around the

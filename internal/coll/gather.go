@@ -110,33 +110,31 @@ func (c *call) gathervHier(root int, send VOp, recvs []VOp) error {
 		if c.batch != nil {
 			c.openWin()
 		}
-		var gatherRecvs []*mpi.Request
 		for _, lr := range locals {
 			if lr == id || recvs[lr].bytes() == 0 {
 				continue
 			}
 			q := c.bind(r.IrecvRaw(c.p, lr, c.tag(tagGather), staging, c.bytesAt(loff[lr], recvs[lr].bytes()), 1))
 			c.all = append(c.all, q)
-			gatherRecvs = append(gatherRecvs, q)
+			c.gatherRecvs = append(c.gatherRecvs, q)
 		}
-		packHs := make([]mpi.Handle, 0, 1) // at most our own leg
 		if send.bytes() > 0 {
 			e := r.LayoutEntry(send.Type, send.Count)
 			job := pack.JobFor(pack.OpPack, send.Buf, staging, e)
 			job.TargetOff = loff[id]
-			packHs = append(packHs, r.Scheme().Pack(c.p, job))
+			c.packHs = append(c.packHs, r.Scheme().Pack(c.p, job))
 			c.bytes += send.bytes()
 		}
 		if c.batch != nil {
 			c.closeWin()
 			c.openWin()
-			c.gate(gatherRecvs)
+			c.gate(c.gatherRecvs)
 			c.closeWin()
 		}
-		if err := c.subsetWait(gatherRecvs); err != nil {
+		if err := c.subsetWait(c.gatherRecvs); err != nil {
 			return err
 		}
-		if err := c.waitHandles(packHs); err != nil {
+		if err := c.waitHandles(c.packHs); err != nil {
 			return err
 		}
 		c.bytes += total
@@ -160,14 +158,13 @@ func (c *call) gathervHier(root int, send VOp, recvs []VOp) error {
 	if c.batch != nil {
 		c.openWin()
 	}
-	var bundleRecvs, directRecvs []*mpi.Request
 	for ns := 0; ns < nodes; ns++ {
 		if ns == rootNode || nodeTotal(ns) == 0 {
 			continue
 		}
 		q := c.bind(r.IrecvRaw(c.p, e.leaderOf(ns), c.tag(tagBundle), stagingIn, c.bytesAt(inOff[ns], nodeTotal(ns)), 1))
 		c.all = append(c.all, q)
-		bundleRecvs = append(bundleRecvs, q)
+		c.bundleRecvs = append(c.bundleRecvs, q)
 	}
 	for _, lr := range locals {
 		if recvs[lr].bytes() == 0 {
@@ -176,7 +173,7 @@ func (c *call) gathervHier(root int, send VOp, recvs []VOp) error {
 		tag := c.tag(tagDirect)
 		q := c.bind(r.IrecvRaw(c.p, lr, tag, recvs[lr].Buf, recvs[lr].Type, recvs[lr].Count))
 		c.all = append(c.all, q)
-		directRecvs = append(directRecvs, q)
+		c.directRecvs = append(c.directRecvs, q)
 	}
 	if send.bytes() > 0 {
 		c.bytes += send.bytes()
@@ -185,27 +182,15 @@ func (c *call) gathervHier(root int, send VOp, recvs []VOp) error {
 	if c.batch != nil {
 		c.closeWin()
 		c.openWin()
-		c.gate(directRecvs)
+		c.gate(c.directRecvs)
 		c.closeWin()
 	}
-	if err := c.subsetWait(bundleRecvs); err != nil {
+	if err := c.subsetWait(c.bundleRecvs); err != nil {
 		return err
 	}
 	if c.batch != nil {
 		c.openWin()
 	}
-	legs := 0
-	for ns := 0; ns < nodes; ns++ {
-		if ns == rootNode {
-			continue
-		}
-		for _, lr := range e.localRanks(ns) {
-			if recvs[lr].bytes() != 0 {
-				legs++
-			}
-		}
-	}
-	unpackHs := make([]mpi.Handle, 0, legs)
 	for ns := 0; ns < nodes; ns++ {
 		if ns == rootNode {
 			continue
@@ -216,14 +201,14 @@ func (c *call) gathervHier(root int, send VOp, recvs []VOp) error {
 			if n == 0 {
 				continue
 			}
-			unpackHs = append(unpackHs, c.unpackJob(stagingIn, recvs[lr].Buf, recvs[lr].Type, recvs[lr].Count, at))
+			c.unpackHs = append(c.unpackHs, c.unpackJob(stagingIn, recvs[lr].Buf, recvs[lr].Type, recvs[lr].Count, at))
 			at += n
 		}
 	}
 	if c.batch != nil {
 		c.closeWin()
 	}
-	return c.waitHandles(unpackHs)
+	return c.waitHandles(c.unpackHs)
 }
 
 // Scatterv distributes per-rank slots from root: sends[i] is what rank i
@@ -304,18 +289,6 @@ func (c *call) scattervHier(root int, sends []VOp, recv VOp) error {
 		if c.batch != nil {
 			c.openWin()
 		}
-		legs := 0
-		for nd := 0; nd < nodes; nd++ {
-			if nd == rootNode {
-				continue
-			}
-			for _, lr := range e.localRanks(nd) {
-				if sends[lr].bytes() != 0 {
-					legs++
-				}
-			}
-		}
-		packHs := make([]mpi.Handle, 0, legs)
 		for nd := 0; nd < nodes; nd++ {
 			if nd == rootNode {
 				continue
@@ -329,12 +302,11 @@ func (c *call) scattervHier(root int, sends []VOp, recv VOp) error {
 				e := r.LayoutEntry(sends[lr].Type, sends[lr].Count)
 				job := pack.JobFor(pack.OpPack, sends[lr].Buf, stagingOut, e)
 				job.TargetOff = at
-				packHs = append(packHs, r.Scheme().Pack(c.p, job))
+				c.packHs = append(c.packHs, r.Scheme().Pack(c.p, job))
 				c.bytes += n
 				at += n
 			}
 		}
-		var selfRecv []*mpi.Request
 		for _, lr := range locals {
 			if sends[lr].bytes() == 0 {
 				continue
@@ -345,15 +317,15 @@ func (c *call) scattervHier(root int, sends []VOp, recv VOp) error {
 		if recv.bytes() > 0 {
 			q := c.bind(r.IrecvRaw(c.p, id, c.tag(tagDirect), recv.Buf, recv.Type, recv.Count))
 			c.all = append(c.all, q)
-			selfRecv = append(selfRecv, q)
+			c.directRecvs = append(c.directRecvs, q)
 		}
 		if c.batch != nil {
 			c.closeWin()
 			c.openWin()
-			c.gate(selfRecv)
+			c.gate(c.directRecvs)
 			c.closeWin()
 		}
-		if err := c.waitHandles(packHs); err != nil {
+		if err := c.waitHandles(c.packHs); err != nil {
 			return err
 		}
 		for nd := 0; nd < nodes; nd++ {
@@ -382,13 +354,13 @@ func (c *call) scattervHier(root int, sends []VOp, recv VOp) error {
 		staging := c.staging(total)
 		q := c.bind(r.IrecvRaw(c.p, root, c.tag(tagBundle), staging, c.bytesAt(0, total), 1))
 		c.all = append(c.all, q)
-		if err := c.subsetWait([]*mpi.Request{q}); err != nil {
+		c.bundleRecvs = append(c.bundleRecvs, q)
+		if err := c.subsetWait(c.bundleRecvs); err != nil {
 			return err
 		}
 		if c.batch != nil {
 			c.openWin()
 		}
-		unpackHs := make([]mpi.Handle, 0, 1) // at most our own slot
 		var at int64
 		for _, lr := range locals {
 			n := sends[lr].bytes()
@@ -396,7 +368,7 @@ func (c *call) scattervHier(root int, sends []VOp, recv VOp) error {
 				continue
 			}
 			if lr == id {
-				unpackHs = append(unpackHs, c.unpackJob(staging, recv.Buf, recv.Type, recv.Count, at))
+				c.unpackHs = append(c.unpackHs, c.unpackJob(staging, recv.Buf, recv.Type, recv.Count, at))
 			} else {
 				c.all = append(c.all, c.bind(r.IsendRaw(c.p, lr, c.tag(tagSlice), staging, c.bytesAt(at, n), 1)))
 			}
@@ -405,7 +377,7 @@ func (c *call) scattervHier(root int, sends []VOp, recv VOp) error {
 		if c.batch != nil {
 			c.closeWin()
 		}
-		return c.waitHandles(unpackHs)
+		return c.waitHandles(c.unpackHs)
 	}
 	// Remote non-leader: our slice arrives from the leader.
 	return c.exchangePhase(

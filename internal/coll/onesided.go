@@ -169,21 +169,14 @@ func (c *call) allgathervOneSided(send VOp, recvs []VOp, bruck bool) error {
 	// Every block has landed: unpack them all in one fused window, then
 	// drain our outstanding puts before the window can be released.
 	c.openWin()
-	legs := 0
-	for _, op := range recvs {
-		if op.bytes() != 0 {
-			legs++
-		}
-	}
-	hs := make([]mpi.Handle, 0, legs)
 	for i, op := range recvs {
 		if op.bytes() == 0 {
 			continue
 		}
-		hs = append(hs, c.unpackJob(win.Buf(id), op.Buf, op.Type, op.Count, offs[i]))
+		c.unpackHs = append(c.unpackHs, c.unpackJob(win.Buf(id), op.Buf, op.Type, op.Count, offs[i]))
 	}
 	c.closeWin()
-	if err := c.waitHandles(hs); err != nil {
+	if err := c.waitHandles(c.unpackHs); err != nil {
 		return err
 	}
 	return ep.Quiet(p)
@@ -425,21 +418,14 @@ func (c *call) alltoallwOneSided(ops []WOp, bruck bool) error {
 		}
 	}
 	c.openWin()
-	legs := 0
-	for _, op := range ops {
-		if op.recvBytes() != 0 {
-			legs++
-		}
-	}
-	hs := make([]mpi.Handle, 0, legs)
 	for src, op := range ops {
 		if op.recvBytes() == 0 {
 			continue
 		}
-		hs = append(hs, c.unpackJob(win.Buf(id), op.RecvBuf, op.RecvType, op.RecvCount, parity*inTotal+inOff[src]))
+		c.unpackHs = append(c.unpackHs, c.unpackJob(win.Buf(id), op.RecvBuf, op.RecvType, op.RecvCount, parity*inTotal+inOff[src]))
 	}
 	c.closeWin()
-	if err := c.waitHandles(hs); err != nil {
+	if err := c.waitHandles(c.unpackHs); err != nil {
 		return err
 	}
 	if err := ep.Quiet(p); err != nil {

@@ -58,6 +58,9 @@ type Entry struct {
 	// charged records whether a charged lookup (GetCharged) has seen
 	// this entry yet.
 	charged bool
+	// Index is the entry's creation order in its cache, from 0: a dense
+	// key for tables the cache's owner keeps per entry.
+	Index int32
 }
 
 // Lookup costs in virtual nanoseconds, mirroring the ~2 µs/message
@@ -140,7 +143,7 @@ func (c *Cache) Get(l *datatype.Layout, count int) (*Entry, bool) {
 	}
 	c.Misses++
 	blocks := l.Repeat(count)
-	e := &Entry{Key: k, Shape: NewShape(blocks), Extent: l.ExtentBytes * int64(count)}
+	e := &Entry{Key: k, Shape: NewShape(blocks), Extent: l.ExtentBytes * int64(count), Index: int32(len(c.items))}
 	e.Canon = datatype.Canonicalize(blocks, e.Extent)
 	e.Plan = datatype.CompilePlan(e.Canon)
 	c.Compiled[int(e.Plan.Kind)]++

@@ -122,14 +122,16 @@ func legAllocs(t *testing.T, w *mpi.World, src, dst int, l *datatype.Layout) (ob
 
 // TestWarmTwoSidedLegAllocs pins the heap objects of one warm leg under
 // Proposed-Tuned, each a sequential Isend+Wait / Irecv+Wait pair:
-//   - a same-node DirectIPC leg of the 6000-B sparse layout makes 5: the
-//     two requests, the IPC RTS, the 24-B Peer and the fusion handle
-//     (about 520 B; 624 B while the Peer was a 144-B job and Peer);
-//   - an inter-node RGET leg of the 64 KiB strided vector makes 5: the
-//     requests, the RTS and the pack and unpack fusion handles. The jobs
-//     are values copied into their request-list entries, and the RTS
-//     receives both legs of its read, so the read makes no closure and
-//     the FIN no frame (9 before, 818 B; 512 B now);
+//   - a same-node DirectIPC leg of the 6000-B sparse layout makes 3: the
+//     two requests and the fusion handle, about 340 B. The send is its
+//     own RTS, and the job's Peer is the receive entry's cached one (5
+//     before, about 520 B, with an RTS frame and a Peer per leg);
+//   - an inter-node RGET leg of the 64 KiB strided vector makes 4: the
+//     requests and the pack and unpack fusion handles, about 385 B. The
+//     jobs are values copied into their request-list entries, and the
+//     send is its own RTS and receives both legs of its read, so neither
+//     the RTS, the read nor the FIN makes a frame or a closure (5 before,
+//     512 B; 9 before that, 818 B);
 //   - an eager leg of 4 KiB contiguous makes 4: the requests, the eager
 //     frame and its payload snapshot, and no closure (5 before).
 func TestWarmTwoSidedLegAllocs(t *testing.T) {
@@ -139,8 +141,8 @@ func TestWarmTwoSidedLegAllocs(t *testing.T) {
 		l        *datatype.Layout
 		want     float64
 	}{
-		{"same-node", 0, 1, sparseLayout(), 5},
-		{"RGET", 0, 4, denseLayout(), 5},
+		{"same-node", 0, 1, sparseLayout(), 3},
+		{"RGET", 0, 4, denseLayout(), 4},
 		{"eager", 0, 4, datatype.Commit(datatype.Contiguous(512, datatype.Float64)), 4},
 	} {
 		w := newWorld("Proposed-Tuned", nil)

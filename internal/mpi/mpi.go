@@ -12,6 +12,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -328,9 +329,13 @@ type Rank struct {
 	tl *timeline.Recorder
 
 	posted     []*Request // posted receives awaiting a match
-	unexpected []*message // arrived messages with no posted receive
+	unexpected []envelope // arrived envelopes with no posted receive, in arrival order
 	active     []*Request // all incomplete requests this rank owns
 	snap       []*Request // progress's reusable copy of active; nil while a poll holds it
+	// ipcLinks caches, by receive layout entry (Entry.Index), the
+	// destination side of the DirectIPC jobs that land in it: every such
+	// job shares one Peer.
+	ipcLinks []*pack.Peer
 
 	// Envelope-ordering state: MPI's non-overtaking rule requires that
 	// the matchable envelopes (eager data or RTS) of sends to the same
@@ -406,22 +411,42 @@ func (r *Rank) drainEmits(p *sim.Proc, dest int) {
 	}
 }
 
-// emitEnvelope puts send q's matchable envelope on the wire, built from q
-// when its FIFO turn comes: an RTS offering DirectIPC to a same-node peer,
-// eager data (whose bytes are snapshotted now), or an RTS that carries the
-// chunk count of a pipelined send.
+// emitEnvelope puts send q's matchable envelope on the wire when its FIFO
+// turn comes: eager data (whose bytes are snapshotted now), or an RTS. The
+// receiver reads what an RTS describes (bytes, the DirectIPC offer to a
+// same-node peer, a pipelined send's chunks) from q itself. Under the
+// reliability layer the RTS is a tracked message; without it q is its own
+// RTS, as it is its own FIN and CTS (signal), and the RTS makes no frame.
 func (r *Rank) emitEnvelope(p *sim.Proc, q *Request) {
-	ipc := r.ipcPeer(q.peer)
-	if !ipc && q.bytes <= r.world.Cfg.EagerLimitBytes {
+	if !r.ipcPeer(q.peer) && q.bytes <= r.world.Cfg.EagerLimitBytes {
 		r.emitEager(p, q)
 		return
 	}
-	m := &message{kind: mkRTS, from: int32(r.id), to: int32(q.peer), tag: q.tag, bytes: q.bytes, sender: q, ipc: ipc}
-	if q.pipe != nil {
-		m.chunks = int32(len(q.pipe.chunks))
+	if r.reliable() {
+		r.postCtrl(p, q, &message{kind: mkRTS, from: int32(r.id), to: int32(q.peer), tag: q.tag, bytes: q.bytes, sender: q})
+		return
 	}
-	r.postCtrl(p, q, m)
+	r.postSignal(p, mkRTS, q.peer, q.tag, (*rtsArrival)(q))
 }
+
+// rtsArrival is a rendezvous send request as the receiver of its own RTS.
+type rtsArrival Request
+
+// Handle matches the send at its destination like any other envelope.
+func (a *rtsArrival) Handle() {
+	s := (*Request)(a)
+	dst := s.rank.world.ranks[s.peer]
+	if dst.world.isCrashed(dst.id) {
+		return // a dead rank is silent (see arrive)
+	}
+	dst.match(envelope{s: s})
+}
+
+func (a *rtsArrival) Deliver(fabric.Delivery) { a.Handle() }
+
+// ipcOffer reports whether send q's RTS offers its same-node peer a
+// DirectIPC transfer.
+func (q *Request) ipcOffer() bool { return q.rank.ipcPeer(q.peer) }
 
 // emitEager sends q's payload with its envelope. The sender completes once
 // the message is handed to the NIC (reliable mode: once it is acked).
@@ -533,28 +558,26 @@ func (m msgKind) String() string {
 }
 
 // message is an in-flight or queued wire message: 128 B
-// (TestMessageSize). kind, ipc and chunks share one word, and so do the
-// ranks from and to; tag stays a full int, as collective tags reach
-// CollTagBase plus an epoch.
+// (TestMessageSize). kind and the ranks from and to share one word; tag
+// stays a full int, as collective tags reach CollTagBase plus an epoch.
+// Without the reliability layer a rendezvous send is its own RTS, so a
+// message is an eager frame, an RTS-chunk, or a tracked frame.
 type message struct {
-	kind msgKind
-	// ipc marks an RTS offering a same-node zero-copy transfer.
-	ipc bool
-	// chunks > 0 marks a pipelined-rendezvous envelope; chunkOff and
-	// chunkBytes describe one chunk on mkRTSChunk messages.
-	chunks   int32
+	kind     msgKind
 	from, to int32
 	tag      int
 	bytes    int64 // payload size (data description for RTS)
 	// sender is the originating send request (control messages carry a
-	// pointer — the simulation-level stand-in for rkeys/addresses).
+	// pointer — the simulation-level stand-in for rkeys/addresses). An RTS
+	// or RTS-chunk's receiver reads the send's IPC offer and chunks there.
 	sender *Request
 	// receiver is set on CTS/FIN destined for a specific request, and on
-	// an RTS or RTS-chunk whose payload a receive reads (readRequest).
+	// an RTS-chunk whose payload a receive reads (chunkRequest).
 	receiver *Request
 	// wire is an eager message's data bytes (already packed), a snapshot
 	// taken when the message was built.
-	wire       gpu.Snapshot
+	wire gpu.Snapshot
+	// chunkOff and chunkBytes describe one chunk of an mkRTSChunk.
 	chunkOff   int64
 	chunkBytes int64
 	// id is the reliability-layer message id (nonzero only for tracked
@@ -566,9 +589,40 @@ type message struct {
 	// dst is the destination rank, set by sendMsg: a message sent that
 	// way is its own fabric receiver.
 	dst *Rank
-	// readAt is when the read of an RTS's or RTS-chunk's payload was
-	// posted: the start of its rdma-read span.
+	// readAt is when the read of an RTS-chunk's payload was posted: the
+	// start of its rdma-read-chunk span.
 	readAt int64
+}
+
+// envelope is a matchable arrival, queued on the unexpected list until a
+// receive matches it: an eager frame, a tracked RTS or an abort (m), or,
+// without the reliability layer, a rendezvous send that is its own RTS
+// (s). Exactly one is set.
+type envelope struct {
+	m *message
+	s *Request
+}
+
+// source, tag and bytes describe the envelope's message.
+func (e envelope) source() int {
+	if e.s != nil {
+		return e.s.rank.id
+	}
+	return int(e.m.from)
+}
+
+func (e envelope) tag() int {
+	if e.s != nil {
+		return e.s.tag
+	}
+	return e.m.tag
+}
+
+func (e envelope) bytes() int64 {
+	if e.s != nil {
+		return e.s.bytes
+	}
+	return e.m.bytes
 }
 
 // sendMsg ships m from r to rank m.to, charged as bytes on the wire, with
@@ -598,17 +652,24 @@ type Request struct {
 	entry *layoutcache.Entry
 	bytes int64
 
-	seq    int64       // send: per-destination envelope sequence
+	// seq is a send's per-destination envelope sequence. A receive, which
+	// has none, keeps there when it posted its fault-free RGET read: the
+	// start of its rdma-read span.
+	seq    int64
 	sseq   int64       // send: reliability-layer stream sequence of the emitted envelope
 	packed *gpu.Buffer // staging (send: packed output; recv: packed input)
 	handle Handle      // pack or unpack handle
-	// matched is a receive's matched envelope.
+	// matched is a receive's matched message: an eager frame, or under
+	// the reliability layer an RTS or abort.
 	matched *message
-	// peerRecv is a send's matched receive, set by the receiver: the one
-	// that issued an RPUT CTS, or that matched a pipelined envelope.
-	peerRecv *Request
-	pipe     *pipeState // pipelined rendezvous (pipeline.go); nil on a plain leg
-	rel      *relState  // reliability-layer and ULFM state (reliable.go); nil without a fault plan
+	// peerReq is the request at the other end of a matched rendezvous. A
+	// send's is set by the receiver: the one that issued an RPUT CTS, that
+	// matched a pipelined envelope, or whose fault-free RGET read the send
+	// receives. A receive's is its matched send when, without the
+	// reliability layer, the send was its own RTS.
+	peerReq *Request
+	pipe    *pipeState // pipelined rendezvous (pipeline.go); nil on a plain leg
+	rel     *relState  // reliability-layer and ULFM state (reliable.go); nil without a fault plan
 
 	// err is the terminal error once state == stFailed.
 	err error
@@ -814,10 +875,10 @@ func (r *Rank) IrecvRaw(p *sim.Proc, src, tag int, buf *gpu.Buffer, l *datatype.
 			timeline.Arg{Key: "bytes", Val: strconv.FormatInt(e.Bytes, 10)})
 	}
 	// Check the unexpected queue first (arrival order preserved).
-	for i, m := range r.unexpected {
-		if q.matches(m) {
-			r.unexpected = append(r.unexpected[:i], r.unexpected[i+1:]...)
-			r.deliver(q, m)
+	for i, e := range r.unexpected {
+		if q.matches(e) {
+			r.unexpected = slices.Delete(r.unexpected, i, i+1)
+			r.deliver(q, e)
 			return q
 		}
 	}
@@ -825,14 +886,26 @@ func (r *Rank) IrecvRaw(p *sim.Proc, src, tag int, buf *gpu.Buffer, l *datatype.
 	return q
 }
 
-func (q *Request) matches(m *message) bool {
-	if q.peer != AnySource && q.peer != int(m.from) {
+func (q *Request) matches(e envelope) bool {
+	if q.peer != AnySource && q.peer != e.source() {
 		return false
 	}
-	if q.tag != AnyTag && q.tag != m.tag {
+	if q.tag != AnyTag && q.tag != e.tag() {
 		return false
 	}
-	return m.kind == mkEager || m.kind == mkRTS || m.kind == mkErr
+	return e.s != nil || e.m.kind == mkEager || e.m.kind == mkRTS || e.m.kind == mkErr
+}
+
+// rndvSend returns the send behind receive q's matched rendezvous
+// envelope, or nil while q is unmatched or matched eager data.
+func (q *Request) rndvSend() *Request {
+	if m := q.matched; m != nil {
+		if m.kind == mkRTS {
+			return m.sender
+		}
+		return nil
+	}
+	return q.peerReq
 }
 
 // stagingBuf lends a packed staging buffer from the rank's device pool;
@@ -862,19 +935,23 @@ func (r *Rank) ReleaseStaging(b *gpu.Buffer, reusable bool) {
 // post cost. Under the reliability layer it is tracked, checksummed, and
 // retransmitted until acked.
 func (r *Rank) postCtrl(p *sim.Proc, owner *Request, m *message) {
-	net := r.world.Cluster.Net
 	if r.reliable() {
-		r.sendReliable(p, owner, m, net.Spec.CtrlBytes)
+		r.sendReliable(p, owner, m, r.world.Cluster.Net.Spec.CtrlBytes)
 		return
 	}
-	net.Post(p)
-	t0 := p.Now()
-	arrive := r.sendMsg(net.Spec.CtrlBytes, m)
-	r.ctrlSpan(m.kind, int(m.to), m.tag, t0, arrive)
+	m.dst = r.world.ranks[m.to]
+	r.postSignal(p, m.kind, int(m.to), m.tag, m)
 }
 
-// ctrlSpan records an untracked control message's wire time.
-func (r *Rank) ctrlSpan(kind msgKind, to, tag int, t0, arrive int64) {
+// postSignal posts an untracked control message of kind to rank to, with
+// rcv as its fabric receiver: the message itself, or a request standing
+// in for it, which makes no frame. It charges the NIC post and records
+// the message's wire time.
+func (r *Rank) postSignal(p *sim.Proc, kind msgKind, to, tag int, rcv fabric.Receiver) {
+	net := r.world.Cluster.Net
+	net.Post(p)
+	t0 := p.Now()
+	arrive := net.Send(r.node, r.world.ranks[to].node, net.Spec.CtrlBytes, rcv)
 	if r.tl != nil {
 		r.tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "ctrl:"+kind.String(), t0, arrive-t0,
 			timeline.Arg{Key: "peer", Val: strconv.Itoa(to)},
@@ -887,20 +964,16 @@ func (r *Rank) ctrlSpan(kind msgKind, to, tag int, t0, arrive int64) {
 // and no frame can be damaged, so the send request itself receives the
 // arrival (finArrival, ctsArrival) and the signal makes no frame.
 func (r *Rank) signal(p *sim.Proc, q *Request, kind msgKind) {
-	m := q.matched
+	s := q.rndvSend()
 	if r.reliable() {
-		r.postCtrl(p, q, &message{kind: kind, from: int32(r.id), to: m.from, tag: q.tag, receiver: m.sender})
+		r.postCtrl(p, q, &message{kind: kind, from: int32(r.id), to: int32(s.rank.id), tag: q.tag, receiver: s})
 		return
 	}
-	var to fabric.Receiver = (*finArrival)(m.sender)
+	var to fabric.Receiver = (*finArrival)(s)
 	if kind == mkCTS {
-		to = (*ctsArrival)(m.sender)
+		to = (*ctsArrival)(s)
 	}
-	net := r.world.Cluster.Net
-	net.Post(p)
-	t0 := p.Now()
-	arrive := net.Send(r.node, r.world.ranks[m.from].node, net.Spec.CtrlBytes, to)
-	r.ctrlSpan(kind, int(m.from), q.tag, t0, arrive)
+	r.postSignal(p, kind, s.rank.id, q.tag, to)
 }
 
 // finArrival is a send request as the receiver of its FIN.
@@ -915,30 +988,25 @@ type ctsArrival Request
 func (a *ctsArrival) Handle()                 { a.ctsHere = true }
 func (a *ctsArrival) Deliver(fabric.Delivery) { a.Handle() }
 
-// postRead posts the RDMA read of m's payload into receive q's staging
-// without the reliability layer: the whole message for an RGET envelope,
-// one chunk for an RTS-chunk. m receives both legs of its read, as it
-// received its own delivery, so the read makes no closure.
-func (r *Rank) postRead(p *sim.Proc, q *Request, m *message) {
+// postRead posts the RDMA read of send s's whole payload into receive q's
+// staging without the reliability layer. s receives both legs of its
+// read, as it received its own RTS, so the read makes no closure and no
+// frame.
+func (r *Rank) postRead(p *sim.Proc, q, s *Request) {
 	net := r.world.Cluster.Net
 	net.Post(p)
-	m.receiver, m.readAt = q, p.Now()
-	net.RDMAReadBy(r.node, r.world.ranks[m.from].node, (*readRequest)(m), (*readLanded)(m))
+	s.peerReq, q.seq = q, p.Now()
+	net.RDMAReadBy(r.node, s.rank.node, (*readRequest)(s), (*readLanded)(s))
 }
 
-// readRequest is a read envelope or chunk as the receiver of its read's
-// control leg at the sender's node, which answers with the payload.
-type readRequest message
+// readRequest is an RGET send as the receiver of its read's control
+// leg at its own node, which answers with the payload.
+type readRequest Request
 
 func (c *readRequest) Handle() {
-	m := (*message)(c)
-	q := m.receiver
-	n := q.bytes
-	if m.kind == mkRTSChunk {
-		n = m.chunkBytes
-	}
-	net := q.rank.world.Cluster.Net
-	net.RDMAReadReply(q.rank.world.ranks[m.from].node, q.rank.node, n, (*readLanded)(m))
+	s := (*Request)(c)
+	q := s.peerReq
+	s.rank.world.Cluster.Net.RDMAReadReply(s.rank.node, q.rank.node, q.bytes, (*readLanded)(s))
 }
 
 // Deliver drops a corrupted or duplicated control request, as the HCA
@@ -949,35 +1017,72 @@ func (c *readRequest) Deliver(d fabric.Delivery) {
 	}
 }
 
-// readLanded is a read envelope or chunk as the receiver of its payload
-// at the reading rank, which copies it into the receive's staging.
-type readLanded message
+// readLanded is an RGET send as the receiver of its payload at the
+// reading rank, which copies it into the receive's staging.
+type readLanded Request
 
 func (l *readLanded) Handle() {
-	m := (*message)(l)
-	q := m.receiver
-	r := q.rank
-	if m.kind == mkRTSChunk {
-		gpu.CopyRange(q.packed, m.chunkOff, m.sender.packed, m.chunkOff, m.chunkBytes)
-		q.land(m.chunkBytes)
-		if r.tl != nil {
-			r.tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "rdma-read-chunk", m.readAt, r.world.Env.Now()-m.readAt,
-				timeline.Arg{Key: "off", Val: strconv.FormatInt(m.chunkOff, 10)},
-				timeline.Arg{Key: "bytes", Val: strconv.FormatInt(m.chunkBytes, 10)})
-		}
-		return
-	}
-	sb, so := m.sender.srcBuf()
+	s := (*Request)(l)
+	q := s.peerReq
+	sb, so := s.srcBuf()
 	gpu.CopyRange(q.packed, 0, sb, so, q.bytes)
 	q.dataHere = true
-	if r.tl != nil {
-		r.tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "rdma-read", m.readAt, r.world.Env.Now()-m.readAt,
-			timeline.Arg{Key: "peer", Val: strconv.Itoa(int(m.from))},
+	if r := q.rank; r.tl != nil {
+		r.tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "rdma-read", q.seq, r.world.Env.Now()-q.seq,
+			timeline.Arg{Key: "peer", Val: strconv.Itoa(s.rank.id)},
 			timeline.Arg{Key: "bytes", Val: strconv.FormatInt(q.bytes, 10)})
 	}
 }
 
 func (l *readLanded) Deliver(fabric.Delivery) { l.Handle() }
+
+// postChunkRead posts the RDMA read of RTS-chunk m's span into receive
+// q's staging without the reliability layer. m receives both legs of its
+// read, as it received its own delivery.
+func (r *Rank) postChunkRead(p *sim.Proc, q *Request, m *message) {
+	net := r.world.Cluster.Net
+	net.Post(p)
+	m.receiver, m.readAt = q, p.Now()
+	net.RDMAReadBy(r.node, r.world.ranks[m.from].node, (*chunkRequest)(m), (*chunkLanded)(m))
+}
+
+// chunkRequest is an RTS-chunk as the receiver of its read's control leg
+// at the sender's node, which answers with the chunk.
+type chunkRequest message
+
+func (c *chunkRequest) Handle() {
+	m := (*message)(c)
+	q := m.receiver
+	net := q.rank.world.Cluster.Net
+	net.RDMAReadReply(q.rank.world.ranks[m.from].node, q.rank.node, m.chunkBytes, (*chunkLanded)(m))
+}
+
+// Deliver drops a corrupted or duplicated control request, as the HCA
+// does.
+func (c *chunkRequest) Deliver(d fabric.Delivery) {
+	if !d.Corrupt && !d.Dup {
+		c.Handle()
+	}
+}
+
+// chunkLanded is an RTS-chunk as the receiver of its span at the reading
+// rank, which copies it into the receive's staging.
+type chunkLanded message
+
+func (l *chunkLanded) Handle() {
+	m := (*message)(l)
+	q := m.receiver
+	r := q.rank
+	gpu.CopyRange(q.packed, m.chunkOff, m.sender.packed, m.chunkOff, m.chunkBytes)
+	q.land(m.chunkBytes)
+	if r.tl != nil {
+		r.tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "rdma-read-chunk", m.readAt, r.world.Env.Now()-m.readAt,
+			timeline.Arg{Key: "off", Val: strconv.FormatInt(m.chunkOff, 10)},
+			timeline.Arg{Key: "bytes", Val: strconv.FormatInt(m.chunkBytes, 10)})
+	}
+}
+
+func (l *chunkLanded) Deliver(fabric.Delivery) { l.Handle() }
 
 // arrive runs in scheduler context when a message lands at this rank,
 // with the fabric's delivery verdict. The reliability prologue discards
@@ -1032,26 +1137,27 @@ func (r *Rank) arrive(m *message, d fabric.Delivery) {
 
 // match hands an envelope (or an unmatched abort) to the first matching
 // posted receive, or parks it on the unexpected queue.
-func (r *Rank) match(m *message) {
+func (r *Rank) match(e envelope) {
 	for i, q := range r.posted {
-		if q.matches(m) {
-			r.posted = append(r.posted[:i], r.posted[i+1:]...)
-			r.deliver(q, m)
+		if q.matches(e) {
+			r.posted = slices.Delete(r.posted, i, i+1)
+			r.deliver(q, e)
 			return
 		}
 	}
-	r.unexpected = append(r.unexpected, m)
+	r.unexpected = append(r.unexpected, e)
 }
 
-// deliver attaches message m to matched receive q (scheduler or proc
+// deliver attaches envelope e to matched receive q (scheduler or proc
 // context; must not block).
-func (r *Rank) deliver(q *Request, m *message) {
-	if m.kind == mkErr {
+func (r *Rank) deliver(q *Request, e envelope) {
+	m := e.m
+	if m != nil && m.kind == mkErr {
 		// The matching send on the peer already failed.
 		r.fail(nil, q, "peer-abort", 0, ErrPeerAborted)
 		return
 	}
-	if m.bytes > q.bytes {
+	if n := e.bytes(); n > q.bytes {
 		// MPI_ERR_TRUNCATE: the matched message is larger than the
 		// posted receive. Under the reliability layer this is a typed
 		// request error; without it, a programming-error panic.
@@ -1061,16 +1167,16 @@ func (r *Rank) deliver(q *Request, m *message) {
 			return
 		}
 		panic(fmt.Sprintf("mpi: message truncation: rank %d recv (src=%d tag=%d) posted %d bytes, message carries %d",
-			r.id, q.peer, q.tag, q.bytes, m.bytes))
+			r.id, q.peer, q.tag, q.bytes, n))
 	}
-	q.matched = m
+	q.matched, q.peerReq = m, e.s
 	// A message shorter than the posted receive is legal: receive exactly
 	// its bytes, and unpack them into the front of the posted layout only
 	// (recvShape), leaving the rest of the receive buffer untouched.
-	q.bytes = m.bytes
-	switch m.kind {
-	case mkEager:
-		// Payload came with the envelope.
+	q.bytes = e.bytes()
+	s := q.rndvSend()
+	if s == nil {
+		// Eager: the payload came with the envelope.
 		if q.contig {
 			b := q.entry.Blocks[0]
 			m.wire.CopyTo(q.buf, b.Offset)
@@ -1082,19 +1188,19 @@ func (r *Rank) deliver(q *Request, m *message) {
 		m.wire.CopyTo(q.packed, 0)
 		q.dataHere = true
 		q.state = stWaitData
-	case mkRTS:
-		q.state = stWaitData
-		if m.chunks > 0 {
-			// Pipelined envelope: remember the cross link and adopt
-			// chunks that raced ahead of the match.
-			m.sender.peerRecv = q
-			q.pipe = &pipeState{}
-			q.packed = r.stagingBuf(q.bytes)
-			r.adoptOrphanChunks(q)
-		}
-		// progress() drives RDMA read / CTS / IPC — those charge the
-		// receiving proc, so they cannot run here.
+		return
 	}
+	q.state = stWaitData
+	if s.pipe != nil {
+		// Pipelined envelope: remember the cross link and adopt chunks
+		// that raced ahead of the match.
+		s.peerReq = q
+		q.pipe = &pipeState{}
+		q.packed = r.stagingBuf(q.bytes)
+		r.adoptOrphanChunks(q)
+	}
+	// progress() drives RDMA read / CTS / IPC — those charge the receiving
+	// proc, so they cannot run here.
 }
 
 // --- transfer initiation (sender side) ---
@@ -1213,7 +1319,7 @@ func (r *Rank) progressSend(p *sim.Proc, q *Request) {
 				net := r.world.Cluster.Net
 				net.Post(p)
 				peer := r.world.ranks[q.peer]
-				recvReq := q.peerRecv
+				recvReq := q.peerReq
 				t0 := p.Now()
 				net.Send(r.node, peer.node, q.bytes, fabric.ReceiverFunc(func(fabric.Delivery) {
 					if recvReq != nil {
@@ -1249,8 +1355,8 @@ func (r *Rank) progressSend(p *sim.Proc, q *Request) {
 func (r *Rank) progressRecv(p *sim.Proc, q *Request) {
 	switch q.state {
 	case stWaitData:
-		m := q.matched
-		if m != nil && m.kind == mkRTS && m.chunks > 0 {
+		s := q.rndvSend()
+		if s != nil && s.pipe != nil {
 			if !r.progressPipelinedRecv(p, q) {
 				if r.reliable() && !q.settled() {
 					r.scanReads(p, q)
@@ -1258,16 +1364,16 @@ func (r *Rank) progressRecv(p *sim.Proc, q *Request) {
 				return
 			}
 			// fall through to the completion handling below
-		} else if m != nil && m.kind == mkRTS && !q.rdmaStarted {
+		} else if s != nil && !q.rdmaStarted {
 			q.rdmaStarted = true
-			if m.ipc {
-				r.startIPC(p, q, m)
+			if s.ipcOffer() {
+				r.startIPC(p, q, s)
 				return
 			}
 			if r.world.Cfg.Rendezvous == RPUT {
 				// Tell the sender where to put the data.
 				q.packed = r.stagingBuf(q.bytes)
-				m.sender.peerRecv = q
+				s.peerReq = q
 				r.signal(p, q, mkCTS)
 				return
 			}
@@ -1277,7 +1383,7 @@ func (r *Rank) progressRecv(p *sim.Proc, q *Request) {
 				r.issueRead(p, q, q.newRead(0, q.bytes), false)
 				return
 			}
-			r.postRead(p, q, m)
+			r.postRead(p, q, s)
 			return
 		}
 		if !q.dataHere {
@@ -1290,12 +1396,12 @@ func (r *Rank) progressRecv(p *sim.Proc, q *Request) {
 		// FIN; under RPUT its local write completion already fired.
 		// finSent guards the reliable path, where an unacked FIN keeps
 		// the request un-settled and this state re-entered each poll.
-		if m != nil && m.kind == mkRTS && r.world.Cfg.Rendezvous == RGET && !q.finSent {
+		if s != nil && r.world.Cfg.Rendezvous == RGET && !q.finSent {
 			q.finSent = true
 			r.signal(p, q, mkFIN)
 		}
 		if q.contig {
-			if m != nil && m.kind == mkRTS {
+			if s != nil {
 				b := q.entry.Blocks[0]
 				gpu.CopyRange(q.buf, b.Offset, q.packed, 0, q.bytes)
 			}
@@ -1327,13 +1433,11 @@ func (r *Rank) progressRecv(p *sim.Proc, q *Request) {
 	}
 }
 
-// startIPC launches the zero-copy same-node path, falling back to the
-// packed path if the scheme cannot fuse DirectIPC.
-func (r *Rank) startIPC(p *sim.Proc, q *Request, m *message) {
-	sender := m.sender
-	spec := r.world.Cluster.Spec
-	job := pack.JobFor(pack.OpDirectIPC, sender.buf, q.buf, sender.entry)
-	job.Peer = &pack.Peer{Shape: q.recvShape(), BWBytesPerNs: spec.GPUPeerBWBytesPerNs, LatencyNs: spec.GPUPeerLatencyNs}
+// startIPC launches the zero-copy same-node path from send s into receive
+// q, falling back to the packed path if the scheme cannot fuse DirectIPC.
+func (r *Rank) startIPC(p *sim.Proc, q, s *Request) {
+	job := pack.JobFor(pack.OpDirectIPC, s.buf, q.buf, s.entry)
+	job.Peer = r.ipcLink(q)
 	if h, ok := r.scheme.DirectIPC(p, job); ok {
 		q.handle = h
 		q.state = stIPC
@@ -1347,6 +1451,25 @@ func (r *Rank) startIPC(p *sim.Proc, q *Request, m *message) {
 	h, _ := alwaysIPCFallback{r}.run(p, job)
 	q.handle = h
 	q.state = stIPC
+}
+
+// ipcLink returns the destination side of a DirectIPC job into receive q:
+// its filled layout and the GPU-GPU link. A receive that its message fills
+// shares its layout entry's cached Peer; a short one makes its own.
+func (r *Rank) ipcLink(q *Request) *pack.Peer {
+	full, i := q.bytes == q.entry.Bytes, int(q.entry.Index)
+	if full && i < len(r.ipcLinks) && r.ipcLinks[i] != nil {
+		return r.ipcLinks[i]
+	}
+	spec := r.world.Cluster.Spec
+	pr := &pack.Peer{Shape: q.recvShape(), BWBytesPerNs: spec.GPUPeerBWBytesPerNs, LatencyNs: spec.GPUPeerLatencyNs}
+	if full {
+		for len(r.ipcLinks) <= i {
+			r.ipcLinks = append(r.ipcLinks, nil)
+		}
+		r.ipcLinks[i] = pr
+	}
+	return pr
 }
 
 // recvShape returns the part of a receive's posted layout that the

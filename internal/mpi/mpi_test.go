@@ -494,7 +494,11 @@ func TestPropertyExchangeIntegrity(t *testing.T) {
 // Property: MPI non-overtaking — N same-tag sends with randomly mixed
 // layouts (contiguous, sparse, eager-sized, rendezvous-sized) must match
 // the receiver's posted receives strictly in posting order, even though
-// packing delays differ wildly between messages.
+// packing delays differ wildly between messages. With late set the
+// receiver posts only once every envelope has landed, so each receive
+// matches from the unexpected queue, which then holds eager frames and
+// rendezvous sends in arrival order; with sameNode the pair shares a node
+// and every envelope is an RTS offering DirectIPC.
 func TestPropertyNonOvertakingMixedSends(t *testing.T) {
 	mkLayout := func(rng *rand.Rand) *datatype.Layout {
 		switch rng.Intn(4) {
@@ -508,7 +512,7 @@ func TestPropertyNonOvertakingMixedSends(t *testing.T) {
 			return datatype.Commit(datatype.Vector(rng.Intn(500)+600, 8, 17, datatype.Float64))
 		}
 	}
-	f := func(seed int64, schemeIdx uint8, rput bool) bool {
+	f := func(seed int64, schemeIdx uint8, rput, late, sameNode bool) bool {
 		names := schemes.Names()
 		scheme := names[int(schemeIdx)%len(names)]
 		rng := rand.New(rand.NewSource(seed))
@@ -518,13 +522,17 @@ func TestPropertyNonOvertakingMixedSends(t *testing.T) {
 				c.Rendezvous = mpi.RPUT
 			}
 		})
+		dst := 4 // another node
+		if sameNode {
+			dst = 1
+		}
 		layouts := make([]*datatype.Layout, n)
 		sbufs := make([]*gpu.Buffer, n)
 		rbufs := make([]*gpu.Buffer, n)
 		for i := 0; i < n; i++ {
 			layouts[i] = mkLayout(rng)
 			sbufs[i] = w.Rank(0).Dev.Alloc(fmt.Sprintf("s%d", i), int(layouts[i].ExtentBytes))
-			rbufs[i] = w.Rank(4).Dev.Alloc(fmt.Sprintf("r%d", i), int(layouts[i].ExtentBytes))
+			rbufs[i] = w.Rank(dst).Dev.Alloc(fmt.Sprintf("r%d", i), int(layouts[i].ExtentBytes))
 			rand.New(rand.NewSource(seed + int64(i))).Read(sbufs[i].Data)
 		}
 		err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
@@ -532,9 +540,12 @@ func TestPropertyNonOvertakingMixedSends(t *testing.T) {
 			switch r.ID() {
 			case 0:
 				for i := 0; i < n; i++ {
-					reqs = append(reqs, r.Isend(p, 4, 7, sbufs[i], layouts[i], 1))
+					reqs = append(reqs, r.Isend(p, dst, 7, sbufs[i], layouts[i], 1))
 				}
-			case 4:
+			case dst:
+				for late && mpi.Unexpected(r) < n {
+					p.Sleep(sim.Microsecond)
+				}
 				for i := 0; i < n; i++ {
 					reqs = append(reqs, r.Irecv(p, 0, 7, rbufs[i], layouts[i], 1))
 				}

@@ -134,7 +134,7 @@ func (r *Rank) progressPipelinedSend(p *sim.Proc, q *Request) {
 
 // acceptChunk records an RTS-chunk at the receiver (scheduler context).
 func (r *Rank) acceptChunk(m *message) {
-	if q := m.sender.peerRecv; q != nil {
+	if q := m.sender.peerReq; q != nil {
 		q.pipe.pendingChunks = append(q.pipe.pendingChunks, m)
 		return
 	}
@@ -144,7 +144,7 @@ func (r *Rank) acceptChunk(m *message) {
 
 // adoptOrphanChunks moves parked chunks belonging to q's sender onto q.
 func (r *Rank) adoptOrphanChunks(q *Request) {
-	sender := q.matched.sender
+	sender := q.rndvSend()
 	keep := r.orphanChunks[:0]
 	for _, m := range r.orphanChunks {
 		if m.sender == sender {
@@ -176,7 +176,7 @@ func (r *Rank) progressPipelinedRecv(p *sim.Proc, q *Request) bool {
 		return q.dataHere
 	}
 	for _, m := range chunks {
-		r.postRead(p, q, m)
+		r.postChunkRead(p, q, m)
 	}
 	return q.dataHere
 }

@@ -196,7 +196,7 @@ func streamKey(peer, tag int) uint64 { return uint64(peer)<<32 | uint64(uint32(t
 // fault-free tests (the wildcard and reserved-tag guard tests) post them.
 func (r *Rank) admit(m *message) {
 	if m.sseq == 0 {
-		r.match(m)
+		r.match(envelope{m: m})
 		return
 	}
 	k := streamKey(int(m.from), m.tag)
@@ -207,12 +207,12 @@ func (r *Rank) admit(m *message) {
 		return
 	case m.sseq < next:
 		if m.kind == mkErr {
-			r.match(m) // abort for an envelope already matched
+			r.match(envelope{m: m}) // abort for an envelope already matched
 		}
 		return
 	}
 	r.streamNext[k] = next
-	r.match(m)
+	r.match(envelope{m: m})
 	for i := 0; i < len(r.early); i++ {
 		if e := r.early[i]; e.from == m.from && e.tag == m.tag && e.sseq <= r.streamNext[k]+1 {
 			r.early = append(r.early[:i], r.early[i+1:]...)
@@ -398,7 +398,7 @@ func (r *Rank) notifyPeer(q *Request) {
 		return
 	}
 	q.errSent = true
-	target := q.peerRecv
+	target := q.peerReq
 	if !q.isSend && q.matched != nil {
 		target = q.matched.sender
 	}
@@ -570,7 +570,7 @@ func (r *Rank) issueWrite(p *sim.Proc, q *Request, retrans bool) {
 		r.fail(p, q, "rdma-write-post", rs.writeAttempts+1, err)
 		return
 	}
-	recvReq := q.peerRecv
+	recvReq := q.peerReq
 	net := r.world.Cluster.Net
 	peerNode := r.world.ranks[q.peer].node
 	sb, so := q.srcBuf()
