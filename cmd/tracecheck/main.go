@@ -12,7 +12,8 @@
 //
 // -require-layer additionally demands at least one span event from each
 // named timeline layer (the event's "cat" field): CI uses it to prove
-// the rma layer really exports (e.g. -require-layer rma,gpu).
+// that the Fig. 8 trace carries the sim, gpu, mpi and fusion layers, and
+// that the same trace under a fault plan carries the fault layer.
 package main
 
 import (

@@ -627,8 +627,9 @@ func (s *Session) AllocE(r int, name string, bytes int) (*Buffer, error) {
 	return b, nil
 }
 
-// TraceOf returns rank r's accumulated cost breakdown.
-func (s *Session) TraceOf(r int) *Breakdown { return s.world.Rank(r).Trace }
+// TraceOf returns rank r's accumulated cost breakdown: the breakdown half of
+// the rank's charge ledger, whose other half is the rank's timeline.
+func (s *Session) TraceOf(r int) *Breakdown { return &s.world.Rank(r).Trace.Breakdown }
 
 // Timeline returns the session's event timeline, or nil when the session
 // was built without SessionConfig.Trace.
@@ -770,7 +771,8 @@ func (c *RankCtx) maybeRestoreWindow(w *Window) {
 	s.ckptWins[key] = nb
 	s.syncCkptDead()
 	if n, err := s.ckpt.RestoreBuffer(c.ID(), nb); err == nil {
-		c.chargeCkpt("restore-window", n)
+		t0, d := c.ckptCopy(n)
+		c.rank.Trace.Charge(timeline.LayerFault, trace.Recovery, "ckpt-restore-window", t0, d)
 	}
 }
 
@@ -1317,7 +1319,8 @@ func (c *RankCtx) Shrink(cm *Comm) (*Comm, error) {
 	st := c.sess.ckpt
 	if st.Latest() != nil && st.Registered(c.ID()) > 0 {
 		if n, _, rerr := st.RestoreRank(c.ID()); rerr == nil {
-			c.chargeCkpt("restore", n)
+			t0, d := c.ckptCopy(n)
+			c.rank.Trace.Charge(timeline.LayerFault, trace.Recovery, "ckpt-restore", t0, d)
 		}
 	}
 	if f := c.sess.rma; f != nil {
@@ -1328,22 +1331,19 @@ func (c *RankCtx) Shrink(cm *Comm) (*Comm, error) {
 	return sub, nil
 }
 
-// chargeCkpt bills a checkpoint/restore memcpy of n logical bytes to the
-// simulated machine at device-memory bandwidth under trace.Recovery. The
-// charge is by logical size in BOTH payload modes — the machine copies the
-// bytes even when the host-side representation is a span clone — so lazy
-// and exact runs stay clock-identical.
-func (c *RankCtx) chargeCkpt(what string, n int64) {
-	d := int64(float64(n) / c.rank.Dev.Arch.MemBWBytesPerNs)
-	if d <= 0 {
-		return
+// ckptCopy advances the rank's clock by a checkpoint/restore memcpy of n
+// logical bytes at device-memory bandwidth and returns the copy's start and
+// duration, for the caller to charge to trace.Recovery (a zero duration
+// sleeps not at all). The copy is timed by logical size in BOTH payload
+// modes — the machine copies the bytes even when the host-side
+// representation is a span clone — so lazy and exact runs stay
+// clock-identical.
+func (c *RankCtx) ckptCopy(n int64) (start, d int64) {
+	start = c.proc.Now()
+	if d = int64(float64(n) / c.rank.Dev.Arch.MemBWBytesPerNs); d > 0 {
+		c.proc.Sleep(d)
 	}
-	t0 := c.proc.Now()
-	c.rank.Trace.Add(trace.Recovery, d)
-	c.proc.Sleep(d)
-	if tl := c.sess.world.Timeline(); tl != nil {
-		tl.Rank(c.ID()).Span(timeline.LayerFault, trace.Recovery, "", "ckpt-"+what, t0, d)
-	}
+	return start, d
 }
 
 // Checkpoint contributes this rank's registered buffers to the open
@@ -1355,7 +1355,8 @@ func (c *RankCtx) chargeCkpt(what string, n int64) {
 func (c *RankCtx) Checkpoint() bool {
 	s := c.sess
 	s.syncCkptDead()
-	c.chargeCkpt("capture", s.ckpt.RegisteredBytes(c.ID()))
+	t0, d := c.ckptCopy(s.ckpt.RegisteredBytes(c.ID()))
+	c.rank.Trace.Charge(timeline.LayerFault, trace.Recovery, "ckpt-capture", t0, d)
 	_, committed := s.ckpt.CaptureRank(c.ID(), c.proc.Now(), s.world.WorldComm().Epoch())
 	return committed
 }

@@ -363,7 +363,6 @@ func runBulk(opt BulkOptions, factory mpi.SchemeFactory) BulkResult {
 		t, err := timedSteps(w, p, opt.Warmup, opt.Iterations, func() {
 			if mine {
 				r.Trace.Reset()
-				r.Timeline().Reset()
 			}
 		}, func(int) error {
 			if !mine {
@@ -388,8 +387,8 @@ func runBulk(opt BulkOptions, factory mpi.SchemeFactory) BulkResult {
 		return res
 	}
 	res.AvgNs = total / int64(opt.Iterations)
-	res.Breakdown.Merge(w.Rank(a).Trace)
-	res.Breakdown.Merge(w.Rank(bPeer).Trace)
+	res.Breakdown.Merge(&w.Rank(a).Trace.Breakdown)
+	res.Breakdown.Merge(&w.Rank(bPeer).Trace.Breakdown)
 	for i := 0; i < nbuf; i++ {
 		if err := workload.VerifyBlocks(l, 1, sideA.s[i].Data, sideB.r[i].Data); err != nil {
 			res.VerifyErr = fmt.Errorf("A->B buffer %d: %w", i, err)

@@ -354,7 +354,7 @@ func (e *Engine) begin(r *mpi.Rank, p *sim.Proc, legs int) *call {
 	cost := int64(schedBaseNs + schedPerLegNs*legs)
 	start := p.Now()
 	p.Sleep(cost)
-	collCharge(r, trace.Scheduling, "schedule", start, cost)
+	r.Trace.Charge(timeline.LayerColl, trace.Scheduling, "schedule", start, cost)
 	return c
 }
 
@@ -512,7 +512,7 @@ func (c *call) gate(lists ...[]*mpi.Request) {
 		}
 		start := c.p.Now()
 		c.p.Sleep(poll)
-		collCharge(c.r, trace.Comm, "gate-poll", start, poll)
+		c.r.Trace.Charge(timeline.LayerColl, trace.Comm, "gate-poll", start, poll)
 	}
 }
 
@@ -581,7 +581,7 @@ func (c *call) waitHandles(hs []mpi.Handle) error {
 		c.r.Progress(c.p)
 		start := c.p.Now()
 		c.p.Sleep(poll)
-		collCharge(c.r, trace.Sync, "handle-poll", start, poll)
+		c.r.Trace.Charge(timeline.LayerColl, trace.Sync, "handle-poll", start, poll)
 	}
 }
 
@@ -625,15 +625,6 @@ func (c *call) unpackJob(staging, buf *gpu.Buffer, l *datatype.Layout, count int
 	job := pack.JobFor(pack.OpUnpack, staging, buf, e)
 	job.OriginOff = off
 	return c.r.Scheme().Unpack(c.p, job)
-}
-
-// collCharge mirrors a Breakdown charge as a coll-layer timeline span —
-// the pairing that keeps timeline sums reconciled with trace.Breakdown.
-func collCharge(r *mpi.Rank, cat trace.Category, name string, start, d int64) {
-	r.Trace.Add(cat, d)
-	if tl := r.Timeline(); tl != nil {
-		tl.Span(timeline.LayerColl, cat, "", name, start, d)
-	}
 }
 
 // --- topology helpers ---

@@ -117,7 +117,7 @@ func TestCollTimelineReconcilesWithBreakdown(t *testing.T) {
 	for rk := 0; rk < w.Size(); rk++ {
 		rec := tl.Rank(rk)
 		sums := rec.Sums()
-		bd := w.Rank(rk).Trace
+		bd := &w.Rank(rk).Trace.Breakdown
 		if sums.Total() != bd.Total() || sums.String() != bd.String() {
 			t.Errorf("rank %d: timeline sums != breakdown\n  timeline:  %s\n  breakdown: %s", rk, sums, bd)
 		}

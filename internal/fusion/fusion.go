@@ -188,11 +188,11 @@ type Scheduler struct {
 	launching    batch // the batch in a fused launch call, if any
 
 	Stats Stats
-	// Trace, if non-nil, accrues Scheduling/Launch/PackKernel costs.
-	Trace *trace.Breakdown
-	// TL, if non-nil, records fusion-layer timeline events (enqueues,
-	// threshold trips, flushes, fused launches) mirroring every Trace charge.
-	TL *timeline.Recorder
+	// Ledger, if non-nil, is the owning rank's: it accrues the
+	// Scheduling/Launch/PackKernel (and failed-launch Retrans) costs, and its
+	// recorder, when tracing is on, also gets the fusion-layer instants
+	// (threshold trips, flushes, windows).
+	Ledger *timeline.Ledger
 	// tuner, if set, adapts ThresholdBytes online from observed request
 	// latencies (the model-based prediction of the paper's future work).
 	tuner *AutoTuner
@@ -297,7 +297,7 @@ func (b *batch) Retire(lo, hi int) sim.Handler {
 func (s *Scheduler) Enqueue(p *sim.Proc, job *pack.Job) int64 {
 	t0 := p.Now()
 	p.Sleep(enqueueCostNs)
-	s.addTraceAt(trace.Scheduling, "enqueue", t0, enqueueCostNs)
+	s.Ledger.Charge(timeline.LayerFusion, trace.Scheduling, "enqueue", t0, enqueueCostNs)
 	e := s.freeEntry()
 	if e == nil {
 		s.Stats.Rejected++
@@ -326,8 +326,8 @@ func (s *Scheduler) Enqueue(p *sim.Proc, job *pack.Job) int64 {
 	}
 	if s.cfg.ThresholdBytes > 0 && s.pendingBytes >= s.cfg.ThresholdBytes {
 		s.Stats.ThresholdFlushes++
-		if s.TL != nil {
-			s.TL.Instant(timeline.LayerFusion, "", "threshold-trip", s.env.Now(),
+		if tl := s.Ledger.Recorder(); tl != nil {
+			tl.Instant(timeline.LayerFusion, "", "threshold-trip", s.env.Now(),
 				timeline.Arg{Key: "pending", Val: strconv.Itoa(len(s.pending))},
 				timeline.Arg{Key: "bytes", Val: strconv.FormatInt(s.pendingBytes, 10)})
 		}
@@ -351,8 +351,8 @@ func (s *Scheduler) Flush(p *sim.Proc) {
 		return
 	}
 	s.Stats.ExplicitFlushes++
-	if s.TL != nil {
-		s.TL.Instant(timeline.LayerFusion, "", "flush", s.env.Now(),
+	if tl := s.Ledger.Recorder(); tl != nil {
+		tl.Instant(timeline.LayerFusion, "", "flush", s.env.Now(),
 			timeline.Arg{Key: "pending", Val: strconv.Itoa(len(s.pending))},
 			timeline.Arg{Key: "bytes", Val: strconv.FormatInt(s.pendingBytes, 10)})
 	}
@@ -368,8 +368,8 @@ func (s *Scheduler) Flush(p *sim.Proc) {
 // outermost CloseWindow launches.
 func (s *Scheduler) OpenWindow() {
 	s.windows++
-	if s.TL != nil {
-		s.TL.Instant(timeline.LayerFusion, "", "window-open", s.env.Now(),
+	if tl := s.Ledger.Recorder(); tl != nil {
+		tl.Instant(timeline.LayerFusion, "", "window-open", s.env.Now(),
 			timeline.Arg{Key: "depth", Val: strconv.Itoa(s.windows)})
 	}
 }
@@ -389,8 +389,8 @@ func (s *Scheduler) CloseWindow(p *sim.Proc) {
 		return
 	}
 	s.Stats.WindowFlushes++
-	if s.TL != nil {
-		s.TL.Instant(timeline.LayerFusion, "", "window-close", s.env.Now(),
+	if tl := s.Ledger.Recorder(); tl != nil {
+		tl.Instant(timeline.LayerFusion, "", "window-close", s.env.Now(),
 			timeline.Arg{Key: "pending", Val: strconv.Itoa(len(s.pending))},
 			timeline.Arg{Key: "bytes", Val: strconv.FormatInt(s.pendingBytes, 10)})
 	}
@@ -427,7 +427,7 @@ func (s *Scheduler) launch(p *sim.Proc) {
 		// The failed launch still burned the driver overhead; charge
 		// it to the recovery category.
 		s.Stats.FailedLaunches++
-		s.chargeRetrans("fused-relaunch", t0)
+		s.Ledger.Charge(timeline.LayerFault, trace.Retrans, "fused-relaunch", t0, s.env.Now()-t0)
 		if attempt >= launchRetries {
 			batch := b.entries
 			b.entries = nil
@@ -435,8 +435,8 @@ func (s *Scheduler) launch(p *sim.Proc) {
 			return
 		}
 	}
-	s.addTraceAt(trace.Launch, "fused-launch", s.env.Now()-s.dev.Arch.LaunchOverheadNs, s.dev.Arch.LaunchOverheadNs)
-	s.addTraceAt(trace.PackKernel, "fused-kernel", start, end-start)
+	s.Ledger.Charge(timeline.LayerFusion, trace.Launch, "fused-launch", s.env.Now()-s.dev.Arch.LaunchOverheadNs, s.dev.Arch.LaunchOverheadNs)
+	s.Ledger.Charge(timeline.LayerFusion, trace.PackKernel, "fused-kernel", start, end-start)
 	if s.pending == nil {
 		s.pending = b.entries[:0] // the kernel is done reading the batch: the next one reuses the list
 	}
@@ -453,8 +453,8 @@ func (s *Scheduler) degrade(p *sim.Proc, batch []*entry) {
 	if s.dev.Faults != nil {
 		s.dev.Faults.Recordf(fault.Fallback, "batch of %d re-issued unfused", len(batch))
 	}
-	if s.TL != nil {
-		s.TL.Instant(timeline.LayerFault, "", "degrade-unfused", s.env.Now(),
+	if tl := s.Ledger.Recorder(); tl != nil {
+		tl.Instant(timeline.LayerFault, "", "degrade-unfused", s.env.Now(),
 			timeline.Arg{Key: "requests", Val: strconv.Itoa(len(batch))})
 	}
 	for _, e := range batch {
@@ -469,7 +469,7 @@ func (s *Scheduler) degrade(p *sim.Proc, batch []*entry) {
 				break
 			}
 			s.Stats.FailedLaunches++
-			s.chargeRetrans("unfused-relaunch", t0)
+			s.Ledger.Charge(timeline.LayerFault, trace.Retrans, "unfused-relaunch", t0, s.env.Now()-t0)
 			if attempt >= launchRetries {
 				break
 			}
@@ -482,25 +482,12 @@ func (s *Scheduler) degrade(p *sim.Proc, batch []*entry) {
 			continue
 		}
 		s.Stats.UnfusedRecoveries++
-		s.addTraceAt(trace.Launch, "unfused-launch", s.env.Now()-s.dev.Arch.LaunchOverheadNs, s.dev.Arch.LaunchOverheadNs)
-		s.addTraceAt(trace.PackKernel, "unfused-kernel", c.Start, c.End-c.Start)
+		s.Ledger.Charge(timeline.LayerFusion, trace.Launch, "unfused-launch", s.env.Now()-s.dev.Arch.LaunchOverheadNs, s.dev.Arch.LaunchOverheadNs)
+		s.Ledger.Charge(timeline.LayerFusion, trace.PackKernel, "unfused-kernel", c.Start, c.End-c.Start)
 		s.env.At(c.End, func() {
 			e.respStatus = StatusCompleted
 			e.done.Set(s.env)
 		})
-	}
-}
-
-// chargeRetrans accrues a failed-launch cost to trace.Retrans, mirrored as
-// a fault-layer timeline span (reconciling with timeline sums).
-func (s *Scheduler) chargeRetrans(name string, t0 int64) {
-	d := s.env.Now() - t0
-	if s.Trace == nil || d <= 0 {
-		return
-	}
-	s.Trace.Add(trace.Retrans, d)
-	if s.TL != nil {
-		s.TL.Span(timeline.LayerFault, trace.Retrans, "", name, t0, d)
 	}
 }
 
@@ -513,7 +500,7 @@ func (s *Scheduler) chargeRetrans(name string, t0 int64) {
 func (s *Scheduler) Done(p *sim.Proc, uid int64) (bool, error) {
 	t0 := p.Now()
 	p.Sleep(queryCostNs)
-	s.addTraceAt(trace.Scheduling, "query", t0, queryCostNs)
+	s.Ledger.Charge(timeline.LayerFusion, trace.Scheduling, "query", t0, queryCostNs)
 	e := s.lookup(uid)
 	if e == nil {
 		return true, nil
@@ -591,16 +578,4 @@ func (s *Scheduler) grow() {
 		s.free = &block[i]
 	}
 	s.made += len(block)
-}
-
-// addTraceAt accrues a cost to the Breakdown and mirrors it as a
-// fusion-layer timeline span — the pairing that keeps timeline sums equal to
-// the Breakdown.
-func (s *Scheduler) addTraceAt(c trace.Category, name string, start, d int64) {
-	if s.Trace != nil {
-		s.Trace.Add(c, d)
-		if s.TL != nil {
-			s.TL.Span(timeline.LayerFusion, c, "", name, start, d)
-		}
-	}
 }

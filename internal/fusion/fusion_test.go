@@ -13,6 +13,7 @@ import (
 	"repro/internal/layoutcache"
 	"repro/internal/pack"
 	"repro/internal/sim"
+	"repro/internal/timeline"
 	"repro/internal/trace"
 )
 
@@ -415,8 +416,8 @@ func TestRequestLatencyVisible(t *testing.T) {
 
 func TestTraceAccrual(t *testing.T) {
 	env, dev, s := newSched(Config{ThresholdBytes: 1 << 40})
-	var bd trace.Breakdown
-	s.Trace = &bd
+	var bd timeline.Ledger
+	s.Ledger = &bd
 	env.Spawn("pe", func(p *sim.Proc) {
 		j, _ := mkPackJob(dev, 3, 100, 2)
 		uid := s.Enqueue(p, j)

@@ -184,7 +184,7 @@ type World struct {
 func (w *World) Timeline() *timeline.Timeline { return w.tl }
 
 // NewWorld creates one rank per GPU of the cluster, each with its own
-// layout cache, trace breakdown, and scheme instance.
+// layout cache, charge ledger, and scheme instance.
 func NewWorld(c *cluster.Cluster, cfg Config, factory SchemeFactory) *World {
 	if cfg.PollIntervalNs <= 0 {
 		cfg.PollIntervalNs = DefaultConfig().PollIntervalNs
@@ -232,10 +232,9 @@ func NewWorld(c *cluster.Cluster, cfg Config, factory SchemeFactory) *World {
 				node:  n,
 				Dev:   c.Device(n, g),
 				cache: layoutcache.New(),
-				Trace: &trace.Breakdown{},
-				tl:    w.tl.Rank(id),
+				Trace: timeline.NewLedger(w.tl.Rank(id)),
 			}
-			r.Dev.TL = r.tl
+			r.Dev.TL = r.Timeline()
 			if inj != nil {
 				r.fsite = inj.Site(fmt.Sprintf("mpi:rank%d", id))
 				r.Dev.Faults = inj.Site(fmt.Sprintf("gpu:rank%d", id))
@@ -277,7 +276,7 @@ func (w *World) Run(body func(r *Rank, p *sim.Proc)) error {
 		r := r
 		w.Env.Spawn(fmt.Sprintf("rank%d", r.id), func(p *sim.Proc) {
 			r.proc = p
-			p.SetTimeline(r.tl)
+			p.SetTimeline(r.Timeline())
 			body(r, p)
 		})
 	}
@@ -323,10 +322,10 @@ type Rank struct {
 	cache  *layoutcache.Cache
 	scheme Scheme
 
-	// Trace accrues the Fig. 11 cost taxonomy for this rank.
-	Trace *trace.Breakdown
-	// tl is the rank's timeline recorder; nil when tracing is disabled.
-	tl *timeline.Recorder
+	// Trace accrues the Fig. 11 cost taxonomy for this rank: every
+	// virtual-time charge is one Trace.Charge call naming its layer, which
+	// also mirrors it into the rank's timeline recorder when tracing is on.
+	Trace timeline.Ledger
 
 	posted     []*Request // posted receives awaiting a match
 	unexpected []envelope // arrived envelopes with no posted receive, in arrival order
@@ -463,8 +462,8 @@ func (r *Rank) emitEager(p *sim.Proc, q *Request) {
 	net.Post(p)
 	t0 := p.Now()
 	arrive := r.sendMsg(q.bytes+64, m)
-	if r.tl != nil {
-		r.tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "eager", t0, arrive-t0,
+	if tl := r.Timeline(); tl != nil {
+		tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "eager", t0, arrive-t0,
 			timeline.Arg{Key: "peer", Val: strconv.Itoa(q.peer)},
 			timeline.Arg{Key: "bytes", Val: strconv.FormatInt(q.bytes, 10)})
 	}
@@ -485,21 +484,7 @@ func (r *Rank) World() *World { return r.world }
 // Timeline returns the rank's recorder (nil when tracing is disabled). A nil
 // recorder is valid and fully disabled, so callers may use it unguarded for
 // emission — but must build any event name or args only when it is not nil.
-func (r *Rank) Timeline() *timeline.Recorder { return r.tl }
-
-// Charge accrues d nanoseconds of category cat to the rank's Breakdown and,
-// when tracing is on, mirrors it as a cost-carrying timeline span starting at
-// start. Every Breakdown charge pairs the two the same way, which is what
-// makes timeline per-category sums reconcile exactly with TraceOf: here, in
-// ChargeFault and ChargeFailure, rma's (*Endpoint).charge, coll's
-// collCharge, the facade's (*RankCtx).chargeCkpt, and the fusion
-// scheduler's addTraceAt and chargeRetrans.
-func (r *Rank) Charge(cat trace.Category, name string, start, d int64) {
-	r.Trace.Add(cat, d)
-	if r.tl != nil {
-		r.tl.Span(timeline.LayerMPI, cat, "", name, start, d)
-	}
-}
+func (r *Rank) Timeline() *timeline.Recorder { return r.Trace.Recorder() }
 
 // SchemeName reports the active DDT scheme.
 func (r *Rank) SchemeName() string { return r.scheme.Name() }
@@ -715,7 +700,7 @@ func (r *Rank) lookupLayout(p *sim.Proc, l *datatype.Layout, count int) *layoutc
 	c := layoutcache.Lookup(hit, e.Segments)
 	t0 := p.Now()
 	p.Sleep(c)
-	r.Charge(trace.Other, "layout-lookup", t0, c)
+	r.Trace.Charge(timeline.LayerMPI, trace.Other, "layout-lookup", t0, c)
 	return e
 }
 
@@ -804,8 +789,8 @@ func (r *Rank) IsendRaw(p *sim.Proc, dest, tag int, buf *gpu.Buffer, l *datatype
 	}
 	r.active = append(r.active, q)
 	r.assignSeq(q)
-	if r.tl != nil {
-		r.tl.Instant(timeline.LayerMPI, "", "isend", p.Now(),
+	if tl := r.Timeline(); tl != nil {
+		tl.Instant(timeline.LayerMPI, "", "isend", p.Now(),
 			timeline.Arg{Key: "dst", Val: strconv.Itoa(dest)},
 			timeline.Arg{Key: "tag", Val: strconv.Itoa(tag)},
 			timeline.Arg{Key: "bytes", Val: strconv.FormatInt(e.Bytes, 10)})
@@ -868,8 +853,8 @@ func (r *Rank) IrecvRaw(p *sim.Proc, src, tag int, buf *gpu.Buffer, l *datatype.
 		state:  stWaitMatch,
 	}
 	r.active = append(r.active, q)
-	if r.tl != nil {
-		r.tl.Instant(timeline.LayerMPI, "", "irecv", p.Now(),
+	if tl := r.Timeline(); tl != nil {
+		tl.Instant(timeline.LayerMPI, "", "irecv", p.Now(),
 			timeline.Arg{Key: "src", Val: strconv.Itoa(src)},
 			timeline.Arg{Key: "tag", Val: strconv.Itoa(tag)},
 			timeline.Arg{Key: "bytes", Val: strconv.FormatInt(e.Bytes, 10)})
@@ -952,8 +937,8 @@ func (r *Rank) postSignal(p *sim.Proc, kind msgKind, to, tag int, rcv fabric.Rec
 	net.Post(p)
 	t0 := p.Now()
 	arrive := net.Send(r.node, r.world.ranks[to].node, net.Spec.CtrlBytes, rcv)
-	if r.tl != nil {
-		r.tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "ctrl:"+kind.String(), t0, arrive-t0,
+	if tl := r.Timeline(); tl != nil {
+		tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "ctrl:"+kind.String(), t0, arrive-t0,
 			timeline.Arg{Key: "peer", Val: strconv.Itoa(to)},
 			timeline.Arg{Key: "tag", Val: strconv.Itoa(tag)})
 	}
@@ -1027,8 +1012,8 @@ func (l *readLanded) Handle() {
 	sb, so := s.srcBuf()
 	gpu.CopyRange(q.packed, 0, sb, so, q.bytes)
 	q.dataHere = true
-	if r := q.rank; r.tl != nil {
-		r.tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "rdma-read", q.seq, r.world.Env.Now()-q.seq,
+	if tl := q.rank.Timeline(); tl != nil {
+		tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "rdma-read", q.seq, q.rank.world.Env.Now()-q.seq,
 			timeline.Arg{Key: "peer", Val: strconv.Itoa(s.rank.id)},
 			timeline.Arg{Key: "bytes", Val: strconv.FormatInt(q.bytes, 10)})
 	}
@@ -1075,8 +1060,8 @@ func (l *chunkLanded) Handle() {
 	r := q.rank
 	gpu.CopyRange(q.packed, m.chunkOff, m.sender.packed, m.chunkOff, m.chunkBytes)
 	q.land(m.chunkBytes)
-	if r.tl != nil {
-		r.tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "rdma-read-chunk", m.readAt, r.world.Env.Now()-m.readAt,
+	if tl := r.Timeline(); tl != nil {
+		tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "rdma-read-chunk", m.readAt, r.world.Env.Now()-m.readAt,
 			timeline.Arg{Key: "off", Val: strconv.FormatInt(m.chunkOff, 10)},
 			timeline.Arg{Key: "bytes", Val: strconv.FormatInt(m.chunkBytes, 10)})
 	}
@@ -1328,8 +1313,8 @@ func (r *Rank) progressSend(p *sim.Proc, q *Request) {
 						recvReq.dataHere = true
 					}
 					q.finHere = true // local write completion
-					if r.tl != nil {
-						r.tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "rdma-write", t0, r.world.Env.Now()-t0,
+					if tl := r.Timeline(); tl != nil {
+						tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "rdma-write", t0, r.world.Env.Now()-t0,
 							timeline.Arg{Key: "peer", Val: strconv.Itoa(q.peer)},
 							timeline.Arg{Key: "bytes", Val: strconv.FormatInt(q.bytes, 10)})
 					}
@@ -1498,7 +1483,7 @@ func (f alwaysIPCFallback) run(p *sim.Proc, job pack.Job) (Handle, bool) {
 	st := f.r.Dev.NewStream("ipc-fallback")
 	c := st.Launch(p, job.KernelSpec())
 	over := f.r.Dev.Arch.LaunchOverheadNs
-	f.r.Charge(trace.Launch, "ipc-fallback-launch", p.Now()-over, over)
+	f.r.Trace.Charge(timeline.LayerMPI, trace.Launch, "ipc-fallback-launch", p.Now()-over, over)
 	return completionHandle{c}, true
 }
 
@@ -1586,7 +1571,7 @@ func (r *Rank) Waitall(p *sim.Proc, reqs []*Request) error {
 				break
 			}
 		}
-		r.Charge(cat, "poll", p.Now(), r.world.Cfg.PollIntervalNs)
+		r.Trace.Charge(timeline.LayerMPI, cat, "poll", p.Now(), r.world.Cfg.PollIntervalNs)
 		p.Sleep(r.world.Cfg.PollIntervalNs)
 	}
 }

@@ -14,9 +14,10 @@
 //     polled progress engine; no extra simulation events exist, so a
 //     fault-free run (Config.Faults == nil) is byte-identical to one built
 //     before this layer existed.
-//   - Every retransmission charges its CPU time to trace.Retrans through
-//     Rank.ChargeFault, which mirrors the charge as a fault-layer timeline
-//     span — timeline sums therefore reconcile exactly with the Breakdown.
+//   - Every retransmission charges its CPU time to trace.Retrans on the
+//     fault layer through the rank's ledger (Rank.Trace.Charge), which
+//     mirrors the charge as a timeline span — timeline sums therefore
+//     reconcile exactly with the Breakdown.
 //   - A request completes only when its protocol finished AND every message
 //     it emitted was acked (unacked == 0): no request leaks an in-flight
 //     message, which the chaos conformance suite asserts.
@@ -99,19 +100,6 @@ type pendingMsg struct {
 // installed, even an all-zero one — reliable transport is an explicit
 // opt-in so fault-free runs stay byte-identical).
 func (r *Rank) reliable() bool { return r.world.inj != nil }
-
-// ChargeFault accrues a recovery cost (retransmission CPU time, retry
-// backoff) to trace.Retrans and mirrors it as a fault-layer timeline span,
-// keeping timeline per-category sums reconciled with the Breakdown.
-func (r *Rank) ChargeFault(name string, start, d int64) {
-	if d <= 0 {
-		return
-	}
-	r.Trace.Add(trace.Retrans, d)
-	if r.tl != nil {
-		r.tl.Span(timeline.LayerFault, trace.Retrans, "", name, start, d)
-	}
-}
 
 // timeoutFor derives a retransmission timeout from the wire size: one
 // round trip (request + ack) at link speed plus scheduling slack.
@@ -235,15 +223,15 @@ func (r *Rank) transmit(p *sim.Proc, pm *pendingMsg, retrans bool) {
 	est := r.timeoutFor(pm.wire)
 	pm.deadline = p.Now() + est + r.backoffExtra(est, pm.attempts)
 	if retrans {
-		r.ChargeFault("retransmit:"+m.kind.String(), t0, p.Now()-t0)
+		r.Trace.Charge(timeline.LayerFault, trace.Retrans, "retransmit:"+m.kind.String(), t0, p.Now()-t0)
 		return
 	}
-	if r.tl != nil {
+	if tl := r.Timeline(); tl != nil {
 		name := "ctrl:" + m.kind.String()
 		if m.kind == mkEager {
 			name = "eager"
 		}
-		r.tl.Span(timeline.LayerMPI, timeline.CostNone, "net", name, t0, arrive-t0,
+		tl.Span(timeline.LayerMPI, timeline.CostNone, "net", name, t0, arrive-t0,
 			timeline.Arg{Key: "peer", Val: strconv.Itoa(int(m.to))},
 			timeline.Arg{Key: "bytes", Val: strconv.FormatInt(m.bytes, 10)})
 	}
@@ -471,7 +459,7 @@ func (r *Rank) issueRead(p *sim.Proc, q *Request, op *readOp, retrans bool) {
 	est := r.timeoutFor(op.bytes)
 	op.deadline = p.Now() + est + r.backoffExtra(est, op.attempts)
 	if retrans {
-		r.ChargeFault("rdma-reread", t0, p.Now()-t0)
+		r.Trace.Charge(timeline.LayerFault, trace.Retrans, "rdma-reread", t0, p.Now()-t0)
 	}
 }
 
@@ -510,8 +498,8 @@ func (a *readAttempt) Deliver(d fabric.Delivery) {
 	gpu.CopyRange(q.packed, op.off, a.src, a.srcOff+op.off, op.bytes)
 	op.done = true
 	q.land(op.bytes)
-	if r := q.rank; r.tl != nil {
-		r.tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "rdma-read", a.at, r.world.Env.Now()-a.at,
+	if tl := q.rank.Timeline(); tl != nil {
+		tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "rdma-read", a.at, q.rank.world.Env.Now()-a.at,
 			timeline.Arg{Key: "peer", Val: strconv.Itoa(int(q.matched.from))},
 			timeline.Arg{Key: "bytes", Val: strconv.FormatInt(op.bytes, 10)})
 	}
@@ -590,8 +578,8 @@ func (r *Rank) issueWrite(p *sim.Proc, q *Request, retrans bool) {
 			recvReq.dataHere = true
 		}
 		q.finHere = true // local write completion
-		if r.tl != nil {
-			r.tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "rdma-write", t0, r.world.Env.Now()-t0,
+		if tl := r.Timeline(); tl != nil {
+			tl.Span(timeline.LayerMPI, timeline.CostNone, "net", "rdma-write", t0, r.world.Env.Now()-t0,
 				timeline.Arg{Key: "peer", Val: strconv.Itoa(q.peer)},
 				timeline.Arg{Key: "bytes", Val: strconv.FormatInt(q.bytes, 10)})
 		}
@@ -599,7 +587,7 @@ func (r *Rank) issueWrite(p *sim.Proc, q *Request, retrans bool) {
 	est := r.timeoutFor(q.bytes)
 	rs.writeDeadline = p.Now() + est + r.backoffExtra(est, rs.writeAttempts)
 	if retrans {
-		r.ChargeFault("rdma-rewrite", t0, p.Now()-t0)
+		r.Trace.Charge(timeline.LayerFault, trace.Retrans, "rdma-rewrite", t0, p.Now()-t0)
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 )
 
 // TestChargeZeroAllocWhenTracingDisabled pins the zero-cost disabled path:
-// the Charge helper sits on the Isend/Waitall progress loop, and with no
-// timeline configured it must not allocate at all.
+// the rank ledger's Charge sits on the Isend/Waitall progress loop, and with
+// no timeline configured it must not allocate at all.
 func TestChargeZeroAllocWhenTracingDisabled(t *testing.T) {
 	w := newWorld("GPU-Sync", nil)
 	r := w.Rank(0)
@@ -23,7 +23,7 @@ func TestChargeZeroAllocWhenTracingDisabled(t *testing.T) {
 		t.Fatal("default config must not enable tracing")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.Charge(trace.Comm, "poll", 0, 5)
+		r.Trace.Charge(timeline.LayerMPI, trace.Comm, "poll", 0, 5)
 	})
 	if allocs != 0 {
 		t.Fatalf("Charge with tracing disabled allocates %v per call, want 0", allocs)

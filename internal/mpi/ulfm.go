@@ -89,19 +89,6 @@ const (
 	agreePerLiveNs    = 250
 )
 
-// ChargeFailure accrues a recovery cost (revoke flood, shrink consensus,
-// agreement) to trace.Recovery and mirrors it as a failure-layer timeline
-// span, keeping timeline per-category sums reconciled with the Breakdown.
-func (r *Rank) ChargeFailure(name string, start, d int64) {
-	if d <= 0 {
-		return
-	}
-	r.Trace.Add(trace.Recovery, d)
-	if r.tl != nil {
-		r.tl.Span(timeline.LayerFailure, trace.Recovery, "", name, start, d)
-	}
-}
-
 // initFT wires the failure-tolerance state when a crash plan or heartbeat
 // config asks for it. Called from NewWorld after ranks exist.
 func (w *World) initFT() {
@@ -471,7 +458,7 @@ func (c *Comm) Revoke(p *sim.Proc, r *Rank) {
 	cost := int64(revokePerMemberNs * (len(c.ranks) - 1))
 	if cost > 0 && p != nil {
 		p.Sleep(cost)
-		r.ChargeFailure("revoke", t0, cost)
+		r.Trace.Charge(timeline.LayerFailure, trace.Recovery, "revoke", t0, cost)
 	}
 }
 
@@ -598,7 +585,7 @@ func (c *Comm) Shrink(p *sim.Proc, r *Rank) (*Comm, error) {
 	if !st.ev.Fired() {
 		cost := shrinkBaseNs + int64(shrinkPerLiveNs*c.liveMembers())
 		p.Sleep(cost)
-		r.ChargeFailure("shrink", t0, cost)
+		r.Trace.Charge(timeline.LayerFailure, trace.Recovery, "shrink", t0, cost)
 		st.arrived[r.id] = true
 		c.maybeFinishShrink()
 		if !st.ev.Fired() {
@@ -683,7 +670,7 @@ func (c *Comm) Agree(p *sim.Proc, r *Rank, flag uint64) (uint64, error) {
 	st := c.agr
 	cost := agreeBaseNs + int64(agreePerLiveNs*c.liveMembers())
 	p.Sleep(cost)
-	r.ChargeFailure("agree", t0, cost)
+	r.Trace.Charge(timeline.LayerFailure, trace.Recovery, "agree", t0, cost)
 	st.arrived[r.id] = true
 	st.flags &= flag
 	c.maybeFinishAgree()

@@ -19,6 +19,8 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/timeline"
+	"repro/internal/trace"
 )
 
 // Modeled CPU cost of the survivor re-rendezvous (virtual ns), charged
@@ -188,7 +190,7 @@ func (f *Fabric) Reseat(p *sim.Proc, r *mpi.Rank, cm *mpi.Comm) error {
 		cost := reseatBaseNs + reseatPerMemberNs*int64(len(f.members))
 		t0 := p.Now()
 		p.Sleep(cost)
-		r.ChargeFailure("rma-reseat", t0, cost)
+		r.Trace.Charge(timeline.LayerFailure, trace.Recovery, "rma-reseat", t0, cost)
 	}
 	return nil
 }

@@ -33,8 +33,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/mpi"
 	"repro/internal/sim"
-	"repro/internal/timeline"
-	"repro/internal/trace"
 )
 
 // ErrRetriesExhausted surfaces from Quiet when an op's bounded
@@ -237,13 +235,4 @@ type Endpoint struct {
 	firstErr error
 
 	Stats Stats
-}
-
-// charge mirrors a Breakdown charge as an rma-layer timeline span — the
-// pairing that keeps timeline sums reconciled with trace.Breakdown.
-func (ep *Endpoint) charge(cat trace.Category, name string, start, d int64) {
-	ep.r.Trace.Add(cat, d)
-	if tl := ep.r.Timeline(); tl != nil {
-		tl.Span(timeline.LayerRMA, cat, "", name, start, d)
-	}
 }

@@ -3,9 +3,9 @@ package rma
 import (
 	"fmt"
 
-	"repro/internal/trace"
-
 	"repro/internal/sim"
+	"repro/internal/timeline"
+	"repro/internal/trace"
 )
 
 // Signal is a slotted completion flag array: one row of uint64 slots per
@@ -111,7 +111,7 @@ func (ep *Endpoint) WaitSignal(p *sim.Proc, s *Signal, slot int, atLeast uint64)
 		}
 		start := p.Now()
 		p.Sleep(poll)
-		ep.charge(trace.Sync, "signal-poll", start, poll)
+		ep.r.Trace.Charge(timeline.LayerRMA, trace.Sync, "signal-poll", start, poll)
 		ep.Stats.Polls++
 	}
 	return nil

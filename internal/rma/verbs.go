@@ -161,7 +161,7 @@ func (ep *Endpoint) doorbell(p *sim.Proc) error {
 		}
 		p.Sleep(int64(try) * net.Spec.PostCostNs)
 	}
-	ep.charge(trace.Comm, "doorbell", start, p.Now()-start)
+	ep.r.Trace.Charge(timeline.LayerRMA, trace.Comm, "doorbell", start, p.Now()-start)
 	return err
 }
 
@@ -263,7 +263,7 @@ func (ep *Endpoint) issue(o *op) {
 		// Timer-driven re-issue: record it and charge the re-post (the
 		// first post was charged by the doorbell).
 		ep.site.Recordf(fault.Retransmit, "rma %s op=%d try=%d", o.verb, o.id, o.tries+1)
-		ep.charge(trace.Retrans, "rma-retransmit", env.Now(), ep.f.net().Spec.PostCostNs)
+		ep.r.Trace.Charge(timeline.LayerRMA, trace.Retrans, "rma-retransmit", env.Now(), ep.f.net().Spec.PostCostNs)
 		ep.Stats.Retransmits++
 	}
 	o.tries++
@@ -459,7 +459,7 @@ func (ep *Endpoint) PackPut(p *sim.Proc, w *Window, target int, dstOff int64,
 	ep.launch(p, job.KernelSpec())
 	start := p.Now()
 	ep.stream.Synchronize(p)
-	ep.charge(trace.Sync, "pack-sync", start, p.Now()-start)
+	ep.r.Trace.Charge(timeline.LayerRMA, trace.Sync, "pack-sync", start, p.Now()-start)
 	if err := ep.doorbell(p); err != nil {
 		ep.complete(o, o.fail(1, err))
 		return err
@@ -478,8 +478,8 @@ func (ep *Endpoint) launch(p *sim.Proc, spec gpu.KernelSpec) {
 	}
 	start, end := ep.stream.Submit(p, spec)
 	over := ep.r.Dev.Arch.LaunchOverheadNs
-	ep.charge(trace.Launch, "pack-launch", p.Now()-over, over)
-	ep.charge(trace.PackKernel, "pack", start, end-start)
+	ep.r.Trace.Charge(timeline.LayerRMA, trace.Launch, "pack-launch", p.Now()-over, over)
+	ep.r.Trace.Charge(timeline.LayerRMA, trace.PackKernel, "pack", start, end-start)
 }
 
 // Quiet blocks until every op this endpoint issued has completed, then
@@ -503,7 +503,7 @@ func (ep *Endpoint) Quiet(p *sim.Proc) error {
 		}
 		start := p.Now()
 		p.Sleep(poll)
-		ep.charge(trace.Sync, "quiet-poll", start, poll)
+		ep.r.Trace.Charge(timeline.LayerRMA, trace.Sync, "quiet-poll", start, poll)
 		ep.Stats.Polls++
 	}
 	err := ep.firstErr

@@ -18,6 +18,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/pack"
 	"repro/internal/sim"
+	"repro/internal/timeline"
 	"repro/internal/trace"
 )
 
@@ -48,11 +49,11 @@ func (s *GPUSync) Name() string { return "GPU-Sync" }
 func (s *GPUSync) run(p *sim.Proc, job pack.Job) mpi.Handle {
 	c := s.st.Launch(p, job.KernelSpec())
 	over := s.r.Dev.Arch.LaunchOverheadNs
-	s.r.Charge(trace.Launch, "launch", p.Now()-over, over)
-	s.r.Charge(trace.PackKernel, "kernel", c.Start, c.End-c.Start)
+	s.r.Trace.Charge(timeline.LayerMPI, trace.Launch, "launch", p.Now()-over, over)
+	s.r.Trace.Charge(timeline.LayerMPI, trace.PackKernel, "kernel", c.Start, c.End-c.Start)
 	before := p.Now()
 	s.st.Synchronize(p)
-	s.r.Charge(trace.Sync, "stream-sync", before, p.Now()-before)
+	s.r.Trace.Charge(timeline.LayerMPI, trace.Sync, "stream-sync", before, p.Now()-before)
 	return doneHandle{}
 }
 
@@ -102,7 +103,7 @@ type asyncHandle struct {
 func (h asyncHandle) Done(p *sim.Proc) bool {
 	before := p.Now()
 	fired := h.ev.Query(p)
-	h.r.Charge(trace.Sync, "event-query", before, p.Now()-before)
+	h.r.Trace.Charge(timeline.LayerMPI, trace.Sync, "event-query", before, p.Now()-before)
 	return fired
 }
 
@@ -114,11 +115,11 @@ func (s *GPUAsync) run(p *sim.Proc, job pack.Job) mpi.Handle {
 	s.next++
 	c := st.Launch(p, job.KernelSpec())
 	over := s.r.Dev.Arch.LaunchOverheadNs
-	s.r.Charge(trace.Launch, "launch", p.Now()-over, over)
-	s.r.Charge(trace.PackKernel, "kernel", c.Start, c.End-c.Start)
+	s.r.Trace.Charge(timeline.LayerMPI, trace.Launch, "launch", p.Now()-over, over)
+	s.r.Trace.Charge(timeline.LayerMPI, trace.PackKernel, "kernel", c.Start, c.End-c.Start)
 	before := p.Now()
 	ev := st.Record(p, job.Op.String())
-	s.r.Charge(trace.Scheduling, "event-record", before, p.Now()-before)
+	s.r.Trace.Charge(timeline.LayerMPI, trace.Scheduling, "event-record", before, p.Now()-before)
 	return asyncHandle{r: s.r, ev: ev}
 }
 
@@ -184,7 +185,7 @@ func (s *CPUGPUHybrid) run(p *sim.Proc, job pack.Job) mpi.Handle {
 		s.UsedCPU++
 		before := p.Now()
 		s.cpu.Run(p, &job)
-		s.r.Charge(trace.PackKernel, "gdrcopy", before, p.Now()-before)
+		s.r.Trace.Charge(timeline.LayerMPI, trace.PackKernel, "gdrcopy", before, p.Now()-before)
 		return doneHandle{}
 	}
 	s.UsedGPU++
@@ -243,13 +244,13 @@ func (s *NaiveMemcpy) run(p *sim.Proc, job pack.Job) mpi.Handle {
 		}
 		before := p.Now()
 		last = s.st.MemcpyAsync(p, gpu.CopyD2D, bytes, exec)
-		s.r.Charge(trace.Launch, "memcpy-post", before, p.Now()-before)
+		s.r.Trace.Charge(timeline.LayerMPI, trace.Launch, "memcpy-post", before, p.Now()-before)
 	}
 	before := p.Now()
 	s.st.Synchronize(p)
-	s.r.Charge(trace.Sync, "stream-sync", before, p.Now()-before)
+	s.r.Trace.Charge(timeline.LayerMPI, trace.Sync, "stream-sync", before, p.Now()-before)
 	if last != nil {
-		s.r.Charge(trace.PackKernel, "memcpy", last.Start, last.End-last.Start)
+		s.r.Trace.Charge(timeline.LayerMPI, trace.PackKernel, "memcpy", last.Start, last.End-last.Start)
 	}
 	return doneHandle{}
 }
@@ -288,8 +289,7 @@ func NewFusion(r *mpi.Rank) mpi.Scheme {
 // NewFusionWith builds the scheme with an explicit fusion configuration.
 func NewFusionWith(r *mpi.Rank, cfg fusion.Config) mpi.Scheme {
 	sched := fusion.NewScheduler(r.Dev, r.Dev.NewStream("fusion"), cfg)
-	sched.Trace = r.Trace
-	sched.TL = r.Timeline()
+	sched.Ledger = &r.Trace
 	return &Fusion{
 		r:        r,
 		Sched:    sched,
@@ -475,23 +475,23 @@ func (s *StagedHost) run(p *sim.Proc, job pack.Job, toHost bool) mpi.Handle {
 	if toHost {
 		// Pack on device, then stage the packed bytes down to host.
 		c := s.st.Launch(p, job.KernelSpec())
-		s.r.Charge(trace.Launch, "launch", p.Now()-over, over)
-		s.r.Charge(trace.PackKernel, "kernel", c.Start, c.End-c.Start)
+		s.r.Trace.Charge(timeline.LayerMPI, trace.Launch, "launch", p.Now()-over, over)
+		s.r.Trace.Charge(timeline.LayerMPI, trace.PackKernel, "kernel", c.Start, c.End-c.Start)
 		before := p.Now()
 		s.st.MemcpyAsync(p, kind, job.Bytes, nil)
-		s.r.Charge(trace.Launch, "stage-copy", before, p.Now()-before)
+		s.r.Trace.Charge(timeline.LayerMPI, trace.Launch, "stage-copy", before, p.Now()-before)
 	} else {
 		// Stage up to device, then unpack.
 		before := p.Now()
 		s.st.MemcpyAsync(p, kind, job.Bytes, nil)
-		s.r.Charge(trace.Launch, "stage-copy", before, p.Now()-before)
+		s.r.Trace.Charge(timeline.LayerMPI, trace.Launch, "stage-copy", before, p.Now()-before)
 		c := s.st.Launch(p, job.KernelSpec())
-		s.r.Charge(trace.Launch, "launch", p.Now()-over, over)
-		s.r.Charge(trace.PackKernel, "kernel", c.Start, c.End-c.Start)
+		s.r.Trace.Charge(timeline.LayerMPI, trace.Launch, "launch", p.Now()-over, over)
+		s.r.Trace.Charge(timeline.LayerMPI, trace.PackKernel, "kernel", c.Start, c.End-c.Start)
 	}
 	before := p.Now()
 	s.st.Synchronize(p)
-	s.r.Charge(trace.Sync, "stream-sync", before, p.Now()-before)
+	s.r.Trace.Charge(timeline.LayerMPI, trace.Sync, "stream-sync", before, p.Now()-before)
 	return doneHandle{}
 }
 

@@ -11,7 +11,8 @@
 // construction) behind an explicit nil check. Memory is bounded by a ring
 // buffer; cost sums are accumulated at emit time and survive ring eviction,
 // so the per-category totals always reconcile with trace.Breakdown even when
-// old events have been dropped.
+// old events have been dropped. Cost-carrying spans come only from a rank's
+// Ledger, whose one Charge method feeds both views.
 package timeline
 
 import (
@@ -60,8 +61,8 @@ func (l Layer) String() string {
 
 // CostNone marks an event that carries no Breakdown cost — a machine-view
 // span (GPU stream occupancy, wire time) or a protocol marker. Events with
-// Cost != CostNone mirror exactly one trace.Breakdown.Add call; summing their
-// durations per category reproduces the breakdown.
+// Cost != CostNone mirror exactly one Ledger.Charge; summing their durations
+// per category reproduces the ledger's breakdown.
 const CostNone trace.Category = -1
 
 // Arg is one key/value annotation on an event.
@@ -183,7 +184,7 @@ func (r *Recorder) Events() []Event {
 
 // Sums returns the per-category cost totals across every emitted event —
 // including evicted ones — as a Breakdown. By construction this equals the
-// rank's trace.Breakdown for all instrumented charges.
+// breakdown of the Ledger that owns the recorder.
 func (r *Recorder) Sums() *trace.Breakdown {
 	b := &trace.Breakdown{}
 	if r == nil {
@@ -203,10 +204,9 @@ func (r *Recorder) Count(c trace.Category) int64 {
 	return r.counts[c]
 }
 
-// Reset discards all recorded events and zeroes the cost sums. Callers that
-// reset a paired trace.Breakdown (benchmark warmup) must reset the recorder
-// too, or reconciliation breaks.
-func (r *Recorder) Reset() {
+// reset discards all recorded events and zeroes the cost sums; Ledger.Reset
+// calls it with the paired breakdown's reset.
+func (r *Recorder) reset() {
 	if r == nil {
 		return
 	}

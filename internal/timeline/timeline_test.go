@@ -14,7 +14,7 @@ func TestNilRecorderIsDisabledAndFree(t *testing.T) {
 	var r *Recorder
 	r.Span(LayerMPI, trace.Comm, "", "x", 0, 10)
 	r.Instant(LayerMPI, "", "x", 0)
-	r.Reset()
+	r.reset()
 	if r.Events() != nil || r.Count(trace.Comm) != 0 {
 		t.Fatal("nil recorder must be empty")
 	}
@@ -115,7 +115,7 @@ func TestNegativeDurationPanics(t *testing.T) {
 func TestReset(t *testing.T) {
 	r := NewRecorder(4)
 	r.Span(LayerMPI, trace.Comm, "", "x", 0, 10)
-	r.Reset()
+	r.reset()
 	if len(r.Events()) != 0 || r.Sums().Total() != 0 || r.Count(trace.Comm) != 0 {
 		t.Fatal("reset must clear events, sums, and counts")
 	}

@@ -294,3 +294,134 @@ func TestPayloadModeScanFixture(t *testing.T) {
 		t.Errorf("reported %q, want %q", got, want)
 	}
 }
+
+// chargeBypasses parses every non-test .go file under root (see
+// parseNonTestFiles) and reports, as "file:line: what", each call that
+// charges virtual time around module's timeline.Ledger: a Span given a cost
+// other than timeline.CostNone outside internal/timeline, or an Add to a
+// breakdown outside internal/timeline and internal/trace. Matching is by
+// shape, without types: a breakdown Add is a two-argument Add whose
+// receiver is a field or variable named Trace or Breakdown, or whose first
+// argument is built from package trace.
+func chargeBypasses(root, module string) ([]string, error) {
+	fset := token.NewFileSet()
+	var found []string
+	report := func(pos token.Pos, what string) {
+		p := fset.Position(pos)
+		found = append(found, fmt.Sprintf("%s:%d: %s", filepath.ToSlash(p.Filename), p.Line, what))
+	}
+	err := parseNonTestFiles(fset, root, func(path string, f *ast.File) {
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return
+		}
+		dir := filepath.ToSlash(filepath.Dir(rel))
+		inTimeline := dir == "internal/timeline"
+		inTrace := dir == "internal/trace"
+		timelineName := importName(f, module+"/internal/timeline")
+		traceName := importName(f, module+"/internal/trace")
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			switch sel.Sel.Name {
+			case "Span":
+				if !inTimeline && len(call.Args) >= 2 && pkgSel(call.Args[1], timelineName) != "CostNone" {
+					report(sel.Sel.Pos(), "passes Span a cost")
+				}
+			case "Add":
+				if inTimeline || inTrace || len(call.Args) != 2 {
+					return true
+				}
+				arg := call.Args[0]
+				if conv, ok := arg.(*ast.CallExpr); ok {
+					arg = conv.Fun // trace.Category(i)
+				}
+				if recv := lastName(sel.X); recv == "Trace" || recv == "Breakdown" || pkgSel(arg, traceName) != "" {
+					report(sel.Sel.Pos(), "adds to a Breakdown")
+				}
+			}
+			return true
+		})
+	})
+	return found, err
+}
+
+// importName is the name f refers to the package at path by, or "" when f
+// does not import it.
+func importName(f *ast.File, path string) string {
+	for _, imp := range f.Imports {
+		if imp.Path.Value != strconv.Quote(path) {
+			continue
+		}
+		if imp.Name != nil {
+			return imp.Name.Name
+		}
+		return path[strings.LastIndexByte(path, '/')+1:]
+	}
+	return ""
+}
+
+// pkgSel is Name when e is pkg.Name, else "".
+func pkgSel(e ast.Expr, pkg string) string {
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok || pkg == "" {
+		return ""
+	}
+	if id, ok := sel.X.(*ast.Ident); ok && id.Name == pkg {
+		return sel.Sel.Name
+	}
+	return ""
+}
+
+// lastName is the final identifier of a name or selector chain (Trace in
+// r.Trace), or "".
+func lastName(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		return e.Sel.Name
+	}
+	return ""
+}
+
+// TestChargePathIsSingle fails when a non-test file charges virtual time
+// other than through a rank's timeline.Ledger: a cost-carrying Span or a
+// bare Breakdown Add accrues to one of the two views only, and the
+// breakdown and the timeline stop reconciling.
+func TestChargePathIsSingle(t *testing.T) {
+	found, err := chargeBypasses(".", "repro")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range found {
+		t.Error(f)
+	}
+}
+
+// TestChargePathScanFixture runs the charge-path scan over the fixture
+// module: its timeline package may give spans a cost and add to a
+// breakdown, its trace package may only add, and its coll package may only
+// call the ledger and record cost-free spans.
+func TestChargePathScanFixture(t *testing.T) {
+	got, err := chargeBypasses(filepath.Join("testdata", "surface"), "surface")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(got)
+	want := []string{
+		"testdata/surface/internal/coll/coll.go:14: passes Span a cost",
+		"testdata/surface/internal/coll/coll.go:15: adds to a Breakdown",
+		"testdata/surface/internal/coll/coll.go:16: adds to a Breakdown",
+		"testdata/surface/internal/trace/trace.go:11: passes Span a cost",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("reported %q, want %q", got, want)
+	}
+}
